@@ -265,8 +265,7 @@ def voxelize(points: np.ndarray, cell_size: float) -> VoxelGrid:
         raise ValueError("coordinates exceed the voxel key range")
     packed = (shifted[:, 0] << (2 * _KEY_BITS)) | (shifted[:, 1] << _KEY_BITS) | shifted[:, 2]
     uniq, assignments = np.unique(packed, return_inverse=True)
-    counts = np.bincount(assignments, minlength=uniq.size)
-    centroids, _ = segment_mean_np(pts, assignments, uniq.size)
+    centroids, counts = segment_mean_np(pts, assignments, uniq.size)
     keys = np.stack([(uniq >> (2 * _KEY_BITS)) & _KEY_MASK,
                      (uniq >> _KEY_BITS) & _KEY_MASK,
                      uniq & _KEY_MASK], axis=1) - _KEY_OFFSET

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import tensor as T
 from .encoder import EncodeResult, cross_head, proj_head, proto_scores, upcast
@@ -67,10 +68,7 @@ def _teacher_probs(params_t, feats: T.Tensor, center: np.ndarray, cfg: ClusterLo
     """
     z = proj_head(params_t, feats)
     logits = proto_scores(params_t, z).data
-    shifted = (logits - center) / cfg.teacher_temp
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True), logits
+    return T.op_softmax(T.Tensor(logits - center), cfg.teacher_temp).data, logits
 
 
 def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
@@ -112,13 +110,12 @@ def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
                 continue
             t_anc = t_enc.ancestors(stage)
             # aggregate teacher distributions onto student feature rows so the
-            # cross-entropy is one weighted sum per student view; duplicate
-            # (student row, teacher row) pairs collapse to a count first
-            m_rows = t_probs.shape[0]
-            codes = s_anc[ia] * m_rows + t_anc[ib]
-            uniq, counts = np.unique(codes, return_counts=True)
-            agg = T.scatter_add_rows(t_probs[uniq % m_rows] * counts[:, None],
-                                     uniq // m_rows, rows)
+            # cross-entropy is one weighted sum per student view: a (student
+            # row, teacher row) pair-count matrix times the teacher rows
+            pair_counts = sp.coo_matrix(
+                (np.ones(ia.size), (s_anc[ia], t_anc[ib])),
+                shape=(rows, t_probs.shape[0])).tocsr()
+            agg = pair_counts @ t_probs
             combo_losses.append(T.op_mul(T.op_sum(T.op_mul(logq, T.Tensor(agg))),
                                          -1.0 / ia.size))
             total_pairs += int(ia.size)

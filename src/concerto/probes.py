@@ -141,15 +141,11 @@ def lift_patch_features_to_points(sample: SceneSample, eps_depth: float = 0.01):
     grids = [v.flat_feature_grid() for v in sample.views]
     dim = grids[0].shape[1]
     corr = build_correspondence(sample.cloud.coords, sample.views, eps_depth)
-    out = np.zeros((n, dim))
     if len(corr) == 0:
-        return out, np.zeros(n, dtype=bool)
+        return np.zeros((n, dim)), np.zeros(n, dtype=bool)
     rows = np.stack([grids[v][p] for v, p in zip(corr.view_index, corr.patch_index)])
-    sums = T.scatter_add_rows(rows, corr.point_index, n)
-    counts = np.bincount(corr.point_index, minlength=n)
-    valid = counts > 0
-    out[valid] = sums[valid] / counts[valid, None]
-    return out, valid
+    out, counts = T.segment_mean_np(rows, corr.point_index, n)
+    return out, counts > 0
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import itertools
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import erf
 
 _CREATION_COUNTER = itertools.count()
@@ -161,17 +162,6 @@ def op_mul(a: Tensor, b) -> Tensor:
         return _record(a.data * b.data, "mul_row", [a, b],
                        lambda g: (g * b.data, (g * a.data).sum(axis=0)))
     raise ValueError(f"op_mul shape mismatch: {a.data.shape} vs {b.data.shape}")
-
-
-def op_sub(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor) and np.isscalar(b):
-        return op_add(a, -float(b))
-    return op_add(a, op_mul(b, -1.0))
-
-
-def op_relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    return _record(np.where(mask, x.data, 0.0), "relu", [x], lambda g: (g * mask,))
 
 
 def op_gelu(x: Tensor) -> Tensor:
@@ -382,41 +372,33 @@ def op_cosine(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
 # segment pooling
 # ---------------------------------------------------------------------------
 
-def _sorted_runs(ids: np.ndarray):
-    """Stable sort order plus run starts and run labels of equal ids."""
-    order = np.argsort(ids, kind="stable")
-    sid = ids[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(sid)) + 1])
-    return order, starts, sid[starts]
-
-
 def segment_sum_np(values: np.ndarray, ids: np.ndarray, num_segments: int) -> np.ndarray:
-    """Plain numpy per-segment row sum (sorted reduceat; fast, no graph)."""
+    """Per-segment row sum: the (num_segments, n) 0/1 incidence matrix times
+    ``values`` (no graph). Column j of the matrix holds its single 1 at row
+    ``ids[j]``, so it is built in CSC form without sorting. Ids outside
+    ``[0, num_segments)`` raise ``IndexError``; the output keeps the dtype
+    of ``values``."""
     ids = np.asarray(ids, dtype=np.int64)
-    out = np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
-    if ids.size == 0:
-        return out
-    order, starts, uniq = _sorted_runs(ids)
-    out[uniq] = np.add.reduceat(values[order], starts, axis=0)
-    return out
+    # unchecked ids would make scipy write outside its output buffer
+    if ids.size and (ids.min() < 0 or ids.max() >= num_segments):
+        raise IndexError("segment id out of range")
+    n = ids.shape[0]
+    incidence = sp.csc_matrix((np.ones(n, dtype=values.dtype), ids, np.arange(n + 1)),
+                              shape=(num_segments, n))
+    return incidence @ values
 
 
 def segment_mean_np(values: np.ndarray, ids: np.ndarray, num_segments: int):
     """Per-segment row mean; returns (means, counts). Empty segments are zero."""
+    sums = segment_sum_np(values, ids, num_segments)  # rejects bad ids before bincount
     counts = np.bincount(np.asarray(ids, dtype=np.int64), minlength=num_segments)
-    sums = segment_sum_np(values, ids, num_segments)
     denom = np.maximum(counts, 1).astype(np.float64)
     return sums / denom.reshape((-1,) + (1,) * (values.ndim - 1)), counts
 
 
 def scatter_add_rows(rows: np.ndarray, index: np.ndarray, num_rows: int) -> np.ndarray:
     """Sum rows into an output of ``num_rows`` rows at positions ``index``."""
-    out = np.zeros((num_rows,) + rows.shape[1:], dtype=rows.dtype)
-    if index.size == 0:
-        return out
-    order, starts, uniq = _sorted_runs(np.asarray(index, dtype=np.int64))
-    out[uniq] = np.add.reduceat(rows[order], starts, axis=0)
-    return out
+    return segment_sum_np(rows, index, num_rows)
 
 
 def op_segment_mean(values: Tensor, segment_ids, num_segments: int):
@@ -429,8 +411,6 @@ def op_segment_mean(values: Tensor, segment_ids, num_segments: int):
     ids = np.asarray(segment_ids, dtype=np.int64)
     if values.data.ndim != 2 or ids.shape != (values.data.shape[0],):
         raise ValueError("op_segment_mean expects (n, d) values and (n,) ids")
-    if ids.size and (ids.min() < 0 or ids.max() >= num_segments):
-        raise IndexError("segment id out of range")
     means, counts = segment_mean_np(values.data, ids, num_segments)
     inv = 1.0 / np.maximum(counts, 1).astype(np.float64)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -223,6 +224,22 @@ def _scene_grids(sample: SceneSample):
     return [v.flat_feature_grid() for v in sample.views]
 
 
+def _truncate_log(path: Path, start_step: int):
+    """Drop the rows of step ``start_step`` and later from an existing log, so
+    a resumed run logs each step once. The kept rows go to a temporary file
+    that is renamed into place."""
+    if not path.exists():
+        return
+    with open(path) as fh:
+        # a row without its newline was cut short by an interrupted write
+        kept = [line for line in fh
+                if line.endswith("\n") and json.loads(line)["step"] < start_step]
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w") as fh:
+        fh.writelines(kept)
+    os.replace(tmp, path)
+
+
 def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConfig,
           aug_cfg: AugmentConfig, cluster_cfg: ClusterLossConfig,
           out_dir=None, resume_from=None, log_every: int = 1,
@@ -258,7 +275,10 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
     log_fh = None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        log_fh = open(out / "train_log.jsonl", "a" if resume_from else "w")
+        log_path = out / "train_log.jsonl"
+        if resume_from is not None:
+            _truncate_log(log_path, start_step)
+        log_fh = open(log_path, "a" if resume_from else "w")
 
     log: List[dict] = []
     checkpoints: List[Path] = []

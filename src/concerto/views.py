@@ -1,5 +1,5 @@
 """Multi-view point cloud augmentation: 2 global + 2 masked + 4 local views
-with original-index provenance, plus weak image-feature augmentation.
+with original-index provenance.
 
 Masked views reuse the principal (first global) view's geometry and differ
 only in a point mask, so any correspondence built on the principal view's
@@ -36,8 +36,6 @@ class AugmentConfig:
     crop_range: Tuple[float, float] = (0.1, 0.4)
     mask_ratio: float = 0.3
     mask_grid: float = 0.1
-    image_color_jitter: float = 0.0
-    image_blur_sigma: float = 0.0
 
     def __post_init__(self):
         for name in ("rotation_range", "scale_range", "crop_range"):
@@ -189,45 +187,3 @@ def match_views(student: View, teacher: View):
                                      assume_unique=True, return_indices=True)
     return ia, ib
 
-
-def _gaussian_kernel1d(sigma: float) -> np.ndarray:
-    radius = max(1, int(np.ceil(3 * sigma)))
-    x = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-0.5 * (x / sigma) ** 2)
-    return k / k.sum()
-
-
-def _blur2d(grid: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable gaussian blur over the two spatial axes with mirror padding,
-    which preserves the per-channel total exactly."""
-    k = _gaussian_kernel1d(sigma)
-    r = (k.size - 1) // 2
-    out = grid
-    for axis in (0, 1):
-        padded = np.pad(out, [(r, r) if a == axis else (0, 0) for a in range(out.ndim)],
-                        mode="symmetric")
-        acc = np.zeros_like(out)
-        for o, w in enumerate(k):
-            sl = [slice(None)] * out.ndim
-            sl[axis] = slice(o, o + out.shape[axis])
-            acc = acc + w * padded[tuple(sl)]
-        out = acc
-    return out
-
-
-def augment_image_features(grid: np.ndarray, cfg: AugmentConfig, seed: int) -> np.ndarray:
-    """Weak augmentation of a (Hp, Wp, D) feature grid: per-channel jitter and
-    gaussian blur. Disabled (identity) at the default zero strengths."""
-    out = np.asarray(grid, dtype=np.float64)
-    if cfg.image_color_jitter <= 0 and cfg.image_blur_sigma <= 0:
-        return out
-    rng = np.random.default_rng([seed, 0x1a6e])
-    if cfg.image_color_jitter > 0:
-        d = out.shape[-1]
-        scale = 1.0 + rng.uniform(-cfg.image_color_jitter, cfg.image_color_jitter, size=d)
-        shift = rng.uniform(-cfg.image_color_jitter, cfg.image_color_jitter, size=d)
-        shift = shift * out.std(axis=(0, 1))
-        out = out * scale + shift
-    if cfg.image_blur_sigma > 0:
-        out = _blur2d(out, cfg.image_blur_sigma)
-    return out

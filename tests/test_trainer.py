@@ -193,6 +193,17 @@ class TestTrainLoop:
         for row in resumed.log:
             assert row == full_rows[row["step"]]
 
+    def test_resume_into_same_dir_logs_each_step_once(self, dataset, tmp_path):
+        out = tmp_path / "run"
+        log_path = out / "train_log.jsonl"
+        self.run(dataset[:2], 4, out=out, checkpoint_every_epochs=1)
+        uninterrupted = log_path.read_text().splitlines()
+        self.run(dataset[:2], 4, out=out, resume=out / "ckpt_step000002",
+                 checkpoint_every_epochs=1)
+        resumed = log_path.read_text().splitlines()
+        assert [json.loads(line)["step"] for line in resumed] == [0, 1, 2, 3]
+        assert resumed == uninterrupted
+
     def test_log_jsonl_keys(self, dataset, tmp_path):
         self.run(dataset, 3, out=tmp_path / "log")
         lines = (tmp_path / "log" / "train_log.jsonl").read_text().strip().splitlines()

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from concerto.dataio import PointCloud, SyntheticSpec, generate_synthetic
-from concerto.views import (AugmentConfig, augment_image_features, make_viewset,
-                            match_views)
+from concerto.views import AugmentConfig, make_viewset, match_views
 
 
 @pytest.fixture(scope="module")
@@ -105,31 +104,3 @@ class TestMatchViews:
         origins = s.origin_index[ia]
         assert (np.diff(origins) > 0).all()
 
-
-class TestImageAugment:
-    def test_zero_strength_is_identity(self):
-        rng = np.random.default_rng(10)
-        grid = rng.normal(size=(8, 8, 5))
-        out = augment_image_features(grid, AugmentConfig(), seed=0)
-        np.testing.assert_array_equal(out, grid)
-
-    def test_blur_constant_grid_fixed_point(self):
-        grid = np.full((6, 6, 3), 2.5)
-        cfg = AugmentConfig(image_blur_sigma=4.0)
-        out = augment_image_features(grid, cfg, seed=1)
-        np.testing.assert_allclose(out, grid, atol=1e-12)
-
-    def test_blur_preserves_channel_mean(self):
-        rng = np.random.default_rng(11)
-        grid = rng.normal(size=(8, 8, 4))
-        cfg = AugmentConfig(image_blur_sigma=1.3)
-        out = augment_image_features(grid, cfg, seed=2)
-        np.testing.assert_allclose(out.mean(axis=(0, 1)), grid.mean(axis=(0, 1)), atol=1e-9)
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(12)
-        grid = rng.normal(size=(8, 8, 4))
-        cfg = AugmentConfig(image_color_jitter=0.2, image_blur_sigma=0.8)
-        a = augment_image_features(grid, cfg, seed=3)
-        b = augment_image_features(grid, cfg, seed=3)
-        np.testing.assert_array_equal(a, b)
