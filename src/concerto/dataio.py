@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import colorsys
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ctsr import CtsrError, load_ctsr, save_ctsr
+from .ctsr import load_ctsr, save_ctsr
 from .geometry import CameraView, build_correspondence, render_depth
 from .tensor import segment_mean_np
 

@@ -240,7 +240,8 @@ def _stage_block(x, params, cfg, s, adapters, train, rng):
 def _local_mix(feats, assignments, num_segments):
     """Half-and-half blend of each point's features with its voxel-neighborhood
     mean; keeps dimensions, adds context."""
-    spread = T.op_voxel_smooth(feats, assignments, num_segments)
+    means, _ = T.op_segment_mean(feats, assignments, num_segments)
+    spread = T.op_gather_rows(means, assignments)
     return T.op_mul(T.op_add(feats, spread), 0.5)
 
 
@@ -254,7 +255,6 @@ def encode(view: View, params: Dict[str, T.Tensor], cfg: EncoderConfig,
     learned mask token.
     """
     coords0 = view.cloud.coords
-    n = coords0.shape[0]
     base_grid = voxelize(coords0, cfg.cell_sizes[0])
     offsets = coords0 - base_grid.centroids[base_grid.assignments]
     raw = np.concatenate([view.cloud.colors, offsets], axis=1)
@@ -263,9 +263,8 @@ def encode(view: View, params: Dict[str, T.Tensor], cfg: EncoderConfig,
     if view.mask is not None and view.mask.any():
         keep = (~view.mask).astype(np.float64)[:, None] * np.ones((1, INPUT_DIM))
         hole = view.mask.astype(np.float64)[:, None] * np.ones((1, INPUT_DIM))
-        token_rows = T.op_gather_rows(T.op_reshape(params["mask_token"], (1, INPUT_DIM)),
-                                      np.zeros(n, dtype=np.int64))
-        x = T.op_add(T.op_mul(x, T.Tensor(keep)), T.op_mul(token_rows, T.Tensor(hole)))
+        x = T.op_add(T.op_mul(x, T.Tensor(keep)),
+                     T.op_mul(T.Tensor(hole), params["mask_token"]))
 
     coords = [coords0]
     feats = []

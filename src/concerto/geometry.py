@@ -8,8 +8,8 @@ floor pixel, and depth values <= 0 or NaN are invalid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -188,13 +188,8 @@ def visible_mask(points: np.ndarray, cam: CameraView, eps_depth: float):
 
 
 def build_correspondence(points: np.ndarray, views: Sequence[CameraView],
-                         eps_depth: float, budget: Optional[int] = None,
-                         seed: int = 0) -> Correspondence:
-    """All visibility-verified (point, view) matches with patch indices.
-
-    With a budget and more matches than it, a uniform seeded subsample of
-    exactly ``budget`` entries is kept. Deterministic given the seed.
-    """
+                         eps_depth: float) -> Correspondence:
+    """All visibility-verified (point, view) matches with patch indices."""
     if eps_depth <= 0:
         raise ValueError("eps_depth must be positive")
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -213,10 +208,6 @@ def build_correspondence(points: np.ndarray, views: Sequence[CameraView],
         entries = np.concatenate(blocks, axis=0).astype(np.int64)
     else:
         entries = np.zeros((0, 5), dtype=np.int64)
-    if budget is not None and entries.shape[0] > budget:
-        rng = np.random.default_rng(seed)
-        keep = rng.choice(entries.shape[0], size=budget, replace=False)
-        entries = entries[np.sort(keep)]
     return Correspondence(entries=entries, eps_depth=float(eps_depth))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,15 +50,6 @@ class LossWeights:
             raise ValueError("loss weights must be non-negative")
         if self.cross == 0 and self.intra == 0:
             raise ValueError("at least one loss weight must be positive")
-
-
-@dataclass
-class LossReport:
-    intra: float
-    cross: float
-    total: float
-    matched_pair_count: int
-    nonempty_patch_count: int
 
 
 def _teacher_probs(params_t, feats: T.Tensor, center: np.ndarray, cfg: ClusterLossConfig):
@@ -209,10 +200,3 @@ def combine(intra: T.Tensor, cross: Optional[T.Tensor], weights: LossWeights,
         total = T.op_add(total, T.op_mul(cross, weights.cross))
     return total
 
-
-def make_report(intra: float, cross: float, weights: LossWeights, image_present: bool,
-                matched_pair_count: int, nonempty_patch_count: int) -> LossReport:
-    total = weights.intra * intra + (weights.cross * cross if image_present else 0.0)
-    return LossReport(intra=float(intra), cross=float(cross), total=float(total),
-                      matched_pair_count=matched_pair_count,
-                      nonempty_patch_count=nonempty_patch_count)

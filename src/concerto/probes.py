@@ -10,7 +10,7 @@ mutated. Features default to the full-resolution upcast.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .dataio import SceneSample
 from .encoder import (EncoderConfig, LoraAdapter, clone_params, encode,
-                      make_lora_adapters, param_count, upcast)
+                      make_lora_adapters, upcast)
 from .geometry import build_correspondence
 from .trainer import AdamState, adamw_step
 from .views import View
@@ -32,7 +32,6 @@ class ProbeError(ValueError):
 
 @dataclass
 class ProbeConfig:
-    mode: str = "linear"            # linear | lora | language
     level: int = 4                  # upcast level for probe features
     epochs: int = 50
     lr: float = 1e-3
@@ -46,8 +45,6 @@ class ProbeConfig:
     lora_lr: Optional[float] = None     # None -> lr
 
     def __post_init__(self):
-        if self.mode not in ("linear", "lora", "language"):
-            raise ValueError(f"unknown probe mode '{self.mode}'")
         if self.label_budget is not None and self.label_budget <= 0:
             raise ValueError("label_budget must be positive when present")
         if self.epochs < 0:
@@ -176,10 +173,12 @@ class ProbeResult:
     train_sd: Optional[np.ndarray] = None
 
 
-def _softmax_head_epoch(head, feats_const: T.Tensor, targets: np.ndarray,
+def _softmax_head_epoch(head, feats: T.Tensor, targets: np.ndarray,
                         extra_params: Dict[str, T.Tensor], state: AdamState,
                         cfg: ProbeConfig, lr_factors: Dict[str, float]):
-    logits = T.op_add(T.op_matmul(feats_const, head["head.w"]), head["head.b"])
+    """One full-batch AdamW step of a softmax head on ``feats``; gradients
+    also reach ``extra_params`` through the graph of ``feats``."""
+    logits = T.op_add(T.op_matmul(feats, head["head.w"]), head["head.b"])
     loss = T.op_cross_entropy_rows(T.Tensor(targets), T.op_log_softmax(logits))
     T.backward(loss)
     params = dict(head)
@@ -190,7 +189,6 @@ def _softmax_head_epoch(head, feats_const: T.Tensor, targets: np.ndarray,
         p.zero_grad()
     adamw_step(params, grads, state, cfg.lr, lr_factors,
                weight_decay=cfg.weight_decay)
-    return float(loss.data)
 
 
 def _predict(head, feats: np.ndarray) -> np.ndarray:
@@ -291,17 +289,8 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
         else:
             mu, sd = np.zeros(dim), np.ones(dim)
             xn = x
-        logits = T.op_add(T.op_matmul(xn, head["head.w"]), head["head.b"])
-        loss = T.op_cross_entropy_rows(T.Tensor(_one_hot(y, num_classes)),
-                                       T.op_log_softmax(logits))
-        T.backward(loss)
-        params = {**head, **adapter_params}
-        grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.data))
-                 for k, p in params.items()}
-        for p in params.values():
-            p.zero_grad()
-        adamw_step(params, grads, state, cfg.lr, lr_factors,
-                   weight_decay=cfg.weight_decay)
+        _softmax_head_epoch(head, xn, _one_hot(y, num_classes), adapter_params, state,
+                            cfg, lr_factors)
 
     # final standardization stats from the adapted features
     final_feats = [extract_features(s, base, enc_cfg, cfg.level, adapters=adapters)

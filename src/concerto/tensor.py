@@ -58,12 +58,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
-
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
@@ -175,12 +169,6 @@ def op_gelu(x: Tensor) -> Tensor:
     return _record(x.data * cdf, "gelu", [x], vjp)
 
 
-def op_log(x: Tensor) -> Tensor:
-    if np.any(x.data <= 0):
-        raise ValueError("op_log requires strictly positive inputs")
-    return _record(np.log(x.data), "log", [x], lambda g: (g / x.data,))
-
-
 def op_mean(x: Tensor) -> Tensor:
     n = x.data.size
 
@@ -201,14 +189,6 @@ def op_transpose(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ValueError("op_transpose expects a 2-D tensor")
     return _record(x.data.T.copy(), "transpose", [x], lambda g: (g.T,))
-
-
-def op_reshape(x: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    if int(np.prod(shape)) != x.data.size:
-        raise ValueError(f"op_reshape cannot view {x.data.shape} as {shape}")
-    return _record(x.data.reshape(shape), "reshape", [x],
-                   lambda g: (g.reshape(x.data.shape),))
 
 
 def op_concat_lastdim(tensors: Sequence[Tensor]) -> Tensor:
@@ -419,23 +399,6 @@ def op_segment_mean(values: Tensor, segment_ids, num_segments: int):
 
     out = _record(means, "segment_mean", [values], vjp)
     return out, counts > 0
-
-
-def op_voxel_smooth(x: Tensor, segment_ids, num_segments: int) -> Tensor:
-    """Replace each row by the mean of its segment (mean then broadcast).
-
-    The operator matrix is a symmetric projection, so the backward pass is
-    the same mean-and-broadcast applied to the incoming gradient.
-    """
-    ids = np.asarray(segment_ids, dtype=np.int64)
-    if x.data.ndim != 2 or ids.shape != (x.data.shape[0],):
-        raise ValueError("op_voxel_smooth expects (n, d) values and (n,) ids")
-
-    def smooth(arr):
-        means, _ = segment_mean_np(arr, ids, num_segments)
-        return means[ids]
-
-    return _record(smooth(x.data), "voxel_smooth", [x], lambda g: (smooth(g),))
 
 
 def op_cross_entropy_rows(p_target: Tensor, log_q: Tensor) -> Tensor:

@@ -22,13 +22,13 @@ from .ctsr import load_ctsr, save_ctsr
 from .dataio import SceneSample
 from .encoder import EncoderConfig, clone_params, encode, ema_update, init_params
 from .geometry import Correspondence, build_correspondence
-from .objectives import (ClusterLossConfig, LossWeights, combine, cross_loss,
-                         intra_loss, make_report)
-from .views import AugmentConfig, make_viewset
+from .objectives import ClusterLossConfig, LossWeights, combine, cross_loss, intra_loss
+from .views import MIN_LOCAL_POINTS, AugmentConfig, make_viewset
 
 logger = logging.getLogger(__name__)
 
-LOG_KEYS = ("step", "intra", "cross", "total", "lr", "m_ema")
+LOG_KEYS = ("step", "intra", "cross", "total", "lr", "m_ema", "matched_pairs",
+            "nonempty_patches")
 
 
 class TrainerError(RuntimeError):
@@ -41,7 +41,6 @@ class TrainConfig:
     base_lr: float = 0.004
     lr_depth_decay: float = 0.9   # per stage toward the input
     weight_decay: float = 0.05
-    batch_size: int = 1
     ema_base: float = 0.996       # schedule runs ema_base -> 1 over training
     image_usage_ratio: float = 1.0
     weights: LossWeights = field(default_factory=LossWeights)
@@ -240,26 +239,47 @@ def _truncate_log(path: Path, start_step: int):
     os.replace(tmp, path)
 
 
+def _check_encoder_meta(meta: dict, enc_meta: dict, path) -> None:
+    """Refuse to resume a checkpoint under an encoder config it was not
+    trained with."""
+    if "encoder" not in meta:
+        raise TrainerError(f"checkpoint {path} has no 'encoder' entry in meta.json")
+    saved = meta["encoder"]
+    differ = sorted(k for k in saved.keys() | enc_meta.keys()
+                    if saved.get(k) != enc_meta.get(k))
+    if differ:
+        raise TrainerError(f"checkpoint {path} was trained with a different encoder "
+                           f"config; differing fields: {', '.join(differ)}")
+
+
 def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConfig,
           aug_cfg: AugmentConfig, cluster_cfg: ClusterLossConfig,
-          out_dir=None, resume_from=None, log_every: int = 1,
-          step_hook=None, stop_at_step: Optional[int] = None,
-          checkpoint_meta: Optional[dict] = None) -> TrainResult:
+          out_dir=None, resume_from=None,
+          step_hook=None, stop_at_step: Optional[int] = None) -> TrainResult:
     """Run the pretraining loop over scene samples.
 
     Deterministic under (configs, seed); a run resumed from a checkpoint at
     step k produces the same parameters and log lines as an uninterrupted
     run, bit for bit. ``step_hook(step, params, teacher, m_ema)`` is called
-    after every optimizer/EMA update (observer only).
+    after every optimizer/EMA update (observer only). Every checkpoint
+    records the encoder config, and resuming under another one is refused.
     """
     if not samples:
         raise TrainerError("dataset is empty")
+    for sample in samples:
+        # every step draws local crops of at least this many points
+        if sample.cloud.num_points < MIN_LOCAL_POINTS:
+            raise TrainerError(f"scene {sample.scene_id} has {sample.cloud.num_points} "
+                               f"points; training needs at least {MIN_LOCAL_POINTS}")
+    # the JSON round trip makes the stored and the current entry compare equal
+    meta = {"encoder": json.loads(json.dumps(asdict(enc_cfg)))}
     n = len(samples)
     total_steps = cfg.total_steps if cfg.total_steps is not None else cfg.epochs * n
     warmup_steps = int(round(cfg.warmup_fraction * total_steps))
 
     if resume_from is not None:
         ck = load_checkpoint(resume_from)
+        _check_encoder_meta(ck.meta, meta["encoder"], resume_from)
         params, teacher, state, center = ck.params, ck.teacher, ck.state, ck.center
         start_step = ck.step
     else:
@@ -321,7 +341,7 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
             if not np.isfinite(total.data).all():
                 if out is not None:
                     save_checkpoint(out / "dump_nonfinite", params, teacher, state,
-                                    center, step, meta=checkpoint_meta)
+                                    center, step, meta=meta)
                 raise TrainerError(f"non-finite loss at step {step}")
 
             T.backward(total)
@@ -339,15 +359,13 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
             if step_hook is not None:
                 step_hook(step, params, teacher, m_ema)
 
-            report = make_report(intra.item(), cross.item() if cross is not None else 0.0,
-                                 cfg.weights, use_images, pairs, patches)
-            row = {"step": step, "intra": report.intra, "cross": report.cross,
-                   "total": report.total, "lr": float(lr), "m_ema": float(m_ema)}
-            if step % log_every == 0 or step == total_steps - 1:
-                log.append(row)
-                if log_fh is not None:
-                    log_fh.write(json.dumps(row) + "\n")
-                    log_fh.flush()
+            row = dict(zip(LOG_KEYS, (
+                step, intra.item(), cross.item() if cross is not None else 0.0,
+                total.item(), float(lr), float(m_ema), pairs, patches)))
+            log.append(row)
+            if log_fh is not None:
+                log_fh.write(json.dumps(row) + "\n")
+                log_fh.flush()
 
             reached = step + 1
             end_of_epoch = (step + 1) % n == 0
@@ -355,11 +373,10 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
                     and ((step + 1) // n) % cfg.checkpoint_every_epochs == 0):
                 checkpoints.append(save_checkpoint(out / f"ckpt_step{step + 1:06d}",
                                                    params, teacher, state, center,
-                                                   step + 1, meta=checkpoint_meta))
+                                                   step + 1, meta=meta))
         if out is not None:
             checkpoints.append(save_checkpoint(out / "ckpt_final", params, teacher,
-                                               state, center, reached,
-                                               meta=checkpoint_meta))
+                                               state, center, reached, meta=meta))
     finally:
         if log_fh is not None:
             log_fh.close()

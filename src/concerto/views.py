@@ -9,7 +9,7 @@ source points stays valid for them. Local views are contiguous ball crops.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np

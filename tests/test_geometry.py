@@ -164,16 +164,6 @@ class TestCorrespondence:
             got = set(map(tuple, corr.entries.tolist()))
             assert got == brute_force_correspondence(pts, views, 0.01)
 
-    def test_budget_subsamples_exactly(self):
-        cam = simple_cam(f=32.0)
-        xs = np.linspace(-0.9, 0.9, 30)
-        pts = np.array([[x, y, 1.0] for x in xs for y in xs])
-        cam.depth_map = render_depth(pts, cam)
-        corr = build_correspondence(pts, [cam], eps_depth=0.01, budget=100, seed=5)
-        assert len(corr) == 100
-        corr2 = build_correspondence(pts, [cam], eps_depth=0.01, budget=100, seed=5)
-        np.testing.assert_array_equal(corr.entries, corr2.entries)
-
     def test_no_views_empty(self):
         corr = build_correspondence(np.zeros((4, 3)), [], eps_depth=0.01)
         assert len(corr) == 0

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from concerto import tensor as T
-from concerto.dataio import SyntheticSpec, generate_synthetic
+from concerto.dataio import PointCloud, SceneSample, SyntheticSpec, generate_synthetic
 from concerto.encoder import EncoderConfig, clone_params, init_params
 from concerto.objectives import ClusterLossConfig, LossWeights
-from concerto.trainer import (AdamState, TrainConfig, TrainerError, adamw_step,
+from concerto.trainer import (LOG_KEYS, AdamState, TrainConfig, TrainerError, adamw_step,
                               clip_gradients, ema_schedule, load_checkpoint,
                               lr_depth_factors, lr_schedule, save_checkpoint, train)
 from concerto.views import AugmentConfig
@@ -126,15 +126,28 @@ class TestSchedules:
 
 
 class TestTrainLoop:
-    def run(self, dataset, steps, out=None, resume=None, stop=None, **kw):
-        cfg = TrainConfig(seed=4, total_steps=steps, epochs=1, base_lr=0.002,
-                          **kw)
-        return train(dataset, cfg, tiny_enc(), AugmentConfig(), ClusterLossConfig(),
-                     out_dir=out, resume_from=resume, stop_at_step=stop)
+    def run(self, dataset, steps, out=None, resume=None, stop=None, enc_cfg=None,
+            step_hook=None, **kw):
+        cfg = TrainConfig(**{"seed": 4, "total_steps": steps, "epochs": 1,
+                             "base_lr": 0.002, **kw})
+        return train(dataset, cfg, enc_cfg or tiny_enc(), AugmentConfig(),
+                     ClusterLossConfig(), out_dir=out, resume_from=resume,
+                     stop_at_step=stop, step_hook=step_hook)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(TrainerError, match="empty"):
             self.run([], 1)
+
+    def test_too_small_cloud_rejected_before_step_0(self, dataset):
+        c = dataset[0].cloud
+        tiny = SceneSample(cloud=PointCloud(coords=c.coords[:10], colors=c.colors[:10],
+                                            labels=c.labels[:10]),
+                           views=[], scene_id="tiny_scene")
+        steps = []
+        with pytest.raises(TrainerError, match="tiny_scene"):
+            self.run([dataset[0], tiny], 2, seed=3,
+                     step_hook=lambda step, *_rest: steps.append(step))
+        assert steps == []
 
     def test_loss_logged_and_finite(self, dataset):
         res = self.run(dataset, 6)
@@ -210,7 +223,25 @@ class TestTrainLoop:
         assert len(lines) == 3
         for line in lines:
             row = json.loads(line)
-            assert set(row) == {"step", "intra", "cross", "total", "lr", "m_ema"}
+            assert tuple(row) == LOG_KEYS
+            assert row["matched_pairs"] > 0 and row["nonempty_patches"] > 0
+
+    def test_resume_refuses_another_encoder_config(self, dataset, tmp_path):
+        self.run(dataset[:2], 4, out=tmp_path / "run", stop=2)
+        ck = tmp_path / "run" / "ckpt_final"
+        assert json.loads((ck / "meta.json").read_text())["encoder"]["stage_dims"] == \
+            [8, 12, 16, 20, 24]
+        for changed, field in ((tiny_enc(stage_dims=[8, 12, 16, 20, 32]), "stage_dims"),
+                               (tiny_enc(cell_sizes=[0.24, 0.5, 1.0, 2.0]), "cell_sizes")):
+            with pytest.raises(TrainerError, match=field):
+                self.run(dataset[:2], 4, resume=ck, enc_cfg=changed)
+
+    def test_resume_refuses_checkpoint_without_encoder_entry(self, dataset, tmp_path):
+        params = init_params(tiny_enc(), seed=4)
+        save_checkpoint(tmp_path / "ck", params, clone_params(params), AdamState.init(params),
+                        np.zeros(tiny_enc().proto_count), step=1)
+        with pytest.raises(TrainerError, match="'encoder'"):
+            self.run(dataset[:2], 4, resume=tmp_path / "ck")
 
     def test_checkpoint_round_trip(self, dataset, tmp_path):
         enc_cfg = tiny_enc()
