@@ -85,14 +85,17 @@ def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
         teacher_sides.append((view, enc, probs))
         all_logits.append(logits)
 
-    combo_losses = []
+    # each student view's loss is one weighted sum: the teacher distributions
+    # of every view it matches, aggregated onto its feature rows through a
+    # sparse (student row, teacher row) pair matrix with entries 1/|pairs|
+    view_losses = []
+    num_combos = 0
     total_pairs = 0
     for s_view, s_enc in student:
         feats = upcast(s_enc, level)
-        logq = T.op_log_softmax(proto_scores(params_s, proj_head(params_s, feats)),
-                                cfg.student_temp)
         s_anc = s_enc.ancestors(stage)
         rows = feats.data.shape[0]
+        weights = None
         for t_view, t_enc, t_probs in teacher_sides:
             if s_view is t_view:
                 continue
@@ -100,25 +103,30 @@ def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
             if ia.size == 0:
                 continue
             t_anc = t_enc.ancestors(stage)
-            # aggregate teacher distributions onto student feature rows so the
-            # cross-entropy is one weighted sum per student view: a (student
-            # row, teacher row) pair-count matrix times the teacher rows
-            pair_counts = sp.coo_matrix(
-                (np.ones(ia.size), (s_anc[ia], t_anc[ib])),
+            pair_weights = sp.coo_matrix(
+                (np.full(ia.size, 1.0 / ia.size), (s_anc[ia], t_anc[ib])),
                 shape=(rows, t_probs.shape[0])).tocsr()
-            agg = pair_counts @ t_probs
-            combo_losses.append(T.op_mul(T.op_sum(T.op_mul(logq, T.Tensor(agg))),
-                                         -1.0 / ia.size))
+            agg = pair_weights @ t_probs
+            if weights is None:
+                weights = agg
+            else:
+                weights += agg
+            num_combos += 1
             total_pairs += int(ia.size)
+        if weights is None:
+            continue
+        logq = T.op_log_softmax(proto_scores(params_s, proj_head(params_s, feats)),
+                                cfg.student_temp)
+        view_losses.append(T.op_sum(T.op_mul(logq, T.Tensor(weights))))
 
-    if not combo_losses:
+    if not view_losses:
         logger.warning("intra_loss: zero matched pairs across all view combinations")
         loss = T.Tensor(np.array(0.0))
     else:
-        acc = combo_losses[0]
-        for extra in combo_losses[1:]:
+        acc = view_losses[0]
+        for extra in view_losses[1:]:
             acc = T.op_add(acc, extra)
-        loss = T.op_mul(acc, 1.0 / len(combo_losses))
+        loss = T.op_mul(acc, -1.0 / num_combos)
 
     batch_mean = np.concatenate(all_logits, axis=0).mean(axis=0)
     new_center = cfg.center_momentum * center + (1 - cfg.center_momentum) * batch_mean

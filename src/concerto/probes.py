@@ -116,7 +116,11 @@ def extract_features(sample: SceneSample, params, enc_cfg: EncoderConfig,
                      level: int = 4, adapters=None, train: bool = False,
                      rng=None) -> np.ndarray:
     """Upcast features of the unaugmented cloud; keeps the graph only when
-    adapters are supplied (so plain probing stays cheap)."""
+    adapters are supplied (so plain probing stays cheap). Without adapters
+    the encoder runs on untracked views of ``params``, so no tape is
+    recorded even when they are ``T.param`` leaves."""
+    if adapters is None:
+        params = {k: T.Tensor(p.data) for k, p in params.items()}
     res = encode(plain_view(sample), params, enc_cfg, adapters=adapters,
                  train=train, rng=rng)
     feats = upcast(res, level)

@@ -136,9 +136,13 @@ def op_add(a: Tensor, b) -> Tensor:
     if a.data.shape == b.data.shape:
         return _record(a.data + b.data, "add", [a, b], lambda g: (g, g))
     if a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]:
-        return _record(a.data + b.data, "add_bias", [a, b], lambda g: (g, g.sum(axis=0)))
+        return _record(a.data + b.data, "add_bias", [a, b],
+                       lambda g: (g if a.requires_grad else None,
+                                  g.sum(axis=0) if b.requires_grad else None))
     if b.data.ndim == 2 and a.data.ndim == 1 and b.data.shape[1] == a.data.shape[0]:
-        return _record(a.data + b.data, "add_bias", [a, b], lambda g: (g.sum(axis=0), g))
+        return _record(a.data + b.data, "add_bias", [a, b],
+                       lambda g: (g.sum(axis=0) if a.requires_grad else None,
+                                  g if b.requires_grad else None))
     raise ValueError(f"op_add shape mismatch: {a.data.shape} vs {b.data.shape}")
 
 
@@ -151,19 +155,21 @@ def op_mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b)
     if a.data.shape == b.data.shape:
         return _record(a.data * b.data, "mul", [a, b],
-                       lambda g: (g * b.data, g * a.data))
+                       lambda g: (g * b.data if a.requires_grad else None,
+                                  g * a.data if b.requires_grad else None))
     if a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]:
         return _record(a.data * b.data, "mul_row", [a, b],
-                       lambda g: (g * b.data, (g * a.data).sum(axis=0)))
+                       lambda g: (g * b.data if a.requires_grad else None,
+                                  (g * a.data).sum(axis=0) if b.requires_grad else None))
     raise ValueError(f"op_mul shape mismatch: {a.data.shape} vs {b.data.shape}")
 
 
 def op_gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
     cdf = 0.5 * (1.0 + erf(x.data * _SQRT1_2))
-    pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
 
     def vjp(g):
+        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
         return (g * (cdf + x.data * pdf),)
 
     return _record(x.data * cdf, "gelu", [x], vjp)
@@ -202,7 +208,8 @@ def op_concat_lastdim(tensors: Sequence[Tensor]) -> Tensor:
     splits = np.cumsum(widths)[:-1]
 
     def vjp(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=-1))
+        return tuple(np.ascontiguousarray(p) if t.requires_grad else None
+                     for t, p in zip(tensors, np.split(g, splits, axis=-1)))
 
     return _record(np.concatenate([t.data for t in tensors], axis=-1),
                    "concat", list(tensors), vjp)
@@ -219,7 +226,8 @@ def op_concat_rows(tensors: Sequence[Tensor]) -> Tensor:
     splits = np.cumsum([t.data.shape[0] for t in tensors])[:-1]
 
     def vjp(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=0))
+        return tuple(np.ascontiguousarray(p) if t.requires_grad else None
+                     for t, p in zip(tensors, np.split(g, splits, axis=0)))
 
     return _record(np.concatenate([t.data for t in tensors], axis=0),
                    "concat_rows", list(tensors), vjp)
@@ -250,7 +258,8 @@ def op_matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"op_matmul inner dims disagree: {a.data.shape} x {b.data.shape}")
 
     def vjp(g):
-        return (g @ b.data.T, a.data.T @ g)
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return _record(a.data @ b.data, "matmul", [a, b], vjp)
 
@@ -282,9 +291,9 @@ def op_log_softmax(x: Tensor, temperature: float = 1.0) -> Tensor:
     z = z - z.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     y = z - lse
-    sm = np.exp(y)
 
     def vjp(g):
+        sm = np.exp(y)
         return ((g - sm * g.sum(axis=-1, keepdims=True)) / temperature,)
 
     return _record(y, "log_softmax", [x], vjp)
@@ -335,15 +344,16 @@ def op_cosine(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
         g = g[..., None]
         c = cos[..., None]
         d = den[..., None]
-        # where the denominator is clamped it is a constant
-        na_ = np.where(clamped, 1.0, na)[..., None]
-        nb_ = np.where(clamped, 1.0, nb)[..., None]
-        da_free = g * (b.data / d - c * a.data / (na_ * na_))
-        db_free = g * (a.data / d - c * b.data / (nb_ * nb_))
-        da_cl = g * b.data / eps
-        db_cl = g * a.data / eps
         m = clamped[..., None]
-        return (np.where(m, da_cl, da_free), np.where(m, db_cl, db_free))
+
+        def side(x, y, nx):  # d cos / d x, given the other operand y
+            # where the denominator is clamped it is a constant
+            nx = np.where(clamped, 1.0, nx)[..., None]
+            free = g * (y.data / d - c * x.data / (nx * nx))
+            return np.where(m, g * y.data / eps, free)
+
+        return (side(a, b, na) if a.requires_grad else None,
+                side(b, a, nb) if b.requires_grad else None)
 
     return _record(cos, "cosine", [a, b], vjp)
 

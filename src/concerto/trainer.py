@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import shutil
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -28,7 +29,7 @@ from .views import MIN_LOCAL_POINTS, AugmentConfig, make_viewset
 logger = logging.getLogger(__name__)
 
 LOG_KEYS = ("step", "intra", "cross", "total", "lr", "m_ema", "matched_pairs",
-            "nonempty_patches")
+            "nonempty_patches", "grad_norm")
 
 
 class TrainerError(RuntimeError):
@@ -145,10 +146,12 @@ def adamw_step(params: Dict[str, T.Tensor], grads: Dict[str, np.ndarray],
     state.step = t
 
 
-def clip_gradients(grads: Dict[str, np.ndarray], max_norm: float) -> float:
-    """Global-norm clipping; returns the pre-clip norm."""
-    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
-    if total > max_norm and total > 0:
+def clip_gradients(grads: Dict[str, np.ndarray], max_norm: Optional[float]) -> float:
+    """Global-norm clipping (none when ``max_norm`` is None); returns the
+    pre-clip norm. The sum runs in name order, so a resumed run, whose
+    parameters load in that order, gets the same bits."""
+    total = float(np.sqrt(sum(float((grads[k] * grads[k]).sum()) for k in sorted(grads))))
+    if max_norm is not None and total > max_norm and total > 0:
         scale = max_norm / total
         for g in grads.values():
             g *= scale
@@ -171,18 +174,36 @@ class Checkpoint:
 
 def save_checkpoint(path, params, teacher, state: AdamState, center: np.ndarray,
                     step: int, meta: Optional[dict] = None) -> Path:
+    """Write a checkpoint directory atomically: every file goes into a
+    temporary sibling, which then replaces ``path`` whole, so a save that
+    fails partway leaves an earlier checkpoint at ``path`` as it was. (A
+    process killed between the two renames leaves it at ``<path>.old``.)"""
     path = Path(path)
-    for sub, tensors in (("student", params), ("teacher", teacher)):
-        for name, p in tensors.items():
-            save_ctsr(path / sub / f"{name}.ctsr", p.data)
-    for sub, arrays in (("adam_m", state.m), ("adam_v", state.v)):
-        for name, arr in arrays.items():
-            save_ctsr(path / sub / f"{name}.ctsr", arr)
-    save_ctsr(path / "center.ctsr", center)
-    doc = {"step": int(step), "adam_step": int(state.step),
-           "param_names": sorted(params.keys())}
-    doc.update(meta or {})
-    (path / "meta.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
+    tmp, old = path.with_name(path.name + ".tmp"), path.with_name(path.name + ".old")
+    shutil.rmtree(tmp, ignore_errors=True)  # left behind by a killed save
+    tmp.mkdir(parents=True)
+    try:
+        for sub, tensors in (("student", params), ("teacher", teacher)):
+            for name, p in tensors.items():
+                save_ctsr(tmp / sub / f"{name}.ctsr", p.data)
+        for sub, arrays in (("adam_m", state.m), ("adam_v", state.v)):
+            for name, arr in arrays.items():
+                save_ctsr(tmp / sub / f"{name}.ctsr", arr)
+        save_ctsr(tmp / "center.ctsr", center)
+        doc = {"step": int(step), "adam_step": int(state.step),
+               "param_names": sorted(params.keys())}
+        doc.update(meta or {})
+        (tmp / "meta.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    # a directory cannot be renamed over a non-empty one: move the old
+    # checkpoint aside, and delete it once the new one is in place
+    if path.exists():
+        shutil.rmtree(old, ignore_errors=True)
+        os.replace(path, old)
+    os.replace(tmp, path)
+    shutil.rmtree(old, ignore_errors=True)
     return path
 
 
@@ -349,8 +370,7 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
                      for k, p in params.items()}
             for p in params.values():
                 p.zero_grad()
-            if cfg.grad_clip is not None:
-                clip_gradients(grads, cfg.grad_clip)
+            grad_norm = clip_gradients(grads, cfg.grad_clip)
             lr = lr_schedule(step, total_steps, cfg.base_lr, warmup_steps)
             adamw_step(params, grads, state, lr, factors, cfg.beta1, cfg.beta2,
                        cfg.adam_eps, cfg.weight_decay)
@@ -361,7 +381,7 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
 
             row = dict(zip(LOG_KEYS, (
                 step, intra.item(), cross.item() if cross is not None else 0.0,
-                total.item(), float(lr), float(m_ema), pairs, patches)))
+                total.item(), float(lr), float(m_ema), pairs, patches, grad_norm)))
             log.append(row)
             if log_fh is not None:
                 log_fh.write(json.dumps(row) + "\n")

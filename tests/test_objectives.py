@@ -68,7 +68,65 @@ def intra_loss_loop_oracle(student, teacher, params_s, params_t, center, cfg, le
     return float(np.mean(combos))
 
 
+def intra_loss_per_pair_oracle(student, teacher, params_s, params_t, center, cfg, level):
+    """Per-(student, teacher) pair form of the clustering loss: one weighted
+    sum per matched view pair, with the pair-count aggregation of teacher
+    rows onto student rows, averaged over pairs. Returns the loss tensor."""
+    import scipy.sparse as sp
+    from concerto.objectives import _teacher_probs
+    from concerto.views import match_views
+    stage = teacher[0][1].num_stages - 1 - level
+    sides = [(v, enc, _teacher_probs(params_t, upcast(enc, level), center, cfg)[0])
+             for v, enc in teacher]
+    combos = []
+    for s_view, s_enc in student:
+        feats = upcast(s_enc, level)
+        logq = T.op_log_softmax(proto_scores(params_s, proj_head(params_s, feats)),
+                                cfg.student_temp)
+        s_anc = s_enc.ancestors(stage)
+        for t_view, t_enc, t_probs in sides:
+            ia, ib = match_views(s_view, t_view)
+            if s_view is t_view or ia.size == 0:
+                continue
+            counts = sp.coo_matrix((np.ones(ia.size), (s_anc[ia], t_enc.ancestors(stage)[ib])),
+                                   shape=(feats.data.shape[0], t_probs.shape[0])).tocsr()
+            combos.append(T.op_mul(T.op_sum(T.op_mul(logq, T.Tensor(counts @ t_probs))),
+                                   -1.0 / ia.size))
+    acc = combos[0]
+    for extra in combos[1:]:
+        acc = T.op_add(acc, extra)
+    return T.op_mul(acc, 1.0 / len(combos))
+
+
 class TestIntraLoss:
+    def test_matches_per_pair_oracle_loss_and_grads(self, encoded):
+        cfg, params, teacher_p, vs, _student, _teach = encoded
+        from concerto.views import match_views
+        # a local crop as second teacher view: the masked views match all of
+        # the global view's points but only the crop's
+        teacher_views = [vs.globals_[0], vs.locals_[0]]
+        counts = [[match_views(s, t)[0].size for t in teacher_views]
+                  for s in vs.student_views]
+        assert any(min(c) > 0 and c[0] != c[1] for c in counts)
+        ccfg = ClusterLossConfig()
+        center = np.random.default_rng(5).normal(size=cfg.proto_count) * 0.1
+        results = []
+        for fn in (lambda *args: intra_loss(*args)[0], intra_loss_per_pair_oracle):
+            p = {k: T.param(v.data.copy()) for k, v in params.items()}
+            student = [(v, encode(v, p, cfg)) for v in vs.student_views]
+            teach = [(v, encode(v, teacher_p, cfg)) for v in teacher_views]
+            loss = fn(student, teach, p, teacher_p, center, ccfg, 2)
+            T.backward(loss)
+            results.append((loss.item(), p))
+        (loss, p), (ref, p_ref) = results
+        assert abs(loss - ref) <= 1e-12 * abs(ref)
+        for k in p:
+            if p_ref[k].grad is None:
+                assert p[k].grad is None, k
+                continue
+            scale = np.abs(p_ref[k].grad).max()
+            assert np.abs(p[k].grad - p_ref[k].grad).max() <= 1e-12 * scale, k
+
     def test_matches_scalar_loop_oracle(self, encoded):
         cfg, params, teacher_p, vs, student, teach = encoded
         ccfg = ClusterLossConfig()

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from concerto import tensor as T
 from concerto.dataio import SyntheticSpec, generate_synthetic
-from concerto.encoder import EncoderConfig, init_params, param_count
+from concerto.encoder import EncoderConfig, encode, init_params, param_count, upcast
 from concerto.probes import (ProbeConfig, ProbeError, TextSpace, compute_metrics,
                              extract_features, label_budget_indices, language_probe,
                              lift_patch_features_to_points, linear_probe, lora_probe,
-                             zero_shot_segment)
+                             plain_view, zero_shot_segment)
 
 
 def tiny_enc(**kw):
@@ -84,6 +85,29 @@ class TestLabelBudget:
         a = label_budget_indices(300, 40, seed=9, scene_idx=2)
         b = label_budget_indices(300, 40, seed=9, scene_idx=2)
         np.testing.assert_array_equal(a, b)
+
+
+class TestExtractFeatures:
+    def test_param_leaves_without_adapters_record_no_tape(self, dataset, monkeypatch):
+        enc_cfg = tiny_enc()
+        params = init_params(enc_cfg, seed=0)  # T.param leaves
+        recorded = []
+        real_record = T._record
+
+        def counting_record(*args):
+            out = real_record(*args)
+            if out._vjp is not None:
+                recorded.append(out._op)
+            return out
+
+        monkeypatch.setattr(T, "_record", counting_record)
+        # the tracked forward pass the features used to come from
+        reference = upcast(encode(plain_view(dataset[0]), params, enc_cfg), 4).data
+        assert recorded
+        recorded.clear()
+        feats = extract_features(dataset[0], params, enc_cfg, 4)
+        assert recorded == []
+        np.testing.assert_array_equal(feats, reference)
 
 
 class TestLinearProbe:

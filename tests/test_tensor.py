@@ -210,6 +210,40 @@ class TestBackward:
         assert logq.grad is not None
 
 
+# ops with two or more operands, each with operand shapes
+MULTI_OPERAND_OPS = [
+    ("matmul", T.op_matmul, [(4, 5), (5, 3)]),
+    ("mul", T.op_mul, [(3, 4), (3, 4)]),
+    ("mul_row", T.op_mul, [(3, 4), (4,)]),
+    ("add_bias", T.op_add, [(3, 4), (4,)]),
+    ("add_bias_first", T.op_add, [(4,), (3, 4)]),
+    ("cosine", T.op_cosine, [(4, 5), (4, 5)]),
+    ("concat", lambda *ts: T.op_concat_lastdim(ts), [(4, 2), (4, 3), (4, 1)]),
+    ("concat_rows", lambda *ts: T.op_concat_rows(ts), [(2, 3), (4, 3), (1, 3)]),
+]
+
+
+@pytest.mark.parametrize("name,op,shapes", MULTI_OPERAND_OPS,
+                         ids=[row[0] for row in MULTI_OPERAND_OPS])
+def test_constant_operands_get_no_cotangent(name, op, shapes):
+    """With one operand tracked and the rest constant, the VJP returns None
+    for every constant operand, and the tracked operand's gradient is the
+    bits it gets when every operand is tracked."""
+    rng = np.random.default_rng(31)
+    arrays = [rand(rng, *shape) for shape in shapes]
+    all_tracked = op(*[T.param(a) for a in arrays])
+    g = rand(rng, *all_tracked.shape)
+    full = all_tracked._vjp(g)
+    for i in range(len(arrays)):
+        tensors = [T.param(a) if j == i else T.Tensor(a) for j, a in enumerate(arrays)]
+        out = op(*tensors)
+        cotangents = out._vjp(g)
+        assert all(c is None for j, c in enumerate(cotangents) if j != i)
+        np.testing.assert_array_equal(cotangents[i], full[i])
+        T.backward(T.op_sum(T.op_mul(out, T.Tensor(g))))
+        np.testing.assert_array_equal(tensors[i].grad, full[i])
+
+
 OPS_FOR_GRADCHECK = [
     ("add", lambda a, b: T.op_add(a, b), 2, (3, 4)),
     ("add_bias", None, None, None),  # checked separately below

@@ -217,6 +217,24 @@ class TestTrainLoop:
         assert [json.loads(line)["step"] for line in resumed] == [0, 1, 2, 3]
         assert resumed == uninterrupted
 
+    def test_resume_bit_exact_with_grad_clip(self, dataset, tmp_path):
+        # the clip scale depends on the summed norm, so every bit of it counts
+        full = self.run(dataset[:2], 4, out=tmp_path / "run", checkpoint_every_epochs=1,
+                        grad_clip=0.05)
+        resumed = self.run(dataset[:2], 4, resume=tmp_path / "run" / "ckpt_step000002",
+                           grad_clip=0.05)
+        for k in full.params:
+            np.testing.assert_array_equal(full.params[k].data, resumed.params[k].data)
+        assert resumed.log == full.log[2:]
+
+    def test_grad_norm_logged_before_clipping(self, dataset):
+        unclipped = self.run(dataset, 2)
+        clipped = self.run(dataset, 2, grad_clip=1e-6)
+        for row in unclipped.log:
+            assert np.isfinite(row["grad_norm"]) and row["grad_norm"] > 0
+        assert clipped.log[0]["grad_norm"] == unclipped.log[0]["grad_norm"]
+        assert all(row["grad_norm"] > 1e-6 for row in clipped.log)
+
     def test_log_jsonl_keys(self, dataset, tmp_path):
         self.run(dataset, 3, out=tmp_path / "log")
         lines = (tmp_path / "log" / "train_log.jsonl").read_text().strip().splitlines()
@@ -242,6 +260,47 @@ class TestTrainLoop:
                         np.zeros(tiny_enc().proto_count), step=1)
         with pytest.raises(TrainerError, match="'encoder'"):
             self.run(dataset[:2], 4, resume=tmp_path / "ck")
+
+    def test_interrupted_resave_keeps_old_checkpoint(self, tmp_path, monkeypatch):
+        import concerto.trainer as trainer_mod
+        enc_cfg = tiny_enc()
+        params = init_params(enc_cfg, seed=6)
+        state = AdamState.init(params)
+        center = np.arange(enc_cfg.proto_count, dtype=np.float64)
+        save_checkpoint(tmp_path / "ck", params, clone_params(params), state, center, step=3)
+        old = {k: v.data.copy() for k, v in params.items()}
+
+        calls = []
+        real_save = trainer_mod.save_ctsr
+
+        def failing_save(path, array):
+            calls.append(path)
+            if len(calls) == 5:
+                raise OSError("disk full")
+            real_save(path, array)
+
+        for v in params.values():
+            v.data += 1.0
+        monkeypatch.setattr(trainer_mod, "save_ctsr", failing_save)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(tmp_path / "ck", params, clone_params(params), state,
+                            center + 1.0, step=4)
+        monkeypatch.undo()
+        ck = load_checkpoint(tmp_path / "ck")
+        assert ck.step == 3
+        np.testing.assert_array_equal(ck.center, center)
+        for k in params:
+            np.testing.assert_array_equal(ck.params[k].data, old[k])
+            np.testing.assert_array_equal(ck.teacher[k].data, old[k])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+        # a completed re-save replaces the checkpoint whole
+        save_checkpoint(tmp_path / "ck", params, clone_params(params), state,
+                        center + 1.0, step=4)
+        ck = load_checkpoint(tmp_path / "ck")
+        assert ck.step == 4
+        for k in params:
+            np.testing.assert_array_equal(ck.params[k].data, params[k].data)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
 
     def test_checkpoint_round_trip(self, dataset, tmp_path):
         enc_cfg = tiny_enc()
