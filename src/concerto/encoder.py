@@ -6,8 +6,9 @@ Stage 0 embeds per-point input features (colors plus intra-voxel coordinate
 offsets; no absolute coordinates, so features cannot shortcut through
 position). Each later stage mean-pools the previous stage over a voxel grid
 and applies an MLP; a single voxel-neighborhood mean per stage mixes in
-local context. ``upcast`` walks coarse features back toward fine point sets
-with per-step concatenation.
+local context. ``upcast`` copies every coarser stage down to a finer point
+set through its composed parent map, writing all stages side by side into
+one output.
 """
 
 from __future__ import annotations
@@ -211,10 +212,10 @@ class EncodeResult:
     def num_stages(self) -> int:
         return len(self.feats)
 
-    def ancestors(self, stage: int) -> np.ndarray:
-        """Map from P_0 point positions to their stage-``stage`` ancestors."""
-        anc = np.arange(self.coords[0].shape[0])
-        for s in range(stage):
+    def ancestors(self, stage: int, start: int = 0) -> np.ndarray:
+        """Map from P_start point positions to their stage-``stage`` ancestors."""
+        anc = np.arange(self.coords[start].shape[0])
+        for s in range(start, stage):
             anc = self.parents[s][anc]
         return anc
 
@@ -292,18 +293,20 @@ def encode(view: View, params: Dict[str, T.Tensor], cfg: EncoderConfig,
 
 
 def upcast(result: EncodeResult, level: int) -> T.Tensor:
-    """Concatenate coarse-stage features down to P_{top-level}.
+    """Features of stages top-level..top side by side on P_{top-level}.
 
-    level 0 returns the coarsest features unchanged; each step gathers the
-    running features through the parent map and prepends the finer stage.
+    Each row of P_{top-level} takes its own stage-(top-level) features, then
+    those of its ancestor at every coarser stage; level 0 is the coarsest
+    stage's features.
     """
     top = result.num_stages - 1
     if not 0 <= level <= top:
         raise ValueError(f"upcast level {level} out of range 0..{top}")
-    g = result.feats[top]
-    for s in range(top - 1, top - 1 - level, -1):
-        g = T.op_concat_lastdim([result.feats[s], T.op_gather_rows(g, result.parents[s])])
-    return g
+    start = top - level
+    stages = range(start, top + 1)
+    return T.op_gather_concat(
+        [result.feats[s] for s in stages],
+        [None] + [result.ancestors(s, start) for s in stages[1:]])
 
 
 # ---------------------------------------------------------------------------

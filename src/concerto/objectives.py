@@ -68,10 +68,11 @@ def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
                level: int = 2):
     """Clustering cross-entropy over all (student view, teacher view) pairs.
 
-    Returns (loss tensor, updated center, matched pair count). Pairing is by
-    original point index; each matched point contributes the feature of its
-    upcast-level ancestor. The center update is the momentum mean of the raw
-    teacher logits seen this step.
+    Returns (loss tensor, updated center, matched pair count, fraction of
+    prototypes that are the argmax of at least one teacher row). Pairing is
+    by original point index; each matched point contributes the feature of
+    its upcast-level ancestor. The center update is the momentum mean of the
+    raw teacher logits seen this step.
     """
     if not teacher:
         raise ValueError("intra_loss needs at least one teacher view")
@@ -80,10 +81,12 @@ def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
 
     teacher_sides = []
     all_logits = []
+    used = np.zeros(center.shape[0], dtype=bool)
     for view, enc in teacher:
         probs, logits = _teacher_probs(params_t, upcast(enc, level), center, cfg)
         teacher_sides.append((view, enc, probs))
         all_logits.append(logits)
+        used[probs.argmax(axis=1)] = True
 
     # each student view's loss is one weighted sum: the teacher distributions
     # of every view it matches, aggregated onto its feature rows through a
@@ -130,7 +133,7 @@ def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
 
     batch_mean = np.concatenate(all_logits, axis=0).mean(axis=0)
     new_center = cfg.center_momentum * center + (1 - cfg.center_momentum) * batch_mean
-    return loss, new_center, total_pairs
+    return loss, new_center, total_pairs, float(used.mean())
 
 
 def assign_patches(enc: EncodeResult, corr: Correspondence, level: int,

@@ -213,8 +213,11 @@ def linear_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray]],
     for i, (feats, labels) in enumerate(train_scenes):
         keep = label_budget_indices(feats.shape[0], cfg.label_budget, cfg.seed, i)
         keep = keep[labels[keep] >= 0]
-        xs.append(feats[keep])
-        ys.append(labels[keep])
+        # a scene that keeps every row goes to the concatenation uncopied
+        whole = keep.size == feats.shape[0]
+        xs.append(feats if whole else feats[keep])
+        ys.append(labels if whole else labels[keep])
+    # a fresh array, so standardizing in place leaves the callers' untouched
     x = np.concatenate(xs, axis=0)
     y = np.concatenate(ys, axis=0)
     if x.shape[0] == 0:
@@ -223,14 +226,21 @@ def linear_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray]],
     if missing:
         logger.warning("classes absent from probe training set: %s", missing)
 
-    mu, sd = _standardize_fit(x) if cfg.standardize else (0.0, 1.0)
-    xn = (x - mu) * (1.0 / sd)
+    if cfg.standardize:
+        # the same arithmetic as (x - mean) / std, with no full-size temporary
+        # beyond std's squares
+        mu = x.mean(axis=0)
+        x -= mu
+        sd = np.maximum(np.sqrt(np.square(x).sum(axis=0) / x.shape[0]), 1e-8)
+        x *= 1.0 / sd
+    else:
+        mu, sd = 0.0, 1.0
     dim = x.shape[1]
     head = {"head.w": T.param(np.zeros((dim, num_classes))),
             "head.b": T.param(np.zeros(num_classes))}
     state = AdamState.init(head)
     targets = _one_hot(y, num_classes)
-    feats_const = T.Tensor(xn)
+    feats_const = T.Tensor(x)
     for _epoch in range(cfg.epochs):
         _softmax_head_epoch(head, feats_const, targets, {}, state, cfg, {})
 

@@ -197,22 +197,34 @@ def op_transpose(x: Tensor) -> Tensor:
     return _record(x.data.T.copy(), "transpose", [x], lambda g: (g.T,))
 
 
-def op_concat_lastdim(tensors: Sequence[Tensor]) -> Tensor:
-    if not tensors:
-        raise ValueError("op_concat_lastdim needs at least one tensor")
-    lead = tensors[0].data.shape[:-1]
-    for t in tensors:
-        if t.data.shape[:-1] != lead:
-            raise ValueError("op_concat_lastdim: leading dimensions differ")
-    widths = [t.data.shape[-1] for t in tensors]
-    splits = np.cumsum(widths)[:-1]
+def op_gather_concat(tensors: Sequence[Tensor], indices: Sequence) -> Tensor:
+    """Column blocks of gathered rows: block i is ``tensors[i].data[indices[i]]``,
+    and an index of None takes every row in order. The output is allocated
+    once and each block written once; backward scatter-adds each block's
+    gradient straight to its operand's rows."""
+    if not tensors or len(tensors) != len(indices):
+        raise ValueError("op_gather_concat needs one index (or None) per tensor")
+    if any(t.data.ndim != 2 for t in tensors):
+        raise ValueError("op_gather_concat expects 2-D tensors")
+    idxs = [None if i is None else np.asarray(i, dtype=np.int64) for i in indices]
+    rows = [t.data.shape[0] if i is None else i.shape[0] for t, i in zip(tensors, idxs)]
+    if len(set(rows)) != 1:
+        raise ValueError(f"op_gather_concat: blocks have different row counts {rows}")
+    for t, i in zip(tensors, idxs):
+        if i is not None and i.size and (i.min() < 0 or i.max() >= t.data.shape[0]):
+            raise IndexError("op_gather_concat index out of range")
+    bounds = np.cumsum([0] + [t.data.shape[1] for t in tensors])
+    out = np.empty((rows[0], bounds[-1]))
+    for t, i, a, b in zip(tensors, idxs, bounds[:-1], bounds[1:]):
+        out[:, a:b] = t.data if i is None else t.data[i]
 
     def vjp(g):
-        return tuple(np.ascontiguousarray(p) if t.requires_grad else None
-                     for t, p in zip(tensors, np.split(g, splits, axis=-1)))
+        return tuple(None if not t.requires_grad
+                     else np.ascontiguousarray(g[:, a:b]) if i is None
+                     else segment_sum_np(g[:, a:b], i, t.data.shape[0])
+                     for t, i, a, b in zip(tensors, idxs, bounds[:-1], bounds[1:]))
 
-    return _record(np.concatenate([t.data for t in tensors], axis=-1),
-                   "concat", list(tensors), vjp)
+    return _record(out, "gather_concat", list(tensors), vjp)
 
 
 def op_concat_rows(tensors: Sequence[Tensor]) -> Tensor:

@@ -29,7 +29,7 @@ from .views import MIN_LOCAL_POINTS, AugmentConfig, make_viewset
 logger = logging.getLogger(__name__)
 
 LOG_KEYS = ("step", "intra", "cross", "total", "lr", "m_ema", "matched_pairs",
-            "nonempty_patches", "grad_norm")
+            "nonempty_patches", "grad_norm", "center_norm", "proto_used")
 
 
 class TrainerError(RuntimeError):
@@ -344,9 +344,9 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
             student = [(v, encode(v, params, enc_cfg)) for v in vs.student_views]
             teach = [(v, encode(v, teacher, enc_cfg)) for v in vs.teacher_views]
 
-            intra, center, pairs = intra_loss(student, teach, params, teacher,
-                                              center, cluster_cfg,
-                                              level=enc_cfg.intra_upcast_level)
+            intra, center, pairs, proto_used = intra_loss(
+                student, teach, params, teacher, center, cluster_cfg,
+                level=enc_cfg.intra_upcast_level)
             cross = None
             patches = 0
             if use_images:
@@ -381,7 +381,8 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
 
             row = dict(zip(LOG_KEYS, (
                 step, intra.item(), cross.item() if cross is not None else 0.0,
-                total.item(), float(lr), float(m_ema), pairs, patches, grad_norm)))
+                total.item(), float(lr), float(m_ema), pairs, patches, grad_norm,
+                float(np.linalg.norm(center)), proto_used)))
             log.append(row)
             if log_fh is not None:
                 log_fh.write(json.dumps(row) + "\n")

@@ -95,7 +95,58 @@ class TestEncode:
         assert changed[:50].all()
 
 
+def _concat_lastdim_oracle(tensors):
+    """The former concat op: np.concatenate forward, np.split backward."""
+    splits = np.cumsum([t.data.shape[1] for t in tensors])[:-1]
+
+    def vjp(g):
+        return tuple(np.ascontiguousarray(p) if t.requires_grad else None
+                     for t, p in zip(tensors, np.split(g, splits, axis=-1)))
+
+    return T._record(np.concatenate([t.data for t in tensors], axis=-1),
+                     "concat", list(tensors), vjp)
+
+
+def upcast_chain_oracle(result, level):
+    """The former upcast: per level, gather the running features to the finer
+    rows, then concatenate them after that stage's own features."""
+    top = result.num_stages - 1
+    g = result.feats[top]
+    for s in range(top - 1, top - 1 - level, -1):
+        g = _concat_lastdim_oracle([result.feats[s], T.op_gather_rows(g, result.parents[s])])
+    return g
+
+
 class TestUpcast:
+    def test_matches_gather_concat_chain_oracle(self, cloud):
+        cfg = tiny_cfg()
+        params = init_params(cfg, seed=8)
+        params["mask_token"].data[:] = 0.3
+        mask = np.zeros(cloud.num_points, dtype=bool)
+        mask[::3] = True
+        view = View(cloud=cloud, origin_index=np.arange(cloud.num_points),
+                    kind="masked", mask=mask)
+        res = encode(view, params, cfg)
+        for level in range(5):
+            np.testing.assert_array_equal(upcast(res, level).data,
+                                          upcast_chain_oracle(res, level).data)
+        for level in (2, 3):
+            w = T.Tensor(np.random.default_rng(level).normal(
+                size=(res.coords[4 - level].shape[0], cfg.upcast_dim(level))))
+            grads = []
+            for fn in (upcast, upcast_chain_oracle):
+                T.backward(T.op_sum(T.op_mul(fn(res, level), w)))
+                grads.append({k: p.grad for k, p in params.items()})
+                for p in params.values():
+                    p.zero_grad()
+            new, ref = grads
+            assert any(g is not None for g in ref.values())
+            for k, g_ref in ref.items():
+                if g_ref is None:
+                    assert new[k] is None, k
+                    continue
+                assert np.abs(new[k] - g_ref).max() <= 1e-12 * np.abs(g_ref).max(), k
+
     def test_level_zero_is_coarsest(self, cloud):
         cfg = tiny_cfg()
         params = init_params(cfg, seed=4)

@@ -131,7 +131,7 @@ class TestIntraLoss:
         cfg, params, teacher_p, vs, student, teach = encoded
         ccfg = ClusterLossConfig()
         center = np.random.default_rng(3).normal(size=cfg.proto_count) * 0.1
-        loss, _, pairs = intra_loss(student, teach, params, teacher_p, center, ccfg, level=2)
+        loss, _, pairs, _ = intra_loss(student, teach, params, teacher_p, center, ccfg, level=2)
         oracle = intra_loss_loop_oracle(student, teach, params, teacher_p, center, ccfg, 2)
         np.testing.assert_allclose(loss.item(), oracle, atol=1e-12)
         assert pairs > 0
@@ -153,8 +153,8 @@ class TestIntraLoss:
         s_enc = encode(sv, params, cfg)
         t_enc = encode(tv, teacher, cfg)
         center = np.zeros(cfg.proto_count)
-        loss, _, _ = intra_loss([(sv, s_enc)], [(tv, t_enc)], params, teacher,
-                                center, ccfg, level=2)
+        loss, _, _, _ = intra_loss([(sv, s_enc)], [(tv, t_enc)], params, teacher,
+                                   center, ccfg, level=2)
         # oracle: mean teacher row entropy (identical distributions both sides)
         z = proj_head(params, upcast(s_enc, 2))
         logits = proto_scores(params, z).data / 0.1
@@ -178,7 +178,7 @@ class TestIntraLoss:
         cfg, params, teacher_p, vs, student, teach = encoded
         ccfg = ClusterLossConfig(center_momentum=0.0)
         center = np.full(cfg.proto_count, 123.0)
-        _, new_center, _ = intra_loss(student, teach, params, teacher_p, center, ccfg)
+        _, new_center, _, _ = intra_loss(student, teach, params, teacher_p, center, ccfg)
         logits = []
         for _v, enc in teach:
             z = proj_head(teacher_p, upcast(enc, 2))
@@ -188,12 +188,31 @@ class TestIntraLoss:
     def test_teacher_gets_zero_grad(self, encoded):
         cfg, params, teacher_p, vs, student, teach = encoded
         center = np.zeros(cfg.proto_count)
-        loss, _, _ = intra_loss(student, teach, params, teacher_p, center,
-                                ClusterLossConfig())
+        loss, _, _, _ = intra_loss(student, teach, params, teacher_p, center,
+                                   ClusterLossConfig())
         T.backward(loss)
         assert all(v.grad is None for v in teacher_p.values())
         for v in params.values():
             v.zero_grad()
+
+    def test_proto_used_is_a_positive_fraction(self, encoded):
+        cfg, params, teacher_p, vs, student, teach = encoded
+        center = np.random.default_rng(6).normal(size=cfg.proto_count) * 0.1
+        _, _, _, used = intra_loss(student, teach, params, teacher_p, center,
+                                   ClusterLossConfig())
+        assert 0 < used <= 1
+        # a multiple of 1/K
+        assert abs(used * cfg.proto_count - round(used * cfg.proto_count)) < 1e-9
+
+    def test_proto_used_is_one_over_k_with_equal_prototypes(self, encoded):
+        cfg, params, teacher_p, vs, student, _teach = encoded
+        same = {k: T.Tensor(v.data.copy()) for k, v in teacher_p.items()}
+        same["proto.w"].data[:] = same["proto.w"].data[0]
+        teach = [(v, encode(v, same, cfg)) for v in vs.teacher_views]
+        center = np.random.default_rng(7).normal(size=cfg.proto_count) * 0.1
+        _, _, _, used = intra_loss(student, teach, params, same, center,
+                                   ClusterLossConfig())
+        assert used == 1 / cfg.proto_count
 
     def test_center_stays_bounded(self, encoded):
         cfg, params, teacher_p, vs, student, teach = encoded
@@ -201,7 +220,7 @@ class TestIntraLoss:
         center = np.zeros(cfg.proto_count)
         bound = 0.0
         for _ in range(5):
-            _, center, _ = intra_loss(student, teach, params, teacher_p, center, ccfg)
+            _, center, _, _ = intra_loss(student, teach, params, teacher_p, center, ccfg)
             logits = np.concatenate([
                 proto_scores(teacher_p, proj_head(teacher_p, upcast(enc, 2))).data
                 for _v, enc in teach])

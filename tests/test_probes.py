@@ -4,10 +4,12 @@ import pytest
 from concerto import tensor as T
 from concerto.dataio import SyntheticSpec, generate_synthetic
 from concerto.encoder import EncoderConfig, encode, init_params, param_count, upcast
-from concerto.probes import (ProbeConfig, ProbeError, TextSpace, compute_metrics,
+from concerto.probes import (ProbeConfig, ProbeError, TextSpace, _one_hot,
+                             _softmax_head_epoch, _standardize_fit, compute_metrics,
                              extract_features, label_budget_indices, language_probe,
                              lift_patch_features_to_points, linear_probe, lora_probe,
                              plain_view, zero_shot_segment)
+from concerto.trainer import AdamState
 
 
 def tiny_enc(**kw):
@@ -110,7 +112,61 @@ class TestExtractFeatures:
         np.testing.assert_array_equal(feats, reference)
 
 
+def linear_probe_oracle(train_scenes, num_classes, cfg):
+    """The former training half of ``linear_probe``: fancy-indexed copies of
+    every scene, then out-of-place standardization. Returns (weight, bias,
+    mu, sd)."""
+    xs, ys = [], []
+    for i, (feats, labels) in enumerate(train_scenes):
+        keep = label_budget_indices(feats.shape[0], cfg.label_budget, cfg.seed, i)
+        keep = keep[labels[keep] >= 0]
+        xs.append(feats[keep])
+        ys.append(labels[keep])
+    x = np.concatenate(xs, axis=0)
+    y = np.concatenate(ys, axis=0)
+    mu, sd = _standardize_fit(x) if cfg.standardize else (0.0, 1.0)
+    xn = (x - mu) * (1.0 / sd)
+    head = {"head.w": T.param(np.zeros((x.shape[1], num_classes))),
+            "head.b": T.param(np.zeros(num_classes))}
+    state = AdamState.init(head)
+    for _epoch in range(cfg.epochs):
+        _softmax_head_epoch(head, T.Tensor(xn), _one_hot(y, num_classes), {}, state, cfg, {})
+    return head["head.w"].data, head["head.b"].data, np.asarray(mu), np.asarray(sd)
+
+
+def probe_scenes(seed, unlabeled):
+    rng = np.random.default_rng(seed)
+    scenes = []
+    for n in (300, 200):
+        y = rng.integers(0, 3, size=n)
+        x = rng.normal(size=(n, 5)) * [1.0, 10.0, 0.01, 3.0, 1.0] + y[:, None] + 5.0
+        if unlabeled:
+            y[rng.random(n) < 0.2] = -1
+        scenes.append((x, y))
+    return scenes
+
+
 class TestLinearProbe:
+    @pytest.mark.parametrize("budget,unlabeled,standardize,num_scenes", [
+        (None, False, True, 2), (None, False, True, 1), (120, True, True, 2),
+        (None, False, False, 2)],
+        ids=["keep_all", "one_scene", "budget_and_unlabeled", "no_standardize"])
+    def test_bit_equal_to_old_formula_and_inputs_untouched(self, budget, unlabeled,
+                                                           standardize, num_scenes):
+        scenes = probe_scenes(9, unlabeled)[:num_scenes]
+        before = [(x.copy(), y.copy()) for x, y in scenes]
+        cfg = ProbeConfig(epochs=6, lr=0.05, label_budget=budget, seed=3,
+                          standardize=standardize)
+        res = linear_probe(scenes, scenes[:1], 3, cfg)
+        for (x, y), (x0, y0) in zip(scenes, before):
+            np.testing.assert_array_equal(x, x0)
+            np.testing.assert_array_equal(y, y0)
+        weight, bias, mu, sd = linear_probe_oracle(before, 3, cfg)
+        np.testing.assert_array_equal(res.weight, weight)
+        np.testing.assert_array_equal(res.bias, bias)
+        np.testing.assert_array_equal(res.train_mu, mu)
+        np.testing.assert_array_equal(res.train_sd, sd)
+
     def test_separable_features_high_accuracy(self):
         rng = np.random.default_rng(1)
         centers = np.eye(3) * 8

@@ -218,7 +218,8 @@ MULTI_OPERAND_OPS = [
     ("add_bias", T.op_add, [(3, 4), (4,)]),
     ("add_bias_first", T.op_add, [(4,), (3, 4)]),
     ("cosine", T.op_cosine, [(4, 5), (4, 5)]),
-    ("concat", lambda *ts: T.op_concat_lastdim(ts), [(4, 2), (4, 3), (4, 1)]),
+    ("gather_concat", lambda *ts: T.op_gather_concat(ts, [[4, 0, 4, 2], None, [2, 2, 0, 1]]),
+     [(5, 2), (4, 3), (3, 1)]),
     ("concat_rows", lambda *ts: T.op_concat_rows(ts), [(2, 3), (4, 3), (1, 3)]),
 ]
 
@@ -285,15 +286,35 @@ def test_gradcheck_mul_row():
 def test_gradcheck_concat_and_gather():
     rng = np.random.default_rng(23)
     idx = np.array([2, 0, 1, 2, 2])
+    # rows 1 and 3 of the first block are unused, row 2 and row 0 repeat
+    blocks = [np.array([2, 0, 2, 4, 0]), None, idx]
     for _ in range(5):
-        err = T.gradcheck(lambda a, b: T.op_concat_lastdim([a, b]),
+        err = T.gradcheck(lambda a, b: T.op_gather_concat([a, b], [None, None]),
                           [rand(rng, 4, 2), rand(rng, 4, 3)])
+        assert err <= 1e-5
+        err = T.gradcheck(lambda a, b, c: T.op_gather_concat([a, b, c], blocks),
+                          [rand(rng, 5, 2), rand(rng, 5, 3), rand(rng, 3, 4)])
         assert err <= 1e-5
         err = T.gradcheck(lambda a: T.op_gather_rows(a, idx), [rand(rng, 3, 4)])
         assert err <= 1e-5
         err = T.gradcheck(lambda a, b: T.op_concat_rows([a, b]),
                           [rand(rng, 2, 3), rand(rng, 4, 3)])
         assert err <= 1e-5
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_gather_concat_index_out_of_range(bad):
+    a, b = T.Tensor(np.ones((3, 2))), T.Tensor(np.ones((2, 1)))
+    with pytest.raises(IndexError):
+        T.op_gather_concat([a, b], [[0, bad], None])
+
+
+def test_gather_concat_unequal_row_counts():
+    a, b = T.Tensor(np.ones((3, 2))), T.Tensor(np.ones((2, 1)))
+    with pytest.raises(ValueError):
+        T.op_gather_concat([a, b], [None, None])
+    with pytest.raises(ValueError):
+        T.op_gather_concat([a, b], [[0, 1, 2], [0, 1]])
 
 
 def test_gradcheck_segment_mean():

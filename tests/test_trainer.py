@@ -244,6 +244,12 @@ class TestTrainLoop:
             assert tuple(row) == LOG_KEYS
             assert row["matched_pairs"] > 0 and row["nonempty_patches"] > 0
 
+    def test_center_norm_is_norm_of_saved_center(self, dataset, tmp_path):
+        res = self.run(dataset, 2, out=tmp_path / "run")
+        center = load_checkpoint(tmp_path / "run" / "ckpt_final").center
+        assert res.log[-1]["center_norm"] == np.linalg.norm(center) > 0
+        assert all(0 < row["proto_used"] <= 1 for row in res.log)
+
     def test_resume_refuses_another_encoder_config(self, dataset, tmp_path):
         self.run(dataset[:2], 4, out=tmp_path / "run", stop=2)
         ck = tmp_path / "run" / "ckpt_final"
