@@ -45,13 +45,15 @@ class PointCloud:
             raise ValueError("point cloud must contain at least one point")
         if self.colors.shape != (n, 3):
             raise ValueError("colors shape does not match coords")
-        if self.colors.min() < 0 or self.colors.max() > 1:
-            raise ValueError("colors must lie in [0, 1]")
+        if not np.isfinite(self.coords).all():
+            raise ValueError("coords must be finite")
+        if not ((self.colors >= 0) & (self.colors <= 1)).all():
+            raise ValueError("colors must be finite and lie in [0, 1]")
         if self.normals is not None:
             self.normals = np.asarray(self.normals, dtype=np.float64).reshape(n, 3)
             norms = np.linalg.norm(self.normals, axis=1)
-            if np.abs(norms - 1.0).max() > 1e-6:
-                raise ValueError("normals must be unit length")
+            if not (np.abs(norms - 1.0) <= 1e-6).all():
+                raise ValueError("normals must be finite and unit length")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64).reshape(n)
 

@@ -8,7 +8,7 @@ position). Each later stage mean-pools the previous stage over a voxel grid
 and applies an MLP; a single voxel-neighborhood mean per stage mixes in
 local context. ``upcast`` copies every coarser stage down to a finer point
 set through its composed parent map, writing all stages side by side into
-one output.
+one output. Prototypes are the columns of a (proj_dim, proto_count) matrix.
 """
 
 from __future__ import annotations
@@ -109,7 +109,10 @@ def init_params(cfg: EncoderConfig, seed: int = 0) -> Dict[str, T.Tensor]:
         params[f"{name}.w"] = T.param(rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, d_out)))
         params[f"{name}.b"] = T.param(np.zeros(d_out))
 
-    params["mask_token"] = T.param(np.zeros(INPUT_DIM))
+    # not zeros: layernorm's backward scales a constant, zero-variance input row
+    # by 1/sqrt(eps). Its own rng stream keeps the other parameters' draws apart.
+    params["mask_token"] = T.param(
+        np.random.default_rng([seed, 0x3A5C]).normal(0.0, 0.02, size=INPUT_DIM))
     for s, d_out in enumerate(cfg.stage_dims):
         d_in = _stage_in_dim(cfg, s)
         for i in range(cfg.mlp_depth):
@@ -117,7 +120,7 @@ def init_params(cfg: EncoderConfig, seed: int = 0) -> Dict[str, T.Tensor]:
     lin("proj.lin0", cfg.intra_feature_dim, cfg.proj_dim)
     lin("proj.lin1", cfg.proj_dim, cfg.proj_dim)
     params["proto.w"] = T.param(rng.normal(0.0, 1.0 / np.sqrt(cfg.proj_dim),
-                                           size=(cfg.proto_count, cfg.proj_dim)))
+                                           size=(cfg.proto_count, cfg.proj_dim)).T.copy())
     lin("cross", cfg.cross_feature_dim, cfg.cross_dim)
     return params
 
@@ -322,8 +325,8 @@ def proj_head(params: Dict[str, T.Tensor], x: T.Tensor) -> T.Tensor:
 
 
 def proto_scores(params: Dict[str, T.Tensor], z: T.Tensor) -> T.Tensor:
-    """Prototype logits: z @ W_proto^T."""
-    return T.op_matmul(z, T.op_transpose(params["proto.w"]))
+    """Prototype logits: z @ W_proto, one prototype per column of W_proto."""
+    return T.op_matmul(z, params["proto.w"])
 
 
 def cross_head(params: Dict[str, T.Tensor], x: T.Tensor) -> T.Tensor:

@@ -1,9 +1,10 @@
 """The dual self-supervised objective.
 
 Intra-modal branch: online-clustering cross-entropy between a centered,
-temperature-sharpened teacher prototype distribution (global views, no
-gradient) and the student's prototype log-probabilities (masked + local
-views), averaged over matched point pairs and over view combinations.
+temperature-sharpened teacher prototype distribution (global views, plain
+arrays) and the student's prototype softmax (masked + local views), one
+fused softmax cross-entropy per student view, averaged over matched point
+pairs and over view combinations.
 
 Cross-modal branch: per-patch mean pooling of the first masked view's
 point features, a linear head into the image feature space, and a
@@ -59,7 +60,7 @@ def _teacher_probs(params_t, feats: T.Tensor, center: np.ndarray, cfg: ClusterLo
     """
     z = proj_head(params_t, feats)
     logits = proto_scores(params_t, z).data
-    return T.op_softmax(T.Tensor(logits - center), cfg.teacher_temp).data, logits
+    return T.softmax_np(logits - center, cfg.teacher_temp), logits
 
 
 def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
@@ -88,10 +89,10 @@ def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
         all_logits.append(logits)
         used[probs.argmax(axis=1)] = True
 
-    # each student view's loss is one weighted sum: the teacher distributions
-    # of every view it matches, aggregated onto its feature rows through a
-    # sparse (student row, teacher row) pair matrix with entries 1/|pairs|
-    view_losses = []
+    # each student view's loss is one fused cross-entropy against the teacher
+    # distributions of every view it matches, aggregated onto its feature rows
+    # through a sparse (student row, teacher row) pair matrix, entries 1/|pairs|
+    loss = None
     num_combos = 0
     total_pairs = 0
     for s_view, s_enc in student:
@@ -110,26 +111,20 @@ def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
                 (np.full(ia.size, 1.0 / ia.size), (s_anc[ia], t_anc[ib])),
                 shape=(rows, t_probs.shape[0])).tocsr()
             agg = pair_weights @ t_probs
-            if weights is None:
-                weights = agg
-            else:
-                weights += agg
+            weights = agg if weights is None else np.add(weights, agg, out=weights)
             num_combos += 1
             total_pairs += int(ia.size)
         if weights is None:
             continue
-        logq = T.op_log_softmax(proto_scores(params_s, proj_head(params_s, feats)),
-                                cfg.student_temp)
-        view_losses.append(T.op_sum(T.op_mul(logq, T.Tensor(weights))))
+        xent = T.op_softmax_xent(proto_scores(params_s, proj_head(params_s, feats)),
+                                 weights, cfg.student_temp)
+        loss = xent if loss is None else T.op_add(loss, xent)
 
-    if not view_losses:
+    if loss is None:
         logger.warning("intra_loss: zero matched pairs across all view combinations")
         loss = T.Tensor(np.array(0.0))
     else:
-        acc = view_losses[0]
-        for extra in view_losses[1:]:
-            acc = T.op_add(acc, extra)
-        loss = T.op_mul(acc, -1.0 / num_combos)
+        loss = T.op_mul(loss, 1.0 / num_combos)
 
     batch_mean = np.concatenate(all_logits, axis=0).mean(axis=0)
     new_center = cfg.center_momentum * center + (1 - cfg.center_momentum) * batch_mean

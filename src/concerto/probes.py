@@ -183,8 +183,7 @@ def _softmax_head_epoch(head, feats: T.Tensor, targets: np.ndarray,
     """One full-batch AdamW step of a softmax head on ``feats``; gradients
     also reach ``extra_params`` through the graph of ``feats``."""
     logits = T.op_add(T.op_matmul(feats, head["head.w"]), head["head.b"])
-    loss = T.op_cross_entropy_rows(T.Tensor(targets), T.op_log_softmax(logits))
-    T.backward(loss)
+    T.backward(T.op_softmax_xent(logits, targets / targets.shape[0], 1.0))
     params = dict(head)
     params.update(extra_params)
     grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.data))

@@ -7,7 +7,9 @@ order (creation order is a topological order under eager execution) and
 accumulates gradients into leaf tensors created with ``requires_grad=True``.
 
 Only the operations the rest of the system needs are provided; there is no
-general broadcasting beyond last-dimension row ops and concat.
+general broadcasting beyond last-dimension row ops and concat. The one
+cross-entropy, ``op_softmax_xent``, is fused with its log-softmax; the
+plain-array helpers ``softmax_np`` and ``segment_sum_np`` record nothing.
 """
 
 from __future__ import annotations
@@ -191,12 +193,6 @@ def op_sum(x: Tensor) -> Tensor:
     return _record(np.array(x.data.sum()), "sum", [x], vjp)
 
 
-def op_transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ValueError("op_transpose expects a 2-D tensor")
-    return _record(x.data.T.copy(), "transpose", [x], lambda g: (g.T,))
-
-
 def op_gather_concat(tensors: Sequence[Tensor], indices: Sequence) -> Tensor:
     """Column blocks of gathered rows: block i is ``tensors[i].data[indices[i]]``,
     and an index of None takes every row in order. The output is allocated
@@ -280,35 +276,41 @@ def op_matmul(a: Tensor, b: Tensor) -> Tensor:
 # normalization and similarity
 # ---------------------------------------------------------------------------
 
-def op_softmax(x: Tensor, temperature: float = 1.0) -> Tensor:
-    """Row softmax of x/temperature over the last dimension, max-subtracted."""
+def _shifted_exp(x: np.ndarray, temperature: float):
+    """z = x / temperature shifted to a row max of 0, e = exp(z), e's row sums s."""
     if temperature <= 0:
         raise ValueError(f"softmax temperature must be positive, got {temperature}")
-    z = x.data / temperature
-    z = z - z.max(axis=-1, keepdims=True)
+    z = x / temperature
+    z -= z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    return z, e, e.sum(axis=-1, keepdims=True)
+
+
+def softmax_np(x: np.ndarray, temperature: float) -> np.ndarray:
+    """Row softmax of x/temperature over the last dimension (no graph)."""
+    _z, e, s = _shifted_exp(x, temperature)
+    e /= s
+    return e
+
+
+def op_softmax_xent(logits: Tensor, weights: np.ndarray, temperature: float) -> Tensor:
+    """-sum(W * log_softmax(logits / temperature)) for a constant (n, k) array
+    W, as sum(rowsum(W) * log(s)) - sum(W * z); the VJP, (rowsum(W) * e / s
+    - W) / temperature, reuses the forward's exp e and row sums s."""
+    w = np.asarray(weights, dtype=np.float64)
+    if logits.data.ndim != 2 or w.shape != logits.data.shape:
+        raise ValueError(f"op_softmax_xent shape mismatch: {logits.data.shape} vs {w.shape}")
+    z, e, s = _shifted_exp(logits.data, temperature)
+    rw = w.sum(axis=1, keepdims=True)
+    val = (rw * np.log(s)).sum() - (w * z).sum()
 
     def vjp(g):
-        return ((g - (g * y).sum(axis=-1, keepdims=True)) * y / temperature,)
+        d = e * (rw / s)
+        d -= w
+        d *= float(g) / temperature
+        return (d,)
 
-    return _record(y, "softmax", [x], vjp)
-
-
-def op_log_softmax(x: Tensor, temperature: float = 1.0) -> Tensor:
-    """log(softmax(x/temperature)) computed stably."""
-    if temperature <= 0:
-        raise ValueError(f"softmax temperature must be positive, got {temperature}")
-    z = x.data / temperature
-    z = z - z.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    y = z - lse
-
-    def vjp(g):
-        sm = np.exp(y)
-        return ((g - sm * g.sum(axis=-1, keepdims=True)) / temperature,)
-
-    return _record(y, "log_softmax", [x], vjp)
+    return _record(np.array(val), "softmax_xent", [logits], vjp)
 
 
 def op_layernorm(x: Tensor, eps: float = 1e-8) -> Tensor:
@@ -423,20 +425,6 @@ def op_segment_mean(values: Tensor, segment_ids, num_segments: int):
     return out, counts > 0
 
 
-def op_cross_entropy_rows(p_target: Tensor, log_q: Tensor) -> Tensor:
-    """-(1/n) sum_i sum_k p[i,k] * log_q[i,k]; no gradient flows into p_target."""
-    p = _as_tensor(p_target)
-    if p.data.shape != log_q.data.shape:
-        raise ValueError(f"op_cross_entropy_rows shape mismatch: {p.data.shape} vs {log_q.data.shape}")
-    n = p.data.shape[0]
-    val = -(p.data * log_q.data).sum() / n
-
-    def vjp(g):
-        return (None, -float(g) * p.data / n)
-
-    return _record(np.array(val), "cross_entropy_rows", [p, log_q], vjp)
-
-
 # ---------------------------------------------------------------------------
 # finite-difference checking
 # ---------------------------------------------------------------------------
@@ -457,20 +445,19 @@ def finite_difference_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return g
 
 
-def gradcheck(op, arrays, h: float = 1e-5, wrt=None) -> float:
+def gradcheck(op, arrays, h: float = 1e-5) -> float:
     """Compare analytic gradients of a weighted sum of ``op(*tensors)``
     against central finite differences; returns the worst relative error.
 
     The probe loss uses fixed random weights so that ops with constant row
-    sums (softmax, layernorm) still exercise a nonzero gradient.
+    sums (layernorm) still exercise a nonzero gradient.
     """
     tensors = [param(a.copy()) for a in arrays]
     out = op(*tensors)
     w = np.random.default_rng(1234).normal(size=out.data.shape)
     backward(op_sum(op_mul(out, Tensor(w))))
-    wrt = range(len(arrays)) if wrt is None else wrt
     worst = 0.0
-    for i in wrt:
+    for i in range(len(arrays)):
         def f(x, i=i):
             args = [Tensor(t.data) for t in tensors]
             args[i] = Tensor(x)

@@ -260,17 +260,23 @@ def _truncate_log(path: Path, start_step: int):
     os.replace(tmp, path)
 
 
-def _check_encoder_meta(meta: dict, enc_meta: dict, path) -> None:
+def _check_resumable(ck: Checkpoint, enc_meta: dict, params: Dict[str, T.Tensor],
+                     path) -> None:
     """Refuse to resume a checkpoint under an encoder config it was not
-    trained with."""
-    if "encoder" not in meta:
+    trained with, or whose parameter names or shapes differ from ``params``."""
+    if "encoder" not in ck.meta:
         raise TrainerError(f"checkpoint {path} has no 'encoder' entry in meta.json")
-    saved = meta["encoder"]
+    saved = ck.meta["encoder"]
     differ = sorted(k for k in saved.keys() | enc_meta.keys()
                     if saved.get(k) != enc_meta.get(k))
     if differ:
         raise TrainerError(f"checkpoint {path} was trained with a different encoder "
                            f"config; differing fields: {', '.join(differ)}")
+    got, want = ({k: p.shape for k, p in d.items()} for d in (ck.params, params))
+    for name in sorted(got.keys() | want.keys()):
+        if got.get(name) != want.get(name):
+            raise TrainerError(f"checkpoint {path}: parameter '{name}' has shape "
+                               f"{got.get(name)}, the encoder config gives {want.get(name)}")
 
 
 def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConfig,
@@ -283,7 +289,8 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
     step k produces the same parameters and log lines as an uninterrupted
     run, bit for bit. ``step_hook(step, params, teacher, m_ema)`` is called
     after every optimizer/EMA update (observer only). Every checkpoint
-    records the encoder config, and resuming under another one is refused.
+    records the encoder config, and resuming under another one, or from
+    parameters of other names or shapes, is refused.
     """
     if not samples:
         raise TrainerError("dataset is empty")
@@ -298,13 +305,13 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
     total_steps = cfg.total_steps if cfg.total_steps is not None else cfg.epochs * n
     warmup_steps = int(round(cfg.warmup_fraction * total_steps))
 
+    params = init_params(enc_cfg, seed=cfg.seed)
     if resume_from is not None:
         ck = load_checkpoint(resume_from)
-        _check_encoder_meta(ck.meta, meta["encoder"], resume_from)
+        _check_resumable(ck, meta["encoder"], params, resume_from)
         params, teacher, state, center = ck.params, ck.teacher, ck.state, ck.center
         start_step = ck.step
     else:
-        params = init_params(enc_cfg, seed=cfg.seed)
         teacher = clone_params(params)
         state = AdamState.init(params)
         center = np.zeros(enc_cfg.proto_count)

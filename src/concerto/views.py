@@ -113,9 +113,11 @@ def _grid_mask(coords: np.ndarray, ratio: float, grid: float,
         return mask
     vox = voxelize(coords, grid)
     order = rng.permutation(vox.num_voxels)
+    by_cell = np.argsort(vox.assignments, kind="stable")
+    ends = np.cumsum(vox.counts)
     covered = 0
     for cell in order:
-        members = np.flatnonzero(vox.assignments == cell)
+        members = by_cell[ends[cell] - vox.counts[cell]:ends[cell]]
         room = target - covered
         if members.size > room:
             members = rng.choice(members, size=room, replace=False)

@@ -28,6 +28,15 @@ class TestPointCloud:
             PointCloud(coords=np.zeros((2, 3)), colors=np.zeros((2, 3)),
                        normals=np.full((2, 3), 0.9))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["coords", "colors", "normals"])
+    def test_rejects_non_finite(self, field, bad):
+        arrays = {"coords": np.zeros((2, 3)), "colors": np.full((2, 3), 0.5),
+                  "normals": np.tile([0.0, 0.0, 1.0], (2, 1))}
+        arrays[field][1, 2] = bad
+        with pytest.raises(ValueError, match=field):
+            PointCloud(**arrays)
+
 
 class TestSynthetic:
     def test_deterministic_under_seed(self):
@@ -192,6 +201,18 @@ class TestManifestIO:
         manifest = load_manifest(path)
         with pytest.raises(CtsrError, match="missing"):
             load_sample(manifest, manifest.samples[0])
+
+    def test_non_finite_coords_rejected_naming_the_scene(self, tmp_path):
+        spec = small_spec()
+        samples, _ = generate_synthetic(spec)
+        path = save_dataset(samples, tmp_path, spec.feature_dim, spec.patch_size)
+        coords = samples[1].cloud.coords.copy()
+        coords[5, 0] = np.nan
+        save_ctsr(tmp_path / "scenes" / samples[1].scene_id / "coords.ctsr", coords)
+        manifest = load_manifest(path)
+        load_sample(manifest, manifest.samples[0])
+        with pytest.raises(ManifestError, match=f"scene {samples[1].scene_id}: coords"):
+            load_sample(manifest, manifest.samples[1])
 
     def test_five_views_rejected(self, tmp_path):
         spec = small_spec(num_scenes=1)

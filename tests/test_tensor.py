@@ -24,26 +24,28 @@ class TestForwardValues:
             T.op_matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 3))))
 
     def test_softmax_symmetry(self):
-        out = T.op_softmax(T.Tensor([[0.0, 0.0, 0.0]]), 1.0)
-        np.testing.assert_allclose(out.data, [[1 / 3] * 3], atol=1e-15)
+        out = T.softmax_np(np.array([[0.0, 0.0, 0.0]]), 1.0)
+        np.testing.assert_allclose(out, [[1 / 3] * 3], atol=1e-15)
 
     def test_softmax_analytic(self):
-        out = T.op_softmax(T.Tensor([[np.log(2.0), 0.0]]), 1.0)
-        np.testing.assert_allclose(out.data, [[2 / 3, 1 / 3]], atol=1e-15)
+        out = T.softmax_np(np.array([[np.log(2.0), 0.0]]), 1.0)
+        np.testing.assert_allclose(out, [[2 / 3, 1 / 3]], atol=1e-15)
 
     def test_softmax_sharpening(self):
-        out = T.op_softmax(T.Tensor([[10.0, 0.0, 0.0]]), 0.04)
-        assert out.data[0, 0] > 1 - 1e-12
+        out = T.softmax_np(np.array([[10.0, 0.0, 0.0]]), 0.04)
+        assert out[0, 0] > 1 - 1e-12
 
     def test_softmax_bad_temperature(self):
         with pytest.raises(ValueError):
-            T.op_softmax(T.Tensor([[1.0]]), 0.0)
+            T.softmax_np(np.array([[1.0]]), 0.0)
+        with pytest.raises(ValueError):
+            T.op_softmax_xent(T.Tensor([[1.0]]), np.ones((1, 1)), 0.0)
 
     def test_softmax_rows_sum_to_one_large_magnitudes(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-1e4, 1e4, size=(40, 7))
-        out = T.op_softmax(T.Tensor(x), 0.07)
-        np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
+        out = T.softmax_np(x, 0.07)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
 
     def test_cosine_identity_orthogonal_antiparallel(self):
         a = T.Tensor([[3.0, 4.0], [1.0, 0.0], [1.0, 1.0]])
@@ -84,25 +86,32 @@ class TestForwardValues:
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_cross_entropy_one_hot_zero(self):
-        p = T.Tensor([[0.0, 1.0, 0.0]])
-        logq = T.Tensor([[-5.0, 0.0, -7.0]])
-        assert T.op_cross_entropy_rows(p, logq).item() == 0.0
+        # exp(-1000) underflows to 0, so the target class has probability 1
+        w = np.array([[0.0, 1.0, 0.0]])
+        logits = T.Tensor([[-1000.0, 0.0, -1000.0]])
+        assert T.op_softmax_xent(logits, w, 1.0).item() == 0.0
 
     def test_cross_entropy_uniform_analytic(self):
-        p = T.Tensor([[0.5, 0.5]])
-        logq = T.Tensor(np.log([[0.5, 0.5]]))
-        np.testing.assert_allclose(T.op_cross_entropy_rows(p, logq).item(), np.log(2), atol=1e-12)
+        w = np.array([[0.5, 0.5]])
+        logits = T.Tensor(np.log([[0.5, 0.5]]))
+        np.testing.assert_allclose(T.op_softmax_xent(logits, w, 1.0).item(), np.log(2),
+                                   atol=1e-12)
 
     def test_cross_entropy_matches_loop_oracle(self):
         rng = np.random.default_rng(11)
         p = rng.dirichlet(np.ones(16), size=8)
-        logq = np.log(rng.dirichlet(np.ones(16), size=8))
-        got = T.op_cross_entropy_rows(T.Tensor(p), T.Tensor(logq)).item()
+        x = rng.normal(size=(8, 16))
+        got = T.op_softmax_xent(T.Tensor(x), p / 8, 0.7).item()
         acc = 0.0
         for i in range(8):
+            lse = np.log(sum(np.exp(x[i, k] / 0.7) for k in range(16)))
             for k in range(16):
-                acc -= p[i, k] * logq[i, k]
+                acc -= p[i, k] * (x[i, k] / 0.7 - lse)
         np.testing.assert_allclose(got, acc / 8, atol=1e-12)
+
+    def test_cross_entropy_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            T.op_softmax_xent(T.Tensor(np.zeros((2, 3))), np.zeros((3, 2)), 1.0)
 
     def test_pool_gather_is_projection(self):
         rng = np.random.default_rng(5)
@@ -203,11 +212,35 @@ class TestBackward:
         assert err <= 1e-6
 
     def test_cross_entropy_blocks_target_grad(self):
-        p = T.param(np.array([[0.3, 0.7]]))
-        logq = T.param(np.log([[0.5, 0.5]]))
-        T.backward(T.op_cross_entropy_rows(p, logq))
-        assert p.grad is None
-        assert logq.grad is not None
+        # the weights are a plain array: the tape records only the logits
+        w = np.array([[0.3, 0.7]])
+        logits = T.param(np.log([[0.5, 0.5]]))
+        loss = T.op_softmax_xent(logits, w, 1.0)
+        assert loss._parents == (logits,)
+        T.backward(loss)
+        np.testing.assert_allclose(logits.grad, [[0.2, -0.2]], atol=1e-15)
+        np.testing.assert_array_equal(w, [[0.3, 0.7]])
+
+    def test_softmax_xent_matches_log_softmax_composition(self):
+        # the deleted op_log_softmax's forward and VJP, composed with
+        # -sum(W * .), in plain numpy
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(60, 40)) * 3.0
+        w = rng.random((60, 40))
+        w[7] = 0.0
+        w[3] *= 5.0
+        t = 0.1
+        z = x / t
+        z = z - z.max(axis=-1, keepdims=True)
+        logq = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        ref_loss = -(logq * w).sum()
+        ref_grad = (-w + np.exp(logq) * w.sum(axis=-1, keepdims=True)) / t
+        logits = T.param(x)
+        loss = T.op_softmax_xent(logits, w, t)
+        T.backward(loss)
+        assert abs(loss.item() - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert np.abs(logits.grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+        np.testing.assert_array_equal(logits.grad[7], 0.0)
 
 
 # ops with two or more operands, each with operand shapes
@@ -252,12 +285,9 @@ OPS_FOR_GRADCHECK = [
     ("gelu", lambda a: T.op_gelu(a), 1, (3, 4)),
     ("layernorm", lambda a: T.op_layernorm(a), 1, (3, 6)),
     ("l2norm", lambda a: T.op_l2norm(a), 1, (3, 6)),
-    ("softmax", lambda a: T.op_softmax(a, 0.5), 1, (3, 5)),
-    ("log_softmax", lambda a: T.op_log_softmax(a, 0.7), 1, (3, 5)),
     ("cosine", lambda a, b: T.op_cosine(a, b), 2, (4, 5)),
     ("mean", lambda a: T.op_mean(a), 1, (3, 4)),
     ("sum", lambda a: T.op_sum(a), 1, (3, 4)),
-    ("transpose", lambda a: T.op_transpose(a), 1, (3, 4)),
 ]
 
 
@@ -325,12 +355,13 @@ def test_gradcheck_segment_mean():
         assert err <= 1e-5
 
 
-def test_gradcheck_cross_entropy_rows():
+def test_gradcheck_softmax_xent():
     rng = np.random.default_rng(25)
-    p = rng.dirichlet(np.ones(5), size=4)
+    # rows of unequal total weight, and a row whose weights sum to 0
+    w = rng.dirichlet(np.ones(5), size=4) * np.array([[1.0], [0.3], [0.0], [2.5]])
     for _ in range(5):
-        logq = rng.normal(size=(4, 5))
-        err = T.gradcheck(lambda q: T.op_cross_entropy_rows(T.Tensor(p), q), [logq])
+        logits = rng.normal(size=(4, 5))
+        err = T.gradcheck(lambda x: T.op_softmax_xent(x, w, 0.7), [logits])
         assert err <= 1e-5
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from concerto import tensor as T
+from concerto.ctsr import load_ctsr, save_ctsr
 from concerto.dataio import PointCloud, SceneSample, SyntheticSpec, generate_synthetic
 from concerto.encoder import EncoderConfig, clone_params, init_params
 from concerto.objectives import ClusterLossConfig, LossWeights
@@ -154,6 +155,13 @@ class TestTrainLoop:
         assert len(res.log) == 6
         assert all(np.isfinite(row["total"]) for row in res.log)
 
+    def test_step_zero_grad_norm_is_moderate(self, dataset):
+        # a constant mask token gives masked rows zero variance, and the
+        # stage-0 layernorm's backward scales them by 1/sqrt(eps): a zero
+        # token made the step-0 norm ~1e23
+        for seed in (0, 4):
+            assert self.run(dataset, 1, seed=seed).log[0]["grad_norm"] < 1e3
+
     def test_image_usage_zero_cross_is_zero(self, dataset):
         res = self.run(dataset, 6, image_usage_ratio=0.0)
         assert all(row["cross"] == 0.0 for row in res.log)
@@ -266,6 +274,19 @@ class TestTrainLoop:
                         np.zeros(tiny_enc().proto_count), step=1)
         with pytest.raises(TrainerError, match="'encoder'"):
             self.run(dataset[:2], 4, resume=tmp_path / "ck")
+
+    def test_resume_refuses_transposed_prototypes(self, dataset, tmp_path):
+        # prototypes are stored as (proj_dim, proto_count); a checkpoint
+        # holding them the other way round is refused before any step
+        self.run(dataset[:2], 4, out=tmp_path / "run", stop=2)
+        ck = tmp_path / "run" / "ckpt_final"
+        save_ctsr(ck / "student" / "proto.w.ctsr",
+                  load_ctsr(ck / "student" / "proto.w.ctsr").T.copy())
+        steps = []
+        with pytest.raises(TrainerError, match=r"'proto\.w' has shape \(24, 16\)"):
+            self.run(dataset[:2], 4, resume=ck,
+                     step_hook=lambda step, *_rest: steps.append(step))
+        assert steps == []
 
     def test_interrupted_resave_keeps_old_checkpoint(self, tmp_path, monkeypatch):
         import concerto.trainer as trainer_mod

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from concerto.dataio import PointCloud, SyntheticSpec, generate_synthetic
-from concerto.views import AugmentConfig, make_viewset, match_views
+from concerto.geometry import voxelize
+from concerto.views import AugmentConfig, _grid_mask, make_viewset, match_views
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +70,41 @@ class TestViewSet:
                         colors=np.full((4, 3), 0.5))
         with pytest.raises(ValueError, match="local crop"):
             make_viewset(pc, AugmentConfig(crop_range=(0.1, 0.1)), seed=0)
+
+
+def grid_mask_loop_oracle(coords, ratio, grid, rng):
+    """The per-cell scan ``_grid_mask`` replaced, kept as a test-only oracle."""
+    n = coords.shape[0]
+    target = int(round(ratio * n))
+    mask = np.zeros(n, dtype=bool)
+    if target == 0:
+        return mask
+    vox = voxelize(coords, grid)
+    order = rng.permutation(vox.num_voxels)
+    covered = 0
+    for cell in order:
+        members = np.flatnonzero(vox.assignments == cell)
+        room = target - covered
+        if members.size > room:
+            members = rng.choice(members, size=room, replace=False)
+        mask[members] = True
+        covered += members.size
+        if covered >= target:
+            break
+    return mask
+
+
+class TestGridMask:
+    @pytest.mark.parametrize("ratio,grid", [(0.3, 0.1), (0.7, 0.25), (1.0, 0.1), (0.01, 0.5)])
+    def test_bit_equal_to_loop_oracle(self, cloud, ratio, grid):
+        for seed in range(3):
+            rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            mask = _grid_mask(cloud.coords, ratio, grid, rng)
+            np.testing.assert_array_equal(mask, grid_mask_loop_oracle(cloud.coords, ratio,
+                                                                      grid, rng_ref))
+            assert mask.sum() == int(round(ratio * cloud.num_points))
+            # the same draws were taken
+            assert rng.integers(2 ** 62) == rng_ref.integers(2 ** 62)
 
 
 class TestMatchViews:
