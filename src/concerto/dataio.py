@@ -385,6 +385,9 @@ def load_manifest(path) -> DatasetManifest:
     for key in ("version", "image_feature_dim", "patch_size", "samples"):
         if key not in doc:
             raise ManifestError(f"manifest missing key '{key}'")
+    if doc["version"] != MANIFEST_VERSION:
+        raise ManifestError(f"manifest {path} has version {doc['version']}; this "
+                            f"reader takes version {MANIFEST_VERSION}")
     refs = [SampleRef(scene_id=s["scene_id"], split=s.get("split", "train"),
                       cloud=s["cloud"], views=s["views"]) for s in doc["samples"]]
     return DatasetManifest(root=path.parent, version=int(doc["version"]),

@@ -130,10 +130,6 @@ def clone_params(params: Dict[str, T.Tensor]) -> Dict[str, T.Tensor]:
     return {k: T.Tensor(v.data.copy(), requires_grad=False) for k, v in params.items()}
 
 
-def param_count(params: Dict[str, T.Tensor]) -> int:
-    return int(sum(v.size for v in params.values()))
-
-
 def ema_update(teacher: Dict[str, T.Tensor], student: Dict[str, T.Tensor], m: float) -> None:
     """theta_t <- m * theta_t + (1 - m) * theta_s, elementwise, heads included."""
     if teacher.keys() != student.keys():

@@ -1,5 +1,5 @@
-"""Pinhole cameras, projection, depth-based visibility, point-to-patch
-correspondence, and voxel grids.
+"""Pinhole cameras, vectorized projection, depth-based visibility,
+point-to-patch correspondence, and voxel grids.
 
 Conventions: extrinsics map world to camera (q = R p + t), the camera looks
 down +z, pixels are half-open ([0, W) x [0, H)), depth lookups use the
@@ -62,22 +62,11 @@ class CameraView:
     def patches_x(self) -> int:
         return self.image_size[0] // self.patch_size
 
-    @property
-    def patches_y(self) -> int:
-        return self.image_size[1] // self.patch_size
-
     def flat_feature_grid(self) -> np.ndarray:
         """Feature grid reshaped to (num_patches, D), row-major patch order."""
         if self.feature_grid is None:
             raise ValueError("view has no feature grid")
         return self.feature_grid.reshape(-1, self.feature_grid.shape[-1])
-
-
-@dataclass
-class Projection:
-    pixel: Tuple[float, float]
-    depth_proj: float
-    in_bounds: bool
 
 
 @dataclass
@@ -141,29 +130,6 @@ def project_points(points: np.ndarray, cam: CameraView):
     return xy, depth, in_bounds
 
 
-def project(point, cam: CameraView) -> Projection:
-    xy, depth, inb = project_points(np.asarray(point, dtype=np.float64).reshape(1, 3), cam)
-    return Projection(pixel=(float(xy[0, 0]), float(xy[0, 1])),
-                      depth_proj=float(depth[0]), in_bounds=bool(inb[0]))
-
-
-def _depth_at(cam: CameraView, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
-    if cam.depth_map is None:
-        raise ValueError("view has no depth map")
-    return cam.depth_map[iy, ix]
-
-
-def visible(proj: Projection, cam: CameraView, eps_depth: float) -> bool:
-    if not proj.in_bounds:
-        return False
-    ix = int(np.floor(proj.pixel[0]))
-    iy = int(np.floor(proj.pixel[1]))
-    d = float(_depth_at(cam, np.array(ix), np.array(iy)))
-    if not np.isfinite(d) or d <= 0:
-        return False
-    return abs(d - proj.depth_proj) < eps_depth
-
-
 def visible_mask(points: np.ndarray, cam: CameraView, eps_depth: float):
     """Vectorized visibility for all points against one camera.
 
@@ -176,10 +142,12 @@ def visible_mask(points: np.ndarray, cam: CameraView, eps_depth: float):
     mask = np.zeros(n, dtype=bool)
     if not inb.any():
         return mask, ix, iy
+    if cam.depth_map is None:
+        raise ValueError("view has no depth map")
     sel = np.flatnonzero(inb)
     sx = np.floor(xy[sel, 0]).astype(np.int64)
     sy = np.floor(xy[sel, 1]).astype(np.int64)
-    d = _depth_at(cam, sx, sy)
+    d = cam.depth_map[sy, sx]
     ok = np.isfinite(d) & (d > 0) & (np.abs(d - depth[sel]) < eps_depth)
     mask[sel[ok]] = True
     ix[sel] = sx
@@ -237,23 +205,24 @@ def render_depth(points: np.ndarray, cam: CameraView, radius: int = 0) -> np.nda
     return depth
 
 
-def unproject(pixel, depth: float, cam: CameraView) -> np.ndarray:
-    """Inverse of project for a known projected depth: world coordinates."""
-    x, y = pixel
-    q = np.linalg.solve(cam.intrinsics, np.array([x * depth, y * depth, depth]))
-    return cam.rotation.T @ (q - cam.translation)
+def lattice_keys(points: np.ndarray, cell_size: float) -> np.ndarray:
+    """Per-point cell floor(coord / cell_size) as (N, 3) int64 keys shifted
+    by the packing offset; raises ValueError for a key outside the range
+    ``voxelize`` can pack."""
+    if cell_size <= 0:
+        raise ValueError("cell_size must be positive")
+    keys3 = np.floor(np.asarray(points, dtype=np.float64).reshape(-1, 3) / cell_size)
+    # compared as floats, where a huge coordinate cannot overflow and NaN fails
+    if not -_KEY_OFFSET <= keys3.min() <= keys3.max() <= _KEY_MASK - _KEY_OFFSET:
+        raise ValueError("coordinates exceed the voxel key range")
+    return keys3.astype(np.int64) + _KEY_OFFSET
 
 
 def voxelize(points: np.ndarray, cell_size: float) -> VoxelGrid:
     """Assign each point to the cell floor(coord / cell_size); stable voxel
     ordering by lattice key."""
-    if cell_size <= 0:
-        raise ValueError("cell_size must be positive")
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    keys3 = np.floor(pts / cell_size).astype(np.int64)
-    shifted = keys3 + _KEY_OFFSET
-    if shifted.min() < 0 or shifted.max() > _KEY_MASK:
-        raise ValueError("coordinates exceed the voxel key range")
+    shifted = lattice_keys(pts, cell_size)
     packed = (shifted[:, 0] << (2 * _KEY_BITS)) | (shifted[:, 1] << _KEY_BITS) | shifted[:, 2]
     uniq, assignments = np.unique(packed, return_inverse=True)
     centroids, counts = segment_mean_np(pts, assignments, uniq.size)

@@ -131,8 +131,7 @@ def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
     return loss, new_center, total_pairs, float(used.mean())
 
 
-def assign_patches(enc: EncodeResult, corr: Correspondence, level: int,
-                   budget: Optional[int] = None, seed: int = 0):
+def assign_patches(enc: EncodeResult, corr: Correspondence, level: int):
     """Patch assignment for pooled points at the given upcast level.
 
     Each correspondence entry names a source point; the entry votes for its
@@ -142,10 +141,6 @@ def assign_patches(enc: EncodeResult, corr: Correspondence, level: int,
     """
     stage = enc.num_stages - 1 - level
     entries = corr.entries
-    if budget is not None and entries.shape[0] > budget:
-        rng = np.random.default_rng(seed)
-        keep = rng.choice(entries.shape[0], size=budget, replace=False)
-        entries = entries[np.sort(keep)]
     if entries.shape[0] == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty, empty, 0
@@ -173,15 +168,13 @@ def assign_patches(enc: EncodeResult, corr: Correspondence, level: int,
 
 
 def cross_loss(enc: EncodeResult, corr: Correspondence, grids: List[np.ndarray],
-               params, level: int = 3, budget: Optional[int] = None, seed: int = 0,
-               eps: float = 1e-8):
+               params, level: int = 3):
     """Mean (1 - cosine) between predicted and stored patch features.
 
     ``grids`` holds one (num_patches, D) array per view; patches with no
     assigned points are excluded. Returns (loss tensor, nonempty patches).
     """
-    member_rows, seg_ids, seg_view, seg_patch, n_seg = assign_patches(
-        enc, corr, level, budget=budget, seed=seed)
+    member_rows, seg_ids, seg_view, seg_patch, n_seg = assign_patches(enc, corr, level)
     if n_seg == 0:
         logger.warning("cross_loss: no nonempty patches")
         return T.Tensor(np.array(0.0)), 0
@@ -191,18 +184,16 @@ def cross_loss(enc: EncodeResult, corr: Correspondence, grids: List[np.ndarray],
     assert nonempty.all()  # segments are built from their members
     predicted = cross_head(params, pooled)
     targets = np.stack([grids[v][p] for v, p in zip(seg_view, seg_patch)])
-    cos = T.op_cosine(predicted, T.Tensor(targets), eps=eps)
+    cos = T.op_cosine(predicted, T.Tensor(targets))
     loss = T.op_mean(T.op_add(T.op_mul(cos, -1.0), 1.0))
     return loss, int(n_seg)
 
 
-def combine(intra: T.Tensor, cross: Optional[T.Tensor], weights: LossWeights,
-            image_present: bool):
-    """Weighted total; without images the cross branch is skipped entirely."""
+def combine(intra: T.Tensor, cross: Optional[T.Tensor], weights: LossWeights):
+    """Weighted total; ``cross`` is None when the step used no images, and
+    the cross branch is then skipped entirely."""
     total = T.op_mul(intra, weights.intra)
-    if image_present:
-        if cross is None:
-            raise ValueError("image_present=True but no cross loss given")
+    if cross is not None:
         total = T.op_add(total, T.op_mul(cross, weights.cross))
     return total
 

@@ -59,12 +59,6 @@ class SegMetrics:
     allacc: float
     confusion: np.ndarray           # (C, C), rows = ground truth
 
-    def to_dict(self) -> dict:
-        return {"per_class_iou": [None if np.isnan(v) else float(v)
-                                  for v in self.per_class_iou],
-                "miou": float(self.miou), "macc": float(self.macc),
-                "allacc": float(self.allacc)}
-
 
 @dataclass
 class TextSpace:
@@ -108,8 +102,7 @@ def compute_metrics(pred, gt, num_classes: int) -> SegMetrics:
 # ---------------------------------------------------------------------------
 
 def plain_view(sample: SceneSample) -> View:
-    return View(cloud=sample.cloud, origin_index=np.arange(sample.cloud.num_points),
-                kind="global", principal=True)
+    return View(cloud=sample.cloud, origin_index=np.arange(sample.cloud.num_points))
 
 
 def extract_features(sample: SceneSample, params, enc_cfg: EncoderConfig,
@@ -177,26 +170,61 @@ class ProbeResult:
     train_sd: Optional[np.ndarray] = None
 
 
-def _softmax_head_epoch(head, feats: T.Tensor, targets: np.ndarray,
-                        extra_params: Dict[str, T.Tensor], state: AdamState,
-                        cfg: ProbeConfig, lr_factors: Dict[str, float]):
-    """One full-batch AdamW step of a softmax head on ``feats``; gradients
-    also reach ``extra_params`` through the graph of ``feats``."""
+def _fit(params: Dict[str, T.Tensor], loss_of, cfg: ProbeConfig,
+         lr_factors: Dict[str, float], weight_decay: float) -> Optional[float]:
+    """``cfg.epochs`` full-batch AdamW steps on ``params``; ``loss_of(epoch)``
+    builds that epoch's loss on the tape. Returns the last loss value."""
+    state = AdamState.init(params)
+    last = None
+    for epoch in range(cfg.epochs):
+        loss = loss_of(epoch)
+        T.backward(loss)
+        last = loss.item()
+        del loss  # one epoch's tape is not kept while the next is built
+        grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.data))
+                 for k, p in params.items()}
+        for p in params.values():
+            p.zero_grad()
+        adamw_step(params, grads, state, cfg.lr, lr_factors, weight_decay=weight_decay)
+    return last
+
+
+def _zero_head(dim: int, num_classes: int) -> Dict[str, T.Tensor]:
+    return {"head.w": T.param(np.zeros((dim, num_classes))),
+            "head.b": T.param(np.zeros(num_classes))}
+
+
+def _head_loss(head, feats: T.Tensor, weights: np.ndarray) -> T.Tensor:
+    """Softmax cross-entropy of the head on ``feats``; ``weights`` are the
+    one-hot targets divided by the row count."""
     logits = T.op_add(T.op_matmul(feats, head["head.w"]), head["head.b"])
-    T.backward(T.op_softmax_xent(logits, targets / targets.shape[0], 1.0))
-    params = dict(head)
-    params.update(extra_params)
-    grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.data))
-             for k, p in params.items()}
-    for p in params.values():
-        p.zero_grad()
-    adamw_step(params, grads, state, cfg.lr, lr_factors,
-               weight_decay=cfg.weight_decay)
+    return T.op_softmax_xent(logits, weights, 1.0)
 
 
-def _predict(head, feats: np.ndarray) -> np.ndarray:
-    logits = feats @ head["head.w"].data + head["head.b"].data
-    return logits.argmax(axis=1)
+def _labeled_rows(labels: Sequence[np.ndarray], num_classes: int, cfg: ProbeConfig):
+    """Per training scene, the labeled rows the label budget keeps (seeded,
+    nested); also their concatenated labels and the classes none has."""
+    keeps = []
+    for i, lab in enumerate(labels):
+        keep = label_budget_indices(lab.shape[0], cfg.label_budget, cfg.seed, i)
+        keeps.append(keep[lab[keep] >= 0])
+    y = np.concatenate([lab[k] for lab, k in zip(labels, keeps)])
+    if y.size == 0:
+        raise ProbeError("no labeled training points after budgeting")
+    missing = sorted(set(range(num_classes)) - set(np.unique(y).tolist()))
+    if missing:
+        logger.warning("classes absent from probe training set: %s", missing)
+    return keeps, y, missing
+
+
+def _evaluate(head, eval_scenes, mu, sd, num_classes: int) -> SegMetrics:
+    """Metrics of the head's argmax over standardized (features, labels) pairs."""
+    pred_all, gt_all = [], []
+    for feats, labels in eval_scenes:
+        logits = (feats - mu) * (1.0 / sd) @ head["head.w"].data + head["head.b"].data
+        pred_all.append(logits.argmax(axis=1))
+        gt_all.append(labels)
+    return compute_metrics(np.concatenate(pred_all), np.concatenate(gt_all), num_classes)
 
 
 def linear_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray]],
@@ -208,23 +236,11 @@ def linear_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray]],
     may be concatenations of several sources. label_budget limits the
     labeled points used per training scene (seeded, nested).
     """
-    xs, ys = [], []
-    for i, (feats, labels) in enumerate(train_scenes):
-        keep = label_budget_indices(feats.shape[0], cfg.label_budget, cfg.seed, i)
-        keep = keep[labels[keep] >= 0]
-        # a scene that keeps every row goes to the concatenation uncopied
-        whole = keep.size == feats.shape[0]
-        xs.append(feats if whole else feats[keep])
-        ys.append(labels if whole else labels[keep])
-    # a fresh array, so standardizing in place leaves the callers' untouched
-    x = np.concatenate(xs, axis=0)
-    y = np.concatenate(ys, axis=0)
-    if x.shape[0] == 0:
-        raise ProbeError("no labeled training points after budgeting")
-    missing = sorted(set(range(num_classes)) - set(np.unique(y).tolist()))
-    if missing:
-        logger.warning("classes absent from probe training set: %s", missing)
-
+    keeps, y, missing = _labeled_rows([lab for _f, lab in train_scenes], num_classes, cfg)
+    # a fresh array, so standardizing in place leaves the callers' untouched; a
+    # scene that keeps every row goes to the concatenation uncopied
+    x = np.concatenate([f if k.size == f.shape[0] else f[k]
+                        for (f, _lab), k in zip(train_scenes, keeps)], axis=0)
     if cfg.standardize:
         # the same arithmetic as (x - mean) / std, with no full-size temporary
         # beyond std's squares
@@ -235,23 +251,12 @@ def linear_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray]],
     else:
         mu, sd = 0.0, 1.0
     dim = x.shape[1]
-    head = {"head.w": T.param(np.zeros((dim, num_classes))),
-            "head.b": T.param(np.zeros(num_classes))}
-    state = AdamState.init(head)
-    targets = _one_hot(y, num_classes)
-    feats_const = T.Tensor(x)
-    for _epoch in range(cfg.epochs):
-        _softmax_head_epoch(head, feats_const, targets, {}, state, cfg, {})
-
-    pred_all, gt_all = [], []
-    for feats, labels in eval_scenes:
-        pred = _predict(head, (feats - mu) * (1.0 / sd))
-        pred_all.append(pred)
-        gt_all.append(labels)
-    metrics = compute_metrics(np.concatenate(pred_all), np.concatenate(gt_all),
-                              num_classes)
+    head = _zero_head(dim, num_classes)
+    feats, weights = T.Tensor(x), _one_hot(y, num_classes) / y.size
+    _fit(head, lambda _epoch: _head_loss(head, feats, weights), cfg, {}, cfg.weight_decay)
     return ProbeResult(weight=head["head.w"].data.copy(), bias=head["head.b"].data.copy(),
-                       metrics=metrics, missing_train_classes=missing,
+                       metrics=_evaluate(head, eval_scenes, mu, sd, num_classes),
+                       missing_train_classes=missing,
                        params_learnable=dim * num_classes + num_classes,
                        train_mu=np.asarray(mu), train_sd=np.asarray(sd))
 
@@ -275,54 +280,36 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
     lr_factors = {k: (lora_lr / cfg.lr if cfg.lr > 0 else 0.0) for k in adapter_params}
 
     dim = enc_cfg.upcast_dim(cfg.level)
-    head = {"head.w": T.param(np.zeros((dim, num_classes))),
-            "head.b": T.param(np.zeros(num_classes))}
-    state = AdamState.init({**head, **adapter_params})
+    head = _zero_head(dim, num_classes)
+    keeps, y, missing = _labeled_rows([s.cloud.labels for s in train_samples],
+                                      num_classes, cfg)
+    weights = _one_hot(y, num_classes) / y.size
 
-    budgeted = []
-    for i, s in enumerate(train_samples):
-        keep = label_budget_indices(s.cloud.num_points, cfg.label_budget, cfg.seed, i)
-        keep = keep[s.cloud.labels[keep] >= 0]
-        budgeted.append(keep)
-
-    missing = sorted(set(range(num_classes)) -
-                     set(np.unique(np.concatenate(
-                         [s.cloud.labels[k] for s, k in zip(train_samples, budgeted)])).tolist()))
-
-    for epoch in range(cfg.epochs):
+    def loss_of(epoch):
         rng = np.random.default_rng([cfg.seed, 0xD0, epoch])
         feats_list = [extract_features(s, base, enc_cfg, cfg.level, adapters=adapters,
                                        train=True, rng=rng) for s in train_samples]
-        rows = [T.op_gather_rows(f, k) for f, k in zip(feats_list, budgeted)]
+        rows = [T.op_gather_rows(f, k) for f, k in zip(feats_list, keeps)]
         x = rows[0] if len(rows) == 1 else T.op_concat_rows(rows)
-        y = np.concatenate([s.cloud.labels[k] for s, k in zip(train_samples, budgeted)])
         if cfg.standardize:
             mu, sd = _standardize_fit(x.data)
-            xn = T.op_mul(T.op_add(x, T.Tensor(-mu)), T.Tensor(1.0 / sd))
-        else:
-            mu, sd = np.zeros(dim), np.ones(dim)
-            xn = x
-        _softmax_head_epoch(head, xn, _one_hot(y, num_classes), adapter_params, state,
-                            cfg, lr_factors)
+            x = T.op_mul(T.op_add(x, T.Tensor(-mu)), T.Tensor(1.0 / sd))
+        return _head_loss(head, x, weights)
+
+    _fit({**head, **adapter_params}, loss_of, cfg, lr_factors, cfg.weight_decay)
 
     # final standardization stats from the adapted features
     final_feats = [extract_features(s, base, enc_cfg, cfg.level, adapters=adapters)
                    for s in train_samples]
-    stacked = np.concatenate([f.data[k] for f, k in zip(final_feats, budgeted)])
+    stacked = np.concatenate([f.data[k] for f, k in zip(final_feats, keeps)])
     mu, sd = _standardize_fit(stacked) if cfg.standardize else (np.zeros(dim), np.ones(dim))
-
-    pred_all, gt_all = [], []
-    for s in eval_samples:
-        feats = extract_features(s, base, enc_cfg, cfg.level, adapters=adapters)
-        pred = _predict(head, (feats.data - mu) * (1.0 / sd))
-        pred_all.append(pred)
-        gt_all.append(s.cloud.labels)
-    metrics = compute_metrics(np.concatenate(pred_all), np.concatenate(gt_all),
-                              num_classes)
+    evals = ((extract_features(s, base, enc_cfg, cfg.level, adapters=adapters).data,
+              s.cloud.labels) for s in eval_samples)
     learnable = sum(a.param_count for a in adapters.values()) + \
         head["head.w"].size + head["head.b"].size
     return ProbeResult(weight=head["head.w"].data.copy(), bias=head["head.b"].data.copy(),
-                       metrics=metrics, missing_train_classes=missing,
+                       metrics=_evaluate(head, evals, mu, sd, num_classes),
+                       missing_train_classes=missing,
                        params_learnable=int(learnable), adapters=adapters,
                        train_mu=mu, train_sd=sd)
 
@@ -337,12 +324,11 @@ def language_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarr
     maximizing cosine similarity. No labels are consumed.
 
     ``train_scenes`` rows are (features, targets, valid_mask); invalid points
-    (no visible patch) are excluded. Returns (map W, mean train cosine).
+    (no visible patch) are excluded. Returns (map W, mean train cosine of the
+    last epoch, 0.0 when there is none).
     """
-    xs = [f[m] for f, _t, m in train_scenes]
-    ts = [t[m] for _f, t, m in train_scenes]
-    x = np.concatenate(xs, axis=0)
-    t = np.concatenate(ts, axis=0)
+    x = np.concatenate([f[m] for f, _t, m in train_scenes], axis=0)
+    t = np.concatenate([tg[m] for _f, tg, m in train_scenes], axis=0)
     if x.shape[0] == 0:
         raise ProbeError("no visible points to fit the language probe")
     if np.abs(t).max() == 0:
@@ -350,20 +336,14 @@ def language_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarr
     # least-squares warm start (uses only features/targets), cosine polish after
     w0, *_ = np.linalg.lstsq(x, t, rcond=None)
     w = T.param(w0)
-    state = AdamState.init({"w": w})
-    feats_const = T.Tensor(x)
-    targets_const = T.Tensor(t)
-    cos_val = 0.0
-    for _epoch in range(cfg.epochs):
-        pred = T.op_matmul(feats_const, w)
-        cos = T.op_cosine(pred, targets_const)
-        loss = T.op_mean(T.op_add(T.op_mul(cos, -1.0), 1.0))
-        T.backward(loss)
-        grads = {"w": w.grad}
-        w.zero_grad()
-        adamw_step({"w": w}, grads, state, cfg.lr, {}, weight_decay=0.0)
-        cos_val = 1.0 - float(loss.data)
-    return w.data.copy(), cos_val
+    feats, targets = T.Tensor(x), T.Tensor(t)
+
+    def loss_of(_epoch):
+        cos = T.op_cosine(T.op_matmul(feats, w), targets)
+        return T.op_mean(T.op_add(T.op_mul(cos, -1.0), 1.0))
+
+    loss = _fit({"w": w}, loss_of, cfg, {}, weight_decay=0.0)
+    return w.data.copy(), 0.0 if loss is None else 1.0 - loss
 
 
 def zero_shot_segment(point_text_feats: np.ndarray, space: TextSpace,

@@ -22,7 +22,7 @@ from . import tensor as T
 from .ctsr import load_ctsr, save_ctsr
 from .dataio import SceneSample
 from .encoder import EncoderConfig, clone_params, encode, ema_update, init_params
-from .geometry import Correspondence, build_correspondence
+from .geometry import Correspondence, build_correspondence, lattice_keys
 from .objectives import ClusterLossConfig, LossWeights, combine, cross_loss, intra_loss
 from .views import MIN_LOCAL_POINTS, AugmentConfig, make_viewset
 
@@ -52,7 +52,6 @@ class TrainConfig:
     adam_eps: float = 1e-8
     grad_clip: Optional[float] = None
     eps_depth: float = 0.01
-    visible_budget: Optional[int] = None
     checkpoint_every_epochs: int = 0  # 0 = final checkpoint only
     total_steps: Optional[int] = None  # override epochs * len(dataset)
 
@@ -290,15 +289,24 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
     run, bit for bit. ``step_hook(step, params, teacher, m_ema)`` is called
     after every optimizer/EMA update (observer only). Every checkpoint
     records the encoder config, and resuming under another one, or from
-    parameters of other names or shapes, is refused.
+    parameters of other names or shapes, is refused. So is a scene too small
+    to crop or with coordinates beyond the voxel key range.
     """
     if not samples:
         raise TrainerError("dataset is empty")
+    # the finest lattice a step voxelizes (coarser ones have smaller keys),
+    # checked on the cloud as loaded: augmentation scales about the centroid,
+    # so a scene just inside the bound can still cross it
+    finest_cell = min(*enc_cfg.cell_sizes, aug_cfg.mask_grid)
     for sample in samples:
         # every step draws local crops of at least this many points
         if sample.cloud.num_points < MIN_LOCAL_POINTS:
             raise TrainerError(f"scene {sample.scene_id} has {sample.cloud.num_points} "
                                f"points; training needs at least {MIN_LOCAL_POINTS}")
+        try:
+            lattice_keys(sample.cloud.coords, finest_cell)
+        except ValueError as e:
+            raise TrainerError(f"scene {sample.scene_id}: {e}") from e
     # the JSON round trip makes the stored and the current entry compare equal
     meta = {"encoder": json.loads(json.dumps(asdict(enc_cfg)))}
     n = len(samples)
@@ -341,7 +349,6 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
             step_rng = np.random.default_rng([cfg.seed, 55, step])
             view_seed = int(step_rng.integers(2 ** 31))
             image_draw = step_rng.random()
-            budget_seed = int(step_rng.integers(2 ** 31))
 
             grids = _scene_grids(sample)
             use_images = (grids is not None and cfg.weights.cross > 0
@@ -361,11 +368,8 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
                     corr_cache[sample.scene_id] = build_correspondence(
                         sample.cloud.coords, sample.views, cfg.eps_depth)
                 cross, patches = cross_loss(student[0][1], corr_cache[sample.scene_id],
-                                            grids, params,
-                                            level=enc_cfg.cross_upcast_level,
-                                            budget=cfg.visible_budget,
-                                            seed=budget_seed)
-            total = combine(intra, cross, cfg.weights, image_present=use_images)
+                                            grids, params, level=enc_cfg.cross_upcast_level)
+            total = combine(intra, cross, cfg.weights)
             if not np.isfinite(total.data).all():
                 if out is not None:
                     save_checkpoint(out / "dump_nonfinite", params, teacher, state,

@@ -52,9 +52,7 @@ class AugmentConfig:
 class View:
     cloud: PointCloud
     origin_index: np.ndarray         # per-point index into the source cloud
-    kind: str                        # global | masked | local
     mask: Optional[np.ndarray] = None  # True = masked out
-    principal: bool = False
 
 
 @dataclass
@@ -147,38 +145,26 @@ def make_viewset(cloud: PointCloud, cfg: AugmentConfig, seed: int) -> ViewSet:
     """2 global + 2 masked + 4 local views, deterministic under the seed.
 
     The first global view is the principal view; masked views share its
-    geometry exactly and carry a mask covering ``mask_ratio`` of the points.
+    cloud object and carry a mask covering ``mask_ratio`` of the points.
+    Views share arrays nothing mutates: the clouds and the origin index.
     """
     if cloud.num_points < 1:
         raise ValueError("cloud is empty")
     rng = np.random.default_rng([seed, 0x5eed])
-    n = cloud.num_points
-    all_idx = np.arange(n)
-
-    globals_ = []
-    for g in range(GLOBAL_VIEWS):
-        aug = _augment_cloud(cloud, cfg, rng)
-        globals_.append(View(cloud=aug, origin_index=all_idx.copy(), kind="global",
-                             principal=(g == 0)))
-
-    principal = globals_[0]
-    masked = []
-    for _m in range(MASKED_VIEWS):
-        mask = _grid_mask(principal.cloud.coords, cfg.mask_ratio, cfg.mask_grid, rng)
-        mcloud = PointCloud(coords=principal.cloud.coords.copy(),
-                            colors=principal.cloud.colors.copy(),
-                            labels=None if principal.cloud.labels is None
-                            else principal.cloud.labels.copy())
-        masked.append(View(cloud=mcloud, origin_index=all_idx.copy(), kind="masked",
-                           mask=mask))
+    all_idx = np.arange(cloud.num_points)
+    globals_ = [View(cloud=_augment_cloud(cloud, cfg, rng), origin_index=all_idx)
+                for _g in range(GLOBAL_VIEWS)]
+    principal = globals_[0].cloud
+    masked = [View(cloud=principal, origin_index=all_idx,
+                   mask=_grid_mask(principal.coords, cfg.mask_ratio, cfg.mask_grid, rng))
+              for _m in range(MASKED_VIEWS)]
 
     locals_ = []
     for _l in range(LOCAL_VIEWS):
         idx = _local_crop(cloud, cfg, rng)
         sub = PointCloud(coords=cloud.coords[idx], colors=cloud.colors[idx],
                          labels=None if cloud.labels is None else cloud.labels[idx])
-        locals_.append(View(cloud=_augment_cloud(sub, cfg, rng),
-                            origin_index=idx, kind="local"))
+        locals_.append(View(cloud=_augment_cloud(sub, cfg, rng), origin_index=idx))
 
     return ViewSet(globals_=globals_, masked=masked, locals_=locals_)
 

@@ -111,24 +111,3 @@ def export_ply(coords: np.ndarray, rgb: np.ndarray, path) -> Path:
         lines.append(f"{x:.6f} {y:.6f} {z:.6f} {r} {g} {b}")
     path.write_text("\n".join(lines) + "\n")
     return path
-
-
-def load_ply(path):
-    """Parse the ASCII PLY files this module writes; returns (coords, rgb u8)."""
-    lines = Path(path).read_text().splitlines()
-    if lines[0] != "ply" or lines[1] != "format ascii 1.0":
-        raise ValueError(f"not an ascii PLY file: {path}")
-    n = None
-    body_at = None
-    for i, line in enumerate(lines):
-        if line.startswith("element vertex"):
-            n = int(line.split()[-1])
-        if line == "end_header":
-            body_at = i + 1
-            break
-    if n is None or body_at is None:
-        raise ValueError(f"malformed PLY header in {path}")
-    rows = [line.split() for line in lines[body_at:body_at + n]]
-    coords = np.array([[float(v) for v in r[:3]] for r in rows])
-    colors = np.array([[int(v) for v in r[3:6]] for r in rows], dtype=np.uint8)
-    return coords, colors

@@ -182,6 +182,16 @@ class TestManifestIO:
         with pytest.raises(ManifestError, match="not found"):
             load_manifest(tmp_path / "nope.json")
 
+    def test_other_manifest_version_rejected(self, tmp_path):
+        spec = small_spec(num_scenes=1)
+        samples, _ = generate_synthetic(spec)
+        path = save_dataset(samples, tmp_path, spec.feature_dim, spec.patch_size)
+        doc = json.loads(path.read_text())
+        doc["version"] = 2
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match="version 2.*version 1"):
+            load_manifest(path)
+
     def test_wrong_feature_dim_rejected(self, tmp_path):
         spec = small_spec()
         samples, A = generate_synthetic(spec)

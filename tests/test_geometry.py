@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from concerto.geometry import (CameraView, Correspondence, build_correspondence,
-                               project, project_points, render_depth, unproject,
-                               visible, visible_mask, voxelize, Projection)
+                               project_points, render_depth, visible_mask, voxelize)
 
 
 def simple_cam(w=64, h=64, f=100.0, depth=None, patch=8):
@@ -27,20 +26,20 @@ class TestProject:
     def test_optical_axis(self):
         cam = simple_cam(f=100.0, w=64, h=64)
         # principal point at 32,32
-        p = project(np.array([0.0, 0.0, 2.0]), cam)
-        assert p.in_bounds
-        np.testing.assert_allclose(p.pixel, (32.0, 32.0), atol=1e-12)
-        np.testing.assert_allclose(p.depth_proj, 2.0)
+        xy, depth, inb = project_points(np.array([0.0, 0.0, 2.0]), cam)
+        assert inb[0]
+        np.testing.assert_allclose(xy[0], (32.0, 32.0), atol=1e-12)
+        np.testing.assert_allclose(depth[0], 2.0)
 
     def test_behind_camera(self):
         cam = simple_cam()
-        assert not project(np.array([0.0, 0.0, -1.0]), cam).in_bounds
+        assert not project_points(np.array([0.0, 0.0, -1.0]), cam)[2][0]
 
     def test_boundary_is_half_open(self):
         cam = simple_cam(f=32.0, w=64, h=64)
         # x = W exactly -> out of bounds
-        p = project(np.array([1.0, 0.0, 1.0]), cam)
-        assert p.pixel[0] == 64.0 and not p.in_bounds
+        xy, _, inb = project_points(np.array([1.0, 0.0, 1.0]), cam)
+        assert xy[0, 0] == 64.0 and not inb[0]
 
     def test_matches_homogeneous_matrix_oracle(self):
         rng = np.random.default_rng(0)
@@ -60,7 +59,9 @@ class TestProject:
         pts = rng.normal(scale=2.0, size=(200, 3))
         xy, depth, inb = project_points(pts, cam)
         for i in np.flatnonzero(inb):
-            back = unproject(xy[i], depth[i], cam)
+            # invert K, then the rigid world-to-camera map
+            q = np.linalg.solve(cam.intrinsics, np.append(xy[i] * depth[i], depth[i]))
+            back = cam.rotation.T @ (q - cam.translation)
             np.testing.assert_allclose(back, pts[i], atol=1e-9)
 
     def test_rigid_invariance(self):
@@ -95,22 +96,19 @@ class TestVisible:
         depth[32, 32] = d_c
         return simple_cam(depth=depth)
 
+    # a point on the optical axis projects to pixel (32, 32) at depth z
     def test_within_tolerance(self):
-        cam = self.make(2.000)
-        proj = Projection(pixel=(32.0, 32.0), depth_proj=2.005, in_bounds=True)
-        assert visible(proj, cam, 0.01)
+        mask, ix, iy = visible_mask(np.array([[0.0, 0.0, 2.005]]), self.make(2.000), 0.01)
+        assert mask[0] and (ix[0], iy[0]) == (32, 32)
 
     def test_exceeds_tolerance(self):
-        cam = self.make(2.000)
-        proj = Projection(pixel=(32.0, 32.0), depth_proj=2.020, in_bounds=True)
-        assert not visible(proj, cam, 0.01)
+        mask, _, _ = visible_mask(np.array([[0.0, 0.0, 2.020]]), self.make(2.000), 0.01)
+        assert not mask[0]
 
     def test_invalid_depth_rejected(self):
-        cam = self.make(np.nan)
-        proj = Projection(pixel=(32.0, 32.0), depth_proj=2.0, in_bounds=True)
-        assert not visible(proj, cam, 0.01)
-        cam2 = self.make(-1.0)
-        assert not visible(proj, cam2, 0.01)
+        point = np.array([[0.0, 0.0, 2.0]])
+        assert not visible_mask(point, self.make(np.nan), 0.01)[0][0]
+        assert not visible_mask(point, self.make(-1.0), 0.01)[0][0]
 
 
 def brute_force_correspondence(points, views, eps):
@@ -118,14 +116,14 @@ def brute_force_correspondence(points, views, eps):
     rows = []
     for v, cam in enumerate(views):
         for i, p in enumerate(points):
-            pr = project(p, cam)
-            if not pr.in_bounds:
+            xy, depth, inb = project_points(p, cam)  # one row
+            if not inb[0]:
                 continue
-            ix, iy = int(np.floor(pr.pixel[0])), int(np.floor(pr.pixel[1]))
+            ix, iy = int(np.floor(xy[0, 0])), int(np.floor(xy[0, 1]))
             d = cam.depth_map[iy, ix]
             if not np.isfinite(d) or d <= 0:
                 continue
-            if abs(d - pr.depth_proj) < eps:
+            if abs(d - depth[0]) < eps:
                 patch = (iy // cam.patch_size) * (cam.image_size[0] // cam.patch_size) + ix // cam.patch_size
                 rows.append((i, v, ix, iy, patch))
     return set(rows)
@@ -208,10 +206,10 @@ class TestRenderDepth:
         d = render_depth(pts, cam)
         expect = np.full((32, 32), np.inf)
         for p in pts:
-            pr = project(p, cam)
-            if pr.in_bounds:
-                ix, iy = int(pr.pixel[0]), int(pr.pixel[1])
-                expect[iy, ix] = min(expect[iy, ix], pr.depth_proj)
+            xy, depth, inb = project_points(p, cam)  # one row
+            if inb[0]:
+                ix, iy = int(xy[0, 0]), int(xy[0, 1])
+                expect[iy, ix] = min(expect[iy, ix], depth[0])
         expect[~np.isfinite(expect)] = np.nan
         np.testing.assert_array_equal(np.isnan(d), np.isnan(expect))
         np.testing.assert_allclose(d[np.isfinite(d)], expect[np.isfinite(expect)])
@@ -240,6 +238,14 @@ class TestVoxelize:
             members = np.flatnonzero(g.assignments == v)
             key = tuple(g.keys[v].tolist())
             assert sorted(table[key]) == members.tolist()
+
+    def test_key_range_edges(self):
+        # 21-bit keys: each axis spans cells -2**20 .. 2**20 - 1
+        g = voxelize(np.array([[-2.0 ** 20, 0, 0], [2.0 ** 20 - 0.5, 0, 0]]), 1.0)
+        np.testing.assert_array_equal(g.keys[:, 0], [-2 ** 20, 2 ** 20 - 1])
+        for bad in (-2.0 ** 20 - 0.5, 2.0 ** 20, 1e30, np.nan):
+            with pytest.raises(ValueError, match="key range"):
+                voxelize(np.array([[0.0, bad, 0]]), 1.0)
 
     def test_bad_cell_size(self):
         with pytest.raises(ValueError):

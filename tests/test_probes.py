@@ -3,13 +3,13 @@ import pytest
 
 from concerto import tensor as T
 from concerto.dataio import SyntheticSpec, generate_synthetic
-from concerto.encoder import EncoderConfig, encode, init_params, param_count, upcast
+from concerto.encoder import EncoderConfig, encode, init_params, upcast
 from concerto.probes import (ProbeConfig, ProbeError, TextSpace, _one_hot,
-                             _softmax_head_epoch, _standardize_fit, compute_metrics,
+                             _standardize_fit, compute_metrics,
                              extract_features, label_budget_indices, language_probe,
                              lift_patch_features_to_points, linear_probe, lora_probe,
                              plain_view, zero_shot_segment)
-from concerto.trainer import AdamState
+from concerto.trainer import AdamState, adamw_step
 
 
 def tiny_enc(**kw):
@@ -112,10 +112,22 @@ class TestExtractFeatures:
         np.testing.assert_array_equal(feats, reference)
 
 
+def softmax_head_epoch(head, feats, targets, state, cfg):
+    """The former per-epoch step of the linear probe: one full-batch AdamW
+    step of a softmax head on constant ``feats``."""
+    logits = T.op_add(T.op_matmul(feats, head["head.w"]), head["head.b"])
+    T.backward(T.op_softmax_xent(logits, targets / targets.shape[0], 1.0))
+    grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.data))
+             for k, p in head.items()}
+    for p in head.values():
+        p.zero_grad()
+    adamw_step(head, grads, state, cfg.lr, {}, weight_decay=cfg.weight_decay)
+
+
 def linear_probe_oracle(train_scenes, num_classes, cfg):
     """The former training half of ``linear_probe``: fancy-indexed copies of
-    every scene, then out-of-place standardization. Returns (weight, bias,
-    mu, sd)."""
+    every scene, then out-of-place standardization and a loop of
+    ``softmax_head_epoch``. Returns (weight, bias, mu, sd)."""
     xs, ys = [], []
     for i, (feats, labels) in enumerate(train_scenes):
         keep = label_budget_indices(feats.shape[0], cfg.label_budget, cfg.seed, i)
@@ -130,7 +142,7 @@ def linear_probe_oracle(train_scenes, num_classes, cfg):
             "head.b": T.param(np.zeros(num_classes))}
     state = AdamState.init(head)
     for _epoch in range(cfg.epochs):
-        _softmax_head_epoch(head, T.Tensor(xn), _one_hot(y, num_classes), {}, state, cfg, {})
+        softmax_head_epoch(head, T.Tensor(xn), _one_hot(y, num_classes), state, cfg)
     return head["head.w"].data, head["head.b"].data, np.asarray(mu), np.asarray(sd)
 
 
@@ -237,7 +249,7 @@ class TestLoraProbe:
                 expect += 4 * (d_in + d_out)
         expect += enc_cfg.upcast_dim(4) * 4 + 4
         assert res.params_learnable == expect
-        assert res.params_learnable < 0.35 * param_count(params)
+        assert res.params_learnable < 0.35 * sum(p.size for p in params.values())
 
     def test_adapters_actually_train(self, dataset):
         enc_cfg = tiny_enc()

@@ -150,6 +150,18 @@ class TestTrainLoop:
                      step_hook=lambda step, *_rest: steps.append(step))
         assert steps == []
 
+    def test_coordinate_beyond_key_range_rejected_before_step_0(self, dataset):
+        c = dataset[0].cloud
+        coords = c.coords.copy()
+        coords[3, 1] = 1e30
+        far = SceneSample(cloud=PointCloud(coords=coords, colors=c.colors, labels=c.labels),
+                          views=[], scene_id="far_scene")
+        steps = []
+        with pytest.raises(TrainerError, match="far_scene.*key range"):
+            self.run([dataset[0], far], 2, seed=3,
+                     step_hook=lambda step, *_rest: steps.append(step))
+        assert steps == []
+
     def test_loss_logged_and_finite(self, dataset):
         res = self.run(dataset, 6)
         assert len(res.log) == 6

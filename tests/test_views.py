@@ -18,8 +18,7 @@ class TestViewSet:
     def test_composition_and_principal(self, cloud):
         vs = make_viewset(cloud, AugmentConfig(), seed=0)
         assert len(vs.globals_) == 2 and len(vs.masked) == 2 and len(vs.locals_) == 4
-        assert vs.globals_[0].principal and not vs.globals_[1].principal
-        assert sum(v.principal for v in vs.all_views) == 1
+        assert vs.principal is vs.globals_[0]
 
     def test_mask_ratio_zero_equals_principal(self, cloud):
         cfg = AugmentConfig(mask_ratio=0.0)
@@ -124,7 +123,7 @@ class TestMatchViews:
             pytest.skip("crops fully overlap for this seed")
         # restrict a to indices absent from b -> pairing must be empty
         keep = np.isin(a.origin_index, left)
-        a2 = type(a)(cloud=a.cloud, origin_index=a.origin_index[keep], kind="local")
+        a2 = type(a)(cloud=a.cloud, origin_index=a.origin_index[keep])
         ia, _ = match_views(a2, b)
         assert ia.size == 0
 

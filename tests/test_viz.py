@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from concerto.viz import PcaModel, colorize, export_ply, fit_pca, load_ply
+from concerto.viz import PcaModel, colorize, export_ply, fit_pca
+from oracles import load_ply
 
 
 class TestFitPca:
