@@ -86,7 +86,6 @@ class SampleRef:
 @dataclass
 class DatasetManifest:
     root: Path
-    version: int
     image_feature_dim: int
     patch_size: int
     samples: List[SampleRef]
@@ -111,7 +110,6 @@ class SyntheticSpec:
     noise_sigma: float = 0.05
     seed: int = 0
     color_jitter: float = 0.08
-    eps_depth: float = 0.01
 
     def __post_init__(self):
         if self.num_classes <= 0:
@@ -280,7 +278,7 @@ def generate_synthetic(spec: SyntheticSpec):
             cam.depth_map = render_depth(coords, cam)
             views.append(cam)
 
-        corr = build_correspondence(coords, views, eps_depth=spec.eps_depth)
+        corr = build_correspondence(coords, views)
         summary, _nonempty = _patch_summaries(coords, colors, labels, corr,
                                               len(views), patches_per_view, spec)
         feats = summary @ A.T
@@ -390,8 +388,7 @@ def load_manifest(path) -> DatasetManifest:
                             f"reader takes version {MANIFEST_VERSION}")
     refs = [SampleRef(scene_id=s["scene_id"], split=s.get("split", "train"),
                       cloud=s["cloud"], views=s["views"]) for s in doc["samples"]]
-    return DatasetManifest(root=path.parent, version=int(doc["version"]),
-                           image_feature_dim=int(doc["image_feature_dim"]),
+    return DatasetManifest(root=path.parent, image_feature_dim=int(doc["image_feature_dim"]),
                            patch_size=int(doc["patch_size"]), samples=refs,
                            synthetic_a_path=doc.get("synthetic_A"))
 

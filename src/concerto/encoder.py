@@ -1,6 +1,6 @@
 """Hierarchical voxel-pooling point encoder with teacher/student parameter
 pairs, upcast feature concatenation, projection/prototype/cross heads, and
-optional low-rank adapters.
+low-rank adapters, which are merged into their weights before encoding.
 
 Stage 0 embeds per-point input features (colors plus intra-voxel coordinate
 offsets; no absolute coordinates, so features cannot shortcut through
@@ -83,7 +83,6 @@ class LoraAdapter:
     b: T.Tensor
     rank: int
     alpha: float
-    dropout: float
 
     @property
     def scaling(self) -> float:
@@ -146,7 +145,7 @@ def ema_update(teacher: Dict[str, T.Tensor], student: Dict[str, T.Tensor], m: fl
 # lora
 # ---------------------------------------------------------------------------
 
-def make_adapter(weight: T.Tensor, rank: int, alpha: float, dropout: float,
+def make_adapter(weight: T.Tensor, rank: int, alpha: float,
                  rng: np.random.Generator) -> LoraAdapter:
     if weight.data.ndim != 2:
         raise ValueError("lora adapts 2-D weights only")
@@ -156,13 +155,12 @@ def make_adapter(weight: T.Tensor, rank: int, alpha: float, dropout: float,
     return LoraAdapter(
         a=T.param(rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, rank))),
         b=T.param(np.zeros((rank, d_out))),
-        rank=rank, alpha=alpha, dropout=dropout)
+        rank=rank, alpha=alpha)
 
 
 def make_lora_adapters(params: Dict[str, T.Tensor], rank: int = 8, alpha: float = 16.0,
-                       dropout: float = 0.1, seed: int = 0,
-                       prefixes: tuple = ("stage",)) -> Dict[str, LoraAdapter]:
-    """One adapter per matching 2-D weight (the stage MLPs by default).
+                       seed: int = 0) -> Dict[str, LoraAdapter]:
+    """One adapter per 2-D stage-MLP weight.
 
     Weights narrower than the rank (e.g. the 6-wide input layer) are left
     unadapted; a low-rank update cannot be low-rank there.
@@ -170,31 +168,27 @@ def make_lora_adapters(params: Dict[str, T.Tensor], rank: int = 8, alpha: float 
     rng = np.random.default_rng([seed, 0x10BA])
     adapters = {}
     for name, p in sorted(params.items()):
-        if p.data.ndim != 2 or not name.endswith(".w"):
-            continue
-        if not any(name.startswith(pre) for pre in prefixes):
+        if p.data.ndim != 2 or not name.endswith(".w") or not name.startswith("stage"):
             continue
         if rank > min(p.data.shape):
             logger.debug("skipping lora on %s: shape %s below rank %d", name, p.data.shape, rank)
             continue
-        adapters[name] = make_adapter(p, rank, alpha, dropout, rng)
+        adapters[name] = make_adapter(p, rank, alpha, rng)
     if not adapters:
         raise ValueError(f"no weight is wide enough for lora rank {rank}")
     return adapters
 
 
-def apply_lora(x: T.Tensor, w: T.Tensor, adapter: LoraAdapter,
-               train: bool = False, rng: Optional[np.random.Generator] = None) -> T.Tensor:
-    """x @ (W + scaling * A B), with train-time dropout on the adapter path."""
-    base = T.op_matmul(x, w)
-    h = x
-    if train and adapter.dropout > 0:
-        if rng is None:
-            raise ValueError("training-mode lora dropout needs an rng")
-        keep = (rng.random(x.data.shape) >= adapter.dropout) / (1.0 - adapter.dropout)
-        h = T.op_mul(h, T.Tensor(keep))
-    delta = T.op_matmul(T.op_matmul(h, adapter.a), adapter.b)
-    return T.op_add(base, T.op_mul(delta, adapter.scaling))
+def lora_weights(params: Dict[str, T.Tensor],
+                 adapters: Dict[str, LoraAdapter]) -> Dict[str, T.Tensor]:
+    """``params`` with each adapted weight W replaced by W + scaling * A B,
+    built on the tape so gradients reach A and B (Hu et al., arXiv
+    2106.09685: the adapted weight can be formed explicitly)."""
+    merged = dict(params)
+    for name, ad in adapters.items():
+        delta = T.op_mul(T.op_matmul(ad.a, ad.b), ad.scaling)
+        merged[name] = T.op_add(params[name], delta)
+    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -219,19 +213,14 @@ class EncodeResult:
         return anc
 
 
-def _linear(x, params, name, adapters, train, rng):
-    w = params[f"{name}.w"]
-    if adapters is not None and f"{name}.w" in adapters:
-        y = apply_lora(x, w, adapters[f"{name}.w"], train=train, rng=rng)
-    else:
-        y = T.op_matmul(x, w)
-    return T.op_add(y, params[f"{name}.b"])
+def _linear(x, params, name):
+    return T.op_add(T.op_matmul(x, params[f"{name}.w"]), params[f"{name}.b"])
 
 
-def _stage_block(x, params, cfg, s, adapters, train, rng):
+def _stage_block(x, params, cfg, s):
     h = T.op_layernorm(x)
     for i in range(cfg.mlp_depth):
-        h = _linear(h, params, f"stage{s}.lin{i}", adapters, train, rng)
+        h = _linear(h, params, f"stage{s}.lin{i}")
         if i < cfg.mlp_depth - 1:
             h = T.op_gelu(h)
     return h
@@ -245,9 +234,7 @@ def _local_mix(feats, assignments, num_segments):
     return T.op_mul(T.op_add(feats, spread), 0.5)
 
 
-def encode(view: View, params: Dict[str, T.Tensor], cfg: EncoderConfig,
-           adapters: Optional[Dict[str, LoraAdapter]] = None,
-           train: bool = False, rng: Optional[np.random.Generator] = None) -> EncodeResult:
+def encode(view: View, params: Dict[str, T.Tensor], cfg: EncoderConfig) -> EncodeResult:
     """Per-stage features and parent maps for one view.
 
     Stage-0 input features are colors concatenated with offsets from the
@@ -273,7 +260,7 @@ def encode(view: View, params: Dict[str, T.Tensor], cfg: EncoderConfig,
                  for s in range(cfg.num_stages)]
 
     mix = voxelize(coords0, agg_cells[0])
-    h = _stage_block(x, params, cfg, 0, adapters, train, rng)
+    h = _stage_block(x, params, cfg, 0)
     h = _local_mix(h, mix.assignments, mix.num_voxels)
     feats.append(h)
 
@@ -283,7 +270,7 @@ def encode(view: View, params: Dict[str, T.Tensor], cfg: EncoderConfig,
         parents.append(grid.assignments)
         coords.append(grid.centroids)
         pooled, _ = T.op_segment_mean(feats[s - 1], grid.assignments, grid.num_voxels)
-        h = _stage_block(pooled, params, cfg, s, adapters, train, rng)
+        h = _stage_block(pooled, params, cfg, s)
         mix = voxelize(grid.centroids, agg_cells[s])
         h = _local_mix(h, mix.assignments, mix.num_voxels)
         feats.append(h)
@@ -314,9 +301,9 @@ def upcast(result: EncodeResult, level: int) -> T.Tensor:
 
 def proj_head(params: Dict[str, T.Tensor], x: T.Tensor) -> T.Tensor:
     """Two-layer GELU MLP to the prototype space, L2-normalized."""
-    h = _linear(x, params, "proj.lin0", None, False, None)
+    h = _linear(x, params, "proj.lin0")
     h = T.op_gelu(h)
-    h = _linear(h, params, "proj.lin1", None, False, None)
+    h = _linear(h, params, "proj.lin1")
     return T.op_l2norm(h)
 
 
@@ -327,4 +314,4 @@ def proto_scores(params: Dict[str, T.Tensor], z: T.Tensor) -> T.Tensor:
 
 def cross_head(params: Dict[str, T.Tensor], x: T.Tensor) -> T.Tensor:
     """Linear map from cross-level point features to the image feature space."""
-    return _linear(x, params, "cross", None, False, None)
+    return _linear(x, params, "cross")

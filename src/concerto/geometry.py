@@ -20,6 +20,9 @@ _KEY_BITS = 21
 _KEY_OFFSET = 1 << (_KEY_BITS - 1)
 _KEY_MASK = (1 << _KEY_BITS) - 1
 
+# a point is visible where its depth is within this of the depth map's value
+EPS_DEPTH = 0.01
+
 
 @dataclass
 class CameraView:
@@ -78,7 +81,6 @@ class Correspondence:
     """
 
     entries: np.ndarray
-    eps_depth: float
 
     def __len__(self):
         return self.entries.shape[0]
@@ -155,15 +157,13 @@ def visible_mask(points: np.ndarray, cam: CameraView, eps_depth: float):
     return mask, ix, iy
 
 
-def build_correspondence(points: np.ndarray, views: Sequence[CameraView],
-                         eps_depth: float) -> Correspondence:
-    """All visibility-verified (point, view) matches with patch indices."""
-    if eps_depth <= 0:
-        raise ValueError("eps_depth must be positive")
+def build_correspondence(points: np.ndarray, views: Sequence[CameraView]) -> Correspondence:
+    """All (point, view) matches visible within ``EPS_DEPTH``, with patch
+    indices."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     blocks = []
     for v, cam in enumerate(views):
-        mask, ix, iy = visible_mask(pts, cam, eps_depth)
+        mask, ix, iy = visible_mask(pts, cam, EPS_DEPTH)
         idx = np.flatnonzero(mask)
         if idx.size == 0:
             continue
@@ -176,15 +176,12 @@ def build_correspondence(points: np.ndarray, views: Sequence[CameraView],
         entries = np.concatenate(blocks, axis=0).astype(np.int64)
     else:
         entries = np.zeros((0, 5), dtype=np.int64)
-    return Correspondence(entries=entries, eps_depth=float(eps_depth))
+    return Correspondence(entries=entries)
 
 
-def render_depth(points: np.ndarray, cam: CameraView, radius: int = 0) -> np.ndarray:
-    """Point-splat depth map: per-pixel minimum projected depth.
-
-    ``radius`` widens the splat footprint to a (2r+1)^2 pixel block. Pixels
-    no point reaches are NaN (invalid).
-    """
+def render_depth(points: np.ndarray, cam: CameraView) -> np.ndarray:
+    """Point-splat depth map: per-pixel minimum projected depth. Pixels no
+    point reaches are NaN (invalid)."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if pts.shape[0] == 0:
         raise ValueError("render_depth needs a nonempty point set")
@@ -192,15 +189,9 @@ def render_depth(points: np.ndarray, cam: CameraView, radius: int = 0) -> np.nda
     depth = np.full((h, w), np.inf)
     xy, z, inb = project_points(pts, cam)
     sel = np.flatnonzero(inb)
-    if sel.size:
-        ix = np.floor(xy[sel, 0]).astype(np.int64)
-        iy = np.floor(xy[sel, 1]).astype(np.int64)
-        zs = z[sel]
-        for dy in range(-radius, radius + 1):
-            for dx in range(-radius, radius + 1):
-                jx = np.clip(ix + dx, 0, w - 1)
-                jy = np.clip(iy + dy, 0, h - 1)
-                np.minimum.at(depth, (jy, jx), zs)
+    ix = np.floor(xy[sel, 0]).astype(np.int64)
+    iy = np.floor(xy[sel, 1]).astype(np.int64)
+    np.minimum.at(depth, (iy, ix), z[sel])
     depth[~np.isfinite(depth)] = np.nan
     return depth
 

@@ -4,7 +4,9 @@ budgets, and segmentation metrics.
 
 All probes train a single linear layer (plus adapters in lora mode) with
 full-batch AdamW under a fixed seed; the encoder checkpoint is never
-mutated. Features default to the full-resolution upcast.
+mutated. Features default to the full-resolution upcast. The lora probe
+merges its adapters into the frozen weights and encodes with the merged
+weights, so there is one encoder forward path.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .dataio import SceneSample
-from .encoder import (EncoderConfig, LoraAdapter, clone_params, encode,
+from .encoder import (EncoderConfig, LoraAdapter, clone_params, encode, lora_weights,
                       make_lora_adapters, upcast)
 from .geometry import build_correspondence
 from .trainer import AdamState, adamw_step
@@ -38,10 +40,8 @@ class ProbeConfig:
     label_budget: Optional[int] = None  # labeled points kept per scene
     seed: int = 0
     standardize: bool = True
-    weight_decay: float = 0.0
     lora_rank: int = 8
     lora_alpha: float = 16.0
-    lora_dropout: float = 0.1
     lora_lr: Optional[float] = None     # None -> lr
 
     def __post_init__(self):
@@ -106,18 +106,12 @@ def plain_view(sample: SceneSample) -> View:
 
 
 def extract_features(sample: SceneSample, params, enc_cfg: EncoderConfig,
-                     level: int = 4, adapters=None, train: bool = False,
-                     rng=None) -> np.ndarray:
-    """Upcast features of the unaugmented cloud; keeps the graph only when
-    adapters are supplied (so plain probing stays cheap). Without adapters
-    the encoder runs on untracked views of ``params``, so no tape is
-    recorded even when they are ``T.param`` leaves."""
-    if adapters is None:
-        params = {k: T.Tensor(p.data) for k, p in params.items()}
-    res = encode(plain_view(sample), params, enc_cfg, adapters=adapters,
-                 train=train, rng=rng)
-    feats = upcast(res, level)
-    return feats if adapters is not None else feats.data
+                     level: int) -> np.ndarray:
+    """Upcast features of the unaugmented cloud. The encoder runs on
+    untracked views of ``params``, so no tape is recorded even when they
+    are ``T.param`` leaves."""
+    params = {k: T.Tensor(p.data) for k, p in params.items()}
+    return upcast(encode(plain_view(sample), params, enc_cfg), level).data
 
 
 def label_budget_indices(n: int, budget: Optional[int], seed: int, scene_idx: int) -> np.ndarray:
@@ -128,13 +122,13 @@ def label_budget_indices(n: int, budget: Optional[int], seed: int, scene_idx: in
     return np.sort(perm[:budget])
 
 
-def lift_patch_features_to_points(sample: SceneSample, eps_depth: float = 0.01):
+def lift_patch_features_to_points(sample: SceneSample):
     """Per-point mean of the image features of every patch the point is
     visible in; points seen by no view get zeros and valid=False."""
     n = sample.cloud.num_points
     grids = [v.flat_feature_grid() for v in sample.views]
     dim = grids[0].shape[1]
-    corr = build_correspondence(sample.cloud.coords, sample.views, eps_depth)
+    corr = build_correspondence(sample.cloud.coords, sample.views)
     if len(corr) == 0:
         return np.zeros((n, dim)), np.zeros(n, dtype=bool)
     rows = np.stack([grids[v][p] for v, p in zip(corr.view_index, corr.patch_index)])
@@ -171,13 +165,13 @@ class ProbeResult:
 
 
 def _fit(params: Dict[str, T.Tensor], loss_of, cfg: ProbeConfig,
-         lr_factors: Dict[str, float], weight_decay: float) -> Optional[float]:
-    """``cfg.epochs`` full-batch AdamW steps on ``params``; ``loss_of(epoch)``
-    builds that epoch's loss on the tape. Returns the last loss value."""
+         lr_factors: Dict[str, float]) -> Optional[float]:
+    """``cfg.epochs`` full-batch AdamW steps on ``params``; ``loss_of()``
+    builds one epoch's loss on the tape. Returns the last loss value."""
     state = AdamState.init(params)
     last = None
-    for epoch in range(cfg.epochs):
-        loss = loss_of(epoch)
+    for _epoch in range(cfg.epochs):
+        loss = loss_of()
         T.backward(loss)
         last = loss.item()
         del loss  # one epoch's tape is not kept while the next is built
@@ -185,7 +179,7 @@ def _fit(params: Dict[str, T.Tensor], loss_of, cfg: ProbeConfig,
                  for k, p in params.items()}
         for p in params.values():
             p.zero_grad()
-        adamw_step(params, grads, state, cfg.lr, lr_factors, weight_decay=weight_decay)
+        adamw_step(params, grads, state, cfg.lr, lr_factors)
     return last
 
 
@@ -253,7 +247,7 @@ def linear_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray]],
     dim = x.shape[1]
     head = _zero_head(dim, num_classes)
     feats, weights = T.Tensor(x), _one_hot(y, num_classes) / y.size
-    _fit(head, lambda _epoch: _head_loss(head, feats, weights), cfg, {}, cfg.weight_decay)
+    _fit(head, lambda: _head_loss(head, feats, weights), cfg, {})
     return ProbeResult(weight=head["head.w"].data.copy(), bias=head["head.b"].data.copy(),
                        metrics=_evaluate(head, eval_scenes, mu, sd, num_classes),
                        missing_train_classes=missing,
@@ -266,12 +260,13 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
                cfg: ProbeConfig) -> ProbeResult:
     """Low-rank adapters on the frozen encoder plus a linear head.
 
-    Only adapter and head parameters train. With a zero adapter rate this
+    Only adapter and head parameters train. Each epoch encodes with the
+    adapters merged into their weights. With a zero adapter rate this
     reduces exactly to the linear probe (adapters start as the identity).
     """
     base = clone_params(frozen_params)  # never receives gradients
     adapters = make_lora_adapters(base, rank=cfg.lora_rank, alpha=cfg.lora_alpha,
-                                  dropout=cfg.lora_dropout, seed=cfg.seed)
+                                  seed=cfg.seed)
     adapter_params: Dict[str, T.Tensor] = {}
     for name, ad in adapters.items():
         adapter_params[f"lora.{name}.a"] = ad.a
@@ -285,26 +280,25 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
                                       num_classes, cfg)
     weights = _one_hot(y, num_classes) / y.size
 
-    def loss_of(epoch):
-        rng = np.random.default_rng([cfg.seed, 0xD0, epoch])
-        feats_list = [extract_features(s, base, enc_cfg, cfg.level, adapters=adapters,
-                                       train=True, rng=rng) for s in train_samples]
-        rows = [T.op_gather_rows(f, k) for f, k in zip(feats_list, keeps)]
+    def loss_of():
+        merged = lora_weights(base, adapters)
+        rows = [T.op_gather_rows(upcast(encode(plain_view(s), merged, enc_cfg), cfg.level), k)
+                for s, k in zip(train_samples, keeps)]
         x = rows[0] if len(rows) == 1 else T.op_concat_rows(rows)
         if cfg.standardize:
             mu, sd = _standardize_fit(x.data)
             x = T.op_mul(T.op_add(x, T.Tensor(-mu)), T.Tensor(1.0 / sd))
         return _head_loss(head, x, weights)
 
-    _fit({**head, **adapter_params}, loss_of, cfg, lr_factors, cfg.weight_decay)
+    _fit({**head, **adapter_params}, loss_of, cfg, lr_factors)
 
-    # final standardization stats from the adapted features
-    final_feats = [extract_features(s, base, enc_cfg, cfg.level, adapters=adapters)
-                   for s in train_samples]
-    stacked = np.concatenate([f.data[k] for f, k in zip(final_feats, keeps)])
+    # final standardization stats and eval features from the merged weights
+    merged = lora_weights(base, adapters)
+    stacked = np.concatenate([extract_features(s, merged, enc_cfg, cfg.level)[k]
+                              for s, k in zip(train_samples, keeps)])
     mu, sd = _standardize_fit(stacked) if cfg.standardize else (np.zeros(dim), np.ones(dim))
-    evals = ((extract_features(s, base, enc_cfg, cfg.level, adapters=adapters).data,
-              s.cloud.labels) for s in eval_samples)
+    evals = ((extract_features(s, merged, enc_cfg, cfg.level), s.cloud.labels)
+             for s in eval_samples)
     learnable = sum(a.param_count for a in adapters.values()) + \
         head["head.w"].size + head["head.b"].size
     return ProbeResult(weight=head["head.w"].data.copy(), bias=head["head.b"].data.copy(),
@@ -338,11 +332,11 @@ def language_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarr
     w = T.param(w0)
     feats, targets = T.Tensor(x), T.Tensor(t)
 
-    def loss_of(_epoch):
+    def loss_of():
         cos = T.op_cosine(T.op_matmul(feats, w), targets)
         return T.op_mean(T.op_add(T.op_mul(cos, -1.0), 1.0))
 
-    loss = _fit({"w": w}, loss_of, cfg, {}, weight_decay=0.0)
+    loss = _fit({"w": w}, loss_of, cfg, {})
     return w.data.copy(), 0.0 if loss is None else 1.0 - loss
 
 

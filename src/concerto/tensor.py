@@ -27,6 +27,7 @@ _CREATION_COUNTER = itertools.count()
 
 _SQRT1_2 = 0.70710678118654752440
 _INV_SQRT_2PI = 0.39894228040143267794
+_EPS = 1e-8  # floor of the normalizing ops' variances and norms
 
 
 class Tensor:
@@ -311,12 +312,12 @@ def op_softmax_xent(logits: Tensor, weights: np.ndarray, temperature: float) -> 
     return _record(np.array(val), "softmax_xent", [logits], vjp)
 
 
-def op_layernorm(x: Tensor, eps: float = 1e-8) -> Tensor:
+def op_layernorm(x: Tensor) -> Tensor:
     """Zero-mean unit-variance normalization over the last dimension."""
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _EPS)
     y = xc * inv
 
     def vjp(g):
@@ -327,29 +328,29 @@ def op_layernorm(x: Tensor, eps: float = 1e-8) -> Tensor:
     return _record(y, "layernorm", [x], vjp)
 
 
-def op_l2norm(x: Tensor, eps: float = 1e-8) -> Tensor:
-    """Row-wise L2 normalization x / max(||x||, eps)."""
+def op_l2norm(x: Tensor) -> Tensor:
+    """Row-wise L2 normalization x / max(||x||, _EPS)."""
     n = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
-    den = np.maximum(n, eps)
-    clamped = n <= eps
+    den = np.maximum(n, _EPS)
+    clamped = n <= _EPS
     y = x.data / den
 
     def vjp(g):
         free = (g - y * (g * y).sum(axis=-1, keepdims=True)) / den
-        return (np.where(clamped, g / eps, free),)
+        return (np.where(clamped, g / _EPS, free),)
 
     return _record(y, "l2norm", [x], vjp)
 
 
-def op_cosine(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
+def op_cosine(a: Tensor, b: Tensor) -> Tensor:
     """Row-wise cosine similarity of two (n, d) tensors -> (n,)."""
     if a.data.shape != b.data.shape:
         raise ValueError(f"op_cosine shape mismatch: {a.data.shape} vs {b.data.shape}")
     dot = (a.data * b.data).sum(axis=-1)
     na = np.sqrt((a.data * a.data).sum(axis=-1))
     nb = np.sqrt((b.data * b.data).sum(axis=-1))
-    den = np.maximum(na * nb, eps)
-    clamped = na * nb <= eps
+    den = np.maximum(na * nb, _EPS)
+    clamped = na * nb <= _EPS
     cos = dot / den
 
     def vjp(g):
@@ -362,7 +363,7 @@ def op_cosine(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
             # where the denominator is clamped it is a constant
             nx = np.where(clamped, 1.0, nx)[..., None]
             free = g * (y.data / d - c * x.data / (nx * nx))
-            return np.where(m, g * y.data / eps, free)
+            return np.where(m, g * y.data / _EPS, free)
 
         return (side(a, b, na) if a.requires_grad else None,
                 side(b, a, nb) if b.requires_grad else None)

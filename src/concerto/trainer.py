@@ -51,7 +51,6 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     grad_clip: Optional[float] = None
-    eps_depth: float = 0.01
     checkpoint_every_epochs: int = 0  # 0 = final checkpoint only
     total_steps: Optional[int] = None  # override epochs * len(dataset)
 
@@ -366,7 +365,7 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
             if use_images:
                 if sample.scene_id not in corr_cache:
                     corr_cache[sample.scene_id] = build_correspondence(
-                        sample.cloud.coords, sample.views, cfg.eps_depth)
+                        sample.cloud.coords, sample.views)
                 cross, patches = cross_loss(student[0][1], corr_cache[sample.scene_id],
                                             grids, params, level=enc_cfg.cross_upcast_level)
             total = combine(intra, cross, cfg.weights)

@@ -8,7 +8,8 @@ from concerto.dataio import (DatasetManifest, ManifestError, PointCloud, SceneSa
                              SyntheticSpec, assemble_pieces, generate_synthetic,
                              load_all_samples, load_manifest, load_sample,
                              save_dataset, synthetic_feature_matrix)
-from concerto.geometry import CameraView, build_correspondence, project_points, visible_mask
+from concerto.geometry import (EPS_DEPTH, CameraView, build_correspondence, project_points,
+                               visible_mask)
 
 
 def small_spec(**kw):
@@ -71,7 +72,7 @@ class TestSynthetic:
         center = np.full(3, spec.room_extent / 2)
         side = spec.image_size // spec.patch_size
         for v, cam in enumerate(s.views):
-            mask, ix, iy = visible_mask(coords, cam, spec.eps_depth)
+            mask, ix, iy = visible_mask(coords, cam, EPS_DEPTH)
             idx = np.flatnonzero(mask)
             patches = (iy[idx] // spec.patch_size) * side + ix[idx] // spec.patch_size
             flat = cam.flat_feature_grid()
@@ -97,7 +98,7 @@ class TestSynthetic:
                 d_c = cam.depth_map[iy, ix]
                 # z-buffer property: recorded depth is the minimum projection
                 assert (depth[sel] >= d_c - 1e-12).all()
-                mask, _, _ = visible_mask(s.cloud.coords, cam, 0.01)
+                mask, _, _ = visible_mask(s.cloud.coords, cam, EPS_DEPTH)
                 hit = np.zeros_like(cam.depth_map, dtype=bool)
                 hit[iy[mask[sel]], ix[mask[sel]]] = True
                 assert (hit | ~np.isfinite(cam.depth_map)).all()
@@ -111,7 +112,7 @@ class TestSynthetic:
         for s in samples:
             coords, colors, labels = s.cloud.coords, s.cloud.colors, s.cloud.labels
             for cam in s.views:
-                mask, ix, iy = visible_mask(coords, cam, spec.eps_depth)
+                mask, ix, iy = visible_mask(coords, cam, EPS_DEPTH)
                 idx = np.flatnonzero(mask)
                 patches = (iy[idx] // spec.patch_size) * side + ix[idx] // spec.patch_size
                 flat = cam.flat_feature_grid()

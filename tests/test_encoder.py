@@ -3,9 +3,9 @@ import pytest
 
 from concerto import tensor as T
 from concerto.dataio import PointCloud, SyntheticSpec, generate_synthetic
-from concerto.encoder import (EncoderConfig, EncodeResult, apply_lora, clone_params,
+from concerto.encoder import (EncoderConfig, EncodeResult, clone_params,
                               cross_head, ema_update, encode, init_params,
-                              make_lora_adapters, proj_head,
+                              lora_weights, make_lora_adapters, proj_head,
                               proto_scores, upcast)
 from concerto.geometry import voxelize
 from concerto.views import AugmentConfig, View, make_viewset
@@ -238,12 +238,37 @@ class TestLora:
         rng = np.random.default_rng(14)
         cfg = tiny_cfg()
         params = init_params(cfg, seed=14)
-        adapters = make_lora_adapters(params, rank=4, alpha=16, dropout=0.1, seed=0)
+        adapters = make_lora_adapters(params, rank=4, alpha=16, seed=0)
         name = "stage1.lin0.w"
         x = T.Tensor(rng.normal(size=(10, params[name].data.shape[0])))
         base = T.op_matmul(x, params[name])
-        adapted = apply_lora(x, params[name], adapters[name])
+        adapted = T.op_matmul(x, lora_weights(params, adapters)[name])
         np.testing.assert_array_equal(adapted.data, base.data)
+
+    def test_merged_weight_matches_unmerged_formula(self):
+        # the adapter path as it ran before merging, with dropout off:
+        # x @ W + scaling * (x @ A) @ B
+        rng = np.random.default_rng(13)
+        name = "stage2.lin0.w"
+        w = rng.normal(size=(9, 7))
+        x = rng.normal(size=(11, 9))
+        a0, b0 = rng.normal(size=(9, 3)), rng.normal(size=(3, 7))
+        results = []
+        for merged in (True, False):
+            adapter = make_lora_adapters({name: T.Tensor(w)}, rank=3, alpha=5.0,
+                                         seed=0)[name]
+            adapter.a, adapter.b = T.param(a0), T.param(b0)
+            xt = T.Tensor(x)
+            if merged:
+                out = T.op_matmul(xt, lora_weights({name: T.Tensor(w)}, {name: adapter})[name])
+            else:
+                delta = T.op_matmul(T.op_matmul(xt, adapter.a), adapter.b)
+                out = T.op_add(T.op_matmul(xt, T.Tensor(w)), T.op_mul(delta, adapter.scaling))
+            T.backward(T.op_sum(T.op_mul(out, T.Tensor(np.cos(out.data)))))
+            results.append((out.data, adapter.a.grad, adapter.b.grad))
+        assert np.abs(results[0][0]).max() > 0 and np.abs(results[0][2]).max() > 0
+        for merged, unmerged in zip(*results):
+            assert np.abs(merged - unmerged).max() <= 1e-12 * np.abs(unmerged).max()
 
     def test_scaling_factor(self):
         cfg = tiny_cfg()
@@ -256,7 +281,7 @@ class TestLora:
         from concerto.encoder import make_adapter
         w = T.param(np.zeros((6, 5)))
         with pytest.raises(ValueError, match="rank"):
-            make_adapter(w, rank=8, alpha=16, dropout=0.0, rng=np.random.default_rng(0))
+            make_adapter(w, rank=8, alpha=16, rng=np.random.default_rng(0))
         cfg = tiny_cfg()
         params = init_params(cfg, seed=16)
         with pytest.raises(ValueError, match="rank"):
@@ -276,10 +301,11 @@ class TestLora:
         x = rng.normal(size=(7, 6))
 
         def op(a, b):
-            adapter = make_lora_adapters({"stage0.lin0.w": T.param(w)}, rank=3,
-                                         alpha=6, dropout=0.0, seed=1)["stage0.lin0.w"]
+            name = "stage0.lin0.w"
+            adapter = make_lora_adapters({name: T.param(w)}, rank=3, alpha=6, seed=1)[name]
             adapter.a, adapter.b = a, b
-            return apply_lora(T.Tensor(x), T.Tensor(w), adapter)
+            merged = lora_weights({name: T.Tensor(w)}, {name: adapter})
+            return T.op_matmul(T.Tensor(x), merged[name])
 
         a0 = rng.normal(size=(6, 3))
         b0 = rng.normal(size=(3, 5))
@@ -290,10 +316,10 @@ class TestLora:
         cfg = tiny_cfg()
         params = init_params(cfg, seed=20)
         frozen = clone_params(params)
-        adapters = make_lora_adapters(frozen, rank=4, dropout=0.0, seed=2)
+        adapters = make_lora_adapters(frozen, rank=4, seed=2)
         name = "stage2.lin1.w"
         x = T.Tensor(rng.normal(size=(9, frozen[name].data.shape[0])))
-        out = apply_lora(x, frozen[name], adapters[name])
+        out = T.op_matmul(x, lora_weights(frozen, adapters)[name])
         T.backward(T.op_sum(out))
         assert frozen[name].grad is None
         assert adapters[name].a.grad is not None

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from concerto.geometry import (CameraView, Correspondence, build_correspondence,
+from concerto.geometry import (EPS_DEPTH, CameraView, Correspondence, build_correspondence,
                                project_points, render_depth, visible_mask, voxelize)
 
 
@@ -135,7 +135,7 @@ class TestCorrespondence:
         xs = np.linspace(-0.9, 0.9, 20)
         pts = np.array([[x, y, 1.0] for x in xs for y in xs])
         cam.depth_map = render_depth(pts, cam)
-        corr = build_correspondence(pts, [cam], eps_depth=0.01)
+        corr = build_correspondence(pts, [cam])
         _, _, inb = project_points(pts, cam)
         assert len(corr) == inb.sum() == len(pts)
 
@@ -144,7 +144,7 @@ class TestCorrespondence:
         near = np.array([0.0, 0.0, 1.0])
         far = np.array([0.0, 0.0, 2.0])
         cam.depth_map = render_depth(near[None, :], cam)
-        corr = build_correspondence(np.stack([near, far]), [cam], eps_depth=0.01)
+        corr = build_correspondence(np.stack([near, far]), [cam])
         assert corr.point_index.tolist() == [0]
 
     def test_matches_brute_force_zbuffer_oracle(self):
@@ -158,12 +158,12 @@ class TestCorrespondence:
                 cam.rotation = np.eye(3)
                 cam.depth_map = render_depth(pts, cam)
                 views.append(cam)
-            corr = build_correspondence(pts, views, eps_depth=0.01)
+            corr = build_correspondence(pts, views)
             got = set(map(tuple, corr.entries.tolist()))
-            assert got == brute_force_correspondence(pts, views, 0.01)
+            assert got == brute_force_correspondence(pts, views, EPS_DEPTH)
 
     def test_no_views_empty(self):
-        corr = build_correspondence(np.zeros((4, 3)), [], eps_depth=0.01)
+        corr = build_correspondence(np.zeros((4, 3)), [])
         assert len(corr) == 0
 
     def test_point_order_invariance_as_sets(self):
@@ -171,9 +171,9 @@ class TestCorrespondence:
         pts = rng.uniform(-1, 1, size=(200, 3)) + np.array([0, 0, 2])
         cam = simple_cam()
         cam.depth_map = render_depth(pts, cam)
-        corr = build_correspondence(pts, [cam], eps_depth=0.01)
+        corr = build_correspondence(pts, [cam])
         perm = rng.permutation(len(pts))
-        corr_p = build_correspondence(pts[perm], [cam], eps_depth=0.01)
+        corr_p = build_correspondence(pts[perm], [cam])
         base = {(perm[r[0]], r[1], r[2], r[3], r[4]) for r in corr_p.entries.tolist()}
         assert base == set(map(tuple, corr.entries.tolist()))
 
@@ -182,7 +182,7 @@ class TestCorrespondence:
         pts = rng.uniform(-1, 1, size=(300, 3)) + np.array([0, 0, 2])
         cam = simple_cam(patch=8)
         cam.depth_map = render_depth(pts, cam)
-        corr = build_correspondence(pts, [cam], eps_depth=0.01)
+        corr = build_correspondence(pts, [cam])
         for _p, _v, ix, iy, patch in corr.entries.tolist():
             assert patch == (iy // 8) * (64 // 8) + (ix // 8)
 

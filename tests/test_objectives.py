@@ -276,7 +276,7 @@ class TestCrossLoss:
         params = init_params(cfg, seed=seed)
         vs = make_viewset(scene.cloud, AugmentConfig(), seed=seed)
         enc = encode(vs.masked[0], params, cfg)
-        corr = build_correspondence(scene.cloud.coords, scene.views, eps_depth=0.01)
+        corr = build_correspondence(scene.cloud.coords, scene.views)
         grids = [v.flat_feature_grid() for v in scene.views]
         return cfg, params, enc, corr, grids
 
@@ -320,7 +320,7 @@ class TestCrossLoss:
     def test_empty_correspondence_warns_and_returns_zero(self, scene):
         from concerto.geometry import Correspondence
         cfg, params, enc, corr, grids = self.make(scene, 10)
-        empty = Correspondence(entries=np.zeros((0, 5), dtype=np.int64), eps_depth=0.01)
+        empty = Correspondence(entries=np.zeros((0, 5), dtype=np.int64))
         loss, n = cross_loss(enc, empty, grids, params)
         assert loss.item() == 0.0 and n == 0
 
@@ -368,7 +368,7 @@ class TestRigidInvariance:
         scene = samples[0]
         cfg = tiny_cfg()
         params = init_params(cfg, seed=12)
-        corr = build_correspondence(scene.cloud.coords, scene.views, 0.01)
+        corr = build_correspondence(scene.cloud.coords, scene.views)
         grids = [v.flat_feature_grid() for v in scene.views]
 
         theta = 0.7
@@ -389,7 +389,7 @@ class TestRigidInvariance:
                                      translation=t2, image_size=cam.image_size,
                                      patch_size=cam.patch_size, depth_map=cam.depth_map,
                                      feature_grid=cam.feature_grid))
-        corr2 = build_correspondence(cloud2.coords, views2, 0.01)
+        corr2 = build_correspondence(cloud2.coords, views2)
         np.testing.assert_array_equal(corr.entries, corr2.entries)
 
         # features are an input to the loss; with the rigidly co-transformed

@@ -121,7 +121,7 @@ def softmax_head_epoch(head, feats, targets, state, cfg):
              for k, p in head.items()}
     for p in head.values():
         p.zero_grad()
-    adamw_step(head, grads, state, cfg.lr, {}, weight_decay=cfg.weight_decay)
+    adamw_step(head, grads, state, cfg.lr, {})
 
 
 def linear_probe_oracle(train_scenes, num_classes, cfg):
@@ -254,7 +254,7 @@ class TestLoraProbe:
     def test_adapters_actually_train(self, dataset):
         enc_cfg = tiny_enc()
         params = init_params(enc_cfg, seed=6)
-        cfg = ProbeConfig(epochs=2, lr=0.01, lora_dropout=0.0)
+        cfg = ProbeConfig(epochs=2, lr=0.01)
         res = lora_probe(dataset[:1], dataset[1:2], params, enc_cfg, 4, cfg)
         moved = [np.abs(a.b.data).max() for a in res.adapters.values()]
         assert max(moved) > 0

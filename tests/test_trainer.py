@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -254,6 +255,24 @@ class TestTrainLoop:
             assert np.isfinite(row["grad_norm"]) and row["grad_norm"] > 0
         assert clipped.log[0]["grad_norm"] == unclipped.log[0]["grad_norm"]
         assert all(row["grad_norm"] > 1e-6 for row in clipped.log)
+
+    def test_nonfinite_loss_dumps_state_and_raises(self, dataset, tmp_path, monkeypatch):
+        import concerto.trainer as trainer_mod
+        real_intra_loss = trainer_mod.intra_loss
+
+        def nan_intra_loss(*args, **kwargs):
+            loss, *rest = real_intra_loss(*args, **kwargs)
+            return (T.op_mul(loss, float("nan")), *rest)
+
+        monkeypatch.setattr(trainer_mod, "intra_loss", nan_intra_loss)
+        out = tmp_path / "run"
+        with pytest.raises(TrainerError, match="non-finite loss at step 0"):
+            self.run(dataset[:2], 4, out=out)
+        dump = load_checkpoint(out / "dump_nonfinite")
+        assert dump.step == 0
+        assert dump.meta["encoder"] == json.loads(json.dumps(asdict(tiny_enc())))
+        assert not (out / "ckpt_final").exists()
+        assert (out / "train_log.jsonl").read_text() == ""
 
     def test_log_jsonl_keys(self, dataset, tmp_path):
         self.run(dataset, 3, out=tmp_path / "log")
