@@ -24,6 +24,10 @@ from .tensor import segment_mean_np
 
 MAX_VIEWS_PER_PIECE = 4
 MANIFEST_VERSION = 1
+# synthetic rooms: side length in meters, and the half-width of the uniform
+# color noise about each class color; each room has MAX_VIEWS_PER_PIECE cameras
+ROOM_EXTENT = 6.0
+COLOR_JITTER = 0.08
 
 
 class ManifestError(ValueError):
@@ -55,7 +59,14 @@ class PointCloud:
             if not (np.abs(norms - 1.0) <= 1e-6).all():
                 raise ValueError("normals must be finite and unit length")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64).reshape(n)
+            labels = np.asarray(self.labels).reshape(n)
+            # integer labels pay only the range check
+            if labels.dtype.kind not in "iu" and not (
+                    np.isfinite(labels) & (labels == np.round(labels))).all():
+                raise ValueError("labels must be finite whole numbers")
+            if labels.min() < -1:
+                raise ValueError("labels must be -1 (unlabeled) or non-negative")
+            self.labels = labels.astype(np.int64, copy=False)
 
     @property
     def num_points(self) -> int:
@@ -102,14 +113,11 @@ class SyntheticSpec:
     num_scenes: int = 8
     points_per_scene: int = 4096
     num_classes: int = 6
-    room_extent: float = 6.0
-    camera_count: int = 4
     image_size: int = 64
     patch_size: int = 8
     feature_dim: int = 16
     noise_sigma: float = 0.05
     seed: int = 0
-    color_jitter: float = 0.08
 
     def __post_init__(self):
         if self.num_classes <= 0:
@@ -117,10 +125,6 @@ class SyntheticSpec:
         for name in ("num_scenes", "points_per_scene", "image_size", "patch_size", "feature_dim"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if not (1 <= self.camera_count <= MAX_VIEWS_PER_PIECE):
-            raise ValueError(f"camera_count must be in [1, {MAX_VIEWS_PER_PIECE}]")
-        if self.room_extent <= 0:
-            raise ValueError("room_extent must be positive")
         if self.image_size % self.patch_size:
             raise ValueError("image_size must be divisible by patch_size")
 
@@ -152,7 +156,7 @@ def _rect(origin, edge_u, edge_v, cls):
 def _room_surfaces(spec: SyntheticSpec, rng: np.random.Generator):
     """Axis-aligned rectangles: floor (class 0), walls (class 1), and one
     box per remaining class (sides + top, no bottom)."""
-    ex = spec.room_extent
+    ex = ROOM_EXTENT
     wall_h = 0.45 * ex
     surfaces = [_rect((0, 0, 0), (ex, 0, 0), (0, ex, 0), 0)]
     if spec.num_classes >= 2:
@@ -187,17 +191,17 @@ def _allocate_counts(areas: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
-def _camera_ring(spec: SyntheticSpec, rng: np.random.Generator) -> List[Tuple[np.ndarray, np.ndarray]]:
+def _camera_ring(rng: np.random.Generator) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Rotation/translation pairs for cameras on a ring looking inward."""
-    ex = spec.room_extent
+    ex = ROOM_EXTENT
     wall_h = 0.45 * ex
     center = np.array([ex / 2, ex / 2, 0.30 * wall_h])
     radius = 0.40 * ex
     height = 0.75 * wall_h
     start = rng.uniform(0, 2 * np.pi)
     cams = []
-    for k in range(spec.camera_count):
-        ang = start + 2 * np.pi * k / spec.camera_count
+    for k in range(MAX_VIEWS_PER_PIECE):
+        ang = start + 2 * np.pi * k / MAX_VIEWS_PER_PIECE
         pos = np.array([ex / 2 + radius * np.cos(ang), ex / 2 + radius * np.sin(ang), height])
         fwd = center - pos
         fwd = fwd / np.linalg.norm(fwd)
@@ -214,7 +218,7 @@ def _camera_ring(spec: SyntheticSpec, rng: np.random.Generator) -> List[Tuple[np
 def _patch_summaries(coords, colors, labels, corr, view_count, patches_per_view, spec):
     """Per-(view, patch) summary rows [centered xyz / extent, rgb - 1/2,
     class fraction histogram]; empty patches are all zero."""
-    ex = spec.room_extent
+    ex = ROOM_EXTENT
     center = np.array([ex / 2, ex / 2, ex / 2])
     seg = corr.view_index * patches_per_view + corr.patch_index
     total = view_count * patches_per_view
@@ -267,11 +271,11 @@ def generate_synthetic(spec: SyntheticSpec):
         coords = np.concatenate(coords, axis=0)
         labels = np.concatenate(labels)
         normals = np.concatenate(normals, axis=0)
-        colors = palette[labels] + rng.uniform(-spec.color_jitter, spec.color_jitter, size=(coords.shape[0], 3))
+        colors = palette[labels] + rng.uniform(-COLOR_JITTER, COLOR_JITTER, size=(coords.shape[0], 3))
         colors = np.clip(colors, 0.0, 1.0)
 
         views = []
-        for R, t in _camera_ring(spec, rng):
+        for R, t in _camera_ring(rng):
             cam = CameraView(intrinsics=K, rotation=R, translation=t,
                              image_size=(spec.image_size, spec.image_size),
                              patch_size=spec.patch_size)

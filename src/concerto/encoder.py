@@ -8,7 +8,9 @@ position). Each later stage mean-pools the previous stage over a voxel grid
 and applies an MLP; a single voxel-neighborhood mean per stage mixes in
 local context. ``upcast`` copies every coarser stage down to a finer point
 set through its composed parent map, writing all stages side by side into
-one output. Prototypes are the columns of a (proj_dim, proto_count) matrix.
+one output. The encoder owns the feature levels: the intra-modal heads read
+``INTRA_LEVEL`` upcast steps, the cross-modal head ``CROSS_LEVEL``.
+Prototypes are the columns of a (proj_dim, proto_count) matrix.
 """
 
 from __future__ import annotations
@@ -26,29 +28,29 @@ from .views import View
 logger = logging.getLogger(__name__)
 
 INPUT_DIM = 6  # rgb + intra-voxel offset
+MLP_DEPTH = 2  # linear layers per stage block
+# upcast levels (pooling steps up from the coarsest stage) of the features
+# the intra-modal and cross-modal branches read
+INTRA_LEVEL = 2
+CROSS_LEVEL = 3
 
 
 @dataclass
 class EncoderConfig:
     stage_dims: List[int] = field(default_factory=lambda: [32, 64, 128, 256, 512])
     cell_sizes: List[float] = field(default_factory=lambda: [0.05, 0.1, 0.2, 0.4])
-    mlp_depth: int = 2
     proto_count: int = 1024
     proj_dim: int = 256
     cross_dim: Optional[int] = None
-    intra_upcast_level: int = 2
-    cross_upcast_level: int = 3
 
     def __post_init__(self):
         if len(self.cell_sizes) != len(self.stage_dims) - 1:
             raise ValueError("need exactly len(stage_dims) - 1 pooling cell sizes")
         if any(d <= 0 for d in self.stage_dims) or any(c <= 0 for c in self.cell_sizes):
             raise ValueError("stage dims and cell sizes must be positive")
-        if self.mlp_depth < 1:
-            raise ValueError("mlp_depth must be at least 1")
-        for lvl in (self.intra_upcast_level, self.cross_upcast_level):
-            if not 0 <= lvl <= self.num_pool_steps:
-                raise ValueError(f"upcast level {lvl} out of range 0..{self.num_pool_steps}")
+        if self.num_pool_steps < CROSS_LEVEL:
+            raise ValueError(f"cross upcast level {CROSS_LEVEL} needs at least "
+                             f"{CROSS_LEVEL} pooling steps, got {self.num_pool_steps}")
 
     @property
     def num_stages(self) -> int:
@@ -63,14 +65,6 @@ class EncoderConfig:
         if not 0 <= level <= self.num_pool_steps:
             raise ValueError(f"upcast level {level} out of range")
         return int(sum(self.stage_dims[self.num_stages - 1 - level:]))
-
-    @property
-    def intra_feature_dim(self) -> int:
-        return self.upcast_dim(self.intra_upcast_level)
-
-    @property
-    def cross_feature_dim(self) -> int:
-        return self.upcast_dim(self.cross_upcast_level)
 
 
 @dataclass
@@ -114,13 +108,13 @@ def init_params(cfg: EncoderConfig, seed: int = 0) -> Dict[str, T.Tensor]:
         np.random.default_rng([seed, 0x3A5C]).normal(0.0, 0.02, size=INPUT_DIM))
     for s, d_out in enumerate(cfg.stage_dims):
         d_in = _stage_in_dim(cfg, s)
-        for i in range(cfg.mlp_depth):
+        for i in range(MLP_DEPTH):
             lin(f"stage{s}.lin{i}", d_in if i == 0 else d_out, d_out)
-    lin("proj.lin0", cfg.intra_feature_dim, cfg.proj_dim)
+    lin("proj.lin0", cfg.upcast_dim(INTRA_LEVEL), cfg.proj_dim)
     lin("proj.lin1", cfg.proj_dim, cfg.proj_dim)
     params["proto.w"] = T.param(rng.normal(0.0, 1.0 / np.sqrt(cfg.proj_dim),
                                            size=(cfg.proto_count, cfg.proj_dim)).T.copy())
-    lin("cross", cfg.cross_feature_dim, cfg.cross_dim)
+    lin("cross", cfg.upcast_dim(CROSS_LEVEL), cfg.cross_dim)
     return params
 
 
@@ -158,8 +152,8 @@ def make_adapter(weight: T.Tensor, rank: int, alpha: float,
         rank=rank, alpha=alpha)
 
 
-def make_lora_adapters(params: Dict[str, T.Tensor], rank: int = 8, alpha: float = 16.0,
-                       seed: int = 0) -> Dict[str, LoraAdapter]:
+def make_lora_adapters(params: Dict[str, T.Tensor], rank: int, alpha: float,
+                       seed: int) -> Dict[str, LoraAdapter]:
     """One adapter per 2-D stage-MLP weight.
 
     Weights narrower than the rank (e.g. the 6-wide input layer) are left
@@ -217,11 +211,11 @@ def _linear(x, params, name):
     return T.op_add(T.op_matmul(x, params[f"{name}.w"]), params[f"{name}.b"])
 
 
-def _stage_block(x, params, cfg, s):
+def _stage_block(x, params, s):
     h = T.op_layernorm(x)
-    for i in range(cfg.mlp_depth):
+    for i in range(MLP_DEPTH):
         h = _linear(h, params, f"stage{s}.lin{i}")
-        if i < cfg.mlp_depth - 1:
+        if i < MLP_DEPTH - 1:
             h = T.op_gelu(h)
     return h
 
@@ -260,7 +254,7 @@ def encode(view: View, params: Dict[str, T.Tensor], cfg: EncoderConfig) -> Encod
                  for s in range(cfg.num_stages)]
 
     mix = voxelize(coords0, agg_cells[0])
-    h = _stage_block(x, params, cfg, 0)
+    h = _stage_block(x, params, 0)
     h = _local_mix(h, mix.assignments, mix.num_voxels)
     feats.append(h)
 
@@ -270,7 +264,7 @@ def encode(view: View, params: Dict[str, T.Tensor], cfg: EncoderConfig) -> Encod
         parents.append(grid.assignments)
         coords.append(grid.centroids)
         pooled, _ = T.op_segment_mean(feats[s - 1], grid.assignments, grid.num_voxels)
-        h = _stage_block(pooled, params, cfg, s)
+        h = _stage_block(pooled, params, s)
         mix = voxelize(grid.centroids, agg_cells[s])
         h = _local_mix(h, mix.assignments, mix.num_voxels)
         feats.append(h)

@@ -41,6 +41,8 @@ class CameraView:
         self.intrinsics = np.asarray(self.intrinsics, dtype=np.float64).reshape(3, 3)
         self.rotation = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
         self.translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
+        if not (np.isfinite(self.intrinsics).all() and np.isfinite(self.translation).all()):
+            raise ValueError("intrinsics and translation must be finite")
         R = self.rotation
         if not np.allclose(R.T @ R, np.eye(3), atol=1e-9):
             raise ValueError("rotation is not orthonormal")
@@ -60,6 +62,8 @@ class CameraView:
             expect = (h // self.patch_size, w // self.patch_size)
             if self.feature_grid.shape[:2] != expect:
                 raise ValueError(f"feature grid {self.feature_grid.shape[:2]} != {expect}")
+            if not np.isfinite(self.feature_grid).all():
+                raise ValueError("feature grid must be finite")
 
     @property
     def patches_x(self) -> int:
@@ -102,7 +106,6 @@ class Correspondence:
 class VoxelGrid:
     """Single-level voxelization: every point maps to exactly one cell."""
 
-    cell_size: float
     keys: np.ndarray         # (V, 3) int64 lattice coordinates, sorted
     assignments: np.ndarray  # (N,) point -> voxel index
     counts: np.ndarray       # (V,)
@@ -220,6 +223,5 @@ def voxelize(points: np.ndarray, cell_size: float) -> VoxelGrid:
     keys = np.stack([(uniq >> (2 * _KEY_BITS)) & _KEY_MASK,
                      (uniq >> _KEY_BITS) & _KEY_MASK,
                      uniq & _KEY_MASK], axis=1) - _KEY_OFFSET
-    return VoxelGrid(cell_size=float(cell_size), keys=keys,
-                     assignments=assignments.astype(np.int64),
-                     counts=counts, centroids=centroids)
+    return VoxelGrid(keys=keys, assignments=assignments.astype(np.int64), counts=counts,
+                     centroids=centroids)

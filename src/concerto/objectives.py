@@ -21,7 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import tensor as T
-from .encoder import EncodeResult, cross_head, proj_head, proto_scores, upcast
+from .encoder import (CROSS_LEVEL, INTRA_LEVEL, EncodeResult, cross_head, proj_head,
+                      proto_scores, upcast)
 from .geometry import Correspondence
 from .views import View, match_views
 
@@ -65,26 +66,25 @@ def _teacher_probs(params_t, feats: T.Tensor, center: np.ndarray, cfg: ClusterLo
 
 def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
                teacher: Sequence[Tuple[View, EncodeResult]],
-               params_s, params_t, center: np.ndarray, cfg: ClusterLossConfig,
-               level: int = 2):
+               params_s, params_t, center: np.ndarray, cfg: ClusterLossConfig):
     """Clustering cross-entropy over all (student view, teacher view) pairs.
 
     Returns (loss tensor, updated center, matched pair count, fraction of
     prototypes that are the argmax of at least one teacher row). Pairing is
     by original point index; each matched point contributes the feature of
-    its upcast-level ancestor. The center update is the momentum mean of the
+    its ``INTRA_LEVEL`` ancestor. The center update is the momentum mean of the
     raw teacher logits seen this step.
     """
     if not teacher:
         raise ValueError("intra_loss needs at least one teacher view")
     n_stages = teacher[0][1].num_stages
-    stage = n_stages - 1 - level
+    stage = n_stages - 1 - INTRA_LEVEL
 
     teacher_sides = []
     all_logits = []
     used = np.zeros(center.shape[0], dtype=bool)
     for view, enc in teacher:
-        probs, logits = _teacher_probs(params_t, upcast(enc, level), center, cfg)
+        probs, logits = _teacher_probs(params_t, upcast(enc, INTRA_LEVEL), center, cfg)
         teacher_sides.append((view, enc, probs))
         all_logits.append(logits)
         used[probs.argmax(axis=1)] = True
@@ -96,7 +96,7 @@ def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
     num_combos = 0
     total_pairs = 0
     for s_view, s_enc in student:
-        feats = upcast(s_enc, level)
+        feats = upcast(s_enc, INTRA_LEVEL)
         s_anc = s_enc.ancestors(stage)
         rows = feats.data.shape[0]
         weights = None
@@ -167,18 +167,18 @@ def assign_patches(enc: EncodeResult, corr: Correspondence, level: int):
             seg_keys.shape[0])
 
 
-def cross_loss(enc: EncodeResult, corr: Correspondence, grids: List[np.ndarray],
-               params, level: int = 3):
-    """Mean (1 - cosine) between predicted and stored patch features.
+def cross_loss(enc: EncodeResult, corr: Correspondence, grids: List[np.ndarray], params):
+    """Mean (1 - cosine) between predicted and stored patch features of the
+    ``CROSS_LEVEL`` upcast.
 
     ``grids`` holds one (num_patches, D) array per view; patches with no
     assigned points are excluded. Returns (loss tensor, nonempty patches).
     """
-    member_rows, seg_ids, seg_view, seg_patch, n_seg = assign_patches(enc, corr, level)
+    member_rows, seg_ids, seg_view, seg_patch, n_seg = assign_patches(enc, corr, CROSS_LEVEL)
     if n_seg == 0:
         logger.warning("cross_loss: no nonempty patches")
         return T.Tensor(np.array(0.0)), 0
-    feats = upcast(enc, level)
+    feats = upcast(enc, CROSS_LEVEL)
     members = T.op_gather_rows(feats, member_rows)
     pooled, nonempty = T.op_segment_mean(members, seg_ids, n_seg)
     assert nonempty.all()  # segments are built from their members

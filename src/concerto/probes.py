@@ -4,7 +4,7 @@ budgets, and segmentation metrics.
 
 All probes train a single linear layer (plus adapters in lora mode) with
 full-batch AdamW under a fixed seed; the encoder checkpoint is never
-mutated. Features default to the full-resolution upcast. The lora probe
+mutated. Features are the full-resolution upcast. The lora probe
 merges its adapters into the frozen weights and encodes with the merged
 weights, so there is one encoder forward path.
 """
@@ -27,6 +27,8 @@ from .views import View
 
 logger = logging.getLogger(__name__)
 
+LORA_ALPHA = 16.0  # adapter scaling is LORA_ALPHA / rank
+
 
 class ProbeError(ValueError):
     pass
@@ -34,14 +36,12 @@ class ProbeError(ValueError):
 
 @dataclass
 class ProbeConfig:
-    level: int = 4                  # upcast level for probe features
     epochs: int = 50
     lr: float = 1e-3
     label_budget: Optional[int] = None  # labeled points kept per scene
     seed: int = 0
     standardize: bool = True
     lora_rank: int = 8
-    lora_alpha: float = 16.0
     lora_lr: Optional[float] = None     # None -> lr
 
     def __post_init__(self):
@@ -265,8 +265,7 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
     reduces exactly to the linear probe (adapters start as the identity).
     """
     base = clone_params(frozen_params)  # never receives gradients
-    adapters = make_lora_adapters(base, rank=cfg.lora_rank, alpha=cfg.lora_alpha,
-                                  seed=cfg.seed)
+    adapters = make_lora_adapters(base, rank=cfg.lora_rank, alpha=LORA_ALPHA, seed=cfg.seed)
     adapter_params: Dict[str, T.Tensor] = {}
     for name, ad in adapters.items():
         adapter_params[f"lora.{name}.a"] = ad.a
@@ -274,7 +273,8 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
     lora_lr = cfg.lr if cfg.lora_lr is None else cfg.lora_lr
     lr_factors = {k: (lora_lr / cfg.lr if cfg.lr > 0 else 0.0) for k in adapter_params}
 
-    dim = enc_cfg.upcast_dim(cfg.level)
+    level = enc_cfg.num_pool_steps
+    dim = enc_cfg.upcast_dim(level)
     head = _zero_head(dim, num_classes)
     keeps, y, missing = _labeled_rows([s.cloud.labels for s in train_samples],
                                       num_classes, cfg)
@@ -282,7 +282,7 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
 
     def loss_of():
         merged = lora_weights(base, adapters)
-        rows = [T.op_gather_rows(upcast(encode(plain_view(s), merged, enc_cfg), cfg.level), k)
+        rows = [T.op_gather_rows(upcast(encode(plain_view(s), merged, enc_cfg), level), k)
                 for s, k in zip(train_samples, keeps)]
         x = rows[0] if len(rows) == 1 else T.op_concat_rows(rows)
         if cfg.standardize:
@@ -294,10 +294,10 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
 
     # final standardization stats and eval features from the merged weights
     merged = lora_weights(base, adapters)
-    stacked = np.concatenate([extract_features(s, merged, enc_cfg, cfg.level)[k]
+    stacked = np.concatenate([extract_features(s, merged, enc_cfg, level)[k]
                               for s, k in zip(train_samples, keeps)])
     mu, sd = _standardize_fit(stacked) if cfg.standardize else (np.zeros(dim), np.ones(dim))
-    evals = ((extract_features(s, merged, enc_cfg, cfg.level), s.cloud.labels)
+    evals = ((extract_features(s, merged, enc_cfg, level), s.cloud.labels)
              for s in eval_samples)
     learnable = sum(a.param_count for a in adapters.values()) + \
         head["head.w"].size + head["head.b"].size

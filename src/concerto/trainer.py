@@ -24,12 +24,21 @@ from .dataio import SceneSample
 from .encoder import EncoderConfig, clone_params, encode, ema_update, init_params
 from .geometry import Correspondence, build_correspondence, lattice_keys
 from .objectives import ClusterLossConfig, LossWeights, combine, cross_loss, intra_loss
-from .views import MIN_LOCAL_POINTS, AugmentConfig, make_viewset
+from .views import MASK_GRID, MIN_LOCAL_POINTS, AugmentConfig, make_viewset
 
 logger = logging.getLogger(__name__)
 
 LOG_KEYS = ("step", "intra", "cross", "total", "lr", "m_ema", "matched_pairs",
             "nonempty_patches", "grad_norm", "center_norm", "proto_used")
+
+# AdamW (arXiv 1711.05101) with the usual moment decays
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+WEIGHT_DECAY = 0.05    # the trainer's; the probes train without decay
+LR_DEPTH_DECAY = 0.9   # learning-rate factor per stage toward the input
+WARMUP_FRACTION = 0.1  # share of the steps spent in linear warmup
+EMA_BASE = 0.996       # teacher momentum ramps from this to 1 (DINO, arXiv 2104.14294)
 
 
 class TrainerError(RuntimeError):
@@ -40,16 +49,9 @@ class TrainerError(RuntimeError):
 class TrainConfig:
     epochs: int = 100
     base_lr: float = 0.004
-    lr_depth_decay: float = 0.9   # per stage toward the input
-    weight_decay: float = 0.05
-    ema_base: float = 0.996       # schedule runs ema_base -> 1 over training
     image_usage_ratio: float = 1.0
     weights: LossWeights = field(default_factory=LossWeights)
     seed: int = 0
-    warmup_fraction: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     grad_clip: Optional[float] = None
     checkpoint_every_epochs: int = 0  # 0 = final checkpoint only
     total_steps: Optional[int] = None  # override epochs * len(dataset)
@@ -59,8 +61,6 @@ class TrainConfig:
             raise ValueError("base_lr must be positive")
         if not 0 <= self.image_usage_ratio <= 1:
             raise ValueError("image_usage_ratio must be in [0, 1]")
-        if not 0 <= self.ema_base <= 1:
-            raise ValueError("ema_base must be in [0, 1]")
 
 
 @dataclass
@@ -96,18 +96,17 @@ def ema_schedule(step: int, total_steps: int, m_base: float) -> float:
     return 1.0 - (1.0 - m_base) * 0.5 * (1.0 + np.cos(np.pi * progress))
 
 
-def lr_depth_factors(params: Dict[str, T.Tensor], cfg: EncoderConfig,
-                     decay: float) -> Dict[str, float]:
-    """Per-parameter learning-rate factor: gamma^(stage depth from the
-    output); heads sit at the output, the mask token at the input."""
+def lr_depth_factors(params: Dict[str, T.Tensor], cfg: EncoderConfig) -> Dict[str, float]:
+    """Per-parameter learning-rate factor: LR_DEPTH_DECAY^(stage depth from
+    the output); heads sit at the output, the mask token at the input."""
     deepest = cfg.num_stages - 1
     factors = {}
     for name in params:
         if name.startswith("stage"):
             s = int(name[5:name.index(".")])
-            factors[name] = decay ** (deepest - s)
+            factors[name] = LR_DEPTH_DECAY ** (deepest - s)
         elif name == "mask_token":
-            factors[name] = decay ** deepest
+            factors[name] = LR_DEPTH_DECAY ** deepest
         else:
             factors[name] = 1.0
     return factors
@@ -115,7 +114,6 @@ def lr_depth_factors(params: Dict[str, T.Tensor], cfg: EncoderConfig,
 
 def adamw_step(params: Dict[str, T.Tensor], grads: Dict[str, np.ndarray],
                state: AdamState, lr: float, lr_factors: Dict[str, float],
-               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                weight_decay: float = 0.0) -> None:
     """Standard decoupled-weight-decay Adam update, in place.
 
@@ -126,17 +124,17 @@ def adamw_step(params: Dict[str, T.Tensor], grads: Dict[str, np.ndarray],
         if not np.isfinite(g).all():
             raise TrainerError(f"non-finite gradient in parameter '{name}'")
     t = state.step + 1
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1 - beta1) * g
-        v *= beta2
-        v += (1 - beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= BETA1
+        m += (1 - BETA1) * g
+        v *= BETA2
+        v += (1 - BETA2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         step_lr = lr * lr_factors.get(name, 1.0)
         if weight_decay > 0 and p.data.ndim == 2:
             p.data -= step_lr * weight_decay * p.data
@@ -296,7 +294,7 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
     # the finest lattice a step voxelizes (coarser ones have smaller keys),
     # checked on the cloud as loaded: augmentation scales about the centroid,
     # so a scene just inside the bound can still cross it
-    finest_cell = min(*enc_cfg.cell_sizes, aug_cfg.mask_grid)
+    finest_cell = min(*enc_cfg.cell_sizes, MASK_GRID)
     for sample in samples:
         # every step draws local crops of at least this many points
         if sample.cloud.num_points < MIN_LOCAL_POINTS:
@@ -310,7 +308,7 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
     meta = {"encoder": json.loads(json.dumps(asdict(enc_cfg)))}
     n = len(samples)
     total_steps = cfg.total_steps if cfg.total_steps is not None else cfg.epochs * n
-    warmup_steps = int(round(cfg.warmup_fraction * total_steps))
+    warmup_steps = int(round(WARMUP_FRACTION * total_steps))
 
     params = init_params(enc_cfg, seed=cfg.seed)
     if resume_from is not None:
@@ -324,7 +322,7 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
         center = np.zeros(enc_cfg.proto_count)
         start_step = 0
 
-    factors = lr_depth_factors(params, enc_cfg, cfg.lr_depth_decay)
+    factors = lr_depth_factors(params, enc_cfg)
     corr_cache: Dict[str, Correspondence] = {}
     out = Path(out_dir) if out_dir is not None else None
     log_fh = None
@@ -358,8 +356,7 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
             teach = [(v, encode(v, teacher, enc_cfg)) for v in vs.teacher_views]
 
             intra, center, pairs, proto_used = intra_loss(
-                student, teach, params, teacher, center, cluster_cfg,
-                level=enc_cfg.intra_upcast_level)
+                student, teach, params, teacher, center, cluster_cfg)
             cross = None
             patches = 0
             if use_images:
@@ -367,7 +364,7 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
                     corr_cache[sample.scene_id] = build_correspondence(
                         sample.cloud.coords, sample.views)
                 cross, patches = cross_loss(student[0][1], corr_cache[sample.scene_id],
-                                            grids, params, level=enc_cfg.cross_upcast_level)
+                                            grids, params)
             total = combine(intra, cross, cfg.weights)
             if not np.isfinite(total.data).all():
                 if out is not None:
@@ -382,9 +379,8 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
                 p.zero_grad()
             grad_norm = clip_gradients(grads, cfg.grad_clip)
             lr = lr_schedule(step, total_steps, cfg.base_lr, warmup_steps)
-            adamw_step(params, grads, state, lr, factors, cfg.beta1, cfg.beta2,
-                       cfg.adam_eps, cfg.weight_decay)
-            m_ema = ema_schedule(step, total_steps, cfg.ema_base)
+            adamw_step(params, grads, state, lr, factors, weight_decay=WEIGHT_DECAY)
+            m_ema = ema_schedule(step, total_steps, EMA_BASE)
             ema_update(teacher, params, m_ema)
             if step_hook is not None:
                 step_hook(step, params, teacher, m_ema)

@@ -24,6 +24,7 @@ LOCAL_RETRIES = 8
 GLOBAL_VIEWS = 2
 MASKED_VIEWS = 2
 LOCAL_VIEWS = 4
+MASK_GRID = 0.1  # cell size of the masked views' voxel masks
 
 
 @dataclass
@@ -35,7 +36,6 @@ class AugmentConfig:
     color_jitter: float = 0.05
     crop_range: Tuple[float, float] = (0.1, 0.4)
     mask_ratio: float = 0.3
-    mask_grid: float = 0.1
 
     def __post_init__(self):
         for name in ("rotation_range", "scale_range", "crop_range"):
@@ -156,7 +156,7 @@ def make_viewset(cloud: PointCloud, cfg: AugmentConfig, seed: int) -> ViewSet:
                 for _g in range(GLOBAL_VIEWS)]
     principal = globals_[0].cloud
     masked = [View(cloud=principal, origin_index=all_idx,
-                   mask=_grid_mask(principal.coords, cfg.mask_ratio, cfg.mask_grid, rng))
+                   mask=_grid_mask(principal.coords, cfg.mask_ratio, MASK_GRID, rng))
               for _m in range(MASKED_VIEWS)]
 
     locals_ = []

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from concerto.ctsr import CtsrError, save_ctsr
-from concerto.dataio import (DatasetManifest, ManifestError, PointCloud, SceneSample,
-                             SyntheticSpec, assemble_pieces, generate_synthetic,
+from concerto.dataio import (ROOM_EXTENT, DatasetManifest, ManifestError, PointCloud,
+                             SceneSample, SyntheticSpec, assemble_pieces, generate_synthetic,
                              load_all_samples, load_manifest, load_sample,
                              save_dataset, synthetic_feature_matrix)
 from concerto.geometry import (EPS_DEPTH, CameraView, build_correspondence, project_points,
@@ -38,6 +38,19 @@ class TestPointCloud:
         with pytest.raises(ValueError, match=field):
             PointCloud(**arrays)
 
+    @pytest.mark.parametrize("labels", [[0, 1.7, 2.0], [0, np.nan, 1], [0, np.inf, 1],
+                                        [0, -5, 1], [0.0, -2.0, 1.0]])
+    def test_rejects_bad_labels(self, labels):
+        with pytest.raises(ValueError, match="labels"):
+            PointCloud(coords=np.zeros((3, 3)), colors=np.zeros((3, 3)), labels=labels)
+
+    @pytest.mark.parametrize("labels", [[0, -1, 2], [0.0, -1.0, 2.0],
+                                        np.array([0, 1, 2], dtype=np.uint8)])
+    def test_whole_labels_become_int64(self, labels):
+        cloud = PointCloud(coords=np.zeros((3, 3)), colors=np.zeros((3, 3)), labels=labels)
+        assert cloud.labels.dtype == np.int64
+        np.testing.assert_array_equal(cloud.labels, np.asarray(labels, dtype=np.int64))
+
 
 class TestSynthetic:
     def test_deterministic_under_seed(self):
@@ -69,7 +82,7 @@ class TestSynthetic:
         samples, A = generate_synthetic(spec)
         s = samples[0]
         coords, colors, labels = s.cloud.coords, s.cloud.colors, s.cloud.labels
-        center = np.full(3, spec.room_extent / 2)
+        center = np.full(3, ROOM_EXTENT / 2)
         side = spec.image_size // spec.patch_size
         for v, cam in enumerate(s.views):
             mask, ix, iy = visible_mask(coords, cam, EPS_DEPTH)
@@ -79,7 +92,7 @@ class TestSynthetic:
             for patch in np.unique(patches):
                 members = idx[patches == patch]
                 summary = np.concatenate([
-                    (coords[members].mean(axis=0) - center) / spec.room_extent,
+                    (coords[members].mean(axis=0) - center) / ROOM_EXTENT,
                     colors[members].mean(axis=0) - 0.5,
                     np.bincount(labels[members], minlength=spec.num_classes) / members.size,
                 ])
@@ -107,7 +120,7 @@ class TestSynthetic:
         spec = small_spec(noise_sigma=0.0, num_scenes=3)
         samples, A = generate_synthetic(spec)
         rows_s, rows_f = [], []
-        center = np.full(3, spec.room_extent / 2)
+        center = np.full(3, ROOM_EXTENT / 2)
         side = spec.image_size // spec.patch_size
         for s in samples:
             coords, colors, labels = s.cloud.coords, s.cloud.colors, s.cloud.labels
@@ -119,7 +132,7 @@ class TestSynthetic:
                 for patch in np.unique(patches):
                     members = idx[patches == patch]
                     rows_s.append(np.concatenate([
-                        (coords[members].mean(axis=0) - center) / spec.room_extent,
+                        (coords[members].mean(axis=0) - center) / ROOM_EXTENT,
                         colors[members].mean(axis=0) - 0.5,
                         np.bincount(labels[members], minlength=spec.num_classes) / members.size,
                     ]))
@@ -133,7 +146,7 @@ class TestSynthetic:
 
 class TestAssemble:
     def make_scene(self, m):
-        samples, _ = generate_synthetic(small_spec(num_scenes=1, camera_count=4))
+        samples, _ = generate_synthetic(small_spec(num_scenes=1))
         s = samples[0]
         views = [s.views[i % 4] for i in range(m)]
         return SceneSample(cloud=s.cloud, views=[], scene_id="s"), views
@@ -223,6 +236,31 @@ class TestManifestIO:
         manifest = load_manifest(path)
         load_sample(manifest, manifest.samples[0])
         with pytest.raises(ManifestError, match=f"scene {samples[1].scene_id}: coords"):
+            load_sample(manifest, manifest.samples[1])
+
+    def test_fractional_labels_rejected_naming_the_scene(self, tmp_path):
+        spec = small_spec()
+        samples, _ = generate_synthetic(spec)
+        path = save_dataset(samples, tmp_path, spec.feature_dim, spec.patch_size)
+        labels = samples[1].cloud.labels.astype(np.float64)
+        labels[3] += 0.5
+        save_ctsr(tmp_path / "scenes" / samples[1].scene_id / "labels.ctsr", labels)
+        manifest = load_manifest(path)
+        load_sample(manifest, manifest.samples[0])
+        with pytest.raises(ManifestError, match=f"scene {samples[1].scene_id}: labels"):
+            load_sample(manifest, manifest.samples[1])
+
+    def test_non_finite_feature_grid_rejected_naming_the_view(self, tmp_path):
+        spec = small_spec()
+        samples, _ = generate_synthetic(spec)
+        path = save_dataset(samples, tmp_path, spec.feature_dim, spec.patch_size)
+        grid = samples[1].views[2].feature_grid.copy()
+        grid[1, 0, 3] = np.nan
+        save_ctsr(tmp_path / "scenes" / samples[1].scene_id / "view2_features.ctsr", grid)
+        manifest = load_manifest(path)
+        load_sample(manifest, manifest.samples[0])
+        with pytest.raises(ManifestError,
+                           match=f"scene {samples[1].scene_id} view 2: feature grid"):
             load_sample(manifest, manifest.samples[1])
 
     def test_five_views_rejected(self, tmp_path):

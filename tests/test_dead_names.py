@@ -1,8 +1,9 @@
 """Every top-level function and class of ``concerto`` is named by the code
 that runs: by another part of the package or by the benchmark. Code only
 the tests call belongs in ``tests/``. Likewise every defaulted parameter of
-a public function is passed by some call in that code: a default nobody
-overrides is a constant."""
+a public function is passed by some call in that code, and every field of a
+config dataclass is set by some code or test: a default nobody overrides is
+a constant."""
 
 import ast
 from collections import defaultdict
@@ -111,3 +112,54 @@ def unpassed_defaults() -> list:
 
 def test_every_default_is_passed_somewhere():
     assert sorted(unpassed_defaults()) == sorted(UNPASSED_ALLOWED)
+
+
+def _config_fields(package, trees) -> dict:
+    """Field names of every ``*Config``, ``*Spec`` and ``LossWeights``
+    dataclass of the package, in declaration order, by class name."""
+    fields = {}
+    for path in package:
+        for stmt in trees[path].body:
+            if isinstance(stmt, ast.ClassDef) and (
+                    stmt.name.endswith(("Config", "Spec")) or stmt.name == "LossWeights"):
+                fields[stmt.name] = [s.target.id for s in stmt.body
+                                     if isinstance(s, ast.AnnAssign)
+                                     and isinstance(s.target, ast.Name)]
+    return fields
+
+
+def unset_config_fields() -> list:
+    """Config fields no code sets: neither a call to the class (by keyword or
+    position), nor a string key of a dict literal, nor a keyword of a
+    ``dict(...)`` call or of a call to a function taking ``**kwargs``."""
+    package, trees = _parse()
+    fields = _config_fields(package, trees)
+    tests = [ast.parse(p.read_text(), filename=str(p))
+             for p in sorted((ROOT / "tests").glob("*.py"))]
+    nodes = [node for tree in [*trees.values(), *tests] for node in ast.walk(tree)]
+    takes_kwargs = {n.name for n in nodes
+                    if isinstance(n, ast.FunctionDef) and n.args.kwarg is not None}
+    loose = set()                   # names set for whichever class reads them
+    by_class = defaultdict(set)     # class name -> fields its calls set
+    for node in nodes:
+        if isinstance(node, ast.Dict):
+            loose.update(k.value for k in node.keys
+                         if isinstance(k, ast.Constant) and isinstance(k.value, str))
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        keywords = {kw.arg for kw in node.keywords if kw.arg is not None}
+        if name == "dict" or name in takes_kwargs:
+            loose |= keywords
+        if name in fields:
+            by_class[name] |= keywords
+            by_class[name].update(fields[name][:len(node.args)])
+    return [f"{cls}.{f}" for cls, names in fields.items() for f in names
+            if f not in loose and f not in by_class[cls]]
+
+
+def test_every_config_field_is_set_somewhere():
+    # tests count as setters here: they vary a hyperparameter on purpose to
+    # isolate a behaviour; a field that nothing sets is a constant
+    assert unset_config_fields() == []

@@ -3,7 +3,7 @@ import pytest
 
 from concerto import tensor as T
 from concerto.dataio import PointCloud, SyntheticSpec, generate_synthetic
-from concerto.encoder import (EncoderConfig, EncodeResult, clone_params,
+from concerto.encoder import (CROSS_LEVEL, INTRA_LEVEL, EncoderConfig, EncodeResult, clone_params,
                               cross_head, ema_update, encode, init_params,
                               lora_weights, make_lora_adapters, proj_head,
                               proto_scores, upcast)
@@ -159,6 +159,12 @@ class TestUpcast:
         assert cfg.upcast_dim(3) == 64 + 128 + 256 + 512
         assert cfg.upcast_dim(4) == 32 + 64 + 128 + 256 + 512 == 992
 
+    def test_too_few_stages_for_the_cross_level_rejected(self):
+        # three stages pool twice; the cross branch reads three pooling steps
+        with pytest.raises(ValueError, match=f"cross upcast level {CROSS_LEVEL}"):
+            EncoderConfig(stage_dims=[8, 12, 16], cell_sizes=[0.1, 0.2])
+        EncoderConfig(stage_dims=[8, 12, 16, 20], cell_sizes=[0.1, 0.2, 0.4])
+
     @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
     def test_output_dim_matches_formula(self, cloud, level):
         cfg = tiny_cfg()
@@ -285,12 +291,12 @@ class TestLora:
         cfg = tiny_cfg()
         params = init_params(cfg, seed=16)
         with pytest.raises(ValueError, match="rank"):
-            make_lora_adapters(params, rank=64, seed=0)
+            make_lora_adapters(params, rank=64, alpha=16.0, seed=0)
 
     def test_param_count_formula(self):
         cfg = tiny_cfg()
         params = init_params(cfg, seed=17)
-        adapters = make_lora_adapters(params, rank=4, seed=0)
+        adapters = make_lora_adapters(params, rank=4, alpha=16.0, seed=0)
         for name, a in adapters.items():
             d_in, d_out = params[name].data.shape
             assert a.param_count == 4 * (d_in + d_out)
@@ -316,7 +322,7 @@ class TestLora:
         cfg = tiny_cfg()
         params = init_params(cfg, seed=20)
         frozen = clone_params(params)
-        adapters = make_lora_adapters(frozen, rank=4, seed=2)
+        adapters = make_lora_adapters(frozen, rank=4, alpha=16.0, seed=2)
         name = "stage2.lin1.w"
         x = T.Tensor(rng.normal(size=(9, frozen[name].data.shape[0])))
         out = T.op_matmul(x, lora_weights(frozen, adapters)[name])
@@ -331,19 +337,19 @@ class TestHeads:
         cfg = tiny_cfg()
         params = init_params(cfg, seed=21)
         res = encode(plain_view(cloud), params, cfg)
-        z = proj_head(params, upcast(res, cfg.intra_upcast_level))
+        z = proj_head(params, upcast(res, INTRA_LEVEL))
         np.testing.assert_allclose(np.linalg.norm(z.data, axis=1), 1.0, atol=1e-9)
 
     def test_proto_scores_shape(self, cloud):
         cfg = tiny_cfg()
         params = init_params(cfg, seed=22)
         res = encode(plain_view(cloud), params, cfg)
-        z = proj_head(params, upcast(res, cfg.intra_upcast_level))
+        z = proj_head(params, upcast(res, INTRA_LEVEL))
         assert proto_scores(params, z).shape == (z.shape[0], cfg.proto_count)
 
     def test_cross_head_maps_to_image_dim(self, cloud):
         cfg = tiny_cfg()
         params = init_params(cfg, seed=23)
         res = encode(plain_view(cloud), params, cfg)
-        out = cross_head(params, upcast(res, cfg.cross_upcast_level))
+        out = cross_head(params, upcast(res, CROSS_LEVEL))
         assert out.shape[1] == cfg.cross_dim

@@ -89,6 +89,14 @@ class TestProject:
             CameraView(intrinsics=np.eye(3), rotation=np.eye(3) * 2,
                        translation=np.zeros(3), image_size=(8, 8), patch_size=2)
 
+    @pytest.mark.parametrize("field", ["intrinsics", "translation", "feature_grid"])
+    def test_rejects_non_finite(self, field):
+        arrays = {"intrinsics": np.eye(3), "translation": np.zeros(3),
+                  "feature_grid": np.zeros((4, 4, 2))}
+        arrays[field].flat[1] = np.nan
+        with pytest.raises(ValueError, match=field.replace("_", " ")):
+            CameraView(rotation=np.eye(3), image_size=(8, 8), patch_size=2, **arrays)
+
 
 class TestVisible:
     def make(self, d_c):

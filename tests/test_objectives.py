@@ -124,11 +124,12 @@ class TestIntraLoss:
         ccfg = ClusterLossConfig()
         center = np.random.default_rng(5).normal(size=cfg.proto_count) * 0.1
         results = []
-        for fn in (lambda *args: intra_loss(*args)[0], intra_loss_per_pair_oracle):
+        for fn in (lambda *args: intra_loss(*args)[0],
+                   lambda *args: intra_loss_per_pair_oracle(*args, 2)):
             p = {k: T.param(v.data.copy()) for k, v in params.items()}
             student = [(v, encode(v, p, cfg)) for v in vs.student_views]
             teach = [(v, encode(v, teacher_p, cfg)) for v in teacher_views]
-            loss = fn(student, teach, p, teacher_p, center, ccfg, 2)
+            loss = fn(student, teach, p, teacher_p, center, ccfg)
             T.backward(loss)
             results.append((loss.item(), p))
         (loss, p), (ref, p_ref) = results
@@ -144,7 +145,7 @@ class TestIntraLoss:
         cfg, params, teacher_p, vs, student, teach = encoded
         ccfg = ClusterLossConfig()
         center = np.random.default_rng(3).normal(size=cfg.proto_count) * 0.1
-        loss, _, pairs, _ = intra_loss(student, teach, params, teacher_p, center, ccfg, level=2)
+        loss, _, pairs, _ = intra_loss(student, teach, params, teacher_p, center, ccfg)
         oracle = intra_loss_loop_oracle(student, teach, params, teacher_p, center, ccfg, 2)
         np.testing.assert_allclose(loss.item(), oracle, atol=1e-12)
         assert pairs > 0
@@ -167,7 +168,7 @@ class TestIntraLoss:
         t_enc = encode(tv, teacher, cfg)
         center = np.zeros(cfg.proto_count)
         loss, _, _, _ = intra_loss([(sv, s_enc)], [(tv, t_enc)], params, teacher,
-                                   center, ccfg, level=2)
+                                   center, ccfg)
         # oracle: mean teacher row entropy (identical distributions both sides)
         z = proj_head(params, upcast(s_enc, 2))
         logits = proto_scores(params, z).data / 0.1
@@ -282,7 +283,7 @@ class TestCrossLoss:
 
     def test_matches_scalar_loop_oracle(self, scene):
         cfg, params, enc, corr, grids = self.make(scene, 6)
-        loss, n = cross_loss(enc, corr, grids, params, level=3)
+        loss, n = cross_loss(enc, corr, grids, params)
         oracle, n2 = cross_loss_loop_oracle(enc, corr, grids, params, 3)
         assert n == n2
         np.testing.assert_allclose(loss.item(), oracle, atol=1e-12)
@@ -297,7 +298,7 @@ class TestCrossLoss:
         rigged = [g.copy() for g in grids]
         for s in range(n_seg):
             rigged[seg_view[s]][seg_patch[s]] = pred[s]
-        loss, _ = cross_loss(enc, corr, rigged, params, level=3)
+        loss, _ = cross_loss(enc, corr, rigged, params)
         np.testing.assert_allclose(loss.item(), 0.0, atol=1e-9)
 
     def test_orthogonal_targets_give_one(self, scene):
@@ -314,7 +315,7 @@ class TestCrossLoss:
             probe = np.ones(cfg.cross_dim)
             t = probe - (probe @ pred[s]) / (pred[s] @ pred[s]) * pred[s]
             rigged[seg_view[s]][seg_patch[s]] = t
-        loss, _ = cross_loss(enc, corr, rigged, params, level=3)
+        loss, _ = cross_loss(enc, corr, rigged, params)
         np.testing.assert_allclose(loss.item(), 1.0, atol=1e-9)
 
     def test_empty_correspondence_warns_and_returns_zero(self, scene):
@@ -326,7 +327,7 @@ class TestCrossLoss:
 
     def test_gradients_reach_encoder_inputs(self, scene):
         cfg, params, enc, corr, grids = self.make(scene, 11)
-        loss, _ = cross_loss(enc, corr, grids, params, level=3)
+        loss, _ = cross_loss(enc, corr, grids, params)
         T.backward(loss)
         assert params["cross.w"].grad is not None
         assert params["stage0.lin0.w"].grad is not None

@@ -227,7 +227,7 @@ class TestLoraProbe:
         enc_cfg = tiny_enc()
         params = init_params(enc_cfg, seed=4)
         cfg = ProbeConfig(epochs=4, lr=0.01, lora_lr=0.0, seed=7)
-        feats = [(extract_features(s, params, enc_cfg, cfg.level), s.cloud.labels)
+        feats = [(extract_features(s, params, enc_cfg, enc_cfg.num_pool_steps), s.cloud.labels)
                  for s in dataset]
         lin = linear_probe(feats[:2], feats[2:], 4,
                            ProbeConfig(epochs=4, lr=0.01, seed=7))

@@ -51,7 +51,7 @@ class TestAdamW:
         g = 0.3
         lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
         state = AdamState.init(p)
-        adamw_step(p, {"w": np.array([[g]])}, state, lr, {}, b1, b2, eps, 0.0)
+        adamw_step(p, {"w": np.array([[g]])}, state, lr, {}, 0.0)
         mhat = (1 - b1) * g / (1 - b1)
         vhat = (1 - b2) * g * g / (1 - b2)
         expect = 0.7 - lr * mhat / (np.sqrt(vhat) + eps)
@@ -84,7 +84,7 @@ class TestAdamW:
         state = AdamState.init(p)
         lr, b1, b2, eps, wd = 0.01, 0.9, 0.999, 1e-8, 0.04
         for g in grads:
-            adamw_step(p, {"w": g.copy()}, state, lr, {}, b1, b2, eps, wd)
+            adamw_step(p, {"w": g.copy()}, state, lr, {}, wd)
         w, m, v = w0.copy(), np.zeros_like(w0), np.zeros_like(w0)
         for t, g in enumerate(grads, start=1):
             m = b1 * m + (1 - b1) * g
@@ -112,7 +112,7 @@ class TestSchedules:
     def test_depth_factors(self):
         cfg = tiny_enc()
         params = init_params(cfg, seed=0)
-        f = lr_depth_factors(params, cfg, 0.9)
+        f = lr_depth_factors(params, cfg)
         assert f["stage4.lin0.w"] == pytest.approx(1.0)
         assert f["stage0.lin0.w"] == pytest.approx(0.9 ** 4)
         assert f["proto.w"] == 1.0
