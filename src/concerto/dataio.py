@@ -215,23 +215,19 @@ def _camera_ring(rng: np.random.Generator) -> List[Tuple[np.ndarray, np.ndarray]
     return cams
 
 
-def _patch_summaries(coords, colors, labels, corr, view_count, patches_per_view, spec):
-    """Per-(view, patch) summary rows [centered xyz / extent, rgb - 1/2,
+def _patch_summaries(coords, colors, labels, corr, num_rows, num_classes):
+    """Per patch-table row, the summary [centered xyz / extent, rgb - 1/2,
     class fraction histogram]; empty patches are all zero."""
     ex = ROOM_EXTENT
-    center = np.array([ex / 2, ex / 2, ex / 2])
-    seg = corr.view_index * patches_per_view + corr.patch_index
-    total = view_count * patches_per_view
     pts = corr.point_index
-    xyz_mean, counts = segment_mean_np(coords[pts], seg, total)
-    rgb_mean, _ = segment_mean_np(colors[pts], seg, total)
-    onehot = np.zeros((pts.size, spec.num_classes))
+    onehot = np.zeros((pts.size, num_classes))
     onehot[np.arange(pts.size), labels[pts]] = 1.0
-    hist, _ = segment_mean_np(onehot, seg, total)
-    nonempty = counts > 0
-    summary = np.concatenate([(xyz_mean - center) / ex, rgb_mean - 0.5, hist], axis=1)
-    summary[~nonempty] = 0.0
-    return summary, nonempty
+    means, counts = segment_mean_np(np.concatenate([coords[pts], colors[pts], onehot], axis=1),
+                                    corr.row, num_rows)
+    summary = np.concatenate([(means[:, :3] - ex / 2) / ex, means[:, 3:6] - 0.5, means[:, 6:]],
+                             axis=1)
+    summary[counts == 0] = 0.0
+    return summary
 
 
 def synthetic_feature_matrix(spec: SyntheticSpec) -> np.ndarray:
@@ -252,7 +248,7 @@ def generate_synthetic(spec: SyntheticSpec):
     K = np.array([[f, 0, spec.image_size / 2],
                   [0, f, spec.image_size / 2],
                   [0, 0, 1.0]])
-    patches_per_view = (spec.image_size // spec.patch_size) ** 2
+    side = spec.image_size // spec.patch_size
 
     samples = []
     for s in range(spec.num_scenes):
@@ -283,14 +279,13 @@ def generate_synthetic(spec: SyntheticSpec):
             views.append(cam)
 
         corr = build_correspondence(coords, views)
-        summary, _nonempty = _patch_summaries(coords, colors, labels, corr,
-                                              len(views), patches_per_view, spec)
+        summary = _patch_summaries(coords, colors, labels, corr, len(views) * side * side,
+                                   spec.num_classes)
         feats = summary @ A.T
         if spec.noise_sigma > 0:
             feats = feats + spec.noise_sigma * rng.normal(size=feats.shape)
-        side = spec.image_size // spec.patch_size
-        for v, cam in enumerate(views):
-            block = feats[v * patches_per_view:(v + 1) * patches_per_view]
+        # the patch table's rows back into one grid per view
+        for cam, block in zip(views, np.split(feats, len(views))):
             cam.feature_grid = block.reshape(side, side, spec.feature_dim)
 
         cloud = PointCloud(coords=coords, colors=colors, normals=normals, labels=labels)

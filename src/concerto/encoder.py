@@ -223,7 +223,7 @@ def _stage_block(x, params, s):
 def _local_mix(feats, assignments, num_segments):
     """Half-and-half blend of each point's features with its voxel-neighborhood
     mean; keeps dimensions, adds context."""
-    means, _ = T.op_segment_mean(feats, assignments, num_segments)
+    means = T.op_segment_mean(feats, assignments, num_segments)
     spread = T.op_gather_rows(means, assignments)
     return T.op_mul(T.op_add(feats, spread), 0.5)
 
@@ -263,7 +263,7 @@ def encode(view: View, params: Dict[str, T.Tensor], cfg: EncoderConfig) -> Encod
         grid = base_grid if s == 1 else voxelize(coords[s - 1], cfg.cell_sizes[s - 1])
         parents.append(grid.assignments)
         coords.append(grid.centroids)
-        pooled, _ = T.op_segment_mean(feats[s - 1], grid.assignments, grid.num_voxels)
+        pooled = T.op_segment_mean(feats[s - 1], grid.assignments, grid.num_voxels)
         h = _stage_block(pooled, params, s)
         mix = voxelize(grid.centroids, agg_cells[s])
         h = _local_mix(h, mix.assignments, mix.num_voxels)

@@ -1,5 +1,5 @@
 """Pinhole cameras, vectorized projection, depth-based visibility,
-point-to-patch correspondence, and voxel grids.
+point-to-patch correspondence with its stacked patch table, and voxel grids.
 
 Conventions: extrinsics map world to camera (q = R p + t), the camera looks
 down +z, pixels are half-open ([0, W) x [0, H)), depth lookups use the
@@ -65,10 +65,6 @@ class CameraView:
             if not np.isfinite(self.feature_grid).all():
                 raise ValueError("feature grid must be finite")
 
-    @property
-    def patches_x(self) -> int:
-        return self.image_size[0] // self.patch_size
-
     def flat_feature_grid(self) -> np.ndarray:
         """Feature grid reshaped to (num_patches, D), row-major patch order."""
         if self.feature_grid is None:
@@ -78,28 +74,21 @@ class CameraView:
 
 @dataclass
 class Correspondence:
-    """Visibility-verified point-to-pixel matches.
+    """Visibility-verified point-to-patch matches: entry k says that point
+    ``point_index[k]`` is visible in view ``view_index[k]`` and projects
+    into the patch whose image feature is ``patch_table(views)[row[k]]``.
 
-    ``entries`` has int64 columns (point_index, view_index, ix, iy,
-    patch_index), sorted by (view_index, point_index).
+    Three int64 arrays of one length, sorted by (view_index, point_index).
+    ``build_correspondence`` is the one place that turns a (view, patch)
+    pair into a row; consumers index or pool by ``row`` alone.
     """
 
-    entries: np.ndarray
+    point_index: np.ndarray
+    view_index: np.ndarray
+    row: np.ndarray
 
     def __len__(self):
-        return self.entries.shape[0]
-
-    @property
-    def point_index(self):
-        return self.entries[:, 0]
-
-    @property
-    def view_index(self):
-        return self.entries[:, 1]
-
-    @property
-    def patch_index(self):
-        return self.entries[:, 4]
+        return self.point_index.shape[0]
 
 
 @dataclass
@@ -160,26 +149,31 @@ def visible_mask(points: np.ndarray, cam: CameraView, eps_depth: float):
     return mask, ix, iy
 
 
+def patch_table(views: Sequence[CameraView]) -> np.ndarray:
+    """The views' flattened feature grids stacked in view order, one row per
+    patch: the (num_patches_total, D) table a ``Correspondence`` row
+    indexes."""
+    return np.concatenate([cam.flat_feature_grid() for cam in views])
+
+
 def build_correspondence(points: np.ndarray, views: Sequence[CameraView]) -> Correspondence:
-    """All (point, view) matches visible within ``EPS_DEPTH``, with patch
-    indices."""
+    """All (point, view) matches visible within ``EPS_DEPTH``, each with the
+    ``patch_table`` row of the patch it projects into: a view's rows follow
+    those of the views before it, in row-major patch order."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    blocks = []
+    empty = np.zeros(0, dtype=np.int64)
+    point_index, view_index, row = [empty], [empty], [empty]
+    offset = 0
     for v, cam in enumerate(views):
         mask, ix, iy = visible_mask(pts, cam, EPS_DEPTH)
         idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            continue
-        px = ix[idx] // cam.patch_size
-        py = iy[idx] // cam.patch_size
-        patch = py * cam.patches_x + px
-        block = np.stack([idx, np.full_like(idx, v), ix[idx], iy[idx], patch], axis=1)
-        blocks.append(block)
-    if blocks:
-        entries = np.concatenate(blocks, axis=0).astype(np.int64)
-    else:
-        entries = np.zeros((0, 5), dtype=np.int64)
-    return Correspondence(entries=entries)
+        point_index.append(idx)
+        view_index.append(np.full_like(idx, v))
+        patches_x = cam.image_size[0] // cam.patch_size
+        row.append(offset + (iy[idx] // cam.patch_size) * patches_x + ix[idx] // cam.patch_size)
+        offset += patches_x * (cam.image_size[1] // cam.patch_size)
+    # the leading int64 empties fix the dtype and cover a call with no views
+    return Correspondence(*(np.concatenate(a) for a in (point_index, view_index, row)))
 
 
 def render_depth(points: np.ndarray, cam: CameraView) -> np.ndarray:

@@ -136,55 +136,48 @@ def assign_patches(enc: EncodeResult, corr: Correspondence, level: int):
 
     Each correspondence entry names a source point; the entry votes for its
     upcast-level ancestor. Every (view, ancestor) group takes the majority
-    patch, ties to the lowest patch index. Returns (member_rows, segment_ids,
-    view_of_segment, patch_of_segment, num_segments).
+    patch-table row, ties to the lowest row. Returns (member_rows,
+    segment_ids, segment_rows, num_segments): segment s pools the feature
+    rows ``member_rows[segment_ids == s]`` and is scored against patch-table
+    row ``segment_rows[s]``.
     """
     stage = enc.num_stages - 1 - level
-    entries = corr.entries
-    if entries.shape[0] == 0:
+    if len(corr) == 0:
         empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty, empty, 0
-    anc = enc.ancestors(stage)
-    u = anc[entries[:, 0]]
-    view = entries[:, 1]
-    patch = entries[:, 4]
-    # count votes per (view, ancestor, patch) via packed codes
-    n_u = int(u.max()) + 1
-    n_p = int(patch.max()) + 1
-    codes, counts = np.unique((view * n_u + u) * n_p + patch, return_counts=True)
-    c_patch = codes % n_p
-    c_u = (codes // n_p) % n_u
-    c_view = codes // (n_p * n_u)
-    # majority with ties to the lowest patch: sort by (view, u, -count, patch)
-    order = np.lexsort((c_patch, -counts, c_u, c_view))
-    gv, gu, gp = c_view[order], c_u[order], c_patch[order]
-    first = np.ones(gv.size, dtype=bool)
-    first[1:] = (np.diff(gv) != 0) | (np.diff(gu) != 0)
-    member_rows = gu[first]
-    vp_codes = gv[first] * n_p + gp[first]
-    seg_keys, seg_ids = np.unique(vp_codes, return_inverse=True)
-    return (member_rows, seg_ids.astype(np.int64), seg_keys // n_p, seg_keys % n_p,
-            seg_keys.shape[0])
+        return empty, empty, empty, 0
+    u = enc.ancestors(stage)[corr.point_index]
+    # count votes per (view, ancestor, row) via packed codes
+    n_u, n_r = int(u.max()) + 1, int(corr.row.max()) + 1
+    codes, counts = np.unique((corr.view_index * n_u + u) * n_r + corr.row, return_counts=True)
+    view, u, row = codes // (n_r * n_u), (codes // n_r) % n_u, codes % n_r
+    # majority with ties to the lowest row: sort by (view, u, -count, row)
+    order = np.lexsort((row, -counts, u, view))
+    view, u, row = view[order], u[order], row[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (np.diff(view) != 0) | (np.diff(u) != 0)
+    seg_rows, seg_ids = np.unique(row[first], return_inverse=True)
+    return u[first], seg_ids.astype(np.int64), seg_rows, seg_rows.size
 
 
 def cross_loss(enc: EncodeResult, corr: Correspondence, grids: List[np.ndarray], params):
     """Mean (1 - cosine) between predicted and stored patch features of the
-    ``CROSS_LEVEL`` upcast.
+    ``CROSS_LEVEL`` upcast, over the patches that have assigned points.
 
-    ``grids`` holds one (num_patches, D) array per view; patches with no
-    assigned points are excluded. Returns (loss tensor, nonempty patches).
+    ``grids`` holds one flattened (num_patches, D) feature grid per view, in
+    the views' order, so ``np.concatenate(grids)`` is the ``patch_table``
+    that ``corr.row`` indexes. It stays a per-view list because perfbench's
+    tracer counts each call's patches as the sum of its row counts, the
+    denominator of ``objectives.patch_hit_ratio``. Returns (loss tensor,
+    number of nonempty patches).
     """
-    member_rows, seg_ids, seg_view, seg_patch, n_seg = assign_patches(enc, corr, CROSS_LEVEL)
+    member_rows, seg_ids, seg_rows, n_seg = assign_patches(enc, corr, CROSS_LEVEL)
     if n_seg == 0:
         logger.warning("cross_loss: no nonempty patches")
         return T.Tensor(np.array(0.0)), 0
     feats = upcast(enc, CROSS_LEVEL)
-    members = T.op_gather_rows(feats, member_rows)
-    pooled, nonempty = T.op_segment_mean(members, seg_ids, n_seg)
-    assert nonempty.all()  # segments are built from their members
+    pooled = T.op_segment_mean(T.op_gather_rows(feats, member_rows), seg_ids, n_seg)
     predicted = cross_head(params, pooled)
-    targets = np.stack([grids[v][p] for v, p in zip(seg_view, seg_patch)])
-    cos = T.op_cosine(predicted, T.Tensor(targets))
+    cos = T.op_cosine(predicted, T.Tensor(np.concatenate(grids)[seg_rows]))
     loss = T.op_mean(T.op_add(T.op_mul(cos, -1.0), 1.0))
     return loss, int(n_seg)
 

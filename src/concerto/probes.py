@@ -21,7 +21,7 @@ from . import tensor as T
 from .dataio import SceneSample
 from .encoder import (EncoderConfig, LoraAdapter, clone_params, encode, lora_weights,
                       make_lora_adapters, upcast)
-from .geometry import build_correspondence
+from .geometry import build_correspondence, patch_table
 from .trainer import AdamState, adamw_step
 from .views import View
 
@@ -71,6 +71,12 @@ class TextSpace:
             raise ValueError("class embeddings must be unit rows")
 
 
+def _check_labels(labels: np.ndarray, num_classes: int, where: str) -> None:
+    """Rejects a label at or above ``num_classes``, naming where it is."""
+    if labels.size and labels.max() >= num_classes:
+        raise ProbeError(f"{where}: label {labels.max()} is not below num_classes={num_classes}")
+
+
 def compute_metrics(pred, gt, num_classes: int) -> SegMetrics:
     """Confusion-matrix segmentation metrics; gt == -1 is ignored."""
     if num_classes <= 0:
@@ -79,6 +85,7 @@ def compute_metrics(pred, gt, num_classes: int) -> SegMetrics:
     gt = np.asarray(gt, dtype=np.int64)
     if pred.shape != gt.shape:
         raise ValueError("pred and gt must have the same length")
+    _check_labels(gt, num_classes, "ground truth")
     keep = gt >= 0
     pred, gt = pred[keep], gt[keep]
     conf = np.bincount(gt * num_classes + pred, minlength=num_classes ** 2)
@@ -125,14 +132,9 @@ def label_budget_indices(n: int, budget: Optional[int], seed: int, scene_idx: in
 def lift_patch_features_to_points(sample: SceneSample):
     """Per-point mean of the image features of every patch the point is
     visible in; points seen by no view get zeros and valid=False."""
-    n = sample.cloud.num_points
-    grids = [v.flat_feature_grid() for v in sample.views]
-    dim = grids[0].shape[1]
     corr = build_correspondence(sample.cloud.coords, sample.views)
-    if len(corr) == 0:
-        return np.zeros((n, dim)), np.zeros(n, dtype=bool)
-    rows = np.stack([grids[v][p] for v, p in zip(corr.view_index, corr.patch_index)])
-    out, counts = T.segment_mean_np(rows, corr.point_index, n)
+    out, counts = T.segment_mean_np(patch_table(sample.views)[corr.row], corr.point_index,
+                                    sample.cloud.num_points)
     return out, counts > 0
 
 
@@ -200,6 +202,7 @@ def _labeled_rows(labels: Sequence[np.ndarray], num_classes: int, cfg: ProbeConf
     nested); also their concatenated labels and the classes none has."""
     keeps = []
     for i, lab in enumerate(labels):
+        _check_labels(lab, num_classes, f"training scene {i}")
         keep = label_budget_indices(lab.shape[0], cfg.label_budget, cfg.seed, i)
         keeps.append(keep[lab[keep] >= 0])
     y = np.concatenate([lab[k] for lab, k in zip(labels, keeps)])
@@ -214,7 +217,8 @@ def _labeled_rows(labels: Sequence[np.ndarray], num_classes: int, cfg: ProbeConf
 def _evaluate(head, eval_scenes, mu, sd, num_classes: int) -> SegMetrics:
     """Metrics of the head's argmax over standardized (features, labels) pairs."""
     pred_all, gt_all = [], []
-    for feats, labels in eval_scenes:
+    for i, (feats, labels) in enumerate(eval_scenes):
+        _check_labels(labels, num_classes, f"eval scene {i}")
         logits = (feats - mu) * (1.0 / sd) @ head["head.w"].data + head["head.b"].data
         pred_all.append(logits.argmax(axis=1))
         gt_all.append(labels)

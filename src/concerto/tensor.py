@@ -405,11 +405,9 @@ def scatter_add_rows(rows: np.ndarray, index: np.ndarray, num_rows: int) -> np.n
 
 
 def op_segment_mean(values: Tensor, segment_ids, num_segments: int):
-    """Mean of value rows per segment id.
-
-    Returns ``(out, nonempty)`` where ``out`` is a (num_segments, d) tensor
-    (zero rows for empty segments) and ``nonempty`` a boolean mask. Backward
-    scatters dOut/|segment| to each member row.
+    """Mean of value rows per segment id: a (num_segments, d) tensor with
+    zero rows for empty segments. Backward scatters dOut/|segment| to each
+    member row.
     """
     ids = np.asarray(segment_ids, dtype=np.int64)
     if values.data.ndim != 2 or ids.shape != (values.data.shape[0],):
@@ -420,5 +418,4 @@ def op_segment_mean(values: Tensor, segment_ids, num_segments: int):
     def vjp(g):
         return ((g * inv[:, None])[ids],)
 
-    out = _record(means, "segment_mean", [values], vjp)
-    return out, counts > 0
+    return _record(means, "segment_mean", [values], vjp)

@@ -80,7 +80,7 @@ class ViewSet:
 
 def _augment_cloud(cloud: PointCloud, cfg: AugmentConfig, rng: np.random.Generator) -> PointCloud:
     """Random rigid pose + scale + flips around the centroid, coordinate
-    jitter, and color jitter."""
+    jitter, and color jitter; the result carries no normals or labels."""
     coords = cloud.coords
     center = coords.mean(axis=0)
     theta = rng.uniform(*cfg.rotation_range)
@@ -96,8 +96,7 @@ def _augment_cloud(cloud: PointCloud, cfg: AugmentConfig, rng: np.random.Generat
     if cfg.color_jitter > 0:
         colors = np.clip(colors + rng.uniform(-cfg.color_jitter, cfg.color_jitter,
                                               size=colors.shape), 0.0, 1.0)
-    return PointCloud(coords=out, colors=colors, normals=None,
-                      labels=None if cloud.labels is None else cloud.labels.copy())
+    return PointCloud(coords=out, colors=colors)
 
 
 def _grid_mask(coords: np.ndarray, ratio: float, grid: float,
@@ -162,8 +161,7 @@ def make_viewset(cloud: PointCloud, cfg: AugmentConfig, seed: int) -> ViewSet:
     locals_ = []
     for _l in range(LOCAL_VIEWS):
         idx = _local_crop(cloud, cfg, rng)
-        sub = PointCloud(coords=cloud.coords[idx], colors=cloud.colors[idx],
-                         labels=None if cloud.labels is None else cloud.labels[idx])
+        sub = PointCloud(coords=cloud.coords[idx], colors=cloud.colors[idx])
         locals_.append(View(cloud=_augment_cloud(sub, cfg, rng), origin_index=idx))
 
     return ViewSet(globals_=globals_, masked=masked, locals_=locals_)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from concerto.geometry import (EPS_DEPTH, CameraView, Correspondence, build_correspondence,
-                               project_points, render_depth, visible_mask, voxelize)
+                               patch_table, project_points, render_depth, visible_mask,
+                               voxelize)
 
 
 def simple_cam(w=64, h=64, f=100.0, depth=None, patch=8):
@@ -120,9 +121,12 @@ class TestVisible:
 
 
 def brute_force_correspondence(points, views, eps):
-    """Independent per-point loop oracle."""
+    """Independent per-point loop oracle: (point, view, patch-table row)
+    triples, where a view's rows follow all patches of the views before it."""
     rows = []
+    offset = 0
     for v, cam in enumerate(views):
+        patches = (cam.image_size[0] // cam.patch_size) * (cam.image_size[1] // cam.patch_size)
         for i, p in enumerate(points):
             xy, depth, inb = project_points(p, cam)  # one row
             if not inb[0]:
@@ -133,8 +137,13 @@ def brute_force_correspondence(points, views, eps):
                 continue
             if abs(d - depth[0]) < eps:
                 patch = (iy // cam.patch_size) * (cam.image_size[0] // cam.patch_size) + ix // cam.patch_size
-                rows.append((i, v, ix, iy, patch))
+                rows.append((i, v, offset + patch))
+        offset += patches
     return set(rows)
+
+
+def triples(corr):
+    return set(zip(corr.point_index.tolist(), corr.view_index.tolist(), corr.row.tolist()))
 
 
 class TestCorrespondence:
@@ -167,8 +176,7 @@ class TestCorrespondence:
                 cam.depth_map = render_depth(pts, cam)
                 views.append(cam)
             corr = build_correspondence(pts, views)
-            got = set(map(tuple, corr.entries.tolist()))
-            assert got == brute_force_correspondence(pts, views, EPS_DEPTH)
+            assert triples(corr) == brute_force_correspondence(pts, views, EPS_DEPTH)
 
     def test_no_views_empty(self):
         corr = build_correspondence(np.zeros((4, 3)), [])
@@ -182,17 +190,26 @@ class TestCorrespondence:
         corr = build_correspondence(pts, [cam])
         perm = rng.permutation(len(pts))
         corr_p = build_correspondence(pts[perm], [cam])
-        base = {(perm[r[0]], r[1], r[2], r[3], r[4]) for r in corr_p.entries.tolist()}
-        assert base == set(map(tuple, corr.entries.tolist()))
+        base = {(perm[p], v, r) for p, v, r in triples(corr_p)}
+        assert base == triples(corr)
 
     def test_patch_index_formula(self):
+        # each grid cell's feature is (view, patch row, patch column), so the
+        # patch-table row of an entry must hold its own view and pixel's patch
         rng = np.random.default_rng(7)
         pts = rng.uniform(-1, 1, size=(300, 3)) + np.array([0, 0, 2])
-        cam = simple_cam(patch=8)
-        cam.depth_map = render_depth(pts, cam)
-        corr = build_correspondence(pts, [cam])
-        for _p, _v, ix, iy, patch in corr.entries.tolist():
-            assert patch == (iy // 8) * (64 // 8) + (ix // 8)
+        views = [simple_cam(patch=8), simple_cam(f=70.0, patch=8)]
+        for v, cam in enumerate(views):
+            cam.depth_map = render_depth(pts, cam)
+            gy, gx = np.mgrid[0:8, 0:8]
+            cam.feature_grid = np.stack([np.full((8, 8), v), gy, gx], axis=-1)
+        corr = build_correspondence(pts, views)
+        assert set(corr.view_index.tolist()) == {0, 1}
+        got = patch_table(views)[corr.row]
+        for k, (p, v) in enumerate(zip(corr.point_index, corr.view_index)):
+            xy, _, _ = project_points(pts[p], views[v])
+            ix, iy = int(np.floor(xy[0, 0])), int(np.floor(xy[0, 1]))
+            assert got[k].tolist() == [v, iy // 8, ix // 8]
 
 
 class TestRenderDepth:

@@ -250,22 +250,23 @@ def cross_loss_loop_oracle(enc, corr, grids, params, level):
     feats = upcast(enc, level).data
     w = params["cross.w"].data
     b = params["cross.b"].data
+    table = np.concatenate(grids)
     votes = {}
-    for point, view, _ix, _iy, patch in corr.entries.tolist():
+    for point, view, row in zip(corr.point_index, corr.view_index, corr.row):
         key = (view, anc[point])
-        votes.setdefault(key, []).append(patch)
+        votes.setdefault(key, []).append(row)
     assigned = {}
-    for (view, u), ps in votes.items():
-        vals, counts = np.unique(ps, return_counts=True)
+    for (view, u), rows in votes.items():
+        vals, counts = np.unique(rows, return_counts=True)
         assigned[(view, u)] = int(vals[counts == counts.max()].min())
     groups = {}
-    for (view, u), patch in assigned.items():
-        groups.setdefault((view, patch), []).append(u)
+    for (view, u), row in assigned.items():
+        groups.setdefault(row, []).append(u)
     sims = []
-    for (view, patch), members in sorted(groups.items()):
+    for row, members in sorted(groups.items()):
         pooled = feats[sorted(members)].mean(axis=0)
         pred = pooled @ w + b
-        target = grids[view][patch]
+        target = table[row]
         denom = max(np.linalg.norm(pred) * np.linalg.norm(target), 1e-8)
         sims.append(1.0 - float(pred @ target) / denom)
     return float(np.mean(sims)), len(sims)
@@ -290,38 +291,38 @@ class TestCrossLoss:
 
     def test_perfect_prediction_gives_zero(self, scene):
         cfg, params, enc, corr, grids = self.make(scene, 7)
-        member_rows, seg_ids, seg_view, seg_patch, n_seg = assign_patches(enc, corr, 3)
+        member_rows, seg_ids, seg_rows, n_seg = assign_patches(enc, corr, 3)
         feats = upcast(enc, 3).data
         pooled = np.stack([feats[member_rows[seg_ids == s]].mean(axis=0)
                            for s in range(n_seg)])
         pred = pooled @ params["cross.w"].data + params["cross.b"].data
-        rigged = [g.copy() for g in grids]
+        table = np.concatenate(grids)
         for s in range(n_seg):
-            rigged[seg_view[s]][seg_patch[s]] = pred[s]
-        loss, _ = cross_loss(enc, corr, rigged, params)
+            table[seg_rows[s]] = pred[s]
+        loss, _ = cross_loss(enc, corr, np.split(table, len(grids)), params)
         np.testing.assert_allclose(loss.item(), 0.0, atol=1e-9)
 
     def test_orthogonal_targets_give_one(self, scene):
         cfg, params, enc, corr, grids = self.make(scene, 8)
-        member_rows, seg_ids, seg_view, seg_patch, n_seg = assign_patches(enc, corr, 3)
+        member_rows, seg_ids, seg_rows, n_seg = assign_patches(enc, corr, 3)
         feats = upcast(enc, 3).data
         pooled = np.stack([feats[member_rows[seg_ids == s]].mean(axis=0)
                            for s in range(n_seg)])
         pred = pooled @ params["cross.w"].data + params["cross.b"].data
-        rigged = [g.copy() for g in grids]
+        table = np.concatenate(grids)
         for s in range(n_seg):
             t = np.zeros(cfg.cross_dim)
             # orthogonal completion: subtract the parallel component from a probe
             probe = np.ones(cfg.cross_dim)
             t = probe - (probe @ pred[s]) / (pred[s] @ pred[s]) * pred[s]
-            rigged[seg_view[s]][seg_patch[s]] = t
-        loss, _ = cross_loss(enc, corr, rigged, params)
+            table[seg_rows[s]] = t
+        loss, _ = cross_loss(enc, corr, np.split(table, len(grids)), params)
         np.testing.assert_allclose(loss.item(), 1.0, atol=1e-9)
 
     def test_empty_correspondence_warns_and_returns_zero(self, scene):
         from concerto.geometry import Correspondence
         cfg, params, enc, corr, grids = self.make(scene, 10)
-        empty = Correspondence(entries=np.zeros((0, 5), dtype=np.int64))
+        empty = Correspondence(*[np.zeros(0, dtype=np.int64)] * 3)
         loss, n = cross_loss(enc, empty, grids, params)
         assert loss.item() == 0.0 and n == 0
 
@@ -391,7 +392,8 @@ class TestRigidInvariance:
                                      patch_size=cam.patch_size, depth_map=cam.depth_map,
                                      feature_grid=cam.feature_grid))
         corr2 = build_correspondence(cloud2.coords, views2)
-        np.testing.assert_array_equal(corr.entries, corr2.entries)
+        for name in ("point_index", "view_index", "row"):
+            np.testing.assert_array_equal(getattr(corr, name), getattr(corr2, name))
 
         # features are an input to the loss; with the rigidly co-transformed
         # geometry producing the same correspondence, the loss is unchanged

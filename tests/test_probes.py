@@ -4,6 +4,7 @@ import pytest
 from concerto import tensor as T
 from concerto.dataio import SyntheticSpec, generate_synthetic
 from concerto.encoder import EncoderConfig, encode, init_params, upcast
+from concerto.geometry import EPS_DEPTH, visible_mask
 from concerto.probes import (ProbeConfig, ProbeError, TextSpace, _one_hot,
                              _standardize_fit, compute_metrics,
                              extract_features, label_budget_indices, language_probe,
@@ -70,6 +71,10 @@ class TestMetrics:
     def test_bad_num_classes(self):
         with pytest.raises(ValueError):
             compute_metrics([0], [0], 0)
+
+    def test_label_at_num_classes_rejected(self):
+        with pytest.raises(ProbeError, match="label 3 is not below num_classes=3"):
+            compute_metrics([0, 1], [0, 3], 3)
 
 
 class TestLabelBudget:
@@ -209,6 +214,18 @@ class TestLinearProbe:
                            ProbeConfig(epochs=5))
         assert res.missing_train_classes == [2]
         assert np.isfinite(res.metrics.allacc)
+
+    def test_training_label_at_num_classes_names_the_scene(self):
+        scenes = probe_scenes(4, False)
+        scenes[1][1][7] = 3
+        with pytest.raises(ProbeError, match="training scene 1: label 3 "):
+            linear_probe(scenes, scenes[:1], 3, ProbeConfig(epochs=1))
+
+    def test_eval_label_at_num_classes_names_the_scene(self):
+        scenes = probe_scenes(4, False)
+        scenes[1][1][5] = 9
+        with pytest.raises(ProbeError, match="eval scene 1: label 9 "):
+            linear_probe(scenes[:1], scenes, 3, ProbeConfig(epochs=1))
 
     def test_probe_does_not_touch_encoder(self, dataset):
         enc_cfg = tiny_enc()
@@ -368,6 +385,19 @@ class TestLiftedFeatures:
         assert lifted.shape == (s.cloud.num_points, 8)
         # invisible points are exactly zero
         assert np.abs(lifted[~valid]).max() == 0.0
+
+    def test_matches_per_view_loop_oracle(self, dataset):
+        s = dataset[2]
+        n = s.cloud.num_points
+        sums, counts = np.zeros((n, 8)), np.zeros(n)
+        for cam in s.views:
+            mask, ix, iy = visible_mask(s.cloud.coords, cam, EPS_DEPTH)
+            for i in np.flatnonzero(mask):
+                sums[i] += cam.feature_grid[iy[i] // cam.patch_size, ix[i] // cam.patch_size]
+                counts[i] += 1
+        lifted, valid = lift_patch_features_to_points(s)
+        np.testing.assert_array_equal(valid, counts > 0)
+        np.testing.assert_allclose(lifted, sums / np.maximum(counts, 1)[:, None], atol=1e-12)
 
     def test_deterministic(self, dataset):
         a, va = lift_patch_features_to_points(dataset[1])

@@ -55,20 +55,18 @@ class TestForwardValues:
         np.testing.assert_allclose(out.data, [1.0, 0.0, -1.0], atol=1e-15)
 
     def test_segment_mean_two_elements(self):
-        out, nonempty = T.op_segment_mean(T.Tensor([[2.0], [4.0]]), [0, 0], 1)
-        np.testing.assert_array_equal(out.data, [[3.0]])
-        assert nonempty.tolist() == [True]
+        out = T.op_segment_mean(T.Tensor([[2.0], [4.0]]), [0, 0], 2)
+        np.testing.assert_array_equal(out.data, [[3.0], [0.0]])
 
     def test_segment_mean_permutation_identity(self):
         vals = np.arange(12.0).reshape(4, 3)
         ids = [2, 0, 3, 1]
-        out, _ = T.op_segment_mean(T.Tensor(vals), ids, 4)
+        out = T.op_segment_mean(T.Tensor(vals), ids, 4)
         np.testing.assert_array_equal(out.data[ids], vals)
 
     def test_segment_mean_empty_segment(self):
-        out, nonempty = T.op_segment_mean(T.Tensor([[1.0, 1.0]]), [2], 4)
-        np.testing.assert_array_equal(out.data[0], [0.0, 0.0])
-        assert nonempty.tolist() == [False, False, True, False]
+        out = T.op_segment_mean(T.Tensor([[1.0, 1.0]]), [2], 4)
+        np.testing.assert_array_equal(out.data, [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
 
     def test_segment_mean_id_out_of_range(self):
         with pytest.raises(IndexError):
@@ -78,7 +76,7 @@ class TestForwardValues:
         rng = np.random.default_rng(7)
         vals = rng.normal(size=(100, 5))
         ids = rng.integers(0, 7, size=100)
-        out, _ = T.op_segment_mean(T.Tensor(vals), ids, 7)
+        out = T.op_segment_mean(T.Tensor(vals), ids, 7)
         expected = np.zeros((7, 5))
         for s in range(7):
             rows = vals[ids == s]
@@ -120,7 +118,7 @@ class TestForwardValues:
         ids = rng.integers(0, 6, size=30)
 
         def pool_gather(x):
-            m, _ = T.op_segment_mean(T.Tensor(x), ids, 6)
+            m = T.op_segment_mean(T.Tensor(x), ids, 6)
             return T.op_gather_rows(m, ids).data
 
         once = pool_gather(vals)
@@ -351,7 +349,7 @@ def test_gradcheck_segment_mean():
     rng = np.random.default_rng(24)
     ids = np.array([0, 2, 2, 1, 0, 2])
     for _ in range(5):
-        err = oracles.gradcheck(lambda a: T.op_segment_mean(a, ids, 4)[0], [rand(rng, 6, 3)])
+        err = oracles.gradcheck(lambda a: T.op_segment_mean(a, ids, 4), [rand(rng, 6, 3)])
         assert err <= 1e-5
 
 

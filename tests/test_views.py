@@ -19,6 +19,8 @@ class TestViewSet:
         vs = make_viewset(cloud, AugmentConfig(), seed=0)
         assert len(vs.globals_) == 2 and len(vs.masked) == 2 and len(vs.locals_) == 4
         assert vs.principal is vs.globals_[0]
+        # views carry geometry and color only; losses pair points by origin index
+        assert all(v.cloud.labels is None and v.cloud.normals is None for v in vs.all_views)
 
     def test_mask_ratio_zero_equals_principal(self, cloud):
         cfg = AugmentConfig(mask_ratio=0.0)
