@@ -233,17 +233,19 @@ def encode(view: View, params: Dict[str, T.Tensor], cfg: EncoderConfig) -> Encod
 
     Stage-0 input features are colors concatenated with offsets from the
     finest voxel centroid; masked points' input features are replaced by the
-    learned mask token.
+    learned mask token. The input arrays take the parameters' dtype, so the
+    whole pass computes in it.
     """
+    dtype = params["mask_token"].data.dtype
     coords0 = view.cloud.coords
     base_grid = voxelize(coords0, cfg.cell_sizes[0])
     offsets = coords0 - base_grid.centroids[base_grid.assignments]
     raw = np.concatenate([view.cloud.colors, offsets], axis=1)
 
-    x = T.Tensor(raw)
+    x = T.Tensor(raw.astype(dtype, copy=False))
     if view.mask is not None and view.mask.any():
-        keep = (~view.mask).astype(np.float64)[:, None] * np.ones((1, INPUT_DIM))
-        hole = view.mask.astype(np.float64)[:, None] * np.ones((1, INPUT_DIM))
+        keep = (~view.mask).astype(dtype)[:, None] * np.ones((1, INPUT_DIM), dtype)
+        hole = view.mask.astype(dtype)[:, None] * np.ones((1, INPUT_DIM), dtype)
         x = T.op_add(T.op_mul(x, T.Tensor(keep)),
                      T.op_mul(T.Tensor(hole), params["mask_token"]))
 

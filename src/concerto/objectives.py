@@ -57,11 +57,12 @@ class LossWeights:
 def _teacher_probs(params_t, feats: T.Tensor, center: np.ndarray, cfg: ClusterLossConfig):
     """Centered, sharpened teacher prototype distribution plus raw logits.
 
-    Everything on the teacher side is constant; plain arrays come back.
+    Everything on the teacher side is constant; plain arrays come back, in
+    the features' dtype.
     """
     z = proj_head(params_t, feats)
     logits = proto_scores(params_t, z).data
-    return T.softmax_np(logits - center, cfg.teacher_temp), logits
+    return T.softmax_np(logits - center.astype(logits.dtype), cfg.teacher_temp), logits
 
 
 def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
@@ -73,10 +74,12 @@ def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
     prototypes that are the argmax of at least one teacher row). Pairing is
     by original point index; each matched point contributes the feature of
     its ``INTRA_LEVEL`` ancestor. The center update is the momentum mean of the
-    raw teacher logits seen this step.
+    raw teacher logits seen this step. The loss takes the features' dtype;
+    the center keeps its own.
     """
     if not teacher:
         raise ValueError("intra_loss needs at least one teacher view")
+    dtype = teacher[0][1].feats[0].data.dtype
     n_stages = teacher[0][1].num_stages
     stage = n_stages - 1 - INTRA_LEVEL
 
@@ -108,7 +111,7 @@ def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
                 continue
             t_anc = t_enc.ancestors(stage)
             pair_weights = sp.coo_matrix(
-                (np.full(ia.size, 1.0 / ia.size), (s_anc[ia], t_anc[ib])),
+                (np.full(ia.size, 1.0 / ia.size, dtype), (s_anc[ia], t_anc[ib])),
                 shape=(rows, t_probs.shape[0])).tocsr()
             agg = pair_weights @ t_probs
             weights = agg if weights is None else np.add(weights, agg, out=weights)
@@ -122,11 +125,11 @@ def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
 
     if loss is None:
         logger.warning("intra_loss: zero matched pairs across all view combinations")
-        loss = T.Tensor(np.array(0.0))
+        loss = T.Tensor(np.zeros((), dtype))
     else:
         loss = T.op_mul(loss, 1.0 / num_combos)
 
-    batch_mean = np.concatenate(all_logits, axis=0).mean(axis=0)
+    batch_mean = np.concatenate(all_logits, axis=0).mean(axis=0, dtype=center.dtype)
     new_center = cfg.center_momentum * center + (1 - cfg.center_momentum) * batch_mean
     return loss, new_center, total_pairs, float(used.mean())
 
@@ -167,17 +170,18 @@ def cross_loss(enc: EncodeResult, corr: Correspondence, grids: List[np.ndarray],
     the views' order, so ``np.concatenate(grids)`` is the ``patch_table``
     that ``corr.row`` indexes. It stays a per-view list because perfbench's
     tracer counts each call's patches as the sum of its row counts, the
-    denominator of ``objectives.patch_hit_ratio``. Returns (loss tensor,
-    number of nonempty patches).
+    denominator of ``objectives.patch_hit_ratio``. The targets take the
+    features' dtype. Returns (loss tensor, number of nonempty patches).
     """
     member_rows, seg_ids, seg_rows, n_seg = assign_patches(enc, corr, CROSS_LEVEL)
     if n_seg == 0:
         logger.warning("cross_loss: no nonempty patches")
-        return T.Tensor(np.array(0.0)), 0
+        return T.Tensor(np.zeros((), enc.feats[0].data.dtype)), 0
     feats = upcast(enc, CROSS_LEVEL)
     pooled = T.op_segment_mean(T.op_gather_rows(feats, member_rows), seg_ids, n_seg)
     predicted = cross_head(params, pooled)
-    cos = T.op_cosine(predicted, T.Tensor(np.concatenate(grids)[seg_rows]))
+    targets = np.concatenate(grids)[seg_rows].astype(feats.data.dtype, copy=False)
+    cos = T.op_cosine(predicted, T.Tensor(targets))
     loss = T.op_mean(T.op_add(T.op_mul(cos, -1.0), 1.0))
     return loss, int(n_seg)
 

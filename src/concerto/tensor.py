@@ -1,4 +1,5 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32 or float64 tensors with reverse-mode automatic
+differentiation.
 
 The engine is an eager tape: every differentiable operation records its
 inputs and a vector-Jacobian closure on the output tensor at forward time.
@@ -12,6 +13,11 @@ and concat. The one cross-entropy, ``op_softmax_xent``, is fused with its
 log-softmax; the plain-array helpers ``softmax_np`` and ``segment_sum_np``
 record nothing. The tests check every op's VJP against central finite
 differences.
+
+Precision follows the data: a tensor keeps a float32 array as float32 and
+holds anything else as float64, and every op's output and cotangents take
+their operands' dtype. The trainer computes in float32; the probes and the
+gradchecks stay float64.
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ _EPS = 1e-8  # floor of the normalizing ops' variances and norms
 
 
 class Tensor:
-    """N-dimensional float64 array, optionally tracked for gradients.
+    """N-dimensional float32 or float64 array, optionally tracked for
+    gradients. A float32 input stays float32; any other input becomes
+    float64.
 
     A tensor created directly (a constant or a parameter) is a leaf.
     Tensors returned by ops carry the recorded operation; constants with
@@ -41,7 +49,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_op", "_order")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self._parents: tuple = ()
@@ -209,7 +218,7 @@ def op_gather_concat(tensors: Sequence[Tensor], indices: Sequence) -> Tensor:
         if i is not None and i.size and (i.min() < 0 or i.max() >= t.data.shape[0]):
             raise IndexError("op_gather_concat index out of range")
     bounds = np.cumsum([0] + [t.data.shape[1] for t in tensors])
-    out = np.empty((rows[0], bounds[-1]))
+    out = np.empty((rows[0], bounds[-1]), dtype=np.result_type(*(t.data for t in tensors)))
     for t, i, a, b in zip(tensors, idxs, bounds[:-1], bounds[1:]):
         out[:, a:b] = t.data if i is None else t.data[i]
 
@@ -296,7 +305,7 @@ def op_softmax_xent(logits: Tensor, weights: np.ndarray, temperature: float) -> 
     """-sum(W * log_softmax(logits / temperature)) for a constant (n, k) array
     W, as sum(rowsum(W) * log(s)) - sum(W * z); the VJP, (rowsum(W) * e / s
     - W) / temperature, reuses the forward's exp e and row sums s."""
-    w = np.asarray(weights, dtype=np.float64)
+    w = np.asarray(weights, dtype=logits.data.dtype)
     if logits.data.ndim != 2 or w.shape != logits.data.shape:
         raise ValueError(f"op_softmax_xent shape mismatch: {logits.data.shape} vs {w.shape}")
     z, e, s = _shifted_exp(logits.data, temperature)
@@ -395,7 +404,7 @@ def segment_mean_np(values: np.ndarray, ids: np.ndarray, num_segments: int):
     """Per-segment row mean; returns (means, counts). Empty segments are zero."""
     sums = segment_sum_np(values, ids, num_segments)  # rejects bad ids before bincount
     counts = np.bincount(np.asarray(ids, dtype=np.int64), minlength=num_segments)
-    denom = np.maximum(counts, 1).astype(np.float64)
+    denom = np.maximum(counts, 1).astype(sums.dtype)
     return sums / denom.reshape((-1,) + (1,) * (values.ndim - 1)), counts
 
 
@@ -413,7 +422,7 @@ def op_segment_mean(values: Tensor, segment_ids, num_segments: int):
     if values.data.ndim != 2 or ids.shape != (values.data.shape[0],):
         raise ValueError("op_segment_mean expects (n, d) values and (n,) ids")
     means, counts = segment_mean_np(values.data, ids, num_segments)
-    inv = 1.0 / np.maximum(counts, 1).astype(np.float64)
+    inv = 1.0 / np.maximum(counts, 1).astype(means.dtype)
 
     def vjp(g):
         return ((g * inv[:, None])[ids],)

@@ -4,6 +4,14 @@ control, JSONL logging, and bit-exact checkpoint/resume.
 
 Every random choice is derived statelessly from (seed, purpose, step), so a
 resumed run consumes exactly the same randomness as an uninterrupted one.
+
+Precision policy, mixed precision with float64 master weights (Micikevicius
+et al., arXiv 1710.03740): the student and teacher parameters, the Adam
+moments, the center and every checkpoint are float64. Each step casts the
+student to ``COMPUTE_DTYPE`` leaves and the teacher to ``COMPUTE_DTYPE``
+constants once; encoding, both losses and backward run on those copies, and
+the gradients are upcast to float64 before clipping and AdamW. A checkpoint
+records the compute dtype, and resume refuses another one.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ WEIGHT_DECAY = 0.05    # the trainer's; the probes train without decay
 LR_DEPTH_DECAY = 0.9   # learning-rate factor per stage toward the input
 WARMUP_FRACTION = 0.1  # share of the steps spent in linear warmup
 EMA_BASE = 0.996       # teacher momentum ramps from this to 1 (DINO, arXiv 2104.14294)
+COMPUTE_DTYPE = np.float32  # of each step's forward and backward pass
 
 
 class TrainerError(RuntimeError):
@@ -256,18 +265,24 @@ def _truncate_log(path: Path, start_step: int):
     os.replace(tmp, path)
 
 
-def _check_resumable(ck: Checkpoint, enc_meta: dict, params: Dict[str, T.Tensor],
+def _check_resumable(ck: Checkpoint, meta: dict, params: Dict[str, T.Tensor],
                      path) -> None:
-    """Refuse to resume a checkpoint under an encoder config it was not
-    trained with, or whose parameter names or shapes differ from ``params``."""
-    if "encoder" not in ck.meta:
-        raise TrainerError(f"checkpoint {path} has no 'encoder' entry in meta.json")
-    saved = ck.meta["encoder"]
+    """Refuse to resume a checkpoint under an encoder config or a compute
+    dtype it was not trained with, or whose parameter names or shapes differ
+    from ``params``."""
+    for key in ("encoder", "compute_dtype"):
+        if key not in ck.meta:
+            raise TrainerError(f"checkpoint {path} has no '{key}' entry in meta.json")
+    saved, enc_meta = ck.meta["encoder"], meta["encoder"]
     differ = sorted(k for k in saved.keys() | enc_meta.keys()
                     if saved.get(k) != enc_meta.get(k))
     if differ:
         raise TrainerError(f"checkpoint {path} was trained with a different encoder "
                            f"config; differing fields: {', '.join(differ)}")
+    if ck.meta["compute_dtype"] != meta["compute_dtype"]:
+        raise TrainerError(f"checkpoint {path} was trained with compute_dtype "
+                           f"{ck.meta['compute_dtype']}, this run computes in "
+                           f"{meta['compute_dtype']}")
     got, want = ({k: p.shape for k, p in d.items()} for d in (ck.params, params))
     for name in sorted(got.keys() | want.keys()):
         if got.get(name) != want.get(name):
@@ -285,9 +300,10 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
     step k produces the same parameters and log lines as an uninterrupted
     run, bit for bit. ``step_hook(step, params, teacher, m_ema)`` is called
     after every optimizer/EMA update (observer only). Every checkpoint
-    records the encoder config, and resuming under another one, or from
-    parameters of other names or shapes, is refused. So is a scene too small
-    to crop or with coordinates beyond the voxel key range.
+    records the encoder config and the compute dtype, and resuming under
+    another one, or from parameters of other names or shapes, is refused. So
+    is a scene too small to crop or with coordinates beyond the voxel key
+    range.
     """
     if not samples:
         raise TrainerError("dataset is empty")
@@ -305,7 +321,8 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
         except ValueError as e:
             raise TrainerError(f"scene {sample.scene_id}: {e}") from e
     # the JSON round trip makes the stored and the current entry compare equal
-    meta = {"encoder": json.loads(json.dumps(asdict(enc_cfg)))}
+    meta = {"encoder": json.loads(json.dumps(asdict(enc_cfg))),
+            "compute_dtype": np.dtype(COMPUTE_DTYPE).name}
     n = len(samples)
     total_steps = cfg.total_steps if cfg.total_steps is not None else cfg.epochs * n
     warmup_steps = int(round(WARMUP_FRACTION * total_steps))
@@ -313,7 +330,7 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
     params = init_params(enc_cfg, seed=cfg.seed)
     if resume_from is not None:
         ck = load_checkpoint(resume_from)
-        _check_resumable(ck, meta["encoder"], params, resume_from)
+        _check_resumable(ck, meta, params, resume_from)
         params, teacher, state, center = ck.params, ck.teacher, ck.state, ck.center
         start_step = ck.step
     else:
@@ -352,11 +369,14 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
                           and image_draw < cfg.image_usage_ratio)
 
             vs = make_viewset(sample.cloud, aug_cfg, seed=view_seed)
-            student = [(v, encode(v, params, enc_cfg)) for v in vs.student_views]
-            teach = [(v, encode(v, teacher, enc_cfg)) for v in vs.teacher_views]
+            # compute copies of the float64 masters; only they join the tape
+            params_c = {k: T.param(p.data.astype(COMPUTE_DTYPE)) for k, p in params.items()}
+            teacher_c = {k: T.Tensor(p.data.astype(COMPUTE_DTYPE)) for k, p in teacher.items()}
+            student = [(v, encode(v, params_c, enc_cfg)) for v in vs.student_views]
+            teach = [(v, encode(v, teacher_c, enc_cfg)) for v in vs.teacher_views]
 
             intra, center, pairs, proto_used = intra_loss(
-                student, teach, params, teacher, center, cluster_cfg)
+                student, teach, params_c, teacher_c, center, cluster_cfg)
             cross = None
             patches = 0
             if use_images:
@@ -364,7 +384,7 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
                     corr_cache[sample.scene_id] = build_correspondence(
                         sample.cloud.coords, sample.views)
                 cross, patches = cross_loss(student[0][1], corr_cache[sample.scene_id],
-                                            grids, params)
+                                            grids, params_c)
             total = combine(intra, cross, cfg.weights)
             if not np.isfinite(total.data).all():
                 if out is not None:
@@ -373,10 +393,9 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
                 raise TrainerError(f"non-finite loss at step {step}")
 
             T.backward(total)
-            grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.data))
-                     for k, p in params.items()}
-            for p in params.values():
-                p.zero_grad()
+            grads = {k: (p.grad.astype(np.float64) if p.grad is not None
+                         else np.zeros_like(params[k].data))
+                     for k, p in params_c.items()}
             grad_norm = clip_gradients(grads, cfg.grad_clip)
             lr = lr_schedule(step, total_steps, cfg.base_lr, warmup_steps)
             adamw_step(params, grads, state, lr, factors, weight_decay=WEIGHT_DECAY)

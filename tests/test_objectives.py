@@ -182,6 +182,21 @@ class TestIntraLoss:
         T.backward(loss)
         assert any(v.grad is not None and np.abs(v.grad).max() > 0 for v in params.values())
 
+    def test_no_matched_pairs_returns_zero_in_the_features_dtype(self, scene):
+        # a view is never matched with itself, so one view on both sides
+        # leaves no (student, teacher) combination
+        cfg = tiny_cfg()
+        view = make_viewset(scene.cloud, AugmentConfig(), seed=2).globals_[0]
+        for dtype in (np.float64, np.float32):
+            params = {k: T.Tensor(p.data.astype(dtype))
+                      for k, p in init_params(cfg, seed=1).items()}
+            side = [(view, encode(view, params, cfg))]
+            loss, _, pairs, _ = intra_loss(side, side, params, params,
+                                           np.zeros(cfg.proto_count), ClusterLossConfig())
+            assert loss.item() == 0.0 and pairs == 0
+            assert loss.data.dtype == dtype
+            assert combine(loss, None, LossWeights()).data.dtype == dtype
+
     def test_one_hot_rows_give_zero_ce(self):
         # degenerate two-prototype check through the fused cross-entropy op;
         # exp(-1000 / 0.1) underflows to 0
@@ -321,10 +336,19 @@ class TestCrossLoss:
 
     def test_empty_correspondence_warns_and_returns_zero(self, scene):
         from concerto.geometry import Correspondence
-        cfg, params, enc, corr, grids = self.make(scene, 10)
+        cfg = tiny_cfg()
+        view = make_viewset(scene.cloud, AugmentConfig(), seed=10).masked[0]
+        grids = [v.flat_feature_grid() for v in scene.views]
         empty = Correspondence(*[np.zeros(0, dtype=np.int64)] * 3)
-        loss, n = cross_loss(enc, empty, grids, params)
-        assert loss.item() == 0.0 and n == 0
+        for dtype in (np.float64, np.float32):
+            params = {k: T.param(p.data.astype(dtype))
+                      for k, p in init_params(cfg, seed=10).items()}
+            loss, n = cross_loss(encode(view, params, cfg), empty, grids, params)
+            assert loss.item() == 0.0 and n == 0
+            # a zero in the features' dtype keeps the total in it
+            assert loss.data.dtype == dtype
+            total = combine(T.Tensor(np.ones((), dtype)), loss, LossWeights())
+            assert total.data.dtype == dtype
 
     def test_gradients_reach_encoder_inputs(self, scene):
         cfg, params, enc, corr, grids = self.make(scene, 11)

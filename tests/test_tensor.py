@@ -395,3 +395,72 @@ def test_every_op_has_a_gradcheck(monkeypatch):
             test()
     TestBackward().test_matmul_grad_vs_finite_differences()
     assert exercised == set(ops)
+
+
+# Every op with float32 operands: one row per op_* (and per branch of the
+# ops that have several), each a function of tensors and their shapes.
+FLOAT32_CASES = [
+    ("add", lambda a, b: T.op_add(a, b), [(3, 4), (3, 4)]),
+    ("add_scalar", lambda a: T.op_add(a, 0.3), [(3, 4)]),
+    ("add_bias", lambda a, b: T.op_add(a, b), [(3, 4), (4,)]),
+    ("mul", lambda a, b: T.op_mul(a, b), [(3, 4), (3, 4)]),
+    ("mul_scalar", lambda a: T.op_mul(a, -1.7), [(3, 4)]),
+    ("mul_row", lambda a, b: T.op_mul(a, b), [(3, 4), (4,)]),
+    ("gelu", lambda a: T.op_gelu(a), [(3, 4)]),
+    ("mean", lambda a: T.op_mean(a), [(3, 4)]),
+    ("sum", lambda a: T.op_sum(a), [(3, 4)]),
+    ("gather_concat", lambda *ts: T.op_gather_concat(ts, [[4, 0, 4, 2], None, [2, 2, 0, 1]]),
+     [(5, 2), (4, 3), (3, 1)]),
+    ("concat_rows", lambda *ts: T.op_concat_rows(ts), [(2, 3), (4, 3)]),
+    ("gather_rows", lambda a: T.op_gather_rows(a, [2, 0, 2, 1]), [(3, 4)]),
+    ("matmul", lambda a, b: T.op_matmul(a, b), [(4, 5), (5, 3)]),
+    ("softmax_xent", lambda a: T.op_softmax_xent(
+        a, np.random.default_rng(8).dirichlet(np.ones(5), size=4), 0.1), [(4, 5)]),
+    ("layernorm", lambda a: T.op_layernorm(a), [(3, 6)]),
+    ("l2norm", lambda a: T.op_l2norm(a), [(3, 6)]),
+    ("cosine", lambda a, b: T.op_cosine(a, b), [(4, 5), (4, 5)]),
+    ("segment_mean", lambda a: T.op_segment_mean(a, [0, 2, 2, 1, 0, 2], 4), [(6, 3)]),
+]
+# float32's unit roundoff is 2^-24 (6e-8); each case stays within ~16 of it
+F32_TOL = 1e-6
+
+
+def _max_rel_err(got, want):
+    return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-30))
+
+
+@pytest.mark.parametrize("name,op,shapes", FLOAT32_CASES, ids=[row[0] for row in FLOAT32_CASES])
+def test_float32_operands_compute_in_float32(name, op, shapes):
+    """With float32 operands an op's output and every cotangent of its VJP
+    are float32, and both agree with the float64 computation within F32_TOL
+    of their largest magnitude."""
+    rng = np.random.default_rng(41)
+    arrays = [rand(rng, *shape) for shape in shapes]
+    out64 = op(*[T.param(a) for a in arrays])
+    out32 = op(*[T.param(a.astype(np.float32)) for a in arrays])
+    assert out32.data.dtype == np.float32
+    assert _max_rel_err(out32.data, out64.data) <= F32_TOL
+    g = rand(rng, *out64.shape)
+    for c32, c64 in zip(out32._vjp(g.astype(np.float32)), out64._vjp(g), strict=True):
+        assert c32.dtype == np.float32
+        assert _max_rel_err(c32, c64) <= F32_TOL
+
+
+def test_every_op_has_a_float32_case(monkeypatch):
+    """The float32 cases call exactly the ``op_*`` functions that
+    ``concerto.tensor`` defines."""
+    ops = {name: fn for name, fn in vars(T).items() if name.startswith("op_")}
+    exercised = set()
+
+    def recorder(name, fn):
+        def wrapper(*args, **kwargs):
+            exercised.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, fn in ops.items():
+        monkeypatch.setattr(T, name, recorder(name, fn))
+    rng = np.random.default_rng(42)
+    for _name, op, shapes in FLOAT32_CASES:
+        op(*[T.Tensor(rand(rng, *shape).astype(np.float32)) for shape in shapes])
+    assert exercised == set(ops)

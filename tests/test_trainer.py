@@ -306,6 +306,43 @@ class TestTrainLoop:
         with pytest.raises(TrainerError, match="'encoder'"):
             self.run(dataset[:2], 4, resume=tmp_path / "ck")
 
+    def test_resume_refuses_another_compute_dtype(self, dataset, tmp_path):
+        self.run(dataset[:2], 4, out=tmp_path / "run", stop=2)
+        meta_path = tmp_path / "run" / "ckpt_final" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        assert meta["compute_dtype"] == "float32"
+        for saved in ("float64", None):
+            if saved is None:
+                del meta["compute_dtype"]
+            else:
+                meta["compute_dtype"] = saved
+            meta_path.write_text(json.dumps(meta))
+            with pytest.raises(TrainerError, match="compute_dtype"):
+                self.run(dataset[:2], 4, resume=meta_path.parent)
+
+    def test_training_step_computes_in_float32(self, dataset, monkeypatch):
+        """Every tape node and every cotangent of a step is float32; the
+        state the run returns stays float64."""
+        real_record = T._record
+        dtypes = {"node": set(), "cotangent": set()}
+
+        def recording(data, op, parents, vjp):
+            dtypes["node"].add(np.asarray(data).dtype)
+
+            def checked_vjp(g):
+                cotangents = vjp(g)
+                dtypes["cotangent"].update(np.asarray(c).dtype for c in (g, *cotangents)
+                                           if c is not None)
+                return cotangents
+            return real_record(data, op, parents, checked_vjp)
+
+        monkeypatch.setattr(T, "_record", recording)
+        res = self.run(dataset, 2)
+        assert dtypes == {"node": {np.dtype(np.float32)}, "cotangent": {np.dtype(np.float32)}}
+        state = [p.data for p in (*res.params.values(), *res.teacher.values())]
+        state += [*res.state.m.values(), *res.state.v.values(), res.center]
+        assert {a.dtype for a in state} == {np.dtype(np.float64)}
+
     def test_resume_refuses_transposed_prototypes(self, dataset, tmp_path):
         # prototypes are stored as (proj_dim, proto_count); a checkpoint
         # holding them the other way round is refused before any step
