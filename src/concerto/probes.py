@@ -7,6 +7,15 @@ full-batch AdamW under a fixed seed; the encoder checkpoint is never
 mutated. Features are the full-resolution upcast. The lora probe
 merges its adapters into the frozen weights and encodes with the merged
 weights, so there is one encoder forward path.
+
+Precision policy, the trainer's: the encoder runs on ``COMPUTE_DTYPE``
+copies of its weights, so features come out float32. The linear and lora
+probes keep their heads and adapters (and the standardization statistics,
+accumulated in float64) as float64 masters; each epoch runs forward and
+backward on ``COMPUTE_DTYPE`` copies, and AdamW steps the masters with the
+upcast gradients. The language probe is the exception: it upcasts its
+features and fits in float64, because its least-squares warm start is
+ill-conditioned on real features (see ``language_probe``).
 """
 
 from __future__ import annotations
@@ -19,10 +28,10 @@ import numpy as np
 
 from . import tensor as T
 from .dataio import SceneSample
-from .encoder import (EncoderConfig, LoraAdapter, clone_params, encode, lora_weights,
-                      make_lora_adapters, upcast)
+from .encoder import (EncoderConfig, LoraAdapter, encode, lora_weights, make_lora_adapters,
+                      upcast)
 from .geometry import build_correspondence, patch_table
-from .trainer import AdamState, adamw_step
+from .trainer import COMPUTE_DTYPE, AdamState, adamw_step, compute_copies, master_grads
 from .views import View
 
 logger = logging.getLogger(__name__)
@@ -114,10 +123,10 @@ def plain_view(sample: SceneSample) -> View:
 
 def extract_features(sample: SceneSample, params, enc_cfg: EncoderConfig,
                      level: int) -> np.ndarray:
-    """Upcast features of the unaugmented cloud. The encoder runs on
-    untracked views of ``params``, so no tape is recorded even when they
-    are ``T.param`` leaves."""
-    params = {k: T.Tensor(p.data) for k, p in params.items()}
+    """Upcast ``COMPUTE_DTYPE`` features of the unaugmented cloud. The
+    encoder runs on ``COMPUTE_DTYPE`` constant copies of ``params``, so no
+    tape is recorded even when they are ``T.param`` leaves."""
+    params = compute_copies(params, COMPUTE_DTYPE, track=False)
     return upcast(encode(plain_view(sample), params, enc_cfg), level).data
 
 
@@ -143,15 +152,29 @@ def lift_patch_features_to_points(sample: SceneSample):
 # ---------------------------------------------------------------------------
 
 def _standardize_fit(x: np.ndarray):
-    mu = x.mean(axis=0)
-    sd = x.std(axis=0)
+    """Per-column mean and (floored) standard deviation, accumulated in
+    float64 whatever the dtype of ``x``."""
+    mu = x.mean(axis=0, dtype=np.float64)
+    sd = x.std(axis=0, dtype=np.float64)
     return mu, np.maximum(sd, 1e-8)
+
+
+def _standardizer(mu: np.ndarray, sd: np.ndarray, dtype):
+    """``(mu, 1 / sd)`` in ``dtype``: every probe standardizes as
+    ``(x - mu) * (1 / sd)`` in its features' dtype."""
+    return mu.astype(dtype), (1.0 / sd).astype(dtype)
 
 
 def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     out = np.zeros((labels.size, num_classes))
     out[np.arange(labels.size), labels] = 1.0
     return out
+
+
+def _head_targets(y: np.ndarray, num_classes: int) -> np.ndarray:
+    """The softmax head's ``COMPUTE_DTYPE`` targets: one-hot rows divided
+    by the row count."""
+    return (_one_hot(y, num_classes) / y.size).astype(COMPUTE_DTYPE)
 
 
 @dataclass
@@ -167,21 +190,20 @@ class ProbeResult:
 
 
 def _fit(params: Dict[str, T.Tensor], loss_of, cfg: ProbeConfig,
-         lr_factors: Dict[str, float]) -> Optional[float]:
-    """``cfg.epochs`` full-batch AdamW steps on ``params``; ``loss_of()``
-    builds one epoch's loss on the tape. Returns the last loss value."""
+         lr_factors: Dict[str, float], dtype) -> Optional[float]:
+    """``cfg.epochs`` full-batch AdamW steps on the float64 masters
+    ``params``. Each epoch ``loss_of(copies)`` builds the loss on the tape
+    from ``dtype`` copies of them, whose gradients are upcast for the step.
+    Returns the last loss value."""
     state = AdamState.init(params)
     last = None
     for _epoch in range(cfg.epochs):
-        loss = loss_of()
+        copies = compute_copies(params, dtype, track=True)
+        loss = loss_of(copies)
         T.backward(loss)
         last = loss.item()
         del loss  # one epoch's tape is not kept while the next is built
-        grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.data))
-                 for k, p in params.items()}
-        for p in params.values():
-            p.zero_grad()
-        adamw_step(params, grads, state, cfg.lr, lr_factors)
+        adamw_step(params, master_grads(copies), state, cfg.lr, lr_factors)
     return last
 
 
@@ -215,11 +237,14 @@ def _labeled_rows(labels: Sequence[np.ndarray], num_classes: int, cfg: ProbeConf
 
 
 def _evaluate(head, eval_scenes, mu, sd, num_classes: int) -> SegMetrics:
-    """Metrics of the head's argmax over standardized (features, labels) pairs."""
+    """Metrics of the head's argmax over standardized (features, labels)
+    pairs; each scene's logits are computed in its features' dtype."""
     pred_all, gt_all = [], []
     for i, (feats, labels) in enumerate(eval_scenes):
         _check_labels(labels, num_classes, f"eval scene {i}")
-        logits = (feats - mu) * (1.0 / sd) @ head["head.w"].data + head["head.b"].data
+        shift, scale = _standardizer(mu, sd, feats.dtype)
+        logits = ((feats - shift) * scale @ head["head.w"].data.astype(feats.dtype)
+                  + head["head.b"].data.astype(feats.dtype))
         pred_all.append(logits.argmax(axis=1))
         gt_all.append(labels)
     return compute_metrics(np.concatenate(pred_all), np.concatenate(gt_all), num_classes)
@@ -232,31 +257,31 @@ def linear_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray]],
 
     ``train_scenes`` / ``eval_scenes`` are (features, labels) pairs; features
     may be concatenations of several sources. label_budget limits the
-    labeled points used per training scene (seeded, nested).
+    labeled points used per training scene (seeded, nested). The head fits
+    on ``COMPUTE_DTYPE`` training features.
     """
     keeps, y, missing = _labeled_rows([lab for _f, lab in train_scenes], num_classes, cfg)
     # a fresh array, so standardizing in place leaves the callers' untouched; a
     # scene that keeps every row goes to the concatenation uncopied
     x = np.concatenate([f if k.size == f.shape[0] else f[k]
-                        for (f, _lab), k in zip(train_scenes, keeps)], axis=0)
-    if cfg.standardize:
-        # the same arithmetic as (x - mean) / std, with no full-size temporary
-        # beyond std's squares
-        mu = x.mean(axis=0)
-        x -= mu
-        sd = np.maximum(np.sqrt(np.square(x).sum(axis=0) / x.shape[0]), 1e-8)
-        x *= 1.0 / sd
-    else:
-        mu, sd = 0.0, 1.0
+                        for (f, _lab), k in zip(train_scenes, keeps)],
+                       axis=0, dtype=COMPUTE_DTYPE)
     dim = x.shape[1]
+    if cfg.standardize:
+        mu, sd = _standardize_fit(x)
+        shift, scale = _standardizer(mu, sd, x.dtype)
+        x -= shift
+        x *= scale
+    else:
+        mu, sd = np.zeros(dim), np.ones(dim)
     head = _zero_head(dim, num_classes)
-    feats, weights = T.Tensor(x), _one_hot(y, num_classes) / y.size
-    _fit(head, lambda: _head_loss(head, feats, weights), cfg, {})
+    feats, weights = T.Tensor(x), _head_targets(y, num_classes)
+    _fit(head, lambda h: _head_loss(h, feats, weights), cfg, {}, COMPUTE_DTYPE)
     return ProbeResult(weight=head["head.w"].data.copy(), bias=head["head.b"].data.copy(),
                        metrics=_evaluate(head, eval_scenes, mu, sd, num_classes),
                        missing_train_classes=missing,
                        params_learnable=dim * num_classes + num_classes,
-                       train_mu=np.asarray(mu), train_sd=np.asarray(sd))
+                       train_mu=mu, train_sd=sd)
 
 
 def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[SceneSample],
@@ -268,7 +293,9 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
     adapters merged into their weights. With a zero adapter rate this
     reduces exactly to the linear probe (adapters start as the identity).
     """
-    base = clone_params(frozen_params)  # never receives gradients
+    # ``COMPUTE_DTYPE`` constants, cast once: the frozen weights never
+    # receive gradients
+    base = compute_copies(frozen_params, COMPUTE_DTYPE, track=False)
     adapters = make_lora_adapters(base, rank=cfg.lora_rank, alpha=LORA_ALPHA, seed=cfg.seed)
     adapter_params: Dict[str, T.Tensor] = {}
     for name, ad in adapters.items():
@@ -282,22 +309,30 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
     head = _zero_head(dim, num_classes)
     keeps, y, missing = _labeled_rows([s.cloud.labels for s in train_samples],
                                       num_classes, cfg)
-    weights = _one_hot(y, num_classes) / y.size
+    weights = _head_targets(y, num_classes)
 
-    def loss_of():
-        merged = lora_weights(base, adapters)
+    def merged_weights(tensors):
+        """``base`` with the adapters whose factors ``tensors`` holds merged in."""
+        return lora_weights(base, {
+            name: LoraAdapter(a=tensors[f"lora.{name}.a"], b=tensors[f"lora.{name}.b"],
+                              rank=ad.rank, alpha=ad.alpha)
+            for name, ad in adapters.items()})
+
+    def loss_of(copies):
+        merged = merged_weights(copies)
         rows = [T.op_gather_rows(upcast(encode(plain_view(s), merged, enc_cfg), level), k)
                 for s, k in zip(train_samples, keeps)]
         x = rows[0] if len(rows) == 1 else T.op_concat_rows(rows)
         if cfg.standardize:
-            mu, sd = _standardize_fit(x.data)
-            x = T.op_mul(T.op_add(x, T.Tensor(-mu)), T.Tensor(1.0 / sd))
-        return _head_loss(head, x, weights)
+            shift, scale = _standardizer(*_standardize_fit(x.data), x.data.dtype)
+            x = T.op_mul(T.op_add(x, T.Tensor(-shift)), T.Tensor(scale))
+        return _head_loss(copies, x, weights)
 
-    _fit({**head, **adapter_params}, loss_of, cfg, lr_factors)
+    _fit({**head, **adapter_params}, loss_of, cfg, lr_factors, COMPUTE_DTYPE)
 
-    # final standardization stats and eval features from the merged weights
-    merged = lora_weights(base, adapters)
+    # final standardization stats and eval features from the merged weights,
+    # merged in the arithmetic the epochs used
+    merged = merged_weights(compute_copies(adapter_params, COMPUTE_DTYPE, track=False))
     stacked = np.concatenate([extract_features(s, merged, enc_cfg, level)[k]
                               for s, k in zip(train_samples, keeps)])
     mu, sd = _standardize_fit(stacked) if cfg.standardize else (np.zeros(dim), np.ones(dim))
@@ -324,9 +359,16 @@ def language_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarr
     ``train_scenes`` rows are (features, targets, valid_mask); invalid points
     (no visible patch) are excluded. Returns (map W, mean train cosine of the
     last epoch, 0.0 when there is none).
+
+    Unlike the other probes it fits in float64, on inputs upcast to
+    float64. Its warm start is the minimum-norm least-squares solution, and
+    upcast features are ill-conditioned: on one 8,547 x 992 synthetic scene
+    the condition number was 1.7e12 and the warm start's norm 3.1e8. A map
+    that large amplifies float32 rounding: applied to the same features
+    rounded to float32, that warm start's cosine fell from 0.964 to 0.31.
     """
-    x = np.concatenate([f[m] for f, _t, m in train_scenes], axis=0)
-    t = np.concatenate([tg[m] for _f, tg, m in train_scenes], axis=0)
+    x = np.concatenate([f[m] for f, _t, m in train_scenes], axis=0, dtype=np.float64)
+    t = np.concatenate([tg[m] for _f, tg, m in train_scenes], axis=0, dtype=np.float64)
     if x.shape[0] == 0:
         raise ProbeError("no visible points to fit the language probe")
     if np.abs(t).max() == 0:
@@ -336,11 +378,11 @@ def language_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarr
     w = T.param(w0)
     feats, targets = T.Tensor(x), T.Tensor(t)
 
-    def loss_of():
-        cos = T.op_cosine(T.op_matmul(feats, w), targets)
+    def loss_of(copies):
+        cos = T.op_cosine(T.op_matmul(feats, copies["w"]), targets)
         return T.op_mean(T.op_add(T.op_mul(cos, -1.0), 1.0))
 
-    loss = _fit({"w": w}, loss_of, cfg, {})
+    loss = _fit({"w": w}, loss_of, cfg, {}, np.float64)
     return w.data.copy(), 0.0 if loss is None else 1.0 - loss
 
 

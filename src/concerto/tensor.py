@@ -16,8 +16,8 @@ differences.
 
 Precision follows the data: a tensor keeps a float32 array as float32 and
 holds anything else as float64, and every op's output and cotangents take
-their operands' dtype. The trainer computes in float32; the probes and the
-gradchecks stay float64.
+their operands' dtype. The trainer and the linear and lora probes compute
+in float32; the language probe and the gradchecks stay float64.
 """
 
 from __future__ import annotations

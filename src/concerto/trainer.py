@@ -11,7 +11,9 @@ moments, the center and every checkpoint are float64. Each step casts the
 student to ``COMPUTE_DTYPE`` leaves and the teacher to ``COMPUTE_DTYPE``
 constants once; encoding, both losses and backward run on those copies, and
 the gradients are upcast to float64 before clipping and AdamW. A checkpoint
-records the compute dtype, and resume refuses another one.
+records the compute dtype, and resume refuses another one. The probes follow
+the same policy through ``compute_copies`` and ``master_grads``; the
+``probes`` docstring gives their one exception.
 """
 
 from __future__ import annotations
@@ -48,6 +50,22 @@ LR_DEPTH_DECAY = 0.9   # learning-rate factor per stage toward the input
 WARMUP_FRACTION = 0.1  # share of the steps spent in linear warmup
 EMA_BASE = 0.996       # teacher momentum ramps from this to 1 (DINO, arXiv 2104.14294)
 COMPUTE_DTYPE = np.float32  # of each step's forward and backward pass
+
+
+def compute_copies(params: Dict[str, T.Tensor], dtype, track: bool) -> Dict[str, T.Tensor]:
+    """``dtype`` copies of ``params`` (as a rule, float64 masters):
+    ``T.param`` leaves when ``track`` (the only tensors a backward pass
+    reaches), constants otherwise."""
+    make = T.param if track else T.Tensor
+    return {k: make(p.data.astype(dtype)) for k, p in params.items()}
+
+
+def master_grads(copies: Dict[str, T.Tensor]) -> Dict[str, np.ndarray]:
+    """The gradients of ``compute_copies(..., track=True)`` leaves, upcast to
+    float64; zeros for a leaf the loss did not reach."""
+    return {k: (c.grad.astype(np.float64) if c.grad is not None
+                else np.zeros(c.data.shape))
+            for k, c in copies.items()}
 
 
 class TrainerError(RuntimeError):
@@ -370,8 +388,8 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
 
             vs = make_viewset(sample.cloud, aug_cfg, seed=view_seed)
             # compute copies of the float64 masters; only they join the tape
-            params_c = {k: T.param(p.data.astype(COMPUTE_DTYPE)) for k, p in params.items()}
-            teacher_c = {k: T.Tensor(p.data.astype(COMPUTE_DTYPE)) for k, p in teacher.items()}
+            params_c = compute_copies(params, COMPUTE_DTYPE, track=True)
+            teacher_c = compute_copies(teacher, COMPUTE_DTYPE, track=False)
             student = [(v, encode(v, params_c, enc_cfg)) for v in vs.student_views]
             teach = [(v, encode(v, teacher_c, enc_cfg)) for v in vs.teacher_views]
 
@@ -393,9 +411,7 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
                 raise TrainerError(f"non-finite loss at step {step}")
 
             T.backward(total)
-            grads = {k: (p.grad.astype(np.float64) if p.grad is not None
-                         else np.zeros_like(params[k].data))
-                     for k, p in params_c.items()}
+            grads = master_grads(params_c)
             grad_norm = clip_gradients(grads, cfg.grad_clip)
             lr = lr_schedule(step, total_steps, cfg.base_lr, warmup_steps)
             adamw_step(params, grads, state, lr, factors, weight_decay=WEIGHT_DECAY)

@@ -1,6 +1,7 @@
 """Reference implementations the tests compare the package against: central
-finite-difference gradients for the tape's ops, and a reader for the ASCII
-PLY files ``concerto.viz.export_ply`` writes."""
+finite-difference gradients for the tape's ops, a recorder of the dtypes
+that reach the tape, and a reader for the ASCII PLY files
+``concerto.viz.export_ply`` writes."""
 
 from pathlib import Path
 
@@ -48,6 +49,27 @@ def gradcheck(op, arrays, h: float = 1e-5) -> float:
         scale = max(np.abs(num).max(), np.abs(ana).max(), 1e-8)
         worst = max(worst, float(np.abs(num - ana).max() / scale))
     return worst
+
+
+def record_tape_dtypes(monkeypatch) -> dict:
+    """Patch ``T._record`` so that the returned dict collects the dtype of
+    every op output ("node") and of every cotangent a backward pass passes
+    through or returns ("cotangent")."""
+    real_record = T._record
+    dtypes = {"node": set(), "cotangent": set()}
+
+    def recording(data, op, parents, vjp):
+        dtypes["node"].add(np.asarray(data).dtype)
+
+        def checked_vjp(g):
+            cotangents = vjp(g)
+            dtypes["cotangent"].update(np.asarray(c).dtype for c in (g, *cotangents)
+                                       if c is not None)
+            return cotangents
+        return real_record(data, op, parents, checked_vjp)
+
+    monkeypatch.setattr(T, "_record", recording)
+    return dtypes
 
 
 def load_ply(path):

@@ -5,12 +5,12 @@ from concerto import tensor as T
 from concerto.dataio import SyntheticSpec, generate_synthetic
 from concerto.encoder import EncoderConfig, encode, init_params, upcast
 from concerto.geometry import EPS_DEPTH, visible_mask
-from concerto.probes import (ProbeConfig, ProbeError, TextSpace, _one_hot,
-                             _standardize_fit, compute_metrics,
+from concerto.probes import (ProbeConfig, ProbeError, TextSpace, _one_hot, compute_metrics,
                              extract_features, label_budget_indices, language_probe,
                              lift_patch_features_to_points, linear_probe, lora_probe,
                              plain_view, zero_shot_segment)
 from concerto.trainer import AdamState, adamw_step
+from oracles import record_tape_dtypes
 
 
 def tiny_enc(**kw):
@@ -108,30 +108,33 @@ class TestExtractFeatures:
             return out
 
         monkeypatch.setattr(T, "_record", counting_record)
-        # the tracked forward pass the features used to come from
-        reference = upcast(encode(plain_view(dataset[0]), params, enc_cfg), 4).data
+        # a tracked forward pass on float32 leaves of the same parameters
+        leaves = {k: T.param(p.data.astype(np.float32)) for k, p in params.items()}
+        reference = upcast(encode(plain_view(dataset[0]), leaves, enc_cfg), 4).data
         assert recorded
         recorded.clear()
         feats = extract_features(dataset[0], params, enc_cfg, 4)
         assert recorded == []
+        assert feats.dtype == np.float32
         np.testing.assert_array_equal(feats, reference)
 
 
 def softmax_head_epoch(head, feats, targets, state, cfg):
-    """The former per-epoch step of the linear probe: one full-batch AdamW
-    step of a softmax head on constant ``feats``."""
-    logits = T.op_add(T.op_matmul(feats, head["head.w"]), head["head.b"])
-    T.backward(T.op_softmax_xent(logits, targets / targets.shape[0], 1.0))
-    grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.data))
-             for k, p in head.items()}
-    for p in head.values():
-        p.zero_grad()
+    """One full-batch AdamW step of a float64 softmax head on constant
+    float32 ``feats``: forward and backward on float32 leaves of the head,
+    the step on their gradients upcast to float64."""
+    leaves = {k: T.param(p.data.astype(np.float32)) for k, p in head.items()}
+    logits = T.op_add(T.op_matmul(feats, leaves["head.w"]), leaves["head.b"])
+    weights = (targets / targets.shape[0]).astype(np.float32)
+    T.backward(T.op_softmax_xent(logits, weights, 1.0))
+    grads = {k: p.grad.astype(np.float64) for k, p in leaves.items()}
     adamw_step(head, grads, state, cfg.lr, {})
 
 
 def linear_probe_oracle(train_scenes, num_classes, cfg):
-    """The former training half of ``linear_probe``: fancy-indexed copies of
-    every scene, then out-of-place standardization and a loop of
+    """The training half of ``linear_probe`` written out plainly:
+    fancy-indexed copies of every scene cast to float32, out-of-place
+    float32 standardization by float64 statistics, and a loop of
     ``softmax_head_epoch``. Returns (weight, bias, mu, sd)."""
     xs, ys = [], []
     for i, (feats, labels) in enumerate(train_scenes):
@@ -139,16 +142,20 @@ def linear_probe_oracle(train_scenes, num_classes, cfg):
         keep = keep[labels[keep] >= 0]
         xs.append(feats[keep])
         ys.append(labels[keep])
-    x = np.concatenate(xs, axis=0)
+    x = np.concatenate(xs, axis=0).astype(np.float32)
     y = np.concatenate(ys, axis=0)
-    mu, sd = _standardize_fit(x) if cfg.standardize else (0.0, 1.0)
-    xn = (x - mu) * (1.0 / sd)
+    if cfg.standardize:
+        x64 = x.astype(np.float64)
+        mu, sd = x64.mean(axis=0), np.maximum(x64.std(axis=0), 1e-8)
+        x = (x - mu.astype(np.float32)) * (1.0 / sd).astype(np.float32)
+    else:
+        mu, sd = np.zeros(x.shape[1]), np.ones(x.shape[1])
     head = {"head.w": T.param(np.zeros((x.shape[1], num_classes))),
             "head.b": T.param(np.zeros(num_classes))}
     state = AdamState.init(head)
     for _epoch in range(cfg.epochs):
-        softmax_head_epoch(head, T.Tensor(xn), _one_hot(y, num_classes), state, cfg)
-    return head["head.w"].data, head["head.b"].data, np.asarray(mu), np.asarray(sd)
+        softmax_head_epoch(head, T.Tensor(x), _one_hot(y, num_classes), state, cfg)
+    return head["head.w"].data, head["head.b"].data, mu, sd
 
 
 def probe_scenes(seed, unlabeled):
@@ -183,6 +190,17 @@ class TestLinearProbe:
         np.testing.assert_array_equal(res.bias, bias)
         np.testing.assert_array_equal(res.train_mu, mu)
         np.testing.assert_array_equal(res.train_sd, sd)
+
+    def test_statistics_accumulate_in_float64(self):
+        # a large offset: float32 running sums of 30,000 rows miss by ~1e-4
+        rng = np.random.default_rng(5)
+        n = 30_000
+        x = (1000.0 + rng.normal(size=(n, 3)) * [1.0, 0.05, 30.0]).astype(np.float32)
+        y = rng.integers(0, 2, size=n)
+        res = linear_probe([(x, y)], [(x[:10], y[:10])], 2, ProbeConfig(epochs=0))
+        x64 = x.astype(np.float64)
+        np.testing.assert_allclose(res.train_mu, x64.mean(axis=0), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(res.train_sd, x64.std(axis=0), rtol=1e-12, atol=0)
 
     def test_separable_features_high_accuracy(self):
         rng = np.random.default_rng(1)
@@ -252,6 +270,9 @@ class TestLoraProbe:
         assert lora.metrics.miou == lin.metrics.miou
         assert lora.metrics.allacc == lin.metrics.allacc
         np.testing.assert_array_equal(lora.weight, lin.weight)
+        np.testing.assert_array_equal(lora.bias, lin.bias)
+        np.testing.assert_array_equal(lora.train_mu, lin.train_mu)
+        np.testing.assert_array_equal(lora.train_sd, lin.train_sd)
 
     def test_learnable_param_count_formula_and_budget(self, dataset):
         enc_cfg = tiny_enc()
@@ -277,7 +298,38 @@ class TestLoraProbe:
         assert max(moved) > 0
 
 
+def test_linear_and_lora_probes_compute_in_float32(dataset, monkeypatch):
+    """Every tape node and cotangent of both probes is float32; the heads,
+    the adapters and the standardization statistics they return are float64."""
+    enc_cfg = tiny_enc()
+    params = init_params(enc_cfg, seed=2)
+    feats = [(extract_features(s, params, enc_cfg, enc_cfg.num_pool_steps).astype(np.float32),
+              s.cloud.labels) for s in dataset]
+    dtypes = record_tape_dtypes(monkeypatch)
+    lin = linear_probe(feats[:2], feats[2:], 4, ProbeConfig(epochs=2, lr=0.01))
+    lora = lora_probe(dataset[:2], dataset[2:], params, enc_cfg, 4,
+                      ProbeConfig(epochs=2, lr=0.01, lora_rank=4))
+    assert dtypes == {"node": {np.dtype(np.float32)}, "cotangent": {np.dtype(np.float32)}}
+    state = [a for res in (lin, lora) for a in (res.weight, res.bias, res.train_mu, res.train_sd)]
+    state += [t.data for ad in lora.adapters.values() for t in (ad.a, ad.b)]
+    assert {a.dtype for a in state} == {np.dtype(np.float64)}
+
+
 class TestLanguageProbe:
+    def test_float32_inputs_fit_as_their_float64_upcast(self):
+        rng = np.random.default_rng(13)
+        # nearly collinear columns, so the warm start is ill-conditioned
+        x = rng.normal(size=(120, 6)) @ np.diag([1.0, 1.0, 1.0, 1.0, 1e-3, 1e-5])
+        x = (x @ rng.normal(size=(6, 10))).astype(np.float32)
+        t = rng.normal(size=(120, 4)).astype(np.float32)
+        valid = rng.random(120) < 0.9
+        cfg = ProbeConfig(epochs=5, lr=0.01)
+        w32, cos32 = language_probe([(x, t, valid)], cfg)
+        w64, cos64 = language_probe([(x.astype(np.float64), t.astype(np.float64), valid)], cfg)
+        assert w32.dtype == np.float64
+        np.testing.assert_array_equal(w32, w64)
+        assert cos32 == cos64
+
     def test_realizable_targets_fit_to_high_cosine(self, dataset):
         enc_cfg = tiny_enc()
         params = init_params(enc_cfg, seed=8)

@@ -13,6 +13,7 @@ from concerto.trainer import (LOG_KEYS, AdamState, TrainConfig, TrainerError, ad
                               clip_gradients, ema_schedule, load_checkpoint,
                               lr_depth_factors, lr_schedule, save_checkpoint, train)
 from concerto.views import AugmentConfig
+from oracles import record_tape_dtypes
 
 
 def tiny_enc(**kw):
@@ -323,20 +324,7 @@ class TestTrainLoop:
     def test_training_step_computes_in_float32(self, dataset, monkeypatch):
         """Every tape node and every cotangent of a step is float32; the
         state the run returns stays float64."""
-        real_record = T._record
-        dtypes = {"node": set(), "cotangent": set()}
-
-        def recording(data, op, parents, vjp):
-            dtypes["node"].add(np.asarray(data).dtype)
-
-            def checked_vjp(g):
-                cotangents = vjp(g)
-                dtypes["cotangent"].update(np.asarray(c).dtype for c in (g, *cotangents)
-                                           if c is not None)
-                return cotangents
-            return real_record(data, op, parents, checked_vjp)
-
-        monkeypatch.setattr(T, "_record", recording)
+        dtypes = record_tape_dtypes(monkeypatch)
         res = self.run(dataset, 2)
         assert dtypes == {"node": {np.dtype(np.float32)}, "cotangent": {np.dtype(np.float32)}}
         state = [p.data for p in (*res.params.values(), *res.teacher.values())]
