@@ -315,6 +315,21 @@ def test_linear_and_lora_probes_compute_in_float32(dataset, monkeypatch):
     assert {a.dtype for a in state} == {np.dtype(np.float64)}
 
 
+def _mean_cosine(x, w, t):
+    """Mean row cosine of ``x @ w`` against ``t``, recomputed in numpy."""
+    y = x @ w
+    return np.mean((y * t).sum(axis=1)
+                   / np.maximum(np.linalg.norm(y, axis=1) * np.linalg.norm(t, axis=1), 1e-12))
+
+
+def _noisy_linear(seed=0):
+    """Well-conditioned 400 x 8 normal features, linear targets plus noise
+    of standard deviation 2."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(400, 8))
+    return x, x @ rng.normal(size=(8, 4)) + 2.0 * rng.normal(size=(400, 4))
+
+
 class TestLanguageProbe:
     def test_float32_inputs_fit_as_their_float64_upcast(self):
         rng = np.random.default_rng(13)
@@ -329,6 +344,39 @@ class TestLanguageProbe:
         assert w32.dtype == np.float64
         np.testing.assert_array_equal(w32, w64)
         assert cos32 == cos64
+
+    def test_returned_cosine_is_that_of_the_returned_map(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(120, 6)) @ np.diag([1.0, 1.0, 1.0, 1.0, 1e-3, 1e-5])
+        x = x @ rng.normal(size=(6, 10))
+        t = rng.normal(size=(120, 4))
+        valid = rng.random(120) < 0.9
+        w, cos = language_probe([(x, t, valid)], ProbeConfig())
+        assert abs(cos - _mean_cosine(x[valid], w, t[valid])) <= 1e-12
+
+    def test_zero_epochs_return_the_warm_start_and_its_cosine(self):
+        x, t = _noisy_linear()
+        w, cos = language_probe([(x, t, np.ones(400, dtype=bool))], ProbeConfig(epochs=0))
+        np.testing.assert_array_equal(w, np.linalg.lstsq(x, t, rcond=None)[0])
+        assert cos > 0.5
+        assert abs(cos - _mean_cosine(x, w, t)) <= 1e-12
+
+    def test_polish_never_ends_below_the_warm_start(self, dataset):
+        enc_cfg = EncoderConfig(cross_dim=8)
+        params = init_params(enc_cfg, seed=0)
+        scenes = [(extract_features(s, params, enc_cfg, enc_cfg.num_pool_steps),
+                   *lift_patch_features_to_points(s)) for s in dataset]
+        x, t = (np.concatenate([sc[i][sc[2]] for sc in scenes], dtype=np.float64) for i in (0, 1))
+        warm = _mean_cosine(x, np.linalg.lstsq(x, t, rcond=None)[0], t)
+        _w, cos = language_probe(scenes, ProbeConfig())
+        assert cos >= warm - 1e-12
+
+    def test_polish_runs_while_steps_help(self):
+        x, t = _noisy_linear()
+        scenes = [(x, t, np.ones(400, dtype=bool))]
+        _w0, warm = language_probe(scenes, ProbeConfig(epochs=0, lr=1e-3))
+        _w, cos = language_probe(scenes, ProbeConfig(lr=1e-3))
+        assert cos > warm
 
     def test_realizable_targets_fit_to_high_cosine(self, dataset):
         enc_cfg = tiny_enc()
