@@ -14,6 +14,10 @@ the gradients are upcast to float64 before clipping and AdamW. A checkpoint
 records the compute dtype, and resume refuses another one. The probes follow
 the same policy through ``compute_copies`` and ``master_grads``; the
 ``probes`` docstring gives their one exception.
+
+Memory: one step's tape is alive at a time. A step drops its encodings,
+losses and their graph once its log row is written, so the next step builds
+its tape in the room this one freed, not beside it.
 """
 
 from __future__ import annotations
@@ -428,6 +432,8 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
             if log_fh is not None:
                 log_fh.write(json.dumps(row) + "\n")
                 log_fh.flush()
+            # free this step's tape before the next step builds its own
+            del student, teach, intra, cross, total
 
             reached = step + 1
             end_of_epoch = (step + 1) % n == 0

@@ -1,4 +1,5 @@
 import json
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -330,6 +331,31 @@ class TestTrainLoop:
         state = [p.data for p in (*res.params.values(), *res.teacher.values())]
         state += [*res.state.m.values(), *res.state.v.values(), res.center]
         assert {a.dtype for a in state} == {np.dtype(np.float64)}
+
+    def test_one_step_tape_alive_at_a_time(self, dataset, monkeypatch):
+        """When step k+1 draws its views, every encoding of step k and its
+        stage-0 feature array are already freed (by reference counting,
+        without a garbage-collector pass)."""
+        import concerto.trainer as trainer_mod
+        refs = []  # per step: weakrefs to its encodings and stage-0 features
+        live = []  # per step: how many earlier referents are alive at its viewset
+        real_encode, real_make_viewset = trainer_mod.encode, trainer_mod.make_viewset
+
+        def encode(view, params, cfg):
+            enc = real_encode(view, params, cfg)
+            refs[-1] += [weakref.ref(enc), weakref.ref(enc.feats[0].data)]
+            return enc
+
+        def make_viewset(*args, **kwargs):
+            live.append(sum(r() is not None for step in refs for r in step))
+            refs.append([])
+            return real_make_viewset(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "encode", encode)
+        monkeypatch.setattr(trainer_mod, "make_viewset", make_viewset)
+        self.run(dataset, 3)
+        assert [len(step) for step in refs] == [16, 16, 16]  # 8 views, 2 referents each
+        assert live == [0, 0, 0]
 
     def test_resume_refuses_transposed_prototypes(self, dataset, tmp_path):
         # prototypes are stored as (proj_dim, proto_count); a checkpoint
