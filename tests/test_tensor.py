@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 import oracles
 from concerto import tensor as T
@@ -407,6 +408,7 @@ FLOAT32_CASES = [
     ("mul_scalar", lambda a: T.op_mul(a, -1.7), [(3, 4)]),
     ("mul_row", lambda a, b: T.op_mul(a, b), [(3, 4), (4,)]),
     ("gelu", lambda a: T.op_gelu(a), [(3, 4)]),
+    ("gelu_blocks", lambda a: T.op_gelu(a), [(300, 257)]),  # past one kernel block
     ("mean", lambda a: T.op_mean(a), [(3, 4)]),
     ("sum", lambda a: T.op_sum(a), [(3, 4)]),
     ("gather_concat", lambda *ts: T.op_gather_concat(ts, [[4, 0, 4, 2], None, [2, 2, 0, 1]]),
@@ -464,3 +466,66 @@ def test_every_op_has_a_float32_case(monkeypatch):
     for _name, op, shapes in FLOAT32_CASES:
         op(*[T.Tensor(rand(rng, *shape).astype(np.float32)) for shape in shapes])
     assert exercised == set(ops)
+
+
+class TestGeluFloat32:
+    """The float32 GELU kernel against float64 x * Phi(x), with Phi from
+    scipy's ``ndtr``: within TOL * max(1, |x|) in value and derivative."""
+
+    TOL = 5e-7
+
+    @staticmethod
+    def oracle(x):
+        x = np.asarray(x, dtype=np.float64)
+        pdf = np.exp(-0.5 * x * x) / np.sqrt(2 * np.pi)
+        return x * ndtr(x), ndtr(x) + x * pdf
+
+    def check(self, x):
+        x = np.asarray(x, dtype=np.float32)
+        out = T.op_gelu(T.param(x))
+        g = np.random.default_rng(5).uniform(0.5, 2.0, size=x.shape).astype(np.float32)
+        (cot,) = out._vjp(g)
+        want, deriv = self.oracle(x)
+        scale = self.TOL * np.maximum(1.0, np.abs(x.astype(np.float64)))
+        assert out.data.dtype == cot.dtype == np.float32
+        assert out.data.shape == cot.shape == x.shape
+        assert np.all(np.abs(out.data - want) <= scale)
+        assert np.all(np.abs(cot - g * deriv) <= scale * g)
+        # an untracked input takes the same forward pass without the derivative
+        np.testing.assert_array_equal(T.op_gelu(T.Tensor(x)).data, out.data)
+
+    def test_dense_grid(self):
+        self.check(np.linspace(-12.0, 12.0, 1_000_001))
+
+    @pytest.mark.parametrize("value", [-12.0, -5.7, -1.0, 0.0, 0.3, 4.0, 12.0])
+    def test_zero_dimensional(self, value):
+        self.check(np.array(value))
+
+    @pytest.mark.parametrize("size", [1, 7, T._GELU_BLOCK - 1, T._GELU_BLOCK + 1,
+                                      3 * T._GELU_BLOCK + 129])
+    def test_sizes_that_are_not_a_multiple_of_the_block(self, size):
+        self.check(np.random.default_rng(size).normal(scale=4.0, size=size))
+
+    def test_two_dimensional_across_blocks(self):
+        self.check(np.random.default_rng(3).normal(scale=3.0, size=(517, 300)))
+
+    def test_cdf_stays_in_unit_interval(self):
+        # with Phi in [0, 1], x * Phi lies between 0 and x
+        x = np.concatenate([np.linspace(-40.0, 40.0, 200_001), [-1e30, -3e4, 3e4, 1e30],
+                            np.float32(np.sqrt(2.0) * 4.0) * np.array([-1.0, 1.0])])
+        x = x.astype(np.float32)
+        y = T.op_gelu(T.Tensor(x)).data
+        assert np.all(np.minimum(x, 0) <= y) and np.all(y <= np.maximum(x, 0))
+
+    def test_infinities_and_nan(self):
+        # as scipy's erf gives them: inf * 1 = inf, -inf * 0 = nan, nan
+        with np.errstate(invalid="ignore"):
+            y = T.op_gelu(T.Tensor(np.array([np.inf, -np.inf, np.nan], dtype=np.float32)))
+        assert y.data.dtype == np.float32
+        assert y.data[0] == np.inf and np.isnan(y.data[1]) and np.isnan(y.data[2])
+
+    def test_float64_keeps_float64_accuracy(self):
+        x = np.linspace(-12.0, 12.0, 10_001)
+        want, _deriv = self.oracle(x)
+        err = np.abs(T.op_gelu(T.Tensor(x)).data - want)
+        assert np.all(err <= 1e-15 * np.maximum(1.0, np.abs(x)))
