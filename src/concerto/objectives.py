@@ -171,19 +171,29 @@ def cross_loss(enc: EncodeResult, corr: Correspondence, grids: List[np.ndarray],
     that ``corr.row`` indexes. It stays a per-view list because perfbench's
     tracer counts each call's patches as the sum of its row counts, the
     denominator of ``objectives.patch_hit_ratio``. The targets take the
-    features' dtype. Returns (loss tensor, number of nonempty patches).
+    features' dtype. Returns (loss tensor, number of nonempty patches, the
+    ``cross_mean_baseline`` of their targets); with no nonempty patch, the
+    loss and baseline are 0.
     """
     member_rows, seg_ids, seg_rows, n_seg = assign_patches(enc, corr, CROSS_LEVEL)
     if n_seg == 0:
         logger.warning("cross_loss: no nonempty patches")
-        return T.Tensor(np.zeros((), enc.feats[0].data.dtype)), 0
+        return T.Tensor(np.zeros((), enc.feats[0].data.dtype)), 0, 0.0
     feats = upcast(enc, CROSS_LEVEL)
     pooled = T.op_segment_mean(T.op_gather_rows(feats, member_rows), seg_ids, n_seg)
     predicted = cross_head(params, pooled)
     targets = np.concatenate(grids)[seg_rows].astype(feats.data.dtype, copy=False)
     cos = T.op_cosine(predicted, T.Tensor(targets))
     loss = T.op_mean(T.op_add(T.op_mul(cos, -1.0), 1.0))
-    return loss, int(n_seg)
+    return loss, int(n_seg), cross_mean_baseline(targets)
+
+
+def cross_mean_baseline(targets: np.ndarray) -> float:
+    """mean(1 - cos(mean target, target_i)) over the rows of ``targets``: the
+    cross loss of a head that predicts the mean target for every patch. A
+    cross loss near it means the head has learned nothing beyond the mean."""
+    mean = np.broadcast_to(targets.mean(axis=0), targets.shape)
+    return float(1.0 - T.op_cosine(T.Tensor(targets), T.Tensor(mean)).data.mean())
 
 
 def combine(intra: T.Tensor, cross: Optional[T.Tensor], weights: LossWeights):

@@ -38,12 +38,13 @@ from .dataio import SceneSample
 from .encoder import EncoderConfig, clone_params, encode, ema_update, init_params
 from .geometry import Correspondence, build_correspondence, lattice_keys
 from .objectives import ClusterLossConfig, LossWeights, combine, cross_loss, intra_loss
-from .views import MASK_GRID, MIN_LOCAL_POINTS, AugmentConfig, make_viewset
+from .views import (MASK_GRID, MIN_LOCAL_POINTS, AugmentConfig, augmented_bounds,
+                    make_viewset)
 
 logger = logging.getLogger(__name__)
 
-LOG_KEYS = ("step", "intra", "cross", "total", "lr", "m_ema", "matched_pairs",
-            "nonempty_patches", "grad_norm", "center_norm", "proto_used")
+LOG_KEYS = ("step", "intra", "cross", "cross_mean_baseline", "total", "lr", "m_ema",
+            "matched_pairs", "nonempty_patches", "grad_norm", "center_norm", "proto_used")
 
 # AdamW (arXiv 1711.05101) with the usual moment decays
 BETA1 = 0.9
@@ -324,14 +325,14 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
     after every optimizer/EMA update (observer only). Every checkpoint
     records the encoder config and the compute dtype, and resuming under
     another one, or from parameters of other names or shapes, is refused. So
-    is a scene too small to crop or with coordinates beyond the voxel key
-    range.
+    is a scene too small to crop, or one whose augmented views can reach
+    beyond the voxel key range (``views.augmented_bounds``); both checks run
+    before step 0.
     """
     if not samples:
         raise TrainerError("dataset is empty")
     # the finest lattice a step voxelizes (coarser ones have smaller keys),
-    # checked on the cloud as loaded: augmentation scales about the centroid,
-    # so a scene just inside the bound can still cross it
+    # checked on the box that augmentation can carry a scene's views into
     finest_cell = min(*enc_cfg.cell_sizes, MASK_GRID)
     for sample in samples:
         # every step draws local crops of at least this many points
@@ -339,9 +340,10 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
             raise TrainerError(f"scene {sample.scene_id} has {sample.cloud.num_points} "
                                f"points; training needs at least {MIN_LOCAL_POINTS}")
         try:
-            lattice_keys(sample.cloud.coords, finest_cell)
+            lattice_keys(np.stack(augmented_bounds(sample.cloud.coords, aug_cfg)),
+                         finest_cell)
         except ValueError as e:
-            raise TrainerError(f"scene {sample.scene_id}: {e}") from e
+            raise TrainerError(f"scene {sample.scene_id}, once augmented: {e}") from e
     # the JSON round trip makes the stored and the current entry compare equal
     meta = {"encoder": json.loads(json.dumps(asdict(enc_cfg))),
             "compute_dtype": np.dtype(COMPUTE_DTYPE).name}
@@ -400,13 +402,13 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
             intra, center, pairs, proto_used = intra_loss(
                 student, teach, params_c, teacher_c, center, cluster_cfg)
             cross = None
-            patches = 0
+            patches, cross_baseline = 0, 0.0
             if use_images:
                 if sample.scene_id not in corr_cache:
                     corr_cache[sample.scene_id] = build_correspondence(
                         sample.cloud.coords, sample.views)
-                cross, patches = cross_loss(student[0][1], corr_cache[sample.scene_id],
-                                            grids, params_c)
+                cross, patches, cross_baseline = cross_loss(
+                    student[0][1], corr_cache[sample.scene_id], grids, params_c)
             total = combine(intra, cross, cfg.weights)
             if not np.isfinite(total.data).all():
                 if out is not None:
@@ -426,7 +428,7 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
 
             row = dict(zip(LOG_KEYS, (
                 step, intra.item(), cross.item() if cross is not None else 0.0,
-                total.item(), float(lr), float(m_ema), pairs, patches, grad_norm,
+                cross_baseline, total.item(), float(lr), float(m_ema), pairs, patches, grad_norm,
                 float(np.linalg.norm(center)), proto_used)))
             log.append(row)
             if log_fh is not None:

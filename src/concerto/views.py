@@ -25,6 +25,7 @@ GLOBAL_VIEWS = 2
 MASKED_VIEWS = 2
 LOCAL_VIEWS = 4
 MASK_GRID = 0.1  # cell size of the masked views' voxel masks
+JITTER_SIGMAS = 10  # margin of augmented_bounds for coordinate jitter, in sigmas
 
 
 @dataclass
@@ -97,6 +98,25 @@ def _augment_cloud(cloud: PointCloud, cfg: AugmentConfig, rng: np.random.Generat
         colors = np.clip(colors + rng.uniform(-cfg.color_jitter, cfg.color_jitter,
                                               size=colors.shape), 0.0, 1.0)
     return PointCloud(coords=out, colors=colors)
+
+
+def augmented_bounds(coords: np.ndarray, cfg: AugmentConfig):
+    """Corners (lo, hi) of a box that holds every coordinate ``make_viewset``
+    can give a view of ``coords``.
+
+    A view scales by at most max|scale_range|, and flips and rotates about z,
+    around the centroid of its own points (the cloud's, or a crop's), which
+    lies in the cloud's bounding box. So no point lands farther from that box
+    than the scale times its xy diagonal across x and y, or times its height
+    along z. Jitter adds ``JITTER_SIGMAS`` standard deviations, which a
+    Gaussian coordinate exceeds with probability 2e-23.
+    """
+    lo, hi = coords.min(axis=0), coords.max(axis=0)
+    size = hi - lo
+    diag = np.hypot(size[0], size[1])
+    scale = max(abs(v) for v in cfg.scale_range)
+    margin = scale * np.array([diag, diag, size[2]]) + JITTER_SIGMAS * cfg.jitter_sigma
+    return lo - margin, hi + margin
 
 
 def _grid_mask(coords: np.ndarray, ratio: float, grid: float,

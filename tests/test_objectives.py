@@ -7,7 +7,7 @@ from concerto.encoder import (EncoderConfig, clone_params, encode, init_params,
                               proj_head, proto_scores, upcast)
 from concerto.geometry import build_correspondence
 from concerto.objectives import (ClusterLossConfig, LossWeights, assign_patches,
-                                 combine, cross_loss, intra_loss)
+                                 combine, cross_loss, cross_mean_baseline, intra_loss)
 from concerto.views import AugmentConfig, make_viewset
 
 
@@ -299,7 +299,7 @@ class TestCrossLoss:
 
     def test_matches_scalar_loop_oracle(self, scene):
         cfg, params, enc, corr, grids = self.make(scene, 6)
-        loss, n = cross_loss(enc, corr, grids, params)
+        loss, n, _ = cross_loss(enc, corr, grids, params)
         oracle, n2 = cross_loss_loop_oracle(enc, corr, grids, params, 3)
         assert n == n2
         np.testing.assert_allclose(loss.item(), oracle, atol=1e-12)
@@ -314,7 +314,7 @@ class TestCrossLoss:
         table = np.concatenate(grids)
         for s in range(n_seg):
             table[seg_rows[s]] = pred[s]
-        loss, _ = cross_loss(enc, corr, np.split(table, len(grids)), params)
+        loss, _, _ = cross_loss(enc, corr, np.split(table, len(grids)), params)
         np.testing.assert_allclose(loss.item(), 0.0, atol=1e-9)
 
     def test_orthogonal_targets_give_one(self, scene):
@@ -331,7 +331,7 @@ class TestCrossLoss:
             probe = np.ones(cfg.cross_dim)
             t = probe - (probe @ pred[s]) / (pred[s] @ pred[s]) * pred[s]
             table[seg_rows[s]] = t
-        loss, _ = cross_loss(enc, corr, np.split(table, len(grids)), params)
+        loss, _, _ = cross_loss(enc, corr, np.split(table, len(grids)), params)
         np.testing.assert_allclose(loss.item(), 1.0, atol=1e-9)
 
     def test_empty_correspondence_warns_and_returns_zero(self, scene):
@@ -343,7 +343,7 @@ class TestCrossLoss:
         for dtype in (np.float64, np.float32):
             params = {k: T.param(p.data.astype(dtype))
                       for k, p in init_params(cfg, seed=10).items()}
-            loss, n = cross_loss(encode(view, params, cfg), empty, grids, params)
+            loss, n, _ = cross_loss(encode(view, params, cfg), empty, grids, params)
             assert loss.item() == 0.0 and n == 0
             # a zero in the features' dtype keeps the total in it
             assert loss.data.dtype == dtype
@@ -352,12 +352,51 @@ class TestCrossLoss:
 
     def test_gradients_reach_encoder_inputs(self, scene):
         cfg, params, enc, corr, grids = self.make(scene, 11)
-        loss, _ = cross_loss(enc, corr, grids, params)
+        loss, _, _ = cross_loss(enc, corr, grids, params)
         T.backward(loss)
         assert params["cross.w"].grad is not None
         assert params["stage0.lin0.w"].grad is not None
         for v in params.values():
             v.zero_grad()
+
+    def test_baseline_is_the_loss_of_predicting_the_mean_target(self, scene):
+        cfg, params, enc, corr, grids = self.make(scene, 12)
+        _members, _ids, seg_rows, _n = assign_patches(enc, corr, 3)
+        targets = np.concatenate(grids)[seg_rows]
+        _loss, _n, baseline = cross_loss(enc, corr, grids, params)
+        assert baseline == cross_mean_baseline(targets)
+        # a head with zero weights and the mean target as bias predicts it
+        mean_head = dict(params, **{"cross.w": T.param(np.zeros_like(params["cross.w"].data)),
+                                    "cross.b": T.param(targets.mean(axis=0))})
+        loss, _n, _baseline = cross_loss(enc, corr, grids, mean_head)
+        assert 0.05 < baseline < 1.0
+        np.testing.assert_allclose(loss.item(), baseline, atol=1e-12)
+
+    def test_no_patches_give_a_zero_baseline(self, scene):
+        from concerto.geometry import Correspondence
+        cfg, params, enc, _corr, grids = self.make(scene, 13)
+        empty = Correspondence(*[np.zeros(0, dtype=np.int64)] * 3)
+        assert cross_loss(enc, empty, grids, params)[2] == 0.0
+
+
+class TestCrossMeanBaseline:
+    def test_hand_made_targets(self):
+        # orthogonal unit targets: the mean lies at 45 degrees to each
+        assert cross_mean_baseline(np.eye(2)) == pytest.approx(1 - np.sqrt(0.5), abs=1e-15)
+        # (1, 0) twice and (0, 1): the mean (2, 1) / 3 has cosines 2 / sqrt 5,
+        # 2 / sqrt 5 and 1 / sqrt 5 with them
+        three = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        assert cross_mean_baseline(three) == pytest.approx(1 - np.sqrt(5) / 3, abs=1e-15)
+        # equal targets: the mean predicts every one exactly
+        same = np.tile([[0.3, -1.2, 2.0]], (5, 1))
+        assert cross_mean_baseline(same) == pytest.approx(0.0, abs=1e-15)
+        # opposite targets cancel: a zero mean has cosine 0 with each
+        assert cross_mean_baseline(np.array([[1.0, 2.0], [-1.0, -2.0]])) == 1.0
+
+    def test_float32_targets(self):
+        targets = np.random.default_rng(4).normal(size=(50, 8))
+        assert cross_mean_baseline(targets.astype(np.float32)) == pytest.approx(
+            cross_mean_baseline(targets), abs=1e-6)
 
 
 class TestCombine:
@@ -424,6 +463,6 @@ class TestRigidInvariance:
         from concerto.views import View
         v1 = View(cloud=scene.cloud, origin_index=np.arange(scene.cloud.num_points))
         enc = encode(v1, params, cfg)
-        l1, _ = cross_loss(enc, corr, grids, params)
-        l2, _ = cross_loss(enc, corr2, grids, params)
+        l1, _, _ = cross_loss(enc, corr, grids, params)
+        l2, _, _ = cross_loss(enc, corr2, grids, params)
         np.testing.assert_allclose(l1.item(), l2.item(), atol=1e-6)

@@ -13,7 +13,8 @@ from concerto.objectives import ClusterLossConfig, LossWeights
 from concerto.trainer import (LOG_KEYS, AdamState, TrainConfig, TrainerError, adamw_step,
                               clip_gradients, ema_schedule, load_checkpoint,
                               lr_depth_factors, lr_schedule, save_checkpoint, train)
-from concerto.views import AugmentConfig
+from concerto.geometry import lattice_keys
+from concerto.views import AugmentConfig, make_viewset
 from oracles import record_tape_dtypes
 
 
@@ -165,6 +166,25 @@ class TestTrainLoop:
                      step_hook=lambda step, *_rest: steps.append(step))
         assert steps == []
 
+    def test_scene_that_augmentation_carries_beyond_key_range_rejected(self, dataset):
+        # keys are 21 bits per axis, so the finest lattice here (MASK_GRID,
+        # 0.1) ends at cell 2^20 - 1; this scene's last point sits 0.25 below
+        c = dataset[0].cloud
+        edge = ((1 << 20) - 1) * 0.1
+        coords = c.coords + np.array([edge - 0.25 - c.coords[:, 0].max(), 0.0, 0.0])
+        lattice_keys(coords, 0.1)  # inside the bound as loaded
+        near = SceneSample(cloud=PointCloud(coords=coords, colors=c.colors, labels=c.labels),
+                           views=[], scene_id="edge_scene")
+        # a real augmentation of it crosses the bound
+        with pytest.raises(ValueError, match="key range"):
+            for v in make_viewset(near.cloud, AugmentConfig(), seed=0).all_views:
+                lattice_keys(v.cloud.coords, 0.1)
+        steps = []
+        with pytest.raises(TrainerError, match="edge_scene.*augmented.*key range"):
+            self.run([dataset[0], near], 2, seed=3,
+                     step_hook=lambda step, *_rest: steps.append(step))
+        assert steps == []
+
     def test_loss_logged_and_finite(self, dataset):
         res = self.run(dataset, 6)
         assert len(res.log) == 6
@@ -180,6 +200,12 @@ class TestTrainLoop:
     def test_image_usage_zero_cross_is_zero(self, dataset):
         res = self.run(dataset, 6, image_usage_ratio=0.0)
         assert all(row["cross"] == 0.0 for row in res.log)
+
+    def test_cross_mean_baseline_logged(self, dataset):
+        with_images = self.run(dataset, 3).log
+        assert all(0.0 < row["cross_mean_baseline"] < 2.0 for row in with_images)
+        assert all(row["cross_mean_baseline"] == 0.0
+                   for row in self.run(dataset, 3, image_usage_ratio=0.0).log)
 
     def test_lambda_cross_zero_trajectory_independent_of_images(self, dataset):
         stripped = []

@@ -3,7 +3,8 @@ import pytest
 
 from concerto.dataio import PointCloud, SyntheticSpec, generate_synthetic
 from concerto.geometry import voxelize
-from concerto.views import AugmentConfig, _grid_mask, make_viewset, match_views
+from concerto.views import (AugmentConfig, _grid_mask, augmented_bounds, make_viewset,
+                            match_views)
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +94,23 @@ def grid_mask_loop_oracle(coords, ratio, grid, rng):
         if covered >= target:
             break
     return mask
+
+
+class TestAugmentedBounds:
+    @pytest.mark.parametrize("cfg", [AugmentConfig(),
+                                     AugmentConfig(scale_range=(1.4, 1.6), crop_range=(0.05, 0.1),
+                                                   flip_prob=1.0, jitter_sigma=0.02)])
+    def test_box_holds_every_view(self, cloud, cfg):
+        lo, hi = augmented_bounds(cloud.coords, cfg)
+        for seed in range(25):
+            for v in make_viewset(cloud, cfg, seed=seed).all_views:
+                assert np.all(v.cloud.coords >= lo) and np.all(v.cloud.coords <= hi)
+
+    def test_box_holds_the_cloud_and_grows_with_scale(self, cloud):
+        lo, hi = augmented_bounds(cloud.coords, AugmentConfig())
+        assert np.all(cloud.coords >= lo) and np.all(cloud.coords <= hi)
+        lo2, hi2 = augmented_bounds(cloud.coords, AugmentConfig(scale_range=(0.9, 2.0)))
+        assert np.all(lo2 < lo) and np.all(hi2 > hi)
 
 
 class TestGridMask:
