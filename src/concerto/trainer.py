@@ -428,8 +428,8 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
 
             row = dict(zip(LOG_KEYS, (
                 step, intra.item(), cross.item() if cross is not None else 0.0,
-                cross_baseline, total.item(), float(lr), float(m_ema), pairs, patches, grad_norm,
-                float(np.linalg.norm(center)), proto_used)))
+                cross_baseline, total.item(), float(lr), float(m_ema), pairs, patches,
+                grad_norm, float(np.linalg.norm(center)), proto_used)))
             log.append(row)
             if log_fh is not None:
                 log_fh.write(json.dumps(row) + "\n")

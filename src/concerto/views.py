@@ -109,7 +109,7 @@ def augmented_bounds(coords: np.ndarray, cfg: AugmentConfig):
     lies in the cloud's bounding box. So no point lands farther from that box
     than the scale times its xy diagonal across x and y, or times its height
     along z. Jitter adds ``JITTER_SIGMAS`` standard deviations, which a
-    Gaussian coordinate exceeds with probability 2e-23.
+    Gaussian coordinate exceeds with probability 1.5e-23.
     """
     lo, hi = coords.min(axis=0), coords.max(axis=0)
     size = hi - lo
