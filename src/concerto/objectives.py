@@ -3,8 +3,8 @@
 Intra-modal branch: online-clustering cross-entropy between a centered,
 temperature-sharpened teacher prototype distribution (global views, plain
 arrays) and the student's prototype softmax (masked + local views), one
-fused softmax cross-entropy per student view, averaged over matched point
-pairs and over view combinations.
+cross-entropy fused with the prototype matmul per student view, averaged
+over matched point pairs and over view combinations.
 
 Cross-modal branch: per-patch mean pooling of the first masked view's
 point features, a linear head into the image feature space, and a
@@ -119,8 +119,8 @@ def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
             total_pairs += int(ia.size)
         if weights is None:
             continue
-        xent = T.op_softmax_xent(proto_scores(params_s, proj_head(params_s, feats)),
-                                 weights, cfg.student_temp)
+        xent = T.op_linear_softmax_xent(proj_head(params_s, feats), params_s["proto.w"], None,
+                                        weights, cfg.student_temp)
         loss = xent if loss is None else T.op_add(loss, xent)
 
     if loss is None:

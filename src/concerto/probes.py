@@ -16,6 +16,13 @@ backward on ``COMPUTE_DTYPE`` copies, and AdamW steps the masters with the
 upcast gradients. The language probe is the exception: it upcasts its
 features and fits in float64, because its least-squares warm start is
 ill-conditioned on real features (see ``language_probe``).
+
+The linear and lora heads train through one fused op,
+``T.op_linear_softmax_xent``, which walks the training rows in cache-sized
+blocks and accumulates the head's gradient in the same pass. The
+standardization statistics and the evaluation logits are computed in row
+blocks of the same size, so no probe makes a whole-size float64 copy of its
+features or holds whole-size logits.
 """
 
 from __future__ import annotations
@@ -151,12 +158,27 @@ def lift_patch_features_to_points(sample: SceneSample):
 # shared head training
 # ---------------------------------------------------------------------------
 
+def _row_blocks(n: int, width: int, dtype):
+    """Slices that cover ``n`` rows in blocks of ``T.block_rows(width, dtype)``."""
+    rows = T.block_rows(width, dtype)
+    return [slice(a, a + rows) for a in range(0, n, rows)]
+
+
 def _standardize_fit(x: np.ndarray):
-    """Per-column mean and (floored) standard deviation, accumulated in
-    float64 whatever the dtype of ``x``."""
-    mu = x.mean(axis=0, dtype=np.float64)
-    sd = x.std(axis=0, dtype=np.float64)
-    return mu, np.maximum(sd, 1e-8)
+    """Per-column mean and (floored) standard deviation in float64 whatever
+    the dtype of ``x``: two passes, mean then centred squares, over float64
+    row blocks, so no float64 copy of the whole of ``x`` is made."""
+    blocks = _row_blocks(x.shape[0], x.shape[1], np.float64)
+    total = np.zeros(x.shape[1])
+    for blk in blocks:
+        total += x[blk].sum(axis=0, dtype=np.float64)
+    mu = total / x.shape[0]
+    squares = np.zeros(x.shape[1])
+    for blk in blocks:
+        c = x[blk] - mu
+        c *= c
+        squares += c.sum(axis=0)
+    return mu, np.maximum(np.sqrt(squares / x.shape[0]), 1e-8)
 
 
 def _standardizer(mu: np.ndarray, sd: np.ndarray, dtype):
@@ -209,10 +231,10 @@ def _zero_head(dim: int, num_classes: int) -> Dict[str, T.Tensor]:
 
 
 def _head_loss(head, feats: T.Tensor, weights: np.ndarray) -> T.Tensor:
-    """Softmax cross-entropy of the head on ``feats``; ``weights`` are the
-    one-hot targets divided by the row count."""
-    logits = T.op_add(T.op_matmul(feats, head["head.w"]), head["head.b"])
-    return T.op_softmax_xent(logits, weights, 1.0)
+    """Softmax cross-entropy of the head on ``feats``, one fused op that
+    never holds the whole logits; ``weights`` are the one-hot targets
+    divided by the row count."""
+    return T.op_linear_softmax_xent(feats, head["head.w"], head["head.b"], weights, 1.0)
 
 
 def _labeled_rows(labels: Sequence[np.ndarray], num_classes: int, cfg: ProbeConfig):
@@ -234,14 +256,18 @@ def _labeled_rows(labels: Sequence[np.ndarray], num_classes: int, cfg: ProbeConf
 
 def _evaluate(head, eval_scenes, mu, sd, num_classes: int) -> SegMetrics:
     """Metrics of the head's argmax over standardized (features, labels)
-    pairs; each scene's logits are computed in its features' dtype."""
+    pairs; each scene's logits are computed in its features' dtype, one row
+    block at a time."""
     pred_all, gt_all = [], []
     for i, (feats, labels) in enumerate(eval_scenes):
         _check_labels(labels, num_classes, f"eval scene {i}")
         shift, scale = _standardizer(mu, sd, feats.dtype)
-        logits = ((feats - shift) * scale @ head["head.w"].data.astype(feats.dtype)
-                  + head["head.b"].data.astype(feats.dtype))
-        pred_all.append(logits.argmax(axis=1))
+        w = head["head.w"].data.astype(feats.dtype)
+        b = head["head.b"].data.astype(feats.dtype)
+        pred = np.empty(feats.shape[0], dtype=np.int64)
+        for blk in _row_blocks(feats.shape[0], max(w.shape), feats.dtype):
+            pred[blk] = ((feats[blk] - shift) * scale @ w + b).argmax(axis=1)
+        pred_all.append(pred)
         gt_all.append(labels)
     return compute_metrics(np.concatenate(pred_all), np.concatenate(gt_all), num_classes)
 

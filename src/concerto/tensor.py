@@ -9,10 +9,12 @@ accumulates gradients into leaf tensors created with ``requires_grad=True``.
 
 Only the operations the rest of the system needs are provided; there is no
 general broadcasting beyond a 1-D row operand on the right of a 2-D one,
-and concat. The one cross-entropy, ``op_softmax_xent``, is fused with its
-log-softmax; the plain-array helpers ``softmax_np`` and ``segment_sum_np``
-record nothing. The tests check every op's VJP against central finite
-differences.
+and concat. The one cross-entropy, ``op_linear_softmax_xent``, is fused
+with the linear layer before it and with its log-softmax: it walks its rows
+in blocks of about ``_BLOCK_BYTES``, so the logits never exist whole, and it
+accumulates the weight gradient in the same pass. The plain-array helpers
+``softmax_np`` and ``segment_sum_np`` record nothing. The tests check every
+op's VJP against central finite differences.
 
 Precision follows the data: a tensor keeps a float32 array as float32 and
 holds anything else as float64, and every op's output and cotangents take
@@ -51,6 +53,7 @@ _ERF_P = np.array([-2.72614225801306e-10, 2.77068142495902e-08, -2.1010240208250
 _ERF_Q = np.array([-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
                    -7.37332916720468e-03, -1.42647390514189e-02], dtype=np.float32)
 _GELU_BLOCK = 1 << 16  # elements per pass of the float32 GELU kernel
+_BLOCK_BYTES = 1 << 21  # the widest array of one block of a blocked row pass
 _EPS = 1e-8  # floor of the normalizing ops' variances and norms
 
 
@@ -377,24 +380,79 @@ def softmax_np(x: np.ndarray, temperature: float) -> np.ndarray:
     return e
 
 
-def op_softmax_xent(logits: Tensor, weights: np.ndarray, temperature: float) -> Tensor:
-    """-sum(W * log_softmax(logits / temperature)) for a constant (n, k) array
-    W, as sum(rowsum(W) * log(s)) - sum(W * z); the VJP, (rowsum(W) * e / s
-    - W) / temperature, reuses the forward's exp e and row sums s."""
-    w = np.asarray(weights, dtype=logits.data.dtype)
-    if logits.data.ndim != 2 or w.shape != logits.data.shape:
-        raise ValueError(f"op_softmax_xent shape mismatch: {logits.data.shape} vs {w.shape}")
-    z, e, s = _shifted_exp(logits.data, temperature)
-    rw = w.sum(axis=1, keepdims=True)
-    val = (rw * np.log(s)).sum() - (w * z).sum()
+def block_rows(width: int, dtype) -> int:
+    """Rows per block of a blocked row pass: as many rows of ``width``
+    columns of ``dtype`` as fit in ``_BLOCK_BYTES``, and at least one."""
+    return max(1, _BLOCK_BYTES // (max(width, 1) * np.dtype(dtype).itemsize))
+
+
+def op_linear_softmax_xent(x: Tensor, w: Tensor, b: Optional[Tensor], weights: np.ndarray,
+                           temperature: float) -> Tensor:
+    """-sum(W * log_softmax((x @ w + b) / temperature)) for a constant (n, k)
+    array W: a linear layer fused with its softmax cross-entropy, so the
+    (n, k) logits never exist whole (Wijmans et al., arXiv 2411.09009).
+    ``b`` may be None.
+
+    One pass walks the rows of x in blocks of ``block_rows(max(d, k))``.
+    Each block's logits, divided by temperature and shifted to a row max of
+    0 (z), give its loss terms sum(rowsum(W) * log(s)) - sum(W * z), with s
+    the row sums of exp(z), and its logits gradient G = (rowsum(W) *
+    exp(z) / s - W) / temperature, from which the same pass accumulates
+    dw += x_b.T @ G and db += sum(G). The block terms are summed in float64
+    and the loss takes the operands' dtype. The whole G is kept only when x
+    is tracked; the VJP is g * (G @ w.T, dw, db).
+    """
+    if temperature <= 0:
+        raise ValueError(f"softmax temperature must be positive, got {temperature}")
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ValueError(f"op_linear_softmax_xent inner dims disagree: "
+                         f"{x.data.shape} x {w.data.shape}")
+    (n, d), k = x.data.shape, w.data.shape[1]
+    if b is not None and b.data.shape != (k,):
+        raise ValueError(f"op_linear_softmax_xent bias shape {b.data.shape} is not ({k},)")
+    dtype = np.result_type(*(t.data for t in (x, w, b) if t is not None))
+    wts = np.asarray(weights, dtype=dtype)
+    if wts.shape != (n, k):
+        raise ValueError(f"op_linear_softmax_xent weights shape {wts.shape} is not {(n, k)}")
+    track_x, track_w = x.requires_grad, w.requires_grad
+    track_b = b is not None and b.requires_grad
+    full_g = np.empty((n, k), dtype) if track_x else None
+    dw = np.zeros((d, k), dtype) if track_w else None
+    db = np.zeros(k, dtype) if track_b else None
+    rows = block_rows(max(d, k), dtype)
+    logits = np.empty((min(rows, n), k), dtype)  # one block's, reused
+    row_weight = wts.sum(axis=1, keepdims=True)
+    val = 0.0
+    for a in range(0, n, rows):
+        xb, wb, rw = x.data[a:a + rows], wts[a:a + rows], row_weight[a:a + rows]
+        z = np.matmul(xb, w.data, out=logits[:xb.shape[0]])
+        if b is not None:
+            z += b.data
+        z /= temperature
+        z -= z.max(axis=1, keepdims=True)
+        val -= float((wb * z).sum())
+        e = np.exp(z, out=z)
+        s = e.sum(axis=1, keepdims=True)
+        val += float((rw * np.log(s)).sum())
+        gb = np.multiply(e, rw / s, out=full_g[a:a + rows] if track_x else e)
+        gb -= wb
+        gb /= temperature
+        if track_w:
+            dw += xb.T @ gb
+        if track_b:
+            db += gb.sum(axis=0)
 
     def vjp(g):
-        d = e * (rw / s)
-        d -= w
-        d *= float(g) / temperature
-        return (d,)
+        scale = float(g)
+        gx = None
+        if track_x:
+            gx = full_g @ w.data.T
+            gx *= scale
+        grads = (gx, dw * scale if track_w else None, db * scale if track_b else None)
+        return grads if b is not None else grads[:2]
 
-    return _record(np.array(val), "softmax_xent", [logits], vjp)
+    parents = [x, w] if b is None else [x, w, b]
+    return _record(np.array(val, dtype=dtype), "linear_softmax_xent", parents, vjp)
 
 
 def op_layernorm(x: Tensor) -> Tensor:

@@ -1,7 +1,7 @@
 """Reference implementations the tests compare the package against: central
-finite-difference gradients for the tape's ops, a recorder of the dtypes
-that reach the tape, and a reader for the ASCII PLY files
-``concerto.viz.export_ply`` writes."""
+finite-difference gradients for the tape's ops, the unfused linear softmax
+cross-entropy, a recorder of the dtypes that reach the tape, and a reader
+for the ASCII PLY files ``concerto.viz.export_ply`` writes."""
 
 from pathlib import Path
 
@@ -49,6 +49,23 @@ def gradcheck(op, arrays, h: float = 1e-5) -> float:
         scale = max(np.abs(num).max(), np.abs(ana).max(), 1e-8)
         worst = max(worst, float(np.abs(num - ana).max() / scale))
     return worst
+
+
+def linear_softmax_xent_reference(x, w, b, weights, temperature):
+    """The unfused composition that ``T.op_linear_softmax_xent`` replaces,
+    in float64 numpy: logits = x @ w (+ b), then -sum(W * log_softmax(logits
+    / temperature)). Returns (loss, dx, dw, db); db is None when b is."""
+    x, w, weights = (np.asarray(a, dtype=np.float64) for a in (x, w, weights))
+    logits = x @ w
+    if b is not None:
+        logits = logits + np.asarray(b, dtype=np.float64)
+    z = logits / temperature
+    z = z - z.max(axis=-1, keepdims=True)
+    logq = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    loss = -(weights * logq).sum()
+    dlogits = (np.exp(logq) * weights.sum(axis=-1, keepdims=True) - weights) / temperature
+    return (loss, dlogits @ w.T, x.T @ dlogits,
+            None if b is None else dlogits.sum(axis=0))
 
 
 def record_tape_dtypes(monkeypatch) -> dict:

@@ -199,9 +199,11 @@ class TestIntraLoss:
 
     def test_one_hot_rows_give_zero_ce(self):
         # degenerate two-prototype check through the fused cross-entropy op;
-        # exp(-1000 / 0.1) underflows to 0
-        logits = T.Tensor([[0.0, -1000.0]])
-        assert T.op_softmax_xent(logits, np.array([[1.0, 0.0]]), 0.1).item() == 0.0
+        # the logits are [[0, -1000]], and exp(-1000 / 0.1) underflows to 0
+        protos = T.Tensor([[0.0, -1000.0]])
+        loss = T.op_linear_softmax_xent(T.Tensor([[1.0]]), protos, None,
+                                        np.array([[1.0, 0.0]]), 0.1)
+        assert loss.item() == 0.0
 
     def test_center_update_momentum_zero(self, encoded):
         cfg, params, teacher_p, vs, student, teach = encoded

@@ -5,8 +5,8 @@ from concerto import tensor as T
 from concerto.dataio import SyntheticSpec, generate_synthetic
 from concerto.encoder import EncoderConfig, encode, init_params, upcast
 from concerto.geometry import EPS_DEPTH, visible_mask
-from concerto.probes import (ProbeConfig, ProbeError, TextSpace, _one_hot, compute_metrics,
-                             extract_features, label_budget_indices, language_probe,
+from concerto.probes import (ProbeConfig, ProbeError, TextSpace, _evaluate, _one_hot,
+                             _standardize_fit, compute_metrics, extract_features, label_budget_indices, language_probe,
                              lift_patch_features_to_points, linear_probe, lora_probe,
                              plain_view, zero_shot_segment)
 from concerto.trainer import AdamState, adamw_step
@@ -124,9 +124,9 @@ def softmax_head_epoch(head, feats, targets, state, cfg):
     float32 ``feats``: forward and backward on float32 leaves of the head,
     the step on their gradients upcast to float64."""
     leaves = {k: T.param(p.data.astype(np.float32)) for k, p in head.items()}
-    logits = T.op_add(T.op_matmul(feats, leaves["head.w"]), leaves["head.b"])
     weights = (targets / targets.shape[0]).astype(np.float32)
-    T.backward(T.op_softmax_xent(logits, weights, 1.0))
+    T.backward(T.op_linear_softmax_xent(feats, leaves["head.w"], leaves["head.b"],
+                                        weights, 1.0))
     grads = {k: p.grad.astype(np.float64) for k, p in leaves.items()}
     adamw_step(head, grads, state, cfg.lr, {})
 
@@ -255,6 +255,42 @@ class TestLinearProbe:
         for k, v in params.items():
             np.testing.assert_array_equal(v.data, before[k])
             assert v.grad is None
+
+
+class TestBlockedHelpers:
+    """The probes' row-blocked statistics and evaluation against the
+    whole-array arithmetic they replace, on inputs of several blocks."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_standardize_fit_matches_whole_array_statistics(self, dtype):
+        rng = np.random.default_rng(8)
+        d = 37
+        n = 3 * T.block_rows(d, np.float64) + 5
+        x = (50.0 + rng.normal(size=(n, d)) * rng.uniform(0.01, 20.0, size=d)).astype(dtype)
+        x[:, 4] = 7.0  # a constant column takes the floor
+        mu, sd = _standardize_fit(x)
+        x64 = x.astype(np.float64)
+        np.testing.assert_allclose(mu, x64.mean(axis=0), rtol=1e-12, atol=0)
+        want = np.maximum(x64.std(axis=0), 1e-8)
+        np.testing.assert_allclose(sd, want, rtol=1e-12, atol=0)
+        assert sd[4] == 1e-8
+
+    @pytest.mark.parametrize("n_blocks", [0, 1, 3])
+    def test_evaluate_predicts_as_the_whole_array_arithmetic(self, n_blocks):
+        # labels are the unblocked argmax, so every blocked prediction must
+        # equal it for an accuracy of exactly 1
+        rng = np.random.default_rng(n_blocks)
+        d, k = 40, 7
+        n = n_blocks * T.block_rows(d, np.float32) + 1
+        feats = rng.normal(size=(n, d)).astype(np.float32)
+        head = {"head.w": T.param(rng.normal(size=(d, k))),
+                "head.b": T.param(rng.normal(size=k))}
+        mu, sd = rng.normal(size=d), rng.uniform(0.5, 2.0, size=d)
+        shift, scale = mu.astype(np.float32), (1.0 / sd).astype(np.float32)
+        logits = ((feats - shift) * scale @ head["head.w"].data.astype(np.float32)
+                  + head["head.b"].data.astype(np.float32))
+        metrics = _evaluate(head, [(feats, logits.argmax(axis=1))], mu, sd, k)
+        assert metrics.allacc == 1.0
 
 
 class TestLoraProbe:

@@ -40,8 +40,10 @@ class TestForwardValues:
     def test_softmax_bad_temperature(self):
         with pytest.raises(ValueError):
             T.softmax_np(np.array([[1.0]]), 0.0)
-        with pytest.raises(ValueError):
-            T.op_softmax_xent(T.Tensor([[1.0]]), np.ones((1, 1)), 0.0)
+        for temperature in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                T.op_linear_softmax_xent(T.Tensor([[1.0]]), T.Tensor([[1.0]]), None,
+                                         np.ones((1, 1)), temperature)
 
     def test_softmax_rows_sum_to_one_large_magnitudes(self):
         rng = np.random.default_rng(3)
@@ -86,32 +88,40 @@ class TestForwardValues:
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_cross_entropy_one_hot_zero(self):
+        # logits [[-1000, 0, -1000]] through a 1 x 1 input and a bias:
         # exp(-1000) underflows to 0, so the target class has probability 1
         w = np.array([[0.0, 1.0, 0.0]])
-        logits = T.Tensor([[-1000.0, 0.0, -1000.0]])
-        assert T.op_softmax_xent(logits, w, 1.0).item() == 0.0
+        loss = T.op_linear_softmax_xent(T.Tensor([[2.0]]), T.Tensor([[-500.0, 0.0, -500.0]]),
+                                        T.Tensor([0.0, 0.0, 0.0]), w, 1.0)
+        assert loss.item() == 0.0
 
     def test_cross_entropy_uniform_analytic(self):
         w = np.array([[0.5, 0.5]])
-        logits = T.Tensor(np.log([[0.5, 0.5]]))
-        np.testing.assert_allclose(T.op_softmax_xent(logits, w, 1.0).item(), np.log(2),
-                                   atol=1e-12)
+        loss = T.op_linear_softmax_xent(T.Tensor([[1.0]]), T.Tensor(np.log([[0.5, 0.5]])),
+                                        None, w, 1.0)
+        np.testing.assert_allclose(loss.item(), np.log(2), atol=1e-12)
 
     def test_cross_entropy_matches_loop_oracle(self):
         rng = np.random.default_rng(11)
         p = rng.dirichlet(np.ones(16), size=8)
-        x = rng.normal(size=(8, 16))
-        got = T.op_softmax_xent(T.Tensor(x), p / 8, 0.7).item()
+        x, w, b = rng.normal(size=(8, 5)), rng.normal(size=(5, 16)), rng.normal(size=16)
+        got = T.op_linear_softmax_xent(T.Tensor(x), T.Tensor(w), T.Tensor(b), p / 8, 0.7).item()
         acc = 0.0
         for i in range(8):
-            lse = np.log(sum(np.exp(x[i, k] / 0.7) for k in range(16)))
+            logits = [sum(x[i, j] * w[j, k] for j in range(5)) + b[k] for k in range(16)]
+            lse = np.log(sum(np.exp(v / 0.7) for v in logits))
             for k in range(16):
-                acc -= p[i, k] * (x[i, k] / 0.7 - lse)
+                acc -= p[i, k] * (logits[k] / 0.7 - lse)
         np.testing.assert_allclose(got, acc / 8, atol=1e-12)
 
     def test_cross_entropy_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            T.op_softmax_xent(T.Tensor(np.zeros((2, 3))), np.zeros((3, 2)), 1.0)
+        x, w = T.Tensor(np.zeros((2, 4))), T.Tensor(np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="weights shape"):
+            T.op_linear_softmax_xent(x, w, None, np.zeros((3, 2)), 1.0)
+        with pytest.raises(ValueError, match="inner dims"):
+            T.op_linear_softmax_xent(x, T.Tensor(np.zeros((3, 4))), None, np.zeros((2, 4)), 1.0)
+        with pytest.raises(ValueError, match="bias shape"):
+            T.op_linear_softmax_xent(x, w, T.Tensor(np.zeros(4)), np.zeros((2, 3)), 1.0)
 
     def test_pool_gather_is_projection(self):
         rng = np.random.default_rng(5)
@@ -212,40 +222,91 @@ class TestBackward:
         assert err <= 1e-6
 
     def test_cross_entropy_blocks_target_grad(self):
-        # the weights are a plain array: the tape records only the logits
-        w = np.array([[0.3, 0.7]])
-        logits = T.param(np.log([[0.5, 0.5]]))
-        loss = T.op_softmax_xent(logits, w, 1.0)
-        assert loss._parents == (logits,)
+        # the weights are a plain array: the tape records only x, w and b;
+        # with x = [[1]] the weight's gradient is the logits' gradient
+        targets = np.array([[0.3, 0.7]])
+        x, w, b = T.param([[1.0]]), T.param(np.log([[0.5, 0.5]])), T.param([0.0, 0.0])
+        loss = T.op_linear_softmax_xent(x, w, b, targets, 1.0)
+        assert loss._parents == (x, w, b)
         T.backward(loss)
-        np.testing.assert_allclose(logits.grad, [[0.2, -0.2]], atol=1e-15)
-        np.testing.assert_array_equal(w, [[0.3, 0.7]])
+        np.testing.assert_allclose(w.grad, [[0.2, -0.2]], atol=1e-15)
+        np.testing.assert_allclose(b.grad, [0.2, -0.2], atol=1e-15)
+        np.testing.assert_array_equal(targets, [[0.3, 0.7]])
 
     def test_softmax_xent_matches_log_softmax_composition(self):
-        # the deleted op_log_softmax's forward and VJP, composed with
-        # -sum(W * .), in plain numpy
+        # the unfused matmul + bias + log-softmax composition with -sum(W * .),
+        # in plain numpy: rows of unequal weight, a zero row and a heavy row
         rng = np.random.default_rng(12)
-        x = rng.normal(size=(60, 40)) * 3.0
-        w = rng.random((60, 40))
-        w[7] = 0.0
-        w[3] *= 5.0
+        x = rng.normal(size=(60, 9))
+        w, b = rng.normal(size=(9, 40)) * 3.0, rng.normal(size=40)
+        targets = rng.random((60, 40))
+        targets[7] = 0.0
+        targets[3] *= 5.0
         t = 0.1
-        z = x / t
-        z = z - z.max(axis=-1, keepdims=True)
-        logq = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-        ref_loss = -(logq * w).sum()
-        ref_grad = (-w + np.exp(logq) * w.sum(axis=-1, keepdims=True)) / t
-        logits = T.param(x)
-        loss = T.op_softmax_xent(logits, w, t)
+        ref_loss, ref_dx, ref_dw, ref_db = oracles.linear_softmax_xent_reference(
+            x, w, b, targets, t)
+        xs, ws, bs = T.param(x), T.param(w), T.param(b)
+        loss = T.op_linear_softmax_xent(xs, ws, bs, targets, t)
         T.backward(loss)
         assert abs(loss.item() - ref_loss) <= 1e-12 * abs(ref_loss)
-        assert np.abs(logits.grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
-        np.testing.assert_array_equal(logits.grad[7], 0.0)
+        for got, ref in ((xs.grad, ref_dx), (ws.grad, ref_dw), (bs.grad, ref_db)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        np.testing.assert_array_equal(xs.grad[7], 0.0)
+
+
+class TestLinearSoftmaxXentBlocks:
+    """The fused op against the unfused composition around its row blocks:
+    one row, a row below one block, whole blocks and whole blocks plus one,
+    for a probe head (d > k) and a prototype head (k > d), with and without
+    a bias."""
+
+    @staticmethod
+    def case(n, d, k, bias, seed=0):
+        rng = np.random.default_rng([seed, n, d, k])
+        targets = rng.dirichlet(np.ones(k), size=n) * rng.uniform(0.0, 2.0, size=(n, 1)) / n
+        return (rng.normal(size=(n, d)), rng.normal(size=(d, k)) * 0.5,
+                rng.normal(size=k) if bias else None, targets)
+
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+    @pytest.mark.parametrize("d,k", [(40, 7), (8, 64)], ids=["probe", "prototype"])
+    @pytest.mark.parametrize("blocks", ["one_row", "below_one", "two", "two_plus_one"])
+    def test_matches_unfused_composition(self, blocks, d, k, bias):
+        rows = T.block_rows(max(d, k), np.float64)
+        n = {"one_row": 1, "below_one": rows - 1, "two": 2 * rows,
+             "two_plus_one": 2 * rows + 1}[blocks]
+        x, w, b, targets = self.case(n, d, k, bias)
+        ref = oracles.linear_softmax_xent_reference(x, w, b, targets, 0.1)
+        tensors = [T.param(a) for a in (x, w, b) if a is not None]
+        loss = T.op_linear_softmax_xent(*tensors[:2], tensors[2] if bias else None,
+                                        targets, 0.1)
+        T.backward(loss)
+        assert abs(loss.item() - ref[0]) <= 1e-12 * abs(ref[0])
+        for t, want in zip(tensors, ref[1:]):
+            assert np.abs(t.grad - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("d,k", [(40, 7), (8, 64)], ids=["probe", "prototype"])
+    def test_untracked_input_gives_the_same_head_gradient(self, d, k):
+        # the probe's constant features and the lora probe's tracked ones
+        # accumulate the head's gradient in the same blocks: equal bits
+        x, w, b, targets = self.case(2 * T.block_rows(max(d, k), np.float32) + 1, d, k, True)
+        x, w, b = (a.astype(np.float32) for a in (x, w, b))
+        grads = []
+        for track_x in (False, True):
+            ws, bs = T.param(w), T.param(b)
+            xs = T.param(x) if track_x else T.Tensor(x)
+            T.backward(T.op_linear_softmax_xent(xs, ws, bs, targets, 1.0))
+            assert ws.grad.dtype == bs.grad.dtype == np.float32
+            grads.append((ws.grad, bs.grad))
+        for untracked, tracked in zip(*grads):
+            np.testing.assert_array_equal(untracked, tracked)
 
 
 # ops with two or more operands, each with operand shapes
 MULTI_OPERAND_OPS = [
     ("matmul", T.op_matmul, [(4, 5), (5, 3)]),
+    ("linear_softmax_xent", lambda x, w, b: T.op_linear_softmax_xent(
+        x, w, b, np.random.default_rng(9).dirichlet(np.ones(3), size=4), 0.5),
+     [(4, 5), (5, 3), (3,)]),
     ("mul", T.op_mul, [(3, 4), (3, 4)]),
     ("mul_row", T.op_mul, [(3, 4), (4,)]),
     ("add_bias", T.op_add, [(3, 4), (4,)]),
@@ -355,12 +416,17 @@ def test_gradcheck_segment_mean():
 
 
 def test_gradcheck_softmax_xent():
-    rng = np.random.default_rng(25)
+    # op_linear_softmax_xent in x, w and b, and in x and w without a bias;
     # rows of unequal total weight, and a row whose weights sum to 0
-    w = rng.dirichlet(np.ones(5), size=4) * np.array([[1.0], [0.3], [0.0], [2.5]])
+    rng = np.random.default_rng(25)
+    targets = rng.dirichlet(np.ones(5), size=4) * np.array([[1.0], [0.3], [0.0], [2.5]])
     for _ in range(5):
-        logits = rng.normal(size=(4, 5))
-        err = oracles.gradcheck(lambda x: T.op_softmax_xent(x, w, 0.7), [logits])
+        x, w, b = rand(rng, 4, 3), rand(rng, 3, 5), rand(rng, 5)
+        err = oracles.gradcheck(
+            lambda x, w, b: T.op_linear_softmax_xent(x, w, b, targets, 0.7), [x, w, b])
+        assert err <= 1e-5
+        err = oracles.gradcheck(
+            lambda x, w: T.op_linear_softmax_xent(x, w, None, targets, 0.7), [x, w])
         assert err <= 1e-5
 
 
@@ -400,6 +466,7 @@ def test_every_op_has_a_gradcheck(monkeypatch):
 
 # Every op with float32 operands: one row per op_* (and per branch of the
 # ops that have several), each a function of tensors and their shapes.
+XENT_ROWS = T.block_rows(300, np.float32) + 7  # past one block of the fused cross-entropy
 FLOAT32_CASES = [
     ("add", lambda a, b: T.op_add(a, b), [(3, 4), (3, 4)]),
     ("add_scalar", lambda a: T.op_add(a, 0.3), [(3, 4)]),
@@ -416,8 +483,15 @@ FLOAT32_CASES = [
     ("concat_rows", lambda *ts: T.op_concat_rows(ts), [(2, 3), (4, 3)]),
     ("gather_rows", lambda a: T.op_gather_rows(a, [2, 0, 2, 1]), [(3, 4)]),
     ("matmul", lambda a, b: T.op_matmul(a, b), [(4, 5), (5, 3)]),
-    ("softmax_xent", lambda a: T.op_softmax_xent(
-        a, np.random.default_rng(8).dirichlet(np.ones(5), size=4), 0.1), [(4, 5)]),
+    ("softmax_xent", lambda x, w, b: T.op_linear_softmax_xent(
+        x, w, b, np.random.default_rng(8).dirichlet(np.ones(5), size=4), 0.1),
+     [(4, 3), (3, 5), (5,)]),
+    ("softmax_xent_no_bias", lambda x, w: T.op_linear_softmax_xent(
+        x, w, None, np.random.default_rng(8).dirichlet(np.ones(5), size=4), 0.1),
+     [(4, 3), (3, 5)]),
+    ("softmax_xent_blocks", lambda x, w: T.op_linear_softmax_xent(
+        x, w, None, np.random.default_rng(8).dirichlet(np.ones(300), size=XENT_ROWS) / XENT_ROWS,
+        0.5), [(XENT_ROWS, 6), (6, 300)]),
     ("layernorm", lambda a: T.op_layernorm(a), [(3, 6)]),
     ("l2norm", lambda a: T.op_l2norm(a), [(3, 6)]),
     ("cosine", lambda a, b: T.op_cosine(a, b), [(4, 5), (4, 5)]),
