@@ -21,8 +21,8 @@ The linear and lora heads train through one fused op,
 ``T.op_linear_softmax_xent``, which walks the training rows in cache-sized
 blocks and accumulates the head's gradient in the same pass. The
 standardization statistics and the evaluation logits are computed in row
-blocks of the same size, so no probe makes a whole-size float64 copy of its
-features or holds whole-size logits.
+blocks of the same size, so neither makes a whole-size float64 copy of the
+features or whole-size logits.
 """
 
 from __future__ import annotations
