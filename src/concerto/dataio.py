@@ -102,11 +102,6 @@ class DatasetManifest:
     samples: List[SampleRef]
     synthetic_a_path: Optional[str] = None
 
-    def load_synthetic_a(self) -> Optional[np.ndarray]:
-        if self.synthetic_a_path is None:
-            return None
-        return load_ctsr(self.root / self.synthetic_a_path)
-
 
 @dataclass
 class SyntheticSpec:

@@ -1,15 +1,18 @@
 """Hierarchical voxel-pooling point encoder with teacher/student parameter
 pairs, upcast feature concatenation, projection/prototype/cross heads, and
-low-rank adapters, which are merged into their weights before encoding.
+low-rank adapter factors, plain parameter tensors that are merged into their
+weights before encoding.
 
-Stage 0 embeds per-point input features (colors plus intra-voxel coordinate
-offsets; no absolute coordinates, so features cannot shortcut through
-position). Each later stage mean-pools the previous stage over a voxel grid
-and applies an MLP; a single voxel-neighborhood mean per stage mixes in
-local context. ``upcast`` copies every coarser stage down to a finer point
-set through its composed parent map, writing all stages side by side into
-one output. The encoder owns the feature levels: the intra-modal heads read
-``INTRA_LEVEL`` upcast steps, the cross-modal head ``CROSS_LEVEL``.
+``encode`` first builds the view's voxel hierarchy: one grid per pooling
+cell size, each over the previous grid's centroids. Stage 0 then embeds
+per-point input features (colors plus offsets from the finest voxel
+centroid; no absolute coordinates, so features cannot shortcut through
+position). Each later stage mean-pools the previous stage into its parent
+voxels and applies an MLP; a single voxel-neighborhood mean per stage mixes
+in local context. ``upcast`` copies every coarser stage down to a finer
+point set through its composed parent map, writing all stages side by side
+into one output. The encoder owns the feature levels: the intra-modal heads
+read ``INTRA_LEVEL`` upcast steps, the cross-modal head ``CROSS_LEVEL``.
 Prototypes are the columns of a (proj_dim, proto_count) matrix.
 """
 
@@ -67,26 +70,6 @@ class EncoderConfig:
         return int(sum(self.stage_dims[self.num_stages - 1 - level:]))
 
 
-@dataclass
-class LoraAdapter:
-    """Additive low-rank update for one weight matrix: W + (alpha/r) A B,
-    with A (d_in, r) random and B (r, d_out) zero so the adapted map starts
-    exactly equal to W."""
-
-    a: T.Tensor
-    b: T.Tensor
-    rank: int
-    alpha: float
-
-    @property
-    def scaling(self) -> float:
-        return self.alpha / self.rank
-
-    @property
-    def param_count(self) -> int:
-        return self.a.size + self.b.size
-
-
 def _stage_in_dim(cfg: EncoderConfig, s: int) -> int:
     return INPUT_DIM if s == 0 else cfg.stage_dims[s - 1]
 
@@ -139,49 +122,41 @@ def ema_update(teacher: Dict[str, T.Tensor], student: Dict[str, T.Tensor], m: fl
 # lora
 # ---------------------------------------------------------------------------
 
-def make_adapter(weight: T.Tensor, rank: int, alpha: float,
-                 rng: np.random.Generator) -> LoraAdapter:
-    if weight.data.ndim != 2:
-        raise ValueError("lora adapts 2-D weights only")
-    d_in, d_out = weight.data.shape
-    if rank > min(d_in, d_out):
-        raise ValueError(f"rank {rank} exceeds min dim of a {weight.data.shape} weight")
-    return LoraAdapter(
-        a=T.param(rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, rank))),
-        b=T.param(np.zeros((rank, d_out))),
-        rank=rank, alpha=alpha)
-
-
-def make_lora_adapters(params: Dict[str, T.Tensor], rank: int, alpha: float,
-                       seed: int) -> Dict[str, LoraAdapter]:
-    """One adapter per 2-D stage-MLP weight.
+def make_lora_adapters(params: Dict[str, T.Tensor], rank: int, seed: int) -> Dict[str, T.Tensor]:
+    """Low-rank factors ``lora.<w>.a`` (d_in, r), random, and ``lora.<w>.b``
+    (r, d_out), zero, for every 2-D stage-MLP weight ``<w>``, so each
+    adapted map starts exactly equal to its weight.
 
     Weights narrower than the rank (e.g. the 6-wide input layer) are left
     unadapted; a low-rank update cannot be low-rank there.
     """
     rng = np.random.default_rng([seed, 0x10BA])
-    adapters = {}
+    factors = {}
     for name, p in sorted(params.items()):
         if p.data.ndim != 2 or not name.endswith(".w") or not name.startswith("stage"):
             continue
-        if rank > min(p.data.shape):
+        d_in, d_out = p.data.shape
+        if rank > min(d_in, d_out):
             logger.debug("skipping lora on %s: shape %s below rank %d", name, p.data.shape, rank)
             continue
-        adapters[name] = make_adapter(p, rank, alpha, rng)
-    if not adapters:
+        factors[f"lora.{name}.a"] = T.param(rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, rank)))
+        factors[f"lora.{name}.b"] = T.param(np.zeros((rank, d_out)))
+    if not factors:
         raise ValueError(f"no weight is wide enough for lora rank {rank}")
-    return adapters
+    return factors
 
 
-def lora_weights(params: Dict[str, T.Tensor],
-                 adapters: Dict[str, LoraAdapter]) -> Dict[str, T.Tensor]:
-    """``params`` with each adapted weight W replaced by W + scaling * A B,
-    built on the tape so gradients reach A and B (Hu et al., arXiv
-    2106.09685: the adapted weight can be formed explicitly)."""
+def lora_weights(params: Dict[str, T.Tensor], factors: Dict[str, T.Tensor],
+                 scaling: float) -> Dict[str, T.Tensor]:
+    """``params`` with each weight W that ``factors`` adapts replaced by
+    W + scaling * A B, built on the tape so gradients reach A and B (Hu et
+    al., arXiv 2106.09685: the adapted weight can be formed explicitly).
+    Entries of ``factors`` other than ``lora.*`` factors are ignored."""
     merged = dict(params)
-    for name, ad in adapters.items():
-        delta = T.op_mul(T.op_matmul(ad.a, ad.b), ad.scaling)
-        merged[name] = T.op_add(params[name], delta)
+    for name, w in params.items():
+        if f"lora.{name}.a" in factors:
+            ab = T.op_matmul(factors[f"lora.{name}.a"], factors[f"lora.{name}.b"])
+            merged[name] = T.op_add(w, T.op_mul(ab, scaling))
     return merged
 
 
@@ -231,46 +206,36 @@ def _local_mix(feats, assignments, num_segments):
 def encode(view: View, params: Dict[str, T.Tensor], cfg: EncoderConfig) -> EncodeResult:
     """Per-stage features and parent maps for one view.
 
-    Stage-0 input features are colors concatenated with offsets from the
-    finest voxel centroid; masked points' input features are replaced by the
-    learned mask token. The input arrays take the parameters' dtype, so the
-    whole pass computes in it.
+    The view's voxel hierarchy comes first: one grid per pooling cell size,
+    each over the previous grid's centroids. Stage-0 input features are
+    colors concatenated with offsets from the finest voxel centroid; masked
+    points' input features are replaced by the learned mask token. The input
+    arrays take the parameters' dtype, so the whole pass computes in it.
     """
-    dtype = params["mask_token"].data.dtype
-    coords0 = view.cloud.coords
-    base_grid = voxelize(coords0, cfg.cell_sizes[0])
-    offsets = coords0 - base_grid.centroids[base_grid.assignments]
-    raw = np.concatenate([view.cloud.colors, offsets], axis=1)
-
-    x = T.Tensor(raw.astype(dtype, copy=False))
-    if view.mask is not None and view.mask.any():
-        keep = (~view.mask).astype(dtype)[:, None] * np.ones((1, INPUT_DIM), dtype)
-        hole = view.mask.astype(dtype)[:, None] * np.ones((1, INPUT_DIM), dtype)
-        x = T.op_add(T.op_mul(x, T.Tensor(keep)),
-                     T.op_mul(T.Tensor(hole), params["mask_token"]))
-
-    coords = [coords0]
-    feats = []
+    coords = [view.cloud.coords]
     parents = []
-    agg_cells = [2.0 * cfg.cell_sizes[min(s, cfg.num_pool_steps - 1)]
-                 for s in range(cfg.num_stages)]
-
-    mix = voxelize(coords0, agg_cells[0])
-    h = _stage_block(x, params, 0)
-    h = _local_mix(h, mix.assignments, mix.num_voxels)
-    feats.append(h)
-
-    for s in range(1, cfg.num_stages):
-        # the first pooling grid is the same grid the offsets came from
-        grid = base_grid if s == 1 else voxelize(coords[s - 1], cfg.cell_sizes[s - 1])
+    for cell in cfg.cell_sizes:
+        grid = voxelize(coords[-1], cell)
         parents.append(grid.assignments)
         coords.append(grid.centroids)
-        pooled = T.op_segment_mean(feats[s - 1], grid.assignments, grid.num_voxels)
-        h = _stage_block(pooled, params, s)
-        mix = voxelize(grid.centroids, agg_cells[s])
-        h = _local_mix(h, mix.assignments, mix.num_voxels)
-        feats.append(h)
 
+    dtype = params["mask_token"].data.dtype
+    offsets = coords[0] - coords[1][parents[0]]
+    raw = np.concatenate([view.cloud.colors, offsets], axis=1).astype(dtype, copy=False)
+    if view.mask is not None and view.mask.any():
+        raw[view.mask] = 0.0
+        hole = view.mask.astype(dtype)[:, None] * np.ones((1, INPUT_DIM), dtype)
+        x = T.op_add(T.Tensor(raw), T.op_mul(T.Tensor(hole), params["mask_token"]))
+    else:
+        x = T.Tensor(raw)
+
+    feats = []
+    for s in range(cfg.num_stages):
+        if s:
+            x = T.op_segment_mean(feats[-1], parents[s - 1], coords[s].shape[0])
+        h = _stage_block(x, params, s)
+        mix = voxelize(coords[s], 2.0 * cfg.cell_sizes[min(s, cfg.num_pool_steps - 1)])
+        feats.append(_local_mix(h, mix.assignments, mix.num_voxels))
     return EncodeResult(coords=coords, feats=feats, parents=parents)
 
 

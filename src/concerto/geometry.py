@@ -95,14 +95,13 @@ class Correspondence:
 class VoxelGrid:
     """Single-level voxelization: every point maps to exactly one cell."""
 
-    keys: np.ndarray         # (V, 3) int64 lattice coordinates, sorted
     assignments: np.ndarray  # (N,) point -> voxel index
     counts: np.ndarray       # (V,)
     centroids: np.ndarray    # (V, 3) per-voxel coordinate means
 
     @property
     def num_voxels(self) -> int:
-        return self.keys.shape[0]
+        return self.counts.size
 
 
 def project_points(points: np.ndarray, cam: CameraView):
@@ -214,8 +213,5 @@ def voxelize(points: np.ndarray, cell_size: float) -> VoxelGrid:
     packed = (shifted[:, 0] << (2 * _KEY_BITS)) | (shifted[:, 1] << _KEY_BITS) | shifted[:, 2]
     uniq, assignments = np.unique(packed, return_inverse=True)
     centroids, counts = segment_mean_np(pts, assignments, uniq.size)
-    keys = np.stack([(uniq >> (2 * _KEY_BITS)) & _KEY_MASK,
-                     (uniq >> _KEY_BITS) & _KEY_MASK,
-                     uniq & _KEY_MASK], axis=1) - _KEY_OFFSET
-    return VoxelGrid(keys=keys, assignments=assignments.astype(np.int64), counts=counts,
+    return VoxelGrid(assignments=assignments.astype(np.int64), counts=counts,
                      centroids=centroids)

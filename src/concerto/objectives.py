@@ -88,7 +88,7 @@ def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
     used = np.zeros(center.shape[0], dtype=bool)
     for view, enc in teacher:
         probs, logits = _teacher_probs(params_t, upcast(enc, INTRA_LEVEL), center, cfg)
-        teacher_sides.append((view, enc, probs))
+        teacher_sides.append((view, enc.ancestors(stage), probs))
         all_logits.append(logits)
         used[probs.argmax(axis=1)] = True
 
@@ -103,13 +103,12 @@ def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
         s_anc = s_enc.ancestors(stage)
         rows = feats.data.shape[0]
         weights = None
-        for t_view, t_enc, t_probs in teacher_sides:
+        for t_view, t_anc, t_probs in teacher_sides:
             if s_view is t_view:
                 continue
             ia, ib = match_views(s_view, t_view)
             if ia.size == 0:
                 continue
-            t_anc = t_enc.ancestors(stage)
             pair_weights = sp.coo_matrix(
                 (np.full(ia.size, 1.0 / ia.size, dtype), (s_anc[ia], t_anc[ib])),
                 shape=(rows, t_probs.shape[0])).tocsr()

@@ -35,8 +35,7 @@ import numpy as np
 
 from . import tensor as T
 from .dataio import SceneSample
-from .encoder import (EncoderConfig, LoraAdapter, encode, lora_weights, make_lora_adapters,
-                      upcast)
+from .encoder import EncoderConfig, encode, lora_weights, make_lora_adapters, upcast
 from .geometry import build_correspondence, patch_table
 from .trainer import COMPUTE_DTYPE, AdamState, adamw_step, compute_copies, master_grads
 from .views import View
@@ -206,7 +205,7 @@ class ProbeResult:
     metrics: SegMetrics
     missing_train_classes: List[int]
     params_learnable: int
-    adapters: Optional[Dict[str, LoraAdapter]] = None
+    adapters: Optional[Dict[str, T.Tensor]] = None  # lora factors, by parameter name
     train_mu: Optional[np.ndarray] = None
     train_sd: Optional[np.ndarray] = None
 
@@ -318,13 +317,10 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
     # ``COMPUTE_DTYPE`` constants, cast once: the frozen weights never
     # receive gradients
     base = compute_copies(frozen_params, COMPUTE_DTYPE, track=False)
-    adapters = make_lora_adapters(base, rank=cfg.lora_rank, alpha=LORA_ALPHA, seed=cfg.seed)
-    adapter_params: Dict[str, T.Tensor] = {}
-    for name, ad in adapters.items():
-        adapter_params[f"lora.{name}.a"] = ad.a
-        adapter_params[f"lora.{name}.b"] = ad.b
+    factors = make_lora_adapters(base, rank=cfg.lora_rank, seed=cfg.seed)
+    scaling = LORA_ALPHA / cfg.lora_rank
     lora_lr = cfg.lr if cfg.lora_lr is None else cfg.lora_lr
-    lr_factors = {k: (lora_lr / cfg.lr if cfg.lr > 0 else 0.0) for k in adapter_params}
+    lr_factors = {k: (lora_lr / cfg.lr if cfg.lr > 0 else 0.0) for k in factors}
 
     level = enc_cfg.num_pool_steps
     dim = enc_cfg.upcast_dim(level)
@@ -333,15 +329,8 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
                                       num_classes, cfg)
     weights = _head_targets(y, num_classes)
 
-    def merged_weights(tensors):
-        """``base`` with the adapters whose factors ``tensors`` holds merged in."""
-        return lora_weights(base, {
-            name: LoraAdapter(a=tensors[f"lora.{name}.a"], b=tensors[f"lora.{name}.b"],
-                              rank=ad.rank, alpha=ad.alpha)
-            for name, ad in adapters.items()})
-
     def loss_of(copies):
-        merged = merged_weights(copies)
+        merged = lora_weights(base, copies, scaling)
         rows = [T.op_gather_rows(upcast(encode(plain_view(s), merged, enc_cfg), level), k)
                 for s, k in zip(train_samples, keeps)]
         x = rows[0] if len(rows) == 1 else T.op_concat_rows(rows)
@@ -350,22 +339,21 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
             x = T.op_mul(T.op_add(x, T.Tensor(-shift)), T.Tensor(scale))
         return _head_loss(copies, x, weights)
 
-    _fit({**head, **adapter_params}, loss_of, cfg, lr_factors, COMPUTE_DTYPE)
+    _fit({**head, **factors}, loss_of, cfg, lr_factors, COMPUTE_DTYPE)
 
     # final standardization stats and eval features from the merged weights,
     # merged in the arithmetic the epochs used
-    merged = merged_weights(compute_copies(adapter_params, COMPUTE_DTYPE, track=False))
+    merged = lora_weights(base, compute_copies(factors, COMPUTE_DTYPE, track=False), scaling)
     stacked = np.concatenate([extract_features(s, merged, enc_cfg, level)[k]
                               for s, k in zip(train_samples, keeps)])
     mu, sd = _standardize_fit(stacked) if cfg.standardize else (np.zeros(dim), np.ones(dim))
     evals = ((extract_features(s, merged, enc_cfg, level), s.cloud.labels)
              for s in eval_samples)
-    learnable = sum(a.param_count for a in adapters.values()) + \
-        head["head.w"].size + head["head.b"].size
+    learnable = sum(t.size for t in (*factors.values(), *head.values()))
     return ProbeResult(weight=head["head.w"].data.copy(), bias=head["head.b"].data.copy(),
                        metrics=_evaluate(head, evals, mu, sd, num_classes),
                        missing_train_classes=missing,
-                       params_learnable=int(learnable), adapters=adapters,
+                       params_learnable=int(learnable), adapters=factors,
                        train_mu=mu, train_sd=sd)
 
 

@@ -63,10 +63,6 @@ class ViewSet:
     locals_: List[View]
 
     @property
-    def principal(self) -> View:
-        return self.globals_[0]
-
-    @property
     def student_views(self) -> List[View]:
         return self.masked + self.locals_
 

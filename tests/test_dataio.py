@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from concerto.ctsr import CtsrError, save_ctsr
+from concerto.ctsr import CtsrError, load_ctsr, save_ctsr
 from concerto.dataio import (ROOM_EXTENT, DatasetManifest, ManifestError, PointCloud,
                              SceneSample, SyntheticSpec, assemble_pieces, generate_synthetic,
                              load_all_samples, load_manifest, load_sample,
@@ -182,7 +182,7 @@ class TestManifestIO:
         manifest = load_manifest(path)
         assert manifest.image_feature_dim == spec.feature_dim
         assert [r.split for r in manifest.samples] == ["train", "val"]
-        np.testing.assert_array_equal(manifest.load_synthetic_a(), A)
+        np.testing.assert_array_equal(load_ctsr(manifest.root / manifest.synthetic_a_path), A)
         back = load_all_samples(manifest)
         for orig, got in zip(samples, back):
             np.testing.assert_array_equal(orig.cloud.coords, got.cloud.coords)

@@ -1,9 +1,9 @@
 """Every top-level function and class of ``concerto`` is named by the code
-that runs: by another part of the package or by the benchmark. Code only
-the tests call belongs in ``tests/``. Likewise every defaulted parameter of
-a public function is passed by some call in that code, and every field of a
-config dataclass is set by some code or test: a default nobody overrides is
-a constant."""
+that runs: by another part of the package or by the benchmark, and so is
+every method and property of its classes. Code only the tests call belongs
+in ``tests/``. Likewise every defaulted parameter of a public function is
+passed by some call in that code, and every field of a config dataclass is
+set by some code or test: a default nobody overrides is a constant."""
 
 import ast
 from collections import defaultdict
@@ -72,6 +72,23 @@ def unnamed_definitions() -> list:
 def test_every_definition_is_named_outside_itself():
     # equality also keeps the allowlist from outliving what it excuses
     assert sorted(unnamed_definitions()) == sorted(ALLOWED)
+
+
+def unreached_members() -> list:
+    """Non-dunder methods and properties of the package's classes that no
+    attribute access in the package or the benchmark reaches."""
+    package, trees = _parse()
+    reached = {node.attr for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)}
+    return [f"{cls.name}.{fn.name}" for path in package for cls in trees[path].body
+            if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+            and not (fn.name.startswith("__") and fn.name.endswith("__"))
+            and fn.name not in reached]
+
+
+def test_every_member_is_reached():
+    assert unreached_members() == []
 
 
 def _passes(call: ast.Call, position, name: str) -> bool:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from concerto import encoder as encoder_module
 from concerto import tensor as T
 from concerto.dataio import PointCloud, SyntheticSpec, generate_synthetic
 from concerto.encoder import (CROSS_LEVEL, INTRA_LEVEL, EncoderConfig, EncodeResult, clone_params,
@@ -93,6 +94,48 @@ class TestEncode:
         changed = np.abs(r_masked.feats[0].data - r_plain.feats[0].data).max(axis=1) > 0
         assert changed[:50].all()
 
+    def test_mask_token_blend_is_exact_and_collects_the_input_grad(self, cloud, monkeypatch):
+        """Masked rows' stage-0 input is the token itself, unmasked rows are
+        [colors, offsets] untouched, and the token's gradient is the masked
+        rows' summed input gradient."""
+        cfg = tiny_cfg()
+        params = init_params(cfg, seed=22)
+        mask = np.zeros(cloud.num_points, dtype=bool)
+        mask[::4] = True
+        view = View(cloud=cloud, origin_index=np.arange(cloud.num_points), mask=mask)
+        inputs = []
+        real_block = encoder_module._stage_block
+
+        def spy(as_leaf):
+            """``_stage_block`` that keeps its stage-0 input; ``as_leaf``
+            swaps that input for a leaf of equal values, which collects the
+            input gradient."""
+            def block(x, params_, s):
+                if s == 0:
+                    x = T.param(x.data.copy()) if as_leaf else x
+                    inputs.append(x)
+                return real_block(x, params_, s)
+            return block
+
+        w = np.random.default_rng(22).normal(size=(cloud.num_points, cfg.upcast_dim(4)))
+        grads = []
+        for as_leaf in (False, True):
+            monkeypatch.setattr(encoder_module, "_stage_block", spy(as_leaf))
+            T.backward(T.op_sum(T.op_mul(upcast(encode(view, params, cfg), 4), T.Tensor(w))))
+            grads.append(params["mask_token"].grad)
+            params["mask_token"].grad = None
+        x, leaf = inputs
+        grid = voxelize(cloud.coords, cfg.cell_sizes[0])
+        offsets = cloud.coords - grid.centroids[grid.assignments]
+        np.testing.assert_array_equal(x.data[mask], np.tile(params["mask_token"].data,
+                                                            (mask.sum(), 1)))
+        np.testing.assert_array_equal(x.data[~mask],
+                                      np.concatenate([cloud.colors, offsets], axis=1)[~mask])
+        # the leaf pass cuts the token off, so its gradient stays unset
+        assert grads[1] is None
+        assert np.abs(grads[0]).max() > 0
+        np.testing.assert_array_equal(grads[0], leaf.grad[mask].sum(axis=0))
+
 
 def _concat_lastdim_oracle(tensors):
     """The former concat op: np.concatenate forward, np.split backward."""
@@ -136,7 +179,7 @@ class TestUpcast:
                 T.backward(T.op_sum(T.op_mul(fn(res, level), w)))
                 grads.append({k: p.grad for k, p in params.items()})
                 for p in params.values():
-                    p.zero_grad()
+                    p.grad = None
             new, ref = grads
             assert any(g is not None for g in ref.values())
             for k, g_ref in ref.items():
@@ -244,11 +287,11 @@ class TestLora:
         rng = np.random.default_rng(14)
         cfg = tiny_cfg()
         params = init_params(cfg, seed=14)
-        adapters = make_lora_adapters(params, rank=4, alpha=16, seed=0)
+        factors = make_lora_adapters(params, rank=4, seed=0)
         name = "stage1.lin0.w"
         x = T.Tensor(rng.normal(size=(10, params[name].data.shape[0])))
         base = T.op_matmul(x, params[name])
-        adapted = T.op_matmul(x, lora_weights(params, adapters)[name])
+        adapted = T.op_matmul(x, lora_weights(params, factors, 4.0)[name])
         np.testing.assert_array_equal(adapted.data, base.data)
 
     def test_merged_weight_matches_unmerged_formula(self):
@@ -259,47 +302,60 @@ class TestLora:
         w = rng.normal(size=(9, 7))
         x = rng.normal(size=(11, 9))
         a0, b0 = rng.normal(size=(9, 3)), rng.normal(size=(3, 7))
+        scaling = 5.0 / 3
         results = []
         for merged in (True, False):
-            adapter = make_lora_adapters({name: T.Tensor(w)}, rank=3, alpha=5.0,
-                                         seed=0)[name]
-            adapter.a, adapter.b = T.param(a0), T.param(b0)
+            a, b = T.param(a0), T.param(b0)
             xt = T.Tensor(x)
             if merged:
-                out = T.op_matmul(xt, lora_weights({name: T.Tensor(w)}, {name: adapter})[name])
+                factors = {f"lora.{name}.a": a, f"lora.{name}.b": b}
+                out = T.op_matmul(xt, lora_weights({name: T.Tensor(w)}, factors, scaling)[name])
             else:
-                delta = T.op_matmul(T.op_matmul(xt, adapter.a), adapter.b)
-                out = T.op_add(T.op_matmul(xt, T.Tensor(w)), T.op_mul(delta, adapter.scaling))
+                delta = T.op_matmul(T.op_matmul(xt, a), b)
+                out = T.op_add(T.op_matmul(xt, T.Tensor(w)), T.op_mul(delta, scaling))
             T.backward(T.op_sum(T.op_mul(out, T.Tensor(np.cos(out.data)))))
-            results.append((out.data, adapter.a.grad, adapter.b.grad))
+            results.append((out.data, a.grad, b.grad))
         assert np.abs(results[0][0]).max() > 0 and np.abs(results[0][2]).max() > 0
         for merged, unmerged in zip(*results):
             assert np.abs(merged - unmerged).max() <= 1e-12 * np.abs(unmerged).max()
 
     def test_scaling_factor(self):
+        # W + scaling * A B, with A B read back from the factors
+        rng = np.random.default_rng(15)
         cfg = tiny_cfg()
         params = init_params(cfg, seed=15)
-        adapters = make_lora_adapters(params, rank=8, alpha=16, seed=0)
-        assert adapters  # narrow layers skipped, the rest adapted
-        assert all(a.scaling == 2.0 for a in adapters.values())
+        factors = make_lora_adapters(params, rank=8, seed=0)
+        assert factors  # narrow layers skipped, the rest adapted
+        for t in factors.values():
+            t.data[:] = rng.normal(size=t.data.shape)
+        merged = lora_weights(params, factors, 2.0)
+        for name, p in params.items():
+            if f"lora.{name}.a" not in factors:
+                assert merged[name] is p
+                continue
+            ab = factors[f"lora.{name}.a"].data @ factors[f"lora.{name}.b"].data
+            np.testing.assert_allclose(merged[name].data, p.data + 2.0 * ab, rtol=1e-13)
+
+    def test_factor_shapes_and_init(self):
+        cfg = tiny_cfg()
+        params = init_params(cfg, seed=17)
+        factors = make_lora_adapters(params, rank=4, seed=0)
+        names = sorted({k[len("lora."):-len(".a")] for k in factors})
+        assert list(factors) == [f"lora.{n}.{f}" for n in names for f in "ab"]
+        for name in names:
+            d_in, d_out = params[name].data.shape
+            a, b = factors[f"lora.{name}.a"], factors[f"lora.{name}.b"]
+            assert a.requires_grad and b.requires_grad
+            assert a.shape == (d_in, 4) and b.shape == (4, d_out)
+            assert np.abs(a.data).max() > 0 and not b.data.any()
+        # the 6-wide input layer is narrower than rank 8, so it is left out
+        assert "lora.stage0.lin0.w.a" not in make_lora_adapters(params, rank=8, seed=0)
 
     def test_rank_too_large_rejected(self):
-        from concerto.encoder import make_adapter
-        w = T.param(np.zeros((6, 5)))
-        with pytest.raises(ValueError, match="rank"):
-            make_adapter(w, rank=8, alpha=16, rng=np.random.default_rng(0))
         cfg = tiny_cfg()
         params = init_params(cfg, seed=16)
         with pytest.raises(ValueError, match="rank"):
-            make_lora_adapters(params, rank=64, alpha=16.0, seed=0)
-
-    def test_param_count_formula(self):
-        cfg = tiny_cfg()
-        params = init_params(cfg, seed=17)
-        adapters = make_lora_adapters(params, rank=4, alpha=16.0, seed=0)
-        for name, a in adapters.items():
-            d_in, d_out = params[name].data.shape
-            assert a.param_count == 4 * (d_in + d_out)
+            make_lora_adapters(params, rank=64, seed=0)
 
     def test_grads_vs_finite_differences(self):
         rng = np.random.default_rng(18)
@@ -308,9 +364,8 @@ class TestLora:
 
         def op(a, b):
             name = "stage0.lin0.w"
-            adapter = make_lora_adapters({name: T.param(w)}, rank=3, alpha=6, seed=1)[name]
-            adapter.a, adapter.b = a, b
-            merged = lora_weights({name: T.Tensor(w)}, {name: adapter})
+            merged = lora_weights({name: T.Tensor(w)},
+                                  {f"lora.{name}.a": a, f"lora.{name}.b": b}, 2.0)
             return T.op_matmul(T.Tensor(x), merged[name])
 
         a0 = rng.normal(size=(6, 3))
@@ -322,14 +377,14 @@ class TestLora:
         cfg = tiny_cfg()
         params = init_params(cfg, seed=20)
         frozen = clone_params(params)
-        adapters = make_lora_adapters(frozen, rank=4, alpha=16.0, seed=2)
+        factors = make_lora_adapters(frozen, rank=4, seed=2)
         name = "stage2.lin1.w"
         x = T.Tensor(rng.normal(size=(9, frozen[name].data.shape[0])))
-        out = T.op_matmul(x, lora_weights(frozen, adapters)[name])
+        out = T.op_matmul(x, lora_weights(frozen, factors, 4.0)[name])
         T.backward(T.op_sum(out))
         assert frozen[name].grad is None
-        assert adapters[name].a.grad is not None
-        assert adapters[name].b.grad is not None
+        assert factors[f"lora.{name}.a"].grad is not None
+        assert factors[f"lora.{name}.b"].grad is not None
 
 
 class TestHeads:

@@ -2,8 +2,19 @@ import numpy as np
 import pytest
 
 from concerto.geometry import (EPS_DEPTH, CameraView, Correspondence, build_correspondence,
-                               patch_table, project_points, render_depth, visible_mask,
-                               voxelize)
+                               lattice_keys, patch_table, project_points, render_depth,
+                               visible_mask, voxelize)
+
+
+def voxel_keys(points, cell_size, grid):
+    """Each voxel's (V, 3) lattice coordinates, read from its members'
+    ``lattice_keys`` after checking that all members of a voxel agree."""
+    shift = lattice_keys(np.zeros((1, 3)), cell_size)[0]
+    keys = lattice_keys(points, cell_size) - shift
+    out = np.empty((grid.num_voxels, 3), dtype=np.int64)
+    out[grid.assignments] = keys
+    np.testing.assert_array_equal(out[grid.assignments], keys)
+    return out
 
 
 def simple_cam(w=64, h=64, f=100.0, depth=None, patch=8):
@@ -259,15 +270,17 @@ class TestVoxelize:
             key = tuple(int(np.floor(c / 0.37)) for c in p)
             table.setdefault(key, []).append(i)
         assert g.num_voxels == len(table)
+        keys = voxel_keys(pts, 0.37, g)
         for v in range(g.num_voxels):
             members = np.flatnonzero(g.assignments == v)
-            key = tuple(g.keys[v].tolist())
+            key = tuple(keys[v].tolist())
             assert sorted(table[key]) == members.tolist()
 
     def test_key_range_edges(self):
         # 21-bit keys: each axis spans cells -2**20 .. 2**20 - 1
-        g = voxelize(np.array([[-2.0 ** 20, 0, 0], [2.0 ** 20 - 0.5, 0, 0]]), 1.0)
-        np.testing.assert_array_equal(g.keys[:, 0], [-2 ** 20, 2 ** 20 - 1])
+        pts = np.array([[-2.0 ** 20, 0, 0], [2.0 ** 20 - 0.5, 0, 0]])
+        g = voxelize(pts, 1.0)
+        np.testing.assert_array_equal(voxel_keys(pts, 1.0, g)[:, 0], [-2 ** 20, 2 ** 20 - 1])
         for bad in (-2.0 ** 20 - 0.5, 2.0 ** 20, 1e30, np.nan):
             with pytest.raises(ValueError, match="key range"):
                 voxelize(np.array([[0.0, bad, 0]]), 1.0)
@@ -280,5 +293,5 @@ class TestVoxelize:
         rng = np.random.default_rng(10)
         pts = rng.uniform(-2, 2, size=(500, 3))
         g = voxelize(pts, 0.5)
-        lo = g.keys * 0.5
+        lo = voxel_keys(pts, 0.5, g) * 0.5
         assert (g.centroids >= lo - 1e-12).all() and (g.centroids <= lo + 0.5 + 1e-12).all()

@@ -224,7 +224,7 @@ class TestIntraLoss:
         T.backward(loss)
         assert all(v.grad is None for v in teacher_p.values())
         for v in params.values():
-            v.zero_grad()
+            v.grad = None
 
     def test_proto_used_is_a_positive_fraction(self, encoded):
         cfg, params, teacher_p, vs, student, teach = encoded
@@ -359,7 +359,7 @@ class TestCrossLoss:
         assert params["cross.w"].grad is not None
         assert params["stage0.lin0.w"].grad is not None
         for v in params.values():
-            v.zero_grad()
+            v.grad = None
 
     def test_baseline_is_the_loss_of_predicting_the_mean_target(self, scene):
         cfg, params, enc, corr, grids = self.make(scene, 12)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from concerto import probes
 from concerto import tensor as T
 from concerto.dataio import SyntheticSpec, generate_synthetic
 from concerto.encoder import EncoderConfig, encode, init_params, upcast
@@ -330,8 +331,22 @@ class TestLoraProbe:
         params = init_params(enc_cfg, seed=6)
         cfg = ProbeConfig(epochs=2, lr=0.01)
         res = lora_probe(dataset[:1], dataset[1:2], params, enc_cfg, 4, cfg)
-        moved = [np.abs(a.b.data).max() for a in res.adapters.values()]
+        moved = [np.abs(t.data).max() for k, t in res.adapters.items() if k.endswith(".b")]
         assert max(moved) > 0
+
+    def test_merges_at_alpha_over_rank(self, dataset, monkeypatch):
+        scalings = []
+        real = probes.lora_weights
+
+        def spy(params, factors, scaling):
+            scalings.append(scaling)
+            return real(params, factors, scaling)
+
+        monkeypatch.setattr(probes, "lora_weights", spy)
+        lora_probe(dataset[:1], dataset[1:2], init_params(tiny_enc(), seed=3), tiny_enc(), 4,
+                   ProbeConfig(epochs=1, lora_rank=4))
+        # one merge per epoch, one for the final features
+        assert scalings == [probes.LORA_ALPHA / 4] * 2
 
 
 def test_linear_and_lora_probes_compute_in_float32(dataset, monkeypatch):
@@ -347,7 +362,7 @@ def test_linear_and_lora_probes_compute_in_float32(dataset, monkeypatch):
                       ProbeConfig(epochs=2, lr=0.01, lora_rank=4))
     assert dtypes == {"node": {np.dtype(np.float32)}, "cotangent": {np.dtype(np.float32)}}
     state = [a for res in (lin, lora) for a in (res.weight, res.bias, res.train_mu, res.train_sd)]
-    state += [t.data for ad in lora.adapters.values() for t in (ad.a, ad.b)]
+    state += [t.data for t in lora.adapters.values()]
     assert {a.dtype for a in state} == {np.dtype(np.float64)}
 
 

@@ -19,7 +19,8 @@ class TestViewSet:
     def test_composition_and_principal(self, cloud):
         vs = make_viewset(cloud, AugmentConfig(), seed=0)
         assert len(vs.globals_) == 2 and len(vs.masked) == 2 and len(vs.locals_) == 4
-        assert vs.principal is vs.globals_[0]
+        # the principal view is the first global one; masked views share its cloud
+        assert all(m.cloud is vs.globals_[0].cloud for m in vs.masked)
         # views carry geometry and color only; losses pair points by origin index
         assert all(v.cloud.labels is None and v.cloud.normals is None for v in vs.all_views)
 
@@ -28,7 +29,7 @@ class TestViewSet:
         vs = make_viewset(cloud, cfg, seed=1)
         for m in vs.masked:
             assert m.mask.sum() == 0
-            np.testing.assert_array_equal(m.cloud.coords, vs.principal.cloud.coords)
+            np.testing.assert_array_equal(m.cloud.coords, vs.globals_[0].cloud.coords)
 
     def test_mask_ratio_within_tolerance(self, cloud):
         cfg = AugmentConfig(mask_ratio=0.3)
@@ -40,8 +41,8 @@ class TestViewSet:
     def test_masked_views_share_principal_geometry(self, cloud):
         vs = make_viewset(cloud, AugmentConfig(), seed=3)
         for m in vs.masked:
-            np.testing.assert_array_equal(m.cloud.coords, vs.principal.cloud.coords)
-            np.testing.assert_array_equal(m.origin_index, vs.principal.origin_index)
+            np.testing.assert_array_equal(m.cloud.coords, vs.globals_[0].cloud.coords)
+            np.testing.assert_array_equal(m.origin_index, vs.globals_[0].origin_index)
 
     def test_full_crop_fraction_gives_full_cloud(self, cloud):
         cfg = AugmentConfig(crop_range=(1.0, 1.0))
@@ -129,10 +130,10 @@ class TestGridMask:
 class TestMatchViews:
     def test_identical_views_full_pairing(self, cloud):
         vs = make_viewset(cloud, AugmentConfig(), seed=7)
-        ia, ib = match_views(vs.masked[0], vs.principal)
+        ia, ib = match_views(vs.masked[0], vs.globals_[0])
         assert ia.size == cloud.num_points
         np.testing.assert_array_equal(vs.masked[0].origin_index[ia],
-                                      vs.principal.origin_index[ib])
+                                      vs.globals_[0].origin_index[ib])
 
     def test_disjoint_crops_empty(self, cloud):
         vs = make_viewset(cloud, AugmentConfig(), seed=8)
