@@ -380,8 +380,13 @@ def load_manifest(path) -> DatasetManifest:
     if doc["version"] != MANIFEST_VERSION:
         raise ManifestError(f"manifest {path} has version {doc['version']}; this "
                             f"reader takes version {MANIFEST_VERSION}")
-    refs = [SampleRef(scene_id=s["scene_id"], split=s.get("split", "train"),
-                      cloud=s["cloud"], views=s["views"]) for s in doc["samples"]]
+    refs = []
+    for i, s in enumerate(doc["samples"]):
+        try:
+            refs.append(SampleRef(scene_id=s["scene_id"], split=s.get("split", "train"),
+                                  cloud=s["cloud"], views=s["views"]))
+        except KeyError as e:
+            raise ManifestError(f"sample {i} (scene {s.get('scene_id')}): missing key {e}") from e
     return DatasetManifest(root=path.parent, image_feature_dim=int(doc["image_feature_dim"]),
                            patch_size=int(doc["patch_size"]), samples=refs,
                            synthetic_a_path=doc.get("synthetic_A"))
@@ -391,8 +396,11 @@ def load_sample(manifest: DatasetManifest, ref: SampleRef) -> SceneSample:
     """Fully validated in-memory sample; raises on any invariant violation."""
     root = manifest.root
     cloud_paths = ref.cloud
-    coords = load_ctsr(root / cloud_paths["coords"])
-    colors = load_ctsr(root / cloud_paths["colors"])
+    try:
+        coords = load_ctsr(root / cloud_paths["coords"])
+        colors = load_ctsr(root / cloud_paths["colors"])
+    except KeyError as e:
+        raise ManifestError(f"scene {ref.scene_id} cloud: missing key {e}") from e
     normals = load_ctsr(root / cloud_paths["normals"]) if "normals" in cloud_paths else None
     labels = load_ctsr(root / cloud_paths["labels"]) if "labels" in cloud_paths else None
     try:
@@ -415,6 +423,8 @@ def load_sample(manifest: DatasetManifest, ref: SampleRef) -> SceneSample:
                                     image_size=tuple(ve["image_size"]),
                                     patch_size=manifest.patch_size,
                                     depth_map=depth, feature_grid=grid))
+        except KeyError as e:
+            raise ManifestError(f"scene {ref.scene_id} view {v}: missing key {e}") from e
         except ValueError as e:
             raise ManifestError(f"scene {ref.scene_id} view {v}: {e}") from e
     return SceneSample(cloud=cloud, views=views, scene_id=ref.scene_id)

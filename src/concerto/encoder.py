@@ -3,17 +3,19 @@ pairs, upcast feature concatenation, projection/prototype/cross heads, and
 low-rank adapter factors, plain parameter tensors that are merged into their
 weights before encoding.
 
-``encode`` first builds the view's voxel hierarchy: one grid per pooling
-cell size, each over the previous grid's centroids. Stage 0 then embeds
+``encode`` first builds the view's voxel hierarchy, once: level k + 1 is
+level k's centroids on cells of ``voxel_size * 2**k``, one level per pooling
+step plus a coarser one that only context mixing reads. Stage 0 embeds
 per-point input features (colors plus offsets from the finest voxel
 centroid; no absolute coordinates, so features cannot shortcut through
 position). Each later stage mean-pools the previous stage into its parent
-voxels and applies an MLP; a single voxel-neighborhood mean per stage mixes
-in local context. ``upcast`` copies every coarser stage down to a finer
-point set through its composed parent map, writing all stages side by side
-into one output. The encoder owns the feature levels: the intra-modal heads
-read ``INTRA_LEVEL`` upcast steps, the cross-modal head ``CROSS_LEVEL``.
-Prototypes are the columns of a (proj_dim, proto_count) matrix.
+voxels and applies an MLP; one voxel-neighborhood mean per stage, over its
+ancestors two levels up (one for the last stage), mixes in local context.
+``upcast`` copies every coarser stage down to a finer point set through its
+composed parent map, writing all stages side by side into one output. The
+encoder owns the feature levels: the intra-modal heads read ``INTRA_LEVEL``
+upcast steps, the cross-modal head ``CROSS_LEVEL``. Prototypes are the
+columns of a (proj_dim, proto_count) matrix.
 """
 
 from __future__ import annotations
@@ -41,16 +43,14 @@ CROSS_LEVEL = 3
 @dataclass
 class EncoderConfig:
     stage_dims: List[int] = field(default_factory=lambda: [32, 64, 128, 256, 512])
-    cell_sizes: List[float] = field(default_factory=lambda: [0.05, 0.1, 0.2, 0.4])
+    voxel_size: float = 0.05  # pooling step k voxelizes at voxel_size * 2**k
     proto_count: int = 1024
     proj_dim: int = 256
     cross_dim: Optional[int] = None
 
     def __post_init__(self):
-        if len(self.cell_sizes) != len(self.stage_dims) - 1:
-            raise ValueError("need exactly len(stage_dims) - 1 pooling cell sizes")
-        if any(d <= 0 for d in self.stage_dims) or any(c <= 0 for c in self.cell_sizes):
-            raise ValueError("stage dims and cell sizes must be positive")
+        if any(d <= 0 for d in self.stage_dims) or not self.voxel_size > 0:
+            raise ValueError("stage dims and voxel_size must be positive")
         if self.num_pool_steps < CROSS_LEVEL:
             raise ValueError(f"cross upcast level {CROSS_LEVEL} needs at least "
                              f"{CROSS_LEVEL} pooling steps, got {self.num_pool_steps}")
@@ -61,17 +61,13 @@ class EncoderConfig:
 
     @property
     def num_pool_steps(self) -> int:
-        return len(self.cell_sizes)
+        return len(self.stage_dims) - 1
 
     def upcast_dim(self, level: int) -> int:
         """Feature width after ``level`` upcast steps from the coarsest stage."""
         if not 0 <= level <= self.num_pool_steps:
             raise ValueError(f"upcast level {level} out of range")
         return int(sum(self.stage_dims[self.num_stages - 1 - level:]))
-
-
-def _stage_in_dim(cfg: EncoderConfig, s: int) -> int:
-    return INPUT_DIM if s == 0 else cfg.stage_dims[s - 1]
 
 
 def init_params(cfg: EncoderConfig, seed: int = 0) -> Dict[str, T.Tensor]:
@@ -90,7 +86,7 @@ def init_params(cfg: EncoderConfig, seed: int = 0) -> Dict[str, T.Tensor]:
     params["mask_token"] = T.param(
         np.random.default_rng([seed, 0x3A5C]).normal(0.0, 0.02, size=INPUT_DIM))
     for s, d_out in enumerate(cfg.stage_dims):
-        d_in = _stage_in_dim(cfg, s)
+        d_in = INPUT_DIM if s == 0 else cfg.stage_dims[s - 1]
         for i in range(MLP_DEPTH):
             lin(f"stage{s}.lin{i}", d_in if i == 0 else d_out, d_out)
     lin("proj.lin0", cfg.upcast_dim(INTRA_LEVEL), cfg.proj_dim)
@@ -206,16 +202,18 @@ def _local_mix(feats, assignments, num_segments):
 def encode(view: View, params: Dict[str, T.Tensor], cfg: EncoderConfig) -> EncodeResult:
     """Per-stage features and parent maps for one view.
 
-    The view's voxel hierarchy comes first: one grid per pooling cell size,
-    each over the previous grid's centroids. Stage-0 input features are
-    colors concatenated with offsets from the finest voxel centroid; masked
-    points' input features are replaced by the learned mask token. The input
-    arrays take the parameters' dtype, so the whole pass computes in it.
+    The voxel hierarchy comes first; with P pooling steps, stage s mixes
+    over its ancestors in level min(s + 2, P + 1), and the mixing-only level
+    P + 1 is not returned. Stage-0 input features are colors concatenated
+    with offsets from the finest voxel centroid; masked points' input
+    features are replaced by the learned mask token. The input arrays take
+    the parameters' dtype, so the whole pass computes in it.
     """
+    top = cfg.num_pool_steps
     coords = [view.cloud.coords]
     parents = []
-    for cell in cfg.cell_sizes:
-        grid = voxelize(coords[-1], cell)
+    for k in range(top + 1):
+        grid = voxelize(coords[-1], cfg.voxel_size * 2 ** k)
         parents.append(grid.assignments)
         coords.append(grid.centroids)
 
@@ -234,9 +232,9 @@ def encode(view: View, params: Dict[str, T.Tensor], cfg: EncoderConfig) -> Encod
         if s:
             x = T.op_segment_mean(feats[-1], parents[s - 1], coords[s].shape[0])
         h = _stage_block(x, params, s)
-        mix = voxelize(coords[s], 2.0 * cfg.cell_sizes[min(s, cfg.num_pool_steps - 1)])
-        feats.append(_local_mix(h, mix.assignments, mix.num_voxels))
-    return EncodeResult(coords=coords, feats=feats, parents=parents)
+        mix = parents[s + 1][parents[s]] if s < top else parents[top]
+        feats.append(_local_mix(h, mix, coords[min(s + 2, top + 1)].shape[0]))
+    return EncodeResult(coords=coords[:-1], feats=feats, parents=parents[:-1])
 
 
 def upcast(result: EncodeResult, level: int) -> T.Tensor:

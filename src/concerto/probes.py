@@ -55,7 +55,6 @@ class ProbeConfig:
     lr: float = 1e-3
     label_budget: Optional[int] = None  # labeled points kept per scene
     seed: int = 0
-    standardize: bool = True
     lora_rank: int = 8
     lora_lr: Optional[float] = None     # None -> lr
 
@@ -288,13 +287,10 @@ def linear_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray]],
                         for (f, _lab), k in zip(train_scenes, keeps)],
                        axis=0, dtype=COMPUTE_DTYPE)
     dim = x.shape[1]
-    if cfg.standardize:
-        mu, sd = _standardize_fit(x)
-        shift, scale = _standardizer(mu, sd, x.dtype)
-        x -= shift
-        x *= scale
-    else:
-        mu, sd = np.zeros(dim), np.ones(dim)
+    mu, sd = _standardize_fit(x)
+    shift, scale = _standardizer(mu, sd, x.dtype)
+    x -= shift
+    x *= scale
     head = _zero_head(dim, num_classes)
     feats, weights = T.Tensor(x), _head_targets(y, num_classes)
     _fit(head, lambda h: _head_loss(h, feats, weights), cfg, {}, COMPUTE_DTYPE)
@@ -323,8 +319,7 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
     lr_factors = {k: (lora_lr / cfg.lr if cfg.lr > 0 else 0.0) for k in factors}
 
     level = enc_cfg.num_pool_steps
-    dim = enc_cfg.upcast_dim(level)
-    head = _zero_head(dim, num_classes)
+    head = _zero_head(enc_cfg.upcast_dim(level), num_classes)
     keeps, y, missing = _labeled_rows([s.cloud.labels for s in train_samples],
                                       num_classes, cfg)
     weights = _head_targets(y, num_classes)
@@ -334,9 +329,8 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
         rows = [T.op_gather_rows(upcast(encode(plain_view(s), merged, enc_cfg), level), k)
                 for s, k in zip(train_samples, keeps)]
         x = rows[0] if len(rows) == 1 else T.op_concat_rows(rows)
-        if cfg.standardize:
-            shift, scale = _standardizer(*_standardize_fit(x.data), x.data.dtype)
-            x = T.op_mul(T.op_add(x, T.Tensor(-shift)), T.Tensor(scale))
+        shift, scale = _standardizer(*_standardize_fit(x.data), x.data.dtype)
+        x = T.op_mul(T.op_add(x, T.Tensor(-shift)), T.Tensor(scale))
         return _head_loss(copies, x, weights)
 
     _fit({**head, **factors}, loss_of, cfg, lr_factors, COMPUTE_DTYPE)
@@ -346,7 +340,7 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
     merged = lora_weights(base, compute_copies(factors, COMPUTE_DTYPE, track=False), scaling)
     stacked = np.concatenate([extract_features(s, merged, enc_cfg, level)[k]
                               for s, k in zip(train_samples, keeps)])
-    mu, sd = _standardize_fit(stacked) if cfg.standardize else (np.zeros(dim), np.ones(dim))
+    mu, sd = _standardize_fit(stacked)
     evals = ((extract_features(s, merged, enc_cfg, level), s.cloud.labels)
              for s in eval_samples)
     learnable = sum(t.size for t in (*factors.values(), *head.values()))

@@ -360,20 +360,14 @@ def op_matmul(a: Tensor, b: Tensor) -> Tensor:
 # normalization and similarity
 # ---------------------------------------------------------------------------
 
-def _shifted_exp(x: np.ndarray, temperature: float):
-    """z = x / temperature shifted to a row max of 0, e = exp(z), e's row sums s."""
+def softmax_np(x: np.ndarray, temperature: float) -> np.ndarray:
+    """Row softmax of x/temperature over the last dimension (no graph)."""
     if temperature <= 0:
         raise ValueError(f"softmax temperature must be positive, got {temperature}")
     z = x / temperature
     z -= z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return z, e, e.sum(axis=-1, keepdims=True)
-
-
-def softmax_np(x: np.ndarray, temperature: float) -> np.ndarray:
-    """Row softmax of x/temperature over the last dimension (no graph)."""
-    _z, e, s = _shifted_exp(x, temperature)
-    e /= s
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 

@@ -84,7 +84,7 @@ class TrainConfig:
     image_usage_ratio: float = 1.0
     weights: LossWeights = field(default_factory=LossWeights)
     seed: int = 0
-    grad_clip: Optional[float] = None
+    grad_clip: Optional[float] = None  # max global gradient norm; None = no clipping
     checkpoint_every_epochs: int = 0  # 0 = final checkpoint only
     total_steps: Optional[int] = None  # override epochs * len(dataset)
 
@@ -93,6 +93,8 @@ class TrainConfig:
             raise ValueError("base_lr must be positive")
         if not 0 <= self.image_usage_ratio <= 1:
             raise ValueError("image_usage_ratio must be in [0, 1]")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ValueError("grad_clip must be positive when present")
 
 
 @dataclass
@@ -333,7 +335,7 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
         raise TrainerError("dataset is empty")
     # the finest lattice a step voxelizes (coarser ones have smaller keys),
     # checked on the box that augmentation can carry a scene's views into
-    finest_cell = min(*enc_cfg.cell_sizes, MASK_GRID)
+    finest_cell = min(enc_cfg.voxel_size, MASK_GRID)
     for sample in samples:
         # every step draws local crops of at least this many points
         if sample.cloud.num_points < MIN_LOCAL_POINTS:

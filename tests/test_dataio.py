@@ -263,6 +263,28 @@ class TestManifestIO:
                            match=f"scene {samples[1].scene_id} view 2: feature grid"):
             load_sample(manifest, manifest.samples[1])
 
+    @pytest.mark.parametrize("entry,key,match", [
+        ("view", "R", "scene {scene} view 1: missing key 'R'"),
+        ("cloud", "colors", "scene {scene} cloud: missing key 'colors'"),
+        ("sample", "views", r"sample 1 \(scene {scene}\): missing key 'views'")])
+    def test_missing_entry_key_names_the_scene(self, tmp_path, entry, key, match):
+        spec = small_spec()
+        samples, _ = generate_synthetic(spec)
+        path = save_dataset(samples, tmp_path, spec.feature_dim, spec.patch_size)
+        doc = json.loads(path.read_text())
+        sample = doc["samples"][1]
+        del {"view": sample["views"][1], "cloud": sample["cloud"], "sample": sample}[entry][key]
+        path.write_text(json.dumps(doc))
+        match = match.format(scene=samples[1].scene_id)
+        if entry == "sample":
+            with pytest.raises(ManifestError, match=match):
+                load_manifest(path)
+        else:
+            manifest = load_manifest(path)
+            load_sample(manifest, manifest.samples[0])
+            with pytest.raises(ManifestError, match=match):
+                load_sample(manifest, manifest.samples[1])
+
     def test_five_views_rejected(self, tmp_path):
         spec = small_spec(num_scenes=1)
         samples, _ = generate_synthetic(spec)

@@ -14,7 +14,7 @@ from oracles import gradcheck
 
 
 def tiny_cfg(**kw):
-    base = dict(stage_dims=[8, 12, 16, 20, 24], cell_sizes=[0.1, 0.2, 0.4, 0.8],
+    base = dict(stage_dims=[8, 12, 16, 20, 24], voxel_size=0.1,
                 proto_count=16, proj_dim=12, cross_dim=8)
     base.update(kw)
     return EncoderConfig(**base)
@@ -52,11 +52,57 @@ class TestEncode:
         cfg = tiny_cfg()
         params = init_params(cfg, seed=0)
         res = encode(plain_view(pc), params, cfg)
-        for s, cell in enumerate(cfg.cell_sizes):
-            grid = voxelize(res.coords[s], cell)
+        for s in range(cfg.num_pool_steps):
+            grid = voxelize(res.coords[s], cfg.voxel_size * 2 ** s)
             np.testing.assert_array_equal(res.parents[s], grid.assignments)
         # two well-separated clusters survive to the coarsest stage
         assert res.coords[-1].shape[0] == 2
+
+    @pytest.mark.parametrize("voxel_size", [0.05, 0.1, 0.125])
+    def test_mix_groupings_match_voxel_oracle_on_augmented_views(self, cloud, voxel_size,
+                                                                 monkeypatch):
+        """Each stage mixes over the grid of cell voxel_size * 2**min(s + 1, P)
+        on its own points, read from the hierarchy rather than voxelized."""
+        cfg = tiny_cfg(voxel_size=voxel_size)
+        params = init_params(cfg, seed=9)
+        mixes = []
+        real_mix = encoder_module._local_mix
+
+        def spy(feats, assignments, num_segments):
+            mixes.append((assignments, num_segments))
+            return real_mix(feats, assignments, num_segments)
+
+        monkeypatch.setattr(encoder_module, "_local_mix", spy)
+        vs = make_viewset(cloud, AugmentConfig(), seed=4)
+        views = [plain_view(cloud)] + vs.globals_ + vs.masked + vs.locals_
+        top = cfg.num_pool_steps
+        for view in views:
+            mixes.clear()
+            res = encode(view, params, cfg)
+            assert len(mixes) == cfg.num_stages
+            for s, (assignments, num_segments) in enumerate(mixes):
+                grid = voxelize(res.coords[s], voxel_size * 2 ** min(s + 1, top))
+                np.testing.assert_array_equal(assignments, grid.assignments)
+                assert num_segments == grid.num_voxels
+
+    def test_voxelizes_once_per_hierarchy_level(self, cloud, monkeypatch):
+        cfg = tiny_cfg()
+        params = init_params(cfg, seed=10)
+        calls = []
+
+        def counting(points, cell_size):
+            calls.append(cell_size)
+            return voxelize(points, cell_size)
+
+        monkeypatch.setattr(encoder_module, "voxelize", counting)
+        res = encode(plain_view(cloud), params, cfg)
+        assert calls == [cfg.voxel_size * 2 ** k for k in range(cfg.num_stages)]
+        assert len(res.coords) == cfg.num_stages and len(res.parents) == cfg.num_pool_steps
+
+    @pytest.mark.parametrize("voxel_size", [0.0, -0.05, float("nan")])
+    def test_non_positive_voxel_size_rejected(self, voxel_size):
+        with pytest.raises(ValueError, match="voxel_size must be positive"):
+            tiny_cfg(voxel_size=voxel_size)
 
     def test_permutation_equivariance(self, cloud):
         cfg = tiny_cfg()
@@ -72,7 +118,7 @@ class TestEncode:
 
     def test_translation_by_cell_multiple_preserves_features(self, cloud):
         # binary-exact cells so the uniform key shift is exact in floats
-        cfg = tiny_cfg(cell_sizes=[0.125, 0.25, 0.5, 1.0])
+        cfg = tiny_cfg(voxel_size=0.125)
         params = init_params(cfg, seed=2)
         res = encode(plain_view(cloud), params, cfg)
         shift = 4.0  # multiple of every pooling and aggregation cell
@@ -125,7 +171,7 @@ class TestEncode:
             grads.append(params["mask_token"].grad)
             params["mask_token"].grad = None
         x, leaf = inputs
-        grid = voxelize(cloud.coords, cfg.cell_sizes[0])
+        grid = voxelize(cloud.coords, cfg.voxel_size)
         offsets = cloud.coords - grid.centroids[grid.assignments]
         np.testing.assert_array_equal(x.data[mask], np.tile(params["mask_token"].data,
                                                             (mask.sum(), 1)))
@@ -205,8 +251,8 @@ class TestUpcast:
     def test_too_few_stages_for_the_cross_level_rejected(self):
         # three stages pool twice; the cross branch reads three pooling steps
         with pytest.raises(ValueError, match=f"cross upcast level {CROSS_LEVEL}"):
-            EncoderConfig(stage_dims=[8, 12, 16], cell_sizes=[0.1, 0.2])
-        EncoderConfig(stage_dims=[8, 12, 16, 20], cell_sizes=[0.1, 0.2, 0.4])
+            EncoderConfig(stage_dims=[8, 12, 16])
+        EncoderConfig(stage_dims=[8, 12, 16, 20])
 
     @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
     def test_output_dim_matches_formula(self, cloud, level):

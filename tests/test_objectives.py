@@ -12,7 +12,7 @@ from concerto.views import AugmentConfig, make_viewset
 
 
 def tiny_cfg(**kw):
-    base = dict(stage_dims=[8, 12, 16, 20, 24], cell_sizes=[0.1, 0.2, 0.4, 0.8],
+    base = dict(stage_dims=[8, 12, 16, 20, 24], voxel_size=0.1,
                 proto_count=12, proj_dim=10, cross_dim=8)
     base.update(kw)
     return EncoderConfig(**base)

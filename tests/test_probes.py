@@ -15,7 +15,7 @@ from oracles import record_tape_dtypes
 
 
 def tiny_enc(**kw):
-    base = dict(stage_dims=[8, 12, 16, 20, 24], cell_sizes=[0.12, 0.25, 0.5, 1.0],
+    base = dict(stage_dims=[8, 12, 16, 20, 24], voxel_size=0.125,
                 proto_count=24, proj_dim=16, cross_dim=8)
     base.update(kw)
     return EncoderConfig(**base)
@@ -145,12 +145,9 @@ def linear_probe_oracle(train_scenes, num_classes, cfg):
         ys.append(labels[keep])
     x = np.concatenate(xs, axis=0).astype(np.float32)
     y = np.concatenate(ys, axis=0)
-    if cfg.standardize:
-        x64 = x.astype(np.float64)
-        mu, sd = x64.mean(axis=0), np.maximum(x64.std(axis=0), 1e-8)
-        x = (x - mu.astype(np.float32)) * (1.0 / sd).astype(np.float32)
-    else:
-        mu, sd = np.zeros(x.shape[1]), np.ones(x.shape[1])
+    x64 = x.astype(np.float64)
+    mu, sd = x64.mean(axis=0), np.maximum(x64.std(axis=0), 1e-8)
+    x = (x - mu.astype(np.float32)) * (1.0 / sd).astype(np.float32)
     head = {"head.w": T.param(np.zeros((x.shape[1], num_classes))),
             "head.b": T.param(np.zeros(num_classes))}
     state = AdamState.init(head)
@@ -172,16 +169,14 @@ def probe_scenes(seed, unlabeled):
 
 
 class TestLinearProbe:
-    @pytest.mark.parametrize("budget,unlabeled,standardize,num_scenes", [
-        (None, False, True, 2), (None, False, True, 1), (120, True, True, 2),
-        (None, False, False, 2)],
-        ids=["keep_all", "one_scene", "budget_and_unlabeled", "no_standardize"])
+    @pytest.mark.parametrize("budget,unlabeled,num_scenes", [
+        (None, False, 2), (None, False, 1), (120, True, 2)],
+        ids=["keep_all", "one_scene", "budget_and_unlabeled"])
     def test_bit_equal_to_old_formula_and_inputs_untouched(self, budget, unlabeled,
-                                                           standardize, num_scenes):
+                                                           num_scenes):
         scenes = probe_scenes(9, unlabeled)[:num_scenes]
         before = [(x.copy(), y.copy()) for x, y in scenes]
-        cfg = ProbeConfig(epochs=6, lr=0.05, label_budget=budget, seed=3,
-                          standardize=standardize)
+        cfg = ProbeConfig(epochs=6, lr=0.05, label_budget=budget, seed=3)
         res = linear_probe(scenes, scenes[:1], 3, cfg)
         for (x, y), (x0, y0) in zip(scenes, before):
             np.testing.assert_array_equal(x, x0)

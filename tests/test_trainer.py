@@ -19,7 +19,7 @@ from oracles import record_tape_dtypes
 
 
 def tiny_enc(**kw):
-    base = dict(stage_dims=[8, 12, 16, 20, 24], cell_sizes=[0.12, 0.25, 0.5, 1.0],
+    base = dict(stage_dims=[8, 12, 16, 20, 24], voxel_size=0.125,
                 proto_count=24, proj_dim=16, cross_dim=8)
     base.update(kw)
     return EncoderConfig(**base)
@@ -128,6 +128,13 @@ class TestSchedules:
         clip_gradients(grads, 1.0)
         post = np.sqrt(sum((g ** 2).sum() for g in grads.values()))
         assert post <= min(pre, 1.0) + 1e-12
+
+    @pytest.mark.parametrize("grad_clip", [0.0, -1.0, float("nan")])
+    def test_non_positive_grad_clip_rejected(self, grad_clip):
+        # a negative clip would scale every gradient by a negative factor
+        with pytest.raises(ValueError, match="grad_clip must be positive"):
+            TrainConfig(grad_clip=grad_clip)
+        TrainConfig(grad_clip=None)
 
 
 class TestTrainLoop:
@@ -323,7 +330,7 @@ class TestTrainLoop:
         assert json.loads((ck / "meta.json").read_text())["encoder"]["stage_dims"] == \
             [8, 12, 16, 20, 24]
         for changed, field in ((tiny_enc(stage_dims=[8, 12, 16, 20, 32]), "stage_dims"),
-                               (tiny_enc(cell_sizes=[0.24, 0.5, 1.0, 2.0]), "cell_sizes")):
+                               (tiny_enc(voxel_size=0.25), "voxel_size")):
             with pytest.raises(TrainerError, match=field):
                 self.run(dataset[:2], 4, resume=ck, enc_cfg=changed)
 
