@@ -63,6 +63,8 @@ class ProbeConfig:
             raise ValueError("label_budget must be positive when present")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
+        if self.lora_rank < 1:
+            raise ValueError("lora_rank must be at least 1")
 
 
 @dataclass

@@ -23,7 +23,6 @@ its tape in the room this one freed, not beside it.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import shutil
 from dataclasses import dataclass, field, asdict
@@ -40,8 +39,6 @@ from .geometry import Correspondence, build_correspondence, lattice_keys
 from .objectives import ClusterLossConfig, LossWeights, combine, cross_loss, intra_loss
 from .views import (MASK_GRID, MIN_LOCAL_POINTS, AugmentConfig, augmented_bounds,
                     make_viewset)
-
-logger = logging.getLogger(__name__)
 
 LOG_KEYS = ("step", "intra", "cross", "cross_mean_baseline", "total", "lr", "m_ema",
             "matched_pairs", "nonempty_patches", "grad_norm", "center_norm", "proto_used")
@@ -327,15 +324,17 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
     after every optimizer/EMA update (observer only). Every checkpoint
     records the encoder config and the compute dtype, and resuming under
     another one, or from parameters of other names or shapes, is refused. So
-    is a scene too small to crop, or one whose augmented views can reach
-    beyond the voxel key range (``views.augmented_bounds``); both checks run
-    before step 0.
+    is a scene too small to crop, one whose augmented views can reach
+    beyond the voxel key range (``views.augmented_bounds``), and, when the
+    cross branch can run, one whose image features are not
+    ``enc_cfg.cross_dim`` wide; these checks run before step 0.
     """
     if not samples:
         raise TrainerError("dataset is empty")
     # the finest lattice a step voxelizes (coarser ones have smaller keys),
     # checked on the box that augmentation can carry a scene's views into
     finest_cell = min(enc_cfg.voxel_size, MASK_GRID)
+    cross_can_run = cfg.weights.cross > 0 and cfg.image_usage_ratio > 0
     for sample in samples:
         # every step draws local crops of at least this many points
         if sample.cloud.num_points < MIN_LOCAL_POINTS:
@@ -346,6 +345,11 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
                          finest_cell)
         except ValueError as e:
             raise TrainerError(f"scene {sample.scene_id}, once augmented: {e}") from e
+        grids = _scene_grids(sample) if cross_can_run else None
+        for i, grid in enumerate(grids or ()):
+            if grid.shape[1] != enc_cfg.cross_dim:
+                raise TrainerError(f"scene {sample.scene_id}, view {i}: image features are "
+                                   f"{grid.shape[1]} wide, enc_cfg.cross_dim is {enc_cfg.cross_dim}")
     # the JSON round trip makes the stored and the current entry compare equal
     meta = {"encoder": json.loads(json.dumps(asdict(enc_cfg))),
             "compute_dtype": np.dtype(COMPUTE_DTYPE).name}

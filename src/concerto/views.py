@@ -2,25 +2,22 @@
 with original-index provenance.
 
 Masked views reuse the principal (first global) view's geometry and differ
-only in a point mask, so any correspondence built on the principal view's
-source points stays valid for them. Local views are contiguous ball crops.
+only in a point mask drawn from one voxel grid of it, so any correspondence
+built on the principal view's source points stays valid for them. Local
+views are contiguous ball crops.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .dataio import PointCloud
-from .geometry import voxelize
-
-logger = logging.getLogger(__name__)
+from .geometry import VoxelGrid, voxelize
 
 MIN_LOCAL_POINTS = 16
-LOCAL_RETRIES = 8
 GLOBAL_VIEWS = 2
 MASKED_VIEWS = 2
 LOCAL_VIEWS = 4
@@ -75,10 +72,10 @@ class ViewSet:
         return self.globals_ + self.masked + self.locals_
 
 
-def _augment_cloud(cloud: PointCloud, cfg: AugmentConfig, rng: np.random.Generator) -> PointCloud:
+def _augment_cloud(coords: np.ndarray, colors: np.ndarray, cfg: AugmentConfig,
+                   rng: np.random.Generator) -> PointCloud:
     """Random rigid pose + scale + flips around the centroid, coordinate
     jitter, and color jitter; the result carries no normals or labels."""
-    coords = cloud.coords
     center = coords.mean(axis=0)
     theta = rng.uniform(*cfg.rotation_range)
     c, s = np.cos(theta), np.sin(theta)
@@ -89,7 +86,6 @@ def _augment_cloud(cloud: PointCloud, cfg: AugmentConfig, rng: np.random.Generat
     out = (coords - center) * diag @ rot.T * scale + center
     if cfg.jitter_sigma > 0:
         out = out + rng.normal(0.0, cfg.jitter_sigma, size=out.shape)
-    colors = cloud.colors
     if cfg.color_jitter > 0:
         colors = np.clip(colors + rng.uniform(-cfg.color_jitter, cfg.color_jitter,
                                               size=colors.shape), 0.0, 1.0)
@@ -115,70 +111,65 @@ def augmented_bounds(coords: np.ndarray, cfg: AugmentConfig):
     return lo - margin, hi + margin
 
 
-def _grid_mask(coords: np.ndarray, ratio: float, grid: float,
-               rng: np.random.Generator) -> np.ndarray:
-    """Mask whole voxel cells in random order until ``ratio`` of the points is
-    covered; the last cell is trimmed so the final count is exact."""
-    n = coords.shape[0]
+def _grid_mask(vox: VoxelGrid, ratio: float, rng: np.random.Generator) -> np.ndarray:
+    """Mask whole cells of ``vox`` in random order until ``ratio`` of its
+    points is covered; only the cell that reaches the target is trimmed, so
+    the final count is exact."""
+    n = vox.assignments.size
     target = int(round(ratio * n))
-    mask = np.zeros(n, dtype=bool)
     if target == 0:
-        return mask
-    vox = voxelize(coords, grid)
+        return np.zeros(n, dtype=bool)
     order = rng.permutation(vox.num_voxels)
-    by_cell = np.argsort(vox.assignments, kind="stable")
-    ends = np.cumsum(vox.counts)
-    covered = 0
-    for cell in order:
-        members = by_cell[ends[cell] - vox.counts[cell]:ends[cell]]
-        room = target - covered
-        if members.size > room:
-            members = rng.choice(members, size=room, replace=False)
-        mask[members] = True
-        covered += members.size
-        if covered >= target:
-            break
+    reach = np.cumsum(vox.counts[order])
+    last = int(np.searchsorted(reach, target))  # the first cell to reach the target
+    whole = np.zeros(vox.num_voxels, dtype=bool)
+    whole[order[:last]] = True
+    mask = whole[vox.assignments]
+    members = np.flatnonzero(vox.assignments == order[last])
+    room = target - (int(reach[last - 1]) if last else 0)
+    if members.size > room:
+        members = rng.choice(members, size=room, replace=False)
+    mask[members] = True
     return mask
 
 
-def _local_crop(cloud: PointCloud, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
-    """Indices of a contiguous ball crop holding a crop-fraction of points."""
-    n = cloud.num_points
+def _local_crop(coords: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
+    """Indices of a contiguous ball crop: the points nearest a random one,
+    a crop-fraction of them but at least ``MIN_LOCAL_POINTS``."""
+    n = coords.shape[0]
+    if n < MIN_LOCAL_POINTS:
+        raise ValueError(f"local crop needs at least {MIN_LOCAL_POINTS} points; the cloud has {n}")
     frac = rng.uniform(*cfg.crop_range)
-    center = cloud.coords[rng.integers(n)]
-    for attempt in range(LOCAL_RETRIES):
-        k = int(round(frac * n))
-        if k >= MIN_LOCAL_POINTS:
-            d = np.linalg.norm(cloud.coords - center, axis=1)
-            idx = np.argpartition(d, min(k, n) - 1)[:k]
-            return np.sort(idx)
-        frac = min(1.0, frac * 2)
-    raise ValueError(f"local crop produced fewer than {MIN_LOCAL_POINTS} points after {LOCAL_RETRIES} retries")
+    center = coords[rng.integers(n)]
+    k = min(n, max(int(round(frac * n)), MIN_LOCAL_POINTS))
+    d = np.linalg.norm(coords - center, axis=1)
+    return np.sort(np.argpartition(d, k - 1)[:k])
 
 
 def make_viewset(cloud: PointCloud, cfg: AugmentConfig, seed: int) -> ViewSet:
     """2 global + 2 masked + 4 local views, deterministic under the seed.
 
     The first global view is the principal view; masked views share its
-    cloud object and carry a mask covering ``mask_ratio`` of the points.
-    Views share arrays nothing mutates: the clouds and the origin index.
+    cloud object and carry masks of ``mask_ratio`` of its points, drawn from
+    one ``MASK_GRID`` voxelization of it. Views share arrays nothing
+    mutates: the clouds and the origin index.
     """
-    if cloud.num_points < 1:
-        raise ValueError("cloud is empty")
     rng = np.random.default_rng([seed, 0x5eed])
+    coords, colors = cloud.coords, cloud.colors
     all_idx = np.arange(cloud.num_points)
-    globals_ = [View(cloud=_augment_cloud(cloud, cfg, rng), origin_index=all_idx)
+    globals_ = [View(cloud=_augment_cloud(coords, colors, cfg, rng), origin_index=all_idx)
                 for _g in range(GLOBAL_VIEWS)]
     principal = globals_[0].cloud
+    grid = voxelize(principal.coords, MASK_GRID)
     masked = [View(cloud=principal, origin_index=all_idx,
-                   mask=_grid_mask(principal.coords, cfg.mask_ratio, MASK_GRID, rng))
+                   mask=_grid_mask(grid, cfg.mask_ratio, rng))
               for _m in range(MASKED_VIEWS)]
 
     locals_ = []
     for _l in range(LOCAL_VIEWS):
-        idx = _local_crop(cloud, cfg, rng)
-        sub = PointCloud(coords=cloud.coords[idx], colors=cloud.colors[idx])
-        locals_.append(View(cloud=_augment_cloud(sub, cfg, rng), origin_index=idx))
+        idx = _local_crop(coords, cfg, rng)
+        locals_.append(View(cloud=_augment_cloud(coords[idx], colors[idx], cfg, rng),
+                            origin_index=idx))
 
     return ViewSet(globals_=globals_, masked=masked, locals_=locals_)
 

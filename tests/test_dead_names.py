@@ -1,7 +1,8 @@
 """Every top-level function and class of ``concerto`` is named by the code
 that runs: by another part of the package or by the benchmark, and so is
 every method and property of its classes. Code only the tests call belongs
-in ``tests/``. Likewise every defaulted parameter of a public function is
+in ``tests/``. A module-level name a module assigns is read by that module,
+or imported or reached as an attribute by the package or the benchmark. Likewise every defaulted parameter of a public function is
 passed by some call in that code, and every field of a config dataclass is
 set by some code or test: a default nobody overrides is a constant."""
 
@@ -89,6 +90,43 @@ def unreached_members() -> list:
 
 def test_every_member_is_reached():
     assert unreached_members() == []
+
+
+def unread_assignments(package, trees) -> list:
+    """Non-dunder top-level names a package module assigns but never reads,
+    and that no package or benchmark code imports or reaches as an
+    attribute, as ``module.name``."""
+    outside = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                outside.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                outside.add(node.attr)
+    unread = []
+    for path in package:
+        read = {node.id for node in ast.walk(trees[path])
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for stmt in trees[path].body:
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+            unread += [f"{path.stem}.{node.id}" for target in targets
+                       for node in ast.walk(target) if isinstance(node, ast.Name)
+                       and not (node.id.startswith("__") and node.id.endswith("__"))
+                       and node.id not in read | outside]
+    return unread
+
+
+def test_every_assigned_name_is_read():
+    assert unread_assignments(*_parse()) == []
+
+
+def test_an_unread_constant_is_caught():
+    # a constant left behind by the code that read it
+    package, trees = _parse()
+    views = ROOT / "src" / "concerto" / "views.py"
+    trees[views] = ast.parse(views.read_text() + "\nLOCAL_RETRIES = 8\n")
+    assert unread_assignments(package, trees) == ["views.LOCAL_RETRIES"]
 
 
 def _passes(call: ast.Call, position, name: str) -> bool:

@@ -290,6 +290,11 @@ class TestBlockedHelpers:
 
 
 class TestLoraProbe:
+    @pytest.mark.parametrize("rank", [0, -1])
+    def test_rank_below_one_rejected(self, rank):
+        with pytest.raises(ValueError, match="lora_rank must be at least 1"):
+            ProbeConfig(lora_rank=rank)
+
     def test_zero_adapter_lr_equals_linear_probe(self, dataset):
         enc_cfg = tiny_enc()
         params = init_params(enc_cfg, seed=4)

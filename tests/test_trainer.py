@@ -192,6 +192,17 @@ class TestTrainLoop:
                      step_hook=lambda step, *_rest: steps.append(step))
         assert steps == []
 
+    def test_image_feature_width_mismatch_rejected_before_step_0(self, dataset):
+        steps = []
+        with pytest.raises(TrainerError, match=r"scene_0000, view 0: image features are 8 "
+                                               r"wide, enc_cfg\.cross_dim is 16"):
+            self.run(dataset, 2, enc_cfg=tiny_enc(cross_dim=16),
+                     step_hook=lambda step, *_rest: steps.append(step))
+        assert steps == []
+        # the width is not checked where the cross branch cannot run
+        for kw in (dict(weights=LossWeights(cross=0.0)), dict(image_usage_ratio=0.0)):
+            assert len(self.run(dataset, 1, enc_cfg=tiny_enc(cross_dim=16), **kw).log) == 1
+
     def test_loss_logged_and_finite(self, dataset):
         res = self.run(dataset, 6)
         assert len(res.log) == 6

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from concerto import views
 from concerto.dataio import PointCloud, SyntheticSpec, generate_synthetic
 from concerto.geometry import voxelize
-from concerto.views import (AugmentConfig, _grid_mask, augmented_bounds, make_viewset,
-                            match_views)
+from concerto.views import (MASK_GRID, MIN_LOCAL_POINTS, AugmentConfig, _grid_mask,
+                            _local_crop, augmented_bounds, make_viewset, match_views)
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +75,48 @@ class TestViewSet:
         with pytest.raises(ValueError, match="local crop"):
             make_viewset(pc, AugmentConfig(crop_range=(0.1, 0.1)), seed=0)
 
+    def test_one_voxelization_at_the_mask_grid(self, cloud, monkeypatch):
+        calls = []
+
+        def counting_voxelize(coords, cell):
+            calls.append((coords, cell))
+            return voxelize(coords, cell)
+
+        monkeypatch.setattr(views, "voxelize", counting_voxelize)
+        vs = make_viewset(cloud, AugmentConfig(), seed=10)
+        assert len(calls) == 1
+        assert calls[0][0] is vs.globals_[0].cloud.coords and calls[0][1] == MASK_GRID
+
+    def test_zero_crop_fraction_gives_minimum_crops(self, cloud):
+        vs = make_viewset(cloud, AugmentConfig(crop_range=(0.0, 0.0)), seed=11)
+        assert [l.origin_index.size for l in vs.locals_] == [MIN_LOCAL_POINTS] * 4
+
+
+def local_crop_sort_oracle(coords, crop_range, rng):
+    """A local crop by full sort of the distances, taking the same draws as
+    ``_local_crop``."""
+    n = coords.shape[0]
+    frac = rng.uniform(*crop_range)
+    center = coords[rng.integers(n)]
+    k = min(n, max(int(round(frac * n)), MIN_LOCAL_POINTS))
+    d = np.linalg.norm(coords - center, axis=1)
+    return np.sort(np.argsort(d, kind="stable")[:k])
+
+
+class TestLocalCrop:
+    @pytest.mark.parametrize("crop_range", [(0.0, 0.0), (0.005, 0.02), (0.1, 0.4), (1.0, 1.0)])
+    @pytest.mark.parametrize("num_points", [20, None])
+    def test_equal_to_sort_oracle(self, cloud, crop_range, num_points):
+        coords = cloud.coords[:num_points]
+        n = coords.shape[0]
+        for seed in range(5):
+            rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            idx = _local_crop(coords, AugmentConfig(crop_range=crop_range), rng)
+            expect = local_crop_sort_oracle(coords, crop_range, rng_ref)
+            np.testing.assert_array_equal(idx, expect)
+            assert MIN_LOCAL_POINTS <= idx.size <= n
+            assert rng.integers(2 ** 62) == rng_ref.integers(2 ** 62)
+
 
 def grid_mask_loop_oracle(coords, ratio, grid, rng):
     """The per-cell scan ``_grid_mask`` replaced, kept as a test-only oracle."""
@@ -119,7 +162,7 @@ class TestGridMask:
     def test_bit_equal_to_loop_oracle(self, cloud, ratio, grid):
         for seed in range(3):
             rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            mask = _grid_mask(cloud.coords, ratio, grid, rng)
+            mask = _grid_mask(voxelize(cloud.coords, grid), ratio, rng)
             np.testing.assert_array_equal(mask, grid_mask_loop_oracle(cloud.coords, ratio,
                                                                       grid, rng_ref))
             assert mask.sum() == int(round(ratio * cloud.num_points))
