@@ -126,7 +126,7 @@ def _grid_mask(vox: VoxelGrid, ratio: float, rng: np.random.Generator) -> np.nda
     whole[order[:last]] = True
     mask = whole[vox.assignments]
     members = np.flatnonzero(vox.assignments == order[last])
-    room = target - (int(reach[last - 1]) if last else 0)
+    room = target - (reach[last - 1] if last else 0)
     if members.size > room:
         members = rng.choice(members, size=room, replace=False)
     mask[members] = True
