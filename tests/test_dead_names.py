@@ -2,9 +2,10 @@
 that runs: by another part of the package or by the benchmark, and so is
 every method and property of its classes. Code only the tests call belongs
 in ``tests/``. A module-level name a module assigns is read by that module,
-or imported or reached as an attribute by the package or the benchmark. Likewise every defaulted parameter of a public function is
-passed by some call in that code, and every field of a config dataclass is
-set by some code or test: a default nobody overrides is a constant."""
+or imported or reached as an attribute by the package or the benchmark.
+Likewise every defaulted parameter of a public function is passed by some
+call in that code, and every field of a config dataclass is set by some
+code or test: a default nobody overrides is a constant."""
 
 import ast
 from collections import defaultdict
@@ -105,15 +106,15 @@ def unread_assignments(package, trees) -> list:
                 outside.add(node.attr)
     unread = []
     for path in package:
-        read = {node.id for node in ast.walk(trees[path])
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        known = outside | {node.id for node in ast.walk(trees[path])
+                           if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         for stmt in trees[path].body:
             targets = (stmt.targets if isinstance(stmt, ast.Assign)
                        else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
             unread += [f"{path.stem}.{node.id}" for target in targets
                        for node in ast.walk(target) if isinstance(node, ast.Name)
                        and not (node.id.startswith("__") and node.id.endswith("__"))
-                       and node.id not in read | outside]
+                       and node.id not in known]
     return unread
 
 
