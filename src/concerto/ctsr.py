@@ -33,8 +33,6 @@ def dtype_code(arr: np.ndarray) -> int:
 
 def save_ctsr(path, array: np.ndarray) -> None:
     arr = np.ascontiguousarray(array)
-    if arr.dtype.kind == "i" and arr.dtype.itemsize != 8:
-        arr = arr.astype(np.int64)
     code = dtype_code(arr)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -51,6 +51,9 @@ class EncoderConfig:
     def __post_init__(self):
         if any(d <= 0 for d in self.stage_dims) or not self.voxel_size > 0:
             raise ValueError("stage dims and voxel_size must be positive")
+        if self.proto_count < 1 or self.proj_dim < 1 or (
+                self.cross_dim is not None and self.cross_dim < 1):
+            raise ValueError("proto_count, proj_dim and a set cross_dim must be at least 1")
         if self.num_pool_steps < CROSS_LEVEL:
             raise ValueError(f"cross upcast level {CROSS_LEVEL} needs at least "
                              f"{CROSS_LEVEL} pooling steps, got {self.num_pool_steps}")
@@ -264,11 +267,6 @@ def proj_head(params: Dict[str, T.Tensor], x: T.Tensor) -> T.Tensor:
     h = T.op_gelu(h)
     h = _linear(h, params, "proj.lin1")
     return T.op_l2norm(h)
-
-
-def proto_scores(params: Dict[str, T.Tensor], z: T.Tensor) -> T.Tensor:
-    """Prototype logits: z @ W_proto, one prototype per column of W_proto."""
-    return T.op_matmul(z, params["proto.w"])
 
 
 def cross_head(params: Dict[str, T.Tensor], x: T.Tensor) -> T.Tensor:

@@ -123,8 +123,8 @@ def project_points(points: np.ndarray, cam: CameraView):
     return xy, depth, in_bounds
 
 
-def visible_mask(points: np.ndarray, cam: CameraView, eps_depth: float):
-    """Vectorized visibility for all points against one camera.
+def visible_mask(points: np.ndarray, cam: CameraView):
+    """Vectorized visibility within ``EPS_DEPTH`` for all points against one camera.
 
     Returns (mask, ix, iy) where ix/iy are valid only where mask holds.
     """
@@ -141,7 +141,7 @@ def visible_mask(points: np.ndarray, cam: CameraView, eps_depth: float):
     sx = np.floor(xy[sel, 0]).astype(np.int64)
     sy = np.floor(xy[sel, 1]).astype(np.int64)
     d = cam.depth_map[sy, sx]
-    ok = np.isfinite(d) & (d > 0) & (np.abs(d - depth[sel]) < eps_depth)
+    ok = np.isfinite(d) & (d > 0) & (np.abs(d - depth[sel]) < EPS_DEPTH)
     mask[sel[ok]] = True
     ix[sel] = sx
     iy[sel] = sy
@@ -164,7 +164,7 @@ def build_correspondence(points: np.ndarray, views: Sequence[CameraView]) -> Cor
     point_index, view_index, row = [empty], [empty], [empty]
     offset = 0
     for v, cam in enumerate(views):
-        mask, ix, iy = visible_mask(pts, cam, EPS_DEPTH)
+        mask, ix, iy = visible_mask(pts, cam)
         idx = np.flatnonzero(mask)
         point_index.append(idx)
         view_index.append(np.full_like(idx, v))

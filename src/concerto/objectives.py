@@ -21,8 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import tensor as T
-from .encoder import (CROSS_LEVEL, INTRA_LEVEL, EncodeResult, cross_head, proj_head,
-                      proto_scores, upcast)
+from .encoder import CROSS_LEVEL, INTRA_LEVEL, EncodeResult, cross_head, proj_head, upcast
 from .geometry import Correspondence
 from .views import View, match_views
 
@@ -61,7 +60,7 @@ def _teacher_probs(params_t, feats: T.Tensor, center: np.ndarray, cfg: ClusterLo
     the features' dtype.
     """
     z = proj_head(params_t, feats)
-    logits = proto_scores(params_t, z).data
+    logits = T.op_matmul(z, params_t["proto.w"]).data
     return T.softmax_np(logits - center.astype(logits.dtype), cfg.teacher_temp), logits
 
 

@@ -104,6 +104,9 @@ def compute_metrics(pred, gt, num_classes: int) -> SegMetrics:
     _check_labels(gt, num_classes, "ground truth")
     keep = gt >= 0
     pred, gt = pred[keep], gt[keep]
+    bad = pred[(pred < 0) | (pred >= num_classes)]
+    if bad.size:
+        raise ValueError(f"prediction {bad[0]} is outside [0, {num_classes})")
     conf = np.bincount(gt * num_classes + pred, minlength=num_classes ** 2)
     conf = conf.reshape(num_classes, num_classes).astype(np.int64)
     diag = np.diag(conf).astype(np.float64)
@@ -212,13 +215,13 @@ class ProbeResult:
 
 
 def _fit(params: Dict[str, T.Tensor], loss_of, cfg: ProbeConfig,
-         lr_factors: Dict[str, float], dtype) -> None:
+         lr_factors: Dict[str, float]) -> None:
     """``cfg.epochs`` full-batch AdamW steps on the float64 masters
     ``params``. Each epoch ``loss_of(copies)`` builds the loss on the tape
-    from ``dtype`` copies of them, whose gradients are upcast for the step."""
+    from ``COMPUTE_DTYPE`` copies, whose gradients are upcast for the step."""
     state = AdamState.init(params)
     for _epoch in range(cfg.epochs):
-        copies = compute_copies(params, dtype, track=True)
+        copies = compute_copies(params, COMPUTE_DTYPE, track=True)
         loss = loss_of(copies)
         T.backward(loss)
         del loss  # one epoch's tape is not kept while the next is built
@@ -295,7 +298,7 @@ def linear_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray]],
     x *= scale
     head = _zero_head(dim, num_classes)
     feats, weights = T.Tensor(x), _head_targets(y, num_classes)
-    _fit(head, lambda h: _head_loss(h, feats, weights), cfg, {}, COMPUTE_DTYPE)
+    _fit(head, lambda h: _head_loss(h, feats, weights), cfg, {})
     return ProbeResult(weight=head["head.w"].data.copy(), bias=head["head.b"].data.copy(),
                        metrics=_evaluate(head, eval_scenes, mu, sd, num_classes),
                        missing_train_classes=missing,
@@ -312,6 +315,10 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
     adapters merged into their weights. With a zero adapter rate this
     reduces exactly to the linear probe (adapters start as the identity).
     """
+    for role, samples in (("training", train_samples), ("evaluation", eval_samples)):
+        for s in samples:
+            if s.cloud.labels is None:
+                raise ProbeError(f"{role} scene {s.scene_id} has no labels")
     # ``COMPUTE_DTYPE`` constants, cast once: the frozen weights never
     # receive gradients
     base = compute_copies(frozen_params, COMPUTE_DTYPE, track=False)
@@ -335,7 +342,7 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
         x = T.op_mul(T.op_add(x, T.Tensor(-shift)), T.Tensor(scale))
         return _head_loss(copies, x, weights)
 
-    _fit({**head, **factors}, loss_of, cfg, lr_factors, COMPUTE_DTYPE)
+    _fit({**head, **factors}, loss_of, cfg, lr_factors)
 
     # final standardization stats and eval features from the merged weights,
     # merged in the arithmetic the epochs used

@@ -314,14 +314,16 @@ def _check_resumable(ck: Checkpoint, meta: dict, params: Dict[str, T.Tensor],
 
 def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConfig,
           aug_cfg: AugmentConfig, cluster_cfg: ClusterLossConfig,
-          out_dir=None, resume_from=None,
-          step_hook=None, stop_at_step: Optional[int] = None) -> TrainResult:
+          out_dir=None, resume_from=None, step_hook=None) -> TrainResult:
     """Run the pretraining loop over scene samples.
 
     Deterministic under (configs, seed); a run resumed from a checkpoint at
     step k produces the same parameters and log lines as an uninterrupted
     run, bit for bit. ``step_hook(step, params, teacher, m_ema)`` is called
-    after every optimizer/EMA update (observer only). Every checkpoint
+    after every optimizer/EMA update (observer only). With ``out_dir``, only
+    a completed schedule writes ``ckpt_final``, the last of ``checkpoints``;
+    an exception, from ``step_hook`` or not, stops the run like a crash, and
+    it resumes from its last periodic ``ckpt_step<k>``. Every checkpoint
     records the encoder config and the compute dtype, and resuming under
     another one, or from parameters of other names or shapes, is refused. So
     is a scene too small to crop, one whose augmented views can reach
@@ -382,10 +384,8 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
 
     log: List[dict] = []
     checkpoints: List[Path] = []
-    end_step = total_steps if stop_at_step is None else min(stop_at_step, total_steps)
-    reached = start_step
     try:
-        for step in range(start_step, end_step):
+        for step in range(start_step, total_steps):
             epoch = step // n
             order = np.random.default_rng([cfg.seed, 88, epoch]).permutation(n)
             sample = samples[order[step % n]]
@@ -443,16 +443,15 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
             # free this step's tape before the next step builds its own
             del student, teach, intra, cross, total
 
-            reached = step + 1
-            end_of_epoch = (step + 1) % n == 0
-            if (out is not None and cfg.checkpoint_every_epochs > 0 and end_of_epoch
-                    and ((step + 1) // n) % cfg.checkpoint_every_epochs == 0):
+            if (out is not None and cfg.checkpoint_every_epochs > 0 and step + 1 < total_steps
+                    and (step + 1) % (n * cfg.checkpoint_every_epochs) == 0):
                 checkpoints.append(save_checkpoint(out / f"ckpt_step{step + 1:06d}",
                                                    params, teacher, state, center,
                                                    step + 1, meta=meta))
         if out is not None:
-            checkpoints.append(save_checkpoint(out / "ckpt_final", params, teacher,
-                                               state, center, reached, meta=meta))
+            # a run resumed past a shorter schedule keeps its checkpoint's step
+            checkpoints.append(save_checkpoint(out / "ckpt_final", params, teacher, state,
+                                               center, max(start_step, total_steps), meta=meta))
     finally:
         if log_fh is not None:
             log_fh.close()

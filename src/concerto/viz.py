@@ -24,13 +24,16 @@ def fit_pca(features: np.ndarray) -> PcaModel:
     """Top-3 principal directions of the feature covariance.
 
     Deterministic symmetric eigensolver; the sign convention makes the
-    largest-magnitude entry of every component positive. Feature sets with
-    covariance rank < 3 get an orthonormal completion (with a warning);
+    largest-magnitude entry of every component positive. Features need at
+    least 3 columns. Feature sets with covariance rank < 3 still get
+    orthonormal components from the eigensolver (with a warning);
     all-identical features are an error.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 4:
         raise ValueError("fit_pca needs at least 4 feature rows")
+    if x.shape[1] < 3:
+        raise ValueError(f"fit_pca needs at least 3 feature columns, got {x.shape[1]}")
     mean = x.mean(axis=0)
     xc = x - mean
     if np.abs(xc).max() == 0:
@@ -39,41 +42,19 @@ def fit_pca(features: np.ndarray) -> PcaModel:
     evals, evecs = np.linalg.eigh(cov)  # ascending
     order = np.argsort(evals, kind="stable")[::-1]
     evals = np.maximum(evals[order], 0.0)
-    evecs = evecs[:, order]
-    d = x.shape[1]
+    comps = evecs[:, order[:3]].T.copy()
     rank = int((evals > max(evals[0], 1e-300) * 1e-12).sum())
-    comps = []
-    for i in range(min(3, d)):
-        comps.append(evecs[:, i])
-    while len(comps) < 3:  # degenerate width-<3 feature spaces
-        comps.append(_complete_direction(np.array(comps), d, len(comps)))
-    comps = np.stack(comps[:3])
     if rank < 3:
-        logger.warning("feature covariance rank %d < 3; padded with an arbitrary "
-                       "orthonormal completion", rank)
+        logger.warning("feature covariance rank %d < 3; the components past it "
+                       "are an arbitrary orthonormal completion", rank)
     # fix signs: largest-|entry| coordinate positive
     for i in range(3):
         j = int(np.abs(comps[i]).argmax())
         if comps[i, j] < 0:
             comps[i] = -comps[i]
-    var = np.array([float(evals[i]) if i < d else 0.0 for i in range(3)])
     proj = xc @ comps.T
-    return PcaModel(mean=mean, components=comps, explained_variance=var,
+    return PcaModel(mean=mean, components=comps, explained_variance=evals[:3],
                     channel_min=proj.min(axis=0), channel_max=proj.max(axis=0))
-
-
-def _complete_direction(existing: np.ndarray, d: int, k: int) -> np.ndarray:
-    """Deterministic unit vector orthogonal to the existing rows."""
-    rng = np.random.default_rng(k + 1)
-    v = rng.normal(size=d)
-    if existing.size:
-        v = v - existing.T @ (existing @ v)
-    n = np.linalg.norm(v)
-    if n == 0:
-        v = np.zeros(d)
-        v[k % d] = 1.0
-        return v
-    return v / n
 
 
 def colorize(features: np.ndarray, model: PcaModel) -> np.ndarray:

@@ -51,3 +51,9 @@ def test_truncated_payload(tmp_path):
 def test_unsupported_dtype(tmp_path):
     with pytest.raises(CtsrError, match="dtype"):
         save_ctsr(tmp_path / "c.ctsr", np.zeros(3, dtype=np.complex128))
+
+
+def test_int32_refused_not_widened(tmp_path):
+    with pytest.raises(CtsrError, match="unsupported dtype int32"):
+        save_ctsr(tmp_path / "i.ctsr", np.arange(3, dtype=np.int32))
+    assert not (tmp_path / "i.ctsr").exists()

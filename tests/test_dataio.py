@@ -8,7 +8,7 @@ from concerto.dataio import (ROOM_EXTENT, DatasetManifest, ManifestError, PointC
                              SceneSample, SyntheticSpec, assemble_pieces, generate_synthetic,
                              load_all_samples, load_manifest, load_sample,
                              save_dataset, synthetic_feature_matrix)
-from concerto.geometry import (EPS_DEPTH, CameraView, build_correspondence, project_points,
+from concerto.geometry import (CameraView, build_correspondence, project_points,
                                visible_mask)
 
 
@@ -85,7 +85,7 @@ class TestSynthetic:
         center = np.full(3, ROOM_EXTENT / 2)
         side = spec.image_size // spec.patch_size
         for v, cam in enumerate(s.views):
-            mask, ix, iy = visible_mask(coords, cam, EPS_DEPTH)
+            mask, ix, iy = visible_mask(coords, cam)
             idx = np.flatnonzero(mask)
             patches = (iy[idx] // spec.patch_size) * side + ix[idx] // spec.patch_size
             flat = cam.flat_feature_grid()
@@ -111,7 +111,7 @@ class TestSynthetic:
                 d_c = cam.depth_map[iy, ix]
                 # z-buffer property: recorded depth is the minimum projection
                 assert (depth[sel] >= d_c - 1e-12).all()
-                mask, _, _ = visible_mask(s.cloud.coords, cam, EPS_DEPTH)
+                mask, _, _ = visible_mask(s.cloud.coords, cam)
                 hit = np.zeros_like(cam.depth_map, dtype=bool)
                 hit[iy[mask[sel]], ix[mask[sel]]] = True
                 assert (hit | ~np.isfinite(cam.depth_map)).all()
@@ -125,7 +125,7 @@ class TestSynthetic:
         for s in samples:
             coords, colors, labels = s.cloud.coords, s.cloud.colors, s.cloud.labels
             for cam in s.views:
-                mask, ix, iy = visible_mask(coords, cam, EPS_DEPTH)
+                mask, ix, iy = visible_mask(coords, cam)
                 idx = np.flatnonzero(mask)
                 patches = (iy[idx] // spec.patch_size) * side + ix[idx] // spec.patch_size
                 flat = cam.flat_feature_grid()

@@ -29,7 +29,6 @@ ALLOWED = {
 # passes them
 UNPASSED_ALLOWED = {
     "train(resume_from)": "the bit-exact resume tests check it",
-    "train(stop_at_step)": "the resume tests simulate an interruption with it",
     "load_all_samples(split)": "it reads back the splits that save_dataset(splits=) records",
     "zero_shot_segment(gt)": "zero_shot_segment is kept as a paper probe (ALLOWED)",
 }

@@ -6,8 +6,7 @@ from concerto import tensor as T
 from concerto.dataio import PointCloud, SyntheticSpec, generate_synthetic
 from concerto.encoder import (CROSS_LEVEL, INTRA_LEVEL, EncoderConfig, EncodeResult, clone_params,
                               cross_head, ema_update, encode, init_params,
-                              lora_weights, make_lora_adapters, proj_head,
-                              proto_scores, upcast)
+                              lora_weights, make_lora_adapters, proj_head, upcast)
 from concerto.geometry import voxelize
 from concerto.views import AugmentConfig, View, make_viewset
 from oracles import gradcheck
@@ -248,6 +247,12 @@ class TestUpcast:
         assert cfg.upcast_dim(3) == 64 + 128 + 256 + 512
         assert cfg.upcast_dim(4) == 32 + 64 + 128 + 256 + 512 == 992
 
+    @pytest.mark.parametrize("field", ["proto_count", "proj_dim", "cross_dim"])
+    def test_head_width_below_one_rejected(self, field):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            tiny_cfg(**{field: 0})
+        tiny_cfg(cross_dim=None)
+
     def test_too_few_stages_for_the_cross_level_rejected(self):
         # three stages pool twice; the cross branch reads three pooling steps
         with pytest.raises(ValueError, match=f"cross upcast level {CROSS_LEVEL}"):
@@ -441,12 +446,14 @@ class TestHeads:
         z = proj_head(params, upcast(res, INTRA_LEVEL))
         np.testing.assert_allclose(np.linalg.norm(z.data, axis=1), 1.0, atol=1e-9)
 
-    def test_proto_scores_shape(self, cloud):
+    def test_prototypes_are_columns(self, cloud):
+        # z @ proto.w scores every projected row against every prototype
         cfg = tiny_cfg()
         params = init_params(cfg, seed=22)
         res = encode(plain_view(cloud), params, cfg)
         z = proj_head(params, upcast(res, INTRA_LEVEL))
-        assert proto_scores(params, z).shape == (z.shape[0], cfg.proto_count)
+        assert params["proto.w"].shape == (cfg.proj_dim, cfg.proto_count)
+        assert T.op_matmul(z, params["proto.w"]).shape == (z.shape[0], cfg.proto_count)
 
     def test_cross_head_maps_to_image_dim(self, cloud):
         cfg = tiny_cfg()

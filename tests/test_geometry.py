@@ -118,17 +118,17 @@ class TestVisible:
 
     # a point on the optical axis projects to pixel (32, 32) at depth z
     def test_within_tolerance(self):
-        mask, ix, iy = visible_mask(np.array([[0.0, 0.0, 2.005]]), self.make(2.000), 0.01)
+        mask, ix, iy = visible_mask(np.array([[0.0, 0.0, 2.0 + EPS_DEPTH / 2]]), self.make(2.0))
         assert mask[0] and (ix[0], iy[0]) == (32, 32)
 
     def test_exceeds_tolerance(self):
-        mask, _, _ = visible_mask(np.array([[0.0, 0.0, 2.020]]), self.make(2.000), 0.01)
+        mask, _, _ = visible_mask(np.array([[0.0, 0.0, 2.0 + 2 * EPS_DEPTH]]), self.make(2.0))
         assert not mask[0]
 
     def test_invalid_depth_rejected(self):
         point = np.array([[0.0, 0.0, 2.0]])
-        assert not visible_mask(point, self.make(np.nan), 0.01)[0][0]
-        assert not visible_mask(point, self.make(-1.0), 0.01)[0][0]
+        assert not visible_mask(point, self.make(np.nan))[0][0]
+        assert not visible_mask(point, self.make(-1.0))[0][0]
 
 
 def brute_force_correspondence(points, views, eps):

@@ -3,8 +3,7 @@ import pytest
 
 from concerto import tensor as T
 from concerto.dataio import SyntheticSpec, generate_synthetic
-from concerto.encoder import (EncoderConfig, clone_params, encode, init_params,
-                              proj_head, proto_scores, upcast)
+from concerto.encoder import EncoderConfig, clone_params, encode, init_params, proj_head, upcast
 from concerto.geometry import build_correspondence
 from concerto.objectives import (ClusterLossConfig, LossWeights, assign_patches,
                                  combine, cross_loss, cross_mean_baseline, intra_loss)
@@ -46,14 +45,14 @@ def intra_loss_loop_oracle(student, teacher, params_s, params_t, center, cfg, le
     for s_view, s_enc in student:
         feats = upcast(s_enc, level)
         z = proj_head(params_s, feats)
-        logits = proto_scores(params_s, z).data
+        logits = T.op_matmul(z, params_s["proto.w"]).data
         ls = logits / cfg.student_temp
         logq = ls - ls.max(axis=1, keepdims=True)
         logq = logq - np.log(np.exp(logq).sum(axis=1, keepdims=True))
         s_anc = s_enc.ancestors(stage)
         for t_view, t_enc in teacher:
             tz = proj_head(params_t, upcast(t_enc, level))
-            tl = proto_scores(params_t, tz).data
+            tl = T.op_matmul(tz, params_t["proto.w"]).data
             sh = (tl - center) / cfg.teacher_temp
             sh = sh - sh.max(axis=1, keepdims=True)
             p = np.exp(sh) / np.exp(sh).sum(axis=1, keepdims=True)
@@ -94,7 +93,7 @@ def intra_loss_per_pair_oracle(student, teacher, params_s, params_t, center, cfg
     combos = []
     for s_view, s_enc in student:
         feats = upcast(s_enc, level)
-        logq = log_softmax_oracle(proto_scores(params_s, proj_head(params_s, feats)),
+        logq = log_softmax_oracle(T.op_matmul(proj_head(params_s, feats), params_s["proto.w"]),
                                   cfg.student_temp)
         s_anc = s_enc.ancestors(stage)
         for t_view, t_enc, t_probs in sides:
@@ -171,7 +170,7 @@ class TestIntraLoss:
                                    center, ccfg)
         # oracle: mean teacher row entropy (identical distributions both sides)
         z = proj_head(params, upcast(s_enc, 2))
-        logits = proto_scores(params, z).data / 0.1
+        logits = T.op_matmul(z, params["proto.w"]).data / 0.1
         logits = logits - logits.max(axis=1, keepdims=True)
         p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         anc = s_enc.ancestors(2)
@@ -213,7 +212,7 @@ class TestIntraLoss:
         logits = []
         for _v, enc in teach:
             z = proj_head(teacher_p, upcast(enc, 2))
-            logits.append(proto_scores(teacher_p, z).data)
+            logits.append(T.op_matmul(z, teacher_p["proto.w"]).data)
         np.testing.assert_allclose(new_center, np.concatenate(logits).mean(axis=0), atol=1e-12)
 
     def test_teacher_gets_zero_grad(self, encoded):
@@ -253,7 +252,7 @@ class TestIntraLoss:
         for _ in range(5):
             _, center, _, _ = intra_loss(student, teach, params, teacher_p, center, ccfg)
             logits = np.concatenate([
-                proto_scores(teacher_p, proj_head(teacher_p, upcast(enc, 2))).data
+                T.op_matmul(proj_head(teacher_p, upcast(enc, 2)), teacher_p["proto.w"]).data
                 for _v, enc in teach])
             bound = max(bound, np.abs(logits.mean(axis=0)).max())
         assert np.abs(center).max() <= bound + 1e-12

@@ -3,9 +3,9 @@ import pytest
 
 from concerto import probes
 from concerto import tensor as T
-from concerto.dataio import SyntheticSpec, generate_synthetic
+from concerto.dataio import PointCloud, SceneSample, SyntheticSpec, generate_synthetic
 from concerto.encoder import EncoderConfig, encode, init_params, upcast
-from concerto.geometry import EPS_DEPTH, visible_mask
+from concerto.geometry import visible_mask
 from concerto.probes import (ProbeConfig, ProbeError, TextSpace, _evaluate, _one_hot,
                              _standardize_fit, compute_metrics, extract_features, label_budget_indices, language_probe,
                              lift_patch_features_to_points, linear_probe, lora_probe,
@@ -76,6 +76,13 @@ class TestMetrics:
     def test_label_at_num_classes_rejected(self):
         with pytest.raises(ProbeError, match="label 3 is not below num_classes=3"):
             compute_metrics([0, 1], [0, 3], 3)
+
+    @pytest.mark.parametrize("pred, gt, bad", [([0, 2, 0], [0, 0, 1], 2),
+                                               ([0, 0, -1], [0, 0, 1], -1)])
+    def test_prediction_outside_classes_rejected(self, pred, gt, bad):
+        # counted unchecked, either one lands in another cell of the matrix
+        with pytest.raises(ValueError, match=rf"prediction {bad} is outside \[0, 2\)"):
+            compute_metrics(pred, gt, 2)
 
 
 class TestLabelBudget:
@@ -294,6 +301,16 @@ class TestLoraProbe:
     def test_rank_below_one_rejected(self, rank):
         with pytest.raises(ValueError, match="lora_rank must be at least 1"):
             ProbeConfig(lora_rank=rank)
+
+    @pytest.mark.parametrize("role", ["training", "evaluation"])
+    def test_scene_without_labels_rejected(self, dataset, role):
+        s = dataset[0]
+        bare = SceneSample(cloud=PointCloud(coords=s.cloud.coords, colors=s.cloud.colors),
+                           views=s.views, scene_id="bare_scene")
+        train, evals = ([bare], dataset[1:2]) if role == "training" else (dataset[1:2], [bare])
+        with pytest.raises(ProbeError, match=f"{role} scene bare_scene has no labels"):
+            lora_probe(train, evals, init_params(tiny_enc(), seed=3), tiny_enc(), 4,
+                       ProbeConfig(epochs=1))
 
     def test_zero_adapter_lr_equals_linear_probe(self, dataset):
         enc_cfg = tiny_enc()
@@ -542,7 +559,7 @@ class TestLiftedFeatures:
         n = s.cloud.num_points
         sums, counts = np.zeros((n, 8)), np.zeros(n)
         for cam in s.views:
-            mask, ix, iy = visible_mask(s.cloud.coords, cam, EPS_DEPTH)
+            mask, ix, iy = visible_mask(s.cloud.coords, cam)
             for i in np.flatnonzero(mask):
                 sums[i] += cam.feature_grid[iy[i] // cam.patch_size, ix[i] // cam.patch_size]
                 counts[i] += 1

@@ -138,13 +138,12 @@ class TestSchedules:
 
 
 class TestTrainLoop:
-    def run(self, dataset, steps, out=None, resume=None, stop=None, enc_cfg=None,
-            step_hook=None, **kw):
+    def run(self, dataset, steps, out=None, resume=None, enc_cfg=None, step_hook=None, **kw):
         cfg = TrainConfig(**{"seed": 4, "total_steps": steps, "epochs": 1,
                              "base_lr": 0.002, **kw})
         return train(dataset, cfg, enc_cfg or tiny_enc(), AugmentConfig(),
                      ClusterLossConfig(), out_dir=out, resume_from=resume,
-                     stop_at_step=stop, step_hook=step_hook)
+                     step_hook=step_hook)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(TrainerError, match="empty"):
@@ -261,10 +260,23 @@ class TestTrainLoop:
 
     def test_resume_bit_exact(self, dataset, tmp_path):
         full = self.run(dataset, 6, out=tmp_path / "full", checkpoint_every_epochs=1)
-        # interrupt the same schedule after 3 steps, then resume to the end
-        self.run(dataset, 6, out=tmp_path / "part", stop=3)
-        ck = tmp_path / "part" / "ckpt_final"
+        # the last step's state is written once, as ckpt_final
+        assert [p.name for p in full.checkpoints] == ["ckpt_step000003", "ckpt_final"]
+        assert not (tmp_path / "full" / "ckpt_step000006").exists()
+
+        # interrupt the same schedule during step 3, then resume to the end
+        def crash(step, *_rest):
+            if step == 3:
+                raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            self.run(dataset, 6, out=tmp_path / "part", checkpoint_every_epochs=1,
+                     step_hook=crash)
+        assert not (tmp_path / "part" / "ckpt_final").exists()
+        ck = tmp_path / "part" / "ckpt_step000003"
         resumed = self.run(dataset, 6, out=tmp_path / "resumed", resume=ck)
+        assert resumed.checkpoints == [tmp_path / "resumed" / "ckpt_final"]
+        assert load_checkpoint(resumed.checkpoints[0]).step == 6
         for k in full.params:
             np.testing.assert_array_equal(full.params[k].data, resumed.params[k].data)
             np.testing.assert_array_equal(full.teacher[k].data, resumed.teacher[k].data)
@@ -336,7 +348,7 @@ class TestTrainLoop:
         assert all(0 < row["proto_used"] <= 1 for row in res.log)
 
     def test_resume_refuses_another_encoder_config(self, dataset, tmp_path):
-        self.run(dataset[:2], 4, out=tmp_path / "run", stop=2)
+        self.run(dataset[:2], 2, out=tmp_path / "run")
         ck = tmp_path / "run" / "ckpt_final"
         assert json.loads((ck / "meta.json").read_text())["encoder"]["stage_dims"] == \
             [8, 12, 16, 20, 24]
@@ -353,7 +365,7 @@ class TestTrainLoop:
             self.run(dataset[:2], 4, resume=tmp_path / "ck")
 
     def test_resume_refuses_another_compute_dtype(self, dataset, tmp_path):
-        self.run(dataset[:2], 4, out=tmp_path / "run", stop=2)
+        self.run(dataset[:2], 2, out=tmp_path / "run")
         meta_path = tmp_path / "run" / "ckpt_final" / "meta.json"
         meta = json.loads(meta_path.read_text())
         assert meta["compute_dtype"] == "float32"
@@ -404,7 +416,7 @@ class TestTrainLoop:
     def test_resume_refuses_transposed_prototypes(self, dataset, tmp_path):
         # prototypes are stored as (proj_dim, proto_count); a checkpoint
         # holding them the other way round is refused before any step
-        self.run(dataset[:2], 4, out=tmp_path / "run", stop=2)
+        self.run(dataset[:2], 2, out=tmp_path / "run")
         ck = tmp_path / "run" / "ckpt_final"
         save_ctsr(ck / "student" / "proto.w.ctsr",
                   load_ctsr(ck / "student" / "proto.w.ctsr").T.copy())

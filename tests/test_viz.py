@@ -65,6 +65,11 @@ class TestFitPca:
         np.testing.assert_allclose(model.components @ model.components.T,
                                    np.eye(3), atol=1e-9)
 
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_fewer_than_three_columns_rejected(self, width):
+        with pytest.raises(ValueError, match=f"at least 3 feature columns, got {width}"):
+            fit_pca(np.random.default_rng(6).normal(size=(20, width)))
+
     def test_identical_features_rejected(self):
         with pytest.raises(ValueError, match="identical"):
             fit_pca(np.ones((10, 4)))
