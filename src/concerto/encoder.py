@@ -182,7 +182,7 @@ class EncodeResult:
 
 
 def _linear(x, params, name):
-    return T.op_add(T.op_matmul(x, params[f"{name}.w"]), params[f"{name}.b"])
+    return T.op_linear(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
 def _stage_block(x, params, s):
@@ -192,14 +192,6 @@ def _stage_block(x, params, s):
         if i < MLP_DEPTH - 1:
             h = T.op_gelu(h)
     return h
-
-
-def _local_mix(feats, assignments, num_segments):
-    """Half-and-half blend of each point's features with its voxel-neighborhood
-    mean; keeps dimensions, adds context."""
-    means = T.op_segment_mean(feats, assignments, num_segments)
-    spread = T.op_gather_rows(means, assignments)
-    return T.op_mul(T.op_add(feats, spread), 0.5)
 
 
 def encode(view: View, params: Dict[str, T.Tensor], cfg: EncoderConfig) -> EncodeResult:
@@ -236,7 +228,7 @@ def encode(view: View, params: Dict[str, T.Tensor], cfg: EncoderConfig) -> Encod
             x = T.op_segment_mean(feats[-1], parents[s - 1], coords[s].shape[0])
         h = _stage_block(x, params, s)
         mix = parents[s + 1][parents[s]] if s < top else parents[top]
-        feats.append(_local_mix(h, mix, coords[min(s + 2, top + 1)].shape[0]))
+        feats.append(T.op_local_mix(h, mix, coords[min(s + 2, top + 1)].shape[0]))
     return EncodeResult(coords=coords[:-1], feats=feats, parents=parents[:-1])
 
 

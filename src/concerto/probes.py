@@ -285,6 +285,10 @@ def linear_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray]],
     labeled points used per training scene (seeded, nested). The head fits
     on ``COMPUTE_DTYPE`` training features.
     """
+    for role, scenes in (("training", train_scenes), ("evaluation", eval_scenes)):
+        for i, (_f, labels) in enumerate(scenes):
+            if labels is None:
+                raise ProbeError(f"{role} scene {i} has no labels")
     keeps, y, missing = _labeled_rows([lab for _f, lab in train_scenes], num_classes, cfg)
     # a fresh array, so standardizing in place leaves the callers' untouched; a
     # scene that keeps every row goes to the concatenation uncopied

@@ -12,7 +12,11 @@ general broadcasting beyond a 1-D row operand on the right of a 2-D one,
 and concat. The one cross-entropy, ``op_linear_softmax_xent``, is fused
 with the linear layer before it and with its log-softmax: it walks its rows
 in blocks of about ``_BLOCK_BYTES``, so the logits never exist whole, and it
-accumulates the weight gradient in the same pass. The plain-array helpers
+accumulates the weight gradient in the same pass. The encoder's two fused
+ops, ``op_linear`` (matmul plus bias) and ``op_local_mix`` (segment mean,
+gather, add and halving), record one node each where the unfused chains
+recorded two and four, so the tape keeps one array per layer and per mix,
+with the same arithmetic. The plain-array helpers
 ``softmax_np`` and ``segment_sum_np`` record nothing. The tests check every
 op's VJP against central finite differences.
 
@@ -356,6 +360,26 @@ def op_matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(a.data @ b.data, "matmul", [a, b], vjp)
 
 
+def op_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for an (n, d) x, a (d, k) w and a (k,) b, as one node: the
+    bias is added into the product's buffer, so the tape keeps one (n, k)
+    array where ``op_matmul`` then ``op_add`` kept two. The VJP is
+    (g @ w.T, x.T @ g, sum(g)), None for an untracked operand."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ValueError(f"op_linear inner dims disagree: {x.data.shape} x {w.data.shape}")
+    if b.data.shape != w.data.shape[1:]:
+        raise ValueError(f"op_linear bias shape {b.data.shape} is not ({w.data.shape[1]},)")
+    out = x.data @ w.data
+    out += b.data
+
+    def vjp(g):
+        return (g @ w.data.T if x.requires_grad else None,
+                x.data.T @ g if w.requires_grad else None,
+                g.sum(axis=0) if b.requires_grad else None)
+
+    return _record(out, "linear", [x, w, b], vjp)
+
+
 # ---------------------------------------------------------------------------
 # normalization and similarity
 # ---------------------------------------------------------------------------
@@ -553,3 +577,25 @@ def op_segment_mean(values: Tensor, segment_ids, num_segments: int):
         return ((g * inv[:, None])[ids],)
 
     return _record(means, "segment_mean", [values], vjp)
+
+
+def op_local_mix(x: Tensor, segment_ids, num_segments: int) -> Tensor:
+    """(x + m[ids]) * 0.5, each row blended half and half with the mean m
+    of its segment's rows, as one node where ``op_segment_mean``,
+    ``op_gather_rows``, ``op_add`` and ``op_mul`` kept four. The VJP, with
+    g2 = g * 0.5, is g2 + (segment_sum(g2) * inv)[ids], inv the reciprocal
+    segment sizes of ``op_segment_mean``, whose arithmetic and errors it
+    keeps."""
+    ids = np.asarray(segment_ids, dtype=np.int64)
+    if x.data.ndim != 2 or ids.shape != (x.data.shape[0],):
+        raise ValueError("op_local_mix expects (n, d) values and (n,) ids")
+    means, counts = segment_mean_np(x.data, ids, num_segments)
+    inv = 1.0 / np.maximum(counts, 1).astype(means.dtype)
+    out = x.data + means[ids]
+    out *= 0.5
+
+    def vjp(g):
+        g2 = g * 0.5
+        return (g2 + (segment_sum_np(g2, ids, num_segments) * inv[:, None])[ids],)
+
+    return _record(out, "local_mix", [x], vjp)

@@ -1,11 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from concerto import encoder as encoder_module
 from concerto import tensor as T
 from concerto.dataio import PointCloud, SyntheticSpec, generate_synthetic
-from concerto.encoder import (CROSS_LEVEL, INTRA_LEVEL, EncoderConfig, EncodeResult, clone_params,
-                              cross_head, ema_update, encode, init_params,
+from concerto.encoder import (CROSS_LEVEL, INTRA_LEVEL, MLP_DEPTH, EncoderConfig, EncodeResult,
+                              clone_params, cross_head, ema_update, encode, init_params,
                               lora_weights, make_lora_adapters, proj_head, upcast)
 from concerto.geometry import voxelize
 from concerto.views import AugmentConfig, View, make_viewset
@@ -65,13 +67,13 @@ class TestEncode:
         cfg = tiny_cfg(voxel_size=voxel_size)
         params = init_params(cfg, seed=9)
         mixes = []
-        real_mix = encoder_module._local_mix
+        real_mix = T.op_local_mix
 
         def spy(feats, assignments, num_segments):
             mixes.append((assignments, num_segments))
             return real_mix(feats, assignments, num_segments)
 
-        monkeypatch.setattr(encoder_module, "_local_mix", spy)
+        monkeypatch.setattr(T, "op_local_mix", spy)
         vs = make_viewset(cloud, AugmentConfig(), seed=4)
         views = [plain_view(cloud)] + vs.globals_ + vs.masked + vs.locals_
         top = cfg.num_pool_steps
@@ -83,6 +85,22 @@ class TestEncode:
                 grid = voxelize(res.coords[s], voxel_size * 2 ** min(s + 1, top))
                 np.testing.assert_array_equal(assignments, grid.assignments)
                 assert num_segments == grid.num_voxels
+
+    def test_tape_holds_one_node_per_linear_layer_and_mix(self, cloud):
+        """Each stage's linear layers and its local mix are one tape node
+        apiece, so the tape keeps one array for each."""
+        cfg = tiny_cfg()
+        res = encode(plain_view(cloud), init_params(cfg, seed=12), cfg)
+        ops, seen, stack = Counter(), set(), [T.op_sum(res.feats[-1])]
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                ops[t._op] += 1
+                stack.extend(t._parents)
+        assert ops["linear"] == MLP_DEPTH * cfg.num_stages
+        assert ops["local_mix"] == cfg.num_stages
+        assert not {"matmul", "add_bias", "gather_rows", "mul_scalar"} & set(ops)
 
     def test_voxelizes_once_per_hierarchy_level(self, cloud, monkeypatch):
         cfg = tiny_cfg()

@@ -248,6 +248,14 @@ class TestLinearProbe:
         with pytest.raises(ProbeError, match="eval scene 1: label 9 "):
             linear_probe(scenes[:1], scenes, 3, ProbeConfig(epochs=1))
 
+    @pytest.mark.parametrize("role", ["training", "evaluation"])
+    def test_scene_without_labels_rejected(self, role):
+        scenes = probe_scenes(4, False)
+        bare = [scenes[0], (scenes[1][0], None)]
+        train, evals = (bare, scenes) if role == "training" else (scenes, bare)
+        with pytest.raises(ProbeError, match=f"{role} scene 1 has no labels"):
+            linear_probe(train, evals, 3, ProbeConfig(epochs=1))
+
     def test_probe_does_not_touch_encoder(self, dataset):
         enc_cfg = tiny_enc()
         params = init_params(enc_cfg, seed=0)

@@ -301,9 +301,80 @@ class TestLinearSoftmaxXentBlocks:
             np.testing.assert_array_equal(untracked, tracked)
 
 
+class TestFusedEncoderOps:
+    """``op_linear`` and ``op_local_mix`` against the unfused chains they
+    replace in the encoder: the same float operations in the same order, so
+    the forward and every gradient are equal bit for bit."""
+
+    MIX_IDS = np.array([0, 2, 2, 1, 0, 2, 1, 0, 2])  # segment 3, the last, is empty
+
+    @staticmethod
+    def grads_of(out, leaves, g):
+        T.backward(T.op_sum(T.op_mul(out, T.Tensor(g))))
+        return [t.grad for t in leaves]
+
+    @pytest.mark.parametrize("track_x", [True, False], ids=["tracked", "stage0_input"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_linear_matches_matmul_then_bias(self, dtype, track_x):
+        rng = np.random.default_rng(51)
+        x, w, b = (rng.normal(size=s).astype(dtype) for s in ((37, 11), (11, 19), (19,)))
+        g = rng.normal(size=(37, 19)).astype(dtype)
+        results = []
+        for fused in (True, False):
+            xs = T.param(x) if track_x else T.Tensor(x)
+            ws, bs = T.param(w), T.param(b)
+            out = (T.op_linear(xs, ws, bs) if fused
+                   else T.op_add(T.op_matmul(xs, ws), bs))
+            assert out.data.dtype == dtype
+            results.append([out.data] + self.grads_of(out, [xs, ws, bs], g))
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+        assert (results[0][1] is None) == (not track_x)
+
+    @pytest.mark.parametrize("track_x", [True, False], ids=["tracked", "stage0_input"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_local_mix_matches_mean_gather_add_halve(self, dtype, track_x):
+        rng = np.random.default_rng(52)
+        ids, n = self.MIX_IDS, 4
+        x = rng.normal(size=(ids.size, 6)).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        results = []
+        for fused in (True, False):
+            xs = T.param(x) if track_x else T.Tensor(x)
+            if fused:
+                out = T.op_local_mix(xs, ids, n)
+            else:
+                spread = T.op_gather_rows(T.op_segment_mean(xs, ids, n), ids)
+                out = T.op_mul(T.op_add(xs, spread), 0.5)
+            assert out.data.dtype == dtype and out.requires_grad == track_x
+            results.append([out.data] + (self.grads_of(out, [xs], g) if track_x else []))
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [[0, 4], [-1, 0]], ids=["past_end", "negative"])
+    def test_local_mix_id_out_of_range(self, bad):
+        with pytest.raises(IndexError):
+            T.op_local_mix(T.Tensor(np.ones((2, 3))), np.array(bad), 4)
+
+    @pytest.mark.parametrize("shape,ids", [((3, 2), [0, 1]), ((3,), [0, 1, 1]),
+                                           ((3, 2), [[0], [1], [1]])],
+                             ids=["short_ids", "one_d_values", "two_d_ids"])
+    def test_local_mix_shape_mismatch(self, shape, ids):
+        with pytest.raises(ValueError, match="op_local_mix expects"):
+            T.op_local_mix(T.Tensor(np.ones(shape)), ids, 2)
+
+    @pytest.mark.parametrize("shapes", [[(4, 5), (4, 3), (3,)], [(4, 5), (5, 3), (4,)],
+                                        [(4, 5), (5, 3), (1, 3)], [(5,), (5, 3), (3,)]],
+                             ids=["inner_dims", "bias_width", "bias_2d", "one_d_input"])
+    def test_linear_shape_mismatch(self, shapes):
+        with pytest.raises(ValueError, match="op_linear"):
+            T.op_linear(*[T.Tensor(np.ones(s)) for s in shapes])
+
+
 # ops with two or more operands, each with operand shapes
 MULTI_OPERAND_OPS = [
     ("matmul", T.op_matmul, [(4, 5), (5, 3)]),
+    ("linear", T.op_linear, [(4, 5), (5, 3), (3,)]),
     ("linear_softmax_xent", lambda x, w, b: T.op_linear_softmax_xent(
         x, w, b, np.random.default_rng(9).dirichlet(np.ones(3), size=4), 0.5),
      [(4, 5), (5, 3), (3,)]),
@@ -415,6 +486,22 @@ def test_gradcheck_segment_mean():
         assert err <= 1e-5
 
 
+def test_gradcheck_linear():
+    rng = np.random.default_rng(27)
+    for _ in range(5):
+        err = oracles.gradcheck(T.op_linear, [rand(rng, 4, 3), rand(rng, 3, 5), rand(rng, 5)])
+        assert err <= 1e-5
+
+
+def test_gradcheck_local_mix():
+    # unsorted ids, a segment of one row, and an empty last segment
+    rng = np.random.default_rng(28)
+    ids = np.array([0, 2, 2, 1, 0, 2])
+    for _ in range(5):
+        err = oracles.gradcheck(lambda a: T.op_local_mix(a, ids, 4), [rand(rng, 6, 3)])
+        assert err <= 1e-5
+
+
 def test_gradcheck_softmax_xent():
     # op_linear_softmax_xent in x, w and b, and in x and w without a bias;
     # rows of unequal total weight, and a row whose weights sum to 0
@@ -483,6 +570,7 @@ FLOAT32_CASES = [
     ("concat_rows", lambda *ts: T.op_concat_rows(ts), [(2, 3), (4, 3)]),
     ("gather_rows", lambda a: T.op_gather_rows(a, [2, 0, 2, 1]), [(3, 4)]),
     ("matmul", lambda a, b: T.op_matmul(a, b), [(4, 5), (5, 3)]),
+    ("linear", lambda x, w, b: T.op_linear(x, w, b), [(4, 5), (5, 3), (3,)]),
     ("softmax_xent", lambda x, w, b: T.op_linear_softmax_xent(
         x, w, b, np.random.default_rng(8).dirichlet(np.ones(5), size=4), 0.1),
      [(4, 3), (3, 5), (5,)]),
@@ -496,6 +584,7 @@ FLOAT32_CASES = [
     ("l2norm", lambda a: T.op_l2norm(a), [(3, 6)]),
     ("cosine", lambda a, b: T.op_cosine(a, b), [(4, 5), (4, 5)]),
     ("segment_mean", lambda a: T.op_segment_mean(a, [0, 2, 2, 1, 0, 2], 4), [(6, 3)]),
+    ("local_mix", lambda a: T.op_local_mix(a, [0, 2, 2, 1, 0, 2], 4), [(6, 3)]),
 ]
 # float32's unit roundoff is 2^-24 (6e-8); each case stays within ~16 of it
 F32_TOL = 1e-6
