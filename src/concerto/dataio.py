@@ -317,10 +317,12 @@ def save_dataset(samples: Sequence[SceneSample], out_dir, image_feature_dim: int
                  patch_size: int, splits: Optional[Sequence[str]] = None,
                  synthetic_a: Optional[np.ndarray] = None) -> Path:
     """Write scenes + manifest.json under ``out_dir``; returns the manifest path."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if splits is None:
         splits = ["train"] * len(samples)
+    if len(splits) != len(samples):
+        raise ValueError(f"{len(splits)} splits given for {len(samples)} scenes")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     entries = []
     for sample, split in zip(samples, splits):
         sdir = out / "scenes" / sample.scene_id

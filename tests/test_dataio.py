@@ -192,6 +192,16 @@ class TestManifestIO:
                 np.testing.assert_array_equal(vo.feature_grid, vg.feature_grid)
                 np.testing.assert_array_equal(vo.intrinsics, vg.intrinsics)
 
+    @pytest.mark.parametrize("splits", [["train"], ["train", "val", "test"]],
+                             ids=["short", "long"])
+    def test_splits_of_another_length_rejected_before_writing(self, tmp_path, splits):
+        spec = small_spec()
+        samples, _ = generate_synthetic(spec)
+        out = tmp_path / "ds"
+        with pytest.raises(ValueError, match=f"{len(splits)} splits given for 2 scenes"):
+            save_dataset(samples, out, spec.feature_dim, spec.patch_size, splits=splits)
+        assert not out.exists()
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ManifestError, match="not found"):
             load_manifest(tmp_path / "nope.json")

@@ -4,8 +4,9 @@ every method and property of its classes. Code only the tests call belongs
 in ``tests/``. A module-level name a module assigns is read by that module,
 or imported or reached as an attribute by the package or the benchmark.
 Likewise every defaulted parameter of a public function is passed by some
-call in that code, and every field of a config dataclass is set by some
-code or test: a default nobody overrides is a constant."""
+call in that code, every parameter of a package function or lambda is read
+by its body, and every field of a config dataclass is set by some code or
+test: a default nobody overrides is a constant."""
 
 import ast
 from collections import defaultdict
@@ -31,6 +32,11 @@ UNPASSED_ALLOWED = {
     "train(resume_from)": "the bit-exact resume tests check it",
     "load_all_samples(split)": "it reads back the splits that save_dataset(splits=) records",
     "zero_shot_segment(gt)": "zero_shot_segment is kept as a paper probe (ALLOWED)",
+}
+
+# parameters kept although their function's body never reads them
+UNREAD_ALLOWED = {
+    "language_probe(cfg)": "the benchmark passes it; ROADMAP item 1 drops it",
 }
 
 
@@ -167,6 +173,31 @@ def unpassed_defaults() -> list:
 
 def test_every_default_is_passed_somewhere():
     assert sorted(unpassed_defaults()) == sorted(UNPASSED_ALLOWED)
+
+
+def unread_parameters() -> list:
+    """Parameters of the package's functions and lambdas, nested ones too,
+    that their body never reads; names starting with ``_`` are left out."""
+    package, trees = _parse()
+    unread = []
+    for path in package:
+        for fn in ast.walk(trees[path]):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = fn.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if a is not None]
+            body = fn.body if isinstance(fn, ast.FunctionDef) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            name = getattr(fn, "name", "<lambda>")
+            unread += [f"{name}({p})" for p in params
+                       if not p.startswith("_") and p not in read]
+    return unread
+
+
+def test_every_parameter_is_read():
+    assert sorted(unread_parameters()) == sorted(UNREAD_ALLOWED)
 
 
 def _config_fields(package, trees) -> dict:

@@ -136,6 +136,13 @@ class TestSchedules:
             TrainConfig(grad_clip=grad_clip)
         TrainConfig(grad_clip=None)
 
+    @pytest.mark.parametrize("field", ["epochs", "total_steps", "checkpoint_every_epochs"])
+    def test_negative_count_rejected(self, field):
+        # a negative epoch or step count trains nothing, yet wrote ckpt_final
+        with pytest.raises(ValueError, match=f"{field} must be non-negative"):
+            TrainConfig(**{field: -1})
+        TrainConfig(**{field: 0})
+
 
 class TestTrainLoop:
     def run(self, dataset, steps, out=None, resume=None, enc_cfg=None, step_hook=None, **kw):
