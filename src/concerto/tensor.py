@@ -23,7 +23,7 @@ op's VJP against central finite differences.
 Precision follows the data: a tensor keeps a float32 array as float32 and
 holds anything else as float64, and every op's output and cotangents take
 their operands' dtype. The trainer and the linear and lora probes compute
-in float32; the gradchecks stay float64.
+in float32; the language probe and the gradchecks stay float64.
 
 Float32 GELU has its own kernel, because ``scipy.special.erf`` is scalar
 code (13-30 ns per float32 element on a 2-vCPU x86-64 machine, where a numpy

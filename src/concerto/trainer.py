@@ -11,10 +11,9 @@ moments, the center and every checkpoint are float64. Each step casts the
 student to ``COMPUTE_DTYPE`` leaves and the teacher to ``COMPUTE_DTYPE``
 constants once; encoding, both losses and backward run on those copies, and
 the gradients are upcast to float64 before clipping and AdamW. A checkpoint
-records the compute dtype, and resume refuses another one. The linear and
-lora probes follow the same policy through ``compute_copies`` and
-``master_grads``; the language probe, a closed-form solve, fits in float64
-(see ``probes``).
+records the compute dtype, and resume refuses another one. The probes follow
+the same policy through ``compute_copies`` and ``master_grads``; the
+``probes`` docstring gives their one exception.
 
 Memory: one step's tape is alive at a time. A step drops its encodings,
 losses and their graph once its log row is written, so the next step builds
@@ -55,12 +54,12 @@ EMA_BASE = 0.996       # teacher momentum ramps from this to 1 (DINO, arXiv 2104
 COMPUTE_DTYPE = np.float32  # of each step's forward and backward pass
 
 
-def compute_copies(params: Dict[str, T.Tensor], track: bool) -> Dict[str, T.Tensor]:
-    """``COMPUTE_DTYPE`` copies of ``params`` (as a rule, float64 masters):
+def compute_copies(params: Dict[str, T.Tensor], dtype, track: bool) -> Dict[str, T.Tensor]:
+    """``dtype`` copies of ``params`` (as a rule, float64 masters):
     ``T.param`` leaves when ``track`` (the only tensors a backward pass
     reaches), constants otherwise."""
     make = T.param if track else T.Tensor
-    return {k: make(p.data.astype(COMPUTE_DTYPE)) for k, p in params.items()}
+    return {k: make(p.data.astype(dtype)) for k, p in params.items()}
 
 
 def master_grads(copies: Dict[str, T.Tensor]) -> Dict[str, np.ndarray]:
@@ -405,8 +404,8 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
 
             vs = make_viewset(sample.cloud, aug_cfg, seed=view_seed)
             # compute copies of the float64 masters; only they join the tape
-            params_c = compute_copies(params, track=True)
-            teacher_c = compute_copies(teacher, track=False)
+            params_c = compute_copies(params, COMPUTE_DTYPE, track=True)
+            teacher_c = compute_copies(teacher, COMPUTE_DTYPE, track=False)
             student = [(v, encode(v, params_c, enc_cfg)) for v in vs.student_views]
             teach = [(v, encode(v, teacher_c, enc_cfg)) for v in vs.teacher_views]
 

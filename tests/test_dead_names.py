@@ -34,11 +34,6 @@ UNPASSED_ALLOWED = {
     "zero_shot_segment(gt)": "zero_shot_segment is kept as a paper probe (ALLOWED)",
 }
 
-# parameters kept although their function's body never reads them
-UNREAD_ALLOWED = {
-    "language_probe(cfg)": "the benchmark passes it; ROADMAP item 1 drops it",
-}
-
 
 def _parse():
     """The package's source paths, and the parsed package and benchmark
@@ -197,7 +192,7 @@ def unread_parameters() -> list:
 
 
 def test_every_parameter_is_read():
-    assert sorted(unread_parameters()) == sorted(UNREAD_ALLOWED)
+    assert unread_parameters() == []
 
 
 def _config_fields(package, trees) -> dict:

@@ -421,7 +421,7 @@ class TestLanguageProbe:
         x = (x @ rng.normal(size=(6, 10))).astype(np.float32)
         t = rng.normal(size=(120, 4)).astype(np.float32)
         valid = rng.random(120) < 0.9
-        cfg = ProbeConfig()
+        cfg = ProbeConfig(epochs=5, lr=0.01)
         w32, cos32 = language_probe([(x, t, valid)], cfg)
         w64, cos64 = language_probe([(x.astype(np.float64), t.astype(np.float64), valid)], cfg)
         assert w32.dtype == np.float64
@@ -437,24 +437,29 @@ class TestLanguageProbe:
         w, cos = language_probe([(x, t, valid)], ProbeConfig())
         assert abs(cos - _mean_cosine(x[valid], w, t[valid])) <= 1e-12
 
-    def test_any_config_returns_the_lstsq_map_and_its_cosine(self):
+    def test_zero_epochs_return_the_warm_start_and_its_cosine(self):
         x, t = _noisy_linear()
-        for cfg in (ProbeConfig(), ProbeConfig(epochs=0, lr=0.05)):
-            w, cos = language_probe([(x, t, np.ones(400, dtype=bool))], cfg)
-            np.testing.assert_array_equal(w, np.linalg.lstsq(x, t, rcond=None)[0])
-            assert cos > 0.5
-            assert abs(cos - _mean_cosine(x, w, t)) <= 1e-12
+        w, cos = language_probe([(x, t, np.ones(400, dtype=bool))], ProbeConfig(epochs=0))
+        np.testing.assert_array_equal(w, np.linalg.lstsq(x, t, rcond=None)[0])
+        assert cos > 0.5
+        assert abs(cos - _mean_cosine(x, w, t)) <= 1e-12
 
-    def test_real_features_fit_exactly_the_lstsq_map(self, dataset):
-        # upcast encoder features are ill-conditioned
+    def test_polish_never_ends_below_the_warm_start(self, dataset):
         enc_cfg = EncoderConfig(cross_dim=8)
         params = init_params(enc_cfg, seed=0)
         scenes = [(extract_features(s, params, enc_cfg, enc_cfg.num_pool_steps),
                    *lift_patch_features_to_points(s)) for s in dataset]
         x, t = (np.concatenate([sc[i][sc[2]] for sc in scenes], dtype=np.float64) for i in (0, 1))
-        w, cos = language_probe(scenes, ProbeConfig())
-        np.testing.assert_array_equal(w, np.linalg.lstsq(x, t, rcond=None)[0])
-        assert abs(cos - _mean_cosine(x, w, t)) <= 1e-12
+        warm = _mean_cosine(x, np.linalg.lstsq(x, t, rcond=None)[0], t)
+        _w, cos = language_probe(scenes, ProbeConfig())
+        assert cos >= warm - 1e-12
+
+    def test_polish_runs_while_steps_help(self):
+        x, t = _noisy_linear()
+        scenes = [(x, t, np.ones(400, dtype=bool))]
+        _w0, warm = language_probe(scenes, ProbeConfig(epochs=0, lr=1e-3))
+        _w, cos = language_probe(scenes, ProbeConfig(lr=1e-3))
+        assert cos > warm
 
     def test_realizable_targets_fit_to_high_cosine(self, dataset):
         enc_cfg = tiny_enc()
@@ -465,13 +470,14 @@ class TestLanguageProbe:
         for s in dataset:
             f = extract_features(s, params, enc_cfg, 4)
             scenes.append((f, f @ w_true, np.ones(f.shape[0], dtype=bool)))
-        w, cos = language_probe(scenes, ProbeConfig())
+        w, cos = language_probe(scenes, ProbeConfig(epochs=300, lr=0.05))
         assert cos >= 0.999
 
     def test_zero_targets_rejected(self):
         x = np.random.default_rng(9).normal(size=(50, 8))
         with pytest.raises(ProbeError, match="degenerate"):
-            language_probe([(x, np.zeros((50, 4)), np.ones(50, dtype=bool))], ProbeConfig())
+            language_probe([(x, np.zeros((50, 4)), np.ones(50, dtype=bool))],
+                           ProbeConfig(epochs=1))
 
     def test_shuffled_pairs_destroy_fit(self, dataset):
         # centered features give direction-diverse targets, so a shuffled
@@ -487,8 +493,8 @@ class TestLanguageProbe:
         t = f @ rng.normal(size=(f.shape[1], 6))
         perm = rng.permutation(f.shape[0])
         ones = np.ones(f.shape[0], bool)
-        _, cos_good = language_probe([(f, t, ones)], ProbeConfig())
-        _, cos_bad = language_probe([(f, t[perm], ones)], ProbeConfig())
+        _, cos_good = language_probe([(f, t, ones)], ProbeConfig(epochs=200, lr=0.05))
+        _, cos_bad = language_probe([(f, t[perm], ones)], ProbeConfig(epochs=200, lr=0.05))
         assert cos_good >= 0.99
         assert cos_bad < 0.2
 
@@ -499,7 +505,7 @@ class TestLanguageProbe:
         valid = np.zeros(60, dtype=bool)
         valid[:30] = True
         t[30:] = 1e6  # junk that must not affect the fit
-        _, cos = language_probe([(x, t, valid)], ProbeConfig())
+        _, cos = language_probe([(x, t, valid)], ProbeConfig(epochs=200, lr=0.05))
         assert cos >= 0.99
 
 
