@@ -122,6 +122,8 @@ class SyntheticSpec:
                 raise ValueError(f"{name} must be positive")
         if self.image_size % self.patch_size:
             raise ValueError("image_size must be divisible by patch_size")
+        if not self.noise_sigma >= 0:
+            raise ValueError("noise_sigma must be non-negative")
 
     @property
     def summary_dim(self) -> int:

@@ -232,21 +232,23 @@ def encode(view: View, params: Dict[str, T.Tensor], cfg: EncoderConfig) -> Encod
     return EncodeResult(coords=coords[:-1], feats=feats, parents=parents[:-1])
 
 
-def upcast(result: EncodeResult, level: int) -> T.Tensor:
-    """Features of stages top-level..top side by side on P_{top-level}.
+def upcast(result: EncodeResult, level: int, rows) -> T.Tensor:
+    """Features of stages top-level..top side by side on the P_{top-level}
+    points ``rows`` (None: every point, in order).
 
-    Each row of P_{top-level} takes its own stage-(top-level) features, then
-    those of its ancestor at every coarser stage; level 0 is the coarsest
-    stage's features.
+    Each row takes its point's own stage-(top-level) features, then those of
+    its ancestor at every coarser stage; level 0 is the coarsest stage's
+    features. Rows out of range raise ``IndexError``.
     """
     top = result.num_stages - 1
     if not 0 <= level <= top:
         raise ValueError(f"upcast level {level} out of range 0..{top}")
     start = top - level
     stages = range(start, top + 1)
+    ancestors = (result.ancestors(s, start) for s in stages[1:])
     return T.op_gather_concat(
         [result.feats[s] for s in stages],
-        [None] + [result.ancestors(s, start) for s in stages[1:]])
+        [rows] + [a if rows is None else a[rows] for a in ancestors])
 
 
 # ---------------------------------------------------------------------------

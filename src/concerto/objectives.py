@@ -35,7 +35,7 @@ class ClusterLossConfig:
     center_momentum: float = 0.9
 
     def __post_init__(self):
-        if self.student_temp <= 0 or self.teacher_temp <= 0:
+        if not (self.student_temp > 0 and self.teacher_temp > 0):
             raise ValueError("temperatures must be positive")
         if not 0 <= self.center_momentum < 1:
             raise ValueError("center momentum must be in [0, 1)")
@@ -47,7 +47,7 @@ class LossWeights:
     intra: float = 2.0
 
     def __post_init__(self):
-        if self.cross < 0 or self.intra < 0:
+        if not (self.cross >= 0 and self.intra >= 0):
             raise ValueError("loss weights must be non-negative")
         if self.cross == 0 and self.intra == 0:
             raise ValueError("at least one loss weight must be positive")
@@ -86,7 +86,7 @@ def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
     all_logits = []
     used = np.zeros(center.shape[0], dtype=bool)
     for view, enc in teacher:
-        probs, logits = _teacher_probs(params_t, upcast(enc, INTRA_LEVEL), center, cfg)
+        probs, logits = _teacher_probs(params_t, upcast(enc, INTRA_LEVEL, None), center, cfg)
         teacher_sides.append((view, enc.ancestors(stage), probs))
         all_logits.append(logits)
         used[probs.argmax(axis=1)] = True
@@ -98,7 +98,7 @@ def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
     num_combos = 0
     total_pairs = 0
     for s_view, s_enc in student:
-        feats = upcast(s_enc, INTRA_LEVEL)
+        feats = upcast(s_enc, INTRA_LEVEL, None)
         s_anc = s_enc.ancestors(stage)
         rows = feats.data.shape[0]
         weights = None
@@ -177,10 +177,9 @@ def cross_loss(enc: EncodeResult, corr: Correspondence, grids: List[np.ndarray],
     if n_seg == 0:
         logger.warning("cross_loss: no nonempty patches")
         return T.Tensor(np.zeros((), enc.feats[0].data.dtype)), 0, 0.0
-    feats = upcast(enc, CROSS_LEVEL)
-    pooled = T.op_segment_mean(T.op_gather_rows(feats, member_rows), seg_ids, n_seg)
+    pooled = T.op_segment_mean(upcast(enc, CROSS_LEVEL, member_rows), seg_ids, n_seg)
     predicted = cross_head(params, pooled)
-    targets = np.concatenate(grids)[seg_rows].astype(feats.data.dtype, copy=False)
+    targets = np.concatenate(grids)[seg_rows].astype(pooled.data.dtype, copy=False)
     cos = T.op_cosine(predicted, T.Tensor(targets))
     loss = T.op_mean(T.op_add(T.op_mul(cos, -1.0), 1.0))
     return loss, int(n_seg), cross_mean_baseline(targets)

@@ -2,11 +2,13 @@
 language-space probing, zero-shot classification, limited-annotation label
 budgets, and segmentation metrics.
 
-All probes train a single linear layer (plus adapters in lora mode) with
-full-batch AdamW under a fixed seed; the encoder checkpoint is never
-mutated. Features are the full-resolution upcast. The lora probe
-merges its adapters into the frozen weights and encodes with the merged
-weights, so there is one encoder forward path.
+The linear and lora probes train a single linear layer (plus adapters in
+lora mode) with full-batch AdamW under a fixed seed. The language probe
+solves a least-squares map, then polishes it with at most ``epochs`` AdamW
+steps on the cosine; zero-shot classification trains nothing. The encoder
+checkpoint is never mutated. Features are the full-resolution upcast. The
+lora probe merges its adapters into the frozen weights and encodes with the
+merged weights, so there is one encoder forward path.
 
 Precision policy, the trainer's: the encoder runs on ``COMPUTE_DTYPE``
 copies of its weights, so features come out float32. The linear and lora
@@ -63,9 +65,9 @@ class ProbeConfig:
             raise ValueError("label_budget must be positive when present")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
-        if self.lr < 0:
+        if not self.lr >= 0:
             raise ValueError("lr must be non-negative")
-        if self.lora_lr is not None and self.lora_lr < 0:
+        if self.lora_lr is not None and not self.lora_lr >= 0:
             raise ValueError("lora_lr must be non-negative when present")
         if self.lora_rank < 1:
             raise ValueError("lora_rank must be at least 1")
@@ -87,8 +89,8 @@ class TextSpace:
     def __post_init__(self):
         self.class_embeddings = np.asarray(self.class_embeddings, dtype=np.float64)
         norms = np.linalg.norm(self.class_embeddings, axis=1)
-        if np.abs(norms - 1.0).max() > 1e-6:
-            raise ValueError("class embeddings must be unit rows")
+        if not (np.abs(norms - 1.0) <= 1e-6).all():
+            raise ValueError("class embeddings must be finite unit rows")
 
 
 def _check_labels(labels: np.ndarray, num_classes: int, where: str) -> None:
@@ -141,7 +143,7 @@ def extract_features(sample: SceneSample, params, enc_cfg: EncoderConfig,
     encoder runs on ``COMPUTE_DTYPE`` constant copies of ``params``, so no
     tape is recorded even when they are ``T.param`` leaves."""
     params = compute_copies(params, COMPUTE_DTYPE, track=False)
-    return upcast(encode(plain_view(sample), params, enc_cfg), level).data
+    return upcast(encode(plain_view(sample), params, enc_cfg), level, None).data
 
 
 def label_budget_indices(n: int, budget: Optional[int], seed: int, scene_idx: int) -> np.ndarray:
@@ -154,7 +156,13 @@ def label_budget_indices(n: int, budget: Optional[int], seed: int, scene_idx: in
 
 def lift_patch_features_to_points(sample: SceneSample):
     """Per-point mean of the image features of every patch the point is
-    visible in; points seen by no view get zeros and valid=False."""
+    visible in; points seen by no view get zeros and valid=False. A scene
+    without views, or with a view lacking a feature grid, is refused."""
+    if not sample.views:
+        raise ProbeError(f"scene {sample.scene_id} has no views")
+    for i, v in enumerate(sample.views):
+        if v.feature_grid is None:
+            raise ProbeError(f"scene {sample.scene_id}: view {i} has no feature grid")
     corr = build_correspondence(sample.cloud.coords, sample.views)
     out, counts = T.segment_mean_np(patch_table(sample.views)[corr.row], corr.point_index,
                                     sample.cloud.num_points)
@@ -288,12 +296,20 @@ def linear_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray]],
     ``train_scenes`` / ``eval_scenes`` are (features, labels) pairs; features
     may be concatenations of several sources. label_budget limits the
     labeled points used per training scene (seeded, nested). The head fits
-    on ``COMPUTE_DTYPE`` training features.
+    on ``COMPUTE_DTYPE`` training features. A scene without labels, or with
+    features of another width than training scene 0's, is refused before
+    fitting.
     """
+    if not train_scenes:
+        raise ProbeError("linear probe needs at least one training scene")
+    width = train_scenes[0][0].shape[1]
     for role, scenes in (("training", train_scenes), ("evaluation", eval_scenes)):
-        for i, (_f, labels) in enumerate(scenes):
+        for i, (f, labels) in enumerate(scenes):
             if labels is None:
                 raise ProbeError(f"{role} scene {i} has no labels")
+            if f.shape[1] != width:
+                raise ProbeError(f"{role} scene {i}: features are {f.shape[1]} wide, "
+                                 f"training scene 0's are {width}")
     keeps, y, missing = _labeled_rows([lab for _f, lab in train_scenes], num_classes, cfg)
     # a fresh array, so standardizing in place leaves the callers' untouched; a
     # scene that keeps every row goes to the concatenation uncopied
@@ -343,7 +359,7 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
 
     def loss_of(copies):
         merged = lora_weights(base, copies, scaling)
-        rows = [T.op_gather_rows(upcast(encode(plain_view(s), merged, enc_cfg), level), k)
+        rows = [upcast(encode(plain_view(s), merged, enc_cfg), level, k)
                 for s, k in zip(train_samples, keeps)]
         x = rows[0] if len(rows) == 1 else T.op_concat_rows(rows)
         shift, scale = _standardizer(*_standardize_fit(x.data), x.data.dtype)

@@ -305,7 +305,7 @@ def op_gather_concat(tensors: Sequence[Tensor], indices: Sequence) -> Tensor:
     def vjp(g):
         return tuple(None if not t.requires_grad
                      else np.ascontiguousarray(g[:, a:b]) if i is None
-                     else segment_sum_np(g[:, a:b], i, t.data.shape[0])
+                     else scatter_add_rows(g[:, a:b], i, t.data.shape[0])
                      for t, i, a, b in zip(tensors, idxs, bounds[:-1], bounds[1:]))
 
     return _record(out, "gather_concat", list(tensors), vjp)
@@ -327,20 +327,6 @@ def op_concat_rows(tensors: Sequence[Tensor]) -> Tensor:
 
     return _record(np.concatenate([t.data for t in tensors], axis=0),
                    "concat_rows", list(tensors), vjp)
-
-
-def op_gather_rows(x: Tensor, index) -> Tensor:
-    """Rows of a 2-D tensor selected by an integer array; backward scatter-adds."""
-    idx = np.asarray(index, dtype=np.int64)
-    if x.data.ndim != 2:
-        raise ValueError("op_gather_rows expects a 2-D tensor")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
-        raise IndexError("op_gather_rows index out of range")
-
-    def vjp(g):
-        return (scatter_add_rows(g, idx, x.data.shape[0]),)
-
-    return _record(x.data[idx], "gather_rows", [x], vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +567,8 @@ def op_segment_mean(values: Tensor, segment_ids, num_segments: int):
 
 def op_local_mix(x: Tensor, segment_ids, num_segments: int) -> Tensor:
     """(x + m[ids]) * 0.5, each row blended half and half with the mean m
-    of its segment's rows, as one node where ``op_segment_mean``,
-    ``op_gather_rows``, ``op_add`` and ``op_mul`` kept four. The VJP, with
+    of its segment's rows, as one node where ``op_segment_mean``, a row
+    gather, ``op_add`` and ``op_mul`` kept four. The VJP, with
     g2 = g * 0.5, is g2 + (segment_sum(g2) * inv)[ids], inv the reciprocal
     segment sizes of ``op_segment_mean``, whose arithmetic and errors it
     keeps."""

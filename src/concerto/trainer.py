@@ -90,7 +90,7 @@ class TrainConfig:
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.base_lr <= 0:
+        if not self.base_lr > 0:
             raise ValueError("base_lr must be positive")
         if not 0 <= self.image_usage_ratio <= 1:
             raise ValueError("image_usage_ratio must be in [0, 1]")

@@ -38,8 +38,11 @@ class AugmentConfig:
     def __post_init__(self):
         for name in ("rotation_range", "scale_range", "crop_range"):
             lo, hi = getattr(self, name)
-            if lo > hi:
+            if not lo <= hi:
                 raise ValueError(f"{name} is not well ordered")
+        for name in ("jitter_sigma", "color_jitter"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative")
         if not 0 <= self.flip_prob <= 1:
             raise ValueError("flip_prob must be in [0, 1]")
         if not 0 <= self.mask_ratio <= 1:

@@ -68,6 +68,11 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             small_spec(num_classes=0)
 
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    def test_negative_or_nan_noise_rejected(self, bad):
+        with pytest.raises(ValueError, match="noise_sigma must be non-negative"):
+            small_spec(noise_sigma=bad)
+
     def test_sample_invariants_hold(self):
         for seed in (0, 1, 2):
             spec = small_spec(seed=seed, num_classes=3)

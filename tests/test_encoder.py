@@ -10,6 +10,7 @@ from concerto.encoder import (CROSS_LEVEL, INTRA_LEVEL, MLP_DEPTH, EncoderConfig
                               clone_params, cross_head, ema_update, encode, init_params,
                               lora_weights, make_lora_adapters, proj_head, upcast)
 from concerto.geometry import voxelize
+from concerto.trainer import compute_copies
 from concerto.views import AugmentConfig, View, make_viewset
 from oracles import gradcheck
 
@@ -184,7 +185,7 @@ class TestEncode:
         grads = []
         for as_leaf in (False, True):
             monkeypatch.setattr(encoder_module, "_stage_block", spy(as_leaf))
-            T.backward(T.op_sum(T.op_mul(upcast(encode(view, params, cfg), 4), T.Tensor(w))))
+            T.backward(T.op_sum(T.op_mul(upcast(encode(view, params, cfg), 4, None), T.Tensor(w))))
             grads.append(params["mask_token"].grad)
             params["mask_token"].grad = None
         x, leaf = inputs
@@ -218,8 +219,26 @@ def upcast_chain_oracle(result, level):
     top = result.num_stages - 1
     g = result.feats[top]
     for s in range(top - 1, top - 1 - level, -1):
-        g = _concat_lastdim_oracle([result.feats[s], T.op_gather_rows(g, result.parents[s])])
+        g = _concat_lastdim_oracle([result.feats[s], T.op_gather_concat([g], [result.parents[s]])])
     return g
+
+
+def assert_param_grads_agree(out, ref_out, w, params):
+    """The parameter gradients of sum(out * w) are those of sum(ref_out * w)
+    within 1e-12 relative, and reach the same parameters."""
+    grads = []
+    for o in (out, ref_out):
+        T.backward(T.op_sum(T.op_mul(o, w)))
+        grads.append({k: p.grad for k, p in params.items()})
+        for p in params.values():
+            p.grad = None
+    new, ref = grads
+    assert any(g is not None for g in ref.values())
+    for k, g_ref in ref.items():
+        if g_ref is None:
+            assert new[k] is None, k
+            continue
+        assert np.abs(new[k] - g_ref).max() <= 1e-12 * np.abs(g_ref).max(), k
 
 
 class TestUpcast:
@@ -232,30 +251,59 @@ class TestUpcast:
         view = View(cloud=cloud, origin_index=np.arange(cloud.num_points), mask=mask)
         res = encode(view, params, cfg)
         for level in range(5):
-            np.testing.assert_array_equal(upcast(res, level).data,
+            np.testing.assert_array_equal(upcast(res, level, None).data,
                                           upcast_chain_oracle(res, level).data)
         for level in (2, 3):
             w = T.Tensor(np.random.default_rng(level).normal(
                 size=(res.coords[4 - level].shape[0], cfg.upcast_dim(level))))
-            grads = []
-            for fn in (upcast, upcast_chain_oracle):
-                T.backward(T.op_sum(T.op_mul(fn(res, level), w)))
-                grads.append({k: p.grad for k, p in params.items()})
-                for p in params.values():
-                    p.grad = None
-            new, ref = grads
-            assert any(g is not None for g in ref.values())
-            for k, g_ref in ref.items():
-                if g_ref is None:
-                    assert new[k] is None, k
-                    continue
-                assert np.abs(new[k] - g_ref).max() <= 1e-12 * np.abs(g_ref).max(), k
+            assert_param_grads_agree(upcast(res, level, None), upcast_chain_oracle(res, level),
+                                     w, params)
+
+    @staticmethod
+    def some_rows(res, level, seed):
+        """Unsorted rows of P_{top-level} with repeats, ending at the last point."""
+        n = res.coords[4 - level].shape[0]
+        picked = np.random.default_rng(seed).permutation(n)[: n // 3]
+        return np.concatenate([picked, picked[:5], [0, 0, n - 1]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_are_the_full_upcast_rows(self, cloud, dtype):
+        cfg = tiny_cfg()
+        res = encode(plain_view(cloud), compute_copies(init_params(cfg, seed=9), dtype, False),
+                     cfg)
+        for level in range(5):
+            rows = self.some_rows(res, level, level)
+            out = upcast(res, level, rows).data
+            assert out.dtype == dtype
+            np.testing.assert_array_equal(out, upcast(res, level, None).data[rows])
+
+    def test_row_gradients_match_gather_after_full_upcast(self, cloud):
+        """The former chain, a one-block gather of the full upcast, in float64."""
+        cfg = tiny_cfg()
+        params = init_params(cfg, seed=13)
+        res = encode(plain_view(cloud), params, cfg)
+        for level in range(5):
+            rows = self.some_rows(res, level, 10 + level)
+            w = T.Tensor(np.random.default_rng(level).normal(
+                size=(rows.size, cfg.upcast_dim(level))))
+            assert_param_grads_agree(upcast(res, level, rows),
+                                     T.op_gather_concat([upcast(res, level, None)], [rows]),
+                                     w, params)
+
+    @pytest.mark.parametrize("level", [0, 3])
+    def test_row_out_of_range(self, cloud, level):
+        cfg = tiny_cfg()
+        res = encode(plain_view(cloud), init_params(cfg, seed=14), cfg)
+        n = res.coords[4 - level].shape[0]
+        for bad in ([0, -1], [n, 0]):
+            with pytest.raises(IndexError):
+                upcast(res, level, np.array(bad))
 
     def test_level_zero_is_coarsest(self, cloud):
         cfg = tiny_cfg()
         params = init_params(cfg, seed=4)
         res = encode(plain_view(cloud), params, cfg)
-        out = upcast(res, 0)
+        out = upcast(res, 0, None)
         np.testing.assert_array_equal(out.data, res.feats[-1].data)
 
     def test_dimension_arithmetic_default_config(self):
@@ -282,14 +330,14 @@ class TestUpcast:
         cfg = tiny_cfg()
         params = init_params(cfg, seed=5)
         res = encode(plain_view(cloud), params, cfg)
-        out = upcast(res, level)
+        out = upcast(res, level, None)
         assert out.shape == (res.coords[4 - level].shape[0], cfg.upcast_dim(level))
 
     def test_level3_rows_equal_parent_chasing_oracle(self, cloud):
         cfg = tiny_cfg()
         params = init_params(cfg, seed=6)
         res = encode(plain_view(cloud), params, cfg)
-        out = upcast(res, 3).data
+        out = upcast(res, 3, None).data
         f = [t.data for t in res.feats]
         for u in range(min(20, res.coords[1].shape[0])):
             p2 = res.parents[1][u]
@@ -303,7 +351,7 @@ class TestUpcast:
         params = init_params(cfg, seed=7)
         res = encode(plain_view(cloud), params, cfg)
         with pytest.raises(ValueError):
-            upcast(res, 5)
+            upcast(res, 5, None)
 
 
 class TestEma:
@@ -461,7 +509,7 @@ class TestHeads:
         cfg = tiny_cfg()
         params = init_params(cfg, seed=21)
         res = encode(plain_view(cloud), params, cfg)
-        z = proj_head(params, upcast(res, INTRA_LEVEL))
+        z = proj_head(params, upcast(res, INTRA_LEVEL, None))
         np.testing.assert_allclose(np.linalg.norm(z.data, axis=1), 1.0, atol=1e-9)
 
     def test_prototypes_are_columns(self, cloud):
@@ -469,7 +517,7 @@ class TestHeads:
         cfg = tiny_cfg()
         params = init_params(cfg, seed=22)
         res = encode(plain_view(cloud), params, cfg)
-        z = proj_head(params, upcast(res, INTRA_LEVEL))
+        z = proj_head(params, upcast(res, INTRA_LEVEL, None))
         assert params["proto.w"].shape == (cfg.proj_dim, cfg.proto_count)
         assert T.op_matmul(z, params["proto.w"]).shape == (z.shape[0], cfg.proto_count)
 
@@ -477,5 +525,5 @@ class TestHeads:
         cfg = tiny_cfg()
         params = init_params(cfg, seed=23)
         res = encode(plain_view(cloud), params, cfg)
-        out = cross_head(params, upcast(res, CROSS_LEVEL))
+        out = cross_head(params, upcast(res, CROSS_LEVEL, None))
         assert out.shape[1] == cfg.cross_dim

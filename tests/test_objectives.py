@@ -43,7 +43,7 @@ def intra_loss_loop_oracle(student, teacher, params_s, params_t, center, cfg, le
     stage = teacher[0][1].num_stages - 1 - level
     combos = []
     for s_view, s_enc in student:
-        feats = upcast(s_enc, level)
+        feats = upcast(s_enc, level, None)
         z = proj_head(params_s, feats)
         logits = T.op_matmul(z, params_s["proto.w"]).data
         ls = logits / cfg.student_temp
@@ -51,7 +51,7 @@ def intra_loss_loop_oracle(student, teacher, params_s, params_t, center, cfg, le
         logq = logq - np.log(np.exp(logq).sum(axis=1, keepdims=True))
         s_anc = s_enc.ancestors(stage)
         for t_view, t_enc in teacher:
-            tz = proj_head(params_t, upcast(t_enc, level))
+            tz = proj_head(params_t, upcast(t_enc, level, None))
             tl = T.op_matmul(tz, params_t["proto.w"]).data
             sh = (tl - center) / cfg.teacher_temp
             sh = sh - sh.max(axis=1, keepdims=True)
@@ -88,11 +88,11 @@ def intra_loss_per_pair_oracle(student, teacher, params_s, params_t, center, cfg
     from concerto.objectives import _teacher_probs
     from concerto.views import match_views
     stage = teacher[0][1].num_stages - 1 - level
-    sides = [(v, enc, _teacher_probs(params_t, upcast(enc, level), center, cfg)[0])
+    sides = [(v, enc, _teacher_probs(params_t, upcast(enc, level, None), center, cfg)[0])
              for v, enc in teacher]
     combos = []
     for s_view, s_enc in student:
-        feats = upcast(s_enc, level)
+        feats = upcast(s_enc, level, None)
         logq = log_softmax_oracle(T.op_matmul(proj_head(params_s, feats), params_s["proto.w"]),
                                   cfg.student_temp)
         s_anc = s_enc.ancestors(stage)
@@ -169,7 +169,7 @@ class TestIntraLoss:
         loss, _, _, _ = intra_loss([(sv, s_enc)], [(tv, t_enc)], params, teacher,
                                    center, ccfg)
         # oracle: mean teacher row entropy (identical distributions both sides)
-        z = proj_head(params, upcast(s_enc, 2))
+        z = proj_head(params, upcast(s_enc, 2, None))
         logits = T.op_matmul(z, params["proto.w"]).data / 0.1
         logits = logits - logits.max(axis=1, keepdims=True)
         p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
@@ -211,7 +211,7 @@ class TestIntraLoss:
         _, new_center, _, _ = intra_loss(student, teach, params, teacher_p, center, ccfg)
         logits = []
         for _v, enc in teach:
-            z = proj_head(teacher_p, upcast(enc, 2))
+            z = proj_head(teacher_p, upcast(enc, 2, None))
             logits.append(T.op_matmul(z, teacher_p["proto.w"]).data)
         np.testing.assert_allclose(new_center, np.concatenate(logits).mean(axis=0), atol=1e-12)
 
@@ -252,7 +252,7 @@ class TestIntraLoss:
         for _ in range(5):
             _, center, _, _ = intra_loss(student, teach, params, teacher_p, center, ccfg)
             logits = np.concatenate([
-                T.op_matmul(proj_head(teacher_p, upcast(enc, 2)), teacher_p["proto.w"]).data
+                T.op_matmul(proj_head(teacher_p, upcast(enc, 2, None)), teacher_p["proto.w"]).data
                 for _v, enc in teach])
             bound = max(bound, np.abs(logits.mean(axis=0)).max())
         assert np.abs(center).max() <= bound + 1e-12
@@ -263,7 +263,7 @@ def cross_loss_loop_oracle(enc, corr, grids, params, level):
     mean, explicit cosine."""
     stage = enc.num_stages - 1 - level
     anc = enc.ancestors(stage)
-    feats = upcast(enc, level).data
+    feats = upcast(enc, level, None).data
     w = params["cross.w"].data
     b = params["cross.b"].data
     table = np.concatenate(grids)
@@ -305,10 +305,29 @@ class TestCrossLoss:
         assert n == n2
         np.testing.assert_allclose(loss.item(), oracle, atol=1e-12)
 
+    def test_tape_gathers_the_pooled_rows_once(self, scene):
+        """The upcast gathers only the pooled points' rows; no second gather
+        copies them out of a full-width upcast."""
+        cfg, params, enc, corr, grids = self.make(scene, 12)
+        member_rows = assign_patches(enc, corr, 3)[0]
+        loss, _, _ = cross_loss(enc, corr, grids, params)
+        nodes, seen, stack = [], set(), [loss]
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                nodes.append(t)
+                stack.extend(t._parents)
+        ops = [t._op for t in nodes]
+        assert "gather_rows" not in ops
+        gathers = [t for t in nodes if t._op == "gather_concat"]
+        assert len(gathers) == 1
+        assert gathers[0].data.shape == (member_rows.size, cfg.upcast_dim(3))
+
     def test_perfect_prediction_gives_zero(self, scene):
         cfg, params, enc, corr, grids = self.make(scene, 7)
         member_rows, seg_ids, seg_rows, n_seg = assign_patches(enc, corr, 3)
-        feats = upcast(enc, 3).data
+        feats = upcast(enc, 3, None).data
         pooled = np.stack([feats[member_rows[seg_ids == s]].mean(axis=0)
                            for s in range(n_seg)])
         pred = pooled @ params["cross.w"].data + params["cross.b"].data
@@ -321,7 +340,7 @@ class TestCrossLoss:
     def test_orthogonal_targets_give_one(self, scene):
         cfg, params, enc, corr, grids = self.make(scene, 8)
         member_rows, seg_ids, seg_rows, n_seg = assign_patches(enc, corr, 3)
-        feats = upcast(enc, 3).data
+        feats = upcast(enc, 3, None).data
         pooled = np.stack([feats[member_rows[seg_ids == s]].mean(axis=0)
                            for s in range(n_seg)])
         pred = pooled @ params["cross.w"].data + params["cross.b"].data
@@ -422,6 +441,19 @@ class TestCombine:
             LossWeights(cross=0, intra=0)
         with pytest.raises(ValueError):
             LossWeights(cross=-1, intra=1)
+
+    @pytest.mark.parametrize("field", ["cross", "intra"])
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    def test_negative_or_nan_weight_rejected(self, field, bad):
+        with pytest.raises(ValueError, match="loss weights must be non-negative"):
+            LossWeights(**{field: bad})
+
+
+@pytest.mark.parametrize("field", ["student_temp", "teacher_temp"])
+@pytest.mark.parametrize("bad", [0.0, -0.1, float("nan")])
+def test_non_positive_temperature_rejected(field, bad):
+    with pytest.raises(ValueError, match="temperatures must be positive"):
+        ClusterLossConfig(**{field: bad})
 
 
 class TestRigidInvariance:

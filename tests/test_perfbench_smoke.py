@@ -23,8 +23,8 @@ def workloads():
         sys.path.remove(str(PERFBENCH))
 
 
-@pytest.mark.parametrize("workload,traced", [("pretrain_points", False), ("eval", False),
-                                             ("pretrain_points", True)])
+@pytest.mark.parametrize("workload,traced", [("pretrain", False), ("pretrain_points", False),
+                                             ("eval", False), ("pretrain_points", True)])
 def test_small_run_passes_every_check(workloads, tmp_path, workload, traced):
     metrics, checks, _info = workloads.run(workload, SEED, 1.0, traced, "small", 0.0, tmp_path)
     assert checks.total_attempted > 0 and checks.total_failed == 0, checks.failed

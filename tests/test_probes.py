@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -118,7 +120,7 @@ class TestExtractFeatures:
         monkeypatch.setattr(T, "_record", counting_record)
         # a tracked forward pass on float32 leaves of the same parameters
         leaves = {k: T.param(p.data.astype(np.float32)) for k, p in params.items()}
-        reference = upcast(encode(plain_view(dataset[0]), leaves, enc_cfg), 4).data
+        reference = upcast(encode(plain_view(dataset[0]), leaves, enc_cfg), 4, None).data
         assert recorded
         recorded.clear()
         feats = extract_features(dataset[0], params, enc_cfg, 4)
@@ -182,6 +184,12 @@ class TestLinearProbe:
         with pytest.raises(ValueError, match=f"{field} must be non-negative"):
             ProbeConfig(**{field: -1e-3})
         ProbeConfig(**{field: 0.0})
+
+    @pytest.mark.parametrize("field", ["lr", "lora_lr"])
+    def test_nan_rate_rejected(self, field):
+        # with a NaN rate the head's gradient turns non-finite at epoch 2
+        with pytest.raises(ValueError, match=f"{field} must be non-negative"):
+            ProbeConfig(**{field: float("nan")})
 
     @pytest.mark.parametrize("budget,unlabeled,num_scenes", [
         (None, False, 2), (None, False, 1), (120, True, 2)],
@@ -262,6 +270,22 @@ class TestLinearProbe:
         train, evals = (bare, scenes) if role == "training" else (scenes, bare)
         with pytest.raises(ProbeError, match=f"{role} scene 1 has no labels"):
             linear_probe(train, evals, 3, ProbeConfig(epochs=1))
+
+    def test_no_training_scene_rejected(self):
+        with pytest.raises(ProbeError, match="at least one training scene"):
+            linear_probe([], probe_scenes(1, False), 3, ProbeConfig(epochs=1))
+
+    @pytest.mark.parametrize("role", ["training", "evaluation"])
+    def test_scene_of_another_width_rejected_before_fitting(self, role, monkeypatch):
+        scenes = probe_scenes(4, False)
+        narrow = [scenes[0], (scenes[1][0][:, :3], scenes[1][1])]
+        train, evals = (narrow, scenes) if role == "training" else (scenes, narrow)
+        fits = []
+        monkeypatch.setattr(probes, "_fit", lambda *a: fits.append(a))
+        with pytest.raises(ProbeError, match=f"{role} scene 1: features are 3 wide, "
+                                             "training scene 0's are 5"):
+            linear_probe(train, evals, 3, ProbeConfig(epochs=1))
+        assert not fits
 
     def test_probe_does_not_touch_encoder(self, dataset):
         enc_cfg = tiny_enc()
@@ -665,6 +689,13 @@ class TestZeroShot:
         with pytest.raises(ValueError, match="unit"):
             TextSpace(class_embeddings=np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_embedding_rejected(self, bad):
+        rows = np.eye(3)
+        rows[1, 2] = bad
+        with pytest.raises(ValueError, match="finite unit rows"):
+            TextSpace(class_embeddings=rows)
+
 
 class TestLiftedFeatures:
     def test_visible_points_get_patch_means(self, dataset):
@@ -687,6 +718,18 @@ class TestLiftedFeatures:
         lifted, valid = lift_patch_features_to_points(s)
         np.testing.assert_array_equal(valid, counts > 0)
         np.testing.assert_allclose(lifted, sums / np.maximum(counts, 1)[:, None], atol=1e-12)
+
+    def test_scene_without_views_rejected_naming_it(self, dataset):
+        bare = SceneSample(cloud=dataset[0].cloud, views=[], scene_id="bare")
+        with pytest.raises(ProbeError, match="scene bare has no views"):
+            lift_patch_features_to_points(bare)
+
+    def test_view_without_feature_grid_rejected_naming_the_scene(self, dataset):
+        s = dataset[0]
+        views = [s.views[0], dataclasses.replace(s.views[1], feature_grid=None)]
+        sample = SceneSample(cloud=s.cloud, views=views, scene_id="gridless")
+        with pytest.raises(ProbeError, match="scene gridless: view 1 has no feature grid"):
+            lift_patch_features_to_points(sample)
 
     def test_deterministic(self, dataset):
         a, va = lift_patch_features_to_points(dataset[1])

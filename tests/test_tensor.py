@@ -130,7 +130,7 @@ class TestForwardValues:
 
         def pool_gather(x):
             m = T.op_segment_mean(T.Tensor(x), ids, 6)
-            return T.op_gather_rows(m, ids).data
+            return T.op_gather_concat([m], [ids]).data
 
         once = pool_gather(vals)
         np.testing.assert_allclose(pool_gather(once), once, atol=1e-12)
@@ -344,7 +344,7 @@ class TestFusedEncoderOps:
             if fused:
                 out = T.op_local_mix(xs, ids, n)
             else:
-                spread = T.op_gather_rows(T.op_segment_mean(xs, ids, n), ids)
+                spread = T.op_gather_concat([T.op_segment_mean(xs, ids, n)], [ids])
                 out = T.op_mul(T.op_add(xs, spread), 0.5)
             assert out.data.dtype == dtype and out.requires_grad == track_x
             results.append([out.data] + (self.grads_of(out, [xs], g) if track_x else []))
@@ -456,8 +456,6 @@ def test_gradcheck_concat_and_gather():
         err = oracles.gradcheck(lambda a, b, c: T.op_gather_concat([a, b, c], blocks),
                           [rand(rng, 5, 2), rand(rng, 5, 3), rand(rng, 3, 4)])
         assert err <= 1e-5
-        err = oracles.gradcheck(lambda a: T.op_gather_rows(a, idx), [rand(rng, 3, 4)])
-        assert err <= 1e-5
         err = oracles.gradcheck(lambda a, b: T.op_concat_rows([a, b]),
                           [rand(rng, 2, 3), rand(rng, 4, 3)])
         assert err <= 1e-5
@@ -568,7 +566,6 @@ FLOAT32_CASES = [
     ("gather_concat", lambda *ts: T.op_gather_concat(ts, [[4, 0, 4, 2], None, [2, 2, 0, 1]]),
      [(5, 2), (4, 3), (3, 1)]),
     ("concat_rows", lambda *ts: T.op_concat_rows(ts), [(2, 3), (4, 3)]),
-    ("gather_rows", lambda a: T.op_gather_rows(a, [2, 0, 2, 1]), [(3, 4)]),
     ("matmul", lambda a, b: T.op_matmul(a, b), [(4, 5), (5, 3)]),
     ("linear", lambda x, w, b: T.op_linear(x, w, b), [(4, 5), (5, 3), (3,)]),
     ("softmax_xent", lambda x, w, b: T.op_linear_softmax_xent(

@@ -136,6 +136,11 @@ class TestSchedules:
             TrainConfig(grad_clip=grad_clip)
         TrainConfig(grad_clip=None)
 
+    @pytest.mark.parametrize("base_lr", [0.0, -1.0, float("nan")])
+    def test_non_positive_base_lr_rejected(self, base_lr):
+        with pytest.raises(ValueError, match="base_lr must be positive"):
+            TrainConfig(base_lr=base_lr)
+
     @pytest.mark.parametrize("field", ["epochs", "total_steps", "checkpoint_every_epochs"])
     def test_negative_count_rejected(self, field):
         # a negative epoch or step count trains nothing, yet wrote ckpt_final

@@ -16,6 +16,25 @@ def cloud():
     return samples[0].cloud
 
 
+NAN = float("nan")
+BAD_AUGMENT = {
+    "jitter_negative": (dict(jitter_sigma=-0.01), "jitter_sigma must be non-negative"),
+    "jitter_nan": (dict(jitter_sigma=NAN), "jitter_sigma must be non-negative"),
+    "color_jitter_negative": (dict(color_jitter=-0.01), "color_jitter must be non-negative"),
+    "color_jitter_nan": (dict(color_jitter=NAN), "color_jitter must be non-negative"),
+    "scale_low_nan": (dict(scale_range=(NAN, 1.1)), "scale_range is not well ordered"),
+    "scale_high_nan": (dict(scale_range=(0.9, NAN)), "scale_range is not well ordered"),
+    "crop_low_nan": (dict(crop_range=(NAN, 0.4)), "crop_range is not well ordered"),
+    "crop_reversed": (dict(crop_range=(0.4, 0.1)), "crop_range is not well ordered"),
+}
+
+
+@pytest.mark.parametrize("kwargs,match", BAD_AUGMENT.values(), ids=BAD_AUGMENT.keys())
+def test_augment_config_rejects_bad_values(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        AugmentConfig(**kwargs)
+
+
 class TestViewSet:
     def test_composition_and_principal(self, cloud):
         vs = make_viewset(cloud, AugmentConfig(), seed=0)
