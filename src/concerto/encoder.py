@@ -14,8 +14,11 @@ ancestors two levels up (one for the last stage), mixes in local context.
 ``upcast`` copies every coarser stage down to a finer point set through its
 composed parent map, writing all stages side by side into one output. The
 encoder owns the feature levels: the intra-modal heads read ``INTRA_LEVEL``
-upcast steps, the cross-modal head ``CROSS_LEVEL``. Prototypes are the
-columns of a (proj_dim, proto_count) matrix.
+upcast steps, the cross-modal head ``CROSS_LEVEL``. ``proj_head`` reads the
+stages of an ``EncodeResult`` directly: its first layer multiplies each stage
+on its own rows and gathers the products, so the wide upcast is never built
+and the tape keeps only the layer's output. Prototypes are the columns of a
+(proj_dim, proto_count) matrix.
 """
 
 from __future__ import annotations
@@ -49,8 +52,10 @@ class EncoderConfig:
     cross_dim: Optional[int] = None
 
     def __post_init__(self):
-        if any(d <= 0 for d in self.stage_dims) or not self.voxel_size > 0:
-            raise ValueError("stage dims and voxel_size must be positive")
+        if any(d <= 0 for d in self.stage_dims):
+            raise ValueError("stage dims must be positive")
+        if not 0 < self.voxel_size < np.inf:
+            raise ValueError("voxel_size must be positive and finite")
         if self.proto_count < 1 or self.proj_dim < 1 or (
                 self.cross_dim is not None and self.cross_dim < 1):
             raise ValueError("proto_count, proj_dim and a set cross_dim must be at least 1")
@@ -232,6 +237,20 @@ def encode(view: View, params: Dict[str, T.Tensor], cfg: EncoderConfig) -> Encod
     return EncodeResult(coords=coords[:-1], feats=feats, parents=parents[:-1])
 
 
+def _upcast_blocks(result: EncodeResult, level: int, rows):
+    """The stage features and row indices of ``level`` upcast steps, on the
+    P_{top-level} points ``rows`` (None: every point, in order): the
+    operands of ``T.op_gather_concat`` and ``T.op_gather_linear``."""
+    top = result.num_stages - 1
+    if not 0 <= level <= top:
+        raise ValueError(f"upcast level {level} out of range 0..{top}")
+    start = top - level
+    stages = range(start, top + 1)
+    ancestors = (result.ancestors(s, start) for s in stages[1:])
+    return ([result.feats[s] for s in stages],
+            [rows] + [a if rows is None else a[rows] for a in ancestors])
+
+
 def upcast(result: EncodeResult, level: int, rows) -> T.Tensor:
     """Features of stages top-level..top side by side on the P_{top-level}
     points ``rows`` (None: every point, in order).
@@ -240,24 +259,20 @@ def upcast(result: EncodeResult, level: int, rows) -> T.Tensor:
     its ancestor at every coarser stage; level 0 is the coarsest stage's
     features. Rows out of range raise ``IndexError``.
     """
-    top = result.num_stages - 1
-    if not 0 <= level <= top:
-        raise ValueError(f"upcast level {level} out of range 0..{top}")
-    start = top - level
-    stages = range(start, top + 1)
-    ancestors = (result.ancestors(s, start) for s in stages[1:])
-    return T.op_gather_concat(
-        [result.feats[s] for s in stages],
-        [rows] + [a if rows is None else a[rows] for a in ancestors])
+    return T.op_gather_concat(*_upcast_blocks(result, level, rows))
 
 
 # ---------------------------------------------------------------------------
 # heads
 # ---------------------------------------------------------------------------
 
-def proj_head(params: Dict[str, T.Tensor], x: T.Tensor) -> T.Tensor:
-    """Two-layer GELU MLP to the prototype space, L2-normalized."""
-    h = _linear(x, params, "proj.lin0")
+def proj_head(params: Dict[str, T.Tensor], result: EncodeResult) -> T.Tensor:
+    """Two-layer GELU MLP from the ``INTRA_LEVEL`` upcast of every point to
+    the prototype space, L2-normalized. The first layer reads the stages
+    themselves (``T.op_gather_linear``): each stage's rows meet their block
+    of the weight once, and the upcast is never built."""
+    h = T.op_gather_linear(*_upcast_blocks(result, INTRA_LEVEL, None),
+                           params["proj.lin0.w"], params["proj.lin0.b"])
     h = T.op_gelu(h)
     h = _linear(h, params, "proj.lin1")
     return T.op_l2norm(h)

@@ -4,7 +4,10 @@ Intra-modal branch: online-clustering cross-entropy between a centered,
 temperature-sharpened teacher prototype distribution (global views, plain
 arrays) and the student's prototype softmax (masked + local views), one
 cross-entropy fused with the prototype matmul per student view, averaged
-over matched point pairs and over view combinations.
+over matched point pairs and over view combinations. Student and teacher
+heads read the encoder's stages through ``proj_head``, so no
+``INTRA_LEVEL`` upcast is built, and the center update sums each teacher
+view's logit columns instead of stacking the logits.
 
 Cross-modal branch: per-patch mean pooling of the first masked view's
 point features, a linear head into the image feature space, and a
@@ -35,8 +38,9 @@ class ClusterLossConfig:
     center_momentum: float = 0.9
 
     def __post_init__(self):
-        if not (self.student_temp > 0 and self.teacher_temp > 0):
-            raise ValueError("temperatures must be positive")
+        for name in ("student_temp", "teacher_temp"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"temperatures must be positive and finite: {name}")
         if not 0 <= self.center_momentum < 1:
             raise ValueError("center momentum must be in [0, 1)")
 
@@ -47,19 +51,21 @@ class LossWeights:
     intra: float = 2.0
 
     def __post_init__(self):
-        if not (self.cross >= 0 and self.intra >= 0):
-            raise ValueError("loss weights must be non-negative")
+        for name in ("cross", "intra"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"loss weights must be non-negative and finite: {name}")
         if self.cross == 0 and self.intra == 0:
             raise ValueError("at least one loss weight must be positive")
 
 
-def _teacher_probs(params_t, feats: T.Tensor, center: np.ndarray, cfg: ClusterLossConfig):
-    """Centered, sharpened teacher prototype distribution plus raw logits.
+def _teacher_probs(params_t, enc: EncodeResult, center: np.ndarray, cfg: ClusterLossConfig):
+    """Centered, sharpened teacher prototype distribution plus raw logits of
+    every ``INTRA_LEVEL`` point of ``enc``.
 
     Everything on the teacher side is constant; plain arrays come back, in
     the features' dtype.
     """
-    z = proj_head(params_t, feats)
+    z = proj_head(params_t, enc)
     logits = T.op_matmul(z, params_t["proto.w"]).data
     return T.softmax_np(logits - center.astype(logits.dtype), cfg.teacher_temp), logits
 
@@ -83,12 +89,14 @@ def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
     stage = n_stages - 1 - INTRA_LEVEL
 
     teacher_sides = []
-    all_logits = []
+    logit_sum = np.zeros(center.shape, center.dtype)
+    logit_rows = 0
     used = np.zeros(center.shape[0], dtype=bool)
     for view, enc in teacher:
-        probs, logits = _teacher_probs(params_t, upcast(enc, INTRA_LEVEL, None), center, cfg)
+        probs, logits = _teacher_probs(params_t, enc, center, cfg)
         teacher_sides.append((view, enc.ancestors(stage), probs))
-        all_logits.append(logits)
+        logit_sum += logits.sum(axis=0, dtype=center.dtype)
+        logit_rows += logits.shape[0]
         used[probs.argmax(axis=1)] = True
 
     # each student view's loss is one fused cross-entropy against the teacher
@@ -98,9 +106,8 @@ def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
     num_combos = 0
     total_pairs = 0
     for s_view, s_enc in student:
-        feats = upcast(s_enc, INTRA_LEVEL, None)
         s_anc = s_enc.ancestors(stage)
-        rows = feats.data.shape[0]
+        rows = s_enc.feats[stage].data.shape[0]
         weights = None
         for t_view, t_anc, t_probs in teacher_sides:
             if s_view is t_view:
@@ -117,7 +124,7 @@ def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
             total_pairs += int(ia.size)
         if weights is None:
             continue
-        xent = T.op_linear_softmax_xent(proj_head(params_s, feats), params_s["proto.w"], None,
+        xent = T.op_linear_softmax_xent(proj_head(params_s, s_enc), params_s["proto.w"], None,
                                         weights, cfg.student_temp)
         loss = xent if loss is None else T.op_add(loss, xent)
 
@@ -127,8 +134,7 @@ def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
     else:
         loss = T.op_mul(loss, 1.0 / num_combos)
 
-    batch_mean = np.concatenate(all_logits, axis=0).mean(axis=0, dtype=center.dtype)
-    new_center = cfg.center_momentum * center + (1 - cfg.center_momentum) * batch_mean
+    new_center = cfg.center_momentum * center + (1 - cfg.center_momentum) * (logit_sum / logit_rows)
     return loss, new_center, total_pairs, float(used.mean())
 
 

@@ -65,10 +65,10 @@ class ProbeConfig:
             raise ValueError("label_budget must be positive when present")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
-        if not self.lr >= 0:
-            raise ValueError("lr must be non-negative")
-        if self.lora_lr is not None and not self.lora_lr >= 0:
-            raise ValueError("lora_lr must be non-negative when present")
+        if not 0 <= self.lr < np.inf:
+            raise ValueError("lr must be non-negative and finite")
+        if self.lora_lr is not None and not 0 <= self.lora_lr < np.inf:
+            raise ValueError("lora_lr must be non-negative and finite when present")
         if self.lora_rank < 1:
             raise ValueError("lora_rank must be at least 1")
 

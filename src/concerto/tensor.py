@@ -12,13 +12,17 @@ general broadcasting beyond a 1-D row operand on the right of a 2-D one,
 and concat. The one cross-entropy, ``op_linear_softmax_xent``, is fused
 with the linear layer before it and with its log-softmax: it walks its rows
 in blocks of about ``_BLOCK_BYTES``, so the logits never exist whole, and it
-accumulates the weight gradient in the same pass. The encoder's two fused
-ops, ``op_linear`` (matmul plus bias) and ``op_local_mix`` (segment mean,
-gather, add and halving), record one node each where the unfused chains
-recorded two and four, so the tape keeps one array per layer and per mix,
-with the same arithmetic. The plain-array helpers
-``softmax_np`` and ``segment_sum_np`` record nothing. The tests check every
-op's VJP against central finite differences.
+accumulates the weight gradient in the same pass; a tracked input keeps,
+until backward, the narrower of its own gradient and the logits gradient.
+The encoder's two fused ops, ``op_linear`` (matmul plus bias) and
+``op_local_mix`` (segment mean, gather, add and halving), record one node
+each where the unfused chains recorded two and four, so the tape keeps one
+array per layer and per mix, with the same arithmetic. ``op_gather_linear``
+is ``op_linear`` of ``op_gather_concat`` without the concatenation: each
+operand meets its block of the weight on its own rows, so a layer over
+several gathered feature stages keeps only its output on the tape. The
+plain-array helpers ``softmax_np`` and ``segment_sum_np`` record nothing.
+The tests check every op's VJP against central finite differences.
 
 Precision follows the data: a tensor keeps a float32 array as float32 and
 holds anything else as float64, and every op's output and cotangents take
@@ -281,31 +285,42 @@ def op_sum(x: Tensor) -> Tensor:
     return _record(np.array(x.data.sum()), "sum", [x], vjp)
 
 
+def _gather_indices(tensors: Sequence[Tensor], indices: Sequence, op: str):
+    """The int64 row indices (None kept) of a row-gathering op over 2-D
+    ``tensors`` and the common row count of the gathered blocks. Unequal
+    row counts raise ``ValueError``, an index out of range ``IndexError``."""
+    if not tensors or len(tensors) != len(indices):
+        raise ValueError(f"{op} needs one index (or None) per tensor")
+    if any(t.data.ndim != 2 for t in tensors):
+        raise ValueError(f"{op} expects 2-D tensors")
+    idxs = [None if i is None else np.asarray(i, dtype=np.int64) for i in indices]
+    rows = [t.data.shape[0] if i is None else i.shape[0] for t, i in zip(tensors, idxs)]
+    if len(set(rows)) != 1:
+        raise ValueError(f"{op}: blocks have different row counts {rows}")
+    for t, i in zip(tensors, idxs):
+        if i is not None and i.size and (i.min() < 0 or i.max() >= t.data.shape[0]):
+            raise IndexError(f"{op} index out of range")
+    return idxs, rows[0]
+
+
+def _gather_grad(g: np.ndarray, t: Tensor, i) -> np.ndarray:
+    """The cotangent of ``t`` for a gathered block's cotangent ``g``."""
+    return np.ascontiguousarray(g) if i is None else scatter_add_rows(g, i, t.data.shape[0])
+
+
 def op_gather_concat(tensors: Sequence[Tensor], indices: Sequence) -> Tensor:
     """Column blocks of gathered rows: block i is ``tensors[i].data[indices[i]]``,
     and an index of None takes every row in order. The output is allocated
     once and each block written once; backward scatter-adds each block's
     gradient straight to its operand's rows."""
-    if not tensors or len(tensors) != len(indices):
-        raise ValueError("op_gather_concat needs one index (or None) per tensor")
-    if any(t.data.ndim != 2 for t in tensors):
-        raise ValueError("op_gather_concat expects 2-D tensors")
-    idxs = [None if i is None else np.asarray(i, dtype=np.int64) for i in indices]
-    rows = [t.data.shape[0] if i is None else i.shape[0] for t, i in zip(tensors, idxs)]
-    if len(set(rows)) != 1:
-        raise ValueError(f"op_gather_concat: blocks have different row counts {rows}")
-    for t, i in zip(tensors, idxs):
-        if i is not None and i.size and (i.min() < 0 or i.max() >= t.data.shape[0]):
-            raise IndexError("op_gather_concat index out of range")
+    idxs, n = _gather_indices(tensors, indices, "op_gather_concat")
     bounds = np.cumsum([0] + [t.data.shape[1] for t in tensors])
-    out = np.empty((rows[0], bounds[-1]), dtype=np.result_type(*(t.data for t in tensors)))
+    out = np.empty((n, bounds[-1]), dtype=np.result_type(*(t.data for t in tensors)))
     for t, i, a, b in zip(tensors, idxs, bounds[:-1], bounds[1:]):
         out[:, a:b] = t.data if i is None else t.data[i]
 
     def vjp(g):
-        return tuple(None if not t.requires_grad
-                     else np.ascontiguousarray(g[:, a:b]) if i is None
-                     else scatter_add_rows(g[:, a:b], i, t.data.shape[0])
+        return tuple(_gather_grad(g[:, a:b], t, i) if t.requires_grad else None
                      for t, i, a, b in zip(tensors, idxs, bounds[:-1], bounds[1:]))
 
     return _record(out, "gather_concat", list(tensors), vjp)
@@ -366,6 +381,41 @@ def op_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record(out, "linear", [x, w, b], vjp)
 
 
+def op_gather_linear(tensors: Sequence[Tensor], indices: Sequence, w: Tensor, b: Tensor) -> Tensor:
+    """``op_linear(op_gather_concat(tensors, indices), w, b)`` as one node
+    without the concatenation: block i's rows w_i of w multiply x_i =
+    ``tensors[i]`` on its own rows, then each product is gathered by
+    ``indices[i]`` and summed. With gs = g scatter-added to x_i's rows (g
+    for a None index), the VJP is gs @ w_i.T for x_i, x_i.T @ gs for w_i
+    and sum(g) for b."""
+    idxs, n = _gather_indices(tensors, indices, "op_gather_linear")
+    bounds = np.cumsum([0] + [t.data.shape[1] for t in tensors])
+    if w.data.ndim != 2 or w.data.shape[0] != bounds[-1]:
+        raise ValueError(f"op_gather_linear: blocks {bounds[-1]} wide do not match w "
+                         f"{w.data.shape}")
+    if b.data.shape != w.data.shape[1:]:
+        raise ValueError(f"op_gather_linear bias shape {b.data.shape} is not ({w.data.shape[1]},)")
+    blocks = list(zip(tensors, idxs, bounds[:-1], bounds[1:]))
+    out = None
+    for t, i, lo, hi in blocks:
+        p = t.data @ w.data[lo:hi]
+        p = p if i is None else p[i]
+        out = p if out is None else np.add(out, p, out=out)
+    out += b.data
+
+    def vjp(g):
+        gw = np.empty_like(w.data) if w.requires_grad else None
+        gts = []
+        for t, i, lo, hi in blocks:
+            gs = _gather_grad(g, t, i) if t.requires_grad or w.requires_grad else None
+            if w.requires_grad:
+                np.matmul(t.data.T, gs, out=gw[lo:hi])
+            gts.append(gs @ w.data[lo:hi].T if t.requires_grad else None)
+        return (*gts, gw, g.sum(axis=0) if b.requires_grad else None)
+
+    return _record(out, "gather_linear", [*tensors, w, b], vjp)
+
+
 # ---------------------------------------------------------------------------
 # normalization and similarity
 # ---------------------------------------------------------------------------
@@ -400,8 +450,11 @@ def op_linear_softmax_xent(x: Tensor, w: Tensor, b: Optional[Tensor], weights: n
     the row sums of exp(z), and its logits gradient G = (rowsum(W) *
     exp(z) / s - W) / temperature, from which the same pass accumulates
     dw += x_b.T @ G and db += sum(G). The block terms are summed in float64
-    and the loss takes the operands' dtype. The whole G is kept only when x
-    is tracked; the VJP is g * (G @ w.T, dw, db).
+    and the loss takes the operands' dtype. A tracked x keeps whichever of
+    its gradients is narrower until backward: for d < k (a prototype head)
+    the same pass writes G @ w.T, the (n, d) input gradient, otherwise the
+    (n, k) G is kept and G @ w.T is taken in the VJP. Either way the VJP is
+    g * (G @ w.T, dw, db); an untracked x keeps neither.
     """
     if temperature <= 0:
         raise ValueError(f"softmax temperature must be positive, got {temperature}")
@@ -417,7 +470,9 @@ def op_linear_softmax_xent(x: Tensor, w: Tensor, b: Optional[Tensor], weights: n
         raise ValueError(f"op_linear_softmax_xent weights shape {wts.shape} is not {(n, k)}")
     track_x, track_w = x.requires_grad, w.requires_grad
     track_b = b is not None and b.requires_grad
-    full_g = np.empty((n, k), dtype) if track_x else None
+    keep_gx = track_x and d < k
+    keep_g = track_x and not keep_gx
+    kept = np.empty((n, d if keep_gx else k), dtype) if track_x else None
     dw = np.zeros((d, k), dtype) if track_w else None
     db = np.zeros(k, dtype) if track_b else None
     rows = block_rows(max(d, k), dtype)
@@ -435,9 +490,11 @@ def op_linear_softmax_xent(x: Tensor, w: Tensor, b: Optional[Tensor], weights: n
         e = np.exp(z, out=z)
         s = e.sum(axis=1, keepdims=True)
         val += float((rw * np.log(s)).sum())
-        gb = np.multiply(e, rw / s, out=full_g[a:a + rows] if track_x else e)
+        gb = np.multiply(e, rw / s, out=kept[a:a + rows] if keep_g else e)
         gb -= wb
         gb /= temperature
+        if keep_gx:
+            np.matmul(gb, w.data.T, out=kept[a:a + rows])
         if track_w:
             dw += xb.T @ gb
         if track_b:
@@ -446,9 +503,11 @@ def op_linear_softmax_xent(x: Tensor, w: Tensor, b: Optional[Tensor], weights: n
     def vjp(g):
         scale = float(g)
         gx = None
-        if track_x:
-            gx = full_g @ w.data.T
+        if keep_g:
+            gx = kept @ w.data.T
             gx *= scale
+        elif keep_gx:
+            gx = kept * scale
         grads = (gx, dw * scale if track_w else None, db * scale if track_b else None)
         return grads if b is not None else grads[:2]
 

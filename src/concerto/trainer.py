@@ -90,8 +90,8 @@ class TrainConfig:
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if not self.base_lr > 0:
-            raise ValueError("base_lr must be positive")
+        if not 0 < self.base_lr < np.inf:
+            raise ValueError("base_lr must be positive and finite")
         if not 0 <= self.image_usage_ratio <= 1:
             raise ValueError("image_usage_ratio must be in [0, 1]")
         if self.grad_clip is not None and not self.grad_clip > 0:

@@ -40,9 +40,11 @@ class AugmentConfig:
             lo, hi = getattr(self, name)
             if not lo <= hi:
                 raise ValueError(f"{name} is not well ordered")
+            if np.isinf((lo, hi)).any():
+                raise ValueError(f"{name} must be finite")
         for name in ("jitter_sigma", "color_jitter"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
         if not 0 <= self.flip_prob <= 1:
             raise ValueError("flip_prob must be in [0, 1]")
         if not 0 <= self.mask_ratio <= 1:

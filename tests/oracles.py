@@ -1,6 +1,7 @@
 """Reference implementations the tests compare the package against: central
 finite-difference gradients for the tape's ops, the unfused linear softmax
-cross-entropy, a recorder of the dtypes that reach the tape, and a reader
+cross-entropy, the projection head over a built upcast, a tape walker, a
+recorder of the dtypes that reach the tape, and a reader
 for the ASCII PLY files ``concerto.viz.export_ply`` writes."""
 
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from concerto import tensor as T
+from concerto.encoder import INTRA_LEVEL, upcast
 
 
 def finite_difference_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -66,6 +68,28 @@ def linear_softmax_xent_reference(x, w, b, weights, temperature):
     dlogits = (np.exp(logq) * weights.sum(axis=-1, keepdims=True) - weights) / temperature
     return (loss, dlogits @ w.T, x.T @ dlogits,
             None if b is None else dlogits.sum(axis=0))
+
+
+def proj_head_reference(params, result):
+    """``encoder.proj_head`` with its first layer an ``op_linear`` of the
+    built ``INTRA_LEVEL`` upcast, the composition ``op_gather_linear``
+    replaces."""
+    h = T.op_linear(upcast(result, INTRA_LEVEL, None), params["proj.lin0.w"],
+                    params["proj.lin0.b"])
+    h = T.op_linear(T.op_gelu(h), params["proj.lin1.w"], params["proj.lin1.b"])
+    return T.op_l2norm(h)
+
+
+def tape_nodes(out) -> list:
+    """Every tensor the tape reaches from ``out``, each once."""
+    nodes, seen, stack = [], set(), [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            nodes.append(t)
+            stack.extend(t._parents)
+    return nodes
 
 
 def record_tape_dtypes(monkeypatch) -> dict:

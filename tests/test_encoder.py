@@ -6,13 +6,13 @@ import pytest
 from concerto import encoder as encoder_module
 from concerto import tensor as T
 from concerto.dataio import PointCloud, SyntheticSpec, generate_synthetic
-from concerto.encoder import (CROSS_LEVEL, INTRA_LEVEL, MLP_DEPTH, EncoderConfig, EncodeResult,
+from concerto.encoder import (CROSS_LEVEL, MLP_DEPTH, EncoderConfig, EncodeResult,
                               clone_params, cross_head, ema_update, encode, init_params,
                               lora_weights, make_lora_adapters, proj_head, upcast)
 from concerto.geometry import voxelize
 from concerto.trainer import compute_copies
 from concerto.views import AugmentConfig, View, make_viewset
-from oracles import gradcheck
+from oracles import gradcheck, proj_head_reference, tape_nodes
 
 
 def tiny_cfg(**kw):
@@ -92,13 +92,7 @@ class TestEncode:
         apiece, so the tape keeps one array for each."""
         cfg = tiny_cfg()
         res = encode(plain_view(cloud), init_params(cfg, seed=12), cfg)
-        ops, seen, stack = Counter(), set(), [T.op_sum(res.feats[-1])]
-        while stack:
-            t = stack.pop()
-            if id(t) not in seen:
-                seen.add(id(t))
-                ops[t._op] += 1
-                stack.extend(t._parents)
+        ops = Counter(t._op for t in tape_nodes(T.op_sum(res.feats[-1])))
         assert ops["linear"] == MLP_DEPTH * cfg.num_stages
         assert ops["local_mix"] == cfg.num_stages
         assert not {"matmul", "add_bias", "gather_rows", "mul_scalar"} & set(ops)
@@ -120,6 +114,11 @@ class TestEncode:
     @pytest.mark.parametrize("voxel_size", [0.0, -0.05, float("nan")])
     def test_non_positive_voxel_size_rejected(self, voxel_size):
         with pytest.raises(ValueError, match="voxel_size must be positive"):
+            tiny_cfg(voxel_size=voxel_size)
+
+    @pytest.mark.parametrize("voxel_size", [float("inf"), -float("inf")])
+    def test_infinite_voxel_size_rejected(self, voxel_size):
+        with pytest.raises(ValueError, match="voxel_size must be positive and finite"):
             tiny_cfg(voxel_size=voxel_size)
 
     def test_permutation_equivariance(self, cloud):
@@ -509,15 +508,39 @@ class TestHeads:
         cfg = tiny_cfg()
         params = init_params(cfg, seed=21)
         res = encode(plain_view(cloud), params, cfg)
-        z = proj_head(params, upcast(res, INTRA_LEVEL, None))
+        z = proj_head(params, res)
         np.testing.assert_allclose(np.linalg.norm(z.data, axis=1), 1.0, atol=1e-9)
+
+    def test_proj_head_matches_the_head_over_the_built_upcast(self, cloud):
+        cfg = tiny_cfg()
+        rng = np.random.default_rng(24)
+        results = []
+        for head in (proj_head, proj_head_reference):
+            params = init_params(cfg, seed=24)
+            out = head(params, encode(plain_view(cloud), params, cfg))
+            g = rng.normal(size=out.shape) if not results else g
+            T.backward(T.op_sum(T.op_mul(out, T.Tensor(g))))
+            results.append([out.data] + [params[k].grad for k in sorted(params)])
+        for got, want in zip(*results):
+            if want is None:  # the prototypes and the cross head
+                assert got is None
+            else:
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_proj_head_reads_the_stages(self, cloud):
+        # one gather_linear node, and no upcast on the tape
+        cfg = tiny_cfg()
+        params = init_params(cfg, seed=25)
+        ops = Counter(t._op for t in tape_nodes(
+            proj_head(params, encode(plain_view(cloud), params, cfg))))
+        assert ops["gather_linear"] == 1 and ops["gather_concat"] == 0
 
     def test_prototypes_are_columns(self, cloud):
         # z @ proto.w scores every projected row against every prototype
         cfg = tiny_cfg()
         params = init_params(cfg, seed=22)
         res = encode(plain_view(cloud), params, cfg)
-        z = proj_head(params, upcast(res, INTRA_LEVEL, None))
+        z = proj_head(params, res)
         assert params["proto.w"].shape == (cfg.proj_dim, cfg.proto_count)
         assert T.op_matmul(z, params["proto.w"]).shape == (z.shape[0], cfg.proto_count)
 

@@ -8,6 +8,7 @@ from concerto.geometry import build_correspondence
 from concerto.objectives import (ClusterLossConfig, LossWeights, assign_patches,
                                  combine, cross_loss, cross_mean_baseline, intra_loss)
 from concerto.views import AugmentConfig, make_viewset
+from oracles import proj_head_reference, tape_nodes
 
 
 def tiny_cfg(**kw):
@@ -43,15 +44,14 @@ def intra_loss_loop_oracle(student, teacher, params_s, params_t, center, cfg, le
     stage = teacher[0][1].num_stages - 1 - level
     combos = []
     for s_view, s_enc in student:
-        feats = upcast(s_enc, level, None)
-        z = proj_head(params_s, feats)
+        z = proj_head_reference(params_s, s_enc)
         logits = T.op_matmul(z, params_s["proto.w"]).data
         ls = logits / cfg.student_temp
         logq = ls - ls.max(axis=1, keepdims=True)
         logq = logq - np.log(np.exp(logq).sum(axis=1, keepdims=True))
         s_anc = s_enc.ancestors(stage)
         for t_view, t_enc in teacher:
-            tz = proj_head(params_t, upcast(t_enc, level, None))
+            tz = proj_head_reference(params_t, t_enc)
             tl = T.op_matmul(tz, params_t["proto.w"]).data
             sh = (tl - center) / cfg.teacher_temp
             sh = sh - sh.max(axis=1, keepdims=True)
@@ -88,20 +88,18 @@ def intra_loss_per_pair_oracle(student, teacher, params_s, params_t, center, cfg
     from concerto.objectives import _teacher_probs
     from concerto.views import match_views
     stage = teacher[0][1].num_stages - 1 - level
-    sides = [(v, enc, _teacher_probs(params_t, upcast(enc, level, None), center, cfg)[0])
-             for v, enc in teacher]
+    sides = [(v, enc, _teacher_probs(params_t, enc, center, cfg)[0]) for v, enc in teacher]
     combos = []
     for s_view, s_enc in student:
-        feats = upcast(s_enc, level, None)
-        logq = log_softmax_oracle(T.op_matmul(proj_head(params_s, feats), params_s["proto.w"]),
-                                  cfg.student_temp)
+        z = proj_head_reference(params_s, s_enc)
+        logq = log_softmax_oracle(T.op_matmul(z, params_s["proto.w"]), cfg.student_temp)
         s_anc = s_enc.ancestors(stage)
         for t_view, t_enc, t_probs in sides:
             ia, ib = match_views(s_view, t_view)
             if s_view is t_view or ia.size == 0:
                 continue
             counts = sp.coo_matrix((np.ones(ia.size), (s_anc[ia], t_enc.ancestors(stage)[ib])),
-                                   shape=(feats.data.shape[0], t_probs.shape[0])).tocsr()
+                                   shape=(z.data.shape[0], t_probs.shape[0])).tocsr()
             combos.append(T.op_mul(T.op_sum(T.op_mul(logq, T.Tensor(counts @ t_probs))),
                                    -1.0 / ia.size))
     acc = combos[0]
@@ -169,7 +167,7 @@ class TestIntraLoss:
         loss, _, _, _ = intra_loss([(sv, s_enc)], [(tv, t_enc)], params, teacher,
                                    center, ccfg)
         # oracle: mean teacher row entropy (identical distributions both sides)
-        z = proj_head(params, upcast(s_enc, 2, None))
+        z = proj_head(params, s_enc)
         logits = T.op_matmul(z, params["proto.w"]).data / 0.1
         logits = logits - logits.max(axis=1, keepdims=True)
         p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
@@ -211,9 +209,18 @@ class TestIntraLoss:
         _, new_center, _, _ = intra_loss(student, teach, params, teacher_p, center, ccfg)
         logits = []
         for _v, enc in teach:
-            z = proj_head(teacher_p, upcast(enc, 2, None))
+            z = proj_head(teacher_p, enc)
             logits.append(T.op_matmul(z, teacher_p["proto.w"]).data)
         np.testing.assert_allclose(new_center, np.concatenate(logits).mean(axis=0), atol=1e-12)
+
+    def test_student_heads_read_the_stages(self, encoded):
+        # one gather_linear node per student view, and no upcast on the tape
+        cfg, params, teacher_p, vs, student, teach = encoded
+        loss, _, _, _ = intra_loss(student, teach, params, teacher_p,
+                                   np.zeros(cfg.proto_count), ClusterLossConfig())
+        ops = [t._op for t in tape_nodes(loss)]
+        assert ops.count("gather_linear") == ops.count("linear_softmax_xent") == len(student)
+        assert "gather_concat" not in ops
 
     def test_teacher_gets_zero_grad(self, encoded):
         cfg, params, teacher_p, vs, student, teach = encoded
@@ -252,7 +259,7 @@ class TestIntraLoss:
         for _ in range(5):
             _, center, _, _ = intra_loss(student, teach, params, teacher_p, center, ccfg)
             logits = np.concatenate([
-                T.op_matmul(proj_head(teacher_p, upcast(enc, 2, None)), teacher_p["proto.w"]).data
+                T.op_matmul(proj_head(teacher_p, enc), teacher_p["proto.w"]).data
                 for _v, enc in teach])
             bound = max(bound, np.abs(logits.mean(axis=0)).max())
         assert np.abs(center).max() <= bound + 1e-12
@@ -311,13 +318,7 @@ class TestCrossLoss:
         cfg, params, enc, corr, grids = self.make(scene, 12)
         member_rows = assign_patches(enc, corr, 3)[0]
         loss, _, _ = cross_loss(enc, corr, grids, params)
-        nodes, seen, stack = [], set(), [loss]
-        while stack:
-            t = stack.pop()
-            if id(t) not in seen:
-                seen.add(id(t))
-                nodes.append(t)
-                stack.extend(t._parents)
+        nodes = tape_nodes(loss)
         ops = [t._op for t in nodes]
         assert "gather_rows" not in ops
         gathers = [t for t in nodes if t._op == "gather_concat"]
@@ -448,12 +449,23 @@ class TestCombine:
         with pytest.raises(ValueError, match="loss weights must be non-negative"):
             LossWeights(**{field: bad})
 
+    @pytest.mark.parametrize("field", ["cross", "intra"])
+    def test_infinite_weight_rejected(self, field):
+        with pytest.raises(ValueError, match=f"non-negative and finite: {field}"):
+            LossWeights(**{field: float("inf")})
+
 
 @pytest.mark.parametrize("field", ["student_temp", "teacher_temp"])
 @pytest.mark.parametrize("bad", [0.0, -0.1, float("nan")])
 def test_non_positive_temperature_rejected(field, bad):
     with pytest.raises(ValueError, match="temperatures must be positive"):
         ClusterLossConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("field", ["student_temp", "teacher_temp"])
+def test_infinite_temperature_rejected(field):
+    with pytest.raises(ValueError, match=f"positive and finite: {field}"):
+        ClusterLossConfig(**{field: float("inf")})
 
 
 class TestRigidInvariance:

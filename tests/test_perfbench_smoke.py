@@ -24,7 +24,8 @@ def workloads():
 
 
 @pytest.mark.parametrize("workload,traced", [("pretrain", False), ("pretrain_points", False),
-                                             ("eval", False), ("pretrain_points", True)])
+                                             ("eval", False), ("pretrain_points", True),
+                                             ("pretrain", True)])
 def test_small_run_passes_every_check(workloads, tmp_path, workload, traced):
     metrics, checks, _info = workloads.run(workload, SEED, 1.0, traced, "small", 0.0, tmp_path)
     assert checks.total_attempted > 0 and checks.total_failed == 0, checks.failed

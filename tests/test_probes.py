@@ -191,6 +191,11 @@ class TestLinearProbe:
         with pytest.raises(ValueError, match=f"{field} must be non-negative"):
             ProbeConfig(**{field: float("nan")})
 
+    @pytest.mark.parametrize("field", ["lr", "lora_lr"])
+    def test_infinite_rate_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be non-negative and finite"):
+            ProbeConfig(**{field: float("inf")})
+
     @pytest.mark.parametrize("budget,unlabeled,num_scenes", [
         (None, False, 2), (None, False, 1), (120, True, 2)],
         ids=["keep_all", "one_scene", "budget_and_unlabeled"])

@@ -301,6 +301,89 @@ class TestLinearSoftmaxXentBlocks:
             np.testing.assert_array_equal(untracked, tracked)
 
 
+class TestXentKeptGradient:
+    """A tracked x keeps the narrower of its (n, d) gradient and the (n, k)
+    logits gradient G until backward, and both give the keep-G arithmetic
+    of the unfused composition."""
+
+    @staticmethod
+    def closure_shapes(out):
+        shapes = set()
+        for cell in out._vjp.__closure__:
+            value = cell.cell_contents
+            value = value.data if isinstance(value, T.Tensor) else value
+            if isinstance(value, np.ndarray):
+                shapes.add(value.shape)
+        return shapes
+
+    @pytest.mark.parametrize("d,k", [(8, 64), (40, 7)], ids=["prototype", "probe"])
+    def test_vjp_holds_the_narrower_gradient(self, d, k):
+        n = 2 * T.block_rows(max(d, k), np.float64) + 1
+        x, w, b, targets = TestLinearSoftmaxXentBlocks.case(n, d, k, True)
+        ref = oracles.linear_softmax_xent_reference(x, w, b, targets, 0.1)
+        tensors = [T.param(a) for a in (x, w, b)]
+        loss = T.op_linear_softmax_xent(*tensors, targets, 0.1)
+        shapes = self.closure_shapes(loss)
+        assert ((n, k) not in shapes) if d < k else ((n, d) not in shapes)
+        assert ((n, d) if d < k else (n, k)) in shapes
+        T.backward(loss)
+        assert abs(loss.item() - ref[0]) <= 1e-12 * abs(ref[0])
+        for t, want in zip(tensors, ref[1:]):
+            assert np.abs(t.grad - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("d,k", [(8, 64), (40, 7)], ids=["prototype", "probe"])
+    def test_untracked_input_keeps_neither(self, d, k):
+        n = 11
+        x, w, _b, targets = TestLinearSoftmaxXentBlocks.case(n, d, k, False)
+        loss = T.op_linear_softmax_xent(T.Tensor(x), T.param(w), None, targets, 0.1)
+        assert not self.closure_shapes(loss) & {(n, d), (n, k)}
+
+
+class TestGatherLinear:
+    """``op_gather_linear`` against ``op_linear`` of ``op_gather_concat``,
+    the composition it replaces, in float64."""
+
+    INDICES = [None, [3, 0, 3, 1, 2, 0], [1, 1, 0, 2, 0, 1]]  # unsorted, repeated
+
+    @staticmethod
+    def arrays(rng):
+        return [rng.normal(size=s) for s in ((6, 4), (4, 3), (3, 5), (12, 7), (7,))]
+
+    @pytest.mark.parametrize("tracked", ["all", "weights", "inputs"])
+    def test_matches_linear_of_gather_concat(self, tracked):
+        rng = np.random.default_rng(53)
+        arrays = self.arrays(rng)
+        g = rng.normal(size=(6, 7))
+        results = []
+        for fused in (True, False):
+            track = [tracked != "weights"] * 3 + [tracked != "inputs"] * 2
+            ts = [T.param(a) if t else T.Tensor(a) for a, t in zip(arrays, track)]
+            out = (T.op_gather_linear(ts[:3], self.INDICES, *ts[3:]) if fused
+                   else T.op_linear(T.op_gather_concat(ts[:3], self.INDICES), *ts[3:]))
+            T.backward(T.op_sum(T.op_mul(out, T.Tensor(g))))
+            results.append([out.data] + [t.grad for t in ts])
+        for got, want in zip(*results):
+            if want is None:
+                assert got is None
+            else:
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_index_out_of_range(self, bad):
+        ts = [T.Tensor(a) for a in self.arrays(np.random.default_rng(54))]
+        with pytest.raises(IndexError):
+            T.op_gather_linear(ts[:3], [None, [0, 1, 2, 3, 0, bad], [0] * 6], *ts[3:])
+
+    def test_shape_mismatch(self):
+        ts = [T.Tensor(a) for a in self.arrays(np.random.default_rng(55))]
+        with pytest.raises(ValueError, match="different row counts"):
+            T.op_gather_linear(ts[:3], [None, [0, 1], [0] * 6], *ts[3:])
+        with pytest.raises(ValueError, match="do not match w"):
+            T.op_gather_linear(ts[:2], self.INDICES[:2], *ts[3:])
+        with pytest.raises(ValueError, match="bias shape"):
+            T.op_gather_linear(ts[:3], self.INDICES, ts[3], T.Tensor(np.zeros(6)))
+
+
 class TestFusedEncoderOps:
     """``op_linear`` and ``op_local_mix`` against the unfused chains they
     replace in the encoder: the same float operations in the same order, so
@@ -384,6 +467,9 @@ MULTI_OPERAND_OPS = [
     ("cosine", T.op_cosine, [(4, 5), (4, 5)]),
     ("gather_concat", lambda *ts: T.op_gather_concat(ts, [[4, 0, 4, 2], None, [2, 2, 0, 1]]),
      [(5, 2), (4, 3), (3, 1)]),
+    ("gather_linear", lambda a, c, e, w, b: T.op_gather_linear(
+        [a, c, e], [[4, 0, 4, 2], None, [2, 2, 0, 1]], w, b),
+     [(5, 2), (4, 3), (3, 1), (6, 3), (3,)]),
     ("concat_rows", lambda *ts: T.op_concat_rows(ts), [(2, 3), (4, 3), (1, 3)]),
 ]
 
@@ -412,6 +498,7 @@ def test_constant_operands_get_no_cotangent(name, op, shapes):
 OPS_FOR_GRADCHECK = [
     ("add", lambda a, b: T.op_add(a, b), 2, (3, 4)),
     ("add_bias", None, None, None),  # checked separately below
+    ("gather_linear", None, None, None),  # checked separately below
     ("mul", lambda a, b: T.op_mul(a, b), 2, (3, 4)),
     ("gelu", lambda a: T.op_gelu(a), 1, (3, 4)),
     ("layernorm", lambda a: T.op_layernorm(a), 1, (3, 6)),
@@ -474,6 +561,17 @@ def test_gather_concat_unequal_row_counts():
         T.op_gather_concat([a, b], [None, None])
     with pytest.raises(ValueError):
         T.op_gather_concat([a, b], [[0, 1, 2], [0, 1]])
+
+
+def test_gradcheck_gather_linear():
+    # unsorted and repeated rows, unused rows, and a None index
+    rng = np.random.default_rng(29)
+    idxs = [[2, 0, 2, 4, 0], None, [2, 0, 1, 2, 2]]
+    for _ in range(5):
+        err = oracles.gradcheck(lambda a, c, e, w, b: T.op_gather_linear([a, c, e], idxs, w, b),
+                                [rand(rng, 5, 2), rand(rng, 5, 3), rand(rng, 3, 4),
+                                 rand(rng, 9, 4), rand(rng, 4)])
+        assert err <= 1e-5
 
 
 def test_gradcheck_segment_mean():
@@ -568,6 +666,9 @@ FLOAT32_CASES = [
     ("concat_rows", lambda *ts: T.op_concat_rows(ts), [(2, 3), (4, 3)]),
     ("matmul", lambda a, b: T.op_matmul(a, b), [(4, 5), (5, 3)]),
     ("linear", lambda x, w, b: T.op_linear(x, w, b), [(4, 5), (5, 3), (3,)]),
+    ("gather_linear", lambda a, c, e, w, b: T.op_gather_linear(
+        [a, c, e], [[4, 0, 4, 2], None, [2, 2, 0, 1]], w, b),
+     [(5, 2), (4, 3), (3, 1), (6, 3), (3,)]),
     ("softmax_xent", lambda x, w, b: T.op_linear_softmax_xent(
         x, w, b, np.random.default_rng(8).dirichlet(np.ones(5), size=4), 0.1),
      [(4, 3), (3, 5), (5,)]),
@@ -577,6 +678,9 @@ FLOAT32_CASES = [
     ("softmax_xent_blocks", lambda x, w: T.op_linear_softmax_xent(
         x, w, None, np.random.default_rng(8).dirichlet(np.ones(300), size=XENT_ROWS) / XENT_ROWS,
         0.5), [(XENT_ROWS, 6), (6, 300)]),
+    ("softmax_xent_keeps_g", lambda x, w, b: T.op_linear_softmax_xent(  # d > k
+        x, w, b, np.random.default_rng(8).dirichlet(np.ones(3), size=4), 0.1),
+     [(4, 5), (5, 3), (3,)]),
     ("layernorm", lambda a: T.op_layernorm(a), [(3, 6)]),
     ("l2norm", lambda a: T.op_l2norm(a), [(3, 6)]),
     ("cosine", lambda a, b: T.op_cosine(a, b), [(4, 5), (4, 5)]),

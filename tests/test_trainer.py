@@ -141,6 +141,11 @@ class TestSchedules:
         with pytest.raises(ValueError, match="base_lr must be positive"):
             TrainConfig(base_lr=base_lr)
 
+    @pytest.mark.parametrize("base_lr", [float("inf"), -float("inf")])
+    def test_infinite_base_lr_rejected(self, base_lr):
+        with pytest.raises(ValueError, match="base_lr must be positive and finite"):
+            TrainConfig(base_lr=base_lr)
+
     @pytest.mark.parametrize("field", ["epochs", "total_steps", "checkpoint_every_epochs"])
     def test_negative_count_rejected(self, field):
         # a negative epoch or step count trains nothing, yet wrote ckpt_final

@@ -35,6 +35,17 @@ def test_augment_config_rejects_bad_values(kwargs, match):
         AugmentConfig(**kwargs)
 
 
+INF = float("inf")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("rotation_range", (-INF, 0.0)), ("scale_range", (0.9, INF)), ("crop_range", (0.1, INF)),
+    ("jitter_sigma", INF), ("color_jitter", INF)])
+def test_augment_config_rejects_infinite_values(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+        AugmentConfig(**{field: value})
+
+
 class TestViewSet:
     def test_composition_and_principal(self, cloud):
         vs = make_viewset(cloud, AugmentConfig(), seed=0)
