@@ -59,7 +59,10 @@ class PointCloud:
             if not (np.abs(norms - 1.0) <= 1e-6).all():
                 raise ValueError("normals must be finite and unit length")
         if self.labels is not None:
-            labels = np.asarray(self.labels).reshape(n)
+            labels = np.asarray(self.labels)
+            if labels.size != n:
+                raise ValueError(f"labels have {labels.size} entries for {n} points")
+            labels = labels.reshape(n)
             # integer labels pay only the range check
             if labels.dtype.kind not in "iu" and not (
                     np.isfinite(labels) & (labels == np.round(labels))).all():

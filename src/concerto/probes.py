@@ -20,11 +20,15 @@ features and fits in float64, because its least-squares warm start is
 ill-conditioned on real features (see ``language_probe``).
 
 The linear and lora heads train through one fused op,
-``T.op_linear_softmax_xent``, which walks the training rows in cache-sized
-blocks and accumulates the head's gradient in the same pass. The
-standardization statistics and the evaluation logits are computed in row
-blocks of the same size, so neither makes a whole-size float64 copy of the
-features or whole-size logits.
+``T.op_linear_softmax_xent``, which walks the training rows in blocks of
+``T.gemm_block_rows`` rows and accumulates the head's gradient in the same
+pass; the evaluation logits are computed in the same blocks, so no
+whole-size logits exist. ``linear_probe`` reads the callers' training
+features twice, in float64-sized row blocks: once for the float64
+standardization statistics (``_moments``, one pass), once to write the
+standardized ``COMPUTE_DTYPE`` copy the head trains on. Each epoch then
+streams that copy once through the fused op. No whole-size float64 or
+unstandardized copy of the features is made.
 """
 
 from __future__ import annotations
@@ -173,27 +177,44 @@ def lift_patch_features_to_points(sample: SceneSample):
 # shared head training
 # ---------------------------------------------------------------------------
 
-def _row_blocks(n: int, width: int, dtype):
-    """Slices that cover ``n`` rows in blocks of ``T.block_rows(width, dtype)``."""
-    rows = T.block_rows(width, dtype)
+def _row_blocks(n: int, rows: int):
+    """Slices that cover ``n`` rows in blocks of ``rows``."""
     return [slice(a, a + rows) for a in range(0, n, rows)]
 
 
-def _standardize_fit(x: np.ndarray):
-    """Per-column mean and (floored) standard deviation in float64 whatever
-    the dtype of ``x``: two passes, mean then centred squares, over float64
-    row blocks, so no float64 copy of the whole of ``x`` is made."""
-    blocks = _row_blocks(x.shape[0], x.shape[1], np.float64)
-    total = np.zeros(x.shape[1])
-    for blk in blocks:
-        total += x[blk].sum(axis=0, dtype=np.float64)
-    mu = total / x.shape[0]
-    squares = np.zeros(x.shape[1])
-    for blk in blocks:
-        c = x[blk] - mu
+def _moments(blocks):
+    """Per-column mean and (floored) standard deviation in float64 of the
+    rows of ``blocks``, whatever their dtype, in one pass, so no float64 copy
+    of the whole input is made. Every block after the first is shifted by
+    the first block's mean, and its mean and centred sum of squares are
+    merged into the running ones (Chan, Golub and LeVeque, 1979). The sum of
+    the first block's rows less its mean, what its rounded mean missed, is
+    carried into every later merge, so an offset far above the spread (mean
+    1e4, sd 1e-2) costs no digits. Over a single block the arithmetic is
+    ``np.mean``'s and ``np.std``'s."""
+    n, shift, mean, squares, missed = 0, 0.0, 0.0, 0.0, 0.0
+    for block in blocks:
+        c = block.astype(np.float64)
+        c -= shift
+        m = c.shape[0]
+        b = c.sum(axis=0) / m
+        c -= b
+        if n == 0:
+            shift, missed = b, c.sum(axis=0)
+        else:
+            gap = b - mean - missed / n  # the block's mean less the running one
+            mean = mean + (b - mean) * (m / (n + m))
+            squares = squares + gap * gap * (n * m / (n + m))
         c *= c
-        squares += c.sum(axis=0)
-    return mu, np.maximum(np.sqrt(squares / x.shape[0]), 1e-8)
+        squares = squares + c.sum(axis=0)
+        n += m
+    return shift + mean, np.maximum(np.sqrt(squares / n), 1e-8)
+
+
+def _standardize_fit(x: np.ndarray):
+    """``_moments`` of the rows of ``x``, in float64 row blocks."""
+    rows = T.block_rows(x.shape[1], np.float64)
+    return _moments(x[blk] for blk in _row_blocks(x.shape[0], rows))
 
 
 def _standardizer(mu: np.ndarray, sd: np.ndarray, dtype):
@@ -272,8 +293,8 @@ def _labeled_rows(labels: Sequence[np.ndarray], num_classes: int, cfg: ProbeConf
 
 def _evaluate(head, eval_scenes, mu, sd, num_classes: int) -> SegMetrics:
     """Metrics of the head's argmax over standardized (features, labels)
-    pairs; each scene's logits are computed in its features' dtype, one row
-    block at a time."""
+    pairs; each scene's logits are computed in its features' dtype, in the
+    row blocks of the fused cross-entropy (``T.gemm_block_rows``)."""
     pred_all, gt_all = [], []
     for i, (feats, labels) in enumerate(eval_scenes):
         _check_labels(labels, num_classes, f"eval scene {i}")
@@ -281,11 +302,27 @@ def _evaluate(head, eval_scenes, mu, sd, num_classes: int) -> SegMetrics:
         w = head["head.w"].data.astype(feats.dtype)
         b = head["head.b"].data.astype(feats.dtype)
         pred = np.empty(feats.shape[0], dtype=np.int64)
-        for blk in _row_blocks(feats.shape[0], max(w.shape), feats.dtype):
+        for blk in _row_blocks(feats.shape[0], T.gemm_block_rows(*w.shape, feats.dtype)):
             pred[blk] = ((feats[blk] - shift) * scale @ w + b).argmax(axis=1)
         pred_all.append(pred)
         gt_all.append(labels)
     return compute_metrics(np.concatenate(pred_all), np.concatenate(gt_all), num_classes)
+
+
+def _kept_rows(train_scenes, keeps, blk: slice) -> np.ndarray:
+    """Rows ``blk`` of the kept training rows of every scene, concatenated,
+    in ``COMPUTE_DTYPE``; a block may span scenes. A scene that keeps every
+    row is sliced, not indexed, so a block inside one such scene of that
+    dtype is a view."""
+    parts, start = [], 0
+    for (f, _labels), k in zip(train_scenes, keeps):
+        lo, hi = max(blk.start - start, 0), min(blk.stop - start, k.size)
+        if lo < hi:
+            parts.append(f[lo:hi] if k.size == f.shape[0] else f[k[lo:hi]])
+        start += k.size
+    if len(parts) == 1:
+        return parts[0].astype(COMPUTE_DTYPE, copy=False)
+    return np.concatenate(parts, axis=0, dtype=COMPUTE_DTYPE)
 
 
 def linear_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray]],
@@ -296,9 +333,10 @@ def linear_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray]],
     ``train_scenes`` / ``eval_scenes`` are (features, labels) pairs; features
     may be concatenations of several sources. label_budget limits the
     labeled points used per training scene (seeded, nested). The head fits
-    on ``COMPUTE_DTYPE`` training features. A scene without labels, or with
-    features of another width than training scene 0's, is refused before
-    fitting.
+    on ``COMPUTE_DTYPE`` training features. A scene without labels, with
+    features of another width than training scene 0's, or with another
+    number of feature rows than labels, is refused before fitting. The
+    callers' arrays are never written.
     """
     if not train_scenes:
         raise ProbeError("linear probe needs at least one training scene")
@@ -310,24 +348,24 @@ def linear_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray]],
             if f.shape[1] != width:
                 raise ProbeError(f"{role} scene {i}: features are {f.shape[1]} wide, "
                                  f"training scene 0's are {width}")
+            if f.shape[0] != labels.shape[0]:
+                raise ProbeError(f"{role} scene {i}: {f.shape[0]} feature rows for "
+                                 f"{labels.shape[0]} labels")
     keeps, y, missing = _labeled_rows([lab for _f, lab in train_scenes], num_classes, cfg)
-    # a fresh array, so standardizing in place leaves the callers' untouched; a
-    # scene that keeps every row goes to the concatenation uncopied
-    x = np.concatenate([f if k.size == f.shape[0] else f[k]
-                        for (f, _lab), k in zip(train_scenes, keeps)],
-                       axis=0, dtype=COMPUTE_DTYPE)
-    dim = x.shape[1]
-    mu, sd = _standardize_fit(x)
-    shift, scale = _standardizer(mu, sd, x.dtype)
-    x -= shift
-    x *= scale
-    head = _zero_head(dim, num_classes)
+    blocks = _row_blocks(y.size, T.block_rows(width, np.float64))
+    mu, sd = _moments(_kept_rows(train_scenes, keeps, blk) for blk in blocks)
+    shift, scale = _standardizer(mu, sd, COMPUTE_DTYPE)
+    x = np.empty((y.size, width), COMPUTE_DTYPE)
+    for blk in blocks:
+        np.subtract(_kept_rows(train_scenes, keeps, blk), shift, out=x[blk])
+        x[blk] *= scale
+    head = _zero_head(width, num_classes)
     feats, weights = T.Tensor(x), _head_targets(y, num_classes)
     _fit(head, lambda h: _head_loss(h, feats, weights), cfg, dict.fromkeys(head, cfg.lr))
     return ProbeResult(weight=head["head.w"].data.copy(), bias=head["head.b"].data.copy(),
                        metrics=_evaluate(head, eval_scenes, mu, sd, num_classes),
                        missing_train_classes=missing,
-                       params_learnable=dim * num_classes + num_classes,
+                       params_learnable=width * num_classes + num_classes,
                        train_mu=mu, train_sd=sd)
 
 
@@ -339,6 +377,8 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
     Only adapter and head parameters train. Each epoch encodes with the
     adapters merged into their weights. With a zero adapter rate this
     reduces exactly to the linear probe (adapters start as the identity).
+    Features and labels cannot disagree in length: the features are the
+    cloud's points, and ``PointCloud`` refuses labels of another length.
     """
     for role, samples in (("training", train_samples), ("evaluation", eval_samples)):
         for s in samples:
@@ -391,10 +431,15 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
 
 def _language_rows(train_scenes):
     """Every scene's valid rows, features and targets each concatenated in
-    float64. A non-finite value or a width other than scene 0's is refused
-    with a ``ProbeError`` naming the scene, before anything is solved."""
+    float64. Targets or a mask of another length than the features, a
+    non-finite value, or a width other than scene 0's is refused with a
+    ``ProbeError`` naming the scene, before anything is solved."""
     feats, targets = [], []
     for i, (f, tg, m) in enumerate(train_scenes):
+        for kind, a in (("targets", tg), ("mask", m)):
+            if len(a) != len(f):
+                raise ProbeError(f"language probe scene {i}: {kind} have {len(a)} rows, "
+                                 f"features {len(f)}")
         for kind, rows, kept in (("features", f[m], feats), ("targets", tg[m], targets)):
             if not np.isfinite(rows).all():
                 raise ProbeError(f"language probe scene {i}: non-finite {kind}")

@@ -44,6 +44,13 @@ class TestPointCloud:
         with pytest.raises(ValueError, match="labels"):
             PointCloud(coords=np.zeros((3, 3)), colors=np.zeros((3, 3)), labels=labels)
 
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_rejects_labels_of_another_length(self, count):
+        # so every consumer of cloud.labels, lora_probe included, sees one
+        # label per point
+        with pytest.raises(ValueError, match=f"labels have {count} entries for 3 points"):
+            PointCloud(coords=np.zeros((3, 3)), colors=np.zeros((3, 3)), labels=[0] * count)
+
     @pytest.mark.parametrize("labels", [[0, -1, 2], [0.0, -1.0, 2.0],
                                         np.array([0, 1, 2], dtype=np.uint8)])
     def test_whole_labels_become_int64(self, labels):

@@ -8,7 +8,7 @@ from concerto import tensor as T
 from concerto.dataio import PointCloud, SceneSample, SyntheticSpec, generate_synthetic
 from concerto.encoder import EncoderConfig, encode, init_params, upcast
 from concerto.geometry import visible_mask
-from concerto.probes import (ProbeConfig, ProbeError, TextSpace, _evaluate, _one_hot,
+from concerto.probes import (ProbeConfig, ProbeError, TextSpace, _evaluate, _moments, _one_hot,
                              _standardize_fit, compute_metrics, extract_features, label_budget_indices, language_probe,
                              lift_patch_features_to_points, linear_probe, lora_probe,
                              plain_view, zero_shot_segment)
@@ -292,6 +292,24 @@ class TestLinearProbe:
             linear_probe(train, evals, 3, ProbeConfig(epochs=1))
         assert not fits
 
+    @pytest.mark.parametrize("role,rows", [("training", 150), ("training", 50),
+                                           ("evaluation", 80)])
+    def test_feature_rows_other_than_labels_rejected_before_fitting(self, role, rows,
+                                                                   monkeypatch):
+        # more training rows once fitted silently on misaligned rows, fewer
+        # failed in the row selection and an evaluation mismatch in
+        # compute_metrics, none naming the scene
+        rng = np.random.default_rng(6)
+        good = (rng.normal(size=(100, 5)), rng.integers(0, 3, size=100))
+        bad = (rng.normal(size=(rows, 5)), rng.integers(0, 3, size=100))
+        train, evals = ([good, bad], [good]) if role == "training" else ([good], [good, bad])
+        fits = []
+        monkeypatch.setattr(probes, "_fit", lambda *a: fits.append(a))
+        with pytest.raises(ProbeError, match=f"{role} scene 1: {rows} feature rows for "
+                                             "100 labels"):
+            linear_probe(train, evals, 3, ProbeConfig(epochs=1))
+        assert not fits
+
     def test_probe_does_not_touch_encoder(self, dataset):
         enc_cfg = tiny_enc()
         params = init_params(enc_cfg, seed=0)
@@ -328,7 +346,7 @@ class TestBlockedHelpers:
         # equal it for an accuracy of exactly 1
         rng = np.random.default_rng(n_blocks)
         d, k = 40, 7
-        n = n_blocks * T.block_rows(d, np.float32) + 1
+        n = n_blocks * T.gemm_block_rows(d, k, np.float32) + 1
         feats = rng.normal(size=(n, d)).astype(np.float32)
         head = {"head.w": T.param(rng.normal(size=(d, k))),
                 "head.b": T.param(rng.normal(size=k))}
@@ -338,6 +356,52 @@ class TestBlockedHelpers:
                   + head["head.b"].data.astype(np.float32))
         metrics = _evaluate(head, [(feats, logits.argmax(axis=1))], mu, sd, k)
         assert metrics.allacc == 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_pass_moments_match_a_two_pass_oracle_on_offset_data(self, dtype):
+        # mean 1e4, sd 1e-2: a one-pass raw sum of squares would lose every
+        # digit; merging centred block sums keeps 1e-12
+        rng = np.random.default_rng(12)
+        d = 9
+        rows = T.block_rows(d, np.float64)
+        x = (1e4 + rng.normal(size=(3 * rows + 17, d)) * 1e-2).astype(dtype)
+        mu, sd = _moments(x[a:a + rows] for a in range(0, x.shape[0], rows))
+        x64 = x.astype(np.float64)
+        want_mu = x64.mean(axis=0)
+        want_sd = np.sqrt(((x64 - want_mu) ** 2).mean(axis=0))
+        np.testing.assert_allclose(mu, want_mu, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sd, want_sd, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("budget", [None, 4000], ids=["keep_all", "budget"])
+    def test_linear_probe_blocks_span_scenes(self, budget, monkeypatch):
+        # three scenes whose kept rows straddle the statistics' row blocks:
+        # offset-heavy statistics within 1e-12 of the two-pass oracle, and a
+        # training copy bit-equal to standardizing the concatenation whole
+        rng = np.random.default_rng(14)
+        d = 200
+        assert T.block_rows(d, np.float64) < 2000
+        scenes = []
+        for n in (3000, 4500, 5000):
+            y = rng.integers(-1, 3, size=n)
+            scenes.append(((1e4 + rng.normal(size=(n, d)) * 1e-2 + y[:, None] * 1e-3), y))
+        seen = []
+        real = probes._head_loss
+        monkeypatch.setattr(probes, "_head_loss",
+                            lambda h, feats, w: seen.append(feats.data) or real(h, feats, w))
+        cfg = ProbeConfig(epochs=1, label_budget=budget, seed=2)
+        res = linear_probe(scenes, scenes[:1], 3, cfg)
+        keeps = [label_budget_indices(f.shape[0], budget, cfg.seed, i)
+                 for i, (f, _y) in enumerate(scenes)]
+        x = np.concatenate([f[k[y[k] >= 0]] for (f, y), k in zip(scenes, keeps)]
+                           ).astype(np.float32)
+        x64 = x.astype(np.float64)
+        want_mu = x64.mean(axis=0)
+        np.testing.assert_allclose(res.train_mu, want_mu, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(res.train_sd, np.sqrt(((x64 - want_mu) ** 2).mean(axis=0)),
+                                   rtol=1e-12, atol=0)
+        shift = res.train_mu.astype(np.float32)
+        scale = (1.0 / res.train_sd).astype(np.float32)
+        np.testing.assert_array_equal(seen[0], (x - shift) * scale)
 
 
 class TestLoraProbe:
@@ -568,6 +632,17 @@ class TestLanguageProbe:
         with pytest.raises(ProbeError, match=f"language probe scene 2: {kind} are {narrow} "
                                              f"wide, scene 0's are {wide}"):
             language_probe([(x, t, ones), (x, t, ones), (*short, ones)], ProbeConfig(epochs=1))
+
+    @pytest.mark.parametrize("kind", ["targets", "mask"])
+    def test_rows_of_another_length_refused_naming_the_scene(self, kind):
+        # a mask or targets shorter than the features once failed in numpy's
+        # boolean index, naming nothing
+        x, t = _noisy_linear()
+        ones = np.ones(400, dtype=bool)
+        short = (x, t[:390], ones) if kind == "targets" else (x, t, ones[:390])
+        with pytest.raises(ProbeError, match=f"language probe scene 1: {kind} have 390 rows, "
+                                             "features 400"):
+            language_probe([(x, t, ones), short], ProbeConfig(epochs=1))
 
     def test_excludes_invalid_points(self):
         rng = np.random.default_rng(11)

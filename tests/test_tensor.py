@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -271,7 +276,7 @@ class TestLinearSoftmaxXentBlocks:
     @pytest.mark.parametrize("d,k", [(40, 7), (8, 64)], ids=["probe", "prototype"])
     @pytest.mark.parametrize("blocks", ["one_row", "below_one", "two", "two_plus_one"])
     def test_matches_unfused_composition(self, blocks, d, k, bias):
-        rows = T.block_rows(max(d, k), np.float64)
+        rows = T.gemm_block_rows(d, k, np.float64)
         n = {"one_row": 1, "below_one": rows - 1, "two": 2 * rows,
              "two_plus_one": 2 * rows + 1}[blocks]
         x, w, b, targets = self.case(n, d, k, bias)
@@ -288,7 +293,7 @@ class TestLinearSoftmaxXentBlocks:
     def test_untracked_input_gives_the_same_head_gradient(self, d, k):
         # the probe's constant features and the lora probe's tracked ones
         # accumulate the head's gradient in the same blocks: equal bits
-        x, w, b, targets = self.case(2 * T.block_rows(max(d, k), np.float32) + 1, d, k, True)
+        x, w, b, targets = self.case(2 * T.gemm_block_rows(d, k, np.float32) + 1, d, k, True)
         x, w, b = (a.astype(np.float32) for a in (x, w, b))
         grads = []
         for track_x in (False, True):
@@ -299,6 +304,31 @@ class TestLinearSoftmaxXentBlocks:
             grads.append((ws.grad, bs.grad))
         for untracked, tracked in zip(*grads):
             np.testing.assert_array_equal(untracked, tracked)
+
+
+class TestGemmBlockRows:
+    """The fused cross-entropy's rows per block: ``block_rows``' bound on the
+    widest of d and k, or 2^19 bytes of input where that keeps a narrow
+    head's GEMMs within OpenBLAS's small-matrix kernel (M * N * K <= 10^6)."""
+
+    def test_pretrain_prototype_head_keeps_its_rows(self):
+        assert T.gemm_block_rows(256, 1024, np.float32) == 512 == T.block_rows(1024, np.float32)
+
+    @pytest.mark.parametrize("d,rows", [(992, 132), (184, 712)])
+    def test_six_class_probe_head_stays_small(self, d, rows):
+        got = T.gemm_block_rows(d, 6, np.float32)
+        assert got == rows
+        assert got * d * 6 <= 10 ** 6 < T.block_rows(d, np.float32) * d * 6
+
+    @pytest.mark.parametrize("d,k", [(992, 13), (32, 64)])
+    def test_heads_the_input_bound_cannot_make_small_keep_their_rows(self, d, k):
+        # 2^19 bytes of input is still above 10^6 multiply-adds per GEMM
+        # here: fewer rows would only add blocks
+        assert T.gemm_block_rows(d, k, np.float32) == T.block_rows(max(d, k), np.float32)
+
+    @pytest.mark.parametrize("d,k", [(10 ** 6, 6), (6, 10 ** 6), (0, 0)])
+    def test_at_least_one_row(self, d, k):
+        assert T.gemm_block_rows(d, k, np.float64) >= 1
 
 
 class TestXentKeptGradient:
@@ -318,7 +348,7 @@ class TestXentKeptGradient:
 
     @pytest.mark.parametrize("d,k", [(8, 64), (40, 7)], ids=["prototype", "probe"])
     def test_vjp_holds_the_narrower_gradient(self, d, k):
-        n = 2 * T.block_rows(max(d, k), np.float64) + 1
+        n = 2 * T.gemm_block_rows(d, k, np.float64) + 1
         x, w, b, targets = TestLinearSoftmaxXentBlocks.case(n, d, k, True)
         ref = oracles.linear_softmax_xent_reference(x, w, b, targets, 0.1)
         tensors = [T.param(a) for a in (x, w, b)]
@@ -649,7 +679,7 @@ def test_every_op_has_a_gradcheck(monkeypatch):
 
 # Every op with float32 operands: one row per op_* (and per branch of the
 # ops that have several), each a function of tensors and their shapes.
-XENT_ROWS = T.block_rows(300, np.float32) + 7  # past one block of the fused cross-entropy
+XENT_ROWS = T.gemm_block_rows(6, 300, np.float32) + 7  # past one block of the fused cross-entropy
 FLOAT32_CASES = [
     ("add", lambda a, b: T.op_add(a, b), [(3, 4), (3, 4)]),
     ("add_scalar", lambda a: T.op_add(a, 0.3), [(3, 4)]),
@@ -793,3 +823,14 @@ class TestGeluFloat32:
         want, _deriv = self.oracle(x)
         err = np.abs(T.op_gelu(T.Tensor(x)).data - want)
         assert np.all(err <= 1e-15 * np.maximum(1.0, np.abs(x)))
+
+
+def test_importing_the_pipeline_leaves_scipy_special_unloaded():
+    # only float64 GELU reads scipy.special's erf, and no pipeline code
+    # computes GELU in float64; loading it cost 0.06-0.09 s of every import
+    src = str(Path(T.__file__).resolve().parents[1])
+    code = ("import sys; import concerto.dataio, concerto.encoder, concerto.objectives, "
+            "concerto.trainer, concerto.probes; print('scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
