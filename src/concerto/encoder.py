@@ -16,9 +16,8 @@ composed parent map, writing all stages side by side into one output. The
 encoder owns the feature levels: the intra-modal heads read ``INTRA_LEVEL``
 upcast steps, the cross-modal head ``CROSS_LEVEL``. ``proj_head`` reads the
 stages of an ``EncodeResult`` directly: its first layer multiplies each stage
-on its own rows and gathers the products, so the wide upcast is never built
-and the tape keeps only the layer's output. Prototypes are the columns of a
-(proj_dim, proto_count) matrix.
+on its own rows and gathers the products, so the wide upcast is never built.
+Prototypes are the columns of a (proj_dim, proto_count) matrix.
 """
 
 from __future__ import annotations

@@ -59,15 +59,19 @@ class LossWeights:
 
 
 def _teacher_probs(params_t, enc: EncodeResult, center: np.ndarray, cfg: ClusterLossConfig):
-    """Centered, sharpened teacher prototype distribution plus raw logits of
-    every ``INTRA_LEVEL`` point of ``enc``.
+    """Centered, sharpened teacher prototype distribution of every
+    ``INTRA_LEVEL`` point of ``enc``, and the column sums of its raw logits,
+    in the center's dtype.
 
-    Everything on the teacher side is constant; plain arrays come back, in
-    the features' dtype.
+    Everything on the teacher side is constant; plain arrays come back, the
+    distribution in the features' dtype. It is computed in the logits' own
+    buffer once their sums are taken.
     """
     z = proj_head(params_t, enc)
     logits = T.op_matmul(z, params_t["proto.w"]).data
-    return T.softmax_np(logits - center.astype(logits.dtype), cfg.teacher_temp), logits
+    logit_sum = logits.sum(axis=0, dtype=center.dtype)
+    logits -= center.astype(logits.dtype)
+    return T.softmax_np(logits, cfg.teacher_temp), logit_sum
 
 
 def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
@@ -93,10 +97,10 @@ def intra_loss(student: Sequence[Tuple[View, EncodeResult]],
     logit_rows = 0
     used = np.zeros(center.shape[0], dtype=bool)
     for view, enc in teacher:
-        probs, logits = _teacher_probs(params_t, enc, center, cfg)
+        probs, view_sum = _teacher_probs(params_t, enc, center, cfg)
         teacher_sides.append((view, enc.ancestors(stage), probs))
-        logit_sum += logits.sum(axis=0, dtype=center.dtype)
-        logit_rows += logits.shape[0]
+        logit_sum += view_sum
+        logit_rows += probs.shape[0]
         used[probs.argmax(axis=1)] = True
 
     # each student view's loss is one fused cross-entropy against the teacher

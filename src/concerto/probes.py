@@ -429,11 +429,12 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
 # language probing and zero-shot
 # ---------------------------------------------------------------------------
 
-def _language_rows(train_scenes):
+def _language_rows(train_scenes, order: str):
     """Every scene's valid rows, features and targets each concatenated in
-    float64. Targets or a mask of another length than the features, a
-    non-finite value, or a width other than scene 0's is refused with a
-    ``ProbeError`` naming the scene, before anything is solved."""
+    float64, the features in memory ``order`` ("C" or "F"). Targets or a
+    mask of another length than the features, a non-finite value, or a
+    width other than scene 0's is refused with a ``ProbeError`` naming the
+    scene, before anything is solved."""
     feats, targets = [], []
     for i, (f, tg, m) in enumerate(train_scenes):
         for kind, a in (("targets", tg), ("mask", m)):
@@ -447,31 +448,34 @@ def _language_rows(train_scenes):
                 raise ProbeError(f"language probe scene {i}: {kind} are {rows.shape[1]} wide, "
                                  f"scene 0's are {kept[0].shape[1]}")
             kept.append(rows)
-    return (np.concatenate(feats, axis=0, dtype=np.float64),
+    x = np.empty((sum(len(f) for f in feats), feats[0].shape[1]), np.float64, order=order)
+    return (np.concatenate(feats, axis=0, out=x),
             np.concatenate(targets, axis=0, dtype=np.float64))
 
 
-def _least_squares(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _qr_least_squares(x: np.ndarray, t: np.ndarray) -> Optional[np.ndarray]:
     """``np.linalg.lstsq(x, t, rcond=None)``'s map, from a blocked Householder
-    QR (LAPACK ``dgeqrt``) where ``x`` has full column rank. ``lstsq``'s SVD
-    solver (``gelsd``) spends most of its time in its first step, a
-    ``dgeqrf`` QR; ``dgeqrt``, whose recursive panel follows Elmroth and
-    Gustavson (IBM J. Res. Dev. 2000), does the same factorization 3-4x
-    faster on the probe's 6,300 x 992 input. ``lstsq`` itself answers when
-    ``x`` is wide or empty, when the factorization fails, or when
-    ``dtrcon``'s estimate of R's reciprocal condition is at or below
-    ``lstsq``'s own cutoff, ``eps * max(m, n)``: near rank deficiency only
-    the minimum-norm solution is ``lstsq``'s."""
+    QR (LAPACK ``dgeqrt``) computed in the buffer of ``x``, a Fortran-order
+    float64 array that it overwrites, so that no second copy of the
+    features is made. ``lstsq``'s SVD solver (``gelsd``) spends most of its
+    time in its first step, a ``dgeqrf`` QR; ``dgeqrt``, whose recursive
+    panel follows Elmroth and Gustavson (IBM J. Res. Dev. 2000), does the
+    same factorization 3-4x faster on the probe's 6,300 x 992 input. None,
+    for ``lstsq`` to answer, when ``x`` is wide or empty, when the
+    factorization fails, or when ``dtrcon``'s estimate of R's reciprocal
+    condition is at or below ``lstsq``'s own cutoff, ``eps * max(m, n)``:
+    near rank deficiency only the minimum-norm solution is ``lstsq``'s."""
     from scipy.linalg import lapack  # ~0.07 s on first call; importing probes skips it
 
     m, n = x.shape
-    if m >= n > 0:
-        qr, tau, info = lapack.dgeqrt(min(32, n), x)
-        r = qr[:n]
-        if info == 0 and lapack.dtrcon(r)[0] > np.finfo(np.float64).eps * m:
-            qt = lapack.dgemqrt(qr, tau, t, side="L", trans="T")[0]
-            return lapack.dtrtrs(r, qt[:n])[0]
-    return np.linalg.lstsq(x, t, rcond=None)[0]
+    if not m >= n > 0:
+        return None
+    qr, tau, info = lapack.dgeqrt(min(32, n), x, overwrite_a=1)
+    r = qr[:n]
+    if info != 0 or not lapack.dtrcon(r)[0] > np.finfo(np.float64).eps * m:
+        return None
+    qt = lapack.dgemqrt(qr, tau, t, side="L", trans="T")[0]
+    return lapack.dtrtrs(r, qt[:n])[0]
 
 
 def language_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
@@ -484,13 +488,15 @@ def language_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarr
     A scene with a non-finite valid row, or whose features or targets are
     not as wide as scene 0's, is refused with a ``ProbeError`` naming it.
 
-    The warm start is the minimum-norm least-squares map, solved by
-    ``_least_squares``: a blocked QR of the features when they have full
-    column rank (every benchmark input: R's estimated reciprocal condition
-    is 4e-10 to 1e-8, over 200 times the cutoff), ``np.linalg.lstsq``
-    otherwise. The two maps agree to about 1e-9 relative on the benchmark's
-    inputs. The first call imports ``scipy.linalg`` (about 0.07 s), so that
-    importing this module does not.
+    The warm start is the minimum-norm least-squares map: a blocked QR of
+    the features when they have full column rank (``_qr_least_squares``;
+    every benchmark input: R's estimated reciprocal condition is 4e-10 to
+    1e-8, over 200 times the cutoff), ``np.linalg.lstsq`` otherwise. The
+    two maps agree to about 1e-9 relative on the benchmark's inputs. The QR
+    overwrites a Fortran-order build of the features, and ``lstsq`` and the
+    polish read a second, C-order build made after it, so the features are
+    held once at a time. The first call imports ``scipy.linalg`` (about
+    0.07 s), so that importing this module does not.
 
     The polish then takes at most ``cfg.epochs`` AdamW steps on the cosine
     and stops at the first iterate that does not beat the best so far, so
@@ -511,12 +517,16 @@ def language_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarr
     that large amplifies float32 rounding: applied to the same features
     rounded to float32, that warm start's cosine fell from 0.964 to 0.31.
     """
-    x, t = _language_rows(train_scenes)
+    x, t = _language_rows(train_scenes, "F")
     if x.shape[0] == 0:
         raise ProbeError("no visible points to fit the language probe")
     if np.abs(t).max() == 0:
         raise ProbeError("degenerate language targets: all zero vectors")
-    w0 = _least_squares(x, t)
+    w0 = _qr_least_squares(x, t)
+    del x  # the QR overwrote it
+    x = _language_rows(train_scenes, "C")[0]
+    if w0 is None:
+        w0 = np.linalg.lstsq(x, t, rcond=None)[0]
     params = {"w": T.param(w0)}
     state = AdamState.init(params)
     feats, targets = T.Tensor(x), T.Tensor(t)

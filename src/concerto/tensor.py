@@ -1,11 +1,18 @@
 """Dense float32 or float64 tensors with reverse-mode automatic
 differentiation.
 
-The engine is an eager tape: every differentiable operation records its
-inputs and a vector-Jacobian closure on the output tensor at forward time.
-``backward`` replays the reachable part of the tape in reverse creation
-order (creation order is a topological order under eager execution) and
-accumulates gradients into leaf tensors created with ``requires_grad=True``.
+The engine is an eager tape of graph nodes. An op whose operand needs a
+gradient gives its output a ``_Node``: the op name, the creation order,
+the vector-Jacobian closure and the operands' nodes, where a leaf tensor is
+its own node. A node holds no strong reference to its output's value and
+none to its output tensor, so the graph has no reference cycle, and each
+closure captures only the arrays and flags its VJP reads. A forward value
+that no VJP reads is therefore freed, by reference counting, as soon as the
+forward code drops its tensor, as PyTorch's ``grad_fn`` nodes keep only what
+their backward saved (Paszke et al., arXiv 1912.01703). ``backward`` replays
+the reachable part of the tape in reverse creation order (creation order is
+a topological order under eager execution) and accumulates gradients into
+leaf tensors created with ``requires_grad=True``.
 
 Only the operations the rest of the system needs are provided; there is no
 general broadcasting beyond a 1-D row operand on the right of a 2-D one,
@@ -18,12 +25,12 @@ A block holds at most 2^21 bytes of its widest array; a narrow head's
 block holds 2^19 bytes of input, which keeps its GEMMs on OpenBLAS's
 small-matrix kernel.
 The encoder's two fused ops, ``op_linear`` (matmul plus bias) and
-``op_local_mix`` (segment mean, gather, add and halving), record one node
-each where the unfused chains recorded two and four, so the tape keeps one
-array per layer and per mix, with the same arithmetic. ``op_gather_linear``
-is ``op_linear`` of ``op_gather_concat`` without the concatenation: each
-operand meets its block of the weight on its own rows, so a layer over
-several gathered feature stages keeps only its output on the tape. The
+``op_local_mix`` (segment mean, gather, add and halving), write into one
+output buffer what the unfused chains wrote into two and four arrays, with
+the same arithmetic, and record one node where those recorded two and
+four. ``op_gather_linear`` is ``op_linear`` of ``op_gather_concat`` without
+the concatenation: each operand meets its block of the weight on its own
+rows, so the wide gathered input is never allocated or written. The
 plain-array helpers ``softmax_np`` and ``segment_sum_np`` record nothing.
 The tests check every op's VJP against central finite differences.
 
@@ -46,6 +53,7 @@ use, so importing this module does not.
 from __future__ import annotations
 
 import itertools
+import weakref
 from typing import Optional, Sequence
 
 import numpy as np
@@ -75,21 +83,21 @@ class Tensor:
     gradients. A float32 input stays float32; any other input becomes
     float64.
 
-    A tensor created directly (a constant or a parameter) is a leaf.
-    Tensors returned by ops carry the recorded operation; constants with
-    ``requires_grad=False`` never accumulate gradient.
+    A tensor created directly (a constant or a parameter) is a leaf and its
+    own graph node. A tensor returned by an op with a tracked operand holds
+    its ``_Node``, whose op name, closure and parents ``_op``, ``_vjp`` and
+    ``_parents`` read; constants with ``requires_grad=False`` never
+    accumulate gradient.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_op", "_order")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "_order")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
         self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self._parents: tuple = ()
-        self._vjp = None
-        self._op = "leaf"
+        self._node: Optional[_Node] = None
         self._order = next(_CREATION_COUNTER)
 
     @property
@@ -100,11 +108,49 @@ class Tensor:
     def size(self):
         return self.data.size
 
+    @property
+    def _op(self) -> str:
+        return "leaf" if self._node is None else self._node._op
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _vjp(self):
+        return None if self._node is None else self._node._vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp):
+        self._node._vjp = vjp
+
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, requires_grad={self.requires_grad})"
+
+
+class _Node:
+    """The tape's record of one op output: its op name, creation order, VJP
+    closure and parents (the operands' nodes, a leaf tensor standing for
+    itself). ``data`` is the output's value while something else keeps it
+    alive, and an empty array once it is freed; the node never keeps it."""
+
+    __slots__ = ("_op", "_order", "_vjp", "_parents", "_value")
+    requires_grad = True  # a node exists only for an output that needs its gradient
+
+    def __init__(self, out: Tensor, op: str, parents: Sequence[Tensor], vjp):
+        self._op = op
+        self._order = out._order
+        self._vjp = vjp
+        self._parents = tuple(p if p._node is None else p._node for p in parents)
+        self._value = weakref.ref(out.data)
+
+    @property
+    def data(self) -> np.ndarray:
+        value = self._value()
+        return np.empty(0) if value is None else value
 
 
 def param(data) -> Tensor:
@@ -113,13 +159,11 @@ def param(data) -> Tensor:
 
 
 def _record(data, op: str, parents: Sequence[Tensor], vjp) -> Tensor:
-    """Wrap a forward result; record the node only if a parent needs grad."""
+    """Wrap a forward result; record its node only if a parent needs grad."""
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
-        out._op = op
+        out._node = _Node(out, op, parents, vjp)
     return out
 
 
@@ -132,9 +176,10 @@ def backward(loss: Tensor):
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     # Gather the reachable subgraph, then replay in reverse creation order.
+    root = loss if loss._node is None else loss._node
     nodes = []
     seen = set()
-    stack = [loss]
+    stack = [root]
     while stack:
         t = stack.pop()
         if id(t) in seen:
@@ -144,7 +189,7 @@ def backward(loss: Tensor):
         stack.extend(t._parents)
     nodes.sort(key=lambda t: t._order)
 
-    grads = {id(loss): np.ones_like(loss.data)}
+    grads = {id(root): np.ones_like(loss.data)}
     for t in reversed(nodes):
         g = grads.pop(id(t), None)
         if g is None:
@@ -181,9 +226,10 @@ def op_add(a: Tensor, b) -> Tensor:
     if a.data.shape == b.data.shape:
         return _record(a.data + b.data, "add", [a, b], lambda g: (g, g))
     if a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]:
+        track_a, track_b = a.requires_grad, b.requires_grad
         return _record(a.data + b.data, "add_bias", [a, b],
-                       lambda g: (g if a.requires_grad else None,
-                                  g.sum(axis=0) if b.requires_grad else None))
+                       lambda g: (g if track_a else None,
+                                  g.sum(axis=0) if track_b else None))
     raise ValueError(f"op_add shape mismatch: {a.data.shape} vs {b.data.shape}")
 
 
@@ -194,14 +240,17 @@ def op_mul(a: Tensor, b) -> Tensor:
         bval = float(b)
         return _record(a.data * bval, "mul_scalar", [a], lambda g: (g * bval,))
     b = _as_tensor(b)
+    # each operand's cotangent reads the other operand's value
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
     if a.data.shape == b.data.shape:
         return _record(a.data * b.data, "mul", [a, b],
-                       lambda g: (g * b.data if a.requires_grad else None,
-                                  g * a.data if b.requires_grad else None))
+                       lambda g: (None if bd is None else g * bd,
+                                  None if ad is None else g * ad))
     if a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]:
         return _record(a.data * b.data, "mul_row", [a, b],
-                       lambda g: (g * b.data if a.requires_grad else None,
-                                  (g * a.data).sum(axis=0) if b.requires_grad else None))
+                       lambda g: (None if bd is None else g * bd,
+                                  None if ad is None else (g * ad).sum(axis=0)))
     raise ValueError(f"op_mul shape mismatch: {a.data.shape} vs {b.data.shape}")
 
 
@@ -268,27 +317,30 @@ def op_gelu(x: Tensor) -> Tensor:
         return _record(y, "gelu", [x], lambda g: (g * deriv,))
     from scipy.special import erf  # only the gradchecks get here; importing tensor skips it
 
-    cdf = 0.5 * (1.0 + erf(x.data * _SQRT1_2))
+    xd = x.data
+    cdf = 0.5 * (1.0 + erf(xd * _SQRT1_2))
 
     def vjp(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-        return (g * (cdf + x.data * pdf),)
+        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT_2PI
+        return (g * (cdf + xd * pdf),)
 
-    return _record(x.data * cdf, "gelu", [x], vjp)
+    return _record(xd * cdf, "gelu", [x], vjp)
 
 
 def op_mean(x: Tensor) -> Tensor:
-    n = x.data.size
+    shape, dtype, n = x.data.shape, x.data.dtype, x.data.size
 
     def vjp(g):
-        return (np.full_like(x.data, float(g) / n),)
+        return (np.full(shape, float(g) / n, dtype),)
 
     return _record(np.array(x.data.mean()), "mean", [x], vjp)
 
 
 def op_sum(x: Tensor) -> Tensor:
+    shape, dtype = x.data.shape, x.data.dtype
+
     def vjp(g):
-        return (np.full_like(x.data, float(g)),)
+        return (np.full(shape, float(g), dtype),)
 
     return _record(np.array(x.data.sum()), "sum", [x], vjp)
 
@@ -311,9 +363,10 @@ def _gather_indices(tensors: Sequence[Tensor], indices: Sequence, op: str):
     return idxs, rows[0]
 
 
-def _gather_grad(g: np.ndarray, t: Tensor, i) -> np.ndarray:
-    """The cotangent of ``t`` for a gathered block's cotangent ``g``."""
-    return np.ascontiguousarray(g) if i is None else scatter_add_rows(g, i, t.data.shape[0])
+def _gather_grad(g: np.ndarray, rows: int, i) -> np.ndarray:
+    """The cotangent of a ``rows``-row operand for the cotangent ``g`` of its
+    block gathered by ``i``."""
+    return np.ascontiguousarray(g) if i is None else scatter_add_rows(g, i, rows)
 
 
 def op_gather_concat(tensors: Sequence[Tensor], indices: Sequence) -> Tensor:
@@ -326,10 +379,12 @@ def op_gather_concat(tensors: Sequence[Tensor], indices: Sequence) -> Tensor:
     out = np.empty((n, bounds[-1]), dtype=np.result_type(*(t.data for t in tensors)))
     for t, i, a, b in zip(tensors, idxs, bounds[:-1], bounds[1:]):
         out[:, a:b] = t.data if i is None else t.data[i]
+    blocks = [(t.data.shape[0], t.requires_grad, i, a, b)
+              for t, i, a, b in zip(tensors, idxs, bounds[:-1], bounds[1:])]
 
     def vjp(g):
-        return tuple(_gather_grad(g[:, a:b], t, i) if t.requires_grad else None
-                     for t, i, a, b in zip(tensors, idxs, bounds[:-1], bounds[1:]))
+        return tuple(_gather_grad(g[:, a:b], rows, i) if tracked else None
+                     for rows, tracked, i, a, b in blocks)
 
     return _record(out, "gather_concat", list(tensors), vjp)
 
@@ -343,10 +398,11 @@ def op_concat_rows(tensors: Sequence[Tensor]) -> Tensor:
         if t.data.shape[1:] != width:
             raise ValueError("op_concat_rows: trailing dimensions differ")
     splits = np.cumsum([t.data.shape[0] for t in tensors])[:-1]
+    tracked = [t.requires_grad for t in tensors]
 
     def vjp(g):
-        return tuple(np.ascontiguousarray(p) if t.requires_grad else None
-                     for t, p in zip(tensors, np.split(g, splits, axis=0)))
+        return tuple(np.ascontiguousarray(p) if track else None
+                     for track, p in zip(tracked, np.split(g, splits, axis=0)))
 
     return _record(np.concatenate([t.data for t in tensors], axis=0),
                    "concat_rows", list(tensors), vjp)
@@ -361,30 +417,36 @@ def op_matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError("op_matmul expects 2-D tensors")
     if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"op_matmul inner dims disagree: {a.data.shape} x {b.data.shape}")
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def vjp(g):
-        return (g @ b.data.T if a.requires_grad else None,
-                a.data.T @ g if b.requires_grad else None)
+        return (None if bd is None else g @ bd.T,
+                None if ad is None else ad.T @ g)
 
     return _record(a.data @ b.data, "matmul", [a, b], vjp)
 
 
 def op_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for an (n, d) x, a (d, k) w and a (k,) b, as one node: the
-    bias is added into the product's buffer, so the tape keeps one (n, k)
-    array where ``op_matmul`` then ``op_add`` kept two. The VJP is
-    (g @ w.T, x.T @ g, sum(g)), None for an untracked operand."""
+    bias is added into the product's buffer, one (n, k) allocation where
+    ``op_matmul`` then ``op_add`` made two. The VJP is (g @ w.T, x.T @ g,
+    sum(g)), None for an untracked operand; it keeps x only for a tracked w
+    and w only for a tracked x."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ValueError(f"op_linear inner dims disagree: {x.data.shape} x {w.data.shape}")
     if b.data.shape != w.data.shape[1:]:
         raise ValueError(f"op_linear bias shape {b.data.shape} is not ({w.data.shape[1]},)")
     out = x.data @ w.data
     out += b.data
+    xd = x.data if w.requires_grad else None
+    wd = w.data if x.requires_grad else None
+    track_b = b.requires_grad
 
     def vjp(g):
-        return (g @ w.data.T if x.requires_grad else None,
-                x.data.T @ g if w.requires_grad else None,
-                g.sum(axis=0) if b.requires_grad else None)
+        return (None if wd is None else g @ wd.T,
+                None if xd is None else xd.T @ g,
+                g.sum(axis=0) if track_b else None)
 
     return _record(out, "linear", [x, w, b], vjp)
 
@@ -393,9 +455,11 @@ def op_gather_linear(tensors: Sequence[Tensor], indices: Sequence, w: Tensor, b:
     """``op_linear(op_gather_concat(tensors, indices), w, b)`` as one node
     without the concatenation: block i's rows w_i of w multiply x_i =
     ``tensors[i]`` on its own rows, then each product is gathered by
-    ``indices[i]`` and summed. With gs = g scatter-added to x_i's rows (g
-    for a None index), the VJP is gs @ w_i.T for x_i, x_i.T @ gs for w_i
-    and sum(g) for b."""
+    ``indices[i]`` and summed, so the wide gathered input is never
+    allocated or written. With gs = g scatter-added to x_i's rows (g for a
+    None index), the VJP is gs @ w_i.T for x_i, x_i.T @ gs for w_i and
+    sum(g) for b; it keeps the x_i only for a tracked w and w only for a
+    tracked x_i."""
     idxs, n = _gather_indices(tensors, indices, "op_gather_linear")
     bounds = np.cumsum([0] + [t.data.shape[1] for t in tensors])
     if w.data.ndim != 2 or w.data.shape[0] != bounds[-1]:
@@ -403,23 +467,27 @@ def op_gather_linear(tensors: Sequence[Tensor], indices: Sequence, w: Tensor, b:
                          f"{w.data.shape}")
     if b.data.shape != w.data.shape[1:]:
         raise ValueError(f"op_gather_linear bias shape {b.data.shape} is not ({w.data.shape[1]},)")
-    blocks = list(zip(tensors, idxs, bounds[:-1], bounds[1:]))
     out = None
-    for t, i, lo, hi in blocks:
+    for t, i, lo, hi in zip(tensors, idxs, bounds[:-1], bounds[1:]):
         p = t.data @ w.data[lo:hi]
         p = p if i is None else p[i]
         out = p if out is None else np.add(out, p, out=out)
     out += b.data
+    track_w, track_b = w.requires_grad, b.requires_grad
+    w_shape, dtype = w.data.shape, w.data.dtype
+    wd = w.data if any(t.requires_grad for t in tensors) else None
+    blocks = [(t.data.shape[0], t.data if track_w else None, t.requires_grad, i, lo, hi)
+              for t, i, lo, hi in zip(tensors, idxs, bounds[:-1], bounds[1:])]
 
     def vjp(g):
-        gw = np.empty_like(w.data) if w.requires_grad else None
+        gw = np.empty(w_shape, dtype) if track_w else None
         gts = []
-        for t, i, lo, hi in blocks:
-            gs = _gather_grad(g, t, i) if t.requires_grad or w.requires_grad else None
-            if w.requires_grad:
-                np.matmul(t.data.T, gs, out=gw[lo:hi])
-            gts.append(gs @ w.data[lo:hi].T if t.requires_grad else None)
-        return (*gts, gw, g.sum(axis=0) if b.requires_grad else None)
+        for rows, xd, track, i, lo, hi in blocks:
+            gs = _gather_grad(g, rows, i) if track or track_w else None
+            if track_w:
+                np.matmul(xd.T, gs, out=gw[lo:hi])
+            gts.append(gs @ wd[lo:hi].T if track else None)
+        return (*gts, gw, g.sum(axis=0) if track_b else None)
 
     return _record(out, "gather_linear", [*tensors, w, b], vjp)
 
@@ -429,14 +497,15 @@ def op_gather_linear(tensors: Sequence[Tensor], indices: Sequence, w: Tensor, b:
 # ---------------------------------------------------------------------------
 
 def softmax_np(x: np.ndarray, temperature: float) -> np.ndarray:
-    """Row softmax of x/temperature over the last dimension (no graph)."""
+    """Row softmax of x/temperature over the last dimension (no graph),
+    computed in the buffer of the float array ``x``, which it returns."""
     if temperature <= 0:
         raise ValueError(f"softmax temperature must be positive, got {temperature}")
-    z = x / temperature
-    z -= z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    x /= temperature
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def block_rows(width: int, dtype) -> int:
@@ -524,17 +593,19 @@ def op_linear_softmax_xent(x: Tensor, w: Tensor, b: Optional[Tensor], weights: n
             dw += xb.T @ gb
         if track_b:
             db += gb.sum(axis=0)
+    wd = w.data if keep_g else None
+    has_b = b is not None
 
     def vjp(g):
         scale = float(g)
         gx = None
         if keep_g:
-            gx = kept @ w.data.T
+            gx = kept @ wd.T
             gx *= scale
         elif keep_gx:
             gx = kept * scale
         grads = (gx, dw * scale if track_w else None, db * scale if track_b else None)
-        return grads if b is not None else grads[:2]
+        return grads if has_b else grads[:2]
 
     parents = [x, w] if b is None else [x, w, b]
     return _record(np.array(val, dtype=dtype), "linear_softmax_xent", parents, vjp)
@@ -580,6 +651,8 @@ def op_cosine(a: Tensor, b: Tensor) -> Tensor:
     den = np.maximum(na * nb, _EPS)
     clamped = na * nb <= _EPS
     cos = dot / den
+    ad, bd = a.data, b.data
+    track_a, track_b = a.requires_grad, b.requires_grad
 
     def vjp(g):
         g = g[..., None]
@@ -590,11 +663,11 @@ def op_cosine(a: Tensor, b: Tensor) -> Tensor:
         def side(x, y, nx):  # d cos / d x, given the other operand y
             # where the denominator is clamped it is a constant
             nx = np.where(clamped, 1.0, nx)[..., None]
-            free = g * (y.data / d - c * x.data / (nx * nx))
-            return np.where(m, g * y.data / _EPS, free)
+            free = g * (y / d - c * x / (nx * nx))
+            return np.where(m, g * y / _EPS, free)
 
-        return (side(a, b, na) if a.requires_grad else None,
-                side(b, a, nb) if b.requires_grad else None)
+        return (side(ad, bd, na) if track_a else None,
+                side(bd, ad, nb) if track_b else None)
 
     return _record(cos, "cosine", [a, b], vjp)
 
@@ -651,11 +724,12 @@ def op_segment_mean(values: Tensor, segment_ids, num_segments: int):
 
 def op_local_mix(x: Tensor, segment_ids, num_segments: int) -> Tensor:
     """(x + m[ids]) * 0.5, each row blended half and half with the mean m
-    of its segment's rows, as one node where ``op_segment_mean``, a row
-    gather, ``op_add`` and ``op_mul`` kept four. The VJP, with
+    of its segment's rows, as one node that halves the sum in its own
+    buffer: three arrays and one node where ``op_segment_mean``, a row
+    gather, ``op_add`` and ``op_mul`` made four of each. The VJP, with
     g2 = g * 0.5, is g2 + (segment_sum(g2) * inv)[ids], inv the reciprocal
     segment sizes of ``op_segment_mean``, whose arithmetic and errors it
-    keeps."""
+    keeps; it reads neither x nor the output."""
     ids = np.asarray(segment_ids, dtype=np.int64)
     if x.data.ndim != 2 or ids.shape != (x.data.shape[0],):
         raise ValueError("op_local_mix expects (n, d) values and (n,) ids")

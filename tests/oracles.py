@@ -1,9 +1,12 @@
 """Reference implementations the tests compare the package against: central
 finite-difference gradients for the tape's ops, the unfused linear softmax
 cross-entropy, the projection head over a built upcast, a tape walker, a
-recorder of the dtypes that reach the tape, and a reader
-for the ASCII PLY files ``concerto.viz.export_ply`` writes."""
+recorder of the dtypes that reach the tape, a block in which only reference
+counting frees objects, and a reader for the ASCII PLY files
+``concerto.viz.export_ply`` writes."""
 
+import gc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -81,7 +84,8 @@ def proj_head_reference(params, result):
 
 
 def tape_nodes(out) -> list:
-    """Every tensor the tape reaches from ``out``, each once."""
+    """``out`` and every graph node the tape reaches from it, each once: an
+    op output's node, or a leaf tensor, which is its own node."""
     nodes, seen, stack = [], set(), [out]
     while stack:
         t = stack.pop()
@@ -90,6 +94,19 @@ def tape_nodes(out) -> list:
             nodes.append(t)
             stack.extend(t._parents)
     return nodes
+
+
+@contextmanager
+def refcounting_only():
+    """Suspend the cyclic garbage collector for the block, so that an object
+    freed inside it was freed by reference counting."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def record_tape_dtypes(monkeypatch) -> dict:

@@ -1,3 +1,4 @@
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -12,7 +13,7 @@ from concerto.encoder import (CROSS_LEVEL, MLP_DEPTH, EncoderConfig, EncodeResul
 from concerto.geometry import voxelize
 from concerto.trainer import compute_copies
 from concerto.views import AugmentConfig, View, make_viewset
-from oracles import gradcheck, proj_head_reference, tape_nodes
+from oracles import gradcheck, proj_head_reference, refcounting_only, tape_nodes
 
 
 def tiny_cfg(**kw):
@@ -89,7 +90,7 @@ class TestEncode:
 
     def test_tape_holds_one_node_per_linear_layer_and_mix(self, cloud):
         """Each stage's linear layers and its local mix are one tape node
-        apiece, so the tape keeps one array for each."""
+        apiece."""
         cfg = tiny_cfg()
         res = encode(plain_view(cloud), init_params(cfg, seed=12), cfg)
         ops = Counter(t._op for t in tape_nodes(T.op_sum(res.feats[-1])))
@@ -526,6 +527,53 @@ class TestHeads:
                 assert got is None
             else:
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_forward_frees_what_no_vjp_reads(self, cloud, monkeypatch):
+        """After a float32 ``encode`` and ``proj_head``, every op output that
+        no VJP reads is freed by reference counting: the linear layers'
+        outputs (read by neither GELU, the local mix nor the L2 norm), the
+        head's gathered layer, the pooled stage inputs of each layernorm and
+        the mask token's product and sum in the masked stage-0 input.
+        What a VJP reads (the GELU and layernorm outputs, which the next
+        linear layer's weight gradient reads) and what the forward code
+        holds (the stages, the head's output) stays. The gradients are the
+        bits of the same pass with every output kept alive."""
+        cfg = tiny_cfg()
+        master = init_params(cfg, seed=26)
+        view = make_viewset(cloud, AugmentConfig(), seed=26).masked[0]
+        assert view.mask.any()
+        real_record = T._record
+        results = []
+        for keep_all in (False, True):
+            outputs = []  # (op, weakref to its value, or the tensor itself)
+
+            def recording(data, op, parents, vjp):
+                out = real_record(data, op, parents, vjp)
+                outputs.append((op, out if keep_all else weakref.ref(out.data)))
+                return out
+
+            monkeypatch.setattr(T, "_record", recording)
+            params = compute_copies(master, np.float32, track=True)
+            with refcounting_only():
+                res = encode(view, params, cfg)
+                z = proj_head(params, res)
+                if not keep_all:
+                    alive = Counter(op for op, ref in outputs if ref() is not None)
+                    freed = Counter(op for op, ref in outputs if ref() is None)
+            monkeypatch.setattr(T, "_record", real_record)
+            g = np.random.default_rng(26).normal(size=z.shape).astype(np.float32)
+            T.backward(T.op_sum(T.op_mul(z, T.Tensor(g))))
+            results.append([params[k].grad for k in sorted(params)])
+        stages = cfg.num_stages
+        assert freed == {"linear": MLP_DEPTH * stages + 1, "gather_linear": 1,
+                         "segment_mean": stages - 1, "add": 1, "mul_row": 1}
+        assert alive == {"gelu": stages + 1, "layernorm": stages, "local_mix": stages,
+                         "l2norm": 1}
+        for got, want in zip(*results):
+            if want is None:  # the prototypes and the cross head
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, want)
 
     def test_proj_head_reads_the_stages(self, cloud):
         # one gather_linear node, and no upcast on the tape

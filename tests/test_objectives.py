@@ -88,6 +88,7 @@ def intra_loss_per_pair_oracle(student, teacher, params_s, params_t, center, cfg
     from concerto.objectives import _teacher_probs
     from concerto.views import match_views
     stage = teacher[0][1].num_stages - 1 - level
+    # (distribution, logit column sums): the oracle needs the distribution
     sides = [(v, enc, _teacher_probs(params_t, enc, center, cfg)[0]) for v, enc in teacher]
     combos = []
     for s_view, s_enc in student:
@@ -109,6 +110,29 @@ def intra_loss_per_pair_oracle(student, teacher, params_s, params_t, center, cfg
 
 
 class TestIntraLoss:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_teacher_probs_in_one_buffer_match_the_four_array_composition(self, encoded,
+                                                                          dtype):
+        """The teacher softmax run in its logits' buffer gives the bits of
+        the out-of-place composition, and the logit sums are taken first."""
+        from concerto.objectives import _teacher_probs
+        from concerto.trainer import compute_copies
+        cfg, _params, teacher_p, _vs, _student, teach = encoded
+        teacher_c = compute_copies(teacher_p, dtype, track=False)
+        ccfg = ClusterLossConfig()
+        center = np.random.default_rng(8).normal(size=cfg.proto_count) * 0.1
+        for view, _enc in teach:
+            enc = encode(view, teacher_c, cfg)
+            probs, logit_sum = _teacher_probs(teacher_c, enc, center, ccfg)
+            logits = T.op_matmul(proj_head(teacher_c, enc), teacher_c["proto.w"]).data
+            z = (logits - center.astype(logits.dtype)) / ccfg.teacher_temp
+            z -= z.max(axis=-1, keepdims=True)
+            e = np.exp(z)
+            e /= e.sum(axis=-1, keepdims=True)
+            assert probs.dtype == logits.dtype == np.dtype(dtype)
+            np.testing.assert_array_equal(probs, e)
+            np.testing.assert_array_equal(logit_sum, logits.sum(axis=0, dtype=center.dtype))
+
     def test_matches_per_pair_oracle_loss_and_grads(self, encoded):
         cfg, params, teacher_p, vs, _student, _teach = encoded
         from concerto.views import match_views
@@ -312,18 +336,26 @@ class TestCrossLoss:
         assert n == n2
         np.testing.assert_allclose(loss.item(), oracle, atol=1e-12)
 
-    def test_tape_gathers_the_pooled_rows_once(self, scene):
+    def test_tape_gathers_the_pooled_rows_once(self, scene, monkeypatch):
         """The upcast gathers only the pooled points' rows; no second gather
-        copies them out of a full-width upcast."""
+        copies them out of a full-width upcast. The gather's value is freed
+        once pooled, so its shape is recorded when it is made."""
         cfg, params, enc, corr, grids = self.make(scene, 12)
         member_rows = assign_patches(enc, corr, 3)[0]
+        shapes = []
+        real_gather_concat = T.op_gather_concat
+
+        def recording(tensors, indices):
+            out = real_gather_concat(tensors, indices)
+            shapes.append(out.data.shape)
+            return out
+
+        monkeypatch.setattr(T, "op_gather_concat", recording)
         loss, _, _ = cross_loss(enc, corr, grids, params)
-        nodes = tape_nodes(loss)
-        ops = [t._op for t in nodes]
+        ops = [t._op for t in tape_nodes(loss)]
         assert "gather_rows" not in ops
-        gathers = [t for t in nodes if t._op == "gather_concat"]
-        assert len(gathers) == 1
-        assert gathers[0].data.shape == (member_rows.size, cfg.upcast_dim(3))
+        assert ops.count("gather_concat") == 1
+        assert shapes == [(member_rows.size, cfg.upcast_dim(3))]
 
     def test_perfect_prediction_gives_zero(self, scene):
         cfg, params, enc, corr, grids = self.make(scene, 7)

@@ -666,7 +666,13 @@ def _graded_columns(m, n, smallest, seed):
 
 
 class TestLeastSquares:
-    """``probes._least_squares`` against its oracle, ``np.linalg.lstsq``."""
+    """The language probe's least-squares warm start against its oracle,
+    ``np.linalg.lstsq``."""
+
+    @staticmethod
+    def warm_start(x, t):
+        """The map ``language_probe`` starts its polish from (no epochs)."""
+        return language_probe([(x, t, np.ones(len(x), dtype=bool))], ProbeConfig(epochs=0))[0]
 
     def _no_lstsq(self, monkeypatch):
         def refuse(*_args, **_kw):
@@ -685,7 +691,7 @@ class TestLeastSquares:
         t += 0.1 * np.abs(t).mean() * rng.normal(size=t.shape)
         ref = np.linalg.lstsq(x, t, rcond=None)[0]
         self._no_lstsq(monkeypatch)
-        w = probes._least_squares(x, t)
+        w = self.warm_start(x, t)
         assert np.linalg.norm(x @ w - x @ ref) <= fit_tol * np.linalg.norm(x @ ref)
         assert abs(_mean_cosine(x, w, t) - _mean_cosine(x, ref, t)) \
             <= 1e-10 * abs(_mean_cosine(x, ref, t))
@@ -694,8 +700,16 @@ class TestLeastSquares:
         x, t = _noisy_linear(seed=3)
         ref = np.linalg.lstsq(x, t, rcond=None)[0]
         self._no_lstsq(monkeypatch)
-        w = probes._least_squares(x, t)
+        w = self.warm_start(x, t)
         assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_qr_factors_in_its_input_buffer(self):
+        # no second copy of the features: the Fortran-order input is overwritten
+        x, t = _noisy_linear(seed=4)
+        xf = np.asfortranarray(x)
+        w = probes._qr_least_squares(xf, t)
+        assert w is not None and not np.array_equal(xf, x)
+        np.testing.assert_array_equal(w, self.warm_start(x, t))
 
     @pytest.mark.parametrize("case", ["wide", "duplicated_column"])
     def test_falls_back_to_lstsq_bit_for_bit(self, case, monkeypatch):
@@ -707,6 +721,7 @@ class TestLeastSquares:
             x[:, 4] = x[:, 1]
         t = rng.normal(size=(x.shape[0], 3))
         ref = np.linalg.lstsq(x, t, rcond=None)[0]
+        assert probes._qr_least_squares(np.asfortranarray(x), t) is None
         calls = []
         real = np.linalg.lstsq
 
@@ -715,7 +730,7 @@ class TestLeastSquares:
             return real(*args, **kw)
 
         monkeypatch.setattr(np.linalg, "lstsq", spy)
-        np.testing.assert_array_equal(probes._least_squares(x, t), ref)
+        np.testing.assert_array_equal(self.warm_start(x, t), ref)
         assert calls == [{"rcond": None}]
 
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -329,6 +330,73 @@ class TestGemmBlockRows:
     @pytest.mark.parametrize("d,k", [(10 ** 6, 6), (6, 10 ** 6), (0, 0)])
     def test_at_least_one_row(self, d, k):
         assert T.gemm_block_rows(d, k, np.float64) >= 1
+
+
+class TestTapeKeepsWhatBackwardReads:
+    """A node keeps no forward value: an op output that no VJP reads is
+    freed by reference counting once the forward code drops its tensor,
+    while a value a VJP reads stays alive until backward."""
+
+    SHAPES = [(7, 4), (4, 5), (5,), (5, 3), (3,)]
+    IDS = [0, 2, 1, 0, 2, 2, 1]
+
+    @classmethod
+    def chain(cls, x, w0, b0, w1, b1):
+        """linear -> gelu -> linear -> local_mix, dropping each step's input."""
+        h = T.op_gelu(T.op_linear(x, w0, b0))
+        return T.op_local_mix(T.op_linear(h, w1, b1), cls.IDS, 3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chain_frees_what_no_vjp_reads(self, dtype):
+        rng = np.random.default_rng(41)
+        arrays = [rand(rng, *shape).astype(dtype) for shape in self.SHAPES]
+        x, w0, b0, w1, b1 = tensors = [T.param(a) for a in arrays]
+        with oracles.refcounting_only():
+            h = T.op_linear(x, w0, b0)
+            pre_gelu = weakref.ref(h.data)
+            h = T.op_gelu(h)
+            gelu_out = weakref.ref(h.data)
+            h = T.op_linear(h, w1, b1)
+            pre_mix = weakref.ref(h.data)
+            out = T.op_local_mix(h, self.IDS, 3)
+            del h
+            # float32 GELU keeps only its derivative; float64 GELU reads its input
+            assert (pre_gelu() is None) == (dtype == np.float32)
+            assert gelu_out() is not None  # the second linear's VJP reads it for w1
+            assert pre_mix() is None
+            pre_mix_node = out._parents[0]
+            gelu_node = pre_mix_node._parents[0]
+            assert pre_mix_node._op == "linear" and pre_mix_node.data.size == 0
+            assert gelu_node._op == "gelu" and gelu_node.data is gelu_out()
+            del pre_mix_node, gelu_node
+            g = rand(rng, *out.shape).astype(dtype)
+            T.backward(T.op_sum(T.op_mul(out, T.Tensor(g))))
+        # the same gradients as the chain with every value kept alive
+        kept = [T.param(a) for a in arrays]
+        h0 = T.op_linear(kept[0], kept[1], kept[2])
+        h1 = T.op_gelu(h0)
+        h2 = T.op_linear(h1, kept[3], kept[4])
+        T.backward(T.op_sum(T.op_mul(T.op_local_mix(h2, self.IDS, 3), T.Tensor(g))))
+        for t, want in zip(tensors, kept):
+            np.testing.assert_array_equal(t.grad, want.grad)
+
+    def test_chain_gradcheck(self):
+        rng = np.random.default_rng(42)
+        assert oracles.gradcheck(self.chain, [rand(rng, *s) for s in self.SHAPES]) <= 1e-6
+
+    def test_graph_has_no_reference_cycle(self):
+        # a dropped loss frees its whole graph by reference counting: the
+        # GELU output, which only the second linear's closure holds, goes too
+        rng = np.random.default_rng(43)
+        x, w0, b0, w1, b1 = [T.param(rand(rng, *s).astype(np.float32)) for s in self.SHAPES]
+        with oracles.refcounting_only():
+            h = T.op_gelu(T.op_linear(x, w0, b0))
+            gelu_out = weakref.ref(h.data)
+            loss = T.op_sum(T.op_local_mix(T.op_linear(h, w1, b1), self.IDS, 3))
+            del h
+            assert gelu_out() is not None
+            del loss
+            assert gelu_out() is None
 
 
 class TestXentKeptGradient:

@@ -1,5 +1,6 @@
 import json
 import weakref
+from collections import defaultdict
 from dataclasses import asdict
 
 import numpy as np
@@ -15,7 +16,7 @@ from concerto.trainer import (LOG_KEYS, AdamState, TrainConfig, TrainerError, ad
                               lr_depth_factors, lr_schedule, save_checkpoint, train)
 from concerto.geometry import lattice_keys
 from concerto.views import AugmentConfig, make_viewset
-from oracles import record_tape_dtypes
+from oracles import record_tape_dtypes, tape_nodes
 
 
 def tiny_enc(**kw):
@@ -429,6 +430,35 @@ class TestTrainLoop:
         self.run(dataset, 3)
         assert [len(step) for step in refs] == [16, 16, 16]  # 8 views, 2 referents each
         assert live == [0, 0, 0]
+
+    def test_tape_keeps_no_value_its_consumers_do_not_read(self, dataset, monkeypatch):
+        """At each step's backward, no node whose consumers' VJPs never read
+        their input still holds its value: neither a linear or gather_linear
+        node read only by gelu, local_mix or l2norm, nor a segment_mean or
+        gather_concat node read only by layernorm or segment_mean."""
+        rules = {"linear": {"gelu", "local_mix", "l2norm"},
+                 "gather_linear": {"gelu", "local_mix", "l2norm"},
+                 "segment_mean": {"layernorm", "segment_mean"},
+                 "gather_concat": {"layernorm", "segment_mean"}}
+        checked = set()
+        real_backward = T.backward
+
+        def guarded(loss):
+            nodes = tape_nodes(loss)
+            consumers = defaultdict(set)
+            for t in nodes:
+                for parent in t._parents:
+                    consumers[id(parent)].add(t._op)
+            for t in nodes:
+                readers = consumers[id(t)]
+                if t._op in rules and readers and readers <= rules[t._op]:
+                    assert t.data.size == 0, f"a {t._op} node read by {readers} holds its value"
+                    checked.add(t._op)
+            real_backward(loss)
+
+        monkeypatch.setattr(T, "backward", guarded)
+        self.run(dataset, 2)
+        assert checked == set(rules)
 
     def test_resume_refuses_transposed_prototypes(self, dataset, tmp_path):
         # prototypes are stored as (proj_dim, proto_count); a checkpoint
