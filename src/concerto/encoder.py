@@ -158,7 +158,7 @@ def lora_weights(params: Dict[str, T.Tensor], factors: Dict[str, T.Tensor],
     merged = dict(params)
     for name, w in params.items():
         if f"lora.{name}.a" in factors:
-            ab = T.op_matmul(factors[f"lora.{name}.a"], factors[f"lora.{name}.b"])
+            ab = T.op_matmul(factors[f"lora.{name}.a"], factors[f"lora.{name}.b"], None)
             merged[name] = T.op_add(w, T.op_mul(ab, scaling))
     return merged
 
@@ -186,7 +186,7 @@ class EncodeResult:
 
 
 def _linear(x, params, name):
-    return T.op_linear(x, params[f"{name}.w"], params[f"{name}.b"])
+    return T.op_matmul(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
 def _stage_block(x, params, s):

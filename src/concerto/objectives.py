@@ -68,7 +68,7 @@ def _teacher_probs(params_t, enc: EncodeResult, center: np.ndarray, cfg: Cluster
     buffer once their sums are taken.
     """
     z = proj_head(params_t, enc)
-    logits = T.op_matmul(z, params_t["proto.w"]).data
+    logits = T.op_matmul(z, params_t["proto.w"], None).data
     logit_sum = logits.sum(axis=0, dtype=center.dtype)
     logits -= center.astype(logits.dtype)
     return T.softmax_np(logits, cfg.teacher_temp), logit_sum

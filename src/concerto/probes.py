@@ -4,11 +4,10 @@ budgets, and segmentation metrics.
 
 The linear and lora probes train a single linear layer (plus adapters in
 lora mode) with full-batch AdamW under a fixed seed. The language probe
-solves a least-squares map, then polishes it with at most ``epochs`` AdamW
-steps on the cosine; zero-shot classification trains nothing. The encoder
-checkpoint is never mutated. Features are the full-resolution upcast. The
-lora probe merges its adapters into the frozen weights and encodes with the
-merged weights, so there is one encoder forward path.
+is a least-squares solve; zero-shot classification trains nothing. The
+encoder checkpoint is never mutated. Features are the full-resolution
+upcast. The lora probe merges its adapters into the frozen weights and
+encodes with the merged weights, so there is one encoder forward path.
 
 Precision policy, the trainer's: the encoder runs on ``COMPUTE_DTYPE``
 copies of its weights, so features come out float32. The linear and lora
@@ -16,7 +15,7 @@ probes keep their heads and adapters (and the standardization statistics,
 accumulated in float64) as float64 masters; each epoch runs forward and
 backward on ``COMPUTE_DTYPE`` copies, and AdamW steps the masters with the
 upcast gradients. The language probe is the exception: it upcasts its
-features and fits in float64, because its least-squares warm start is
+features and fits in float64, because its least-squares map is
 ill-conditioned on real features (see ``language_probe``).
 
 The linear and lora heads train through one fused op,
@@ -57,7 +56,7 @@ class ProbeError(ValueError):
 
 @dataclass
 class ProbeConfig:
-    epochs: int = 50                    # AdamW steps; at most this many in the language probe
+    epochs: int = 50                    # AdamW steps of the linear and lora probes
     lr: float = 1e-3
     label_budget: Optional[int] = None  # labeled points kept per scene
     seed: int = 0
@@ -146,7 +145,7 @@ def extract_features(sample: SceneSample, params, enc_cfg: EncoderConfig,
     """Upcast ``COMPUTE_DTYPE`` features of the unaugmented cloud. The
     encoder runs on ``COMPUTE_DTYPE`` constant copies of ``params``, so no
     tape is recorded even when they are ``T.param`` leaves."""
-    params = compute_copies(params, COMPUTE_DTYPE, track=False)
+    params = compute_copies(params, track=False)
     return upcast(encode(plain_view(sample), params, enc_cfg), level, None).data
 
 
@@ -255,7 +254,7 @@ def _fit(params: Dict[str, T.Tensor], loss_of, cfg: ProbeConfig,
     copies, whose gradients are upcast for the step."""
     state = AdamState.init(params)
     for _epoch in range(cfg.epochs):
-        copies = compute_copies(params, COMPUTE_DTYPE, track=True)
+        copies = compute_copies(params, track=True)
         loss = loss_of(copies)
         T.backward(loss)
         del loss  # one epoch's tape is not kept while the next is built
@@ -386,7 +385,7 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
                 raise ProbeError(f"{role} scene {s.scene_id} has no labels")
     # ``COMPUTE_DTYPE`` constants, cast once: the frozen weights never
     # receive gradients
-    base = compute_copies(frozen_params, COMPUTE_DTYPE, track=False)
+    base = compute_copies(frozen_params, track=False)
     factors = make_lora_adapters(base, rank=cfg.lora_rank, seed=cfg.seed)
     scaling = LORA_ALPHA / cfg.lora_rank
     lora_lr = cfg.lr if cfg.lora_lr is None else cfg.lora_lr
@@ -411,7 +410,7 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
 
     # final standardization stats and eval features from the merged weights,
     # merged in the arithmetic the epochs used
-    merged = lora_weights(base, compute_copies(factors, COMPUTE_DTYPE, track=False), scaling)
+    merged = lora_weights(base, compute_copies(factors, track=False), scaling)
     stacked = np.concatenate([extract_features(s, merged, enc_cfg, level)[k]
                               for s, k in zip(train_samples, keeps)])
     mu, sd = _standardize_fit(stacked)
@@ -478,70 +477,46 @@ def _qr_least_squares(x: np.ndarray, t: np.ndarray) -> Optional[np.ndarray]:
     return lapack.dtrtrs(r, qt[:n])[0]
 
 
-def language_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-                   cfg: ProbeConfig):
-    """Fit a linear map from point features to target text-space features by
-    maximizing cosine similarity. No labels are consumed.
+def language_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]], _cfg):
+    """Fit a linear map from point features to target text-space features:
+    the minimum-norm least-squares map. No labels are consumed.
 
     ``train_scenes`` rows are (features, targets, valid_mask); invalid points
     (no visible patch) are excluded. Returns (map W, mean train cosine of W).
     A scene with a non-finite valid row, or whose features or targets are
     not as wide as scene 0's, is refused with a ``ProbeError`` naming it.
+    ``_cfg`` is not read; it stays because the benchmark still passes a
+    ``ProbeConfig`` in its place.
 
-    The warm start is the minimum-norm least-squares map: a blocked QR of
-    the features when they have full column rank (``_qr_least_squares``;
-    every benchmark input: R's estimated reciprocal condition is 4e-10 to
-    1e-8, over 200 times the cutoff), ``np.linalg.lstsq`` otherwise. The
-    two maps agree to about 1e-9 relative on the benchmark's inputs. The QR
-    overwrites a Fortran-order build of the features, and ``lstsq`` and the
-    polish read a second, C-order build made after it, so the features are
-    held once at a time. The first call imports ``scipy.linalg`` (about
-    0.07 s), so that importing this module does not.
-
-    The polish then takes at most ``cfg.epochs`` AdamW steps on the cosine
-    and stops at the first iterate that does not beat the best so far, so
-    the probe returns its best iterate and never scores below its warm
-    start. Adam's
-    bias-corrected first step moves every entry of W by about ``cfg.lr``
-    whatever the gradient's size, which from a least-squares optimum on
-    ill-conditioned features collapses the fit (0.964 -> 0.563 on one
-    16,384-point synthetic scene); the remaining 49 epochs only partly
-    repaired it (0.947). The trade-off: a polish that would first fall,
-    then overtake its start, gives up that late gain (5e-4 of cosine on
-    two 32,768-point scenes of a narrow encoder).
+    The map comes from a blocked QR of the features when they have full
+    column rank (``_qr_least_squares``; every benchmark input: R's
+    estimated reciprocal condition is 4e-10 to 1e-8, over 200 times the
+    cutoff), ``np.linalg.lstsq`` otherwise. The two maps agree to about
+    1e-9 relative on the benchmark's inputs. The QR overwrites a
+    Fortran-order build of the features, and ``lstsq`` and the cosine read
+    a second, C-order build made after it, so the features are held once at
+    a time. The first call imports ``scipy.linalg`` (about 0.07 s), so that
+    importing this module does not. Nothing is recorded on the tape.
 
     Unlike the other probes it fits in float64, on inputs upcast to
-    float64. Its warm start is the minimum-norm least-squares solution, and
+    float64. Its map is the minimum-norm least-squares solution, and
     upcast features are ill-conditioned: on one 8,547 x 992 synthetic scene
-    the condition number was 1.7e12 and the warm start's norm 3.1e8. A map
+    the condition number was 1.7e12 and the map's norm 3.1e8. A map
     that large amplifies float32 rounding: applied to the same features
-    rounded to float32, that warm start's cosine fell from 0.964 to 0.31.
+    rounded to float32, that map's cosine fell from 0.964 to 0.31.
     """
     x, t = _language_rows(train_scenes, "F")
     if x.shape[0] == 0:
         raise ProbeError("no visible points to fit the language probe")
     if np.abs(t).max() == 0:
         raise ProbeError("degenerate language targets: all zero vectors")
-    w0 = _qr_least_squares(x, t)
+    w = _qr_least_squares(x, t)
     del x  # the QR overwrote it
     x = _language_rows(train_scenes, "C")[0]
-    if w0 is None:
-        w0 = np.linalg.lstsq(x, t, rcond=None)[0]
-    params = {"w": T.param(w0)}
-    state = AdamState.init(params)
-    feats, targets = T.Tensor(x), T.Tensor(t)
-    best_w, best_cos = None, None
-    for epoch in range(cfg.epochs + 1):
-        copies = compute_copies(params, np.float64, track=True)
-        cos = T.op_mean(T.op_cosine(T.op_matmul(feats, copies["w"]), targets))
-        if best_w is not None and not cos.item() > best_cos:
-            break
-        best_w, best_cos = copies["w"].data, cos.item()
-        if epoch < cfg.epochs:
-            T.backward(T.op_mul(cos, -1.0))
-            del cos  # one epoch's tape is not kept while the next is built
-            adamw_step(params, master_grads(copies), state, cfg.lr, {})
-    return best_w, best_cos
+    if w is None:
+        w = np.linalg.lstsq(x, t, rcond=None)[0]
+    cos = T.op_mean(T.op_cosine(T.op_matmul(T.Tensor(x), T.Tensor(w), None), T.Tensor(t)))
+    return w, cos.item()
 
 
 def zero_shot_segment(point_text_feats: np.ndarray, space: TextSpace,

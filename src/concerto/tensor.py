@@ -24,14 +24,15 @@ until backward, the narrower of its own gradient and the logits gradient.
 A block holds at most 2^21 bytes of its widest array; a narrow head's
 block holds 2^19 bytes of input, which keeps its GEMMs on OpenBLAS's
 small-matrix kernel.
-The encoder's two fused ops, ``op_linear`` (matmul plus bias) and
-``op_local_mix`` (segment mean, gather, add and halving), write into one
-output buffer what the unfused chains wrote into two and four arrays, with
-the same arithmetic, and record one node where those recorded two and
-four. ``op_gather_linear`` is ``op_linear`` of ``op_gather_concat`` without
-the concatenation: each operand meets its block of the weight on its own
-rows, so the wide gathered input is never allocated or written. The
-plain-array helpers ``softmax_np`` and ``segment_sum_np`` record nothing.
+The one product op, ``op_matmul``, takes a bias that may be None and adds
+it into the product's buffer. It and ``op_local_mix`` (segment mean,
+gather, add and halving) write into one output buffer what the unfused
+chains wrote into two and four arrays, with the same arithmetic, and record
+one node where those recorded two and four. ``op_gather_linear`` is
+``op_matmul`` of ``op_gather_concat`` without the concatenation: each
+operand meets its block of the weight on its own rows, so the wide gathered
+input is never allocated or written. The plain-array helpers
+``softmax_np`` and ``segment_sum_np`` record nothing.
 The tests check every op's VJP against central finite differences.
 
 Precision follows the data: a tensor keeps a float32 array as float32 and
@@ -412,47 +413,34 @@ def op_concat_rows(tensors: Sequence[Tensor]) -> Tensor:
 # linear algebra
 # ---------------------------------------------------------------------------
 
-def op_matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("op_matmul expects 2-D tensors")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"op_matmul inner dims disagree: {a.data.shape} x {b.data.shape}")
-    ad = a.data if b.requires_grad else None
-    bd = b.data if a.requires_grad else None
-
-    def vjp(g):
-        return (None if bd is None else g @ bd.T,
-                None if ad is None else ad.T @ g)
-
-    return _record(a.data @ b.data, "matmul", [a, b], vjp)
-
-
-def op_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b for an (n, d) x, a (d, k) w and a (k,) b, as one node: the
-    bias is added into the product's buffer, one (n, k) allocation where
-    ``op_matmul`` then ``op_add`` made two. The VJP is (g @ w.T, x.T @ g,
-    sum(g)), None for an untracked operand; it keeps x only for a tracked w
-    and w only for a tracked x."""
+def op_matmul(x: Tensor, w: Tensor, b: Optional[Tensor]) -> Tensor:
+    """x @ w, plus b when b is not None, for an (n, d) x, a (d, k) w and a
+    (k,) b, as one node: the bias is added into the product's buffer, one
+    (n, k) allocation where a product then ``op_add`` made two. The VJP is
+    (g @ w.T, x.T @ g, sum(g)), None for an untracked operand and no third
+    entry without b; it keeps x only for a tracked w and w only for a
+    tracked x."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
-        raise ValueError(f"op_linear inner dims disagree: {x.data.shape} x {w.data.shape}")
-    if b.data.shape != w.data.shape[1:]:
-        raise ValueError(f"op_linear bias shape {b.data.shape} is not ({w.data.shape[1]},)")
+        raise ValueError(f"op_matmul inner dims disagree: {x.data.shape} x {w.data.shape}")
+    has_b = b is not None
+    if has_b and b.data.shape != w.data.shape[1:]:
+        raise ValueError(f"op_matmul bias shape {b.data.shape} is not ({w.data.shape[1]},)")
     out = x.data @ w.data
-    out += b.data
+    if has_b:
+        out += b.data
     xd = x.data if w.requires_grad else None
     wd = w.data if x.requires_grad else None
-    track_b = b.requires_grad
+    track_b = has_b and b.requires_grad
 
     def vjp(g):
-        return (None if wd is None else g @ wd.T,
-                None if xd is None else xd.T @ g,
-                g.sum(axis=0) if track_b else None)
+        grads = (None if wd is None else g @ wd.T, None if xd is None else xd.T @ g)
+        return (*grads, g.sum(axis=0) if track_b else None) if has_b else grads
 
-    return _record(out, "linear", [x, w, b], vjp)
+    return _record(out, "matmul", [x, w, b] if has_b else [x, w], vjp)
 
 
 def op_gather_linear(tensors: Sequence[Tensor], indices: Sequence, w: Tensor, b: Tensor) -> Tensor:
-    """``op_linear(op_gather_concat(tensors, indices), w, b)`` as one node
+    """``op_matmul(op_gather_concat(tensors, indices), w, b)`` as one node
     without the concatenation: block i's rows w_i of w multiply x_i =
     ``tensors[i]`` on its own rows, then each product is gathered by
     ``indices[i]`` and summed, so the wide gathered input is never

@@ -54,12 +54,12 @@ EMA_BASE = 0.996       # teacher momentum ramps from this to 1 (DINO, arXiv 2104
 COMPUTE_DTYPE = np.float32  # of each step's forward and backward pass
 
 
-def compute_copies(params: Dict[str, T.Tensor], dtype, track: bool) -> Dict[str, T.Tensor]:
-    """``dtype`` copies of ``params`` (as a rule, float64 masters):
+def compute_copies(params: Dict[str, T.Tensor], track: bool) -> Dict[str, T.Tensor]:
+    """``COMPUTE_DTYPE`` copies of ``params`` (as a rule, float64 masters):
     ``T.param`` leaves when ``track`` (the only tensors a backward pass
     reaches), constants otherwise."""
     make = T.param if track else T.Tensor
-    return {k: make(p.data.astype(dtype)) for k, p in params.items()}
+    return {k: make(p.data.astype(COMPUTE_DTYPE)) for k, p in params.items()}
 
 
 def master_grads(copies: Dict[str, T.Tensor]) -> Dict[str, np.ndarray]:
@@ -404,8 +404,8 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
 
             vs = make_viewset(sample.cloud, aug_cfg, seed=view_seed)
             # compute copies of the float64 masters; only they join the tape
-            params_c = compute_copies(params, COMPUTE_DTYPE, track=True)
-            teacher_c = compute_copies(teacher, COMPUTE_DTYPE, track=False)
+            params_c = compute_copies(params, track=True)
+            teacher_c = compute_copies(teacher, track=False)
             student = [(v, encode(v, params_c, enc_cfg)) for v in vs.student_views]
             teach = [(v, encode(v, teacher_c, enc_cfg)) for v in vs.teacher_views]
 

@@ -74,12 +74,12 @@ def linear_softmax_xent_reference(x, w, b, weights, temperature):
 
 
 def proj_head_reference(params, result):
-    """``encoder.proj_head`` with its first layer an ``op_linear`` of the
+    """``encoder.proj_head`` with its first layer an ``op_matmul`` of the
     built ``INTRA_LEVEL`` upcast, the composition ``op_gather_linear``
     replaces."""
-    h = T.op_linear(upcast(result, INTRA_LEVEL, None), params["proj.lin0.w"],
+    h = T.op_matmul(upcast(result, INTRA_LEVEL, None), params["proj.lin0.w"],
                     params["proj.lin0.b"])
-    h = T.op_linear(T.op_gelu(h), params["proj.lin1.w"], params["proj.lin1.b"])
+    h = T.op_matmul(T.op_gelu(h), params["proj.lin1.w"], params["proj.lin1.b"])
     return T.op_l2norm(h)
 
 

@@ -94,9 +94,9 @@ class TestEncode:
         cfg = tiny_cfg()
         res = encode(plain_view(cloud), init_params(cfg, seed=12), cfg)
         ops = Counter(t._op for t in tape_nodes(T.op_sum(res.feats[-1])))
-        assert ops["linear"] == MLP_DEPTH * cfg.num_stages
+        assert ops["matmul"] == MLP_DEPTH * cfg.num_stages
         assert ops["local_mix"] == cfg.num_stages
-        assert not {"matmul", "add_bias", "gather_rows", "mul_scalar"} & set(ops)
+        assert not {"linear", "add_bias", "gather_rows", "mul_scalar"} & set(ops)
 
     def test_voxelizes_once_per_hierarchy_level(self, cloud, monkeypatch):
         cfg = tiny_cfg()
@@ -269,8 +269,8 @@ class TestUpcast:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rows_are_the_full_upcast_rows(self, cloud, dtype):
         cfg = tiny_cfg()
-        res = encode(plain_view(cloud), compute_copies(init_params(cfg, seed=9), dtype, False),
-                     cfg)
+        params = {k: T.Tensor(p.data.astype(dtype)) for k, p in init_params(cfg, seed=9).items()}
+        res = encode(plain_view(cloud), params, cfg)
         for level in range(5):
             rows = self.some_rows(res, level, level)
             out = upcast(res, level, rows).data
@@ -407,8 +407,8 @@ class TestLora:
         factors = make_lora_adapters(params, rank=4, seed=0)
         name = "stage1.lin0.w"
         x = T.Tensor(rng.normal(size=(10, params[name].data.shape[0])))
-        base = T.op_matmul(x, params[name])
-        adapted = T.op_matmul(x, lora_weights(params, factors, 4.0)[name])
+        base = T.op_matmul(x, params[name], None)
+        adapted = T.op_matmul(x, lora_weights(params, factors, 4.0)[name], None)
         np.testing.assert_array_equal(adapted.data, base.data)
 
     def test_merged_weight_matches_unmerged_formula(self):
@@ -426,10 +426,11 @@ class TestLora:
             xt = T.Tensor(x)
             if merged:
                 factors = {f"lora.{name}.a": a, f"lora.{name}.b": b}
-                out = T.op_matmul(xt, lora_weights({name: T.Tensor(w)}, factors, scaling)[name])
+                out = T.op_matmul(xt, lora_weights({name: T.Tensor(w)}, factors, scaling)[name],
+                                  None)
             else:
-                delta = T.op_matmul(T.op_matmul(xt, a), b)
-                out = T.op_add(T.op_matmul(xt, T.Tensor(w)), T.op_mul(delta, scaling))
+                delta = T.op_matmul(T.op_matmul(xt, a, None), b, None)
+                out = T.op_add(T.op_matmul(xt, T.Tensor(w), None), T.op_mul(delta, scaling))
             T.backward(T.op_sum(T.op_mul(out, T.Tensor(np.cos(out.data)))))
             results.append((out.data, a.grad, b.grad))
         assert np.abs(results[0][0]).max() > 0 and np.abs(results[0][2]).max() > 0
@@ -483,7 +484,7 @@ class TestLora:
             name = "stage0.lin0.w"
             merged = lora_weights({name: T.Tensor(w)},
                                   {f"lora.{name}.a": a, f"lora.{name}.b": b}, 2.0)
-            return T.op_matmul(T.Tensor(x), merged[name])
+            return T.op_matmul(T.Tensor(x), merged[name], None)
 
         a0 = rng.normal(size=(6, 3))
         b0 = rng.normal(size=(3, 5))
@@ -497,7 +498,7 @@ class TestLora:
         factors = make_lora_adapters(frozen, rank=4, seed=2)
         name = "stage2.lin1.w"
         x = T.Tensor(rng.normal(size=(9, frozen[name].data.shape[0])))
-        out = T.op_matmul(x, lora_weights(frozen, factors, 4.0)[name])
+        out = T.op_matmul(x, lora_weights(frozen, factors, 4.0)[name], None)
         T.backward(T.op_sum(out))
         assert frozen[name].grad is None
         assert factors[f"lora.{name}.a"].grad is not None
@@ -553,7 +554,7 @@ class TestHeads:
                 return out
 
             monkeypatch.setattr(T, "_record", recording)
-            params = compute_copies(master, np.float32, track=True)
+            params = compute_copies(master, track=True)
             with refcounting_only():
                 res = encode(view, params, cfg)
                 z = proj_head(params, res)
@@ -565,7 +566,7 @@ class TestHeads:
             T.backward(T.op_sum(T.op_mul(z, T.Tensor(g))))
             results.append([params[k].grad for k in sorted(params)])
         stages = cfg.num_stages
-        assert freed == {"linear": MLP_DEPTH * stages + 1, "gather_linear": 1,
+        assert freed == {"matmul": MLP_DEPTH * stages + 1, "gather_linear": 1,
                          "segment_mean": stages - 1, "add": 1, "mul_row": 1}
         assert alive == {"gelu": stages + 1, "layernorm": stages, "local_mix": stages,
                          "l2norm": 1}
@@ -590,7 +591,7 @@ class TestHeads:
         res = encode(plain_view(cloud), params, cfg)
         z = proj_head(params, res)
         assert params["proto.w"].shape == (cfg.proj_dim, cfg.proto_count)
-        assert T.op_matmul(z, params["proto.w"]).shape == (z.shape[0], cfg.proto_count)
+        assert T.op_matmul(z, params["proto.w"], None).shape == (z.shape[0], cfg.proto_count)
 
     def test_cross_head_maps_to_image_dim(self, cloud):
         cfg = tiny_cfg()

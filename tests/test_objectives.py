@@ -45,14 +45,14 @@ def intra_loss_loop_oracle(student, teacher, params_s, params_t, center, cfg, le
     combos = []
     for s_view, s_enc in student:
         z = proj_head_reference(params_s, s_enc)
-        logits = T.op_matmul(z, params_s["proto.w"]).data
+        logits = T.op_matmul(z, params_s["proto.w"], None).data
         ls = logits / cfg.student_temp
         logq = ls - ls.max(axis=1, keepdims=True)
         logq = logq - np.log(np.exp(logq).sum(axis=1, keepdims=True))
         s_anc = s_enc.ancestors(stage)
         for t_view, t_enc in teacher:
             tz = proj_head_reference(params_t, t_enc)
-            tl = T.op_matmul(tz, params_t["proto.w"]).data
+            tl = T.op_matmul(tz, params_t["proto.w"], None).data
             sh = (tl - center) / cfg.teacher_temp
             sh = sh - sh.max(axis=1, keepdims=True)
             p = np.exp(sh) / np.exp(sh).sum(axis=1, keepdims=True)
@@ -93,7 +93,7 @@ def intra_loss_per_pair_oracle(student, teacher, params_s, params_t, center, cfg
     combos = []
     for s_view, s_enc in student:
         z = proj_head_reference(params_s, s_enc)
-        logq = log_softmax_oracle(T.op_matmul(z, params_s["proto.w"]), cfg.student_temp)
+        logq = log_softmax_oracle(T.op_matmul(z, params_s["proto.w"], None), cfg.student_temp)
         s_anc = s_enc.ancestors(stage)
         for t_view, t_enc, t_probs in sides:
             ia, ib = match_views(s_view, t_view)
@@ -116,15 +116,14 @@ class TestIntraLoss:
         """The teacher softmax run in its logits' buffer gives the bits of
         the out-of-place composition, and the logit sums are taken first."""
         from concerto.objectives import _teacher_probs
-        from concerto.trainer import compute_copies
         cfg, _params, teacher_p, _vs, _student, teach = encoded
-        teacher_c = compute_copies(teacher_p, dtype, track=False)
+        teacher_c = {k: T.Tensor(p.data.astype(dtype)) for k, p in teacher_p.items()}
         ccfg = ClusterLossConfig()
         center = np.random.default_rng(8).normal(size=cfg.proto_count) * 0.1
         for view, _enc in teach:
             enc = encode(view, teacher_c, cfg)
             probs, logit_sum = _teacher_probs(teacher_c, enc, center, ccfg)
-            logits = T.op_matmul(proj_head(teacher_c, enc), teacher_c["proto.w"]).data
+            logits = T.op_matmul(proj_head(teacher_c, enc), teacher_c["proto.w"], None).data
             z = (logits - center.astype(logits.dtype)) / ccfg.teacher_temp
             z -= z.max(axis=-1, keepdims=True)
             e = np.exp(z)
@@ -192,7 +191,7 @@ class TestIntraLoss:
                                    center, ccfg)
         # oracle: mean teacher row entropy (identical distributions both sides)
         z = proj_head(params, s_enc)
-        logits = T.op_matmul(z, params["proto.w"]).data / 0.1
+        logits = T.op_matmul(z, params["proto.w"], None).data / 0.1
         logits = logits - logits.max(axis=1, keepdims=True)
         p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         anc = s_enc.ancestors(2)
@@ -234,7 +233,7 @@ class TestIntraLoss:
         logits = []
         for _v, enc in teach:
             z = proj_head(teacher_p, enc)
-            logits.append(T.op_matmul(z, teacher_p["proto.w"]).data)
+            logits.append(T.op_matmul(z, teacher_p["proto.w"], None).data)
         np.testing.assert_allclose(new_center, np.concatenate(logits).mean(axis=0), atol=1e-12)
 
     def test_student_heads_read_the_stages(self, encoded):
@@ -283,7 +282,7 @@ class TestIntraLoss:
         for _ in range(5):
             _, center, _, _ = intra_loss(student, teach, params, teacher_p, center, ccfg)
             logits = np.concatenate([
-                T.op_matmul(proj_head(teacher_p, enc), teacher_p["proto.w"]).data
+                T.op_matmul(proj_head(teacher_p, enc), teacher_p["proto.w"], None).data
                 for _v, enc in teach])
             bound = max(bound, np.abs(logits.mean(axis=0)).max())
         assert np.abs(center).max() <= bound + 1e-12

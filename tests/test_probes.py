@@ -524,14 +524,14 @@ def _noisy_linear(seed=0):
 class TestLanguageProbe:
     def test_float32_inputs_fit_as_their_float64_upcast(self):
         rng = np.random.default_rng(13)
-        # nearly collinear columns, so the warm start is ill-conditioned
+        # nearly collinear columns, so the least-squares map is ill-conditioned
         x = rng.normal(size=(120, 6)) @ np.diag([1.0, 1.0, 1.0, 1.0, 1e-3, 1e-5])
         x = (x @ rng.normal(size=(6, 10))).astype(np.float32)
         t = rng.normal(size=(120, 4)).astype(np.float32)
         valid = rng.random(120) < 0.9
-        cfg = ProbeConfig(epochs=5, lr=0.01)
-        w32, cos32 = language_probe([(x, t, valid)], cfg)
-        w64, cos64 = language_probe([(x.astype(np.float64), t.astype(np.float64), valid)], cfg)
+        w32, cos32 = language_probe([(x, t, valid)], ProbeConfig())
+        w64, cos64 = language_probe([(x.astype(np.float64), t.astype(np.float64), valid)],
+                                    ProbeConfig())
         assert w32.dtype == np.float64
         np.testing.assert_array_equal(w32, w64)
         assert cos32 == cos64
@@ -545,30 +545,30 @@ class TestLanguageProbe:
         w, cos = language_probe([(x, t, valid)], ProbeConfig())
         assert abs(cos - _mean_cosine(x[valid], w, t[valid])) <= 1e-12
 
-    def test_zero_epochs_return_the_warm_start_and_its_cosine(self):
+    def test_returns_the_least_squares_map_and_its_cosine_for_any_config(self):
         x, t = _noisy_linear()
-        w, cos = language_probe([(x, t, np.ones(400, dtype=bool))], ProbeConfig(epochs=0))
-        # the warm start is a QR solve, so it matches lstsq's SVD to rounding
+        scenes = [(x, t, np.ones(400, dtype=bool))]
+        w, cos = language_probe(scenes, ProbeConfig(epochs=0))
+        # a QR solve, so it matches lstsq's SVD to rounding
         ref = np.linalg.lstsq(x, t, rcond=None)[0]
         assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
         assert cos > 0.5
         assert abs(cos - _mean_cosine(x, w, t)) <= 1e-12
+        w50, cos50 = language_probe(scenes, ProbeConfig(epochs=50, lr=0.05))
+        np.testing.assert_array_equal(w50, w)
+        assert cos50 == cos
 
-    def test_polish_never_ends_below_the_warm_start(self, dataset):
-        enc_cfg = EncoderConfig(cross_dim=8)
-        params = init_params(enc_cfg, seed=0)
-        scenes = [(extract_features(s, params, enc_cfg, enc_cfg.num_pool_steps),
-                   *lift_patch_features_to_points(s)) for s in dataset]
-        _w0, warm = language_probe(scenes, ProbeConfig(epochs=0))
-        _w, cos = language_probe(scenes, ProbeConfig())
-        assert cos >= warm
-
-    def test_polish_runs_while_steps_help(self):
+    def test_records_no_tape_and_runs_no_optimizer(self, monkeypatch):
         x, t = _noisy_linear()
-        scenes = [(x, t, np.ones(400, dtype=bool))]
-        _w0, warm = language_probe(scenes, ProbeConfig(epochs=0, lr=1e-3))
-        _w, cos = language_probe(scenes, ProbeConfig(lr=1e-3))
-        assert cos > warm
+
+        def refuse(*_args, **_kw):
+            raise AssertionError("the language probe is a solve, not a fit on the tape")
+
+        monkeypatch.setattr(T, "param", refuse)
+        monkeypatch.setattr(T, "backward", refuse)
+        monkeypatch.setattr(probes, "adamw_step", refuse)
+        _w, cos = language_probe([(x, t, np.ones(400, dtype=bool))], ProbeConfig())
+        assert cos > 0.5
 
     def test_realizable_targets_fit_to_high_cosine(self, dataset):
         enc_cfg = tiny_enc()
@@ -579,14 +579,14 @@ class TestLanguageProbe:
         for s in dataset:
             f = extract_features(s, params, enc_cfg, 4)
             scenes.append((f, f @ w_true, np.ones(f.shape[0], dtype=bool)))
-        w, cos = language_probe(scenes, ProbeConfig(epochs=300, lr=0.05))
+        w, cos = language_probe(scenes, ProbeConfig())
         assert cos >= 0.999
 
     def test_zero_targets_rejected(self):
         x = np.random.default_rng(9).normal(size=(50, 8))
         with pytest.raises(ProbeError, match="degenerate"):
             language_probe([(x, np.zeros((50, 4)), np.ones(50, dtype=bool))],
-                           ProbeConfig(epochs=1))
+                           ProbeConfig())
 
     def test_shuffled_pairs_destroy_fit(self, dataset):
         # centered features give direction-diverse targets, so a shuffled
@@ -602,8 +602,8 @@ class TestLanguageProbe:
         t = f @ rng.normal(size=(f.shape[1], 6))
         perm = rng.permutation(f.shape[0])
         ones = np.ones(f.shape[0], bool)
-        _, cos_good = language_probe([(f, t, ones)], ProbeConfig(epochs=200, lr=0.05))
-        _, cos_bad = language_probe([(f, t[perm], ones)], ProbeConfig(epochs=200, lr=0.05))
+        _, cos_good = language_probe([(f, t, ones)], ProbeConfig())
+        _, cos_bad = language_probe([(f, t[perm], ones)], ProbeConfig())
         assert cos_good >= 0.99
         assert cos_bad < 0.2
 
@@ -613,7 +613,7 @@ class TestLanguageProbe:
         bad[7, 2] = np.nan
         ones = np.ones(400, dtype=bool)
         with pytest.raises(ProbeError, match="language probe scene 1: non-finite features"):
-            language_probe([(x, t, ones), (bad, t, ones)], ProbeConfig(epochs=1))
+            language_probe([(x, t, ones), (bad, t, ones)], ProbeConfig())
         assert capfd.readouterr().err == ""  # refused before LAPACK sees it
 
     def test_infinite_target_refused_naming_the_scene(self):
@@ -622,7 +622,7 @@ class TestLanguageProbe:
         bad[3, 0] = np.inf
         ones = np.ones(400, dtype=bool)
         with pytest.raises(ProbeError, match="language probe scene 1: non-finite targets"):
-            language_probe([(x, t, ones), (x, bad, ones)], ProbeConfig(epochs=1))
+            language_probe([(x, t, ones), (x, bad, ones)], ProbeConfig())
 
     @pytest.mark.parametrize("kind, narrow, wide", [("features", 5, 8), ("targets", 3, 4)])
     def test_scene_of_another_width_refused_naming_it(self, kind, narrow, wide):
@@ -631,7 +631,7 @@ class TestLanguageProbe:
         ones = np.ones(400, dtype=bool)
         with pytest.raises(ProbeError, match=f"language probe scene 2: {kind} are {narrow} "
                                              f"wide, scene 0's are {wide}"):
-            language_probe([(x, t, ones), (x, t, ones), (*short, ones)], ProbeConfig(epochs=1))
+            language_probe([(x, t, ones), (x, t, ones), (*short, ones)], ProbeConfig())
 
     @pytest.mark.parametrize("kind", ["targets", "mask"])
     def test_rows_of_another_length_refused_naming_the_scene(self, kind):
@@ -642,7 +642,7 @@ class TestLanguageProbe:
         short = (x, t[:390], ones) if kind == "targets" else (x, t, ones[:390])
         with pytest.raises(ProbeError, match=f"language probe scene 1: {kind} have 390 rows, "
                                              "features 400"):
-            language_probe([(x, t, ones), short], ProbeConfig(epochs=1))
+            language_probe([(x, t, ones), short], ProbeConfig())
 
     def test_excludes_invalid_points(self):
         rng = np.random.default_rng(11)
@@ -652,7 +652,7 @@ class TestLanguageProbe:
         valid[:30] = True
         t[30:] = 1e6  # junk that must not affect the fit
         x[30:, 0] = np.nan  # nor be refused
-        _, cos = language_probe([(x, t, valid)], ProbeConfig(epochs=200, lr=0.05))
+        _, cos = language_probe([(x, t, valid)], ProbeConfig())
         assert cos >= 0.99
 
 
@@ -666,13 +666,13 @@ def _graded_columns(m, n, smallest, seed):
 
 
 class TestLeastSquares:
-    """The language probe's least-squares warm start against its oracle,
+    """The language probe's least-squares map against its oracle,
     ``np.linalg.lstsq``."""
 
     @staticmethod
-    def warm_start(x, t):
-        """The map ``language_probe`` starts its polish from (no epochs)."""
-        return language_probe([(x, t, np.ones(len(x), dtype=bool))], ProbeConfig(epochs=0))[0]
+    def solve(x, t):
+        """The map ``language_probe`` returns."""
+        return language_probe([(x, t, np.ones(len(x), dtype=bool))], ProbeConfig())[0]
 
     def _no_lstsq(self, monkeypatch):
         def refuse(*_args, **_kw):
@@ -691,7 +691,7 @@ class TestLeastSquares:
         t += 0.1 * np.abs(t).mean() * rng.normal(size=t.shape)
         ref = np.linalg.lstsq(x, t, rcond=None)[0]
         self._no_lstsq(monkeypatch)
-        w = self.warm_start(x, t)
+        w = self.solve(x, t)
         assert np.linalg.norm(x @ w - x @ ref) <= fit_tol * np.linalg.norm(x @ ref)
         assert abs(_mean_cosine(x, w, t) - _mean_cosine(x, ref, t)) \
             <= 1e-10 * abs(_mean_cosine(x, ref, t))
@@ -700,7 +700,7 @@ class TestLeastSquares:
         x, t = _noisy_linear(seed=3)
         ref = np.linalg.lstsq(x, t, rcond=None)[0]
         self._no_lstsq(monkeypatch)
-        w = self.warm_start(x, t)
+        w = self.solve(x, t)
         assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_qr_factors_in_its_input_buffer(self):
@@ -709,7 +709,7 @@ class TestLeastSquares:
         xf = np.asfortranarray(x)
         w = probes._qr_least_squares(xf, t)
         assert w is not None and not np.array_equal(xf, x)
-        np.testing.assert_array_equal(w, self.warm_start(x, t))
+        np.testing.assert_array_equal(w, self.solve(x, t))
 
     @pytest.mark.parametrize("case", ["wide", "duplicated_column"])
     def test_falls_back_to_lstsq_bit_for_bit(self, case, monkeypatch):
@@ -730,7 +730,7 @@ class TestLeastSquares:
             return real(*args, **kw)
 
         monkeypatch.setattr(np.linalg, "lstsq", spy)
-        np.testing.assert_array_equal(self.warm_start(x, t), ref)
+        np.testing.assert_array_equal(self.solve(x, t), ref)
         assert calls == [{"rcond": None}]
 
 

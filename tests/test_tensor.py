@@ -20,16 +20,16 @@ class TestForwardValues:
     def test_matmul_identity(self):
         a = T.Tensor(np.eye(2))
         b = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = T.op_matmul(a, b)
+        out = T.op_matmul(a, b, None)
         np.testing.assert_array_equal(out.data, [[1, 2], [3, 4]])
 
     def test_matmul_basis_selection(self):
-        out = T.op_matmul(T.Tensor([[1.0, 0.0]]), T.Tensor([[5.0], [7.0]]))
+        out = T.op_matmul(T.Tensor([[1.0, 0.0]]), T.Tensor([[5.0], [7.0]]), None)
         np.testing.assert_array_equal(out.data, [[5.0]])
 
     def test_matmul_shape_error(self):
         with pytest.raises(ValueError):
-            T.op_matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 3))))
+            T.op_matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 3))), None)
 
     def test_softmax_symmetry(self):
         out = T.softmax_np(np.array([[0.0, 0.0, 0.0]]), 1.0)
@@ -224,7 +224,8 @@ class TestBackward:
 
     def test_matmul_grad_vs_finite_differences(self):
         rng = np.random.default_rng(0)
-        err = oracles.gradcheck(T.op_matmul, [rand(rng, 4, 5), rand(rng, 5, 3)])
+        err = oracles.gradcheck(lambda a, b: T.op_matmul(a, b, None),
+                                [rand(rng, 4, 5), rand(rng, 5, 3)])
         assert err <= 1e-6
 
     def test_cross_entropy_blocks_target_grad(self):
@@ -342,9 +343,10 @@ class TestTapeKeepsWhatBackwardReads:
 
     @classmethod
     def chain(cls, x, w0, b0, w1, b1):
-        """linear -> gelu -> linear -> local_mix, dropping each step's input."""
-        h = T.op_gelu(T.op_linear(x, w0, b0))
-        return T.op_local_mix(T.op_linear(h, w1, b1), cls.IDS, 3)
+        """matmul -> gelu -> matmul -> local_mix, each matmul with a bias,
+        dropping each step's input."""
+        h = T.op_gelu(T.op_matmul(x, w0, b0))
+        return T.op_local_mix(T.op_matmul(h, w1, b1), cls.IDS, 3)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_chain_frees_what_no_vjp_reads(self, dtype):
@@ -352,11 +354,11 @@ class TestTapeKeepsWhatBackwardReads:
         arrays = [rand(rng, *shape).astype(dtype) for shape in self.SHAPES]
         x, w0, b0, w1, b1 = tensors = [T.param(a) for a in arrays]
         with oracles.refcounting_only():
-            h = T.op_linear(x, w0, b0)
+            h = T.op_matmul(x, w0, b0)
             pre_gelu = weakref.ref(h.data)
             h = T.op_gelu(h)
             gelu_out = weakref.ref(h.data)
-            h = T.op_linear(h, w1, b1)
+            h = T.op_matmul(h, w1, b1)
             pre_mix = weakref.ref(h.data)
             out = T.op_local_mix(h, self.IDS, 3)
             del h
@@ -366,16 +368,16 @@ class TestTapeKeepsWhatBackwardReads:
             assert pre_mix() is None
             pre_mix_node = out._parents[0]
             gelu_node = pre_mix_node._parents[0]
-            assert pre_mix_node._op == "linear" and pre_mix_node.data.size == 0
+            assert pre_mix_node._op == "matmul" and pre_mix_node.data.size == 0
             assert gelu_node._op == "gelu" and gelu_node.data is gelu_out()
             del pre_mix_node, gelu_node
             g = rand(rng, *out.shape).astype(dtype)
             T.backward(T.op_sum(T.op_mul(out, T.Tensor(g))))
         # the same gradients as the chain with every value kept alive
         kept = [T.param(a) for a in arrays]
-        h0 = T.op_linear(kept[0], kept[1], kept[2])
+        h0 = T.op_matmul(kept[0], kept[1], kept[2])
         h1 = T.op_gelu(h0)
-        h2 = T.op_linear(h1, kept[3], kept[4])
+        h2 = T.op_matmul(h1, kept[3], kept[4])
         T.backward(T.op_sum(T.op_mul(T.op_local_mix(h2, self.IDS, 3), T.Tensor(g))))
         for t, want in zip(tensors, kept):
             np.testing.assert_array_equal(t.grad, want.grad)
@@ -390,9 +392,9 @@ class TestTapeKeepsWhatBackwardReads:
         rng = np.random.default_rng(43)
         x, w0, b0, w1, b1 = [T.param(rand(rng, *s).astype(np.float32)) for s in self.SHAPES]
         with oracles.refcounting_only():
-            h = T.op_gelu(T.op_linear(x, w0, b0))
+            h = T.op_gelu(T.op_matmul(x, w0, b0))
             gelu_out = weakref.ref(h.data)
-            loss = T.op_sum(T.op_local_mix(T.op_linear(h, w1, b1), self.IDS, 3))
+            loss = T.op_sum(T.op_local_mix(T.op_matmul(h, w1, b1), self.IDS, 3))
             del h
             assert gelu_out() is not None
             del loss
@@ -438,7 +440,7 @@ class TestXentKeptGradient:
 
 
 class TestGatherLinear:
-    """``op_gather_linear`` against ``op_linear`` of ``op_gather_concat``,
+    """``op_gather_linear`` against ``op_matmul`` of ``op_gather_concat``,
     the composition it replaces, in float64."""
 
     INDICES = [None, [3, 0, 3, 1, 2, 0], [1, 1, 0, 2, 0, 1]]  # unsorted, repeated
@@ -457,7 +459,7 @@ class TestGatherLinear:
             track = [tracked != "weights"] * 3 + [tracked != "inputs"] * 2
             ts = [T.param(a) if t else T.Tensor(a) for a, t in zip(arrays, track)]
             out = (T.op_gather_linear(ts[:3], self.INDICES, *ts[3:]) if fused
-                   else T.op_linear(T.op_gather_concat(ts[:3], self.INDICES), *ts[3:]))
+                   else T.op_matmul(T.op_gather_concat(ts[:3], self.INDICES), *ts[3:]))
             T.backward(T.op_sum(T.op_mul(out, T.Tensor(g))))
             results.append([out.data] + [t.grad for t in ts])
         for got, want in zip(*results):
@@ -483,9 +485,9 @@ class TestGatherLinear:
 
 
 class TestFusedEncoderOps:
-    """``op_linear`` and ``op_local_mix`` against the unfused chains they
-    replace in the encoder: the same float operations in the same order, so
-    the forward and every gradient are equal bit for bit."""
+    """``op_matmul`` with a bias and ``op_local_mix`` against the unfused
+    chains they replace in the encoder: the same float operations in the
+    same order, so the forward and every gradient are equal bit for bit."""
 
     MIX_IDS = np.array([0, 2, 2, 1, 0, 2, 1, 0, 2])  # segment 3, the last, is empty
 
@@ -504,8 +506,8 @@ class TestFusedEncoderOps:
         for fused in (True, False):
             xs = T.param(x) if track_x else T.Tensor(x)
             ws, bs = T.param(w), T.param(b)
-            out = (T.op_linear(xs, ws, bs) if fused
-                   else T.op_add(T.op_matmul(xs, ws), bs))
+            out = (T.op_matmul(xs, ws, bs) if fused
+                   else T.op_add(T.op_matmul(xs, ws, None), bs))
             assert out.data.dtype == dtype
             results.append([out.data] + self.grads_of(out, [xs, ws, bs], g))
         for got, want in zip(*results):
@@ -548,14 +550,14 @@ class TestFusedEncoderOps:
                                         [(4, 5), (5, 3), (1, 3)], [(5,), (5, 3), (3,)]],
                              ids=["inner_dims", "bias_width", "bias_2d", "one_d_input"])
     def test_linear_shape_mismatch(self, shapes):
-        with pytest.raises(ValueError, match="op_linear"):
-            T.op_linear(*[T.Tensor(np.ones(s)) for s in shapes])
+        with pytest.raises(ValueError, match="op_matmul"):
+            T.op_matmul(*[T.Tensor(np.ones(s)) for s in shapes])
 
 
 # ops with two or more operands, each with operand shapes
 MULTI_OPERAND_OPS = [
-    ("matmul", T.op_matmul, [(4, 5), (5, 3)]),
-    ("linear", T.op_linear, [(4, 5), (5, 3), (3,)]),
+    ("matmul", lambda a, b: T.op_matmul(a, b, None), [(4, 5), (5, 3)]),
+    ("linear", T.op_matmul, [(4, 5), (5, 3), (3,)]),  # the product with a bias
     ("linear_softmax_xent", lambda x, w, b: T.op_linear_softmax_xent(
         x, w, b, np.random.default_rng(9).dirichlet(np.ones(3), size=4), 0.5),
      [(4, 5), (5, 3), (3,)]),
@@ -683,7 +685,7 @@ def test_gradcheck_segment_mean():
 def test_gradcheck_linear():
     rng = np.random.default_rng(27)
     for _ in range(5):
-        err = oracles.gradcheck(T.op_linear, [rand(rng, 4, 3), rand(rng, 3, 5), rand(rng, 5)])
+        err = oracles.gradcheck(T.op_matmul, [rand(rng, 4, 3), rand(rng, 3, 5), rand(rng, 5)])
         assert err <= 1e-5
 
 
@@ -762,8 +764,8 @@ FLOAT32_CASES = [
     ("gather_concat", lambda *ts: T.op_gather_concat(ts, [[4, 0, 4, 2], None, [2, 2, 0, 1]]),
      [(5, 2), (4, 3), (3, 1)]),
     ("concat_rows", lambda *ts: T.op_concat_rows(ts), [(2, 3), (4, 3)]),
-    ("matmul", lambda a, b: T.op_matmul(a, b), [(4, 5), (5, 3)]),
-    ("linear", lambda x, w, b: T.op_linear(x, w, b), [(4, 5), (5, 3), (3,)]),
+    ("matmul", lambda a, b: T.op_matmul(a, b, None), [(4, 5), (5, 3)]),
+    ("linear", lambda x, w, b: T.op_matmul(x, w, b), [(4, 5), (5, 3), (3,)]),  # with a bias
     ("gather_linear", lambda a, c, e, w, b: T.op_gather_linear(
         [a, c, e], [[4, 0, 4, 2], None, [2, 2, 0, 1]], w, b),
      [(5, 2), (4, 3), (3, 1), (6, 3), (3,)]),

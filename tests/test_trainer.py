@@ -1,6 +1,6 @@
 import json
 import weakref
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import asdict
 
 import numpy as np
@@ -9,7 +9,7 @@ import pytest
 from concerto import tensor as T
 from concerto.ctsr import load_ctsr, save_ctsr
 from concerto.dataio import PointCloud, SceneSample, SyntheticSpec, generate_synthetic
-from concerto.encoder import EncoderConfig, clone_params, init_params
+from concerto.encoder import MLP_DEPTH, EncoderConfig, clone_params, init_params
 from concerto.objectives import ClusterLossConfig, LossWeights
 from concerto.trainer import (LOG_KEYS, AdamState, TrainConfig, TrainerError, adamw_step,
                               clip_gradients, ema_schedule, load_checkpoint,
@@ -433,10 +433,10 @@ class TestTrainLoop:
 
     def test_tape_keeps_no_value_its_consumers_do_not_read(self, dataset, monkeypatch):
         """At each step's backward, no node whose consumers' VJPs never read
-        their input still holds its value: neither a linear or gather_linear
+        their input still holds its value: neither a matmul or gather_linear
         node read only by gelu, local_mix or l2norm, nor a segment_mean or
         gather_concat node read only by layernorm or segment_mean."""
-        rules = {"linear": {"gelu", "local_mix", "l2norm"},
+        rules = {"matmul": {"gelu", "local_mix", "l2norm"},
                  "gather_linear": {"gelu", "local_mix", "l2norm"},
                  "segment_mean": {"layernorm", "segment_mean"},
                  "gather_concat": {"layernorm", "segment_mean"}}
@@ -459,6 +459,36 @@ class TestTrainLoop:
         monkeypatch.setattr(T, "backward", guarded)
         self.run(dataset, 2)
         assert checked == set(rules)
+
+    def test_tape_records_one_matmul_per_layer_call(self, dataset, monkeypatch):
+        """Each step's tape holds one ``matmul`` node per tracked call of a
+        stage MLP, ``proj.lin1`` or ``cross`` layer, and no ``linear`` node:
+        the benchmark times the encoder's products as the ``matmul`` family."""
+        import concerto.encoder as encoder_mod
+        calls = [[]]  # per step: the layer names of the tracked calls
+        real_linear, real_backward = encoder_mod._linear, T.backward
+
+        def linear(x, params, name):
+            out = real_linear(x, params, name)
+            if out.requires_grad:
+                calls[-1].append(name)
+            return out
+
+        def counted(loss):
+            ops = Counter(t._op for t in tape_nodes(loss))
+            assert "linear" not in ops
+            assert ops["matmul"] == len(calls[-1])
+            calls.append([])
+            real_backward(loss)
+
+        monkeypatch.setattr(encoder_mod, "_linear", linear)
+        monkeypatch.setattr(T, "backward", counted)
+        self.run(dataset, 2)
+        steps = calls[:-1]
+        assert len(steps) == 2
+        layers = {f"stage{s}.lin{i}" for s in range(5) for i in range(MLP_DEPTH)}
+        for names in steps:
+            assert set(names) == layers | {"proj.lin1", "cross"}
 
     def test_resume_refuses_transposed_prototypes(self, dataset, tmp_path):
         # prototypes are stored as (proj_dim, proto_count); a checkpoint
