@@ -27,7 +27,16 @@ features twice, in float64-sized row blocks: once for the float64
 standardization statistics (``_moments``, one pass), once to write the
 standardized ``COMPUTE_DTYPE`` copy the head trains on. Each epoch then
 streams that copy once through the fused op. No whole-size float64 or
-unstandardized copy of the features is made.
+unstandardized copy of the features is made. Every one of these row-block
+passes runs its blocks on ``T.map_blocks``' thread pool, one worker per
+usable CPU, and merges what they return in block order, so the probe's
+outputs have the same bits for any number of workers; the 6-class heads
+take the fused op's class-major pass, whose blocks run there too.
+
+The language probe factors a Fortran-order float64 build of its features
+in place and scores its cosine on the factorization's fitted values, so
+it builds the features once; only its ``lstsq`` fallback builds them
+again.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ from .views import View
 logger = logging.getLogger(__name__)
 
 LORA_ALPHA = 16.0  # adapter scaling is LORA_ALPHA / rank
+_CAST_ROWS = 256  # rows per block of the language probe's cast into Fortran order
 
 
 class ProbeError(ValueError):
@@ -181,31 +191,40 @@ def _row_blocks(n: int, rows: int):
     return [slice(a, a + rows) for a in range(0, n, rows)]
 
 
-def _moments(blocks):
+def _moments(read, blocks):
     """Per-column mean and (floored) standard deviation in float64 of the
-    rows of ``blocks``, whatever their dtype, in one pass, so no float64 copy
-    of the whole input is made. Every block after the first is shifted by
-    the first block's mean, and its mean and centred sum of squares are
-    merged into the running ones (Chan, Golub and LeVeque, 1979). The sum of
-    the first block's rows less its mean, what its rounded mean missed, is
-    carried into every later merge, so an offset far above the spread (mean
-    1e4, sd 1e-2) costs no digits. Over a single block the arithmetic is
-    ``np.mean``'s and ``np.std``'s."""
-    n, shift, mean, squares, missed = 0, 0.0, 0.0, 0.0, 0.0
-    for block in blocks:
-        c = block.astype(np.float64)
-        c -= shift
-        m = c.shape[0]
-        b = c.sum(axis=0) / m
+    rows ``read(blk)`` for every slice ``blk`` of ``blocks``, whatever their
+    dtype, in one pass, so no float64 copy of the whole input is made.
+    Block 0 is read first. Every later block, shifted by block 0's mean,
+    gives its mean and centred sum of squares on ``T.map_blocks``' pool,
+    and these are merged into the running ones in block order (Chan, Golub
+    and LeVeque, 1979), so the result has the same bits for any number of
+    workers. The sum of block 0's rows less its mean, what its rounded mean
+    missed, is carried into every later merge, so an offset far above the
+    spread (mean 1e4, sd 1e-2) costs no digits. Each block is cast and
+    shifted into float64 by one ``np.subtract``. Over a single block the
+    arithmetic is ``np.mean``'s and ``np.std``'s."""
+
+    def centred(blk, shift):
+        c = np.subtract(read(blk), shift, dtype=np.float64)
+        b = c.sum(axis=0) / c.shape[0]
         c -= b
-        if n == 0:
-            shift, missed = b, c.sum(axis=0)
-        else:
-            gap = b - mean - missed / n  # the block's mean less the running one
-            mean = mean + (b - mean) * (m / (n + m))
-            squares = squares + gap * gap * (n * m / (n + m))
+        return c, b
+
+    def reduce(blk):
+        c, b = centred(blk, shift)
         c *= c
-        squares = squares + c.sum(axis=0)
+        return c.shape[0], b, c.sum(axis=0)
+
+    c, shift = centred(blocks[0], 0.0)
+    n, mean, missed = c.shape[0], 0.0, c.sum(axis=0)
+    c *= c
+    squares = c.sum(axis=0)
+    del c
+    for m, b, sq in T.map_blocks(reduce, blocks[1:]):
+        gap = b - mean - missed / n  # the block's mean less the running one
+        mean = mean + (b - mean) * (m / (n + m))
+        squares = squares + gap * gap * (n * m / (n + m)) + sq
         n += m
     return shift + mean, np.maximum(np.sqrt(squares / n), 1e-8)
 
@@ -213,7 +232,7 @@ def _moments(blocks):
 def _standardize_fit(x: np.ndarray):
     """``_moments`` of the rows of ``x``, in float64 row blocks."""
     rows = T.block_rows(x.shape[1], np.float64)
-    return _moments(x[blk] for blk in _row_blocks(x.shape[0], rows))
+    return _moments(x.__getitem__, _row_blocks(x.shape[0], rows))
 
 
 def _standardizer(mu: np.ndarray, sd: np.ndarray, dtype):
@@ -293,7 +312,8 @@ def _labeled_rows(labels: Sequence[np.ndarray], num_classes: int, cfg: ProbeConf
 def _evaluate(head, eval_scenes, mu, sd, num_classes: int) -> SegMetrics:
     """Metrics of the head's argmax over standardized (features, labels)
     pairs; each scene's logits are computed in its features' dtype, in the
-    row blocks of the fused cross-entropy (``T.gemm_block_rows``)."""
+    row blocks of the fused cross-entropy (``T.gemm_block_rows``), on
+    ``T.map_blocks``' pool."""
     pred_all, gt_all = [], []
     for i, (feats, labels) in enumerate(eval_scenes):
         _check_labels(labels, num_classes, f"eval scene {i}")
@@ -301,8 +321,12 @@ def _evaluate(head, eval_scenes, mu, sd, num_classes: int) -> SegMetrics:
         w = head["head.w"].data.astype(feats.dtype)
         b = head["head.b"].data.astype(feats.dtype)
         pred = np.empty(feats.shape[0], dtype=np.int64)
-        for blk in _row_blocks(feats.shape[0], T.gemm_block_rows(*w.shape, feats.dtype)):
+
+        def predict(blk):
             pred[blk] = ((feats[blk] - shift) * scale @ w + b).argmax(axis=1)
+
+        rows = T.gemm_block_rows(*w.shape, feats.dtype)
+        T.map_blocks(predict, _row_blocks(feats.shape[0], rows))
         pred_all.append(pred)
         gt_all.append(labels)
     return compute_metrics(np.concatenate(pred_all), np.concatenate(gt_all), num_classes)
@@ -337,8 +361,9 @@ def linear_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray]],
     number of feature rows than labels, is refused before fitting. The
     callers' arrays are never written.
     """
-    if not train_scenes:
-        raise ProbeError("linear probe needs at least one training scene")
+    for role, scenes in (("training", train_scenes), ("evaluation", eval_scenes)):
+        if not scenes:
+            raise ProbeError(f"linear probe needs at least one {role} scene")
     width = train_scenes[0][0].shape[1]
     for role, scenes in (("training", train_scenes), ("evaluation", eval_scenes)):
         for i, (f, labels) in enumerate(scenes):
@@ -352,12 +377,19 @@ def linear_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray]],
                                  f"{labels.shape[0]} labels")
     keeps, y, missing = _labeled_rows([lab for _f, lab in train_scenes], num_classes, cfg)
     blocks = _row_blocks(y.size, T.block_rows(width, np.float64))
-    mu, sd = _moments(_kept_rows(train_scenes, keeps, blk) for blk in blocks)
+
+    def kept(blk):
+        return _kept_rows(train_scenes, keeps, blk)
+
+    mu, sd = _moments(kept, blocks)
     shift, scale = _standardizer(mu, sd, COMPUTE_DTYPE)
     x = np.empty((y.size, width), COMPUTE_DTYPE)
-    for blk in blocks:
-        np.subtract(_kept_rows(train_scenes, keeps, blk), shift, out=x[blk])
+
+    def standardize(blk):
+        np.subtract(kept(blk), shift, out=x[blk])
         x[blk] *= scale
+
+    T.map_blocks(standardize, blocks)
     head = _zero_head(width, num_classes)
     feats, weights = T.Tensor(x), _head_targets(y, num_classes)
     _fit(head, lambda h: _head_loss(h, feats, weights), cfg, dict.fromkeys(head, cfg.lr))
@@ -380,6 +412,8 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
     cloud's points, and ``PointCloud`` refuses labels of another length.
     """
     for role, samples in (("training", train_samples), ("evaluation", eval_samples)):
+        if not samples:
+            raise ProbeError(f"lora probe needs at least one {role} scene")
         for s in samples:
             if s.cloud.labels is None:
                 raise ProbeError(f"{role} scene {s.scene_id} has no labels")
@@ -428,12 +462,12 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
 # language probing and zero-shot
 # ---------------------------------------------------------------------------
 
-def _language_rows(train_scenes, order: str):
-    """Every scene's valid rows, features and targets each concatenated in
-    float64, the features in memory ``order`` ("C" or "F"). Targets or a
-    mask of another length than the features, a non-finite value, or a
-    width other than scene 0's is refused with a ``ProbeError`` naming the
-    scene, before anything is solved."""
+def _language_rows(train_scenes):
+    """Every scene's valid rows: the features as one array per scene, the
+    targets concatenated in float64. Targets or a mask of another length
+    than the features, a non-finite value, or a width other than scene 0's
+    is refused with a ``ProbeError`` naming the scene, before anything is
+    solved."""
     feats, targets = [], []
     for i, (f, tg, m) in enumerate(train_scenes):
         for kind, a in (("targets", tg), ("mask", m)):
@@ -447,20 +481,37 @@ def _language_rows(train_scenes, order: str):
                 raise ProbeError(f"language probe scene {i}: {kind} are {rows.shape[1]} wide, "
                                  f"scene 0's are {kept[0].shape[1]}")
             kept.append(rows)
-    x = np.empty((sum(len(f) for f in feats), feats[0].shape[1]), np.float64, order=order)
-    return (np.concatenate(feats, axis=0, out=x),
-            np.concatenate(targets, axis=0, dtype=np.float64))
+    return feats, np.concatenate(targets, axis=0, dtype=np.float64)
 
 
-def _qr_least_squares(x: np.ndarray, t: np.ndarray) -> Optional[np.ndarray]:
-    """``np.linalg.lstsq(x, t, rcond=None)``'s map, from a blocked Householder
-    QR (LAPACK ``dgeqrt``) computed in the buffer of ``x``, a Fortran-order
-    float64 array that it overwrites, so that no second copy of the
-    features is made. ``lstsq``'s SVD solver (``gelsd``) spends most of its
-    time in its first step, a ``dgeqrf`` QR; ``dgeqrt``, whose recursive
-    panel follows Elmroth and Gustavson (IBM J. Res. Dev. 2000), does the
-    same factorization 3-4x faster on the probe's 6,300 x 992 input. None,
-    for ``lstsq`` to answer, when ``x`` is wide or empty, when the
+def _fortran_rows(parts) -> np.ndarray:
+    """The rows of the arrays ``parts`` stacked into one Fortran-order
+    float64 array, written ``_CAST_ROWS`` rows at a time. One whole-array
+    cast of C-order rows into Fortran order strides across all of its
+    columns at once; on 6,300 x 992 float32 rows, ``pretrain``'s size, it
+    took 63 ms, the blocked one 31 ms (2 vCPUs)."""
+    x = np.empty((sum(len(p) for p in parts), parts[0].shape[1]), np.float64, order="F")
+    a = 0
+    for p in parts:
+        for lo in range(0, len(p), _CAST_ROWS):
+            block = p[lo:lo + _CAST_ROWS]
+            x[a:a + len(block)] = block
+            a += len(block)
+    return x
+
+
+def _qr_least_squares(x: np.ndarray, t: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``np.linalg.lstsq(x, t, rcond=None)``'s map and its fitted values
+    ``x @ map``, from a blocked Householder QR (LAPACK ``dgeqrt``) computed
+    in the buffer of ``x``, a Fortran-order float64 array that it
+    overwrites, so that no second copy of the features is made. ``lstsq``'s
+    SVD solver (``gelsd``) spends most of its time in its first step, a
+    ``dgeqrf`` QR; ``dgeqrt``, whose recursive panel follows Elmroth and
+    Gustavson (IBM J. Res. Dev. 2000), does the same factorization 3-4x
+    faster on the probe's 6,300 x 992 input. With x = QR, the map solves R
+    map = [Q^T t][:n], and the fitted values are Q applied to [Q^T t][:n]
+    padded with zeros (``dgemqrt``), which reads no feature. None, for
+    ``lstsq`` to answer, when ``x`` is wide or empty, when the
     factorization fails, or when ``dtrcon``'s estimate of R's reciprocal
     condition is at or below ``lstsq``'s own cutoff, ``eps * max(m, n)``:
     near rank deficiency only the minimum-norm solution is ``lstsq``'s."""
@@ -474,7 +525,9 @@ def _qr_least_squares(x: np.ndarray, t: np.ndarray) -> Optional[np.ndarray]:
     if info != 0 or not lapack.dtrcon(r)[0] > np.finfo(np.float64).eps * m:
         return None
     qt = lapack.dgemqrt(qr, tau, t, side="L", trans="T")[0]
-    return lapack.dtrtrs(r, qt[:n])[0]
+    w = lapack.dtrtrs(r, qt[:n])[0]
+    qt[n:] = 0.0
+    return w, lapack.dgemqrt(qr, tau, qt, side="L", trans="N", overwrite_c=1)[0]
 
 
 def language_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]], _cfg):
@@ -483,20 +536,22 @@ def language_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarr
 
     ``train_scenes`` rows are (features, targets, valid_mask); invalid points
     (no visible patch) are excluded. Returns (map W, mean train cosine of W).
-    A scene with a non-finite valid row, or whose features or targets are
-    not as wide as scene 0's, is refused with a ``ProbeError`` naming it.
-    ``_cfg`` is not read; it stays because the benchmark still passes a
-    ``ProbeConfig`` in its place.
+    An empty scene list is refused with a ``ProbeError``, and so is a scene
+    with a non-finite valid row, or whose features or targets are not as
+    wide as scene 0's, naming it. ``_cfg`` is not read; it stays because
+    the benchmark still passes a ``ProbeConfig`` in its place.
 
     The map comes from a blocked QR of the features when they have full
     column rank (``_qr_least_squares``; every benchmark input: R's
     estimated reciprocal condition is 4e-10 to 1e-8, over 200 times the
     cutoff), ``np.linalg.lstsq`` otherwise. The two maps agree to about
-    1e-9 relative on the benchmark's inputs. The QR overwrites a
-    Fortran-order build of the features, and ``lstsq`` and the cosine read
-    a second, C-order build made after it, so the features are held once at
-    a time. The first call imports ``scipy.linalg`` (about 0.07 s), so that
-    importing this module does not. Nothing is recorded on the tape.
+    1e-9 relative on the benchmark's inputs. The QR factors a
+    Fortran-order float64 build of the features in place
+    (``_fortran_rows``), and the cosine is scored on the QR's fitted
+    values, so the features are built once; only the ``lstsq`` fallback
+    builds them again, in C order, and scores ``x @ W``. The first call
+    imports ``scipy.linalg`` (about 0.07 s), so that importing this module
+    does not. Nothing is recorded on the tape.
 
     Unlike the other probes it fits in float64, on inputs upcast to
     float64. Its map is the minimum-norm least-squares solution, and
@@ -505,18 +560,20 @@ def language_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarr
     that large amplifies float32 rounding: applied to the same features
     rounded to float32, that map's cosine fell from 0.964 to 0.31.
     """
-    x, t = _language_rows(train_scenes, "F")
-    if x.shape[0] == 0:
+    if not train_scenes:
+        raise ProbeError("language probe needs at least one training scene")
+    feats, t = _language_rows(train_scenes)
+    if t.shape[0] == 0:
         raise ProbeError("no visible points to fit the language probe")
     if np.abs(t).max() == 0:
         raise ProbeError("degenerate language targets: all zero vectors")
-    w = _qr_least_squares(x, t)
-    del x  # the QR overwrote it
-    x = _language_rows(train_scenes, "C")[0]
-    if w is None:
+    solved = _qr_least_squares(_fortran_rows(feats), t)
+    if solved is None:
+        x = np.concatenate(feats, axis=0, dtype=np.float64)
         w = np.linalg.lstsq(x, t, rcond=None)[0]
-    cos = T.op_mean(T.op_cosine(T.op_matmul(T.Tensor(x), T.Tensor(w), None), T.Tensor(t)))
-    return w, cos.item()
+        solved = w, x @ w
+    w, fitted = solved
+    return w, T.op_mean(T.op_cosine(T.Tensor(fitted), T.Tensor(t))).item()
 
 
 def zero_shot_segment(point_text_feats: np.ndarray, space: TextSpace,

@@ -24,6 +24,15 @@ until backward, the narrower of its own gradient and the logits gradient.
 A block holds at most 2^21 bytes of its widest array; a narrow head's
 block holds 2^19 bytes of input, which keeps its GEMMs on OpenBLAS's
 small-matrix kernel.
+That kernel runs on one thread, so a head whose blocks stay within it
+(rows * d * k <= 10^6; every 6-class probe head) takes a class-major pass,
+whose (k, rows) block logits reduce over classes along axis 0, with its
+blocks on ``map_blocks``' thread pool, one worker per usable CPU; the
+blocks' results are summed in block order, so the bits do not depend on
+the worker count. An epoch of the 32,768 x 992 -> 6 probe head took 33-43
+ms there against 44-50 ms row-major (2 vCPUs). The workers call only
+numpy and BLAS, never an ``op_*``. Wider heads (the prototype heads) keep
+the row-major pass, whose GEMMs OpenBLAS runs on all its threads.
 The one product op, ``op_matmul``, takes a bias that may be None and adds
 it into the product's buffer. It and ``op_local_mix`` (segment mean,
 gather, add and halving) write into one output buffer what the unfused
@@ -54,7 +63,9 @@ use, so importing this module does not.
 from __future__ import annotations
 
 import itertools
+import os
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 import numpy as np
@@ -77,6 +88,8 @@ _BLOCK_BYTES = 1 << 21  # the widest array of one block of a blocked row pass
 _GEMM_BYTES = 1 << 19  # the input of one block of a narrow head's blocked pass
 _SMALL_GEMM = 10 ** 6  # OpenBLAS takes its small-matrix sgemm kernel at M * N * K <= this
 _EPS = 1e-8  # floor of the normalizing ops' variances and norms
+_BLOCKS_PER_TASK = 8  # row blocks per task of ``map_blocks``' pool
+_pool: Optional[ThreadPoolExecutor] = None  # ``map_blocks``' workers, made on first use
 
 
 class Tensor:
@@ -515,6 +528,106 @@ def gemm_block_rows(d: int, k: int, dtype) -> int:
     return small if small < rows and small * d * k <= _SMALL_GEMM else rows
 
 
+def map_blocks(fn, blocks: Sequence) -> list:
+    """``[fn(b) for b in blocks]``, computed on one thread pool with a worker
+    per usable CPU (``os.sched_getaffinity``), created on first use. Tasks
+    of ``_BLOCKS_PER_TASK`` consecutive blocks go to whichever worker is
+    free, and the results come back in block order. ``fn`` must call only
+    numpy and BLAS, which release the interpreter lock in their loops, and
+    must write only its own block's outputs; it must not call ``op_*`` or
+    the other functions a tracer may wrap, whose span stack belongs to the
+    calling thread. Its callers run on one thread, as the tape does, so the
+    pool is made without a lock."""
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(len(os.sched_getaffinity(0)),
+                                   thread_name_prefix="concerto-blocks")
+    tasks = [blocks[a:a + _BLOCKS_PER_TASK] for a in range(0, len(blocks), _BLOCKS_PER_TASK)]
+    return [r for task in _pool.map(lambda bs: [fn(b) for b in bs], tasks) for r in task]
+
+
+def _xent_rows(xd, wd, bd, wts, temperature, rows, kept, keep_g, dw, db):
+    """``op_linear_softmax_xent``'s row-major pass: writes the kept gradient
+    into ``kept`` and adds the head's gradient into ``dw`` and ``db`` (each
+    None when not wanted); returns the loss."""
+    n, k = xd.shape[0], wd.shape[1]
+    logits = np.empty((min(rows, n), k), xd.dtype)  # one block's, reused
+    row_weight = wts.sum(axis=1, keepdims=True)
+    val = 0.0
+    for a in range(0, n, rows):
+        xb, wb, rw = xd[a:a + rows], wts[a:a + rows], row_weight[a:a + rows]
+        z = np.matmul(xb, wd, out=logits[:xb.shape[0]])
+        if bd is not None:
+            z += bd
+        z /= temperature
+        z -= z.max(axis=1, keepdims=True)
+        val -= float((wb * z).sum())
+        e = np.exp(z, out=z)
+        s = e.sum(axis=1, keepdims=True)
+        val += float((rw * np.log(s)).sum())
+        gb = np.multiply(e, rw / s, out=kept[a:a + rows] if keep_g else e)
+        gb -= wb
+        gb /= temperature
+        if kept is not None and not keep_g:
+            np.matmul(gb, wd.T, out=kept[a:a + rows])
+        if dw is not None:
+            dw += xb.T @ gb
+        if db is not None:
+            db += gb.sum(axis=0)
+    return val
+
+
+def _xent_classes(xd, wd, bd, wts, temperature, rows, kept, keep_g, dw, db):
+    """``op_linear_softmax_xent``'s class-major pass, its blocks on
+    ``map_blocks``' pool: as ``_xent_rows``, except that a kept G is
+    written into ``kept`` as a (k, n) array."""
+    n, d, k = xd.shape[0], xd.shape[1], wd.shape[1]
+    wt = np.ascontiguousarray(wd.T)  # a transposed view halves the forward GEMM's speed
+    wts_t = np.ascontiguousarray(wts.T)
+    row_weight = wts_t.sum(axis=0)
+    bcol = None if bd is None else bd[:, None]
+    scaled = temperature != 1.0  # a division by 1 changes no bit but costs two passes a block
+    count = -(-n // rows)
+    terms = np.empty((count, 2))
+    dws = None if dw is None else np.empty((count, d, k), xd.dtype)
+    dbs = None if db is None else np.empty((count, k), xd.dtype)
+
+    def block(i):
+        blk = slice(i * rows, (i + 1) * rows)
+        xb, wb, rw = xd[blk], wts_t[:, blk], row_weight[blk]
+        z = wt @ xb.T
+        if bcol is not None:
+            z += bcol
+        if scaled:
+            z /= temperature
+        z -= z.max(axis=0)
+        terms[i, 0] = (wb * z).sum()
+        e = np.exp(z, out=z)
+        s = e.sum(axis=0)
+        terms[i, 1] = (rw * np.log(s)).sum()
+        e *= rw / s
+        e -= wb
+        if scaled:
+            e /= temperature
+        if keep_g:
+            kept[:, blk] = e
+        elif kept is not None:
+            np.matmul(e.T, wt, out=kept[blk])
+        if dws is not None:
+            np.matmul(xb.T, e.T, out=dws[i])
+        if dbs is not None:
+            dbs[i] = e.sum(axis=1)
+
+    map_blocks(block, range(count))
+    # the slots are summed in one fixed order, whatever thread filled each
+    if dw is not None:
+        dw += dws.sum(axis=0)
+    if db is not None:
+        db += dbs.sum(axis=0)
+    lin, lse = terms.sum(axis=0)
+    return float(lse - lin)
+
+
 def op_linear_softmax_xent(x: Tensor, w: Tensor, b: Optional[Tensor], weights: np.ndarray,
                            temperature: float) -> Tensor:
     """-sum(W * log_softmax((x @ w + b) / temperature)) for a constant (n, k)
@@ -522,21 +635,36 @@ def op_linear_softmax_xent(x: Tensor, w: Tensor, b: Optional[Tensor], weights: n
     (n, k) logits never exist whole (Wijmans et al., arXiv 2411.09009).
     ``b`` may be None.
 
-    One pass walks the rows of x in blocks of ``gemm_block_rows(d, k)``
-    rows. At the linear probe's shape (32,768 x 992 -> 6 classes, float32)
-    an epoch took 41-45 ms at 132-168 rows, where each GEMM is within
-    OpenBLAS's small-matrix kernel (M * N * K <= 10^6), and 51-57 ms from
-    180 rows (1.07M) up to 528 (medians of 9 interleaved runs, 2 vCPUs).
+    The op walks the rows of x in blocks of ``gemm_block_rows(d, k)`` rows.
     Each block's logits, divided by temperature and shifted to a row max of
     0 (z), give its loss terms sum(rowsum(W) * log(s)) - sum(W * z), with s
     the row sums of exp(z), and its logits gradient G = (rowsum(W) *
     exp(z) / s - W) / temperature, from which the same pass accumulates
     dw += x_b.T @ G and db += sum(G). The block terms are summed in float64
-    and the loss takes the operands' dtype. A tracked x keeps whichever of
-    its gradients is narrower until backward: for d < k (a prototype head)
-    the same pass writes G @ w.T, the (n, d) input gradient, otherwise the
-    (n, k) G is kept and G @ w.T is taken in the VJP. Either way the VJP is
-    g * (G @ w.T, dw, db); an untracked x keeps neither.
+    and the loss takes the operands' dtype.
+
+    Two passes do this. A narrow head, whose blocks keep rows * d * k <=
+    ``_SMALL_GEMM`` (every 6-class probe head), takes ``_xent_classes``:
+    OpenBLAS runs such GEMMs on one thread, so the blocks are spread over
+    ``map_blocks``' pool, one worker per usable CPU, and the logits are
+    class-major, (k, rows), which makes the max and sum over classes
+    vectorized reductions along axis 0 where a row-major block reduced
+    rows of k elements. Each block's loss terms, dw and db are kept and
+    summed in block order after the map, so the results have the same bits
+    for any number of workers. At the linear probe's shape (32,768 x 992
+    -> 6 classes, float32, 132-row blocks; medians of 30 interleaved epochs
+    in each of three runs on 2 vCPUs) an epoch took 44-50 ms row-major,
+    42-49 ms class-major on one worker and 33-43 ms on two, 13-24% below
+    row-major in each run. A wider head (a prototype head: rows x d x k =
+    512 x 256 x 1024 or 8,192 x 32 x 64) takes ``_xent_rows``, whose GEMMs
+    OpenBLAS already runs on all its threads.
+
+    A tracked x keeps whichever of its gradients is narrower until
+    backward: for d < k (a prototype head) the same pass writes G @ w.T,
+    the (n, d) input gradient, otherwise the (n, k) G is kept (class-major
+    on the narrow pass) and G @ w.T is taken in the VJP. Either way the VJP
+    is g * (G @ w.T, dw, db); an untracked x keeps neither, and the head's
+    gradient has the same bits either way.
     """
     if temperature <= 0:
         raise ValueError(f"softmax temperature must be positive, got {temperature}")
@@ -554,33 +682,20 @@ def op_linear_softmax_xent(x: Tensor, w: Tensor, b: Optional[Tensor], weights: n
     track_b = b is not None and b.requires_grad
     keep_gx = track_x and d < k
     keep_g = track_x and not keep_gx
-    kept = np.empty((n, d if keep_gx else k), dtype) if track_x else None
+    rows = gemm_block_rows(d, k, dtype)
+    narrow = rows * d * k <= _SMALL_GEMM
+    kept = None
+    if keep_gx:
+        kept = np.empty((n, d), dtype)
+    elif keep_g:
+        kept = np.empty((k, n) if narrow else (n, k), dtype)
     dw = np.zeros((d, k), dtype) if track_w else None
     db = np.zeros(k, dtype) if track_b else None
-    rows = gemm_block_rows(d, k, dtype)
-    logits = np.empty((min(rows, n), k), dtype)  # one block's, reused
-    row_weight = wts.sum(axis=1, keepdims=True)
-    val = 0.0
-    for a in range(0, n, rows):
-        xb, wb, rw = x.data[a:a + rows], wts[a:a + rows], row_weight[a:a + rows]
-        z = np.matmul(xb, w.data, out=logits[:xb.shape[0]])
-        if b is not None:
-            z += b.data
-        z /= temperature
-        z -= z.max(axis=1, keepdims=True)
-        val -= float((wb * z).sum())
-        e = np.exp(z, out=z)
-        s = e.sum(axis=1, keepdims=True)
-        val += float((rw * np.log(s)).sum())
-        gb = np.multiply(e, rw / s, out=kept[a:a + rows] if keep_g else e)
-        gb -= wb
-        gb /= temperature
-        if keep_gx:
-            np.matmul(gb, w.data.T, out=kept[a:a + rows])
-        if track_w:
-            dw += xb.T @ gb
-        if track_b:
-            db += gb.sum(axis=0)
+    xent_pass = _xent_classes if narrow else _xent_rows
+    val = xent_pass(x.data, w.data, None if b is None else b.data, wts, temperature, rows,
+                    kept, keep_g, dw, db)
+    if keep_g and narrow:
+        kept = kept.T  # (n, k), Fortran order: the VJP's GEMM reads it transposed
     wd = w.data if keep_g else None
     has_b = b is not None
 

@@ -25,9 +25,13 @@ def workloads():
 
 @pytest.mark.parametrize("workload,traced", [("pretrain", False), ("pretrain_points", False),
                                              ("eval", False), ("pretrain_points", True),
-                                             ("pretrain", True)])
+                                             ("pretrain", True), ("eval", True)])
 def test_small_run_passes_every_check(workloads, tmp_path, workload, traced):
+    # the traced eval run fits the probes on the row-block thread pool while
+    # the tracer's wrappers are installed
     metrics, checks, _info = workloads.run(workload, SEED, 1.0, traced, "small", 0.0, tmp_path)
     assert checks.total_attempted > 0 and checks.total_failed == 0, checks.failed
-    if traced:
+    if traced and workload == "eval":
+        assert metrics["probes.linear_probe_s"].value > 0
+    elif traced:
         assert 0 < metrics["objectives.patch_hit_ratio"].value <= 1

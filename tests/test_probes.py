@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -280,6 +281,15 @@ class TestLinearProbe:
         with pytest.raises(ProbeError, match="at least one training scene"):
             linear_probe([], probe_scenes(1, False), 3, ProbeConfig(epochs=1))
 
+    def test_no_evaluation_scene_rejected_before_fitting(self, monkeypatch):
+        # an empty evaluation list once failed after the fit, in numpy's
+        # concatenation of no predictions
+        fits = []
+        monkeypatch.setattr(probes, "_fit", lambda *a: fits.append(a))
+        with pytest.raises(ProbeError, match="linear probe needs at least one evaluation scene"):
+            linear_probe(probe_scenes(1, False), [], 3, ProbeConfig(epochs=1))
+        assert not fits
+
     @pytest.mark.parametrize("role", ["training", "evaluation"])
     def test_scene_of_another_width_rejected_before_fitting(self, role, monkeypatch):
         scenes = probe_scenes(4, False)
@@ -365,7 +375,7 @@ class TestBlockedHelpers:
         d = 9
         rows = T.block_rows(d, np.float64)
         x = (1e4 + rng.normal(size=(3 * rows + 17, d)) * 1e-2).astype(dtype)
-        mu, sd = _moments(x[a:a + rows] for a in range(0, x.shape[0], rows))
+        mu, sd = _moments(x.__getitem__, probes._row_blocks(x.shape[0], rows))
         x64 = x.astype(np.float64)
         want_mu = x64.mean(axis=0)
         want_sd = np.sqrt(((x64 - want_mu) ** 2).mean(axis=0))
@@ -417,6 +427,13 @@ class TestLoraProbe:
                            views=s.views, scene_id="bare_scene")
         train, evals = ([bare], dataset[1:2]) if role == "training" else (dataset[1:2], [bare])
         with pytest.raises(ProbeError, match=f"{role} scene bare_scene has no labels"):
+            lora_probe(train, evals, init_params(tiny_enc(), seed=3), tiny_enc(), 4,
+                       ProbeConfig(epochs=1))
+
+    @pytest.mark.parametrize("role", ["training", "evaluation"])
+    def test_empty_scene_list_rejected(self, dataset, role):
+        train, evals = ([], dataset[:1]) if role == "training" else (dataset[:1], [])
+        with pytest.raises(ProbeError, match=f"lora probe needs at least one {role} scene"):
             lora_probe(train, evals, init_params(tiny_enc(), seed=3), tiny_enc(), 4,
                        ProbeConfig(epochs=1))
 
@@ -506,6 +523,41 @@ def test_linear_and_lora_probes_compute_in_float32(dataset, monkeypatch):
     assert {a.dtype for a in state} == {np.dtype(np.float64)}
 
 
+def test_row_block_workers_call_no_traced_name(dataset, monkeypatch):
+    """The probes' row blocks, the fused cross-entropy's narrow pass among
+    them, run on ``T.map_blocks``' pool, while every ``T.op_*``,
+    ``segment_sum_np`` and ``scatter_add_rows`` call comes from the main
+    thread: a tracer wraps those names and keeps one span stack."""
+    enc_cfg = tiny_enc()
+    d = enc_cfg.upcast_dim(enc_cfg.num_pool_steps)
+    assert T.gemm_block_rows(d, 4, np.float32) * d * 4 <= T._SMALL_GEMM  # the narrow pass
+    params = init_params(enc_cfg, seed=5)
+    feats = [(extract_features(s, params, enc_cfg, enc_cfg.num_pool_steps), s.cloud.labels)
+             for s in dataset]
+    callers, workers = [], set()
+
+    def on_main(name, fn):
+        def wrapper(*args, **kwargs):
+            callers.append((name, threading.current_thread() is threading.main_thread()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in [n for n in vars(T) if n.startswith("op_")] + ["segment_sum_np",
+                                                               "scatter_add_rows"]:
+        monkeypatch.setattr(T, name, on_main(name, getattr(T, name)))
+    real_map = T.map_blocks
+
+    def spy_map(fn, blocks):
+        return real_map(lambda blk: workers.add(threading.current_thread()) or fn(blk), blocks)
+
+    monkeypatch.setattr(T, "map_blocks", spy_map)
+    linear_probe(feats[:2], feats[2:], 4, ProbeConfig(epochs=2))
+    lora_probe(dataset[:2], dataset[2:], params, enc_cfg, 4, ProbeConfig(epochs=2, lora_rank=2))
+    assert workers and threading.main_thread() not in workers
+    assert ("op_linear_softmax_xent", True) in callers
+    assert all(on_main for _name, on_main in callers), [c for c in callers if not c[1]]
+
+
 def _mean_cosine(x, w, t):
     """Mean row cosine of ``x @ w`` against ``t``, recomputed in numpy."""
     y = x @ w
@@ -581,6 +633,10 @@ class TestLanguageProbe:
             scenes.append((f, f @ w_true, np.ones(f.shape[0], dtype=bool)))
         w, cos = language_probe(scenes, ProbeConfig())
         assert cos >= 0.999
+
+    def test_empty_scene_list_rejected(self):
+        with pytest.raises(ProbeError, match="language probe needs at least one training scene"):
+            language_probe([], ProbeConfig())
 
     def test_zero_targets_rejected(self):
         x = np.random.default_rng(9).normal(size=(50, 8))
@@ -704,12 +760,15 @@ class TestLeastSquares:
         assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_qr_factors_in_its_input_buffer(self):
-        # no second copy of the features: the Fortran-order input is overwritten
+        # no second copy of the features: the Fortran-order input is
+        # overwritten, and the fitted values come from the factors
         x, t = _noisy_linear(seed=4)
         xf = np.asfortranarray(x)
-        w = probes._qr_least_squares(xf, t)
-        assert w is not None and not np.array_equal(xf, x)
+        solved = probes._qr_least_squares(xf, t)
+        assert solved is not None and not np.array_equal(xf, x)
+        w, fitted = solved
         np.testing.assert_array_equal(w, self.solve(x, t))
+        assert np.abs(fitted - x @ w).max() <= 1e-12 * np.abs(x @ w).max()
 
     @pytest.mark.parametrize("case", ["wide", "duplicated_column"])
     def test_falls_back_to_lstsq_bit_for_bit(self, case, monkeypatch):

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -274,14 +275,9 @@ class TestLinearSoftmaxXentBlocks:
         return (rng.normal(size=(n, d)), rng.normal(size=(d, k)) * 0.5,
                 rng.normal(size=k) if bias else None, targets)
 
-    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
-    @pytest.mark.parametrize("d,k", [(40, 7), (8, 64)], ids=["probe", "prototype"])
-    @pytest.mark.parametrize("blocks", ["one_row", "below_one", "two", "two_plus_one"])
-    def test_matches_unfused_composition(self, blocks, d, k, bias):
-        rows = T.gemm_block_rows(d, k, np.float64)
-        n = {"one_row": 1, "below_one": rows - 1, "two": 2 * rows,
-             "two_plus_one": 2 * rows + 1}[blocks]
-        x, w, b, targets = self.case(n, d, k, bias)
+    @classmethod
+    def check_against_oracle(cls, n, d, k, bias):
+        x, w, b, targets = cls.case(n, d, k, bias)
         ref = oracles.linear_softmax_xent_reference(x, w, b, targets, 0.1)
         tensors = [T.param(a) for a in (x, w, b) if a is not None]
         loss = T.op_linear_softmax_xent(*tensors[:2], tensors[2] if bias else None,
@@ -290,6 +286,51 @@ class TestLinearSoftmaxXentBlocks:
         assert abs(loss.item() - ref[0]) <= 1e-12 * abs(ref[0])
         for t, want in zip(tensors, ref[1:]):
             assert np.abs(t.grad - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+    @pytest.mark.parametrize("d,k", [(40, 7), (8, 64)], ids=["probe", "prototype"])
+    @pytest.mark.parametrize("blocks", ["one_row", "below_one", "two", "two_plus_one"])
+    def test_matches_unfused_composition(self, blocks, d, k, bias):
+        rows = T.gemm_block_rows(d, k, np.float64)
+        n = {"one_row": 1, "below_one": rows - 1, "two": 2 * rows,
+             "two_plus_one": 2 * rows + 1}[blocks]
+        self.check_against_oracle(n, d, k, bias)
+
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+    def test_narrow_pass_over_several_tasks_matches_unfused_composition(self, bias):
+        # 2 * _BLOCKS_PER_TASK + 1 whole narrow blocks and a remainder block:
+        # three tasks of the pool, the last one short
+        d, k = 40, 7
+        rows = T.gemm_block_rows(d, k, np.float64)
+        assert rows * d * k <= T._SMALL_GEMM
+        self.check_against_oracle((2 * T._BLOCKS_PER_TASK + 1) * rows + rows // 3, d, k, bias)
+
+    @pytest.mark.parametrize("track_x", [False, True], ids=["constant_x", "tracked_x"])
+    def test_narrow_pass_has_the_same_bits_on_any_pool(self, track_x, monkeypatch):
+        # one worker, two, and more workers than CPUs with the interpreter
+        # switching threads every microsecond: a block lost, written twice
+        # or summed out of order would change some bit
+        d, k = 40, 7
+        n = (2 * T._BLOCKS_PER_TASK + 1) * T.gemm_block_rows(d, k, np.float32) + 5
+        x, w, b, targets = self.case(n, d, k, True)
+        x, w, b = (a.astype(np.float32) for a in (x, w, b))
+        runs = []
+        switch = sys.getswitchinterval()
+        for workers in (1, 2, len(os.sched_getaffinity(0)) + 2):
+            with ThreadPoolExecutor(workers) as pool:
+                monkeypatch.setattr(T, "_pool", pool)
+                sys.setswitchinterval(1e-6)
+                try:
+                    xs = T.param(x) if track_x else T.Tensor(x)
+                    ws, bs = T.param(w), T.param(b)
+                    loss = T.op_linear_softmax_xent(xs, ws, bs, targets, 1.0)
+                finally:
+                    sys.setswitchinterval(switch)
+                T.backward(loss)
+            runs.append([loss.data, ws.grad, bs.grad] + ([xs.grad] if track_x else []))
+        for run in runs[1:]:
+            for first, later in zip(runs[0], run):
+                np.testing.assert_array_equal(first, later)
 
     @pytest.mark.parametrize("d,k", [(40, 7), (8, 64)], ids=["probe", "prototype"])
     def test_untracked_input_gives_the_same_head_gradient(self, d, k):
