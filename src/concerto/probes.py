@@ -33,10 +33,12 @@ usable CPU, and merges what they return in block order, so the probe's
 outputs have the same bits for any number of workers; the 6-class heads
 take the fused op's class-major pass, whose blocks run there too.
 
-The language probe factors a Fortran-order float64 build of its features
-in place and scores its cosine on the factorization's fitted values, so
-it builds the features once; only its ``lstsq`` fallback builds them
-again.
+The language probe builds its features once, in one blocked pass on the
+same pool: each scene's valid rows are gathered ``_CAST_ROWS`` at a time
+straight into a Fortran-order float64 array and checked for finiteness
+there, so no masked copy of the features is made. It factors that array in
+place and scores its cosine on the factorization's fitted values; only its
+``lstsq`` fallback builds the features again.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .views import View
 logger = logging.getLogger(__name__)
 
 LORA_ALPHA = 16.0  # adapter scaling is LORA_ALPHA / rank
-_CAST_ROWS = 256  # rows per block of the language probe's cast into Fortran order
+_CAST_ROWS = 256  # valid rows per block of the language probe's gather into Fortran order
 
 
 class ProbeError(ValueError):
@@ -186,11 +188,6 @@ def lift_patch_features_to_points(sample: SceneSample):
 # shared head training
 # ---------------------------------------------------------------------------
 
-def _row_blocks(n: int, rows: int):
-    """Slices that cover ``n`` rows in blocks of ``rows``."""
-    return [slice(a, a + rows) for a in range(0, n, rows)]
-
-
 def _moments(read, blocks):
     """Per-column mean and (floored) standard deviation in float64 of the
     rows ``read(blk)`` for every slice ``blk`` of ``blocks``, whatever their
@@ -232,7 +229,7 @@ def _moments(read, blocks):
 def _standardize_fit(x: np.ndarray):
     """``_moments`` of the rows of ``x``, in float64 row blocks."""
     rows = T.block_rows(x.shape[1], np.float64)
-    return _moments(x.__getitem__, _row_blocks(x.shape[0], rows))
+    return _moments(x.__getitem__, T.row_blocks(x.shape[0], rows))
 
 
 def _standardizer(mu: np.ndarray, sd: np.ndarray, dtype):
@@ -326,7 +323,7 @@ def _evaluate(head, eval_scenes, mu, sd, num_classes: int) -> SegMetrics:
             pred[blk] = ((feats[blk] - shift) * scale @ w + b).argmax(axis=1)
 
         rows = T.gemm_block_rows(*w.shape, feats.dtype)
-        T.map_blocks(predict, _row_blocks(feats.shape[0], rows))
+        T.map_blocks(predict, T.row_blocks(feats.shape[0], rows))
         pred_all.append(pred)
         gt_all.append(labels)
     return compute_metrics(np.concatenate(pred_all), np.concatenate(gt_all), num_classes)
@@ -376,7 +373,7 @@ def linear_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray]],
                 raise ProbeError(f"{role} scene {i}: {f.shape[0]} feature rows for "
                                  f"{labels.shape[0]} labels")
     keeps, y, missing = _labeled_rows([lab for _f, lab in train_scenes], num_classes, cfg)
-    blocks = _row_blocks(y.size, T.block_rows(width, np.float64))
+    blocks = T.row_blocks(y.size, T.block_rows(width, np.float64))
 
     def kept(blk):
         return _kept_rows(train_scenes, keeps, blk)
@@ -462,42 +459,75 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
 # language probing and zero-shot
 # ---------------------------------------------------------------------------
 
+def _refuse_scene(train_scenes, i: int, fault: str, own_features: bool):
+    """Raises the language probe's ``ProbeError`` for ``fault`` of scene
+    ``i``, unless an earlier scene's valid features, or scene i's own when
+    ``own_features``, are non-finite: the first of those is refused
+    instead. Only refusals come here, so the features are read serially."""
+    for j, (f, _tg, m) in enumerate(train_scenes[:i + own_features]):
+        if not np.isfinite(f[m]).all():
+            i, fault = j, "non-finite features"
+            break
+    raise ProbeError(f"language probe scene {i}: {fault}")
+
+
 def _language_rows(train_scenes):
-    """Every scene's valid rows: the features as one array per scene, the
-    targets concatenated in float64. Targets or a mask of another length
-    than the features, a non-finite value, or a width other than scene 0's
-    is refused with a ``ProbeError`` naming the scene, before anything is
-    solved."""
-    feats, targets = [], []
+    """Every scene's valid rows: the features in one Fortran-order float64
+    array (``_fortran_rows``), the targets concatenated in float64. Targets
+    or a mask of another length than the features, a non-finite value, or a
+    width other than scene 0's is refused with a ``ProbeError`` naming the
+    first such scene, its features before its targets, before anything is
+    solved. The checks other than the features' finiteness run first, in
+    scene order; the features' finiteness is checked block by block as they
+    are built."""
+    width, t_width = train_scenes[0][0].shape[1], train_scenes[0][1].shape[1]
+    picks, targets = [], []
     for i, (f, tg, m) in enumerate(train_scenes):
         for kind, a in (("targets", tg), ("mask", m)):
             if len(a) != len(f):
-                raise ProbeError(f"language probe scene {i}: {kind} have {len(a)} rows, "
-                                 f"features {len(f)}")
-        for kind, rows, kept in (("features", f[m], feats), ("targets", tg[m], targets)):
-            if not np.isfinite(rows).all():
-                raise ProbeError(f"language probe scene {i}: non-finite {kind}")
-            if kept and rows.shape[1] != kept[0].shape[1]:
-                raise ProbeError(f"language probe scene {i}: {kind} are {rows.shape[1]} wide, "
-                                 f"scene 0's are {kept[0].shape[1]}")
-            kept.append(rows)
-    return feats, np.concatenate(targets, axis=0, dtype=np.float64)
+                _refuse_scene(train_scenes, i, f"{kind} have {len(a)} rows, features {len(f)}",
+                              False)
+        rows = tg[m]
+        if f.shape[1] != width:
+            _refuse_scene(train_scenes, i, f"features are {f.shape[1]} wide, "
+                                           f"scene 0's are {width}", True)
+        if not np.isfinite(rows).all():
+            _refuse_scene(train_scenes, i, "non-finite targets", True)
+        if rows.shape[1] != t_width:
+            _refuse_scene(train_scenes, i, f"targets are {rows.shape[1]} wide, "
+                                           f"scene 0's are {t_width}", True)
+        picks.append((f, np.flatnonzero(m)))
+        targets.append(rows)
+    x, bad = _fortran_rows(picks, width)
+    if bad is not None:
+        raise ProbeError(f"language probe scene {bad}: non-finite features")
+    return x, np.concatenate(targets, axis=0, dtype=np.float64)
 
 
-def _fortran_rows(parts) -> np.ndarray:
-    """The rows of the arrays ``parts`` stacked into one Fortran-order
-    float64 array, written ``_CAST_ROWS`` rows at a time. One whole-array
-    cast of C-order rows into Fortran order strides across all of its
-    columns at once; on 6,300 x 992 float32 rows, ``pretrain``'s size, it
-    took 63 ms, the blocked one 31 ms (2 vCPUs)."""
-    x = np.empty((sum(len(p) for p in parts), parts[0].shape[1]), np.float64, order="F")
-    a = 0
-    for p in parts:
-        for lo in range(0, len(p), _CAST_ROWS):
-            block = p[lo:lo + _CAST_ROWS]
-            x[a:a + len(block)] = block
-            a += len(block)
-    return x
+def _fortran_rows(picks, width: int):
+    """The rows ``f[r]`` of every (features, row indices) pair of ``picks``
+    stacked into one Fortran-order float64 array of ``width`` columns, and
+    the position in ``picks`` of the first pair with a non-finite row
+    (None if none). Each pair's rows are gathered ``_CAST_ROWS`` at a time
+    on ``T.map_blocks``' pool, written straight into the array and checked
+    there, so no masked copy of the features is made. One whole-array cast
+    of C-order rows into Fortran order strides across all of its columns at
+    once; on 6,300 x 992 float32 rows, ``pretrain``'s size, it took 63 ms,
+    a serial blocked cast 31 ms (2 vCPUs)."""
+    x = np.empty((sum(r.size for _f, r in picks), width), np.float64, order="F")
+    blocks, a = [], 0
+    for p, (f, r) in enumerate(picks):
+        blocks += [(p, f, r[lo:lo + _CAST_ROWS], a + lo) for lo in range(0, r.size, _CAST_ROWS)]
+        a += r.size
+
+    def fill(block):
+        _p, f, r, lo = block
+        rows = f[r]
+        x[lo:lo + r.size] = rows
+        return bool(np.isfinite(rows).all())
+
+    finite = T.map_blocks(fill, blocks)
+    return x, next((b[0] for b, ok in zip(blocks, finite) if not ok), None)
 
 
 def _qr_least_squares(x: np.ndarray, t: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -562,14 +592,14 @@ def language_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarr
     """
     if not train_scenes:
         raise ProbeError("language probe needs at least one training scene")
-    feats, t = _language_rows(train_scenes)
+    x, t = _language_rows(train_scenes)
     if t.shape[0] == 0:
         raise ProbeError("no visible points to fit the language probe")
     if np.abs(t).max() == 0:
         raise ProbeError("degenerate language targets: all zero vectors")
-    solved = _qr_least_squares(_fortran_rows(feats), t)
+    solved = _qr_least_squares(x, t)
     if solved is None:
-        x = np.concatenate(feats, axis=0, dtype=np.float64)
+        x = np.concatenate([f[m] for f, _tg, m in train_scenes], axis=0, dtype=np.float64)
         w = np.linalg.lstsq(x, t, rcond=None)[0]
         solved = w, x @ w
     w, fitted = solved

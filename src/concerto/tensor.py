@@ -40,8 +40,16 @@ chains wrote into two and four arrays, with the same arithmetic, and record
 one node where those recorded two and four. ``op_gather_linear`` is
 ``op_matmul`` of ``op_gather_concat`` without the concatenation: each
 operand meets its block of the weight on its own rows, so the wide gathered
-input is never allocated or written. The plain-array helpers
-``softmax_np`` and ``segment_sum_np`` record nothing.
+input is never allocated or written. ``op_gather_concat`` itself, the
+encoder's upcast, fills its output in row blocks on the same pool: the
+copies are exact, so its bits do not depend on the worker count either, and
+each block's gathered temporary stays in cache. On one 16,384-point
+scene's 992-column float32 upcast (2 vCPUs, medians of 14) the fill took
+66-68 ms whole-array, 43-52 ms in serial row blocks, and 28-34 ms pooled,
+or 42 ms pooled just after a GEMM, while OpenBLAS's idle workers still
+spin on the second CPU. Row and segment indices must be 1-D integer
+arrays. The plain-array helpers ``softmax_np`` and ``segment_sum_np``
+record nothing.
 The tests check every op's VJP against central finite differences.
 
 Precision follows the data: a tensor keeps a float32 array as float32 and
@@ -359,15 +367,26 @@ def op_sum(x: Tensor) -> Tensor:
     return _record(np.array(x.data.sum()), "sum", [x], vjp)
 
 
+def _int_index(i, what: str) -> np.ndarray:
+    """``i`` as a 1-D int64 array. An index that is not 1-D, or a non-empty
+    one of bools or floats, raises ``ValueError`` naming ``what``: a cast
+    would read a mask as rows 0 and 1 and truncate floats."""
+    a = np.asarray(i)
+    if a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
+        raise ValueError(f"{what} must be a 1-D integer array, got {a.dtype} of shape {a.shape}")
+    return a.astype(np.int64, copy=False)
+
+
 def _gather_indices(tensors: Sequence[Tensor], indices: Sequence, op: str):
     """The int64 row indices (None kept) of a row-gathering op over 2-D
-    ``tensors`` and the common row count of the gathered blocks. Unequal
-    row counts raise ``ValueError``, an index out of range ``IndexError``."""
+    ``tensors`` and the common row count of the gathered blocks. An index
+    that is not a 1-D integer array and unequal row counts raise
+    ``ValueError``, an index out of range ``IndexError``."""
     if not tensors or len(tensors) != len(indices):
         raise ValueError(f"{op} needs one index (or None) per tensor")
     if any(t.data.ndim != 2 for t in tensors):
         raise ValueError(f"{op} expects 2-D tensors")
-    idxs = [None if i is None else np.asarray(i, dtype=np.int64) for i in indices]
+    idxs = [None if i is None else _int_index(i, f"{op} index") for i in indices]
     rows = [t.data.shape[0] if i is None else i.shape[0] for t, i in zip(tensors, idxs)]
     if len(set(rows)) != 1:
         raise ValueError(f"{op}: blocks have different row counts {rows}")
@@ -386,13 +405,26 @@ def _gather_grad(g: np.ndarray, rows: int, i) -> np.ndarray:
 def op_gather_concat(tensors: Sequence[Tensor], indices: Sequence) -> Tensor:
     """Column blocks of gathered rows: block i is ``tensors[i].data[indices[i]]``,
     and an index of None takes every row in order. The output is allocated
-    once and each block written once; backward scatter-adds each block's
-    gradient straight to its operand's rows."""
+    once and filled in row blocks of ``block_rows`` rows (528 at 992 float32
+    columns) on ``map_blocks``' pool: each row block s writes ``t[s]``, or
+    ``t[i[s]]``, into its rows of every column block, so a gathered
+    temporary holds one row block of one operand (at most 2^21 bytes) and
+    stays in cache, where a whole-array gather wrote every row twice. The
+    copies are exact, so the output has the same bits for any number of
+    workers. The indices are checked on the calling thread before any
+    block runs. Backward scatter-adds each block's gradient straight to its
+    operand's rows."""
     idxs, n = _gather_indices(tensors, indices, "op_gather_concat")
     bounds = np.cumsum([0] + [t.data.shape[1] for t in tensors])
-    out = np.empty((n, bounds[-1]), dtype=np.result_type(*(t.data for t in tensors)))
-    for t, i, a, b in zip(tensors, idxs, bounds[:-1], bounds[1:]):
-        out[:, a:b] = t.data if i is None else t.data[i]
+    dtype = np.result_type(*(t.data for t in tensors))
+    out = np.empty((n, bounds[-1]), dtype)
+    parts = [(t.data, i, a, b) for t, i, a, b in zip(tensors, idxs, bounds[:-1], bounds[1:])]
+
+    def fill(s):
+        for x, i, a, b in parts:
+            out[s, a:b] = x[s] if i is None else x[i[s]]
+
+    map_blocks(fill, row_blocks(n, block_rows(bounds[-1], dtype)))
     blocks = [(t.data.shape[0], t.requires_grad, i, a, b)
               for t, i, a, b in zip(tensors, idxs, bounds[:-1], bounds[1:])]
 
@@ -515,6 +547,11 @@ def block_rows(width: int, dtype) -> int:
     return max(1, _BLOCK_BYTES // (max(width, 1) * np.dtype(dtype).itemsize))
 
 
+def row_blocks(n: int, rows: int) -> list:
+    """Slices that cover ``n`` rows in blocks of ``rows``."""
+    return [slice(a, a + rows) for a in range(0, n, rows)]
+
+
 def gemm_block_rows(d: int, k: int, dtype) -> int:
     """Rows per block of a blocked pass of an (n, d) input through a (d, k)
     matrix: ``block_rows(max(d, k))``, or the fewer rows of d columns that
@@ -537,7 +574,11 @@ def map_blocks(fn, blocks: Sequence) -> list:
     must write only its own block's outputs; it must not call ``op_*`` or
     the other functions a tracer may wrap, whose span stack belongs to the
     calling thread. Its callers run on one thread, as the tape does, so the
-    pool is made without a lock."""
+    pool is made without a lock. They are ``op_gather_concat``'s fill,
+    ``op_linear_softmax_xent``'s class-major pass (``_xent_classes``), and
+    in ``probes`` the standardization statistics (``_moments``), the
+    standardized copy of ``linear_probe``, ``_evaluate``'s predictions and
+    the language probe's feature build (``_fortran_rows``)."""
     global _pool
     if _pool is None:
         _pool = ThreadPoolExecutor(len(os.sched_getaffinity(0)),
@@ -783,9 +824,10 @@ def segment_sum_np(values: np.ndarray, ids: np.ndarray, num_segments: int) -> np
     """Per-segment row sum: the (num_segments, n) 0/1 incidence matrix times
     ``values`` (no graph). Column j of the matrix holds its single 1 at row
     ``ids[j]``, so it is built in CSC form without sorting. Ids outside
-    ``[0, num_segments)`` raise ``IndexError``; the output keeps the dtype
-    of ``values``."""
-    ids = np.asarray(ids, dtype=np.int64)
+    ``[0, num_segments)`` raise ``IndexError``, ids that are not a 1-D
+    integer array ``ValueError``; the output keeps the dtype of
+    ``values``."""
+    ids = _int_index(ids, "segment_sum_np ids")
     # unchecked ids would make scipy write outside its output buffer
     if ids.size and (ids.min() < 0 or ids.max() >= num_segments):
         raise IndexError("segment id out of range")
@@ -813,9 +855,10 @@ def op_segment_mean(values: Tensor, segment_ids, num_segments: int):
     zero rows for empty segments. Backward scatters dOut/|segment| to each
     member row.
     """
-    ids = np.asarray(segment_ids, dtype=np.int64)
+    ids = np.asarray(segment_ids)
     if values.data.ndim != 2 or ids.shape != (values.data.shape[0],):
         raise ValueError("op_segment_mean expects (n, d) values and (n,) ids")
+    ids = _int_index(ids, "op_segment_mean ids")
     means, counts = segment_mean_np(values.data, ids, num_segments)
     inv = 1.0 / np.maximum(counts, 1).astype(means.dtype)
 
@@ -833,9 +876,10 @@ def op_local_mix(x: Tensor, segment_ids, num_segments: int) -> Tensor:
     g2 = g * 0.5, is g2 + (segment_sum(g2) * inv)[ids], inv the reciprocal
     segment sizes of ``op_segment_mean``, whose arithmetic and errors it
     keeps; it reads neither x nor the output."""
-    ids = np.asarray(segment_ids, dtype=np.int64)
+    ids = np.asarray(segment_ids)
     if x.data.ndim != 2 or ids.shape != (x.data.shape[0],):
         raise ValueError("op_local_mix expects (n, d) values and (n,) ids")
+    ids = _int_index(ids, "op_local_mix ids")
     means, counts = segment_mean_np(x.data, ids, num_segments)
     inv = 1.0 / np.maximum(counts, 1).astype(means.dtype)
     out = x.data + means[ids]

@@ -8,7 +8,8 @@ from concerto import probes
 from concerto import tensor as T
 from concerto.dataio import PointCloud, SceneSample, SyntheticSpec, generate_synthetic
 from concerto.encoder import EncoderConfig, encode, init_params, upcast
-from concerto.geometry import visible_mask
+from concerto.geometry import build_correspondence, visible_mask
+from concerto.objectives import cross_loss
 from concerto.probes import (ProbeConfig, ProbeError, TextSpace, _evaluate, _moments, _one_hot,
                              _standardize_fit, compute_metrics, extract_features, label_budget_indices, language_probe,
                              lift_patch_features_to_points, linear_probe, lora_probe,
@@ -375,7 +376,7 @@ class TestBlockedHelpers:
         d = 9
         rows = T.block_rows(d, np.float64)
         x = (1e4 + rng.normal(size=(3 * rows + 17, d)) * 1e-2).astype(dtype)
-        mu, sd = _moments(x.__getitem__, probes._row_blocks(x.shape[0], rows))
+        mu, sd = _moments(x.__getitem__, T.row_blocks(x.shape[0], rows))
         x64 = x.astype(np.float64)
         want_mu = x64.mean(axis=0)
         want_sd = np.sqrt(((x64 - want_mu) ** 2).mean(axis=0))
@@ -524,16 +525,16 @@ def test_linear_and_lora_probes_compute_in_float32(dataset, monkeypatch):
 
 
 def test_row_block_workers_call_no_traced_name(dataset, monkeypatch):
-    """The probes' row blocks, the fused cross-entropy's narrow pass among
-    them, run on ``T.map_blocks``' pool, while every ``T.op_*``,
-    ``segment_sum_np`` and ``scatter_add_rows`` call comes from the main
-    thread: a tracer wraps those names and keeps one span stack."""
+    """The probes' row blocks, the fused cross-entropy's narrow pass and the
+    upcast's fill among them, run on ``T.map_blocks``' pool, while every
+    ``T.op_*``, ``segment_sum_np`` and ``scatter_add_rows`` call of feature
+    extraction, a tracked cross loss and its backward, and a linear, a lora
+    and a language probe comes from the main thread: a tracer wraps those
+    names and keeps one span stack."""
     enc_cfg = tiny_enc()
     d = enc_cfg.upcast_dim(enc_cfg.num_pool_steps)
     assert T.gemm_block_rows(d, 4, np.float32) * d * 4 <= T._SMALL_GEMM  # the narrow pass
     params = init_params(enc_cfg, seed=5)
-    feats = [(extract_features(s, params, enc_cfg, enc_cfg.num_pool_steps), s.cloud.labels)
-             for s in dataset]
     callers, workers = [], set()
 
     def on_main(name, fn):
@@ -551,10 +552,21 @@ def test_row_block_workers_call_no_traced_name(dataset, monkeypatch):
         return real_map(lambda blk: workers.add(threading.current_thread()) or fn(blk), blocks)
 
     monkeypatch.setattr(T, "map_blocks", spy_map)
+    feats = [(extract_features(s, params, enc_cfg, enc_cfg.num_pool_steps), s.cloud.labels)
+             for s in dataset]
+    scene = dataset[0]
+    loss, _, _ = cross_loss(encode(plain_view(scene), params, enc_cfg),
+                            build_correspondence(scene.cloud.coords, scene.views),
+                            [v.flat_feature_grid() for v in scene.views], params)
+    T.backward(loss)
+    assert params["cross.w"].grad is not None
     linear_probe(feats[:2], feats[2:], 4, ProbeConfig(epochs=2))
     lora_probe(dataset[:2], dataset[2:], params, enc_cfg, 4, ProbeConfig(epochs=2, lora_rank=2))
+    f = feats[0][0]
+    language_probe([(f, f[:, :3] + 1.0, np.ones(len(f), dtype=bool))], ProbeConfig())
     assert workers and threading.main_thread() not in workers
-    assert ("op_linear_softmax_xent", True) in callers
+    for name in ("op_linear_softmax_xent", "op_gather_concat", "scatter_add_rows"):
+        assert (name, True) in callers
     assert all(on_main for _name, on_main in callers), [c for c in callers if not c[1]]
 
 
@@ -699,6 +711,25 @@ class TestLanguageProbe:
         with pytest.raises(ProbeError, match=f"language probe scene 1: {kind} have 390 rows, "
                                              "features 400"):
             language_probe([(x, t, ones), short], ProbeConfig())
+
+    @pytest.mark.parametrize("later", ["short_mask", "wide_features", "bad_targets"])
+    def test_first_offending_scene_is_refused_features_first(self, later):
+        # scene 0's non-finite features come before any fault of scene 1,
+        # and scene 1's own before its other faults
+        x, t = _noisy_linear()
+        ones = np.ones(400, dtype=bool)
+        bad_x = x.copy()
+        bad_x[5, 1] = np.inf
+        bad_t = t.copy()
+        bad_t[0, 0] = np.nan
+        second = {"short_mask": (x, t, ones[:390]),
+                  "wide_features": (np.hstack([bad_x, x[:, :1]]), t, ones),
+                  "bad_targets": (bad_x, bad_t, ones)}[later]
+        with pytest.raises(ProbeError, match="language probe scene 0: non-finite features"):
+            language_probe([(bad_x, t, ones), second], ProbeConfig())
+        if later != "short_mask":
+            with pytest.raises(ProbeError, match="language probe scene 1: non-finite features"):
+                language_probe([(x, t, ones), second], ProbeConfig())
 
     def test_excludes_invalid_points(self):
         rng = np.random.default_rng(11)

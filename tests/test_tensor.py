@@ -196,6 +196,19 @@ class TestSegmentSum:
             with pytest.raises(IndexError):
                 fn(values, np.array(bad), 3)
 
+    @pytest.mark.parametrize("bad", [[0.7, 1.2, 1.9], [True, False, True], [[0], [1], [1]]],
+                             ids=["float", "bool", "two_d"])
+    def test_non_integer_ids_rejected(self, bad):
+        # a cast would sum [0.7, 1.2, 1.9] as segments [0, 1, 1]
+        with pytest.raises(ValueError, match="segment_sum_np ids must be a 1-D integer array"):
+            T.segment_sum_np(np.ones((3, 2)), np.array(bad), 3)
+
+    @pytest.mark.parametrize("bad", [[0.7, 1.2, 1.9], [True, False, True]], ids=["float", "bool"])
+    @pytest.mark.parametrize("op", ["op_segment_mean", "op_local_mix"])
+    def test_segment_ops_reject_non_integer_ids(self, op, bad):
+        with pytest.raises(ValueError, match=f"{op} ids must be a 1-D integer array"):
+            getattr(T, op)(T.Tensor(np.ones((3, 2))), np.array(bad), 3)
+
 
 class TestBackward:
     def test_constant_loss_leaves_grads_zero(self):
@@ -702,6 +715,78 @@ def test_gather_concat_unequal_row_counts():
         T.op_gather_concat([a, b], [None, None])
     with pytest.raises(ValueError):
         T.op_gather_concat([a, b], [[0, 1, 2], [0, 1]])
+
+
+@pytest.mark.parametrize("bad", [np.array([True, False, True, True]), np.array([1.9, 3.2]),
+                                 np.array([[0], [1]])], ids=["bool", "float", "two_d"])
+@pytest.mark.parametrize("op", ["op_gather_concat", "op_gather_linear"])
+def test_gather_index_that_is_not_integer_rejected(op, bad):
+    # cast to int64, the mask would read as rows 1, 0, 1, 1 and the floats as rows 1, 3
+    a = T.Tensor(np.arange(8.0).reshape(4, 2))
+    args = ([a], [bad]) if op == "op_gather_concat" else \
+        ([a], [bad], T.Tensor(np.ones((2, 1))), T.Tensor(np.zeros(1)))
+    with pytest.raises(ValueError, match=f"{op} index must be a 1-D integer array"):
+        getattr(T, op)(*args)
+
+
+def test_gather_concat_empty_index_gathers_no_row():
+    out = T.op_gather_concat([T.Tensor(np.ones((3, 2))), T.Tensor(np.ones((2, 1)))], [[], []])
+    assert out.data.shape == (0, 3)
+
+
+class TestGatherConcatFill:
+    """``op_gather_concat`` fills its output in row blocks on ``map_blocks``'
+    pool. Upcast-like operands: the finest stage taken by ``rows`` (None,
+    or a subset with repeats), two coarser stages by parent indices, over
+    ``2 * _BLOCKS_PER_TASK + 1`` whole row blocks and a remainder, i.e.
+    three pool tasks, the last one short."""
+
+    WIDTHS = (7, 64, 185)
+
+    @classmethod
+    def case(cls, dtype, subset: bool):
+        rng = np.random.default_rng([len(cls.WIDTHS), subset])
+        rows = T.block_rows(sum(cls.WIDTHS), dtype)
+        n = (2 * T._BLOCKS_PER_TASK + 1) * rows + rows // 3
+        sizes = (n + 11, n // 3, n // 50)
+        stages = [rng.normal(size=(m, d)).astype(dtype) for m, d in zip(sizes, cls.WIDTHS)]
+        first = np.sort(rng.integers(0, sizes[0], size=n)) if subset else None
+        indices = [first] + [rng.integers(0, m, size=n) for m in sizes[1:]]
+        if not subset:
+            stages[0] = stages[0][:n]
+        return stages, indices
+
+    @staticmethod
+    def oracle(stages, indices):
+        return np.concatenate([s if i is None else s[i] for s, i in zip(stages, indices)], axis=1)
+
+    @pytest.mark.parametrize("subset", [False, True], ids=["rows_none", "row_subset"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_per_stage_concatenation(self, dtype, subset):
+        stages, indices = self.case(dtype, subset)
+        if subset:
+            assert len(np.unique(indices[0])) < len(indices[0])  # repeated rows
+        out = T.op_gather_concat([T.Tensor(s) for s in stages], indices).data
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, self.oracle(stages, indices))
+
+    def test_has_the_same_bits_on_any_pool(self, monkeypatch):
+        # one worker, two, and more workers than CPUs with the interpreter
+        # switching threads every microsecond: a block lost or written into
+        # another's rows would change some bit
+        stages, indices = self.case(np.float32, True)
+        tensors = [T.Tensor(s) for s in stages]
+        want = self.oracle(stages, indices)
+        switch = sys.getswitchinterval()
+        for workers in (1, 2, len(os.sched_getaffinity(0)) + 2):
+            with ThreadPoolExecutor(workers) as pool:
+                monkeypatch.setattr(T, "_pool", pool)
+                sys.setswitchinterval(1e-6)
+                try:
+                    out = T.op_gather_concat(tensors, indices).data
+                finally:
+                    sys.setswitchinterval(switch)
+            np.testing.assert_array_equal(out, want)
 
 
 def test_gradcheck_gather_linear():
