@@ -4,7 +4,7 @@ budgets, and segmentation metrics.
 
 The linear and lora probes train a single linear layer (plus adapters in
 lora mode) with full-batch AdamW under a fixed seed. The language probe
-is a least-squares solve; zero-shot classification trains nothing. The
+is one ridge solve; zero-shot classification trains nothing. The
 encoder checkpoint is never mutated. Features are the full-resolution
 upcast. The lora probe merges its adapters into the frozen weights and
 encodes with the merged weights, so there is one encoder forward path.
@@ -15,8 +15,8 @@ probes keep their heads and adapters (and the standardization statistics,
 accumulated in float64) as float64 masters; each epoch runs forward and
 backward on ``COMPUTE_DTYPE`` copies, and AdamW steps the masters with the
 upcast gradients. The language probe is the exception: it upcasts its
-features and fits in float64, because its least-squares map is
-ill-conditioned on real features (see ``language_probe``).
+features and fits in float64, because its Gram matrix squares the
+features' condition number (see ``language_probe``).
 
 The linear and lora heads train through one fused op,
 ``T.op_linear_softmax_xent``, which walks the training rows in blocks of
@@ -32,13 +32,6 @@ passes runs its blocks on ``T.map_blocks``' thread pool, one worker per
 usable CPU, and merges what they return in block order, so the probe's
 outputs have the same bits for any number of workers; the 6-class heads
 take the fused op's class-major pass, whose blocks run there too.
-
-The language probe builds its features once, in one blocked pass on the
-same pool: each scene's valid rows are gathered ``_CAST_ROWS`` at a time
-straight into a Fortran-order float64 array and checked for finiteness
-there, so no masked copy of the features is made. It factors that array in
-place and scores its cosine on the factorization's fitted values; only its
-``lstsq`` fallback builds the features again.
 """
 
 from __future__ import annotations
@@ -59,7 +52,7 @@ from .views import View
 logger = logging.getLogger(__name__)
 
 LORA_ALPHA = 16.0  # adapter scaling is LORA_ALPHA / rank
-_CAST_ROWS = 256  # valid rows per block of the language probe's gather into Fortran order
+_RIDGE = 1e-4  # the language probe's ridge, relative to the mean of its Gram diagonal
 
 
 class ProbeError(ValueError):
@@ -459,151 +452,62 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
 # language probing and zero-shot
 # ---------------------------------------------------------------------------
 
-def _refuse_scene(train_scenes, i: int, fault: str, own_features: bool):
-    """Raises the language probe's ``ProbeError`` for ``fault`` of scene
-    ``i``, unless an earlier scene's valid features, or scene i's own when
-    ``own_features``, are non-finite: the first of those is refused
-    instead. Only refusals come here, so the features are read serially."""
-    for j, (f, _tg, m) in enumerate(train_scenes[:i + own_features]):
-        if not np.isfinite(f[m]).all():
-            i, fault = j, "non-finite features"
-            break
-    raise ProbeError(f"language probe scene {i}: {fault}")
-
-
-def _language_rows(train_scenes):
-    """Every scene's valid rows: the features in one Fortran-order float64
-    array (``_fortran_rows``), the targets concatenated in float64. Targets
-    or a mask of another length than the features, a non-finite value, or a
-    width other than scene 0's is refused with a ``ProbeError`` naming the
-    first such scene, its features before its targets, before anything is
-    solved. The checks other than the features' finiteness run first, in
-    scene order; the features' finiteness is checked block by block as they
-    are built."""
-    width, t_width = train_scenes[0][0].shape[1], train_scenes[0][1].shape[1]
-    picks, targets = [], []
-    for i, (f, tg, m) in enumerate(train_scenes):
-        for kind, a in (("targets", tg), ("mask", m)):
-            if len(a) != len(f):
-                _refuse_scene(train_scenes, i, f"{kind} have {len(a)} rows, features {len(f)}",
-                              False)
-        rows = tg[m]
-        if f.shape[1] != width:
-            _refuse_scene(train_scenes, i, f"features are {f.shape[1]} wide, "
-                                           f"scene 0's are {width}", True)
-        if not np.isfinite(rows).all():
-            _refuse_scene(train_scenes, i, "non-finite targets", True)
-        if rows.shape[1] != t_width:
-            _refuse_scene(train_scenes, i, f"targets are {rows.shape[1]} wide, "
-                                           f"scene 0's are {t_width}", True)
-        picks.append((f, np.flatnonzero(m)))
-        targets.append(rows)
-    x, bad = _fortran_rows(picks, width)
-    if bad is not None:
-        raise ProbeError(f"language probe scene {bad}: non-finite features")
-    return x, np.concatenate(targets, axis=0, dtype=np.float64)
-
-
-def _fortran_rows(picks, width: int):
-    """The rows ``f[r]`` of every (features, row indices) pair of ``picks``
-    stacked into one Fortran-order float64 array of ``width`` columns, and
-    the position in ``picks`` of the first pair with a non-finite row
-    (None if none). Each pair's rows are gathered ``_CAST_ROWS`` at a time
-    on ``T.map_blocks``' pool, written straight into the array and checked
-    there, so no masked copy of the features is made. One whole-array cast
-    of C-order rows into Fortran order strides across all of its columns at
-    once; on 6,300 x 992 float32 rows, ``pretrain``'s size, it took 63 ms,
-    a serial blocked cast 31 ms (2 vCPUs)."""
-    x = np.empty((sum(r.size for _f, r in picks), width), np.float64, order="F")
-    blocks, a = [], 0
-    for p, (f, r) in enumerate(picks):
-        blocks += [(p, f, r[lo:lo + _CAST_ROWS], a + lo) for lo in range(0, r.size, _CAST_ROWS)]
-        a += r.size
-
-    def fill(block):
-        _p, f, r, lo = block
-        rows = f[r]
-        x[lo:lo + r.size] = rows
-        return bool(np.isfinite(rows).all())
-
-    finite = T.map_blocks(fill, blocks)
-    return x, next((b[0] for b, ok in zip(blocks, finite) if not ok), None)
-
-
-def _qr_least_squares(x: np.ndarray, t: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """``np.linalg.lstsq(x, t, rcond=None)``'s map and its fitted values
-    ``x @ map``, from a blocked Householder QR (LAPACK ``dgeqrt``) computed
-    in the buffer of ``x``, a Fortran-order float64 array that it
-    overwrites, so that no second copy of the features is made. ``lstsq``'s
-    SVD solver (``gelsd``) spends most of its time in its first step, a
-    ``dgeqrf`` QR; ``dgeqrt``, whose recursive panel follows Elmroth and
-    Gustavson (IBM J. Res. Dev. 2000), does the same factorization 3-4x
-    faster on the probe's 6,300 x 992 input. With x = QR, the map solves R
-    map = [Q^T t][:n], and the fitted values are Q applied to [Q^T t][:n]
-    padded with zeros (``dgemqrt``), which reads no feature. None, for
-    ``lstsq`` to answer, when ``x`` is wide or empty, when the
-    factorization fails, or when ``dtrcon``'s estimate of R's reciprocal
-    condition is at or below ``lstsq``'s own cutoff, ``eps * max(m, n)``:
-    near rank deficiency only the minimum-norm solution is ``lstsq``'s."""
-    from scipy.linalg import lapack  # ~0.07 s on first call; importing probes skips it
-
-    m, n = x.shape
-    if not m >= n > 0:
-        return None
-    qr, tau, info = lapack.dgeqrt(min(32, n), x, overwrite_a=1)
-    r = qr[:n]
-    if info != 0 or not lapack.dtrcon(r)[0] > np.finfo(np.float64).eps * m:
-        return None
-    qt = lapack.dgemqrt(qr, tau, t, side="L", trans="T")[0]
-    w = lapack.dtrtrs(r, qt[:n])[0]
-    qt[n:] = 0.0
-    return w, lapack.dgemqrt(qr, tau, qt, side="L", trans="N", overwrite_c=1)[0]
-
-
 def language_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]], _cfg):
     """Fit a linear map from point features to target text-space features:
-    the minimum-norm least-squares map. No labels are consumed.
+    a ridge regression (Hoerl and Kennard, Technometrics 1970). No labels
+    are consumed.
 
     ``train_scenes`` rows are (features, targets, valid_mask); invalid points
     (no visible patch) are excluded. Returns (map W, mean train cosine of W).
     An empty scene list is refused with a ``ProbeError``, and so is a scene
-    with a non-finite valid row, or whose features or targets are not as
-    wide as scene 0's, naming it. ``_cfg`` is not read; it stays because
-    the benchmark still passes a ``ProbeConfig`` in its place.
+    whose targets or mask have another length than its features, with a
+    non-finite valid row, or whose features or targets are not as wide as
+    scene 0's, naming it; the scenes are checked in order, each one's
+    features before its targets, before anything is solved. ``_cfg`` is not
+    read; it stays because the benchmark still passes a ``ProbeConfig`` in
+    its place.
 
-    The map comes from a blocked QR of the features when they have full
-    column rank (``_qr_least_squares``; every benchmark input: R's
-    estimated reciprocal condition is 4e-10 to 1e-8, over 200 times the
-    cutoff), ``np.linalg.lstsq`` otherwise. The two maps agree to about
-    1e-9 relative on the benchmark's inputs. The QR factors a
-    Fortran-order float64 build of the features in place
-    (``_fortran_rows``), and the cosine is scored on the QR's fitted
-    values, so the features are built once; only the ``lstsq`` fallback
-    builds them again, in C order, and scores ``x @ W``. The first call
-    imports ``scipy.linalg`` (about 0.07 s), so that importing this module
-    does not. Nothing is recorded on the tape.
-
-    Unlike the other probes it fits in float64, on inputs upcast to
-    float64. Its map is the minimum-norm least-squares solution, and
-    upcast features are ill-conditioned: on one 8,547 x 992 synthetic scene
-    the condition number was 1.7e12 and the map's norm 3.1e8. A map
-    that large amplifies float32 rounding: applied to the same features
-    rounded to float32, that map's cosine fell from 0.964 to 0.31.
+    Each scene's valid rows are copied into one float64 array X, so at most
+    one scene's masked rows exist beside it. W solves (G + lam I) W = X^T T
+    with G = X^T X and lam = ``_RIDGE`` * trace(G) / d, the mean of G's
+    diagonal scaled. G + lam I is positive definite for any X that is not
+    all zero, wide or rank-deficient alike, and all-zero features are
+    refused. Upcast features are near-singular, and the minimum-norm
+    least-squares map on them had norms near 1e6, which amplified rounding
+    and the BLAS thread count's changes into the cosine; the ridge bounds
+    the map. Nothing is recorded on the tape.
     """
     if not train_scenes:
         raise ProbeError("language probe needs at least one training scene")
-    x, t = _language_rows(train_scenes)
-    if t.shape[0] == 0:
+    n = sum(int(np.count_nonzero(m)) for _f, _tg, m in train_scenes)
+    x = np.empty((n, train_scenes[0][0].shape[1]))
+    t = np.empty((n, train_scenes[0][1].shape[1]))
+    a = 0
+    for i, (f, tg, m) in enumerate(train_scenes):
+        for kind, arr in (("targets", tg), ("mask", m)):
+            if len(arr) != len(f):
+                raise ProbeError(f"language probe scene {i}: {kind} have {len(arr)} rows, "
+                                 f"features {len(f)}")
+        for kind, arr, out in (("features", f, x), ("targets", tg, t)):
+            rows = arr[m]
+            if not np.isfinite(rows).all():
+                raise ProbeError(f"language probe scene {i}: non-finite {kind}")
+            if rows.shape[1] != out.shape[1]:
+                raise ProbeError(f"language probe scene {i}: {kind} are {rows.shape[1]} wide, "
+                                 f"scene 0's are {out.shape[1]}")
+            out[a:a + len(rows)] = rows
+        a += len(rows)
+    if n == 0:
         raise ProbeError("no visible points to fit the language probe")
     if np.abs(t).max() == 0:
         raise ProbeError("degenerate language targets: all zero vectors")
-    solved = _qr_least_squares(x, t)
-    if solved is None:
-        x = np.concatenate([f[m] for f, _tg, m in train_scenes], axis=0, dtype=np.float64)
-        w = np.linalg.lstsq(x, t, rcond=None)[0]
-        solved = w, x @ w
-    w, fitted = solved
-    return w, T.op_mean(T.op_cosine(T.Tensor(fitted), T.Tensor(t))).item()
+    g = x.T @ x
+    scale = np.trace(g) / g.shape[0]
+    if scale == 0:
+        raise ProbeError("degenerate language features: all zero vectors")
+    g.flat[::g.shape[0] + 1] += _RIDGE * scale
+    w = np.linalg.solve(g, x.T @ t)
+    return w, T.op_mean(T.op_cosine(T.Tensor(x @ w), T.Tensor(t))).item()
 
 
 def zero_shot_segment(point_text_feats: np.ndarray, space: TextSpace,

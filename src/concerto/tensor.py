@@ -29,10 +29,10 @@ That kernel runs on one thread, so a head whose blocks stay within it
 whose (k, rows) block logits reduce over classes along axis 0, with its
 blocks on ``map_blocks``' thread pool, one worker per usable CPU; the
 blocks' results are summed in block order, so the bits do not depend on
-the worker count. An epoch of the 32,768 x 992 -> 6 probe head took 33-43
-ms there against 44-50 ms row-major (2 vCPUs). The workers call only
-numpy and BLAS, never an ``op_*``. Wider heads (the prototype heads) keep
-the row-major pass, whose GEMMs OpenBLAS runs on all its threads.
+the worker count (timings in ``BENCH_class_major_probe_head.json``). The
+workers call only numpy and BLAS, never an ``op_*``. Wider heads (the
+prototype heads) keep the row-major pass, whose GEMMs OpenBLAS runs on all
+its threads.
 The one product op, ``op_matmul``, takes a bias that may be None and adds
 it into the product's buffer. It and ``op_local_mix`` (segment mean,
 gather, add and halving) write into one output buffer what the unfused
@@ -43,11 +43,8 @@ operand meets its block of the weight on its own rows, so the wide gathered
 input is never allocated or written. ``op_gather_concat`` itself, the
 encoder's upcast, fills its output in row blocks on the same pool: the
 copies are exact, so its bits do not depend on the worker count either, and
-each block's gathered temporary stays in cache. On one 16,384-point
-scene's 992-column float32 upcast (2 vCPUs, medians of 14) the fill took
-66-68 ms whole-array, 43-52 ms in serial row blocks, and 28-34 ms pooled,
-or 42 ms pooled just after a GEMM, while OpenBLAS's idle workers still
-spin on the second CPU. Row and segment indices must be 1-D integer
+each block's gathered temporary stays in cache (timings in
+``BENCH_pooled_upcast.json``). Row and segment indices must be 1-D integer
 arrays. The plain-array helpers ``softmax_np`` and ``segment_sum_np``
 record nothing.
 The tests check every op's VJP against central finite differences.
@@ -577,8 +574,8 @@ def map_blocks(fn, blocks: Sequence) -> list:
     pool is made without a lock. They are ``op_gather_concat``'s fill,
     ``op_linear_softmax_xent``'s class-major pass (``_xent_classes``), and
     in ``probes`` the standardization statistics (``_moments``), the
-    standardized copy of ``linear_probe``, ``_evaluate``'s predictions and
-    the language probe's feature build (``_fortran_rows``)."""
+    standardized copy of ``linear_probe`` and ``_evaluate``'s
+    predictions."""
     global _pool
     if _pool is None:
         _pool = ThreadPoolExecutor(len(os.sched_getaffinity(0)),
@@ -692,13 +689,11 @@ def op_linear_softmax_xent(x: Tensor, w: Tensor, b: Optional[Tensor], weights: n
     vectorized reductions along axis 0 where a row-major block reduced
     rows of k elements. Each block's loss terms, dw and db are kept and
     summed in block order after the map, so the results have the same bits
-    for any number of workers. At the linear probe's shape (32,768 x 992
-    -> 6 classes, float32, 132-row blocks; medians of 30 interleaved epochs
-    in each of three runs on 2 vCPUs) an epoch took 44-50 ms row-major,
-    42-49 ms class-major on one worker and 33-43 ms on two, 13-24% below
-    row-major in each run. A wider head (a prototype head: rows x d x k =
-    512 x 256 x 1024 or 8,192 x 32 x 64) takes ``_xent_rows``, whose GEMMs
-    OpenBLAS already runs on all its threads.
+    for any number of workers; at the linear probe's shape it is faster
+    than the row-major pass (``BENCH_class_major_probe_head.json``). A wider
+    head (a prototype head: rows x d x k = 512 x 256 x 1024 or 8,192 x 32 x
+    64) takes ``_xent_rows``, whose GEMMs OpenBLAS already runs on all its
+    threads.
 
     A tracked x keeps whichever of its gradients is narrower until
     backward: for d < k (a prototype head) the same pass writes G @ w.T,

@@ -1,5 +1,10 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -609,12 +614,11 @@ class TestLanguageProbe:
         w, cos = language_probe([(x, t, valid)], ProbeConfig())
         assert abs(cos - _mean_cosine(x[valid], w, t[valid])) <= 1e-12
 
-    def test_returns_the_least_squares_map_and_its_cosine_for_any_config(self):
+    def test_returns_the_ridge_map_and_its_cosine_for_any_config(self):
         x, t = _noisy_linear()
         scenes = [(x, t, np.ones(400, dtype=bool))]
         w, cos = language_probe(scenes, ProbeConfig(epochs=0))
-        # a QR solve, so it matches lstsq's SVD to rounding
-        ref = np.linalg.lstsq(x, t, rcond=None)[0]
+        ref = _ridge_oracle(x, t)
         assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
         assert cos > 0.5
         assert abs(cos - _mean_cosine(x, w, t)) <= 1e-12
@@ -752,76 +756,83 @@ def _graded_columns(m, n, smallest, seed):
     return (u * np.logspace(0, np.log10(smallest), n)) @ v.T
 
 
-class TestLeastSquares:
-    """The language probe's least-squares map against its oracle,
-    ``np.linalg.lstsq``."""
+def _ridge_oracle(x, t):
+    """The ridge map from the SVD x = U diag(s) V^T: V diag(s / (s^2 + lam))
+    U^T t, with lam = ``probes._RIDGE`` * sum(s^2) / d."""
+    u, sv, vt = np.linalg.svd(x, full_matrices=False)
+    lam = probes._RIDGE * (sv ** 2).sum() / x.shape[1]
+    return vt.T @ ((sv / (sv ** 2 + lam))[:, None] * (u.T @ t))
+
+
+class TestRidge:
+    """The language probe's ridge map against its SVD oracle, and what the
+    ridge buys: a cosine that does not amplify rounding."""
 
     @staticmethod
     def solve(x, t):
-        """The map ``language_probe`` returns."""
-        return language_probe([(x, t, np.ones(len(x), dtype=bool))], ProbeConfig())[0]
+        """The map and cosine ``language_probe`` returns."""
+        return language_probe([(x, t, np.ones(len(x), dtype=bool))], ProbeConfig())
 
-    def _no_lstsq(self, monkeypatch):
-        def refuse(*_args, **_kw):
-            raise AssertionError("the QR path should not fall back to lstsq")
-        monkeypatch.setattr(np.linalg, "lstsq", refuse)
-
-    # Fitted values: at condition 1e6 both solvers agree to 1e-12; at 1e9
-    # each resolves the smallest directions to its own rounding, and they
-    # differ by up to 1.3e-9 (40 seeds; 1.0e-9 on the pretrain benchmark's
-    # features). The mean cosine agrees to 2e-11 at both.
-    @pytest.mark.parametrize("smallest, fit_tol", [(1e-6, 1e-10), (1e-9, 1e-8)])
-    def test_graded_singular_values_fit_as_lstsq(self, smallest, fit_tol, monkeypatch):
-        x = _graded_columns(300, 40, smallest, seed=21)
-        rng = np.random.default_rng(22)
-        t = x @ rng.normal(size=(40, 5))
-        t += 0.1 * np.abs(t).mean() * rng.normal(size=t.shape)
-        ref = np.linalg.lstsq(x, t, rcond=None)[0]
-        self._no_lstsq(monkeypatch)
-        w = self.solve(x, t)
-        assert np.linalg.norm(x @ w - x @ ref) <= fit_tol * np.linalg.norm(x @ ref)
-        assert abs(_mean_cosine(x, w, t) - _mean_cosine(x, ref, t)) \
-            <= 1e-10 * abs(_mean_cosine(x, ref, t))
-
-    def test_full_rank_tall_input_takes_the_qr_path(self, monkeypatch):
-        x, t = _noisy_linear(seed=3)
-        ref = np.linalg.lstsq(x, t, rcond=None)[0]
-        self._no_lstsq(monkeypatch)
-        w = self.solve(x, t)
-        assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
-
-    def test_qr_factors_in_its_input_buffer(self):
-        # no second copy of the features: the Fortran-order input is
-        # overwritten, and the fitted values come from the factors
-        x, t = _noisy_linear(seed=4)
-        xf = np.asfortranarray(x)
-        solved = probes._qr_least_squares(xf, t)
-        assert solved is not None and not np.array_equal(xf, x)
-        w, fitted = solved
-        np.testing.assert_array_equal(w, self.solve(x, t))
-        assert np.abs(fitted - x @ w).max() <= 1e-12 * np.abs(x @ w).max()
-
-    @pytest.mark.parametrize("case", ["wide", "duplicated_column"])
-    def test_falls_back_to_lstsq_bit_for_bit(self, case, monkeypatch):
+    @pytest.mark.parametrize("case", ["graded_1e-6", "graded_1e-9", "wide", "duplicated_column"])
+    def test_matches_the_svd_oracle(self, case):
+        # wide and rank-deficient inputs take the same solve as the rest
         rng = np.random.default_rng(23)
         if case == "wide":
             x = rng.normal(size=(6, 10))
-        else:
+        elif case == "duplicated_column":
             x = rng.normal(size=(50, 6))
             x[:, 4] = x[:, 1]
-        t = rng.normal(size=(x.shape[0], 3))
-        ref = np.linalg.lstsq(x, t, rcond=None)[0]
-        assert probes._qr_least_squares(np.asfortranarray(x), t) is None
-        calls = []
-        real = np.linalg.lstsq
+        else:
+            x = _graded_columns(300, 40, float(case.split("_")[1]), seed=21)
+        t = x @ rng.normal(size=(x.shape[1], 5))
+        t += 0.1 * np.abs(t).mean() * rng.normal(size=t.shape)
+        ref = _ridge_oracle(x, t)
+        w, cos = self.solve(x, t)
+        assert np.linalg.norm(w - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert abs(cos - _mean_cosine(x, ref, t)) <= 1e-10 * abs(_mean_cosine(x, ref, t))
 
-        def spy(*args, **kw):
-            calls.append(kw)
-            return real(*args, **kw)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cosine_does_not_amplify_rounding(self, seed):
+        # the minimum-norm least-squares map moved this cosine by 4.5e-4 to
+        # 8.5e-4 (seeds 0-4); the ridge moves it by less than 1e-7
+        x = _graded_columns(600, 60, 1e-7, seed)
+        rng = np.random.default_rng(seed + 100)
+        t = rng.normal(size=(600, 8))
+        rounded = x * (1 + 1e-7 * rng.normal(size=x.shape))
+        assert abs(self.solve(rounded, t)[1] - self.solve(x, t)[1]) < 1e-6
 
-        monkeypatch.setattr(np.linalg, "lstsq", spy)
-        np.testing.assert_array_equal(self.solve(x, t), ref)
-        assert calls == [{"rcond": None}]
+    def test_all_zero_features_refused(self):
+        x = np.random.default_rng(24).normal(size=(50, 8))
+        x[:40] = 0.0
+        valid = np.zeros(50, dtype=bool)
+        valid[:40] = True  # the non-zero rows are invalid
+        t = np.random.default_rng(25).normal(size=(50, 4))
+        with pytest.raises(ProbeError, match="degenerate language features: all zero vectors"):
+            language_probe([(x, t, valid)], ProbeConfig())
+
+    def test_cosine_does_not_depend_on_the_blas_thread_count(self):
+        # each child fits the same float32 features, one with OpenBLAS's
+        # default thread count and one with a single thread
+        script = textwrap.dedent("""
+            import numpy as np
+            from concerto.probes import language_probe
+            rng = np.random.default_rng(26)
+            x = rng.normal(size=(3000, 40)) @ rng.normal(size=(40, 400))
+            x = (x + 1e-3 * rng.normal(size=x.shape)).astype(np.float32)
+            t = (x[:, :16] + rng.normal(size=(3000, 16))).astype(np.float32)
+            print(repr(language_probe([(x, t, np.ones(3000, dtype=bool))], None)[1]))
+        """)
+        src = str(Path(probes.__file__).resolve().parents[1])
+        cosines = []
+        for threads in (None, "1"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, timeout=120, check=True)
+            cosines.append(float(out.stdout))
+        assert abs(cosines[0] - cosines[1]) <= 1e-12 * abs(cosines[0])
 
 
 class TestZeroShot:
