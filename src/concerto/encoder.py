@@ -177,10 +177,10 @@ class EncodeResult:
     def num_stages(self) -> int:
         return len(self.feats)
 
-    def ancestors(self, stage: int, start: int = 0) -> np.ndarray:
-        """Map from P_start point positions to their stage-``stage`` ancestors."""
-        anc = np.arange(self.coords[start].shape[0])
-        for s in range(start, stage):
+    def ancestors(self, stage: int) -> np.ndarray:
+        """Map from P_0 point positions to their stage-``stage`` ancestors."""
+        anc = np.arange(self.coords[0].shape[0])
+        for s in range(stage):
             anc = self.parents[s][anc]
         return anc
 
@@ -239,15 +239,16 @@ def encode(view: View, params: Dict[str, T.Tensor], cfg: EncoderConfig) -> Encod
 def _upcast_blocks(result: EncodeResult, level: int, rows):
     """The stage features and row indices of ``level`` upcast steps, on the
     P_{top-level} points ``rows`` (None: every point, in order): the
-    operands of ``T.op_gather_concat`` and ``T.op_gather_linear``."""
+    operands of ``T.op_gather_concat`` and ``T.op_gather_linear``. Each
+    coarser stage's index is its parent map gathered by the previous one,
+    so ``level`` steps take ``level`` gathers."""
     top = result.num_stages - 1
     if not 0 <= level <= top:
         raise ValueError(f"upcast level {level} out of range 0..{top}")
-    start = top - level
-    stages = range(start, top + 1)
-    ancestors = (result.ancestors(s, start) for s in stages[1:])
-    return ([result.feats[s] for s in stages],
-            [rows] + [a if rows is None else a[rows] for a in ancestors])
+    index = [rows]
+    for s in range(top - level, top):
+        index.append(result.parents[s] if index[-1] is None else result.parents[s][index[-1]])
+    return result.feats[top - level:], index
 
 
 def upcast(result: EncodeResult, level: int, rows) -> T.Tensor:

@@ -22,16 +22,15 @@ The linear and lora heads train through one fused op,
 ``T.op_linear_softmax_xent``, which walks the training rows in blocks of
 ``T.gemm_block_rows`` rows and accumulates the head's gradient in the same
 pass; the evaluation logits are computed in the same blocks, so no
-whole-size logits exist. ``linear_probe`` reads the callers' training
-features twice, in float64-sized row blocks: once for the float64
-standardization statistics (``_moments``, one pass), once to write the
-standardized ``COMPUTE_DTYPE`` copy the head trains on. Each epoch then
-streams that copy once through the fused op. No whole-size float64 or
-unstandardized copy of the features is made. Every one of these row-block
-passes runs its blocks on ``T.map_blocks``' thread pool, one worker per
-usable CPU, and merges what they return in block order, so the probe's
-outputs have the same bits for any number of workers; the 6-class heads
-take the fused op's class-major pass, whose blocks run there too.
+whole-size logits exist. ``linear_probe`` copies the kept training rows
+once into one ``COMPUTE_DTYPE`` matrix, takes its float64 standardization
+statistics in one pass (``_moments``), and standardizes it in place; each
+epoch then streams that matrix once through the fused op. No float64 copy
+of the features is made. The statistics and the standardization run in
+float64-sized row blocks on ``T.map_blocks``' thread pool, one worker per
+usable CPU, and what the blocks return is merged in block order, so the
+probe's outputs have the same bits for any number of workers; the 6-class
+heads take the fused op's class-major pass, whose blocks run there too.
 """
 
 from __future__ import annotations
@@ -181,22 +180,23 @@ def lift_patch_features_to_points(sample: SceneSample):
 # shared head training
 # ---------------------------------------------------------------------------
 
-def _moments(read, blocks):
+def _moments(x: np.ndarray):
     """Per-column mean and (floored) standard deviation in float64 of the
-    rows ``read(blk)`` for every slice ``blk`` of ``blocks``, whatever their
-    dtype, in one pass, so no float64 copy of the whole input is made.
-    Block 0 is read first. Every later block, shifted by block 0's mean,
-    gives its mean and centred sum of squares on ``T.map_blocks``' pool,
-    and these are merged into the running ones in block order (Chan, Golub
-    and LeVeque, 1979), so the result has the same bits for any number of
-    workers. The sum of block 0's rows less its mean, what its rounded mean
-    missed, is carried into every later merge, so an offset far above the
-    spread (mean 1e4, sd 1e-2) costs no digits. Each block is cast and
-    shifted into float64 by one ``np.subtract``. Over a single block the
-    arithmetic is ``np.mean``'s and ``np.std``'s."""
+    rows of ``x``, whatever its dtype, in one pass over float64-sized row
+    blocks, so no float64 copy of the whole of ``x`` is made. Block 0 is
+    read first. Every later block, shifted by block 0's mean, gives its mean
+    and centred sum of squares on ``T.map_blocks``' pool, and these are
+    merged into the running ones in block order (Chan, Golub and LeVeque,
+    1979), so the result has the same bits for any number of workers. The
+    sum of block 0's rows less its mean, what its rounded mean missed, is
+    carried into every later merge, so an offset far above the spread (mean
+    1e4, sd 1e-2) costs no digits. Each block is cast and shifted into
+    float64 by one ``np.subtract``. Over a single block the arithmetic is
+    ``np.mean``'s and ``np.std``'s."""
+    blocks = T.row_blocks(x.shape[0], T.block_rows(x.shape[1], np.float64))
 
     def centred(blk, shift):
-        c = np.subtract(read(blk), shift, dtype=np.float64)
+        c = np.subtract(x[blk], shift, dtype=np.float64)
         b = c.sum(axis=0) / c.shape[0]
         c -= b
         return c, b
@@ -219,28 +219,18 @@ def _moments(read, blocks):
     return shift + mean, np.maximum(np.sqrt(squares / n), 1e-8)
 
 
-def _standardize_fit(x: np.ndarray):
-    """``_moments`` of the rows of ``x``, in float64 row blocks."""
-    rows = T.block_rows(x.shape[1], np.float64)
-    return _moments(x.__getitem__, T.row_blocks(x.shape[0], rows))
-
-
 def _standardizer(mu: np.ndarray, sd: np.ndarray, dtype):
     """``(mu, 1 / sd)`` in ``dtype``: every probe standardizes as
     ``(x - mu) * (1 / sd)`` in its features' dtype."""
     return mu.astype(dtype), (1.0 / sd).astype(dtype)
 
 
-def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    out = np.zeros((labels.size, num_classes))
-    out[np.arange(labels.size), labels] = 1.0
-    return out
-
-
 def _head_targets(y: np.ndarray, num_classes: int) -> np.ndarray:
     """The softmax head's ``COMPUTE_DTYPE`` targets: one-hot rows divided
     by the row count."""
-    return (_one_hot(y, num_classes) / y.size).astype(COMPUTE_DTYPE)
+    out = np.zeros((y.size, num_classes), COMPUTE_DTYPE)
+    out[np.arange(y.size), y] = 1.0 / y.size
+    return out
 
 
 @dataclass
@@ -322,22 +312,6 @@ def _evaluate(head, eval_scenes, mu, sd, num_classes: int) -> SegMetrics:
     return compute_metrics(np.concatenate(pred_all), np.concatenate(gt_all), num_classes)
 
 
-def _kept_rows(train_scenes, keeps, blk: slice) -> np.ndarray:
-    """Rows ``blk`` of the kept training rows of every scene, concatenated,
-    in ``COMPUTE_DTYPE``; a block may span scenes. A scene that keeps every
-    row is sliced, not indexed, so a block inside one such scene of that
-    dtype is a view."""
-    parts, start = [], 0
-    for (f, _labels), k in zip(train_scenes, keeps):
-        lo, hi = max(blk.start - start, 0), min(blk.stop - start, k.size)
-        if lo < hi:
-            parts.append(f[lo:hi] if k.size == f.shape[0] else f[k[lo:hi]])
-        start += k.size
-    if len(parts) == 1:
-        return parts[0].astype(COMPUTE_DTYPE, copy=False)
-    return np.concatenate(parts, axis=0, dtype=COMPUTE_DTYPE)
-
-
 def linear_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray]],
                  eval_scenes: Sequence[Tuple[np.ndarray, np.ndarray]],
                  num_classes: int, cfg: ProbeConfig) -> ProbeResult:
@@ -345,11 +319,12 @@ def linear_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray]],
 
     ``train_scenes`` / ``eval_scenes`` are (features, labels) pairs; features
     may be concatenations of several sources. label_budget limits the
-    labeled points used per training scene (seeded, nested). The head fits
-    on ``COMPUTE_DTYPE`` training features. A scene without labels, with
-    features of another width than training scene 0's, or with another
-    number of feature rows than labels, is refused before fitting. The
-    callers' arrays are never written.
+    labeled points used per training scene (seeded, nested). The kept
+    training rows are copied once into one ``COMPUTE_DTYPE`` matrix, which
+    is standardized in place and is what the head fits on. A scene without
+    labels, with features of another width than training scene 0's, or
+    with another number of feature rows than labels, is refused before
+    fitting. The callers' arrays are never written.
     """
     for role, scenes in (("training", train_scenes), ("evaluation", eval_scenes)):
         if not scenes:
@@ -366,20 +341,20 @@ def linear_probe(train_scenes: Sequence[Tuple[np.ndarray, np.ndarray]],
                 raise ProbeError(f"{role} scene {i}: {f.shape[0]} feature rows for "
                                  f"{labels.shape[0]} labels")
     keeps, y, missing = _labeled_rows([lab for _f, lab in train_scenes], num_classes, cfg)
-    blocks = T.row_blocks(y.size, T.block_rows(width, np.float64))
-
-    def kept(blk):
-        return _kept_rows(train_scenes, keeps, blk)
-
-    mu, sd = _moments(kept, blocks)
+    # a scene that keeps every row is passed whole: indexing all of it would
+    # add a scene-sized temporary
+    x = np.concatenate([f if k.size == f.shape[0] else f[k]
+                        for (f, _labels), k in zip(train_scenes, keeps)],
+                       axis=0, dtype=COMPUTE_DTYPE)
+    mu, sd = _moments(x)
     shift, scale = _standardizer(mu, sd, COMPUTE_DTYPE)
-    x = np.empty((y.size, width), COMPUTE_DTYPE)
 
     def standardize(blk):
-        np.subtract(kept(blk), shift, out=x[blk])
-        x[blk] *= scale
+        rows = x[blk]
+        rows -= shift
+        rows *= scale
 
-    T.map_blocks(standardize, blocks)
+    T.map_blocks(standardize, T.row_blocks(y.size, T.block_rows(width, np.float64)))
     head = _zero_head(width, num_classes)
     feats, weights = T.Tensor(x), _head_targets(y, num_classes)
     _fit(head, lambda h: _head_loss(h, feats, weights), cfg, dict.fromkeys(head, cfg.lr))
@@ -425,7 +400,7 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
         rows = [upcast(encode(plain_view(s), merged, enc_cfg), level, k)
                 for s, k in zip(train_samples, keeps)]
         x = rows[0] if len(rows) == 1 else T.op_concat_rows(rows)
-        shift, scale = _standardizer(*_standardize_fit(x.data), x.data.dtype)
+        shift, scale = _standardizer(*_moments(x.data), x.data.dtype)
         x = T.op_mul(T.op_add(x, T.Tensor(-shift)), T.Tensor(scale))
         return _head_loss(copies, x, weights)
 
@@ -437,7 +412,7 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
     merged = lora_weights(base, compute_copies(factors, track=False), scaling)
     stacked = np.concatenate([extract_features(s, merged, enc_cfg, level)[k]
                               for s, k in zip(train_samples, keeps)])
-    mu, sd = _standardize_fit(stacked)
+    mu, sd = _moments(stacked)
     evals = ((extract_features(s, merged, enc_cfg, level), s.cloud.labels)
              for s in eval_samples)
     learnable = sum(t.size for t in (*factors.values(), *head.values()))

@@ -573,8 +573,8 @@ def map_blocks(fn, blocks: Sequence) -> list:
     calling thread. Its callers run on one thread, as the tape does, so the
     pool is made without a lock. They are ``op_gather_concat``'s fill,
     ``op_linear_softmax_xent``'s class-major pass (``_xent_classes``), and
-    in ``probes`` the standardization statistics (``_moments``), the
-    standardized copy of ``linear_probe`` and ``_evaluate``'s
+    in ``probes`` the standardization statistics (``_moments``),
+    ``linear_probe``'s in-place standardization and ``_evaluate``'s
     predictions."""
     global _pool
     if _pool is None:

@@ -243,16 +243,20 @@ def load_checkpoint(path) -> Checkpoint:
     meta_path = path / "meta.json"
     if not meta_path.exists():
         raise TrainerError(f"not a checkpoint directory: {path}")
-    meta = json.loads(meta_path.read_text())
-    names = meta["param_names"]
+    try:
+        meta = json.loads(meta_path.read_text())
+        names, step, adam_step = meta["param_names"], int(meta["step"]), int(meta["adam_step"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise TrainerError(f"checkpoint {path}: malformed meta.json "
+                           f"({type(e).__name__}: {e})") from e
     params = {n: T.param(load_ctsr(path / "student" / f"{n}.ctsr")) for n in names}
     teacher = {n: T.Tensor(load_ctsr(path / "teacher" / f"{n}.ctsr")) for n in names}
     state = AdamState(m={n: load_ctsr(path / "adam_m" / f"{n}.ctsr") for n in names},
                       v={n: load_ctsr(path / "adam_v" / f"{n}.ctsr") for n in names},
-                      step=int(meta["adam_step"]))
+                      step=adam_step)
     center = load_ctsr(path / "center.ctsr")
     return Checkpoint(params=params, teacher=teacher, state=state, center=center,
-                      step=int(meta["step"]), meta=meta)
+                      step=step, meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from concerto.dataio import PointCloud, SceneSample, SyntheticSpec, generate_syn
 from concerto.encoder import EncoderConfig, encode, init_params, upcast
 from concerto.geometry import build_correspondence, visible_mask
 from concerto.objectives import cross_loss
-from concerto.probes import (ProbeConfig, ProbeError, TextSpace, _evaluate, _moments, _one_hot,
-                             _standardize_fit, compute_metrics, extract_features, label_budget_indices, language_probe,
+from concerto.probes import (ProbeConfig, ProbeError, TextSpace, _evaluate, _moments,
+                             compute_metrics, extract_features, label_budget_indices, language_probe,
                              lift_patch_features_to_points, linear_probe, lora_probe,
                              plain_view, zero_shot_segment)
 from concerto.trainer import AdamState, adamw_step
@@ -148,6 +148,25 @@ def softmax_head_epoch(head, feats, targets, state, cfg):
     adamw_step(head, grads, state, cfg.lr, {})
 
 
+def one_hot(labels, num_classes):
+    out = np.zeros((labels.size, num_classes))
+    out[np.arange(labels.size), labels] = 1.0
+    return out
+
+
+def run_child(script, threads, *args):
+    """The stdout of ``script`` run with ``args`` in a fresh interpreter
+    that imports this checkout's package, with OpenBLAS held to
+    ``threads`` threads (None: its default)."""
+    src = str(Path(probes.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if threads:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120, check=True).stdout
+
+
 def linear_probe_oracle(train_scenes, num_classes, cfg):
     """The training half of ``linear_probe`` written out plainly:
     fancy-indexed copies of every scene cast to float32, out-of-place
@@ -168,7 +187,7 @@ def linear_probe_oracle(train_scenes, num_classes, cfg):
             "head.b": T.param(np.zeros(num_classes))}
     state = AdamState.init(head)
     for _epoch in range(cfg.epochs):
-        softmax_head_epoch(head, T.Tensor(x), _one_hot(y, num_classes), state, cfg)
+        softmax_head_epoch(head, T.Tensor(x), one_hot(y, num_classes), state, cfg)
     return head["head.w"].data, head["head.b"].data, mu, sd
 
 
@@ -343,13 +362,13 @@ class TestBlockedHelpers:
     whole-array arithmetic they replace, on inputs of several blocks."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_standardize_fit_matches_whole_array_statistics(self, dtype):
+    def test_moments_match_whole_array_statistics(self, dtype):
         rng = np.random.default_rng(8)
         d = 37
         n = 3 * T.block_rows(d, np.float64) + 5
         x = (50.0 + rng.normal(size=(n, d)) * rng.uniform(0.01, 20.0, size=d)).astype(dtype)
         x[:, 4] = 7.0  # a constant column takes the floor
-        mu, sd = _standardize_fit(x)
+        mu, sd = _moments(x)
         x64 = x.astype(np.float64)
         np.testing.assert_allclose(mu, x64.mean(axis=0), rtol=1e-12, atol=0)
         want = np.maximum(x64.std(axis=0), 1e-8)
@@ -381,7 +400,7 @@ class TestBlockedHelpers:
         d = 9
         rows = T.block_rows(d, np.float64)
         x = (1e4 + rng.normal(size=(3 * rows + 17, d)) * 1e-2).astype(dtype)
-        mu, sd = _moments(x.__getitem__, T.row_blocks(x.shape[0], rows))
+        mu, sd = _moments(x)
         x64 = x.astype(np.float64)
         want_mu = x64.mean(axis=0)
         want_sd = np.sqrt(((x64 - want_mu) ** 2).mean(axis=0))
@@ -418,6 +437,33 @@ class TestBlockedHelpers:
         shift = res.train_mu.astype(np.float32)
         scale = (1.0 / res.train_sd).astype(np.float32)
         np.testing.assert_array_equal(seen[0], (x - shift) * scale)
+
+    def test_linear_probe_does_not_depend_on_the_blas_thread_or_cpu_count(self):
+        # three children fit the same float32 features: with OpenBLAS's
+        # default thread count, with a single OpenBLAS thread, and pinned to
+        # one CPU before numpy loads, so that OpenBLAS and the row-block
+        # pool each see one CPU; several statistics blocks span two scenes
+        script = textwrap.dedent("""
+            import hashlib, os, sys
+            if sys.argv[1:] == ["one_cpu"]:
+                os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            import numpy as np
+            from concerto.probes import ProbeConfig, linear_probe
+            rng = np.random.default_rng(27)
+            scenes = []
+            for n in (3000, 3100, 2900):
+                y = rng.integers(0, 6, size=n)
+                x = (rng.normal(size=(n, 200)) + 0.1 * y[:, None]).astype(np.float32)
+                scenes.append((x, y))
+            res = linear_probe(scenes, scenes[:1], 6, ProbeConfig(epochs=3))
+            arrays = (res.weight, res.bias, res.train_mu, res.train_sd)
+            print(hashlib.sha1(b"".join(a.tobytes() for a in arrays)).hexdigest(),
+                  repr(res.metrics.miou))
+        """)
+        assert T.block_rows(200, np.float64) < 3000
+        outs = {run_child(script, None), run_child(script, "1"),
+                run_child(script, None, "one_cpu")}
+        assert len(outs) == 1
 
 
 class TestLoraProbe:
@@ -822,16 +868,7 @@ class TestRidge:
             t = (x[:, :16] + rng.normal(size=(3000, 16))).astype(np.float32)
             print(repr(language_probe([(x, t, np.ones(3000, dtype=bool))], None)[1]))
         """)
-        src = str(Path(probes.__file__).resolve().parents[1])
-        cosines = []
-        for threads in (None, "1"):
-            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            if threads:
-                env["OPENBLAS_NUM_THREADS"] = threads
-            out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                                 text=True, timeout=120, check=True)
-            cosines.append(float(out.stdout))
+        cosines = [float(run_child(script, threads)) for threads in (None, "1")]
         assert abs(cosines[0] - cosines[1]) <= 1e-12 * abs(cosines[0])
 
 

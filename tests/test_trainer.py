@@ -560,3 +560,17 @@ class TestTrainLoop:
             np.testing.assert_array_equal(ck.params[k].data, params[k].data)
             assert ck.params[k].requires_grad
             assert not ck.teacher[k].requires_grad
+
+    @pytest.mark.parametrize("damage,error", [
+        (lambda text: text[:len(text) // 2], r"JSONDecodeError"),
+        (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                  if k != "param_names"}), r"KeyError: 'param_names'"),
+    ], ids=["not_json", "no_param_names"])
+    def test_malformed_meta_is_refused_naming_the_checkpoint(self, damage, error, tmp_path):
+        params = init_params(tiny_enc(), seed=6)
+        save_checkpoint(tmp_path / "ck", params, clone_params(params), AdamState.init(params),
+                        np.zeros(tiny_enc().proto_count), step=2)
+        meta_path = tmp_path / "ck" / "meta.json"
+        meta_path.write_text(damage(meta_path.read_text()))
+        with pytest.raises(TrainerError, match=rf"checkpoint .*ck: malformed meta.json \({error}"):
+            load_checkpoint(tmp_path / "ck")
