@@ -148,9 +148,7 @@ def _rect(origin, edge_u, edge_v, cls):
     edge_u = np.asarray(edge_u, dtype=np.float64)
     edge_v = np.asarray(edge_v, dtype=np.float64)
     area = np.linalg.norm(np.cross(edge_u, edge_v))
-    normal = np.cross(edge_u, edge_v)
-    normal = normal / np.linalg.norm(normal)
-    return origin, edge_u, edge_v, int(cls), float(area), normal
+    return origin, edge_u, edge_v, int(cls), float(area)
 
 
 def _room_surfaces(spec: SyntheticSpec, rng: np.random.Generator):
@@ -241,6 +239,7 @@ def generate_synthetic(spec: SyntheticSpec):
 
     Returns (samples, A) where A is the feature matrix such that, at
     noise_sigma=0, every nonempty patch feature equals A @ summary exactly.
+    The clouds carry no normals.
     """
     A = synthetic_feature_matrix(spec)
     palette = class_palette(spec.num_classes)
@@ -256,17 +255,15 @@ def generate_synthetic(spec: SyntheticSpec):
         surfaces = _room_surfaces(spec, rng)
         areas = np.array([sf[4] for sf in surfaces])
         counts = _allocate_counts(areas, spec.points_per_scene)
-        coords, labels, normals = [], [], []
-        for (origin, eu, ev, cls, _area, nrm), cnt in zip(surfaces, counts):
+        coords, labels = [], []
+        for (origin, eu, ev, cls, _area), cnt in zip(surfaces, counts):
             if cnt == 0:
                 continue
             ab = rng.uniform(0, 1, size=(cnt, 2))
             coords.append(origin + ab[:, :1] * eu + ab[:, 1:] * ev)
             labels.append(np.full(cnt, cls, dtype=np.int64))
-            normals.append(np.tile(nrm, (cnt, 1)))
         coords = np.concatenate(coords, axis=0)
         labels = np.concatenate(labels)
-        normals = np.concatenate(normals, axis=0)
         colors = palette[labels] + rng.uniform(-COLOR_JITTER, COLOR_JITTER, size=(coords.shape[0], 3))
         colors = np.clip(colors, 0.0, 1.0)
 
@@ -288,7 +285,7 @@ def generate_synthetic(spec: SyntheticSpec):
         for cam, block in zip(views, np.split(feats, len(views))):
             cam.feature_grid = block.reshape(side, side, spec.feature_dim)
 
-        cloud = PointCloud(coords=coords, colors=colors, normals=normals, labels=labels)
+        cloud = PointCloud(coords=coords, colors=colors, labels=labels)
         samples.append(SceneSample(cloud=cloud, views=views, scene_id=f"scene_{s:04d}"))
     return samples, A
 

@@ -19,8 +19,8 @@ general broadcasting beyond a 1-D row operand on the right of a 2-D one,
 and concat. The one cross-entropy, ``op_linear_softmax_xent``, is fused
 with the linear layer before it and with its log-softmax: it walks its rows
 in blocks of ``gemm_block_rows`` rows, so the logits never exist whole, and
-it accumulates the weight gradient in the same pass; a tracked input keeps,
-until backward, the narrower of its own gradient and the logits gradient.
+it accumulates the weight gradient in the same pass; a tracked input keeps
+its own gradient, written by the same pass, until backward.
 A block holds at most 2^21 bytes of its widest array; a narrow head's
 block holds 2^19 bytes of input, which keeps its GEMMs on OpenBLAS's
 small-matrix kernel.
@@ -584,10 +584,11 @@ def map_blocks(fn, blocks: Sequence) -> list:
     return [r for task in _pool.map(lambda bs: [fn(b) for b in bs], tasks) for r in task]
 
 
-def _xent_rows(xd, wd, bd, wts, temperature, rows, kept, keep_g, dw, db):
-    """``op_linear_softmax_xent``'s row-major pass: writes the kept gradient
-    into ``kept`` and adds the head's gradient into ``dw`` and ``db`` (each
-    None when not wanted); returns the loss."""
+def _xent_rows(xd, wd, bd, wts, rows, kept, dw, db):
+    """``op_linear_softmax_xent``'s row-major pass over the logits x @ wd +
+    bd: writes G @ wd.T into ``kept`` and adds x.T @ G and sum(G) into
+    ``dw`` and ``db`` (each None when not wanted), with G the logits
+    gradient; returns the loss."""
     n, k = xd.shape[0], wd.shape[1]
     logits = np.empty((min(rows, n), k), xd.dtype)  # one block's, reused
     row_weight = wts.sum(axis=1, keepdims=True)
@@ -597,16 +598,14 @@ def _xent_rows(xd, wd, bd, wts, temperature, rows, kept, keep_g, dw, db):
         z = np.matmul(xb, wd, out=logits[:xb.shape[0]])
         if bd is not None:
             z += bd
-        z /= temperature
         z -= z.max(axis=1, keepdims=True)
         val -= float((wb * z).sum())
         e = np.exp(z, out=z)
         s = e.sum(axis=1, keepdims=True)
         val += float((rw * np.log(s)).sum())
-        gb = np.multiply(e, rw / s, out=kept[a:a + rows] if keep_g else e)
+        gb = np.multiply(e, rw / s, out=e)
         gb -= wb
-        gb /= temperature
-        if kept is not None and not keep_g:
+        if kept is not None:
             np.matmul(gb, wd.T, out=kept[a:a + rows])
         if dw is not None:
             dw += xb.T @ gb
@@ -615,16 +614,14 @@ def _xent_rows(xd, wd, bd, wts, temperature, rows, kept, keep_g, dw, db):
     return val
 
 
-def _xent_classes(xd, wd, bd, wts, temperature, rows, kept, keep_g, dw, db):
+def _xent_classes(xd, wd, bd, wts, rows, kept, dw, db):
     """``op_linear_softmax_xent``'s class-major pass, its blocks on
-    ``map_blocks``' pool: as ``_xent_rows``, except that a kept G is
-    written into ``kept`` as a (k, n) array."""
+    ``map_blocks``' pool: as ``_xent_rows``, with (k, rows) block logits."""
     n, d, k = xd.shape[0], xd.shape[1], wd.shape[1]
     wt = np.ascontiguousarray(wd.T)  # a transposed view halves the forward GEMM's speed
     wts_t = np.ascontiguousarray(wts.T)
     row_weight = wts_t.sum(axis=0)
     bcol = None if bd is None else bd[:, None]
-    scaled = temperature != 1.0  # a division by 1 changes no bit but costs two passes a block
     count = -(-n // rows)
     terms = np.empty((count, 2))
     dws = None if dw is None else np.empty((count, d, k), xd.dtype)
@@ -636,8 +633,6 @@ def _xent_classes(xd, wd, bd, wts, temperature, rows, kept, keep_g, dw, db):
         z = wt @ xb.T
         if bcol is not None:
             z += bcol
-        if scaled:
-            z /= temperature
         z -= z.max(axis=0)
         terms[i, 0] = (wb * z).sum()
         e = np.exp(z, out=z)
@@ -645,11 +640,7 @@ def _xent_classes(xd, wd, bd, wts, temperature, rows, kept, keep_g, dw, db):
         terms[i, 1] = (rw * np.log(s)).sum()
         e *= rw / s
         e -= wb
-        if scaled:
-            e /= temperature
-        if keep_g:
-            kept[:, blk] = e
-        elif kept is not None:
+        if kept is not None:
             np.matmul(e.T, wt, out=kept[blk])
         if dws is not None:
             np.matmul(xb.T, e.T, out=dws[i])
@@ -673,13 +664,15 @@ def op_linear_softmax_xent(x: Tensor, w: Tensor, b: Optional[Tensor], weights: n
     (n, k) logits never exist whole (Wijmans et al., arXiv 2411.09009).
     ``b`` may be None.
 
-    The op walks the rows of x in blocks of ``gemm_block_rows(d, k)`` rows.
-    Each block's logits, divided by temperature and shifted to a row max of
-    0 (z), give its loss terms sum(rowsum(W) * log(s)) - sum(W * z), with s
-    the row sums of exp(z), and its logits gradient G = (rowsum(W) *
-    exp(z) / s - W) / temperature, from which the same pass accumulates
-    dw += x_b.T @ G and db += sum(G). The block terms are summed in float64
-    and the loss takes the operands' dtype.
+    The temperature is folded into the head once: the pass reads the logits
+    x @ (w / t) + b / t, and at t = 1 the divided copies have the head's
+    bits. The op walks the rows of x in blocks of ``gemm_block_rows(d, k)``
+    rows. Each block's logits, shifted to a row max of 0 (z), give its loss
+    terms sum(rowsum(W) * log(s)) - sum(W * z), with s the row sums of
+    exp(z), and G' = rowsum(W) * exp(z) / s - W, from which the same pass
+    accumulates x_b.T @ G' and sum(G'). The logits gradient is G' / t, so
+    the VJP divides these once by t to give dw and db. The block terms are
+    summed in float64 and the loss takes the operands' dtype.
 
     Two passes do this. A narrow head, whose blocks keep rows * d * k <=
     ``_SMALL_GEMM`` (every 6-class probe head), takes ``_xent_classes``:
@@ -695,12 +688,10 @@ def op_linear_softmax_xent(x: Tensor, w: Tensor, b: Optional[Tensor], weights: n
     64) takes ``_xent_rows``, whose GEMMs OpenBLAS already runs on all its
     threads.
 
-    A tracked x keeps whichever of its gradients is narrower until
-    backward: for d < k (a prototype head) the same pass writes G @ w.T,
-    the (n, d) input gradient, otherwise the (n, k) G is kept (class-major
-    on the narrow pass) and G @ w.T is taken in the VJP. Either way the VJP
-    is g * (G @ w.T, dw, db); an untracked x keeps neither, and the head's
-    gradient has the same bits either way.
+    A tracked x keeps its (n, d) gradient G' @ (w / t).T, which either pass
+    writes block by block, until backward, and the VJP is g * (that, dw,
+    db); an untracked x keeps nothing, and the head's gradient has the same
+    bits either way.
     """
     if temperature <= 0:
         raise ValueError(f"softmax temperature must be positive, got {temperature}")
@@ -714,36 +705,20 @@ def op_linear_softmax_xent(x: Tensor, w: Tensor, b: Optional[Tensor], weights: n
     wts = np.asarray(weights, dtype=dtype)
     if wts.shape != (n, k):
         raise ValueError(f"op_linear_softmax_xent weights shape {wts.shape} is not {(n, k)}")
-    track_x, track_w = x.requires_grad, w.requires_grad
-    track_b = b is not None and b.requires_grad
-    keep_gx = track_x and d < k
-    keep_g = track_x and not keep_gx
+    kept = np.empty((n, d), dtype) if x.requires_grad else None
+    dw = np.zeros((d, k), dtype) if w.requires_grad else None
+    db = np.zeros(k, dtype) if b is not None and b.requires_grad else None
     rows = gemm_block_rows(d, k, dtype)
-    narrow = rows * d * k <= _SMALL_GEMM
-    kept = None
-    if keep_gx:
-        kept = np.empty((n, d), dtype)
-    elif keep_g:
-        kept = np.empty((k, n) if narrow else (n, k), dtype)
-    dw = np.zeros((d, k), dtype) if track_w else None
-    db = np.zeros(k, dtype) if track_b else None
-    xent_pass = _xent_classes if narrow else _xent_rows
-    val = xent_pass(x.data, w.data, None if b is None else b.data, wts, temperature, rows,
-                    kept, keep_g, dw, db)
-    if keep_g and narrow:
-        kept = kept.T  # (n, k), Fortran order: the VJP's GEMM reads it transposed
-    wd = w.data if keep_g else None
+    xent_pass = _xent_classes if rows * d * k <= _SMALL_GEMM else _xent_rows
+    val = xent_pass(x.data, w.data / temperature,
+                    None if b is None else b.data / temperature, wts, rows, kept, dw, db)
     has_b = b is not None
 
     def vjp(g):
         scale = float(g)
-        gx = None
-        if keep_g:
-            gx = kept @ wd.T
-            gx *= scale
-        elif keep_gx:
-            gx = kept * scale
-        grads = (gx, dw * scale if track_w else None, db * scale if track_b else None)
+        head = scale / temperature
+        grads = (None if kept is None else kept * scale,
+                 None if dw is None else dw * head, None if db is None else db * head)
         return grads if has_b else grads[:2]
 
     parents = [x, w] if b is None else [x, w, b]

@@ -298,8 +298,8 @@ def _truncate_log(path: Path, start_step: int):
 def _check_resumable(ck: Checkpoint, meta: dict, params: Dict[str, T.Tensor],
                      path) -> None:
     """Refuse to resume a checkpoint under an encoder config or a compute
-    dtype it was not trained with, or whose parameter names or shapes differ
-    from ``params``."""
+    dtype it was not trained with, or whose student, teacher, Adam moments
+    or center have other names or shapes than the encoder config gives."""
     for key in ("encoder", "compute_dtype"):
         if key not in ck.meta:
             raise TrainerError(f"checkpoint {path} has no '{key}' entry in meta.json")
@@ -313,11 +313,18 @@ def _check_resumable(ck: Checkpoint, meta: dict, params: Dict[str, T.Tensor],
         raise TrainerError(f"checkpoint {path} was trained with compute_dtype "
                            f"{ck.meta['compute_dtype']}, this run computes in "
                            f"{meta['compute_dtype']}")
-    got, want = ({k: p.shape for k, p in d.items()} for d in (ck.params, params))
-    for name in sorted(got.keys() | want.keys()):
-        if got.get(name) != want.get(name):
-            raise TrainerError(f"checkpoint {path}: parameter '{name}' has shape "
-                               f"{got.get(name)}, the encoder config gives {want.get(name)}")
+    want = {k: p.shape for k, p in params.items()}
+    for part, arrays in (("student", ck.params), ("teacher", ck.teacher),
+                         ("adam_m", ck.state.m), ("adam_v", ck.state.v)):
+        got = {k: a.shape for k, a in arrays.items()}
+        for name in sorted(got.keys() | want.keys()):
+            if got.get(name) != want.get(name):
+                raise TrainerError(f"checkpoint {path}: {part} '{name}' has shape "
+                                   f"{got.get(name)}, the encoder config gives {want.get(name)}")
+    center = (meta["encoder"]["proto_count"],)
+    if ck.center.shape != center:
+        raise TrainerError(f"checkpoint {path}: center has shape {ck.center.shape}, "
+                           f"the encoder config gives {center}")
 
 
 def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConfig,
@@ -333,11 +340,12 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
     an exception, from ``step_hook`` or not, stops the run like a crash, and
     it resumes from its last periodic ``ckpt_step<k>``. Every checkpoint
     records the encoder config and the compute dtype, and resuming under
-    another one, or from parameters of other names or shapes, is refused. So
-    is a scene too small to crop, one whose augmented views can reach
-    beyond the voxel key range (``views.augmented_bounds``), and, when the
-    cross branch can run, one whose image features are not
-    ``enc_cfg.cross_dim`` wide; these checks run before step 0.
+    another one, or from parameters, teacher, Adam moments or center of other
+    names or shapes, is refused. So is a scene too small to crop, one whose
+    augmented views can reach beyond the voxel key range
+    (``views.augmented_bounds``), and, when the cross branch can run, one
+    whose image features are not ``enc_cfg.cross_dim`` wide; these checks
+    run before step 0.
     """
     if not samples:
         raise TrainerError("dataset is empty")

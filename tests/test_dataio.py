@@ -189,6 +189,10 @@ class TestManifestIO:
     def test_round_trip_bit_identical(self, tmp_path):
         spec = small_spec()
         samples, A = generate_synthetic(spec)
+        # synthetic clouds carry no normals: give the first scene unit ones
+        cloud = samples[0].cloud
+        cloud.normals = np.random.default_rng(3).normal(size=cloud.coords.shape)
+        cloud.normals /= np.linalg.norm(cloud.normals, axis=1, keepdims=True)
         path = save_dataset(samples, tmp_path, spec.feature_dim, spec.patch_size,
                             splits=["train", "val"], synthetic_a=A)
         manifest = load_manifest(path)
@@ -196,9 +200,11 @@ class TestManifestIO:
         assert [r.split for r in manifest.samples] == ["train", "val"]
         np.testing.assert_array_equal(load_ctsr(manifest.root / manifest.synthetic_a_path), A)
         back = load_all_samples(manifest)
+        assert back[0].cloud.normals is not None and back[1].cloud.normals is None
         for orig, got in zip(samples, back):
             np.testing.assert_array_equal(orig.cloud.coords, got.cloud.coords)
             np.testing.assert_array_equal(orig.cloud.labels, got.cloud.labels)
+            np.testing.assert_array_equal(orig.cloud.normals, got.cloud.normals)
             for vo, vg in zip(orig.views, got.views):
                 np.testing.assert_array_equal(vo.depth_map, vg.depth_map)
                 np.testing.assert_array_equal(vo.feature_grid, vg.feature_grid)

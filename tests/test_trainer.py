@@ -1,4 +1,5 @@
 import json
+import re
 import weakref
 from collections import Counter, defaultdict
 from dataclasses import asdict
@@ -499,6 +500,23 @@ class TestTrainLoop:
                   load_ctsr(ck / "student" / "proto.w.ctsr").T.copy())
         steps = []
         with pytest.raises(TrainerError, match=r"'proto\.w' has shape \(24, 16\)"):
+            self.run(dataset[:2], 4, resume=ck,
+                     step_hook=lambda step, *_rest: steps.append(step))
+        assert steps == []
+
+    @pytest.mark.parametrize("part,shape,message", [
+        ("adam_m/stage0.lin0.w.ctsr", (3, 3), r"adam_m 'stage0\.lin0\.w' has shape \(3, 3\)"),
+        ("teacher/stage0.lin0.w.ctsr", (3, 3), r"teacher 'stage0\.lin0\.w' has shape \(3, 3\)"),
+        ("center.ctsr", (5,), r"center has shape \(5,\), the encoder config gives \(24,\)"),
+    ], ids=["adam_m", "teacher", "center"])
+    def test_resume_refuses_misshapen_state(self, dataset, tmp_path, part, shape, message):
+        # the teacher, the Adam moments and the center are checked as the
+        # student is, before any step, with the checkpoint named
+        self.run(dataset[:2], 2, out=tmp_path / "run")
+        ck = tmp_path / "run" / "ckpt_final"
+        save_ctsr(ck / part, np.zeros(shape))
+        steps = []
+        with pytest.raises(TrainerError, match=f"checkpoint {re.escape(str(ck))}: {message}"):
             self.run(dataset[:2], 4, resume=ck,
                      step_hook=lambda step, *_rest: steps.append(step))
         assert steps == []
