@@ -315,6 +315,16 @@ def assemble_pieces(sample: SceneSample) -> List[SceneSample]:
 # manifest io
 # ---------------------------------------------------------------------------
 
+def _check_scene_ids(scene_ids, error) -> None:
+    """Refuse a non-string or repeated scene id: each names ``scenes/<scene_id>/``."""
+    first = {}
+    for i, scene_id in enumerate(scene_ids):
+        if not isinstance(scene_id, str):
+            raise error(f"sample {i}: scene_id {scene_id!r} is not a string")
+        if first.setdefault(scene_id, i) != i:
+            raise error(f"samples {first[scene_id]} and {i} share scene_id {scene_id}")
+
+
 def save_dataset(samples: Sequence[SceneSample], out_dir, image_feature_dim: int,
                  patch_size: int, splits: Optional[Sequence[str]] = None,
                  synthetic_a: Optional[np.ndarray] = None) -> Path:
@@ -323,6 +333,7 @@ def save_dataset(samples: Sequence[SceneSample], out_dir, image_feature_dim: int
         splits = ["train"] * len(samples)
     if len(splits) != len(samples):
         raise ValueError(f"{len(splits)} splits given for {len(samples)} scenes")
+    _check_scene_ids([s.scene_id for s in samples], ValueError)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -391,6 +402,7 @@ def load_manifest(path) -> DatasetManifest:
                                   cloud=s["cloud"], views=s["views"]))
         except KeyError as e:
             raise ManifestError(f"sample {i} (scene {s.get('scene_id')}): missing key {e}") from e
+    _check_scene_ids([r.scene_id for r in refs], ManifestError)
     return DatasetManifest(root=path.parent, image_feature_dim=int(doc["image_feature_dim"]),
                            patch_size=int(doc["patch_size"]), samples=refs,
                            synthetic_a_path=doc.get("synthetic_A"))

@@ -43,6 +43,8 @@ class CameraView:
         self.translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if not (np.isfinite(self.intrinsics).all() and np.isfinite(self.translation).all()):
             raise ValueError("intrinsics and translation must be finite")
+        if not (self.intrinsics[0, 0] > 0 and self.intrinsics[1, 1] > 0):
+            raise ValueError("focal lengths K[0,0] and K[1,1] must be positive")
         R = self.rotation
         if not np.allclose(R.T @ R, np.eye(3), atol=1e-9):
             raise ValueError("rotation is not orthonormal")

@@ -164,13 +164,17 @@ def label_budget_indices(n: int, budget: Optional[int], seed: int, scene_idx: in
 def lift_patch_features_to_points(sample: SceneSample):
     """Per-point mean of the image features of every patch the point is
     visible in; points seen by no view get zeros and valid=False. A scene
-    without views, or with a view lacking a feature grid, is refused."""
+    without views, or with a view lacking a feature grid, or a depth map
+    where points project into it, is refused by name."""
     if not sample.views:
         raise ProbeError(f"scene {sample.scene_id} has no views")
     for i, v in enumerate(sample.views):
         if v.feature_grid is None:
             raise ProbeError(f"scene {sample.scene_id}: view {i} has no feature grid")
-    corr = build_correspondence(sample.cloud.coords, sample.views)
+    try:
+        corr = build_correspondence(sample.cloud.coords, sample.views)
+    except ValueError as e:
+        raise ProbeError(f"scene {sample.scene_id}: {e}") from e
     out, counts = T.segment_mean_np(patch_table(sample.views)[corr.row], corr.point_index,
                                     sample.cloud.num_points)
     return out, counts > 0

@@ -35,7 +35,7 @@ from . import tensor as T
 from .ctsr import load_ctsr, save_ctsr
 from .dataio import SceneSample
 from .encoder import EncoderConfig, clone_params, encode, ema_update, init_params
-from .geometry import Correspondence, build_correspondence, lattice_keys
+from .geometry import build_correspondence, lattice_keys
 from .objectives import ClusterLossConfig, LossWeights, combine, cross_loss, intra_loss
 from .views import (MASK_GRID, MIN_LOCAL_POINTS, AugmentConfig, augmented_bounds,
                     make_viewset)
@@ -273,12 +273,6 @@ class TrainResult:
     checkpoints: List[Path]
 
 
-def _scene_grids(sample: SceneSample):
-    if any(v.feature_grid is None for v in sample.views) or not sample.views:
-        return None
-    return [v.flat_feature_grid() for v in sample.views]
-
-
 def _truncate_log(path: Path, start_step: int):
     """Drop the rows of step ``start_step`` and later from an existing log, so
     a resumed run logs each step once. The kept rows go to a temporary file
@@ -341,11 +335,11 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
     it resumes from its last periodic ``ckpt_step<k>``. Every checkpoint
     records the encoder config and the compute dtype, and resuming under
     another one, or from parameters, teacher, Adam moments or center of other
-    names or shapes, is refused. So is a scene too small to crop, one whose
-    augmented views can reach beyond the voxel key range
+    names or shapes, is refused. Before step 0, so is a scene too small to
+    crop, one whose augmented views can reach beyond the voxel key range
     (``views.augmented_bounds``), and, when the cross branch can run, one
-    whose image features are not ``enc_cfg.cross_dim`` wide; these checks
-    run before step 0.
+    whose image features are not ``enc_cfg.cross_dim`` wide or that has a
+    view with a feature grid and no depth map.
     """
     if not samples:
         raise TrainerError("dataset is empty")
@@ -353,6 +347,7 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
     # checked on the box that augmentation can carry a scene's views into
     finest_cell = min(enc_cfg.voxel_size, MASK_GRID)
     cross_can_run = cfg.weights.cross > 0 and cfg.image_usage_ratio > 0
+    cross_inputs = []  # by position: (correspondence, view grids), or None: no cross loss
     for sample in samples:
         # every step draws local crops of at least this many points
         if sample.cloud.num_points < MIN_LOCAL_POINTS:
@@ -363,11 +358,19 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
                          finest_cell)
         except ValueError as e:
             raise TrainerError(f"scene {sample.scene_id}, once augmented: {e}") from e
-        grids = _scene_grids(sample) if cross_can_run else None
-        for i, grid in enumerate(grids or ()):
+        views = sample.views
+        if not (cross_can_run and views and all(v.feature_grid is not None for v in views)):
+            cross_inputs.append(None)
+            continue
+        grids = [v.flat_feature_grid() for v in views]
+        for i, grid in enumerate(grids):
             if grid.shape[1] != enc_cfg.cross_dim:
                 raise TrainerError(f"scene {sample.scene_id}, view {i}: image features are "
                                    f"{grid.shape[1]} wide, enc_cfg.cross_dim is {enc_cfg.cross_dim}")
+        try:
+            cross_inputs.append((build_correspondence(sample.cloud.coords, views), grids))
+        except ValueError as e:
+            raise TrainerError(f"scene {sample.scene_id}: {e}") from e
     # the JSON round trip makes the stored and the current entry compare equal
     meta = {"encoder": json.loads(json.dumps(asdict(enc_cfg))),
             "compute_dtype": np.dtype(COMPUTE_DTYPE).name}
@@ -388,7 +391,6 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
         start_step = 0
 
     factors = lr_depth_factors(params, enc_cfg)
-    corr_cache: Dict[str, Correspondence] = {}
     out = Path(out_dir) if out_dir is not None else None
     log_fh = None
     if out is not None:
@@ -405,14 +407,13 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
             epoch = step // n
             order = np.random.default_rng([cfg.seed, 88, epoch]).permutation(n)
             sample = samples[order[step % n]]
+            cross_in = cross_inputs[order[step % n]]
 
             step_rng = np.random.default_rng([cfg.seed, 55, step])
             view_seed = int(step_rng.integers(2 ** 31))
             image_draw = step_rng.random()
 
-            grids = _scene_grids(sample)
-            use_images = (grids is not None and cfg.weights.cross > 0
-                          and image_draw < cfg.image_usage_ratio)
+            use_images = cross_in is not None and image_draw < cfg.image_usage_ratio
 
             vs = make_viewset(sample.cloud, aug_cfg, seed=view_seed)
             # compute copies of the float64 masters; only they join the tape
@@ -426,11 +427,7 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
             cross = None
             patches, cross_baseline = 0, 0.0
             if use_images:
-                if sample.scene_id not in corr_cache:
-                    corr_cache[sample.scene_id] = build_correspondence(
-                        sample.cloud.coords, sample.views)
-                cross, patches, cross_baseline = cross_loss(
-                    student[0][1], corr_cache[sample.scene_id], grids, params_c)
+                cross, patches, cross_baseline = cross_loss(student[0][1], *cross_in, params_c)
             total = combine(intra, cross, cfg.weights)
             if not np.isfinite(total.data).all():
                 if out is not None:

@@ -2,10 +2,14 @@
 finite-difference gradients for the tape's ops, the unfused linear softmax
 cross-entropy, the projection head over a built upcast, a tape walker, a
 recorder of the dtypes that reach the tape, a block in which only reference
-counting frees objects, and a reader for the ASCII PLY files
-``concerto.viz.export_ply`` writes."""
+counting frees objects, a reader for the ASCII PLY files
+``concerto.viz.export_ply`` writes, and a launcher of child interpreters
+with a set OpenBLAS thread count."""
 
 import gc
+import os
+import subprocess
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -149,3 +153,22 @@ def load_ply(path):
     coords = np.array([[float(v) for v in r[:3]] for r in rows])
     colors = np.array([[int(v) for v in r[3:6]] for r in rows], dtype=np.uint8)
     return coords, colors
+
+
+def child_env(threads) -> dict:
+    """This process's environment for a fresh interpreter that imports this
+    checkout's package, with OpenBLAS held to ``threads`` threads (None: its
+    default)."""
+    src = str(Path(T.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if threads:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
+
+
+def run_child(script, threads, *args):
+    """The stdout of ``script`` run with ``args`` in a fresh interpreter
+    under ``child_env(threads)``."""
+    return subprocess.run([sys.executable, "-c", script, *args], env=child_env(threads),
+                          capture_output=True, text=True, timeout=120, check=True).stdout

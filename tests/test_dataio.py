@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -220,6 +221,30 @@ class TestManifestIO:
             save_dataset(samples, out, spec.feature_dim, spec.patch_size, splits=splits)
         assert not out.exists()
 
+    def test_repeated_scene_id_rejected_before_writing(self, tmp_path):
+        spec = small_spec(num_scenes=3)
+        samples, _ = generate_synthetic(spec)
+        samples[2] = dataclasses.replace(samples[2], scene_id=samples[0].scene_id)
+        out = tmp_path / "ds"
+        with pytest.raises(ValueError, match=f"samples 0 and 2 share scene_id {samples[0].scene_id}"):
+            save_dataset(samples, out, spec.feature_dim, spec.patch_size)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scene_id,match", [
+        ("scene_0001", "samples 1 and 2 share scene_id scene_0001"),
+        (["scene_0002"], r"sample 2: scene_id \['scene_0002'\] is not a string"),
+        (2, "sample 2: scene_id 2 is not a string")], ids=["repeated", "list", "int"])
+    def test_manifest_scene_id_that_cannot_name_a_directory_rejected(self, tmp_path,
+                                                                     scene_id, match):
+        spec = small_spec(num_scenes=3)
+        samples, _ = generate_synthetic(spec)
+        path = save_dataset(samples, tmp_path, spec.feature_dim, spec.patch_size)
+        doc = json.loads(path.read_text())
+        doc["samples"][2]["scene_id"] = scene_id
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match=match):
+            load_manifest(path)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ManifestError, match="not found"):
             load_manifest(tmp_path / "nope.json")
@@ -312,6 +337,20 @@ class TestManifestIO:
             load_sample(manifest, manifest.samples[0])
             with pytest.raises(ManifestError, match=match):
                 load_sample(manifest, manifest.samples[1])
+
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 1)], ids=["fx", "fy"])
+    def test_zero_focal_length_rejected_naming_the_view(self, tmp_path, entry):
+        spec = small_spec()
+        samples, _ = generate_synthetic(spec)
+        path = save_dataset(samples, tmp_path, spec.feature_dim, spec.patch_size)
+        doc = json.loads(path.read_text())
+        doc["samples"][1]["views"][2]["K"][entry[0]][entry[1]] = 0.0
+        path.write_text(json.dumps(doc))
+        manifest = load_manifest(path)
+        load_sample(manifest, manifest.samples[0])
+        with pytest.raises(ManifestError,
+                           match=f"scene {samples[1].scene_id} view 2: focal lengths"):
+            load_sample(manifest, manifest.samples[1])
 
     def test_five_views_rejected(self, tmp_path):
         spec = small_spec(num_scenes=1)

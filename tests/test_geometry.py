@@ -101,6 +101,15 @@ class TestProject:
             CameraView(intrinsics=np.eye(3), rotation=np.eye(3) * 2,
                        translation=np.zeros(3), image_size=(8, 8), patch_size=2)
 
+    @pytest.mark.parametrize("entry,value", [((0, 0), 0.0), ((1, 1), 0.0), ((0, 0), -50.0),
+                                             ((1, 1), -50.0)])
+    def test_rejects_non_positive_focal_length(self, entry, value):
+        K = np.array([[50.0, 0, 4], [0, 50.0, 4], [0, 0, 1]])
+        K[entry] = value
+        with pytest.raises(ValueError, match="focal lengths"):
+            CameraView(intrinsics=K, rotation=np.eye(3), translation=np.zeros(3),
+                       image_size=(8, 8), patch_size=2)
+
     @pytest.mark.parametrize("field", ["intrinsics", "translation", "feature_grid"])
     def test_rejects_non_finite(self, field):
         arrays = {"intrinsics": np.eye(3), "translation": np.zeros(3),

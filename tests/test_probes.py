@@ -1,10 +1,6 @@
 import dataclasses
-import os
-import subprocess
-import sys
 import textwrap
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +16,7 @@ from concerto.probes import (ProbeConfig, ProbeError, TextSpace, _evaluate, _mom
                              lift_patch_features_to_points, linear_probe, lora_probe,
                              plain_view, zero_shot_segment)
 from concerto.trainer import AdamState, adamw_step
-from oracles import record_tape_dtypes
+from oracles import record_tape_dtypes, run_child
 
 
 def tiny_enc(**kw):
@@ -152,19 +148,6 @@ def one_hot(labels, num_classes):
     out = np.zeros((labels.size, num_classes))
     out[np.arange(labels.size), labels] = 1.0
     return out
-
-
-def run_child(script, threads, *args):
-    """The stdout of ``script`` run with ``args`` in a fresh interpreter
-    that imports this checkout's package, with OpenBLAS held to
-    ``threads`` threads (None: its default)."""
-    src = str(Path(probes.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    if threads:
-        env["OPENBLAS_NUM_THREADS"] = threads
-    return subprocess.run([sys.executable, "-c", script, *args], env=env,
-                          capture_output=True, text=True, timeout=120, check=True).stdout
 
 
 def linear_probe_oracle(train_scenes, num_classes, cfg):
@@ -962,6 +945,13 @@ class TestLiftedFeatures:
         views = [s.views[0], dataclasses.replace(s.views[1], feature_grid=None)]
         sample = SceneSample(cloud=s.cloud, views=views, scene_id="gridless")
         with pytest.raises(ProbeError, match="scene gridless: view 1 has no feature grid"):
+            lift_patch_features_to_points(sample)
+
+    def test_view_without_depth_map_rejected_naming_the_scene(self, dataset):
+        s = dataset[0]
+        views = [s.views[0], dataclasses.replace(s.views[1], depth_map=None)]
+        sample = SceneSample(cloud=s.cloud, views=views, scene_id="depthless")
+        with pytest.raises(ProbeError, match="scene depthless: view has no depth map"):
             lift_patch_features_to_points(sample)
 
     def test_deterministic(self, dataset):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import weakref
@@ -220,6 +221,24 @@ class TestTrainLoop:
         # the width is not checked where the cross branch cannot run
         for kw in (dict(weights=LossWeights(cross=0.0)), dict(image_usage_ratio=0.0)):
             assert len(self.run(dataset, 1, enc_cfg=tiny_enc(cross_dim=16), **kw).log) == 1
+
+    def test_view_without_depth_map_rejected_before_step_0(self, dataset):
+        s = dataset[1]
+        views = [dataclasses.replace(v, depth_map=None) for v in s.views]
+        depthless = SceneSample(cloud=s.cloud, views=views, scene_id="depthless")
+        steps = []
+        with pytest.raises(TrainerError, match="scene depthless: view has no depth map"):
+            self.run([dataset[0], depthless], 2,
+                     step_hook=lambda step, *_rest: steps.append(step))
+        assert steps == []
+        # the views are not matched where the cross branch cannot run
+        assert len(self.run([dataset[0], depthless], 2, image_usage_ratio=0.0).log) == 2
+
+    def test_scenes_sharing_an_id_each_train_through_their_own_views(self, dataset):
+        unique = self.run(dataset, 3).log
+        shared = [dataclasses.replace(s, scene_id="same") for s in dataset]
+        assert self.run(shared, 3).log == unique
+        assert all(row["cross"] > 0 for row in unique)
 
     def test_loss_logged_and_finite(self, dataset):
         res = self.run(dataset, 6)
