@@ -325,6 +325,14 @@ def _check_scene_ids(scene_ids, error) -> None:
             raise error(f"samples {first[scene_id]} and {i} share scene_id {scene_id}")
 
 
+def _check_json_type(value, kind, what: str) -> None:
+    """Refuse a manifest entry that is not a JSON object (``dict``) or array
+    (``list``), naming it."""
+    if not isinstance(value, kind):
+        raise ManifestError(f"{what} must be a JSON {'object' if kind is dict else 'array'}, "
+                            f"not {type(value).__name__}")
+
+
 def save_dataset(samples: Sequence[SceneSample], out_dir, image_feature_dim: int,
                  patch_size: int, splits: Optional[Sequence[str]] = None,
                  synthetic_a: Optional[np.ndarray] = None) -> Path:
@@ -395,13 +403,21 @@ def load_manifest(path) -> DatasetManifest:
     if doc["version"] != MANIFEST_VERSION:
         raise ManifestError(f"manifest {path} has version {doc['version']}; this "
                             f"reader takes version {MANIFEST_VERSION}")
+    _check_json_type(doc["samples"], list, "manifest samples")
     refs = []
     for i, s in enumerate(doc["samples"]):
+        _check_json_type(s, dict, f"sample {i}")
+        where = f"sample {i} (scene {s.get('scene_id')})"
         try:
-            refs.append(SampleRef(scene_id=s["scene_id"], split=s.get("split", "train"),
-                                  cloud=s["cloud"], views=s["views"]))
+            ref = SampleRef(scene_id=s["scene_id"], split=s.get("split", "train"),
+                            cloud=s["cloud"], views=s["views"])
         except KeyError as e:
-            raise ManifestError(f"sample {i} (scene {s.get('scene_id')}): missing key {e}") from e
+            raise ManifestError(f"{where}: missing key {e}") from e
+        _check_json_type(ref.cloud, dict, f"{where} cloud")
+        _check_json_type(ref.views, list, f"{where} views")
+        for v, ve in enumerate(ref.views):
+            _check_json_type(ve, dict, f"{where} view {v}")
+        refs.append(ref)
     _check_scene_ids([r.scene_id for r in refs], ManifestError)
     return DatasetManifest(root=path.parent, image_feature_dim=int(doc["image_feature_dim"]),
                            patch_size=int(doc["patch_size"]), samples=refs,

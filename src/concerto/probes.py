@@ -30,7 +30,9 @@ of the features is made. The statistics and the standardization run in
 float64-sized row blocks on ``T.map_blocks``' thread pool, one worker per
 usable CPU, and what the blocks return is merged in block order, so the
 probe's outputs have the same bits for any number of workers; the 6-class
-heads take the fused op's class-major pass, whose blocks run there too.
+heads take the fused op's class-major pass, whose blocks run there too,
+each GEMM on OpenBLAS's one-thread small-matrix kernel (``T._xent_classes``
+picks the forward product by the block's rows times classes).
 """
 
 from __future__ import annotations

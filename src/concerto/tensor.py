@@ -22,17 +22,19 @@ in blocks of ``gemm_block_rows`` rows, so the logits never exist whole, and
 it accumulates the weight gradient in the same pass; a tracked input keeps
 its own gradient, written by the same pass, until backward.
 A block holds at most 2^21 bytes of its widest array; a narrow head's
-block holds 2^19 bytes of input, which keeps its GEMMs on OpenBLAS's
-small-matrix kernel.
-That kernel runs on one thread, so a head whose blocks stay within it
-(rows * d * k <= 10^6; every 6-class probe head) takes a class-major pass,
-whose (k, rows) block logits reduce over classes along axis 0, with its
-blocks on ``map_blocks``' thread pool, one worker per usable CPU; the
-blocks' results are summed in block order, so the bits do not depend on
-the worker count (timings in ``BENCH_class_major_probe_head.json``). The
-workers call only numpy and BLAS, never an ``op_*``. Wider heads (the
-prototype heads) keep the row-major pass, whose GEMMs OpenBLAS runs on all
-its threads.
+block holds 2^19 bytes of input, which keeps its GEMMs within
+rows * d * k <= 10^6, the size up to which OpenBLAS may take its
+one-thread small-matrix kernel. A head whose blocks stay within it (every
+6-class probe head) takes a class-major pass, whose (k, rows) block logits
+reduce over classes along axis 0, with its blocks on ``map_blocks``'
+thread pool, one worker per usable CPU; the blocks' results are summed in
+block order, so the bits do not depend on the worker count (timings in
+``BENCH_class_major_probe_head.json``). OpenBLAS keeps the class-major
+product w.T @ x_b.T on that kernel only while rows * k <= 1,200; a larger
+block computes x_b @ w, which the kernel takes at any rows * k, and copies
+it transposed (``BENCH_small_kernel_probe_head.json``). The workers call
+only numpy and BLAS, never an ``op_*``. Wider heads (the prototype heads)
+keep the row-major pass, whose GEMMs OpenBLAS runs on all its threads.
 The one product op, ``op_matmul``, takes a bias that may be None and adds
 it into the product's buffer. It and ``op_local_mix`` (segment mean,
 gather, add and halving) write into one output buffer what the unfused
@@ -92,6 +94,7 @@ _GELU_BLOCK = 1 << 16  # elements per pass of the float32 GELU kernel
 _BLOCK_BYTES = 1 << 21  # the widest array of one block of a blocked row pass
 _GEMM_BYTES = 1 << 19  # the input of one block of a narrow head's blocked pass
 _SMALL_GEMM = 10 ** 6  # OpenBLAS takes its small-matrix sgemm kernel at M * N * K <= this
+_SMALL_TN = 1200  # ... and for (k, d) @ (d, rows).T only at rows * k <= this
 _EPS = 1e-8  # floor of the normalizing ops' variances and norms
 _BLOCKS_PER_TASK = 8  # row blocks per task of ``map_blocks``' pool
 _pool: Optional[ThreadPoolExecutor] = None  # ``map_blocks``' workers, made on first use
@@ -552,10 +555,12 @@ def row_blocks(n: int, rows: int) -> list:
 def gemm_block_rows(d: int, k: int, dtype) -> int:
     """Rows per block of a blocked pass of an (n, d) input through a (d, k)
     matrix: ``block_rows(max(d, k))``, or the fewer rows of d columns that
-    fit in ``_GEMM_BYTES`` where that puts the block's GEMMs (rows x d x k)
-    within OpenBLAS's small-matrix kernel (``_SMALL_GEMM``). A 6-class head
-    at d = 992 gets 132 rows (786k) instead of 528 (3.1M); a 13-class head
-    keeps 528, as 132 rows (1.7M) would miss the kernel and only add blocks.
+    fit in ``_GEMM_BYTES`` where that keeps the block's GEMMs (rows x d x
+    k) within ``_SMALL_GEMM``, the largest that OpenBLAS's small-matrix
+    kernel takes (``_xent_classes`` keeps them on it). A 6-class head at d
+    = 992 gets 132 rows (786k) instead of 528 (3.1M), and at d = 184 712
+    rows (786k); a 13-class head keeps 528, as 132 rows (1.7M) would miss
+    the kernel and only add blocks.
     """
     rows = block_rows(max(d, k), dtype)
     small = max(1, _GEMM_BYTES // (max(d, 1) * np.dtype(dtype).itemsize))
@@ -616,7 +621,12 @@ def _xent_rows(xd, wd, bd, wts, rows, kept, dw, db):
 
 def _xent_classes(xd, wd, bd, wts, rows, kept, dw, db):
     """``op_linear_softmax_xent``'s class-major pass, its blocks on
-    ``map_blocks``' pool: as ``_xent_rows``, with (k, rows) block logits."""
+    ``map_blocks``' pool: as ``_xent_rows``, with (k, rows) block logits.
+    OpenBLAS runs w.T @ x_b.T, whose first operand alone is transposed, on
+    its one-thread small-matrix kernel only while rows * k <= ``_SMALL_TN``,
+    where it is the faster form; a larger block computes x_b @ w, which the
+    kernel takes, and copies it to (k, rows). The gradient products are of
+    forms the kernel takes, so every GEMM of a block runs on one thread."""
     n, d, k = xd.shape[0], xd.shape[1], wd.shape[1]
     wt = np.ascontiguousarray(wd.T)  # a transposed view halves the forward GEMM's speed
     wts_t = np.ascontiguousarray(wts.T)
@@ -630,7 +640,7 @@ def _xent_classes(xd, wd, bd, wts, rows, kept, dw, db):
     def block(i):
         blk = slice(i * rows, (i + 1) * rows)
         xb, wb, rw = xd[blk], wts_t[:, blk], row_weight[blk]
-        z = wt @ xb.T
+        z = wt @ xb.T if xb.shape[0] * k <= _SMALL_TN else (xb @ wd).T.copy()
         if bcol is not None:
             z += bcol
         z -= z.max(axis=0)
@@ -675,14 +685,15 @@ def op_linear_softmax_xent(x: Tensor, w: Tensor, b: Optional[Tensor], weights: n
     summed in float64 and the loss takes the operands' dtype.
 
     Two passes do this. A narrow head, whose blocks keep rows * d * k <=
-    ``_SMALL_GEMM`` (every 6-class probe head), takes ``_xent_classes``:
-    OpenBLAS runs such GEMMs on one thread, so the blocks are spread over
-    ``map_blocks``' pool, one worker per usable CPU, and the logits are
-    class-major, (k, rows), which makes the max and sum over classes
-    vectorized reductions along axis 0 where a row-major block reduced
-    rows of k elements. Each block's loss terms, dw and db are kept and
-    summed in block order after the map, so the results have the same bits
-    for any number of workers; at the linear probe's shape it is faster
+    ``_SMALL_GEMM`` (every 6-class probe head), takes ``_xent_classes``,
+    which keeps each block's GEMMs on OpenBLAS's one-thread small-matrix
+    kernel (choosing the forward product by rows * k, see there), so the
+    blocks are spread over ``map_blocks``' pool, one worker per usable CPU,
+    and the logits are class-major, (k, rows), which makes the max and sum
+    over classes vectorized reductions along axis 0 where a row-major block
+    reduced rows of k elements. Each block's loss terms, dw and db are kept
+    and summed in block order after the map, so the results have the same
+    bits for any number of workers; at the linear probe's shape it is faster
     than the row-major pass (``BENCH_class_major_probe_head.json``). A wider
     head (a prototype head: rows x d x k = 512 x 256 x 1024 or 8,192 x 32 x
     64) takes ``_xent_rows``, whose GEMMs OpenBLAS already runs on all its

@@ -338,6 +338,29 @@ class TestManifestIO:
             with pytest.raises(ManifestError, match=match):
                 load_sample(manifest, manifest.samples[1])
 
+    @pytest.mark.parametrize("edit,match", [
+        (lambda doc: doc.update(samples={"0": doc["samples"][0]}),
+         "manifest samples must be a JSON array, not dict"),
+        (lambda doc: doc["samples"].__setitem__(1, doc["samples"][1]["scene_id"]),
+         "sample 1 must be a JSON object, not str"),
+        (lambda doc: doc["samples"][1].update(cloud=["coords.ctsr"]),
+         r"sample 1 \(scene {scene}\) cloud must be a JSON object, not list"),
+        (lambda doc: doc["samples"][1].update(views=4),
+         r"sample 1 \(scene {scene}\) views must be a JSON array, not int"),
+        (lambda doc: doc["samples"][1]["views"].__setitem__(2, "view2"),
+         r"sample 1 \(scene {scene}\) view 2 must be a JSON object, not str")],
+        ids=["samples", "sample", "cloud", "views", "view"])
+    def test_malformed_entry_rejected_naming_it(self, tmp_path, edit, match):
+        # each of these raised a bare TypeError that named nothing
+        spec = small_spec()
+        samples, _ = generate_synthetic(spec)
+        path = save_dataset(samples, tmp_path, spec.feature_dim, spec.patch_size)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match=match.format(scene=samples[1].scene_id)):
+            load_all_samples(load_manifest(path))
+
     @pytest.mark.parametrize("entry", [(0, 0), (1, 1)], ids=["fx", "fy"])
     def test_zero_focal_length_rejected_naming_the_view(self, tmp_path, entry):
         spec = small_spec()

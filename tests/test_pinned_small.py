@@ -1,9 +1,9 @@
 """The benchmark's small-size outputs keep their bits. Each workload runs in
-a child interpreter with one OpenBLAS thread, and its ``loss_final``,
-``probe_miou`` and ``language_cos`` must equal, by ``repr``, the values in
-``pinned_small.json``. The pins hold for one build only: numpy, scipy and
-the runtime configuration of numpy's bundled OpenBLAS, which names the CPU
-kernel it picked. On any other build the test skips and names what differs.
+a child interpreter with one OpenBLAS thread at each pinned seed, and its
+``loss_final``, ``probe_miou`` and ``language_cos`` must equal, by ``repr``,
+the values in ``pinned_small.json``. The pins hold for one build only:
+numpy, scipy and the runtime configuration of numpy's bundled OpenBLAS,
+which names the CPU kernel it picked. On any other build the test skips and names what differs.
 A change that means to move these bits rewrites the file and reports the
 old and new values."""
 
@@ -48,10 +48,12 @@ def test_small_run_outputs_match_the_pins(workload):
     differ = build_differences()
     if differ:
         pytest.skip("another build: " + "; ".join(differ))
-    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                          "--seed", "1", "--size", "small", "--seconds", "1"],
-                         cwd=ROOT, env=child_env("1"), capture_output=True, text=True,
-                         timeout=300, check=True).stdout
-    metrics = json.loads(out.splitlines()[-1])["metrics"]
-    got = {k: repr(metrics[k]["value"]) for k in OUTPUTS}
+    got = {}
+    for seed in PINNED["outputs"][workload]:
+        out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                              "--seed", seed, "--size", "small", "--seconds", "1"],
+                             cwd=ROOT, env=child_env("1"), capture_output=True, text=True,
+                             timeout=300, check=True).stdout
+        metrics = json.loads(out.splitlines()[-1])["metrics"]
+        got[seed] = {k: repr(metrics[k]["value"]) for k in OUTPUTS}
     assert got == PINNED["outputs"][workload]

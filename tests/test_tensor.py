@@ -278,9 +278,11 @@ class TestBackward:
 class TestLinearSoftmaxXentBlocks:
     """The fused op against the unfused composition around its row blocks:
     one row, a row below one block, whole blocks and whole blocks plus one,
-    for a narrow probe head (d > k, the class-major pass), a wide one (d >
-    k, rows x d x k above ``_SMALL_GEMM``: the row-major pass) and a
-    prototype head (k > d), with and without a bias."""
+    for narrow probe heads (d > k, the class-major pass: at (184, 6) and
+    (40, 7) each whole block has rows x k above ``_SMALL_TN`` and computes
+    its logits as x_b @ w, at (992, 6) below it and as w.T @ x_b.T), a wide
+    one (d > k, rows x d x k above ``_SMALL_GEMM``: the row-major pass) and
+    a prototype head (k > d), with and without a bias."""
 
     @staticmethod
     def case(n, d, k, bias):
@@ -302,8 +304,8 @@ class TestLinearSoftmaxXentBlocks:
             assert np.abs(t.grad - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
-    @pytest.mark.parametrize("d,k", [(40, 7), (40, 20), (8, 64)],
-                             ids=["probe", "wide_probe", "prototype"])
+    @pytest.mark.parametrize("d,k", [(40, 7), (184, 6), (992, 6), (40, 20), (8, 64)],
+                             ids=["probe", "probe_184", "probe_992", "wide_probe", "prototype"])
     @pytest.mark.parametrize("blocks", ["one_row", "below_one", "two", "two_plus_one"])
     def test_matches_unfused_composition(self, blocks, d, k, bias):
         rows = T.gemm_block_rows(d, k, np.float64)
@@ -320,13 +322,19 @@ class TestLinearSoftmaxXentBlocks:
         assert rows * d * k <= T._SMALL_GEMM
         self.check_against_oracle((2 * T._BLOCKS_PER_TASK + 1) * rows + rows // 3, d, k, bias)
 
+    @pytest.mark.parametrize("d,k,row_major_logits", [(40, 7, True), (184, 6, True), (992, 6, False)],
+                             ids=["probe", "probe_184", "probe_992"])
     @pytest.mark.parametrize("track_x", [False, True], ids=["constant_x", "tracked_x"])
-    def test_narrow_pass_has_the_same_bits_on_any_pool(self, track_x, monkeypatch):
+    def test_narrow_pass_has_the_same_bits_on_any_pool(self, track_x, d, k, row_major_logits,
+                                                       monkeypatch):
         # one worker, two, and more workers than CPUs with the interpreter
         # switching threads every microsecond: a block lost, written twice
-        # or summed out of order would change some bit
-        d, k = 40, 7
-        n = (2 * T._BLOCKS_PER_TASK + 1) * T.gemm_block_rows(d, k, np.float32) + 5
+        # or summed out of order would change some bit; the 5-row last
+        # block computes its logits as w.T @ x_b.T whatever the whole ones do
+        rows = T.gemm_block_rows(d, k, np.float32)
+        assert rows * d * k <= T._SMALL_GEMM
+        assert (rows * k > T._SMALL_TN) == row_major_logits
+        n = (2 * T._BLOCKS_PER_TASK + 1) * rows + 5
         x, w, b, targets = self.case(n, d, k, True)
         x, w, b = (a.astype(np.float32) for a in (x, w, b))
         runs = []
