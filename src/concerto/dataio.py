@@ -6,6 +6,16 @@ on surfaces with class-correlated colors, renders per-view depth by point
 splatting, and writes per-patch image features that are an exact linear
 function of patch geometry/color summaries (plus optional noise), so
 cross-modal training has an attainable target with a known ground truth.
+
+On disk a dataset is ``manifest.json`` plus one ``.ctsr`` file per array:
+``scenes/<scene_id>/<key>.ctsr`` for a cloud's, ``scenes/<scene_id>/view<v>_<key>.ctsr``
+for view v's (``_LAYOUT``) and ``synthetic_A.ctsr``. A path is a JSON string
+relative to the manifest; ``?`` marks an optional key::
+
+    {"version": 1, "image_feature_dim": int, "patch_size": int, "synthetic_A"?: path,
+     "samples": [{"scene_id": string, "split"?: string ("train"), "cloud": {"coords": path,
+       "colors": path, "normals"?: path, "labels"?: path}, "views": [{"K": array,
+       "R": array, "t": array, "image_size": [int, int], "depth"?: path, "features"?: path}]}]}
 """
 
 from __future__ import annotations
@@ -84,9 +94,8 @@ class SceneSample:
 
     def __post_init__(self):
         if len(self.views) > MAX_VIEWS_PER_PIECE:
-            raise ManifestError(
-                f"scene {self.scene_id}: {len(self.views)} views exceeds the {MAX_VIEWS_PER_PIECE}-view piece limit"
-            )
+            raise ManifestError(f"scene {self.scene_id}: {len(self.views)} views exceeds the "
+                                f"{MAX_VIEWS_PER_PIECE}-view piece limit")
 
 
 @dataclass
@@ -118,9 +127,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_classes <= 0:
-            raise ValueError("num_classes must be positive")
-        for name in ("num_scenes", "points_per_scene", "image_size", "patch_size", "feature_dim"):
+        for name in ("num_classes", "num_scenes", "points_per_scene", "image_size", "patch_size",
+                     "feature_dim"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.image_size % self.patch_size:
@@ -315,6 +323,12 @@ def assemble_pieces(sample: SceneSample) -> List[SceneSample]:
 # manifest io
 # ---------------------------------------------------------------------------
 
+# manifest key -> PointCloud ("cloud") or CameraView ("view") field, in manifest order
+_LAYOUT = {"cloud": {key: key for key in ("coords", "colors", "normals", "labels")},
+           "view": {"depth": "depth_map", "features": "feature_grid"}}
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer"}
+
+
 def _check_scene_ids(scene_ids, error) -> None:
     """Refuse a non-string or repeated scene id: each names ``scenes/<scene_id>/``."""
     first = {}
@@ -326,70 +340,76 @@ def _check_scene_ids(scene_ids, error) -> None:
 
 
 def _check_json_type(value, kind, what: str) -> None:
-    """Refuse a manifest entry that is not a JSON object (``dict``) or array
-    (``list``), naming it."""
-    if not isinstance(value, kind):
-        raise ManifestError(f"{what} must be a JSON {'object' if kind is dict else 'array'}, "
+    """Refuse, naming it, a value not of JSON type ``kind`` (a bool is not an integer)."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ManifestError(f"{what} must be a JSON {_JSON_TYPES[kind]}, "
                             f"not {type(value).__name__}")
+
+
+def _entry(obj: dict, key: str, kind, where: str, optional: bool = False):
+    """``obj[key]`` once ``_check_json_type`` passes it; None if an ``optional`` key is missing."""
+    if key in obj:
+        _check_json_type(obj[key], kind, f"{where} {key}")
+    elif not optional:
+        raise ManifestError(f"{where}: missing key '{key}'")
+    return obj.get(key)
+
+
+def _save_arrays(obj, part: str, out: Path, stem: str, entry: dict) -> dict:
+    """Save each ``_LAYOUT[part]`` array ``obj`` holds as ``out/<stem><key>.ctsr``, in ``entry``."""
+    for key, field in _LAYOUT[part].items():
+        if getattr(obj, field) is not None:
+            entry[key] = f"{stem}{key}.ctsr"
+            save_ctsr(out / entry[key], getattr(obj, field))
+    return entry
+
+
+def _load_arrays(root: Path, entry: dict, part: str, where: str, required=()) -> dict:
+    """The ``_LAYOUT[part]`` arrays the manifest ``entry`` lists, by field."""
+    return {field: load_ctsr(root / path) for key, field in _LAYOUT[part].items()
+            if (path := _entry(entry, key, str, where, key not in required)) is not None}
 
 
 def save_dataset(samples: Sequence[SceneSample], out_dir, image_feature_dim: int,
                  patch_size: int, splits: Optional[Sequence[str]] = None,
                  synthetic_a: Optional[np.ndarray] = None) -> Path:
-    """Write scenes + manifest.json under ``out_dir``; returns the manifest path."""
+    """Write scenes + manifest.json under ``out_dir``; returns the manifest path.
+    Refuses, before writing, splits of another length, a bad scene id, and a view
+    whose grid is not ``image_feature_dim`` wide or whose patch size differs."""
     if splits is None:
         splits = ["train"] * len(samples)
     if len(splits) != len(samples):
         raise ValueError(f"{len(splits)} splits given for {len(samples)} scenes")
     _check_scene_ids([s.scene_id for s in samples], ValueError)
+    for sample in samples:
+        for v, cam in enumerate(sample.views):
+            dim = image_feature_dim if cam.feature_grid is None else cam.feature_grid.shape[-1]
+            if (dim, cam.patch_size) != (image_feature_dim, patch_size):
+                raise ValueError(f"scene {sample.scene_id} view {v}: feature dim {dim}, patch_size "
+                                 f"{cam.patch_size} != dataset's {image_feature_dim}, {patch_size}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     for sample, split in zip(samples, splits):
-        sdir = out / "scenes" / sample.scene_id
-        cloud = sample.cloud
-        rel = f"scenes/{sample.scene_id}"
-        save_ctsr(sdir / "coords.ctsr", cloud.coords)
-        save_ctsr(sdir / "colors.ctsr", cloud.colors)
-        cloud_entry = {"coords": f"{rel}/coords.ctsr", "colors": f"{rel}/colors.ctsr"}
-        if cloud.normals is not None:
-            save_ctsr(sdir / "normals.ctsr", cloud.normals)
-            cloud_entry["normals"] = f"{rel}/normals.ctsr"
-        if cloud.labels is not None:
-            save_ctsr(sdir / "labels.ctsr", cloud.labels)
-            cloud_entry["labels"] = f"{rel}/labels.ctsr"
-        view_entries = []
-        for v, cam in enumerate(sample.views):
-            ve = {
-                "K": cam.intrinsics.tolist(),
-                "R": cam.rotation.tolist(),
-                "t": cam.translation.tolist(),
-                "image_size": list(cam.image_size),
-            }
-            if cam.depth_map is not None:
-                save_ctsr(sdir / f"view{v}_depth.ctsr", cam.depth_map)
-                ve["depth"] = f"{rel}/view{v}_depth.ctsr"
-            if cam.feature_grid is not None:
-                save_ctsr(sdir / f"view{v}_features.ctsr", cam.feature_grid)
-                ve["features"] = f"{rel}/view{v}_features.ctsr"
-            view_entries.append(ve)
-        entries.append({"scene_id": sample.scene_id, "split": split,
-                        "cloud": cloud_entry, "views": view_entries})
-    manifest = {
-        "version": MANIFEST_VERSION,
-        "image_feature_dim": int(image_feature_dim),
-        "patch_size": int(patch_size),
-        "samples": entries,
-    }
+        stem = f"scenes/{sample.scene_id}/"
+        views = [_save_arrays(cam, "view", out, f"{stem}view{v}_", dict(
+            K=cam.intrinsics.tolist(), R=cam.rotation.tolist(), t=cam.translation.tolist(),
+            image_size=list(cam.image_size))) for v, cam in enumerate(sample.views)]
+        entries.append(dict(scene_id=sample.scene_id, split=split,
+                            cloud=_save_arrays(sample.cloud, "cloud", out, stem, {}), views=views))
+    manifest = {"version": MANIFEST_VERSION, "image_feature_dim": int(image_feature_dim),
+                "patch_size": int(patch_size), "samples": entries}
     if synthetic_a is not None:
         save_ctsr(out / "synthetic_A.ctsr", synthetic_a)
         manifest["synthetic_A"] = "synthetic_A.ctsr"
-    path = out / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2))
-    return path
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    return out / "manifest.json"
 
 
 def load_manifest(path) -> DatasetManifest:
+    """Read ``manifest.json``, refusing with a ``ManifestError`` that names the entry a
+    missing file, invalid JSON, another version, a missing key, a value of another JSON
+    type than the module docstring gives, and a non-string or repeated scene id."""
     path = Path(path)
     if not path.exists():
         raise ManifestError(f"manifest not found: {path}")
@@ -397,69 +417,48 @@ def load_manifest(path) -> DatasetManifest:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise ManifestError(f"manifest is not valid JSON: {e}") from e
-    for key in ("version", "image_feature_dim", "patch_size", "samples"):
-        if key not in doc:
-            raise ManifestError(f"manifest missing key '{key}'")
-    if doc["version"] != MANIFEST_VERSION:
-        raise ManifestError(f"manifest {path} has version {doc['version']}; this "
+    _check_json_type(doc, dict, "manifest")
+    if (version := _entry(doc, "version", int, "manifest")) != MANIFEST_VERSION:
+        raise ManifestError(f"manifest {path} has version {version}; this "
                             f"reader takes version {MANIFEST_VERSION}")
-    _check_json_type(doc["samples"], list, "manifest samples")
     refs = []
-    for i, s in enumerate(doc["samples"]):
+    for i, s in enumerate(_entry(doc, "samples", list, "manifest")):
         _check_json_type(s, dict, f"sample {i}")
         where = f"sample {i} (scene {s.get('scene_id')})"
-        try:
-            ref = SampleRef(scene_id=s["scene_id"], split=s.get("split", "train"),
-                            cloud=s["cloud"], views=s["views"])
-        except KeyError as e:
-            raise ManifestError(f"{where}: missing key {e}") from e
-        _check_json_type(ref.cloud, dict, f"{where} cloud")
-        _check_json_type(ref.views, list, f"{where} views")
-        for v, ve in enumerate(ref.views):
+        refs.append(SampleRef(scene_id=_entry(s, "scene_id", object, where),
+                              split=_entry({"split": "train", **s}, "split", str, where),
+                              cloud=_entry(s, "cloud", dict, where),
+                              views=_entry(s, "views", list, where)))
+        for v, ve in enumerate(refs[-1].views):
             _check_json_type(ve, dict, f"{where} view {v}")
-        refs.append(ref)
     _check_scene_ids([r.scene_id for r in refs], ManifestError)
-    return DatasetManifest(root=path.parent, image_feature_dim=int(doc["image_feature_dim"]),
-                           patch_size=int(doc["patch_size"]), samples=refs,
-                           synthetic_a_path=doc.get("synthetic_A"))
+    return DatasetManifest(path.parent, _entry(doc, "image_feature_dim", int, "manifest"),
+                           _entry(doc, "patch_size", int, "manifest"), refs,
+                           _entry(doc, "synthetic_A", str, "manifest", optional=True))
 
 
 def load_sample(manifest: DatasetManifest, ref: SampleRef) -> SceneSample:
     """Fully validated in-memory sample; raises on any invariant violation."""
-    root = manifest.root
-    cloud_paths = ref.cloud
+    root, scene, dim = manifest.root, ref.scene_id, manifest.image_feature_dim
+    arrays = _load_arrays(root, ref.cloud, "cloud", f"scene {scene} cloud", ("coords", "colors"))
     try:
-        coords = load_ctsr(root / cloud_paths["coords"])
-        colors = load_ctsr(root / cloud_paths["colors"])
-    except KeyError as e:
-        raise ManifestError(f"scene {ref.scene_id} cloud: missing key {e}") from e
-    normals = load_ctsr(root / cloud_paths["normals"]) if "normals" in cloud_paths else None
-    labels = load_ctsr(root / cloud_paths["labels"]) if "labels" in cloud_paths else None
-    try:
-        cloud = PointCloud(coords=coords, colors=colors, normals=normals, labels=labels)
+        cloud = PointCloud(**arrays)
     except ValueError as e:
-        raise ManifestError(f"scene {ref.scene_id}: {e}") from e
-    if len(ref.views) > MAX_VIEWS_PER_PIECE:
-        raise ManifestError(f"scene {ref.scene_id}: more than {MAX_VIEWS_PER_PIECE} views")
+        raise ManifestError(f"scene {scene}: {e}") from e
     views = []
     for v, ve in enumerate(ref.views):
-        depth = load_ctsr(root / ve["depth"]) if "depth" in ve else None
-        grid = load_ctsr(root / ve["features"]) if "features" in ve else None
-        if grid is not None and grid.shape[-1] != manifest.image_feature_dim:
-            raise ManifestError(
-                f"scene {ref.scene_id} view {v}: feature dim {grid.shape[-1]} != manifest dim {manifest.image_feature_dim}"
-            )
+        where = f"scene {scene} view {v}"
+        K, R, t, size = (_entry(ve, key, list, where) for key in ("K", "R", "t", "image_size"))
+        arrays = _load_arrays(root, ve, "view", where)
+        if "feature_grid" in arrays and arrays["feature_grid"].shape[-1] != dim:
+            raise ManifestError(f"{where}: feature dim {arrays['feature_grid'].shape[-1]} "
+                                f"!= manifest dim {dim}")
         try:
-            views.append(CameraView(intrinsics=np.array(ve["K"]), rotation=np.array(ve["R"]),
-                                    translation=np.array(ve["t"]),
-                                    image_size=tuple(ve["image_size"]),
-                                    patch_size=manifest.patch_size,
-                                    depth_map=depth, feature_grid=grid))
-        except KeyError as e:
-            raise ManifestError(f"scene {ref.scene_id} view {v}: missing key {e}") from e
+            views.append(CameraView(np.array(K), np.array(R), np.array(t), size,
+                                    manifest.patch_size, **arrays))
         except ValueError as e:
-            raise ManifestError(f"scene {ref.scene_id} view {v}: {e}") from e
-    return SceneSample(cloud=cloud, views=views, scene_id=ref.scene_id)
+            raise ManifestError(f"{where}: {e}") from e
+    return SceneSample(cloud=cloud, views=views, scene_id=scene)
 
 
 def load_all_samples(manifest: DatasetManifest, split: Optional[str] = None) -> List[SceneSample]:

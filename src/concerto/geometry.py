@@ -50,7 +50,11 @@ class CameraView:
             raise ValueError("rotation is not orthonormal")
         if abs(np.linalg.det(R) - 1.0) > 1e-9:
             raise ValueError("rotation determinant is not +1")
-        w, h = self.image_size
+        if np.shape(self.image_size) != (2,) or not all(
+                isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n > 0
+                for n in self.image_size):
+            raise ValueError(f"image_size {self.image_size!r} must be two positive integers")
+        w, h = self.image_size = tuple(int(n) for n in self.image_size)
         if self.patch_size <= 0:
             raise ValueError("patch_size must be positive")
         if self.depth_map is not None:

@@ -245,7 +245,11 @@ def load_checkpoint(path) -> Checkpoint:
         raise TrainerError(f"not a checkpoint directory: {path}")
     try:
         meta = json.loads(meta_path.read_text())
-        names, step, adam_step = meta["param_names"], int(meta["step"]), int(meta["adam_step"])
+        names, step, adam_step = meta["param_names"], meta["step"], meta["adam_step"]
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise TypeError("param_names is not a JSON array of strings")
+        if type(step) is not int or type(adam_step) is not int:
+            raise TypeError(f"step {step!r} and adam_step {adam_step!r} must be integers")
     except (KeyError, TypeError, ValueError) as e:
         raise TrainerError(f"checkpoint {path}: malformed meta.json "
                            f"({type(e).__name__}: {e})") from e

@@ -221,6 +221,47 @@ class TestManifestIO:
             save_dataset(samples, out, spec.feature_dim, spec.patch_size, splits=splits)
         assert not out.exists()
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("feature_grid", None, "feature dim 7, patch_size 8"),
+        ("patch_size", 16, "feature dim 8, patch_size 16")], ids=["grid_width", "patch_size"])
+    def test_view_unlike_the_dataset_rejected_before_writing(self, tmp_path, field, value, match):
+        spec = small_spec()
+        samples, _ = generate_synthetic(spec)
+        view = samples[1].views[2]
+        setattr(view, field, view.feature_grid[..., 1:] if value is None else value)
+        out = tmp_path / "ds"
+        with pytest.raises(ValueError, match=f"scene {samples[1].scene_id} view 2: {match} "
+                                             f"!= dataset's 8, 8"):
+            save_dataset(samples, out, spec.feature_dim, spec.patch_size)
+        assert not out.exists()
+
+    def test_on_disk_layout(self, tmp_path):
+        spec = small_spec(num_scenes=1)
+        samples, A = generate_synthetic(spec)
+        cloud = samples[0].cloud
+        cloud.normals = np.tile([0.0, 0.0, 1.0], (cloud.num_points, 1))
+        samples[0].views = samples[0].views[:2]
+        path = save_dataset(samples, tmp_path, spec.feature_dim, spec.patch_size, synthetic_a=A)
+        files = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+                       if p.is_file())
+        assert files == ["manifest.json", "scenes/scene_0000/colors.ctsr",
+                         "scenes/scene_0000/coords.ctsr", "scenes/scene_0000/labels.ctsr",
+                         "scenes/scene_0000/normals.ctsr", "scenes/scene_0000/view0_depth.ctsr",
+                         "scenes/scene_0000/view0_features.ctsr",
+                         "scenes/scene_0000/view1_depth.ctsr",
+                         "scenes/scene_0000/view1_features.ctsr", "synthetic_A.ctsr"]
+        doc = json.loads(path.read_text())
+        assert doc["synthetic_A"] == "synthetic_A.ctsr"
+        assert doc["samples"][0]["cloud"] == {"coords": "scenes/scene_0000/coords.ctsr",
+                                              "colors": "scenes/scene_0000/colors.ctsr",
+                                              "normals": "scenes/scene_0000/normals.ctsr",
+                                              "labels": "scenes/scene_0000/labels.ctsr"}
+        assert [{k: ve[k] for k in ("depth", "features")} for ve in doc["samples"][0]["views"]] == [
+            {"depth": "scenes/scene_0000/view0_depth.ctsr",
+             "features": "scenes/scene_0000/view0_features.ctsr"},
+            {"depth": "scenes/scene_0000/view1_depth.ctsr",
+             "features": "scenes/scene_0000/view1_features.ctsr"}]
+
     def test_repeated_scene_id_rejected_before_writing(self, tmp_path):
         spec = small_spec(num_scenes=3)
         samples, _ = generate_synthetic(spec)
@@ -348,8 +389,28 @@ class TestManifestIO:
         (lambda doc: doc["samples"][1].update(views=4),
          r"sample 1 \(scene {scene}\) views must be a JSON array, not int"),
         (lambda doc: doc["samples"][1]["views"].__setitem__(2, "view2"),
-         r"sample 1 \(scene {scene}\) view 2 must be a JSON object, not str")],
-        ids=["samples", "sample", "cloud", "views", "view"])
+         r"sample 1 \(scene {scene}\) view 2 must be a JSON object, not str"),
+        (lambda doc: doc["samples"][1]["cloud"].update(coords=5),
+         "scene {scene} cloud coords must be a JSON string, not int"),
+        (lambda doc: doc.update(image_feature_dim="abc"),
+         "manifest image_feature_dim must be a JSON integer, not str"),
+        (lambda doc: doc.update(image_feature_dim=True),
+         "manifest image_feature_dim must be a JSON integer, not bool"),
+        (lambda doc: doc.update(patch_size=8.5),
+         "manifest patch_size must be a JSON integer, not float"),
+        (lambda doc: doc.update(version=True), "manifest version must be a JSON integer, not bool"),
+        (lambda doc: doc["samples"][1].update(split=3),
+         r"sample 1 \(scene {scene}\) split must be a JSON string, not int"),
+        (lambda doc: doc.update(synthetic_A=1), "manifest synthetic_A must be a JSON string, not int"),
+        (lambda doc: doc["samples"][1]["views"][2].update(depth=["x"]),
+         "scene {scene} view 2 depth must be a JSON string, not list"),
+        (lambda doc: doc["samples"][1]["views"][2].update(image_size=64),
+         "scene {scene} view 2 image_size must be a JSON array, not int"),
+        (lambda doc: doc["samples"][1]["views"][2].update(image_size=[32.0, 32.0]),
+         r"scene {scene} view 2: image_size \[32.0, 32.0\] must be two positive integers")],
+        ids=["samples", "sample", "cloud", "views", "view", "coords_int", "dim_str", "dim_bool",
+             "patch_float", "version_bool", "split_int", "synthetic_a_int", "depth_list",
+             "image_size_int", "image_size_float"])
     def test_malformed_entry_rejected_naming_it(self, tmp_path, edit, match):
         # each of these raised a bare TypeError that named nothing
         spec = small_spec()
@@ -360,6 +421,12 @@ class TestManifestIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(ManifestError, match=match.format(scene=samples[1].scene_id)):
             load_all_samples(load_manifest(path))
+
+    def test_manifest_that_is_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text("5")
+        with pytest.raises(ManifestError, match="manifest must be a JSON object, not int"):
+            load_manifest(path)
 
     @pytest.mark.parametrize("entry", [(0, 0), (1, 1)], ids=["fx", "fy"])
     def test_zero_focal_length_rejected_naming_the_view(self, tmp_path, entry):

@@ -110,6 +110,18 @@ class TestProject:
             CameraView(intrinsics=K, rotation=np.eye(3), translation=np.zeros(3),
                        image_size=(8, 8), patch_size=2)
 
+    @pytest.mark.parametrize("size", [(8.0, 8.0), (True, 8), (8, 0), (8, -8), (8,), (8, 8, 8), 64,
+                                      "88", (8, "8")])
+    def test_rejects_image_size_that_is_not_two_positive_integers(self, size):
+        with pytest.raises(ValueError, match=r"image_size .* must be two positive integers"):
+            CameraView(intrinsics=np.eye(3), rotation=np.eye(3), translation=np.zeros(3),
+                       image_size=size, patch_size=2)
+
+    def test_numpy_integer_image_size_becomes_python_ints(self):
+        cam = CameraView(intrinsics=np.eye(3), rotation=np.eye(3), translation=np.zeros(3),
+                         image_size=np.array([8, 4]), patch_size=2)
+        assert cam.image_size == (8, 4) and type(cam.image_size[0]) is int
+
     @pytest.mark.parametrize("field", ["intrinsics", "translation", "feature_grid"])
     def test_rejects_non_finite(self, field):
         arrays = {"intrinsics": np.eye(3), "translation": np.zeros(3),

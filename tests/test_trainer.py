@@ -602,7 +602,18 @@ class TestTrainLoop:
         (lambda text: text[:len(text) // 2], r"JSONDecodeError"),
         (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
                                   if k != "param_names"}), r"KeyError: 'param_names'"),
-    ], ids=["not_json", "no_param_names"])
+        (lambda text: json.dumps({**json.loads(text), "param_names": 5}),
+         r"TypeError: param_names is not a JSON array of strings"),
+        (lambda text: json.dumps({**json.loads(text), "param_names": "s"}),
+         r"TypeError: param_names is not a JSON array of strings"),
+        (lambda text: json.dumps({**json.loads(text), "step": 2.7}),
+         r"TypeError: step 2.7 and adam_step 0 must be integers"),
+        (lambda text: json.dumps({**json.loads(text), "step": True}),
+         r"TypeError: step True and adam_step 0 must be integers"),
+        (lambda text: json.dumps({**json.loads(text), "adam_step": "1"}),
+         r"TypeError: step 2 and adam_step '1' must be integers"),
+    ], ids=["not_json", "no_param_names", "param_names_int", "param_names_str", "step_float",
+            "step_bool", "adam_step_str"])
     def test_malformed_meta_is_refused_naming_the_checkpoint(self, damage, error, tmp_path):
         params = init_params(tiny_enc(), seed=6)
         save_checkpoint(tmp_path / "ck", params, clone_params(params), AdamState.init(params),
