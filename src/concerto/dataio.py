@@ -30,7 +30,7 @@ import numpy as np
 
 from .ctsr import load_ctsr, save_ctsr
 from .geometry import CameraView, build_correspondence, render_depth
-from .tensor import segment_mean_np
+from .tensor import SegmentMap, segment_mean_np
 
 MAX_VIEWS_PER_PIECE = 4
 MANIFEST_VERSION = 1
@@ -228,11 +228,11 @@ def _patch_summaries(coords, colors, labels, corr, num_rows, num_classes):
     pts = corr.point_index
     onehot = np.zeros((pts.size, num_classes))
     onehot[np.arange(pts.size), labels[pts]] = 1.0
-    means, counts = segment_mean_np(np.concatenate([coords[pts], colors[pts], onehot], axis=1),
-                                    corr.row, num_rows)
+    rows = SegmentMap(corr.row, num_rows)
+    means = segment_mean_np(np.concatenate([coords[pts], colors[pts], onehot], axis=1), rows)
     summary = np.concatenate([(means[:, :3] - ex / 2) / ex, means[:, 3:6] - 0.5, means[:, 6:]],
                              axis=1)
-    summary[counts == 0] = 0.0
+    summary[rows.counts == 0] = 0.0
     return summary
 
 

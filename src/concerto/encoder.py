@@ -3,12 +3,14 @@ pairs, upcast feature concatenation, projection/prototype/cross heads, and
 low-rank adapter factors, plain parameter tensors that are merged into their
 weights before encoding.
 
-``encode`` first builds the view's voxel hierarchy, once: level k + 1 is
-level k's centroids on cells of ``voxel_size * 2**k``, one level per pooling
-step plus a coarser one that only context mixing reads. Stage 0 embeds
-per-point input features (colors plus offsets from the finest voxel
-centroid; no absolute coordinates, so features cannot shortcut through
-position). Each later stage mean-pools the previous stage into its parent
+A ``Hierarchy``, built once per cloud, holds its voxel levels: level k + 1
+is level k's centroids on cells of ``voxel_size * 2**k``, one level per
+pooling step plus a coarser one that only context mixing reads, with the
+parent and mixing maps as ``T.SegmentMap``s, which every encode of the
+cloud (the trainer's masked views share the first global view's) and its
+backward read. Stage 0 embeds per-point input features (colors plus offsets
+from the finest voxel centroid; no absolute coordinates, so features cannot
+shortcut through position). Each later stage mean-pools the previous stage into its parent
 voxels and applies an MLP; one voxel-neighborhood mean per stage, over its
 ancestors two levels up (one for the last stage), mixes in local context.
 ``upcast`` copies every coarser stage down to a finer point set through its
@@ -167,11 +169,33 @@ def lora_weights(params: Dict[str, T.Tensor], factors: Dict[str, T.Tensor],
 # forward pass
 # ---------------------------------------------------------------------------
 
+class Hierarchy:
+    """The voxel levels of the points ``coords`` (level 0) under ``cfg``, up
+    to level P + 1 for P pooling steps. ``parents[k]`` maps level k to
+    k + 1, and ``mix[s]`` level s to level min(s + 2, P + 1)."""
+
+    def __init__(self, coords: np.ndarray, cfg: EncoderConfig):
+        self.coords = [coords]
+        self.parents: List[T.SegmentMap] = []
+        for k in range(cfg.num_pool_steps + 1):
+            grid = voxelize(self.coords[-1], cfg.voxel_size * 2 ** k)
+            self.parents.append(grid.cells)
+            self.coords.append(grid.centroids)
+        self.mix = [T.SegmentMap(up.ids[p.ids], up.num)
+                    for p, up in zip(self.parents[:-1], self.parents[1:])] + self.parents[-1:]
+
+    def ancestors(self, level: int) -> np.ndarray:
+        """Map from level-0 points to their level-``level`` ancestors."""
+        anc = np.arange(self.coords[0].shape[0])
+        for p in self.parents[:level]:
+            anc = p.ids[anc]
+        return anc
+
+
 @dataclass
 class EncodeResult:
-    coords: List[np.ndarray]    # per-stage point coordinates
-    feats: List[T.Tensor]       # per-stage features
-    parents: List[np.ndarray]   # parents[s]: P_s -> P_{s+1} voxel membership
+    feats: List[T.Tensor]   # per-stage features
+    hierarchy: Hierarchy    # of the view's cloud; stage s is its level s
 
     @property
     def num_stages(self) -> int:
@@ -179,10 +203,7 @@ class EncodeResult:
 
     def ancestors(self, stage: int) -> np.ndarray:
         """Map from P_0 point positions to their stage-``stage`` ancestors."""
-        anc = np.arange(self.coords[0].shape[0])
-        for s in range(stage):
-            anc = self.parents[s][anc]
-        return anc
+        return self.hierarchy.ancestors(stage)
 
 
 def _linear(x, params, name):
@@ -198,26 +219,22 @@ def _stage_block(x, params, s):
     return h
 
 
-def encode(view: View, params: Dict[str, T.Tensor], cfg: EncoderConfig) -> EncodeResult:
-    """Per-stage features and parent maps for one view.
+def encode(view: View, params: Dict[str, T.Tensor], cfg: EncoderConfig,
+           hierarchy: Hierarchy) -> EncodeResult:
+    """Per-stage features for one view over ``hierarchy``, the
+    ``Hierarchy`` of ``view.cloud.coords`` under ``cfg``.
 
-    The voxel hierarchy comes first; with P pooling steps, stage s mixes
-    over its ancestors in level min(s + 2, P + 1), and the mixing-only level
-    P + 1 is not returned. Stage-0 input features are colors concatenated
-    with offsets from the finest voxel centroid; masked points' input
-    features are replaced by the learned mask token. The input arrays take
-    the parameters' dtype, so the whole pass computes in it.
+    Stage s mixes over its ancestors in level min(s + 2, P + 1), for P
+    pooling steps. Stage-0 input features are colors concatenated with
+    offsets from the finest voxel centroid; masked points' input features
+    are replaced by the learned mask token. The input arrays take the
+    parameters' dtype, so the whole pass computes in it.
     """
-    top = cfg.num_pool_steps
-    coords = [view.cloud.coords]
-    parents = []
-    for k in range(top + 1):
-        grid = voxelize(coords[-1], cfg.voxel_size * 2 ** k)
-        parents.append(grid.assignments)
-        coords.append(grid.centroids)
-
+    coords, parents = hierarchy.coords, hierarchy.parents
+    if coords[0] is not view.cloud.coords or len(parents) != cfg.num_pool_steps + 1:
+        raise ValueError("encode needs the hierarchy of the view's own cloud under cfg")
     dtype = params["mask_token"].data.dtype
-    offsets = coords[0] - coords[1][parents[0]]
+    offsets = coords[0] - coords[1][parents[0].ids]
     raw = np.concatenate([view.cloud.colors, offsets], axis=1).astype(dtype, copy=False)
     if view.mask is not None and view.mask.any():
         raw[view.mask] = 0.0
@@ -229,11 +246,9 @@ def encode(view: View, params: Dict[str, T.Tensor], cfg: EncoderConfig) -> Encod
     feats = []
     for s in range(cfg.num_stages):
         if s:
-            x = T.op_segment_mean(feats[-1], parents[s - 1], coords[s].shape[0])
-        h = _stage_block(x, params, s)
-        mix = parents[s + 1][parents[s]] if s < top else parents[top]
-        feats.append(T.op_local_mix(h, mix, coords[min(s + 2, top + 1)].shape[0]))
-    return EncodeResult(coords=coords[:-1], feats=feats, parents=parents[:-1])
+            x = T.op_segment_mean(feats[-1], parents[s - 1])
+        feats.append(T.op_local_mix(_stage_block(x, params, s), hierarchy.mix[s]))
+    return EncodeResult(feats=feats, hierarchy=hierarchy)
 
 
 def _upcast_blocks(result: EncodeResult, level: int, rows):
@@ -247,7 +262,8 @@ def _upcast_blocks(result: EncodeResult, level: int, rows):
         raise ValueError(f"upcast level {level} out of range 0..{top}")
     index = [rows]
     for s in range(top - level, top):
-        index.append(result.parents[s] if index[-1] is None else result.parents[s][index[-1]])
+        parent = result.hierarchy.parents[s].ids
+        index.append(parent if index[-1] is None else parent[index[-1]])
     return result.feats[top - level:], index
 
 

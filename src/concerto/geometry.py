@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tensor import segment_mean_np
+from .tensor import SegmentMap, segment_mean_np
 
 # key packing for voxelize: 21 bits per axis, offset to keep keys positive
 _KEY_BITS = 21
@@ -101,13 +101,8 @@ class Correspondence:
 class VoxelGrid:
     """Single-level voxelization: every point maps to exactly one cell."""
 
-    assignments: np.ndarray  # (N,) point -> voxel index
-    counts: np.ndarray       # (V,)
-    centroids: np.ndarray    # (V, 3) per-voxel coordinate means
-
-    @property
-    def num_voxels(self) -> int:
-        return self.counts.size
+    cells: SegmentMap       # point -> voxel map, with each voxel's point count
+    centroids: np.ndarray   # (V, 3) per-voxel coordinate means
 
 
 def project_points(points: np.ndarray, cam: CameraView):
@@ -218,6 +213,5 @@ def voxelize(points: np.ndarray, cell_size: float) -> VoxelGrid:
     shifted = lattice_keys(pts, cell_size)
     packed = (shifted[:, 0] << (2 * _KEY_BITS)) | (shifted[:, 1] << _KEY_BITS) | shifted[:, 2]
     uniq, assignments = np.unique(packed, return_inverse=True)
-    centroids, counts = segment_mean_np(pts, assignments, uniq.size)
-    return VoxelGrid(assignments=assignments.astype(np.int64), counts=counts,
-                     centroids=centroids)
+    cells = SegmentMap(assignments, uniq.size)
+    return VoxelGrid(cells=cells, centroids=segment_mean_np(pts, cells))

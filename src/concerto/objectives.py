@@ -187,7 +187,8 @@ def cross_loss(enc: EncodeResult, corr: Correspondence, grids: List[np.ndarray],
     if n_seg == 0:
         logger.warning("cross_loss: no nonempty patches")
         return T.Tensor(np.zeros((), enc.feats[0].data.dtype)), 0, 0.0
-    pooled = T.op_segment_mean(upcast(enc, CROSS_LEVEL, member_rows), seg_ids, n_seg)
+    pooled = T.op_segment_mean(upcast(enc, CROSS_LEVEL, member_rows),
+                               T.SegmentMap(seg_ids, n_seg))
     predicted = cross_head(params, pooled)
     targets = np.concatenate(grids)[seg_rows].astype(pooled.data.dtype, copy=False)
     cos = T.op_cosine(predicted, T.Tensor(targets))

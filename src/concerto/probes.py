@@ -45,7 +45,8 @@ import numpy as np
 
 from . import tensor as T
 from .dataio import SceneSample
-from .encoder import EncoderConfig, encode, lora_weights, make_lora_adapters, upcast
+from .encoder import (EncoderConfig, Hierarchy, encode, lora_weights, make_lora_adapters,
+                      upcast)
 from .geometry import build_correspondence, patch_table
 from .trainer import COMPUTE_DTYPE, AdamState, adamw_step, compute_copies, master_grads
 from .views import View
@@ -152,7 +153,8 @@ def extract_features(sample: SceneSample, params, enc_cfg: EncoderConfig,
     encoder runs on ``COMPUTE_DTYPE`` constant copies of ``params``, so no
     tape is recorded even when they are ``T.param`` leaves."""
     params = compute_copies(params, track=False)
-    return upcast(encode(plain_view(sample), params, enc_cfg), level, None).data
+    hierarchy = Hierarchy(sample.cloud.coords, enc_cfg)
+    return upcast(encode(plain_view(sample), params, enc_cfg, hierarchy), level, None).data
 
 
 def label_budget_indices(n: int, budget: Optional[int], seed: int, scene_idx: int) -> np.ndarray:
@@ -177,9 +179,8 @@ def lift_patch_features_to_points(sample: SceneSample):
         corr = build_correspondence(sample.cloud.coords, sample.views)
     except ValueError as e:
         raise ProbeError(f"scene {sample.scene_id}: {e}") from e
-    out, counts = T.segment_mean_np(patch_table(sample.views)[corr.row], corr.point_index,
-                                    sample.cloud.num_points)
-    return out, counts > 0
+    seen = T.SegmentMap(corr.point_index, sample.cloud.num_points)
+    return T.segment_mean_np(patch_table(sample.views)[corr.row], seen), seen.counts > 0
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +402,13 @@ def lora_probe(train_samples: Sequence[SceneSample], eval_samples: Sequence[Scen
                                       num_classes, cfg)
     weights = _head_targets(y, num_classes)
 
+    # each scene's view and hierarchy, read by every epoch
+    scenes = [(plain_view(s), Hierarchy(s.cloud.coords, enc_cfg)) for s in train_samples]
+
     def loss_of(copies):
         merged = lora_weights(base, copies, scaling)
-        rows = [upcast(encode(plain_view(s), merged, enc_cfg), level, k)
-                for s, k in zip(train_samples, keeps)]
+        rows = [upcast(encode(v, merged, enc_cfg, h), level, k)
+                for (v, h), k in zip(scenes, keeps)]
         x = rows[0] if len(rows) == 1 else T.op_concat_rows(rows)
         shift, scale = _standardizer(*_moments(x.data), x.data.dtype)
         x = T.op_mul(T.op_add(x, T.Tensor(-shift)), T.Tensor(scale))

@@ -46,8 +46,10 @@ input is never allocated or written. ``op_gather_concat`` itself, the
 encoder's upcast, fills its output in row blocks on the same pool: the
 copies are exact, so its bits do not depend on the worker count either, and
 each block's gathered temporary stays in cache (timings in
-``BENCH_pooled_upcast.json``). Row and segment indices must be 1-D integer
-arrays. The plain-array helpers ``softmax_np`` and ``segment_sum_np``
+``BENCH_pooled_upcast.json``). Row indices must be 1-D integer arrays;
+segment pooling reads a ``SegmentMap``, checked once, whose first sum's
+incidence its later sums reuse (an op's backward, every encode of one
+cloud). The plain-array helpers ``softmax_np`` and ``segment_sum_np``
 record nothing.
 The tests check every op's VJP against central finite differences.
 
@@ -756,12 +758,13 @@ def op_l2norm(x: Tensor) -> Tensor:
     """Row-wise L2 normalization x / max(||x||, _EPS)."""
     n = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
     den = np.maximum(n, _EPS)
-    clamped = n <= _EPS
+    rows = (n <= _EPS)[..., 0]
     y = x.data / den
 
     def vjp(g):
-        free = (g - y * (g * y).sum(axis=-1, keepdims=True)) / den
-        return (np.where(clamped, g / _EPS, free),)
+        gx = (g - y * (g * y).sum(axis=-1, keepdims=True)) / den
+        gx[rows] = g[rows] / _EPS  # where the norm is clamped
+        return (gx,)
 
     return _record(y, "l2norm", [x], vjp)
 
@@ -783,13 +786,13 @@ def op_cosine(a: Tensor, b: Tensor) -> Tensor:
         g = g[..., None]
         c = cos[..., None]
         d = den[..., None]
-        m = clamped[..., None]
 
         def side(x, y, nx):  # d cos / d x, given the other operand y
-            # where the denominator is clamped it is a constant
             nx = np.where(clamped, 1.0, nx)[..., None]
-            free = g * (y / d - c * x / (nx * nx))
-            return np.where(m, g * y / _EPS, free)
+            gx = g * (y / d - c * x / (nx * nx))
+            # where the denominator is clamped it is a constant
+            gx[clamped] = g[clamped] * y[clamped] / _EPS
+            return gx
 
         return (side(ad, bd, na) if track_a else None,
                 side(bd, ad, nb) if track_b else None)
@@ -801,73 +804,84 @@ def op_cosine(a: Tensor, b: Tensor) -> Tensor:
 # segment pooling
 # ---------------------------------------------------------------------------
 
-def segment_sum_np(values: np.ndarray, ids: np.ndarray, num_segments: int) -> np.ndarray:
-    """Per-segment row sum: the (num_segments, n) 0/1 incidence matrix times
-    ``values`` (no graph). Column j of the matrix holds its single 1 at row
-    ``ids[j]``, so it is built in CSC form without sorting. Ids outside
-    ``[0, num_segments)`` raise ``IndexError``, ids that are not a 1-D
-    integer array ``ValueError``; the output keeps the dtype of
-    ``values``."""
-    ids = _int_index(ids, "segment_sum_np ids")
-    # unchecked ids would make scipy write outside its output buffer
-    if ids.size and (ids.min() < 0 or ids.max() >= num_segments):
-        raise IndexError("segment id out of range")
-    n = ids.shape[0]
-    incidence = sp.csc_matrix((np.ones(n, dtype=values.dtype), ids, np.arange(n + 1)),
-                              shape=(num_segments, n))
-    return incidence @ values
+class SegmentMap:
+    """Row j of n in segment ``ids[j]`` of ``num``, checked once, here: ids
+    not a 1-D integer array raise ``ValueError``, outside [0, num)
+    ``IndexError``. ``counts`` is each segment's row count. The first sum of
+    a dtype builds the (num, n) 0/1 incidence in CSC form, column j's one 1
+    at row ``ids[j]`` (so no sort), and the map keeps it."""
+
+    def __init__(self, ids, num: int):
+        ids = _int_index(ids, "segment ids")
+        # unchecked ids would make scipy write outside its output buffer
+        if ids.size and (ids.min() < 0 or ids.max() >= num):
+            raise IndexError("segment id out of range")
+        self.ids, self.num = ids, int(num)
+        self.counts = np.bincount(ids, minlength=self.num)
+        self._incidence = None
+
+    def incidence(self, dtype) -> sp.csc_matrix:
+        if self._incidence is None or self._incidence.dtype != dtype:
+            n = self.ids.shape[0]
+            self._incidence = sp.csc_matrix((np.ones(n, dtype), self.ids, np.arange(n + 1)),
+                                            shape=(self.num, n))
+        return self._incidence
 
 
-def segment_mean_np(values: np.ndarray, ids: np.ndarray, num_segments: int):
-    """Per-segment row mean; returns (means, counts). Empty segments are zero."""
-    sums = segment_sum_np(values, ids, num_segments)  # rejects bad ids before bincount
-    counts = np.bincount(np.asarray(ids, dtype=np.int64), minlength=num_segments)
-    denom = np.maximum(counts, 1).astype(sums.dtype)
-    return sums / denom.reshape((-1,) + (1,) * (values.ndim - 1)), counts
+def segment_sum_np(values: np.ndarray, segments: SegmentMap) -> np.ndarray:
+    """Per-segment row sum, the incidence of ``segments`` times ``values``
+    (no graph), in the dtype of ``values``."""
+    return segments.incidence(values.dtype) @ values
+
+
+def segment_mean_np(values: np.ndarray, segments: SegmentMap) -> np.ndarray:
+    """Per-segment row mean; empty segments are zero."""
+    sums = segment_sum_np(values, segments)
+    denom = np.maximum(segments.counts, 1).astype(sums.dtype)
+    return sums / denom.reshape((-1,) + (1,) * (values.ndim - 1))
 
 
 def scatter_add_rows(rows: np.ndarray, index: np.ndarray, num_rows: int) -> np.ndarray:
     """Sum rows into an output of ``num_rows`` rows at positions ``index``."""
-    return segment_sum_np(rows, index, num_rows)
+    return segment_sum_np(rows, SegmentMap(index, num_rows))
 
 
-def op_segment_mean(values: Tensor, segment_ids, num_segments: int):
-    """Mean of value rows per segment id: a (num_segments, d) tensor with
-    zero rows for empty segments. Backward scatters dOut/|segment| to each
-    member row.
+def _segment_means(x: Tensor, segments: SegmentMap, op: str):
+    """The segment means of an (n, d) ``x`` and the reciprocal segment sizes."""
+    if x.data.ndim != 2 or segments.ids.shape[0] != x.data.shape[0]:
+        raise ValueError(f"{op} expects (n, d) values and a map of their n rows")
+    means = segment_mean_np(x.data, segments)
+    return means, 1.0 / np.maximum(segments.counts, 1).astype(means.dtype)
+
+
+def op_segment_mean(values: Tensor, segments: SegmentMap):
+    """Mean of value rows per segment of ``segments``: a (num, d) tensor
+    with zero rows for empty segments. Backward scatters dOut/|segment| to
+    each member row.
     """
-    ids = np.asarray(segment_ids)
-    if values.data.ndim != 2 or ids.shape != (values.data.shape[0],):
-        raise ValueError("op_segment_mean expects (n, d) values and (n,) ids")
-    ids = _int_index(ids, "op_segment_mean ids")
-    means, counts = segment_mean_np(values.data, ids, num_segments)
-    inv = 1.0 / np.maximum(counts, 1).astype(means.dtype)
+    means, inv = _segment_means(values, segments, "op_segment_mean")
 
     def vjp(g):
-        return ((g * inv[:, None])[ids],)
+        return ((g * inv[:, None])[segments.ids],)
 
     return _record(means, "segment_mean", [values], vjp)
 
 
-def op_local_mix(x: Tensor, segment_ids, num_segments: int) -> Tensor:
+def op_local_mix(x: Tensor, segments: SegmentMap) -> Tensor:
     """(x + m[ids]) * 0.5, each row blended half and half with the mean m
     of its segment's rows, as one node that halves the sum in its own
     buffer: three arrays and one node where ``op_segment_mean``, a row
     gather, ``op_add`` and ``op_mul`` made four of each. The VJP, with
     g2 = g * 0.5, is g2 + (segment_sum(g2) * inv)[ids], inv the reciprocal
-    segment sizes of ``op_segment_mean``, whose arithmetic and errors it
-    keeps; it reads neither x nor the output."""
-    ids = np.asarray(segment_ids)
-    if x.data.ndim != 2 or ids.shape != (x.data.shape[0],):
-        raise ValueError("op_local_mix expects (n, d) values and (n,) ids")
-    ids = _int_index(ids, "op_local_mix ids")
-    means, counts = segment_mean_np(x.data, ids, num_segments)
-    inv = 1.0 / np.maximum(counts, 1).astype(means.dtype)
-    out = x.data + means[ids]
+    segment sizes of ``op_segment_mean``, whose arithmetic it keeps; it
+    reads neither x nor the output, and its sum reuses the forward's
+    incidence."""
+    means, inv = _segment_means(x, segments, "op_local_mix")
+    out = x.data + means[segments.ids]
     out *= 0.5
 
     def vjp(g):
         g2 = g * 0.5
-        return (g2 + (segment_sum_np(g2, ids, num_segments) * inv[:, None])[ids],)
+        return (g2 + (segment_sum_np(g2, segments) * inv[:, None])[segments.ids],)
 
     return _record(out, "local_mix", [x], vjp)

@@ -16,8 +16,8 @@ the same policy through ``compute_copies`` and ``master_grads``; the
 ``probes`` docstring gives their one exception.
 
 Memory: one step's tape is alive at a time. A step drops its encodings,
-losses and their graph once its log row is written, so the next step builds
-its tape in the room this one freed, not beside it.
+voxel hierarchies, losses and their graph once its log row is written, so
+the next step builds its tape in the room this one freed, not beside it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from . import tensor as T
 from .ctsr import load_ctsr, save_ctsr
 from .dataio import SceneSample
-from .encoder import EncoderConfig, clone_params, encode, ema_update, init_params
+from .encoder import EncoderConfig, Hierarchy, clone_params, encode, ema_update, init_params
 from .geometry import build_correspondence, lattice_keys
 from .objectives import ClusterLossConfig, LossWeights, combine, cross_loss, intra_loss
 from .views import (MASK_GRID, MIN_LOCAL_POINTS, AugmentConfig, augmented_bounds,
@@ -423,8 +423,13 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
             # compute copies of the float64 masters; only they join the tape
             params_c = compute_copies(params, track=True)
             teacher_c = compute_copies(teacher, track=False)
-            student = [(v, encode(v, params_c, enc_cfg)) for v in vs.student_views]
-            teach = [(v, encode(v, teacher_c, enc_cfg)) for v in vs.teacher_views]
+            # one hierarchy per distinct cloud: the masked views share the first global's
+            clouds = {id(v.cloud): v.cloud for v in vs.all_views}
+            hierarchies = {k: Hierarchy(c.coords, enc_cfg) for k, c in clouds.items()}
+            student = [(v, encode(v, params_c, enc_cfg, hierarchies[id(v.cloud)]))
+                       for v in vs.student_views]
+            teach = [(v, encode(v, teacher_c, enc_cfg, hierarchies[id(v.cloud)]))
+                     for v in vs.teacher_views]
 
             intra, center, pairs, proto_used = intra_loss(
                 student, teach, params_c, teacher_c, center, cluster_cfg)
@@ -458,7 +463,7 @@ def train(samples: Sequence[SceneSample], cfg: TrainConfig, enc_cfg: EncoderConf
                 log_fh.write(json.dumps(row) + "\n")
                 log_fh.flush()
             # free this step's tape before the next step builds its own
-            del student, teach, intra, cross, total
+            del student, teach, intra, cross, total, hierarchies
 
             if (out is not None and cfg.checkpoint_every_epochs > 0 and step + 1 < total_steps
                     and (step + 1) % (n * cfg.checkpoint_every_epochs) == 0):

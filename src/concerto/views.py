@@ -15,7 +15,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .dataio import PointCloud
-from .geometry import VoxelGrid, voxelize
+from .geometry import voxelize
+from .tensor import SegmentMap
 
 MIN_LOCAL_POINTS = 16
 GLOBAL_VIEWS = 2
@@ -116,21 +117,21 @@ def augmented_bounds(coords: np.ndarray, cfg: AugmentConfig):
     return lo - margin, hi + margin
 
 
-def _grid_mask(vox: VoxelGrid, ratio: float, rng: np.random.Generator) -> np.ndarray:
-    """Mask whole cells of ``vox`` in random order until ``ratio`` of its
-    points is covered; only the cell that reaches the target is trimmed, so
-    the final count is exact."""
-    n = vox.assignments.size
+def _grid_mask(cells: SegmentMap, ratio: float, rng: np.random.Generator) -> np.ndarray:
+    """Mask whole cells of a voxel grid's ``cells`` in random order until
+    ``ratio`` of its points is covered; only the cell that reaches the
+    target is trimmed, so the final count is exact."""
+    n = cells.ids.size
     target = int(round(ratio * n))
     if target == 0:
         return np.zeros(n, dtype=bool)
-    order = rng.permutation(vox.num_voxels)
-    reach = np.cumsum(vox.counts[order])
+    order = rng.permutation(cells.num)
+    reach = np.cumsum(cells.counts[order])
     last = int(np.searchsorted(reach, target))  # the first cell to reach the target
-    whole = np.zeros(vox.num_voxels, dtype=bool)
+    whole = np.zeros(cells.num, dtype=bool)
     whole[order[:last]] = True
-    mask = whole[vox.assignments]
-    members = np.flatnonzero(vox.assignments == order[last])
+    mask = whole[cells.ids]
+    members = np.flatnonzero(cells.ids == order[last])
     room = target - (reach[last - 1] if last else 0)
     if members.size > room:
         members = rng.choice(members, size=room, replace=False)
@@ -165,9 +166,9 @@ def make_viewset(cloud: PointCloud, cfg: AugmentConfig, seed: int) -> ViewSet:
     globals_ = [View(cloud=_augment_cloud(coords, colors, cfg, rng), origin_index=all_idx)
                 for _g in range(GLOBAL_VIEWS)]
     principal = globals_[0].cloud
-    grid = voxelize(principal.coords, MASK_GRID)
+    cells = voxelize(principal.coords, MASK_GRID).cells
     masked = [View(cloud=principal, origin_index=all_idx,
-                   mask=_grid_mask(grid, cfg.mask_ratio, rng))
+                   mask=_grid_mask(cells, cfg.mask_ratio, rng))
               for _m in range(MASKED_VIEWS)]
 
     locals_ = []
@@ -180,8 +181,13 @@ def make_viewset(cloud: PointCloud, cfg: AugmentConfig, seed: int) -> ViewSet:
 
 
 def match_views(student: View, teacher: View):
-    """Positions (i, j) with matching origin indices, sorted by origin index."""
-    _common, ia, ib = np.intersect1d(student.origin_index, teacher.origin_index,
-                                     assume_unique=True, return_indices=True)
-    return ia, ib
+    """Positions (i, j) with matching origin indices, sorted by origin index,
+    read from a table of teacher positions over the source index range, with
+    no sort. Origins must ascend strictly, as in every view ``make_viewset``
+    and ``probes.plain_view`` build; (i, j) is then ``np.intersect1d``'s."""
+    s, t = student.origin_index, teacher.origin_index
+    pos = np.full(max(s.max(initial=-1), t.max(initial=-1)) + 1, -1, dtype=np.int64)
+    pos[t] = np.arange(t.size)
+    ia = np.flatnonzero(pos[s] >= 0)
+    return ia, pos[s[ia]]
 

@@ -1,8 +1,9 @@
 """Reference implementations the tests compare the package against: central
 finite-difference gradients for the tape's ops, the unfused linear softmax
 cross-entropy, the projection head over a built upcast, a tape walker, a
-recorder of the dtypes that reach the tape, a block in which only reference
-counting frees objects, a reader for the ASCII PLY files
+recorder of the dtypes that reach the tape, an encode over a hierarchy of
+its own, a block in which only reference counting frees objects, a reader
+for the ASCII PLY files
 ``concerto.viz.export_ply`` writes, and a launcher of child interpreters
 with a set OpenBLAS thread count."""
 
@@ -16,7 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from concerto import tensor as T
-from concerto.encoder import INTRA_LEVEL, upcast
+from concerto.encoder import INTRA_LEVEL, Hierarchy, encode, upcast
+
+
+def encode_alone(view, params, cfg):
+    """``encode`` of one view over a hierarchy built for it alone."""
+    return encode(view, params, cfg, Hierarchy(view.cloud.coords, cfg))
 
 
 def finite_difference_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

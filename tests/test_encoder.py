@@ -8,12 +8,13 @@ from concerto import encoder as encoder_module
 from concerto import tensor as T
 from concerto.dataio import PointCloud, SyntheticSpec, generate_synthetic
 from concerto.encoder import (CROSS_LEVEL, MLP_DEPTH, EncoderConfig, EncodeResult,
-                              clone_params, cross_head, ema_update, encode, init_params,
-                              lora_weights, make_lora_adapters, proj_head, upcast)
+                              Hierarchy, clone_params, cross_head, ema_update, encode,
+                              init_params, lora_weights, make_lora_adapters, proj_head,
+                              upcast)
 from concerto.geometry import voxelize
 from concerto.trainer import compute_copies
 from concerto.views import AugmentConfig, View, make_viewset
-from oracles import gradcheck, proj_head_reference, refcounting_only, tape_nodes
+from oracles import encode_alone, gradcheck, proj_head_reference, refcounting_only, tape_nodes
 
 
 def tiny_cfg(**kw):
@@ -40,12 +41,12 @@ class TestEncode:
         pc = PointCloud(coords=np.array([[0.3, 0.4, 0.5]]), colors=np.array([[0.5, 0.5, 0.5]]))
         cfg = tiny_cfg()
         params = init_params(cfg, seed=0)
-        res = encode(plain_view(pc), params, cfg)
+        res = encode_alone(plain_view(pc), params, cfg)
         for s in range(cfg.num_stages):
-            assert res.coords[s].shape[0] == 1
+            assert res.hierarchy.coords[s].shape[0] == 1
             assert res.feats[s].shape == (1, cfg.stage_dims[s])
-        for p in res.parents:
-            np.testing.assert_array_equal(p, [0])
+        for p in res.hierarchy.parents:
+            np.testing.assert_array_equal(p.ids, [0])
 
     def test_stage_memberships_match_voxel_oracle(self):
         rng = np.random.default_rng(0)
@@ -54,12 +55,12 @@ class TestEncode:
         pc = PointCloud(coords=np.concatenate([a, b]), colors=np.full((80, 3), 0.5))
         cfg = tiny_cfg()
         params = init_params(cfg, seed=0)
-        res = encode(plain_view(pc), params, cfg)
+        res = encode_alone(plain_view(pc), params, cfg)
         for s in range(cfg.num_pool_steps):
-            grid = voxelize(res.coords[s], cfg.voxel_size * 2 ** s)
-            np.testing.assert_array_equal(res.parents[s], grid.assignments)
+            grid = voxelize(res.hierarchy.coords[s], cfg.voxel_size * 2 ** s)
+            np.testing.assert_array_equal(res.hierarchy.parents[s].ids, grid.cells.ids)
         # two well-separated clusters survive to the coarsest stage
-        assert res.coords[-1].shape[0] == 2
+        assert res.hierarchy.coords[cfg.num_pool_steps].shape[0] == 2
 
     @pytest.mark.parametrize("voxel_size", [0.05, 0.1, 0.125])
     def test_mix_groupings_match_voxel_oracle_on_augmented_views(self, cloud, voxel_size,
@@ -71,9 +72,9 @@ class TestEncode:
         mixes = []
         real_mix = T.op_local_mix
 
-        def spy(feats, assignments, num_segments):
-            mixes.append((assignments, num_segments))
-            return real_mix(feats, assignments, num_segments)
+        def spy(feats, segments):
+            mixes.append(segments)
+            return real_mix(feats, segments)
 
         monkeypatch.setattr(T, "op_local_mix", spy)
         vs = make_viewset(cloud, AugmentConfig(), seed=4)
@@ -81,22 +82,56 @@ class TestEncode:
         top = cfg.num_pool_steps
         for view in views:
             mixes.clear()
-            res = encode(view, params, cfg)
+            res = encode_alone(view, params, cfg)
             assert len(mixes) == cfg.num_stages
-            for s, (assignments, num_segments) in enumerate(mixes):
-                grid = voxelize(res.coords[s], voxel_size * 2 ** min(s + 1, top))
-                np.testing.assert_array_equal(assignments, grid.assignments)
-                assert num_segments == grid.num_voxels
+            for s, segments in enumerate(mixes):
+                grid = voxelize(res.hierarchy.coords[s], voxel_size * 2 ** min(s + 1, top))
+                np.testing.assert_array_equal(segments.ids, grid.cells.ids)
+                assert segments.num == grid.cells.num
 
     def test_tape_holds_one_node_per_linear_layer_and_mix(self, cloud):
         """Each stage's linear layers and its local mix are one tape node
         apiece."""
         cfg = tiny_cfg()
-        res = encode(plain_view(cloud), init_params(cfg, seed=12), cfg)
+        res = encode_alone(plain_view(cloud), init_params(cfg, seed=12), cfg)
         ops = Counter(t._op for t in tape_nodes(T.op_sum(res.feats[-1])))
         assert ops["matmul"] == MLP_DEPTH * cfg.num_stages
         assert ops["local_mix"] == cfg.num_stages
         assert not {"linear", "add_bias", "gather_rows", "mul_scalar"} & set(ops)
+
+    def test_shared_hierarchy_gives_the_bits_of_an_own_one(self, cloud):
+        """The first global view and both masked views encoded over one
+        hierarchy, each followed by its backward, give the features and
+        float64 parameter gradients of encodes over a hierarchy each: the
+        maps' kept incidences change no bit."""
+        cfg = tiny_cfg()
+        vs = make_viewset(cloud, AugmentConfig(), seed=6)
+        views = [vs.globals_[0], *vs.masked]
+        w = np.random.default_rng(23).normal(size=(cloud.num_points, cfg.upcast_dim(4)))
+        shared = Hierarchy(views[0].cloud.coords, cfg)
+        runs = []
+        for hierarchies in ([shared] * 3, [Hierarchy(v.cloud.coords, cfg) for v in views]):
+            run = []
+            for view, hierarchy in zip(views, hierarchies):
+                params = init_params(cfg, seed=13)
+                res = encode(view, params, cfg, hierarchy)
+                T.backward(T.op_sum(T.op_mul(upcast(res, 4, None), T.Tensor(w))))
+                run += [f.data for f in res.feats]
+                run += [p.grad for p in params.values() if p.grad is not None]
+            runs.append(run)
+        assert all(a.dtype == np.float64 for a in runs[0])
+        for got, want in zip(*runs, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    def test_hierarchy_of_another_cloud_is_refused(self, cloud):
+        cfg = tiny_cfg()
+        vs = make_viewset(cloud, AugmentConfig(), seed=6)
+        with pytest.raises(ValueError, match="hierarchy of the view's own cloud"):
+            encode(vs.globals_[1], init_params(cfg), cfg,
+                   Hierarchy(vs.globals_[0].cloud.coords, cfg))
+        with pytest.raises(ValueError, match="hierarchy of the view's own cloud"):
+            encode(plain_view(cloud), init_params(cfg), cfg,
+                   Hierarchy(cloud.coords, tiny_cfg(stage_dims=[8, 12, 16, 20])))
 
     def test_voxelizes_once_per_hierarchy_level(self, cloud, monkeypatch):
         cfg = tiny_cfg()
@@ -108,9 +143,9 @@ class TestEncode:
             return voxelize(points, cell_size)
 
         monkeypatch.setattr(encoder_module, "voxelize", counting)
-        res = encode(plain_view(cloud), params, cfg)
+        res = encode_alone(plain_view(cloud), params, cfg)
         assert calls == [cfg.voxel_size * 2 ** k for k in range(cfg.num_stages)]
-        assert len(res.coords) == cfg.num_stages and len(res.parents) == cfg.num_pool_steps
+        assert len(res.hierarchy.coords) == len(res.hierarchy.parents) + 1 == cfg.num_stages + 1
 
     @pytest.mark.parametrize("voxel_size", [0.0, -0.05, float("nan")])
     def test_non_positive_voxel_size_rejected(self, voxel_size):
@@ -125,11 +160,11 @@ class TestEncode:
     def test_permutation_equivariance(self, cloud):
         cfg = tiny_cfg()
         params = init_params(cfg, seed=1)
-        res = encode(plain_view(cloud), params, cfg)
+        res = encode_alone(plain_view(cloud), params, cfg)
         rng = np.random.default_rng(1)
         perm = rng.permutation(cloud.num_points)
         pc2 = PointCloud(coords=cloud.coords[perm], colors=cloud.colors[perm])
-        res2 = encode(plain_view(pc2), params, cfg)
+        res2 = encode_alone(plain_view(pc2), params, cfg)
         np.testing.assert_allclose(res2.feats[0].data, res.feats[0].data[perm], atol=1e-12)
         for s in range(1, cfg.num_stages):
             np.testing.assert_allclose(res2.feats[s].data, res.feats[s].data, atol=1e-12)
@@ -138,10 +173,10 @@ class TestEncode:
         # binary-exact cells so the uniform key shift is exact in floats
         cfg = tiny_cfg(voxel_size=0.125)
         params = init_params(cfg, seed=2)
-        res = encode(plain_view(cloud), params, cfg)
+        res = encode_alone(plain_view(cloud), params, cfg)
         shift = 4.0  # multiple of every pooling and aggregation cell
         pc2 = PointCloud(coords=cloud.coords + shift, colors=cloud.colors)
-        res2 = encode(plain_view(pc2), params, cfg)
+        res2 = encode_alone(plain_view(pc2), params, cfg)
         for s in range(cfg.num_stages):
             np.testing.assert_allclose(res2.feats[s].data, res.feats[s].data, atol=1e-9)
 
@@ -153,8 +188,8 @@ class TestEncode:
         mask[:50] = True
         v_plain = plain_view(cloud)
         v_masked = View(cloud=cloud, origin_index=np.arange(cloud.num_points), mask=mask)
-        r_plain = encode(v_plain, params, cfg)
-        r_masked = encode(v_masked, params, cfg)
+        r_plain = encode_alone(v_plain, params, cfg)
+        r_masked = encode_alone(v_masked, params, cfg)
         changed = np.abs(r_masked.feats[0].data - r_plain.feats[0].data).max(axis=1) > 0
         assert changed[:50].all()
 
@@ -185,12 +220,13 @@ class TestEncode:
         grads = []
         for as_leaf in (False, True):
             monkeypatch.setattr(encoder_module, "_stage_block", spy(as_leaf))
-            T.backward(T.op_sum(T.op_mul(upcast(encode(view, params, cfg), 4, None), T.Tensor(w))))
+            out = upcast(encode_alone(view, params, cfg), 4, None)
+            T.backward(T.op_sum(T.op_mul(out, T.Tensor(w))))
             grads.append(params["mask_token"].grad)
             params["mask_token"].grad = None
         x, leaf = inputs
         grid = voxelize(cloud.coords, cfg.voxel_size)
-        offsets = cloud.coords - grid.centroids[grid.assignments]
+        offsets = cloud.coords - grid.centroids[grid.cells.ids]
         np.testing.assert_array_equal(x.data[mask], np.tile(params["mask_token"].data,
                                                             (mask.sum(), 1)))
         np.testing.assert_array_equal(x.data[~mask],
@@ -219,7 +255,8 @@ def upcast_chain_oracle(result, level):
     top = result.num_stages - 1
     g = result.feats[top]
     for s in range(top - 1, top - 1 - level, -1):
-        g = _concat_lastdim_oracle([result.feats[s], T.op_gather_concat([g], [result.parents[s]])])
+        parent = result.hierarchy.parents[s].ids
+        g = _concat_lastdim_oracle([result.feats[s], T.op_gather_concat([g], [parent])])
     return g
 
 
@@ -249,20 +286,20 @@ class TestUpcast:
         mask = np.zeros(cloud.num_points, dtype=bool)
         mask[::3] = True
         view = View(cloud=cloud, origin_index=np.arange(cloud.num_points), mask=mask)
-        res = encode(view, params, cfg)
+        res = encode_alone(view, params, cfg)
         for level in range(5):
             np.testing.assert_array_equal(upcast(res, level, None).data,
                                           upcast_chain_oracle(res, level).data)
         for level in (2, 3):
             w = T.Tensor(np.random.default_rng(level).normal(
-                size=(res.coords[4 - level].shape[0], cfg.upcast_dim(level))))
+                size=(res.hierarchy.coords[4 - level].shape[0], cfg.upcast_dim(level))))
             assert_param_grads_agree(upcast(res, level, None), upcast_chain_oracle(res, level),
                                      w, params)
 
     @staticmethod
     def some_rows(res, level, seed):
         """Unsorted rows of P_{top-level} with repeats, ending at the last point."""
-        n = res.coords[4 - level].shape[0]
+        n = res.hierarchy.coords[4 - level].shape[0]
         picked = np.random.default_rng(seed).permutation(n)[: n // 3]
         return np.concatenate([picked, picked[:5], [0, 0, n - 1]])
 
@@ -270,7 +307,7 @@ class TestUpcast:
     def test_rows_are_the_full_upcast_rows(self, cloud, dtype):
         cfg = tiny_cfg()
         params = {k: T.Tensor(p.data.astype(dtype)) for k, p in init_params(cfg, seed=9).items()}
-        res = encode(plain_view(cloud), params, cfg)
+        res = encode_alone(plain_view(cloud), params, cfg)
         for level in range(5):
             rows = self.some_rows(res, level, level)
             out = upcast(res, level, rows).data
@@ -281,7 +318,7 @@ class TestUpcast:
         """The former chain, a one-block gather of the full upcast, in float64."""
         cfg = tiny_cfg()
         params = init_params(cfg, seed=13)
-        res = encode(plain_view(cloud), params, cfg)
+        res = encode_alone(plain_view(cloud), params, cfg)
         for level in range(5):
             rows = self.some_rows(res, level, 10 + level)
             w = T.Tensor(np.random.default_rng(level).normal(
@@ -293,8 +330,8 @@ class TestUpcast:
     @pytest.mark.parametrize("level", [0, 3])
     def test_row_out_of_range(self, cloud, level):
         cfg = tiny_cfg()
-        res = encode(plain_view(cloud), init_params(cfg, seed=14), cfg)
-        n = res.coords[4 - level].shape[0]
+        res = encode_alone(plain_view(cloud), init_params(cfg, seed=14), cfg)
+        n = res.hierarchy.coords[4 - level].shape[0]
         for bad in ([0, -1], [n, 0]):
             with pytest.raises(IndexError):
                 upcast(res, level, np.array(bad))
@@ -302,7 +339,7 @@ class TestUpcast:
     def test_level_zero_is_coarsest(self, cloud):
         cfg = tiny_cfg()
         params = init_params(cfg, seed=4)
-        res = encode(plain_view(cloud), params, cfg)
+        res = encode_alone(plain_view(cloud), params, cfg)
         out = upcast(res, 0, None)
         np.testing.assert_array_equal(out.data, res.feats[-1].data)
 
@@ -329,27 +366,27 @@ class TestUpcast:
     def test_output_dim_matches_formula(self, cloud, level):
         cfg = tiny_cfg()
         params = init_params(cfg, seed=5)
-        res = encode(plain_view(cloud), params, cfg)
+        res = encode_alone(plain_view(cloud), params, cfg)
         out = upcast(res, level, None)
-        assert out.shape == (res.coords[4 - level].shape[0], cfg.upcast_dim(level))
+        assert out.shape == (res.hierarchy.coords[4 - level].shape[0], cfg.upcast_dim(level))
 
     def test_level3_rows_equal_parent_chasing_oracle(self, cloud):
         cfg = tiny_cfg()
         params = init_params(cfg, seed=6)
-        res = encode(plain_view(cloud), params, cfg)
+        res = encode_alone(plain_view(cloud), params, cfg)
         out = upcast(res, 3, None).data
         f = [t.data for t in res.feats]
-        for u in range(min(20, res.coords[1].shape[0])):
-            p2 = res.parents[1][u]
-            p3 = res.parents[2][p2]
-            p4 = res.parents[3][p3]
+        for u in range(min(20, res.hierarchy.coords[1].shape[0])):
+            p2 = res.hierarchy.parents[1].ids[u]
+            p3 = res.hierarchy.parents[2].ids[p2]
+            p4 = res.hierarchy.parents[3].ids[p3]
             row = np.concatenate([f[1][u], f[2][p2], f[3][p3], f[4][p4]])
             np.testing.assert_allclose(out[u], row, atol=0)
 
     def test_level_out_of_range(self, cloud):
         cfg = tiny_cfg()
         params = init_params(cfg, seed=7)
-        res = encode(plain_view(cloud), params, cfg)
+        res = encode_alone(plain_view(cloud), params, cfg)
         with pytest.raises(ValueError):
             upcast(res, 5, None)
 
@@ -509,7 +546,7 @@ class TestHeads:
     def test_proj_head_rows_unit_norm(self, cloud):
         cfg = tiny_cfg()
         params = init_params(cfg, seed=21)
-        res = encode(plain_view(cloud), params, cfg)
+        res = encode_alone(plain_view(cloud), params, cfg)
         z = proj_head(params, res)
         np.testing.assert_allclose(np.linalg.norm(z.data, axis=1), 1.0, atol=1e-9)
 
@@ -519,7 +556,7 @@ class TestHeads:
         results = []
         for head in (proj_head, proj_head_reference):
             params = init_params(cfg, seed=24)
-            out = head(params, encode(plain_view(cloud), params, cfg))
+            out = head(params, encode_alone(plain_view(cloud), params, cfg))
             g = rng.normal(size=out.shape) if not results else g
             T.backward(T.op_sum(T.op_mul(out, T.Tensor(g))))
             results.append([out.data] + [params[k].grad for k in sorted(params)])
@@ -556,7 +593,7 @@ class TestHeads:
             monkeypatch.setattr(T, "_record", recording)
             params = compute_copies(master, track=True)
             with refcounting_only():
-                res = encode(view, params, cfg)
+                res = encode_alone(view, params, cfg)
                 z = proj_head(params, res)
                 if not keep_all:
                     alive = Counter(op for op, ref in outputs if ref() is not None)
@@ -581,14 +618,14 @@ class TestHeads:
         cfg = tiny_cfg()
         params = init_params(cfg, seed=25)
         ops = Counter(t._op for t in tape_nodes(
-            proj_head(params, encode(plain_view(cloud), params, cfg))))
+            proj_head(params, encode_alone(plain_view(cloud), params, cfg))))
         assert ops["gather_linear"] == 1 and ops["gather_concat"] == 0
 
     def test_prototypes_are_columns(self, cloud):
         # z @ proto.w scores every projected row against every prototype
         cfg = tiny_cfg()
         params = init_params(cfg, seed=22)
-        res = encode(plain_view(cloud), params, cfg)
+        res = encode_alone(plain_view(cloud), params, cfg)
         z = proj_head(params, res)
         assert params["proto.w"].shape == (cfg.proj_dim, cfg.proto_count)
         assert T.op_matmul(z, params["proto.w"], None).shape == (z.shape[0], cfg.proto_count)
@@ -596,6 +633,6 @@ class TestHeads:
     def test_cross_head_maps_to_image_dim(self, cloud):
         cfg = tiny_cfg()
         params = init_params(cfg, seed=23)
-        res = encode(plain_view(cloud), params, cfg)
+        res = encode_alone(plain_view(cloud), params, cfg)
         out = cross_head(params, upcast(res, CROSS_LEVEL, None))
         assert out.shape[1] == cfg.cross_dim

@@ -11,9 +11,9 @@ def voxel_keys(points, cell_size, grid):
     ``lattice_keys`` after checking that all members of a voxel agree."""
     shift = lattice_keys(np.zeros((1, 3)), cell_size)[0]
     keys = lattice_keys(points, cell_size) - shift
-    out = np.empty((grid.num_voxels, 3), dtype=np.int64)
-    out[grid.assignments] = keys
-    np.testing.assert_array_equal(out[grid.assignments], keys)
+    out = np.empty((grid.cells.num, 3), dtype=np.int64)
+    out[grid.cells.ids] = keys
+    np.testing.assert_array_equal(out[grid.cells.ids], keys)
     return out
 
 
@@ -275,12 +275,12 @@ class TestRenderDepth:
 class TestVoxelize:
     def test_two_points_one_cell(self):
         g = voxelize(np.array([[0.1, 0, 0], [0.3, 0, 0]]), 1.0)
-        assert g.num_voxels == 1
+        assert g.cells.num == 1
         np.testing.assert_allclose(g.centroids[0], [0.2, 0, 0])
 
     def test_lattice_boundary_floor_convention(self):
         g = voxelize(np.array([[0.0, 0, 0], [1.0, 0, 0]]), 1.0)
-        assert g.num_voxels == 2
+        assert g.cells.num == 2
 
     def test_matches_hashmap_oracle(self):
         rng = np.random.default_rng(9)
@@ -290,10 +290,10 @@ class TestVoxelize:
         for i, p in enumerate(pts):
             key = tuple(int(np.floor(c / 0.37)) for c in p)
             table.setdefault(key, []).append(i)
-        assert g.num_voxels == len(table)
+        assert g.cells.num == len(table)
         keys = voxel_keys(pts, 0.37, g)
-        for v in range(g.num_voxels):
-            members = np.flatnonzero(g.assignments == v)
+        for v in range(g.cells.num):
+            members = np.flatnonzero(g.cells.ids == v)
             key = tuple(keys[v].tolist())
             assert sorted(table[key]) == members.tolist()
 

@@ -3,12 +3,12 @@ import pytest
 
 from concerto import tensor as T
 from concerto.dataio import SyntheticSpec, generate_synthetic
-from concerto.encoder import EncoderConfig, clone_params, encode, init_params, proj_head, upcast
+from concerto.encoder import EncoderConfig, clone_params, init_params, proj_head, upcast
 from concerto.geometry import build_correspondence
 from concerto.objectives import (ClusterLossConfig, LossWeights, assign_patches,
                                  combine, cross_loss, cross_mean_baseline, intra_loss)
 from concerto.views import AugmentConfig, make_viewset
-from oracles import proj_head_reference, tape_nodes
+from oracles import encode_alone, proj_head_reference, tape_nodes
 
 
 def tiny_cfg(**kw):
@@ -33,8 +33,8 @@ def encoded(scene):
     params = init_params(cfg, seed=1)
     teacher = clone_params(params)
     vs = make_viewset(scene.cloud, AugmentConfig(), seed=2)
-    student = [(v, encode(v, params, cfg)) for v in vs.student_views]
-    teach = [(v, encode(v, teacher, cfg)) for v in vs.teacher_views]
+    student = [(v, encode_alone(v, params, cfg)) for v in vs.student_views]
+    teach = [(v, encode_alone(v, teacher, cfg)) for v in vs.teacher_views]
     return cfg, params, teacher, vs, student, teach
 
 
@@ -121,7 +121,7 @@ class TestIntraLoss:
         ccfg = ClusterLossConfig()
         center = np.random.default_rng(8).normal(size=cfg.proto_count) * 0.1
         for view, _enc in teach:
-            enc = encode(view, teacher_c, cfg)
+            enc = encode_alone(view, teacher_c, cfg)
             probs, logit_sum = _teacher_probs(teacher_c, enc, center, ccfg)
             logits = T.op_matmul(proj_head(teacher_c, enc), teacher_c["proto.w"], None).data
             z = (logits - center.astype(logits.dtype)) / ccfg.teacher_temp
@@ -147,8 +147,8 @@ class TestIntraLoss:
         for fn in (lambda *args: intra_loss(*args)[0],
                    lambda *args: intra_loss_per_pair_oracle(*args, 2)):
             p = {k: T.param(v.data.copy()) for k, v in params.items()}
-            student = [(v, encode(v, p, cfg)) for v in vs.student_views]
-            teach = [(v, encode(v, teacher_p, cfg)) for v in teacher_views]
+            student = [(v, encode_alone(v, p, cfg)) for v in vs.student_views]
+            teach = [(v, encode_alone(v, teacher_p, cfg)) for v in teacher_views]
             loss = fn(student, teach, p, teacher_p, center, ccfg)
             T.backward(loss)
             results.append((loss.item(), p))
@@ -184,8 +184,8 @@ class TestIntraLoss:
                                                      flip_prob=0.0), seed=5)
         sv = vs.masked[0]
         tv = vs.globals_[0]
-        s_enc = encode(sv, params, cfg)
-        t_enc = encode(tv, teacher, cfg)
+        s_enc = encode_alone(sv, params, cfg)
+        t_enc = encode_alone(tv, teacher, cfg)
         center = np.zeros(cfg.proto_count)
         loss, _, _, _ = intra_loss([(sv, s_enc)], [(tv, t_enc)], params, teacher,
                                    center, ccfg)
@@ -210,7 +210,7 @@ class TestIntraLoss:
         for dtype in (np.float64, np.float32):
             params = {k: T.Tensor(p.data.astype(dtype))
                       for k, p in init_params(cfg, seed=1).items()}
-            side = [(view, encode(view, params, cfg))]
+            side = [(view, encode_alone(view, params, cfg))]
             loss, _, pairs, _ = intra_loss(side, side, params, params,
                                            np.zeros(cfg.proto_count), ClusterLossConfig())
             assert loss.item() == 0.0 and pairs == 0
@@ -268,7 +268,7 @@ class TestIntraLoss:
         cfg, params, teacher_p, vs, student, _teach = encoded
         same = {k: T.Tensor(v.data.copy()) for k, v in teacher_p.items()}
         same["proto.w"].data[:] = same["proto.w"].data[:, :1]  # equal columns
-        teach = [(v, encode(v, same, cfg)) for v in vs.teacher_views]
+        teach = [(v, encode_alone(v, same, cfg)) for v in vs.teacher_views]
         center = np.random.default_rng(7).normal(size=cfg.proto_count) * 0.1
         _, _, _, used = intra_loss(student, teach, params, same, center,
                                    ClusterLossConfig())
@@ -323,7 +323,7 @@ class TestCrossLoss:
         cfg = tiny_cfg()
         params = init_params(cfg, seed=seed)
         vs = make_viewset(scene.cloud, AugmentConfig(), seed=seed)
-        enc = encode(vs.masked[0], params, cfg)
+        enc = encode_alone(vs.masked[0], params, cfg)
         corr = build_correspondence(scene.cloud.coords, scene.views)
         grids = [v.flat_feature_grid() for v in scene.views]
         return cfg, params, enc, corr, grids
@@ -395,7 +395,7 @@ class TestCrossLoss:
         for dtype in (np.float64, np.float32):
             params = {k: T.param(p.data.astype(dtype))
                       for k, p in init_params(cfg, seed=10).items()}
-            loss, n, _ = cross_loss(encode(view, params, cfg), empty, grids, params)
+            loss, n, _ = cross_loss(encode_alone(view, params, cfg), empty, grids, params)
             assert loss.item() == 0.0 and n == 0
             # a zero in the features' dtype keeps the total in it
             assert loss.data.dtype == dtype
@@ -538,7 +538,7 @@ class TestRigidInvariance:
         # geometry producing the same correspondence, the loss is unchanged
         from concerto.views import View
         v1 = View(cloud=scene.cloud, origin_index=np.arange(scene.cloud.num_points))
-        enc = encode(v1, params, cfg)
+        enc = encode_alone(v1, params, cfg)
         l1, _, _ = cross_loss(enc, corr, grids, params)
         l2, _, _ = cross_loss(enc, corr2, grids, params)
         np.testing.assert_allclose(l1.item(), l2.item(), atol=1e-6)

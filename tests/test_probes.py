@@ -8,7 +8,7 @@ import pytest
 from concerto import probes
 from concerto import tensor as T
 from concerto.dataio import PointCloud, SceneSample, SyntheticSpec, generate_synthetic
-from concerto.encoder import EncoderConfig, encode, init_params, upcast
+from concerto.encoder import EncoderConfig, init_params, upcast
 from concerto.geometry import build_correspondence, visible_mask
 from concerto.objectives import cross_loss
 from concerto.probes import (ProbeConfig, ProbeError, TextSpace, _evaluate, _moments,
@@ -16,7 +16,7 @@ from concerto.probes import (ProbeConfig, ProbeError, TextSpace, _evaluate, _mom
                              lift_patch_features_to_points, linear_probe, lora_probe,
                              plain_view, zero_shot_segment)
 from concerto.trainer import AdamState, adamw_step
-from oracles import record_tape_dtypes, run_child
+from oracles import encode_alone, record_tape_dtypes, run_child
 
 
 def tiny_enc(**kw):
@@ -123,7 +123,7 @@ class TestExtractFeatures:
         monkeypatch.setattr(T, "_record", counting_record)
         # a tracked forward pass on float32 leaves of the same parameters
         leaves = {k: T.param(p.data.astype(np.float32)) for k, p in params.items()}
-        reference = upcast(encode(plain_view(dataset[0]), leaves, enc_cfg), 4, None).data
+        reference = upcast(encode_alone(plain_view(dataset[0]), leaves, enc_cfg), 4, None).data
         assert recorded
         recorded.clear()
         feats = extract_features(dataset[0], params, enc_cfg, 4)
@@ -589,7 +589,7 @@ def test_row_block_workers_call_no_traced_name(dataset, monkeypatch):
     feats = [(extract_features(s, params, enc_cfg, enc_cfg.num_pool_steps), s.cloud.labels)
              for s in dataset]
     scene = dataset[0]
-    loss, _, _ = cross_loss(encode(plain_view(scene), params, enc_cfg),
+    loss, _, _ = cross_loss(encode_alone(plain_view(scene), params, enc_cfg),
                             build_correspondence(scene.cloud.coords, scene.views),
                             [v.flat_feature_grid() for v in scene.views], params)
     T.backward(loss)

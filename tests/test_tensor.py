@@ -65,28 +65,28 @@ class TestForwardValues:
         np.testing.assert_allclose(out.data, [1.0, 0.0, -1.0], atol=1e-15)
 
     def test_segment_mean_two_elements(self):
-        out = T.op_segment_mean(T.Tensor([[2.0], [4.0]]), [0, 0], 2)
+        out = T.op_segment_mean(T.Tensor([[2.0], [4.0]]), T.SegmentMap([0, 0], 2))
         np.testing.assert_array_equal(out.data, [[3.0], [0.0]])
 
     def test_segment_mean_permutation_identity(self):
         vals = np.arange(12.0).reshape(4, 3)
         ids = [2, 0, 3, 1]
-        out = T.op_segment_mean(T.Tensor(vals), ids, 4)
+        out = T.op_segment_mean(T.Tensor(vals), T.SegmentMap(ids, 4))
         np.testing.assert_array_equal(out.data[ids], vals)
 
     def test_segment_mean_empty_segment(self):
-        out = T.op_segment_mean(T.Tensor([[1.0, 1.0]]), [2], 4)
+        out = T.op_segment_mean(T.Tensor([[1.0, 1.0]]), T.SegmentMap([2], 4))
         np.testing.assert_array_equal(out.data, [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
 
     def test_segment_mean_id_out_of_range(self):
         with pytest.raises(IndexError):
-            T.op_segment_mean(T.Tensor([[1.0]]), [5], 2)
+            T.SegmentMap([5], 2)
 
     def test_segment_mean_matches_loop_oracle(self):
         rng = np.random.default_rng(7)
         vals = rng.normal(size=(100, 5))
         ids = rng.integers(0, 7, size=100)
-        out = T.op_segment_mean(T.Tensor(vals), ids, 7)
+        out = T.op_segment_mean(T.Tensor(vals), T.SegmentMap(ids, 7))
         expected = np.zeros((7, 5))
         for s in range(7):
             rows = vals[ids == s]
@@ -136,7 +136,7 @@ class TestForwardValues:
         ids = rng.integers(0, 6, size=30)
 
         def pool_gather(x):
-            m = T.op_segment_mean(T.Tensor(x), ids, 6)
+            m = T.op_segment_mean(T.Tensor(x), T.SegmentMap(ids, 6))
             return T.op_gather_concat([m], [ids]).data
 
         once = pool_gather(vals)
@@ -164,7 +164,7 @@ class TestSegmentSum:
         ids, num_segments, shape = SEGMENT_CASES[case]
         values = np.random.default_rng(31).normal(size=shape)
         expected = add_at_oracle(values, ids, num_segments)
-        for got in (T.segment_sum_np(values, ids, num_segments),
+        for got in (T.segment_sum_np(values, T.SegmentMap(ids, num_segments)),
                     T.scatter_add_rows(values, ids, num_segments)):
             assert got.shape == expected.shape and got.dtype == values.dtype
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
@@ -176,38 +176,99 @@ class TestSegmentSum:
         counts = np.zeros(num_segments, dtype=np.int64)
         np.add.at(counts, ids, 1)
         denom = np.maximum(counts, 1).reshape((-1,) + (1,) * (values.ndim - 1))
-        means, got_counts = T.segment_mean_np(values, ids, num_segments)
-        np.testing.assert_array_equal(got_counts, counts)
+        segments = T.SegmentMap(ids, num_segments)
+        means = T.segment_mean_np(values, segments)
+        np.testing.assert_array_equal(segments.counts, counts)
         np.testing.assert_allclose(means, add_at_oracle(values, ids, num_segments) / denom,
                                    rtol=1e-12, atol=1e-12)
 
     def test_keeps_value_dtype(self):
-        ids = np.array([1, 0, 1])
-        for dtype in (np.float32, np.int64):
+        # one map: its kept incidence follows the dtype of each sum's values
+        segments = T.SegmentMap(np.array([1, 0, 1]), 2)
+        for dtype in (np.float32, np.int64, np.float32):
             values = np.arange(6, dtype=dtype).reshape(3, 2)
-            got = T.segment_sum_np(values, ids, 2)
+            got = T.segment_sum_np(values, segments)
             assert got.dtype == dtype
-            np.testing.assert_array_equal(got, add_at_oracle(values, ids, 2))
+            np.testing.assert_array_equal(got, add_at_oracle(values, segments.ids, 2))
 
     @pytest.mark.parametrize("bad", [[0, 3], [0, 7], [-1, 0]], ids=["end", "past_end", "negative"])
     def test_out_of_range_ids_rejected(self, bad):
-        values = np.ones((2, 3))
-        for fn in (T.segment_sum_np, T.scatter_add_rows, T.segment_mean_np):
-            with pytest.raises(IndexError):
-                fn(values, np.array(bad), 3)
+        with pytest.raises(IndexError):
+            T.SegmentMap(np.array(bad), 3)
+        with pytest.raises(IndexError):
+            T.scatter_add_rows(np.ones((2, 3)), np.array(bad), 3)
 
     @pytest.mark.parametrize("bad", [[0.7, 1.2, 1.9], [True, False, True], [[0], [1], [1]]],
                              ids=["float", "bool", "two_d"])
     def test_non_integer_ids_rejected(self, bad):
         # a cast would sum [0.7, 1.2, 1.9] as segments [0, 1, 1]
-        with pytest.raises(ValueError, match="segment_sum_np ids must be a 1-D integer array"):
-            T.segment_sum_np(np.ones((3, 2)), np.array(bad), 3)
+        with pytest.raises(ValueError, match="segment ids must be a 1-D integer array"):
+            T.SegmentMap(np.array(bad), 3)
+        with pytest.raises(ValueError, match="segment ids must be a 1-D integer array"):
+            T.scatter_add_rows(np.ones((3, 2)), np.array(bad), 3)
 
-    @pytest.mark.parametrize("bad", [[0.7, 1.2, 1.9], [True, False, True]], ids=["float", "bool"])
     @pytest.mark.parametrize("op", ["op_segment_mean", "op_local_mix"])
-    def test_segment_ops_reject_non_integer_ids(self, op, bad):
-        with pytest.raises(ValueError, match=f"{op} ids must be a 1-D integer array"):
-            getattr(T, op)(T.Tensor(np.ones((3, 2))), np.array(bad), 3)
+    def test_segment_ops_check_nothing_and_share_one_incidence(self, op, monkeypatch):
+        """The refusals are made when a map is made. An op over a made map
+        checks no ids again, and its forward, its backward and a second
+        call over the map build one incidence between them."""
+        segments = T.SegmentMap(np.array([0, 2, 2, 1, 0, 2]), 4)
+        builds = []
+        real_csc = T.sp.csc_matrix
+
+        def counting_csc(*args, **kwargs):
+            builds.append(1)
+            return real_csc(*args, **kwargs)
+
+        def refuse(*_args):
+            raise AssertionError("ids checked after the map was made")
+
+        monkeypatch.setattr(T.sp, "csc_matrix", counting_csc)
+        monkeypatch.setattr(T, "_int_index", refuse)
+        x = T.param(np.random.default_rng(3).normal(size=(6, 3)).astype(np.float32))
+        for _ in range(2):
+            T.backward(T.op_sum(getattr(T, op)(x, segments)))
+        assert len(builds) == 1
+
+
+class TestClampedRows:
+    """Where a row's norm (``op_l2norm``) or norm product (``op_cosine``)
+    is clamped to ``_EPS``, the VJP treats the denominator as that
+    constant; every other row takes the free formula. Both against the
+    elementwise ``np.where`` of the two branches, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_l2norm_zero_row(self, dtype):
+        rng = np.random.default_rng(61)
+        x = rng.normal(size=(5, 4)).astype(dtype)
+        x[2] = 0.0
+        g = rng.normal(size=x.shape).astype(dtype)
+        got, = T.op_l2norm(T.param(x))._vjp(g)
+        n = np.sqrt((x * x).sum(axis=-1, keepdims=True))
+        den = np.maximum(n, T._EPS)
+        y = x / den
+        free = (g - y * (g * y).sum(axis=-1, keepdims=True)) / den
+        want = np.where(n <= T._EPS, g / T._EPS, free)
+        assert got.dtype == dtype and np.abs(got[2]).max() > 1e6
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cosine_zero_rows(self, dtype):
+        rng = np.random.default_rng(62)
+        a, b = (rng.normal(size=(6, 4)).astype(dtype) for _ in range(2))
+        a[1] = 0.0  # one operand's row
+        a[4] = b[4] = 0.0  # both operands' row
+        g = rng.normal(size=6).astype(dtype)
+        got = T.op_cosine(T.param(a), T.param(b))._vjp(g)
+        na, nb = (np.sqrt((v * v).sum(axis=-1)) for v in (a, b))
+        clamped = na * nb <= T._EPS
+        den = np.maximum(na * nb, T._EPS)[:, None]
+        cos = (a * b).sum(axis=-1)[:, None] / den
+        g2 = g[:, None]
+        for x, y, nx, have in ((a, b, na, got[0]), (b, a, nb, got[1])):
+            nx = np.where(clamped, 1.0, nx)[:, None]
+            free = g2 * (y / den - cos * x / (nx * nx))
+            np.testing.assert_array_equal(have, np.where(clamped[:, None], g2 * y / T._EPS, free))
 
 
 class TestBackward:
@@ -410,7 +471,7 @@ class TestTapeKeepsWhatBackwardReads:
         """matmul -> gelu -> matmul -> local_mix, each matmul with a bias,
         dropping each step's input."""
         h = T.op_gelu(T.op_matmul(x, w0, b0))
-        return T.op_local_mix(T.op_matmul(h, w1, b1), cls.IDS, 3)
+        return T.op_local_mix(T.op_matmul(h, w1, b1), T.SegmentMap(cls.IDS, 3))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_chain_frees_what_no_vjp_reads(self, dtype):
@@ -424,7 +485,7 @@ class TestTapeKeepsWhatBackwardReads:
             gelu_out = weakref.ref(h.data)
             h = T.op_matmul(h, w1, b1)
             pre_mix = weakref.ref(h.data)
-            out = T.op_local_mix(h, self.IDS, 3)
+            out = T.op_local_mix(h, T.SegmentMap(self.IDS, 3))
             del h
             # float32 GELU keeps only its derivative; float64 GELU reads its input
             assert (pre_gelu() is None) == (dtype == np.float32)
@@ -442,7 +503,7 @@ class TestTapeKeepsWhatBackwardReads:
         h0 = T.op_matmul(kept[0], kept[1], kept[2])
         h1 = T.op_gelu(h0)
         h2 = T.op_matmul(h1, kept[3], kept[4])
-        T.backward(T.op_sum(T.op_mul(T.op_local_mix(h2, self.IDS, 3), T.Tensor(g))))
+        T.backward(T.op_sum(T.op_mul(T.op_local_mix(h2, T.SegmentMap(self.IDS, 3)), T.Tensor(g))))
         for t, want in zip(tensors, kept):
             np.testing.assert_array_equal(t.grad, want.grad)
 
@@ -458,7 +519,7 @@ class TestTapeKeepsWhatBackwardReads:
         with oracles.refcounting_only():
             h = T.op_gelu(T.op_matmul(x, w0, b0))
             gelu_out = weakref.ref(h.data)
-            loss = T.op_sum(T.op_local_mix(T.op_matmul(h, w1, b1), self.IDS, 3))
+            loss = T.op_sum(T.op_local_mix(T.op_matmul(h, w1, b1), T.SegmentMap(self.IDS, 3)))
             del h
             assert gelu_out() is not None
             del loss
@@ -581,33 +642,28 @@ class TestFusedEncoderOps:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_local_mix_matches_mean_gather_add_halve(self, dtype, track_x):
         rng = np.random.default_rng(52)
-        ids, n = self.MIX_IDS, 4
-        x = rng.normal(size=(ids.size, 6)).astype(dtype)
+        segments = T.SegmentMap(self.MIX_IDS, 4)
+        x = rng.normal(size=(segments.ids.size, 6)).astype(dtype)
         g = rng.normal(size=x.shape).astype(dtype)
         results = []
         for fused in (True, False):
             xs = T.param(x) if track_x else T.Tensor(x)
             if fused:
-                out = T.op_local_mix(xs, ids, n)
+                out = T.op_local_mix(xs, segments)
             else:
-                spread = T.op_gather_concat([T.op_segment_mean(xs, ids, n)], [ids])
+                spread = T.op_gather_concat([T.op_segment_mean(xs, segments)], [segments.ids])
                 out = T.op_mul(T.op_add(xs, spread), 0.5)
             assert out.data.dtype == dtype and out.requires_grad == track_x
             results.append([out.data] + (self.grads_of(out, [xs], g) if track_x else []))
         for got, want in zip(*results):
             np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("bad", [[0, 4], [-1, 0]], ids=["past_end", "negative"])
-    def test_local_mix_id_out_of_range(self, bad):
-        with pytest.raises(IndexError):
-            T.op_local_mix(T.Tensor(np.ones((2, 3))), np.array(bad), 4)
-
-    @pytest.mark.parametrize("shape,ids", [((3, 2), [0, 1]), ((3,), [0, 1, 1]),
-                                           ((3, 2), [[0], [1], [1]])],
-                             ids=["short_ids", "one_d_values", "two_d_ids"])
-    def test_local_mix_shape_mismatch(self, shape, ids):
-        with pytest.raises(ValueError, match="op_local_mix expects"):
-            T.op_local_mix(T.Tensor(np.ones(shape)), ids, 2)
+    @pytest.mark.parametrize("shape,ids", [((3, 2), [0, 1]), ((3,), [0, 1, 1])],
+                             ids=["short_ids", "one_d_values"])
+    @pytest.mark.parametrize("op", ["op_segment_mean", "op_local_mix"])
+    def test_segment_op_shape_mismatch(self, op, shape, ids):
+        with pytest.raises(ValueError, match=f"{op} expects"):
+            getattr(T, op)(T.Tensor(np.ones(shape)), T.SegmentMap(ids, 2))
 
     @pytest.mark.parametrize("shapes", [[(4, 5), (4, 3), (3,)], [(4, 5), (5, 3), (4,)],
                                         [(4, 5), (5, 3), (1, 3)], [(5,), (5, 3), (3,)]],
@@ -811,9 +867,9 @@ def test_gradcheck_gather_linear():
 
 def test_gradcheck_segment_mean():
     rng = np.random.default_rng(24)
-    ids = np.array([0, 2, 2, 1, 0, 2])
+    segments = T.SegmentMap(np.array([0, 2, 2, 1, 0, 2]), 4)
     for _ in range(5):
-        err = oracles.gradcheck(lambda a: T.op_segment_mean(a, ids, 4), [rand(rng, 6, 3)])
+        err = oracles.gradcheck(lambda a: T.op_segment_mean(a, segments), [rand(rng, 6, 3)])
         assert err <= 1e-5
 
 
@@ -827,9 +883,9 @@ def test_gradcheck_linear():
 def test_gradcheck_local_mix():
     # unsorted ids, a segment of one row, and an empty last segment
     rng = np.random.default_rng(28)
-    ids = np.array([0, 2, 2, 1, 0, 2])
+    segments = T.SegmentMap(np.array([0, 2, 2, 1, 0, 2]), 4)
     for _ in range(5):
-        err = oracles.gradcheck(lambda a: T.op_local_mix(a, ids, 4), [rand(rng, 6, 3)])
+        err = oracles.gradcheck(lambda a: T.op_local_mix(a, segments), [rand(rng, 6, 3)])
         assert err <= 1e-5
 
 
@@ -919,8 +975,9 @@ FLOAT32_CASES = [
     ("layernorm", lambda a: T.op_layernorm(a), [(3, 6)]),
     ("l2norm", lambda a: T.op_l2norm(a), [(3, 6)]),
     ("cosine", lambda a, b: T.op_cosine(a, b), [(4, 5), (4, 5)]),
-    ("segment_mean", lambda a: T.op_segment_mean(a, [0, 2, 2, 1, 0, 2], 4), [(6, 3)]),
-    ("local_mix", lambda a: T.op_local_mix(a, [0, 2, 2, 1, 0, 2], 4), [(6, 3)]),
+    ("segment_mean", lambda a: T.op_segment_mean(a, T.SegmentMap([0, 2, 2, 1, 0, 2], 4)),
+     [(6, 3)]),
+    ("local_mix", lambda a: T.op_local_mix(a, T.SegmentMap([0, 2, 2, 1, 0, 2], 4)), [(6, 3)]),
 ]
 # float32's unit roundoff is 2^-24 (6e-8); each case stays within ~16 of it
 F32_TOL = 1e-6

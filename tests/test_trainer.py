@@ -427,17 +427,18 @@ class TestTrainLoop:
         assert {a.dtype for a in state} == {np.dtype(np.float64)}
 
     def test_one_step_tape_alive_at_a_time(self, dataset, monkeypatch):
-        """When step k+1 draws its views, every encoding of step k and its
-        stage-0 feature array are already freed (by reference counting,
-        without a garbage-collector pass)."""
+        """When step k+1 draws its views, every encoding of step k, its
+        stage-0 feature array and its voxel hierarchy are already freed (by
+        reference counting, without a garbage-collector pass)."""
         import concerto.trainer as trainer_mod
-        refs = []  # per step: weakrefs to its encodings and stage-0 features
+        refs = []  # per step: weakrefs to its encodings, stage-0 features and hierarchies
         live = []  # per step: how many earlier referents are alive at its viewset
         real_encode, real_make_viewset = trainer_mod.encode, trainer_mod.make_viewset
 
-        def encode(view, params, cfg):
-            enc = real_encode(view, params, cfg)
-            refs[-1] += [weakref.ref(enc), weakref.ref(enc.feats[0].data)]
+        def encode(view, params, cfg, hierarchy):
+            enc = real_encode(view, params, cfg, hierarchy)
+            refs[-1] += [weakref.ref(enc), weakref.ref(enc.feats[0].data),
+                         weakref.ref(hierarchy)]
             return enc
 
         def make_viewset(*args, **kwargs):
@@ -448,8 +449,31 @@ class TestTrainLoop:
         monkeypatch.setattr(trainer_mod, "encode", encode)
         monkeypatch.setattr(trainer_mod, "make_viewset", make_viewset)
         self.run(dataset, 3)
-        assert [len(step) for step in refs] == [16, 16, 16]  # 8 views, 2 referents each
+        assert [len(step) for step in refs] == [24, 24, 24]  # 8 views, 3 referents each
         assert live == [0, 0, 0]
+
+    def test_step_voxelizes_each_distinct_cloud_once(self, dataset, monkeypatch):
+        """A step's 8 encodes read 6 hierarchies: the first global view and
+        both masked views share one cloud, so the encoder voxelizes 6 clouds
+        at level 0."""
+        import concerto.encoder as encoder_mod
+        import concerto.trainer as trainer_mod
+        enc_cfg = tiny_enc()
+        level0 = []  # per step: level-0 voxelize calls
+        real_voxelize, real_make_viewset = encoder_mod.voxelize, trainer_mod.make_viewset
+
+        def voxelize(points, cell_size):
+            level0[-1] += cell_size == enc_cfg.voxel_size
+            return real_voxelize(points, cell_size)
+
+        def make_viewset(*args, **kwargs):
+            level0.append(0)
+            return real_make_viewset(*args, **kwargs)
+
+        monkeypatch.setattr(encoder_mod, "voxelize", voxelize)
+        monkeypatch.setattr(trainer_mod, "make_viewset", make_viewset)
+        self.run(dataset, 2, enc_cfg=enc_cfg)
+        assert level0 == [6, 6]
 
     def test_tape_keeps_no_value_its_consumers_do_not_read(self, dataset, monkeypatch):
         """At each step's backward, no node whose consumers' VJPs never read

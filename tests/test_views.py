@@ -156,10 +156,10 @@ def grid_mask_loop_oracle(coords, ratio, grid, rng):
     if target == 0:
         return mask
     vox = voxelize(coords, grid)
-    order = rng.permutation(vox.num_voxels)
+    order = rng.permutation(vox.cells.num)
     covered = 0
     for cell in order:
-        members = np.flatnonzero(vox.assignments == cell)
+        members = np.flatnonzero(vox.cells.ids == cell)
         room = target - covered
         if members.size > room:
             members = rng.choice(members, size=room, replace=False)
@@ -192,7 +192,7 @@ class TestGridMask:
     def test_bit_equal_to_loop_oracle(self, cloud, ratio, grid):
         for seed in range(3):
             rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            mask = _grid_mask(voxelize(cloud.coords, grid), ratio, rng)
+            mask = _grid_mask(voxelize(cloud.coords, grid).cells, ratio, rng)
             np.testing.assert_array_equal(mask, grid_mask_loop_oracle(cloud.coords, ratio,
                                                                       grid, rng_ref))
             assert mask.sum() == int(round(ratio * cloud.num_points))
@@ -232,4 +232,28 @@ class TestMatchViews:
         # sorted by origin index
         origins = s.origin_index[ia]
         assert (np.diff(origins) > 0).all()
+
+    @pytest.mark.parametrize("sizes", [(0, 0), (0, 40), (40, 0), (30, 50), (200, 200),
+                                       (1, 1)])
+    def test_matches_intersect1d_on_ascending_origins(self, sizes):
+        # random strictly ascending origins over ranges of 60 to 400 indices,
+        # and one pair that shares no index
+        rng = np.random.default_rng(list(sizes))
+        for trial in range(20):
+            span = int(rng.integers(max(sizes) + 1, 400)) if trial else 2 * max(sizes) + 1
+            s, t = (np.sort(rng.choice(span, size=k, replace=False)) for k in sizes)
+            if not trial:  # disjoint: evens against odds
+                s, t = 2 * np.arange(sizes[0]), 2 * np.arange(sizes[1]) + 1
+            views_ = [views.View(cloud=None, origin_index=o) for o in (s, t)]
+            ia, ib = match_views(*views_)
+            _common, want_a, want_b = np.intersect1d(s, t, assume_unique=True,
+                                                     return_indices=True)
+            for got, want in ((ia, want_a), (ib, want_b)):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+
+    def test_viewset_origins_strictly_ascend(self, cloud):
+        for seed in range(5):
+            for view in make_viewset(cloud, AugmentConfig(), seed=seed).all_views:
+                assert (np.diff(view.origin_index) > 0).all()
 
