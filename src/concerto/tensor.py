@@ -739,17 +739,16 @@ def op_linear_softmax_xent(x: Tensor, w: Tensor, b: Optional[Tensor], weights: n
 
 
 def op_layernorm(x: Tensor) -> Tensor:
-    """Zero-mean unit-variance normalization over the last dimension."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _EPS)
+    """Zero-mean unit-variance normalization over the last dimension. Its row
+    means (of x, its centred squares, g and g * y) are products with a column
+    of 1 / d, which BLAS reduces many times faster than ``mean(axis=-1)``."""
+    col = np.full((x.data.shape[-1], 1), 1.0 / x.data.shape[-1], x.data.dtype)
+    xc = x.data - x.data @ col
+    inv = 1.0 / np.sqrt((xc * xc) @ col + _EPS)
     y = xc * inv
 
     def vjp(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gym = (g * y).mean(axis=-1, keepdims=True)
-        return (inv * (g - gm - y * gym),)
+        return (inv * (g - g @ col - y * ((g * y) @ col)),)
 
     return _record(y, "layernorm", [x], vjp)
 
