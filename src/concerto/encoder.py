@@ -3,14 +3,14 @@ pairs, upcast feature concatenation, projection/prototype/cross heads, and
 low-rank adapter factors, plain parameter tensors that are merged into their
 weights before encoding.
 
-A ``Hierarchy``, built once per cloud, holds its voxel levels: level k + 1
-is level k's centroids on cells of ``voxel_size * 2**k``, one level per
-pooling step plus a coarser one that only context mixing reads, with the
-parent and mixing maps as ``T.SegmentMap``s, which every encode of the
-cloud (the trainer's masked views share the first global view's) and its
-backward read. Stage 0 embeds per-point input features (colors plus offsets
-from the finest voxel centroid; no absolute coordinates, so features cannot
-shortcut through position). Each later stage mean-pools the previous stage into its parent
+A ``Hierarchy``, built once per cloud, holds its voxel levels: level k + 1 is
+level k's centroids on cells of ``voxel_size * 2**k``, one level per pooling
+step plus a coarser one that only context mixing reads, with the parent and
+mixing maps as ``T.SegmentMap``s, which every encode of the cloud (the
+trainer's masked views share the first global view's) and its backward read.
+Stage 0 embeds per-point input features (colors plus offsets from the finest
+voxel centroid; no absolute coordinates, so features cannot shortcut through
+position). Each later stage mean-pools the previous stage into its parent
 voxels and applies an MLP; one voxel-neighborhood mean per stage, over its
 ancestors two levels up (one for the last stage), mixes in local context.
 ``upcast`` copies every coarser stage down to a finer point set through its
