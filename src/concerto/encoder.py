@@ -261,8 +261,7 @@ def _upcast_blocks(result: EncodeResult, level: int, rows):
     if not 0 <= level <= top:
         raise ValueError(f"upcast level {level} out of range 0..{top}")
     index = [rows]
-    for s in range(top - level, top):
-        parent = result.hierarchy.parents[s].ids
+    for parent in (m.ids for m in result.hierarchy.parents[top - level:top]):
         index.append(parent if index[-1] is None else parent[index[-1]])
     return result.feats[top - level:], index
 

@@ -806,9 +806,10 @@ def op_cosine(a: Tensor, b: Tensor) -> Tensor:
 class SegmentMap:
     """Row j of n in segment ``ids[j]`` of ``num``, checked once, here: ids
     not a 1-D integer array raise ``ValueError``, outside [0, num)
-    ``IndexError``. ``counts`` is each segment's row count. The first sum of
-    a dtype builds the (num, n) 0/1 incidence in CSC form, column j's one 1
-    at row ``ids[j]`` (so no sort), and the map keeps it."""
+    ``IndexError``. ``counts`` is each segment's row count. The first sum
+    builds the (num, n) 0/1 incidence in CSC form (column j's one 1 at row
+    ``ids[j]``, so no sort) on int32 indices where they fit, which scipy
+    neither scans nor copies, and keeps it; other dtypes reuse its indices."""
 
     def __init__(self, ids, num: int):
         ids = _int_index(ids, "segment ids")
@@ -820,10 +821,12 @@ class SegmentMap:
         self._incidence = None
 
     def incidence(self, dtype) -> sp.csc_matrix:
-        if self._incidence is None or self._incidence.dtype != dtype:
-            n = self.ids.shape[0]
-            self._incidence = sp.csc_matrix((np.ones(n, dtype), self.ids, np.arange(n + 1)),
-                                            shape=(self.num, n))
+        inc, n = self._incidence, self.ids.shape[0]
+        if inc is None or inc.dtype != dtype:
+            index = np.int32 if max(n, self.num) < 2 ** 31 else np.int64
+            pattern = ((self.ids.astype(index), np.arange(n + 1, dtype=index)) if inc is None
+                       else (inc.indices, inc.indptr))
+            self._incidence = sp.csc_matrix((np.ones(n, dtype), *pattern), shape=(self.num, n))
         return self._incidence
 
 
@@ -856,8 +859,7 @@ def _segment_means(x: Tensor, segments: SegmentMap, op: str):
 def op_segment_mean(values: Tensor, segments: SegmentMap):
     """Mean of value rows per segment of ``segments``: a (num, d) tensor
     with zero rows for empty segments. Backward scatters dOut/|segment| to
-    each member row.
-    """
+    each member row."""
     means, inv = _segment_means(values, segments, "op_segment_mean")
 
     def vjp(g):

@@ -182,9 +182,8 @@ def make_viewset(cloud: PointCloud, cfg: AugmentConfig, seed: int) -> ViewSet:
 
 def match_views(student: View, teacher: View):
     """Positions (i, j) with matching origin indices, sorted by origin index,
-    read from a table of teacher positions over the source index range, with
-    no sort. Origins must ascend strictly, as in every view ``make_viewset``
-    and ``probes.plain_view`` build; (i, j) is then ``np.intersect1d``'s."""
+    read from a table of teacher positions: ``np.intersect1d``'s, with no sort,
+    as origins ascend strictly in every view ``make_viewset`` and ``plain_view`` build."""
     s, t = student.origin_index, teacher.origin_index
     pos = np.full(max(s.max(initial=-1), t.max(initial=-1)) + 1, -1, dtype=np.int64)
     pos[t] = np.arange(t.size)

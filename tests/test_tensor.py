@@ -230,6 +230,23 @@ class TestSegmentSum:
             T.backward(T.op_sum(getattr(T, op)(x, segments)))
         assert len(builds) == 1
 
+    def test_other_dtype_sum_reuses_the_int32_indices(self):
+        """A float64 sum after a float32 one (a voxel grid's centroids, then
+        the encoder's pooling) swaps in float64 ones over the same int32
+        index arrays, and both sums equal the plain CSC product."""
+        ids = np.array([0, 2, 2, 1, 0, 2])
+        segments = T.SegmentMap(ids, 4)
+        x = np.random.default_rng(5).normal(size=(6, 3))
+        first = segments.incidence(np.float32)
+        for dtype in (np.float32, np.float64, np.float32):
+            plain = T.sp.csc_matrix((np.ones(6, dtype), ids, np.arange(7)), shape=(4, 6))
+            assert np.array_equal(T.segment_sum_np(x.astype(dtype), segments),
+                                  plain @ x.astype(dtype))
+            inc = segments.incidence(dtype)
+            assert inc.dtype == dtype and inc.indices.dtype == np.int32
+            assert np.shares_memory(inc.indices, first.indices)
+            assert np.shares_memory(inc.indptr, first.indptr)
+
 
 class TestClampedRows:
     """Where a row's norm (``op_l2norm``) or norm product (``op_cosine``)
