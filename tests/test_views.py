@@ -236,14 +236,14 @@ class TestMatchViews:
     @pytest.mark.parametrize("sizes", [(0, 0), (0, 40), (40, 0), (30, 50), (200, 200),
                                        (1, 1)])
     def test_matches_intersect1d_on_ascending_origins(self, sizes):
-        # random strictly ascending origins over ranges of 60 to 400 indices,
-        # and one pair that shares no index
+        # one pair that shares no index (evens against odds), then random
+        # strictly ascending origins over ranges of up to 400 indices
         rng = np.random.default_rng(list(sizes))
-        for trial in range(20):
-            span = int(rng.integers(max(sizes) + 1, 400)) if trial else 2 * max(sizes) + 1
-            s, t = (np.sort(rng.choice(span, size=k, replace=False)) for k in sizes)
-            if not trial:  # disjoint: evens against odds
-                s, t = 2 * np.arange(sizes[0]), 2 * np.arange(sizes[1]) + 1
+        pairs = [(2 * np.arange(sizes[0]), 2 * np.arange(sizes[1]) + 1)]
+        for _ in range(19):
+            span = int(rng.integers(max(sizes) + 1, 400))
+            pairs.append([np.sort(rng.choice(span, size=k, replace=False)) for k in sizes])
+        for s, t in pairs:
             views_ = [views.View(cloud=None, origin_index=o) for o in (s, t)]
             ia, ib = match_views(*views_)
             _common, want_a, want_b = np.intersect1d(s, t, assume_unique=True,
